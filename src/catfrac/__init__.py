@@ -29,6 +29,7 @@ from .fincat import (
     validate_nat_trans,
     vertical_compose,
 )
+from .verify import VerifierReport
 from .diagram import (
     LaxTransformation,
     Modification,
@@ -44,7 +45,6 @@ from .diagram import (
 from .elements import (
     CleavageSet,
     ElementsCategory,
-    VerifierReport,
     canonical_cocone,
     cleavage,
     functor_to_transformation,
@@ -60,7 +60,6 @@ from .fractions import (
     check_axioms,
     induced_functor,
     inverts,
-    localization_functor,
     localize,
     sailboat_quotient,
     shape_instances,
@@ -69,7 +68,6 @@ from .fractions import (
     verify_pseudocolimit,
 )
 from .ambient import (
-    CoverClass,
     FinSetMap,
     FinSetObject,
     InternalCategory,

@@ -22,8 +22,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+from .diagram import compositor_inverse_component, unitor_inverse_component
 from .errors import AxiomError, DomainError, InputError, IntegrityError
-from .fincat import FinCategory, ValidationReport
+from .fincat import FinCategory, ValidationReport, compose_many
+from .fractions import FractionsInput, ShapeInstance, check_axioms, span_compose
+from .verify import VerifierReport
 
 
 @dataclass(frozen=True, eq=True)
@@ -197,16 +200,6 @@ def coequalizer_mediate(q: FinSetMap, h: FinSetMap) -> FinSetMap:
     return FinSetMap(q.cod, h.cod, tuple(table))
 
 
-@dataclass(frozen=True)
-class CoverClass:
-    """The surjections, as a membership predicate."""
-
-    name: str = "surjections"
-
-    def contains(self, f: FinSetMap) -> bool:
-        return is_surjective(f)
-
-
 def _all_objects(max_size: int) -> list[FinSetObject]:
     return [FinSetObject(f"s{n}", n) for n in range(max_size + 1)]
 
@@ -225,21 +218,20 @@ def verify_cover_class(max_size: int = 4) -> ValidationReport:
     Checks identities, closure under composition, stability under pullback,
     and effectiveness (every cover coequalizes its kernel pair).
     """
-    covers = CoverClass()
     report = ValidationReport()
     objects = _all_objects(max_size)
     maps = [f for A in objects for B in objects for f in _all_maps(A, B)]
 
     for A in objects:
-        if not covers.contains(identity_map(A)):
+        if not is_surjective(identity_map(A)):
             report.add(f"identity on size {A.size} is not a cover")
 
-    member = [f for f in maps if covers.contains(f)]
+    member = [f for f in maps if is_surjective(f)]
     for f in member:
         for g in member:
             if f.cod != g.dom:
                 continue
-            if not covers.contains(compose_maps(f, g)):
+            if not is_surjective(compose_maps(f, g)):
                 report.add(f"composite of covers {f.table!r};{g.table!r} is not a cover")
 
     for f in member:
@@ -247,7 +239,7 @@ def verify_cover_class(max_size: int = 4) -> ValidationReport:
             if g.cod != f.cod:
                 continue
             _, _, p1 = pullback(f, g)
-            if not covers.contains(p1):
+            if not is_surjective(p1):
                 report.add(
                     f"pullback of cover {f.table!r} along {g.table!r} is not a cover"
                 )
@@ -283,10 +275,6 @@ class InternalCategory:
 def _pair_positions(IC: InternalCategory) -> dict:
     _, p0, p1 = IC.composable_pairs()
     return {(p0.table[k], p1.table[k]): k for k in range(p0.dom.size)}
-
-
-def _comp(IC: InternalCategory, pairs: dict, i: int, j: int) -> int:
-    return IC.c.table[pairs[(i, j)]]
 
 
 def validate_internal_category(IC: InternalCategory) -> ValidationReport:
@@ -474,8 +462,6 @@ def internal_elements(D) -> InternalCategory:
     per-index-arrow pullbacks; the structure tables are then filled in via
     the comparison-cell formulas.
     """
-    from .diagram import compositor_inverse_component, unitor_inverse_component
-
     if D.variance != "contravariant":
         raise DomainError("internal elements are built for contravariant diagrams")
     idx = D.index
@@ -545,8 +531,6 @@ def internal_elements(D) -> InternalCategory:
     e = FinSetMap(D0, D1, tuple(e_table))
 
     P2, p0, p1 = pullback(t, s)
-    from .fincat import compose_many
-
     c_table = []
     for k in range(P2.size):
         phi, x1, f = arr_tags[p0.table[k]]
@@ -603,8 +587,6 @@ class _SpanMachinery:
 
 
 def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
-    from .fractions import FractionsInput, check_axioms
-
     if w.cod != IC.c1:
         raise InputError("marked-arrows map does not land in the arrow set")
     if len(set(w.table)) != len(w.table):
@@ -668,8 +650,6 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
     of composable pairs is realized by an identity) factored through the
     pair quotient.
     """
-    from .fractions import ShapeInstance, span_compose
-
     M = _span_machinery(IC, w)
     s_q = coequalizer_mediate(M.q, M.s_spn)
     t_q = coequalizer_mediate(M.q, M.t_spn)
@@ -724,8 +704,6 @@ def verify_pairs_coequalizer(IC: InternalCategory, w: FinSetMap):
     coequalizer of the coordinatewise sailboat moves on composable span
     pairs, by an explicit bijection.
     """
-    from .elements import VerifierReport
-
     M = _span_machinery(IC, w)
     s_q = coequalizer_mediate(M.q, M.s_spn)
     t_q = coequalizer_mediate(M.q, M.t_spn)

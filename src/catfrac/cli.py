@@ -7,9 +7,6 @@ to the referring file is accepted.
 
 Exit codes are uniform across commands: 0 means valid/verified, 1 means a
 checked property failed, 2 means the input or a precondition was bad.
-
-The environment variable CATFRAC_SEED is reserved; every algorithm here is
-deterministic, so it is currently read nowhere.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ coherent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .diagram import (
@@ -39,34 +39,9 @@ from .fincat import (
     compose_functors,
     compose_many,
     enumerate_functors,
-    enumerate_nat_trans,
-    identity_nat_trans,
     uniquify,
-    vertical_compose,
 )
-
-
-@dataclass
-class VerifierReport:
-    """Outcome of a universal-property check: counts plus any failures."""
-
-    title: str
-    stats: dict = field(default_factory=dict)
-    problems: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def add(self, msg: str) -> None:
-        self.problems.append(msg)
-
-    def __str__(self) -> str:
-        stats = ", ".join(f"{k}={v}" for k, v in self.stats.items())
-        if self.ok:
-            return f"{self.title}: pass ({stats})"
-        lines = "\n".join(f"  - {p}" for p in self.problems)
-        return f"{self.title}: FAIL ({stats})\n{lines}"
+from .verify import Correspondence, TwoCells, VerifierReport, check_correspondence
 
 
 @dataclass(eq=True)
@@ -295,27 +270,36 @@ def functor_to_transformation(F: Functor, GD: ElementsCategory) -> LaxTransforma
     )
 
 
-def _modification_to_nat(m: Modification, th_src: Functor, th_tgt: Functor, GD) -> NatTrans:
-    components = {
-        name: m.components[A].components[a] for name, (A, a) in GD.object_tags.items()
-    }
-    return NatTrans(src=th_src, tgt=th_tgt, components=components)
+def modification_cells(GD: ElementsCategory) -> TwoCells:
+    """Modifications between transformations out of GD's diagram.  A
+    modification crosses to the natural transformation between the
+    collapsed functors whose component at (A; a) is its component at A, a."""
+    D = GD.diagram
 
+    def transfer(m: Modification, F: Functor, G: Functor) -> NatTrans:
+        components = {
+            name: m.components[A].components[a] for name, (A, a) in GD.object_tags.items()
+        }
+        return NatTrans(src=F, tgt=G, components=components)
 
-def _nat_to_modification(
-    mu: NatTrans, t_src: LaxTransformation, t_tgt: LaxTransformation, GD
-) -> Modification:
-    components = {}
-    for A in GD.diagram.index.objects:
-        components[A] = NatTrans(
-            src=t_src.components[A],
-            tgt=t_tgt.components[A],
-            components={
-                a: mu.components[GD.object_name(A, a)]
-                for a in GD.diagram.cat(A).objects
-            },
-        )
-    return Modification(src=t_src, tgt=t_tgt, components=components)
+    def lift(mu: NatTrans, x: LaxTransformation, y: LaxTransformation) -> Modification:
+        components = {}
+        for A in D.index.objects:
+            components[A] = NatTrans(
+                src=x.components[A],
+                tgt=y.components[A],
+                components={a: mu.components[GD.object_name(A, a)] for a in D.cat(A).objects},
+            )
+        return Modification(src=x, tgt=y, components=components)
+
+    return TwoCells(
+        noun="modification",
+        between=enumerate_modifications,
+        transfer=transfer,
+        lift=lift,
+        identity=identity_modification,
+        compose=compose_modifications,
+    )
 
 
 def verify_oplax_colimit(
@@ -336,86 +320,12 @@ def verify_oplax_colimit(
     trans = enumerate_transformations(D, X, "lax")
     report.stats["functors"] = len(funs)
     report.stats["transformations"] = len(trans)
-    if len(funs) != len(trans):
-        report.add(f"count mismatch: {len(trans)} transformations vs {len(funs)} functors")
-
-    thetas = []
-    for i, t in enumerate(trans):
-        th = transformation_to_functor(t, GD)
-        thetas.append(th)
-        if th not in funs:
-            report.add(f"image of transformation #{i} is not a functor off the carrier")
-            continue
-        back = functor_to_transformation(th, GD)
-        if back != t:
-            report.add(f"round-trip through the carrier changes transformation #{i}")
-    for i in range(len(thetas)):
-        for j in range(i + 1, len(thetas)):
-            if thetas[i] == thetas[j]:
-                report.add(f"transformations #{i} and #{j} collapse to the same functor")
-    for k, F in enumerate(funs):
-        t = functor_to_transformation(F, GD)
-        th = transformation_to_functor(t, GD)
-        if th != F:
-            report.add(f"round-trip through transformations changes functor #{k}")
-    if not report.ok:
-        return report
-
-    mod_total = 0
-    mods_cache = {}
-    for i, t1 in enumerate(trans):
-        for j, t2 in enumerate(trans):
-            mods = enumerate_modifications(t1, t2)
-            mods_cache[(i, j)] = mods
-            nts = enumerate_nat_trans(thetas[i], thetas[j])
-            mod_total += len(mods)
-            if len(mods) != len(nts):
-                report.add(
-                    f"2-cell count mismatch between #{i} and #{j}: "
-                    f"{len(mods)} modifications vs {len(nts)} natural transformations"
-                )
-                continue
-            images = []
-            for m in mods:
-                mu = _modification_to_nat(m, thetas[i], thetas[j], GD)
-                if mu not in nts:
-                    report.add(f"2-cell image between #{i} and #{j} is not natural")
-                    continue
-                if _nat_to_modification(mu, t1, t2, GD) != m:
-                    report.add(f"2-cell round-trip changes a modification between #{i} and #{j}")
-                images.append(mu)
-            for mu in nts:
-                m = _nat_to_modification(mu, t1, t2, GD)
-                if m not in mods:
-                    report.add(f"2-cell preimage between #{i} and #{j} is not a modification")
-                elif _modification_to_nat(m, thetas[i], thetas[j], GD) != mu:
-                    report.add(f"2-cell round-trip changes a 2-cell between #{i} and #{j}")
-    report.stats["modifications"] = mod_total
-    if not report.ok:
-        return report
-
-    for i, t in enumerate(trans):
-        mu = _modification_to_nat(identity_modification(t), thetas[i], thetas[i], GD)
-        if mu != identity_nat_trans(thetas[i]):
-            report.add(f"identity 2-cell of #{i} does not map to the identity")
-    for i in range(len(trans)):
-        for j in range(len(trans)):
-            mods_ij = mods_cache[(i, j)]
-            if not mods_ij:
-                continue
-            for k in range(len(trans)):
-                mods_jk = mods_cache[(j, k)]
-                for m in mods_ij:
-                    for n in mods_jk:
-                        lhs = _modification_to_nat(
-                            compose_modifications(m, n), thetas[i], thetas[k], GD
-                        )
-                        rhs = vertical_compose(
-                            _modification_to_nat(m, thetas[i], thetas[j], GD),
-                            _modification_to_nat(n, thetas[j], thetas[k], GD),
-                        )
-                        if lhs != rhs:
-                            report.add(
-                                f"2-cell composition not preserved between #{i},#{j},#{k}"
-                            )
-    return report
+    correspondence = Correspondence(
+        noun="transformation",
+        left=trans,
+        right=funs,
+        forward=lambda t: transformation_to_functor(t, GD),
+        back=lambda F: functor_to_transformation(F, GD),
+        cells=modification_cells(GD),
+    )
+    return check_correspondence(report, correspondence, "modifications")

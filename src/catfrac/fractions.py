@@ -19,13 +19,23 @@ over every candidate to witness independence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from itertools import islice
+from typing import Iterator, Optional, Union
 
+from .diagram import enumerate_transformations
+from .elements import (
+    cleavage,
+    functor_to_transformation,
+    grothendieck,
+    modification_cells,
+    transformation_to_functor,
+)
 from .errors import AxiomError, DomainError, InputError, IntegrityError
 from .fincat import (
     FinCategory,
     Functor,
     NatTrans,
+    check_shape,
     compose,
     compose_functors,
     compose_many,
@@ -36,8 +46,7 @@ from .fincat import (
     uniquify,
     vertical_compose,
 )
-
-KINDS = ("spn", "csp", "sb", "wtri", "wsq", "wcomp", "p", "p_eq", "p_cq")
+from .verify import Correspondence, TwoCells, VerifierReport, check_correspondence
 
 
 @dataclass(eq=True)
@@ -115,11 +124,6 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[ShapeInstance]:
             for v in W:
                 if C.tgt[h] == C.tgt[v]:
                     out.append(ShapeInstance(kind, (h, v)))
-    elif kind == "wtri":
-        for h in C.arrows:
-            for v in W:
-                if C.tgt[h] == C.src[v] and compose(C, h, v) in wset:
-                    out.append(ShapeInstance(kind, (h, v)))
     elif kind == "sb":
         for h in C.arrows:
             for v in W:
@@ -128,42 +132,11 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[ShapeInstance]:
                 for g in C.arrows:
                     if C.src[g] == C.src[v]:
                         out.append(ShapeInstance(kind, (h, v, g)))
-    elif kind == "wsq":
-        for wp in W:
-            for h in C.arrows:
-                if C.src[h] != C.tgt[wp]:
-                    continue
-                for g in C.arrows:
-                    if C.src[g] != C.src[wp]:
-                        continue
-                    for v in W:
-                        if (
-                            C.src[v] == C.tgt[g]
-                            and C.tgt[v] == C.tgt[h]
-                            and compose(C, wp, h) == compose(C, g, v)
-                        ):
-                            out.append(ShapeInstance(kind, (wp, h, g, v)))
-    elif kind == "wcomp":
-        for m in C.arrows:
-            for v in W:
-                if C.tgt[m] != C.src[v]:
-                    continue
-                for vp in W:
-                    if C.tgt[v] == C.src[vp] and compose_many(C, m, v, vp) in wset:
-                        out.append(ShapeInstance(kind, (m, v, vp)))
     elif kind == "p":
         for f in C.arrows:
             for g in C.arrows:
                 if C.src[f] == C.src[g] and C.tgt[f] == C.tgt[g]:
                     out.append(ShapeInstance(kind, (f, g)))
-    elif kind == "p_eq":
-        for f in C.arrows:
-            for g in C.arrows:
-                if C.src[f] != C.src[g] or C.tgt[f] != C.tgt[g]:
-                    continue
-                for u in W:
-                    if C.tgt[u] == C.src[f] and compose(C, u, f) == compose(C, u, g):
-                        out.append(ShapeInstance(kind, (f, g, u)))
     elif kind == "p_cq":
         for f in C.arrows:
             for g in C.arrows:
@@ -177,18 +150,70 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[ShapeInstance]:
     return out
 
 
+def _sections(inp: FractionsInput, x: str) -> Iterator[str]:
+    """Marked arrows into x, in canonical order."""
+    for v in inp.weq:
+        if inp.category.tgt[v] == x:
+            yield v
+
+
 def _section(inp: FractionsInput) -> tuple[Optional[dict], Optional[str]]:
     """First W-arrow targeting each object, or the first uncovered object."""
-    C = inp.category
     alpha = {}
-    for x in C.objects:
-        for v in inp.weq:
-            if C.tgt[v] == x:
-                alpha[x] = v
-                break
-        else:
+    for x in inp.category.objects:
+        alpha[x] = next(_sections(inp, x), None)
+        if alpha[x] is None:
             return None, x
     return alpha, None
+
+
+def _weak_fillers(inp: FractionsInput, v: str, vp: str) -> Iterator[str]:
+    """Weak-composition fillers of a marked composable pair (v, v'): arrows
+    m with m;v;v' marked, in canonical order."""
+    C = inp.category
+    wset = set(inp.weq)
+    for m in C.arrows:
+        if C.tgt[m] == C.src[v] and compose_many(C, m, v, vp) in wset:
+            yield m
+
+
+def _ore_fillers(inp: FractionsInput, h: str, v: str) -> Iterator[tuple]:
+    """Ore squares on a cospan (h, v) with v marked: pairs (w', g) with w'
+    marked and w';h = g;v, in canonical order."""
+    C = inp.category
+    for wp in inp.weq:
+        if C.tgt[wp] != C.src[h]:
+            continue
+        for g in C.arrows:
+            if (
+                C.src[g] == C.src[wp]
+                and C.tgt[g] == C.src[v]
+                and compose(C, wp, h) == compose(C, g, v)
+            ):
+                yield wp, g
+
+
+def _zippers(inp: FractionsInput, f: str, g: str) -> Iterator[str]:
+    """Marked arrows u with u;f = u;g, in canonical order."""
+    C = inp.category
+    for u in inp.weq:
+        if C.tgt[u] == C.src[f] and compose(C, u, f) == compose(C, u, g):
+            yield u
+
+
+def _decide(inp: FractionsInput, axiom: int, cases: list, search, kind: str) -> AxiomFinding:
+    """Run ``search`` on each case (key, shown) in order.  The first filler
+    found is the key's witness; the first case without one is shown as the
+    counterexample."""
+    finding = AxiomFinding(axiom=axiom, ok=True)
+    for key, shown in cases:
+        found = next(search(inp, *key), None)
+        if found is not None:
+            finding.witnesses[key] = FillerWitness(**{kind: found})
+        elif finding.ok:
+            finding.ok = False
+            finding.counterexample = shown
+    return finding
 
 
 def check_axioms(inp: FractionsInput) -> AxiomReport:
@@ -196,85 +221,19 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
     inp.check()
     C = inp.category
     W = inp.weq
-    wset = set(W)
-    findings = []
-
-    f1 = AxiomFinding(axiom=1, ok=True)
-    alpha, missing = _section(inp)
-    if alpha is None:
-        f1.ok = False
-        f1.counterexample = (missing,)
-    else:
-        for x, v in alpha.items():
-            f1.witnesses[(x,)] = FillerWitness(section=v)
-    findings.append(f1)
-
-    f2 = AxiomFinding(axiom=2, ok=True)
-    for v in W:
-        for vp in W:
-            if C.tgt[v] != C.src[vp]:
-                continue
-            found = None
-            for m in C.arrows:
-                if C.tgt[m] == C.src[v] and compose_many(C, m, v, vp) in wset:
-                    found = m
-                    break
-            if found is None:
-                if f2.ok:
-                    f2.ok = False
-                    f2.counterexample = (v, vp)
-            else:
-                f2.witnesses[(v, vp)] = FillerWitness(weak=found)
-    findings.append(f2)
-
-    f3 = AxiomFinding(axiom=3, ok=True)
-    for h in C.arrows:
-        for v in W:
-            if C.tgt[h] != C.tgt[v]:
-                continue
-            found = None
-            for wp in W:
-                if C.tgt[wp] != C.src[h]:
-                    continue
-                for g in C.arrows:
-                    if (
-                        C.src[g] == C.src[wp]
-                        and C.tgt[g] == C.src[v]
-                        and compose(C, wp, h) == compose(C, g, v)
-                    ):
-                        found = (wp, g)
-                        break
-                if found:
-                    break
-            if found is None:
-                if f3.ok:
-                    f3.ok = False
-                    f3.counterexample = (h, v)
-            else:
-                f3.witnesses[(h, v)] = FillerWitness(ore=found)
-    findings.append(f3)
-
-    f4 = AxiomFinding(axiom=4, ok=True)
-    seen_pairs = set()
-    for inst in shape_instances(inp, "p_cq"):
-        f, g, _ = inst.payload
-        if (f, g) in seen_pairs:
-            continue
-        seen_pairs.add((f, g))
-        found = None
-        for u in W:
-            if C.tgt[u] == C.src[f] and compose(C, u, f) == compose(C, u, g):
-                found = u
-                break
-        if found is None:
-            if f4.ok:
-                f4.ok = False
-                f4.counterexample = inst.payload
-        else:
-            f4.witnesses[(f, g)] = FillerWitness(zipper=found)
-    findings.append(f4)
-
-    return AxiomReport(findings=findings)
+    objects = [((x,), (x,)) for x in C.objects]
+    marked_pairs = [((v, vp), (v, vp)) for v in W for vp in W if C.tgt[v] == C.src[vp]]
+    cospans = [((h, v), (h, v)) for h in C.arrows for v in W if C.tgt[h] == C.tgt[v]]
+    # a parallel pair is shown with the first arrow that coequalizes it
+    coequalized: dict = {}
+    for s in shape_instances(inp, "p_cq"):
+        coequalized.setdefault(s.payload[:2], s.payload)
+    return AxiomReport(findings=[
+        _decide(inp, 1, objects, _sections, "section"),
+        _decide(inp, 2, marked_pairs, _weak_fillers, "weak"),
+        _decide(inp, 3, cospans, _ore_fillers, "ore"),
+        _decide(inp, 4, list(coequalized.items()), _zippers, "zipper"),
+    ])
 
 
 @dataclass(eq=True)
@@ -307,26 +266,34 @@ class _UnionFind:
 
 
 def _span_partition(inp: FractionsInput):
-    """Spans, their sailboat classes (as index lists), and payload lookup."""
+    """Spans and their sailboat classes (as index lists).
+
+    A sailboat move (h, v, g) -> (hv, hg) keeps both endpoints t(v), t(g)
+    of the span, so each class has endpoints and the classes of composable
+    span pairs are exactly the composable pairs of classes.  localize
+    composes classes through representatives on that ground; a move that
+    breaks the invariant (only a corrupt table can) raises IntegrityError.
+    """
     C = inp.category
     spans = shape_instances(inp, "spn")
     index = {s.payload: i for i, s in enumerate(spans)}
     uf = _UnionFind(len(spans))
     for sb in shape_instances(inp, "sb"):
         h, v, g = sb.payload
-        plain = (v, g)
         moved = (compose(C, h, v), compose(C, h, g))
-        uf.union(index[plain], index[moved])
+        if moved not in index or C.tgt[moved[0]] != C.tgt[v] or C.tgt[moved[1]] != C.tgt[g]:
+            raise IntegrityError(f"sailboat move {sb.payload!r} changes the span's endpoints")
+        uf.union(index[(v, g)], index[moved])
     classes: dict[int, list[int]] = {}
     for i in range(len(spans)):
         classes.setdefault(uf.find(i), []).append(i)
     ordered = [classes[root] for root in sorted(classes)]
-    return spans, ordered, index
+    return spans, ordered
 
 
 def sailboat_quotient(inp: FractionsInput) -> list[list[ShapeInstance]]:
     """Partition of the spans into sailboat classes, canonical reps first."""
-    spans, ordered, _ = _span_partition(inp)
+    spans, ordered = _span_partition(inp)
     return [[spans[i] for i in members] for members in ordered]
 
 
@@ -338,11 +305,11 @@ def span_compose(
 ) -> Union[ShapeInstance, tuple]:
     """Composite span via an Ore square then a weak-composition witness.
 
-    With exhaustive=True, also returns the frozenset of payloads produced by
+    Takes the first filler of each kind in canonical order.  With
+    exhaustive=True, also returns the frozenset of payloads produced by
     every (Ore filler, weak filler) combination.
     """
     C = inp.category
-    wset = set(inp.weq)
     v1, g1 = s1.payload
     v2, g2 = s2.payload
     if C.tgt[g1] != C.tgt[v2]:
@@ -351,50 +318,20 @@ def span_compose(
             f"{s2.payload!r} starts at {C.tgt[v2]!r}"
         )
 
-    ore_fillers = []
-    for wp in inp.weq:
-        if C.tgt[wp] != C.src[g1]:
-            continue
-        for h2 in C.arrows:
-            if (
-                C.src[h2] == C.src[wp]
-                and C.tgt[h2] == C.src[v2]
-                and compose(C, wp, g1) == compose(C, h2, v2)
-            ):
-                ore_fillers.append((wp, h2))
-                if not exhaustive:
-                    break
-        if ore_fillers and not exhaustive:
-            break
+    def fillers(found: Iterator) -> list:
+        return list(found) if exhaustive else list(islice(found, 1))
+
+    ore_fillers = fillers(_ore_fillers(inp, g1, v2))
     if not ore_fillers:
         raise AxiomError(
             f"no Ore filler for cospan ({g1!r}, {v2!r})",
             report=check_axioms(inp),
         )
-
-    results = []
-    for wp, h2 in ore_fillers:
-        weak_fillers = []
-        for m in C.arrows:
-            if C.tgt[m] == C.src[wp] and compose_many(C, m, wp, v1) in wset:
-                weak_fillers.append(m)
-                if not exhaustive:
-                    break
-        if not weak_fillers:
-            if not exhaustive and not results:
-                raise AxiomError(
-                    f"no weak-composition filler for ({wp!r}, {v1!r})",
-                    report=check_axioms(inp),
-                )
-            continue
-        for m in weak_fillers:
-            left = compose_many(C, m, wp, v1)
-            right = compose_many(C, m, h2, g2)
-            results.append((left, right))
-            if not exhaustive:
-                break
-        if not exhaustive:
-            break
+    results = [
+        (compose_many(C, m, wp, v1), compose_many(C, m, h2, g2))
+        for wp, h2 in ore_fillers
+        for m in fillers(_weak_fillers(inp, wp, v1))
+    ]
     if not results:
         raise AxiomError(
             f"no filler chain composes {s1.payload!r} with {s2.payload!r}",
@@ -411,10 +348,10 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
 
     Refuses with the axiom report when any axiom fails.  Also re-derives
     its own choices: identity classes are independent of the chosen
-    section, composites are independent of fillers and representatives
-    (exhaustively when the span count is within exhaustive_limit), and the
-    class count of composable span pairs matches the composable pairs of
-    classes.  Any failure of those re-derivations raises IntegrityError.
+    section, and composites are independent of fillers and representatives
+    (exhaustively when the span count is within exhaustive_limit).  Any
+    failure of those re-derivations, or a sailboat move that changes a
+    span's endpoints, raises IntegrityError.
     """
     inp.check()
     axioms = check_axioms(inp)
@@ -423,7 +360,7 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
             "fractions axioms fail:\n" + str(axioms), report=axioms
         )
     C = inp.category
-    spans, ordered, index = _span_partition(inp)
+    spans, ordered = _span_partition(inp)
 
     rep_payloads = [spans[members[0]].payload for members in ordered]
     names = uniquify([f"[{v};{g}]" for v, g in rep_payloads])
@@ -467,8 +404,8 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
 
     # (a) identity classes do not depend on the section
     for x in C.objects:
-        for v in inp.weq:
-            if C.tgt[v] == x and class_of_span[(v, v)] != identity[x]:
+        for v in _sections(inp, x):
+            if class_of_span[(v, v)] != identity[x]:
                 raise IntegrityError(
                     f"identity at {x!r} depends on the section: {v!r} disagrees"
                 )
@@ -487,46 +424,7 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
                         f"composite of {s1.payload!r} and {s2.payload!r} "
                         f"is not well-defined: classes {sorted(got)!r}"
                     )
-
-    # (c) composable span pairs quotient onto composable class pairs
-    _check_pairs_quotient(inp, spans, index, class_of_span)
     return out
-
-
-def _check_pairs_quotient(inp, spans, index, class_of_span) -> None:
-    """Coequalizing the squared relation must agree with pairing classes."""
-    C = inp.category
-    pairs = []
-    pair_index = {}
-    for s1 in spans:
-        for s2 in spans:
-            if C.tgt[s1.payload[1]] == C.tgt[s2.payload[0]]:
-                pair_index[(s1.payload, s2.payload)] = len(pairs)
-                pairs.append((s1.payload, s2.payload))
-    uf = _UnionFind(len(pairs))
-    for sb in shape_instances(inp, "sb"):
-        h, v, g = sb.payload
-        plain = (v, g)
-        moved = (compose(C, h, v), compose(C, h, g))
-        for other in spans:
-            o = other.payload
-            if (plain, o) in pair_index:
-                uf.union(pair_index[(plain, o)], pair_index[(moved, o)])
-            if (o, plain) in pair_index:
-                uf.union(pair_index[(o, plain)], pair_index[(o, moved)])
-    roots = {uf.find(i) for i in range(len(pairs))}
-    class_pairs = {
-        (class_of_span[p1], class_of_span[p2]) for p1, p2 in pairs
-    }
-    if len(roots) != len(class_pairs):
-        raise IntegrityError(
-            f"composable-pair quotient mismatch: {len(roots)} pair classes "
-            f"vs {len(class_pairs)} class pairs"
-        )
-
-
-def localization_functor(LC: LocalizedCategory) -> Functor:
-    return LC.L
 
 
 def inverts(F: Functor, inp: FractionsInput) -> tuple[bool, dict]:
@@ -575,111 +473,38 @@ def verify_localization_up(inp: FractionsInput, X: FinCategory):
     localized carrier via the induced/precompose maps, and natural
     transformations must transfer componentwise, functorially.
     """
-    from .elements import VerifierReport
-
     LC = localize(inp)
     report = VerifierReport(title="localization universal property")
     inverting = [F for F in enumerate_functors(inp.category, X) if inverts(F, inp)[0]]
     off_carrier = enumerate_functors(LC.carrier, X)
     report.stats["inverting functors"] = len(inverting)
     report.stats["functors off carrier"] = len(off_carrier)
-    if len(inverting) != len(off_carrier):
-        report.add(
-            f"count mismatch: {len(inverting)} inverting vs {len(off_carrier)} off carrier"
-        )
 
-    induced = []
-    for i, F in enumerate(inverting):
-        G = induced_functor(F, LC)
-        induced.append(G)
-        if G not in off_carrier:
-            report.add(f"induced functor of inverting functor #{i} is invalid")
-            continue
-        if compose_functors(LC.L, G) != F:
-            report.add(f"precomposing the induced functor does not recover functor #{i}")
-    for i in range(len(induced)):
-        for j in range(i + 1, len(induced)):
-            if induced[i] == induced[j]:
-                report.add(f"inverting functors #{i} and #{j} induce the same functor")
-    for k, G in enumerate(off_carrier):
-        F = compose_functors(LC.L, G)
-        okw, _ = inverts(F, inp)
-        if not okw:
-            report.add(f"precomposition of functor #{k} does not invert the marked arrows")
-            continue
-        if induced_functor(F, LC) != G:
-            report.add(f"inducing the precomposition does not recover functor #{k}")
-    if not report.ok:
-        return report
+    def retarget(a: NatTrans, F: Functor, G: Functor) -> NatTrans:
+        return NatTrans(F, G, dict(a.components))
 
-    nt_total = 0
-    cells: dict[tuple, list] = {}
-    for i, F1 in enumerate(inverting):
-        for j, F2 in enumerate(inverting):
-            upstairs = enumerate_nat_trans(F1, F2)
-            cells[(i, j)] = upstairs
-            downstairs = enumerate_nat_trans(induced[i], induced[j])
-            nt_total += len(upstairs)
-            if len(upstairs) != len(downstairs):
-                report.add(
-                    f"2-cell count mismatch between #{i} and #{j}: "
-                    f"{len(upstairs)} vs {len(downstairs)}"
-                )
-                continue
-            for a in upstairs:
-                image = NatTrans(induced[i], induced[j], dict(a.components))
-                if image not in downstairs:
-                    report.add(f"transferred 2-cell between #{i} and #{j} is not natural")
-            for b in downstairs:
-                preimage = NatTrans(F1, F2, dict(b.components))
-                if preimage not in upstairs:
-                    report.add(f"2-cell between induced #{i} and #{j} has no preimage")
-    report.stats["natural transformations"] = nt_total
-    if not report.ok:
-        return report
-
-    def transfer(i: int, j: int, a: NatTrans) -> NatTrans:
-        return NatTrans(induced[i], induced[j], dict(a.components))
-
-    for i, F in enumerate(inverting):
-        if transfer(i, i, identity_nat_trans(F)) != identity_nat_trans(induced[i]):
-            report.add(f"identity 2-cell of #{i} does not transfer to the identity")
-    for i in range(len(inverting)):
-        for j in range(len(inverting)):
-            for k in range(len(inverting)):
-                for a in cells[(i, j)]:
-                    for b in cells[(j, k)]:
-                        lhs = transfer(i, k, vertical_compose(a, b))
-                        rhs = vertical_compose(transfer(i, j, a), transfer(j, k, b))
-                        if lhs != rhs:
-                            report.add(
-                                f"2-cell composition not preserved between #{i},#{j},#{k}"
-                            )
-    return report
+    correspondence = Correspondence(
+        noun="inverting functor",
+        left=inverting,
+        right=off_carrier,
+        forward=lambda F: induced_functor(F, LC),
+        back=lambda G: compose_functors(LC.L, G),
+        cells=TwoCells(
+            noun="natural transformation",
+            between=enumerate_nat_trans,
+            transfer=retarget,
+            lift=retarget,
+            identity=identity_nat_trans,
+            compose=vertical_compose,
+        ),
+    )
+    return check_correspondence(report, correspondence, "natural transformations")
 
 
 def verify_pseudocolimit(D, X: FinCategory):
     """Check that localizing the elements carrier at the cleavage computes
     the pseudocolimit: invertible-two-cell transformations out of the
     diagram correspond to functors off the localized carrier."""
-    from .diagram import (
-        compose_modifications,
-        enumerate_modifications,
-        enumerate_transformations,
-        identity_modification,
-        is_pseudo,
-    )
-    from .elements import (
-        VerifierReport,
-        _modification_to_nat,
-        _nat_to_modification,
-        cleavage,
-        functor_to_transformation,
-        grothendieck,
-        transformation_to_functor,
-    )
-    from .fincat import check_shape
-
     shape = check_shape(D.index, "cofiltered")
     if not shape.ok:
         raise DomainError(f"index is not cofiltered: {shape.failure}")
@@ -706,94 +531,14 @@ def verify_pseudocolimit(D, X: FinCategory):
     off_localized = enumerate_functors(LC.carrier, X)
     report.stats["pseudo transformations"] = len(pseudo)
     report.stats["functors off localized"] = len(off_localized)
-    if len(pseudo) != len(off_localized):
-        report.add(
-            f"count mismatch: {len(pseudo)} pseudo transformations vs "
-            f"{len(off_localized)} functors"
-        )
-
-    images = []
-    for i, x in enumerate(pseudo):
-        theta = transformation_to_functor(x, GD)
-        okx, _ = inverts(theta, inp)
-        if not okx:
-            report.add(f"collapse of pseudo transformation #{i} does not invert the cleavage")
-            continue
-        G = induced_functor(theta, LC)
-        images.append(G)
-        if G not in off_localized:
-            report.add(f"induced functor of pseudo transformation #{i} is invalid")
-            continue
-        back = functor_to_transformation(compose_functors(LC.L, G), GD)
-        if back != x:
-            report.add(f"round-trip changes pseudo transformation #{i}")
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if images[i] == images[j]:
-                report.add(f"pseudo transformations #{i} and #{j} collapse together")
-    for k, G in enumerate(off_localized):
-        t = functor_to_transformation(compose_functors(LC.L, G), GD)
-        okp, _ = is_pseudo(t)
-        if not okp:
-            report.add(f"pullback of functor #{k} is not pseudo")
-            continue
-        theta = transformation_to_functor(t, GD)
-        if induced_functor(theta, LC) != G:
-            report.add(f"round-trip changes functor #{k}")
-    if not report.ok:
-        return report
-
-    mod_total = 0
-    mods_cache = {}
-    for i, x in enumerate(pseudo):
-        for j, y in enumerate(pseudo):
-            mods = enumerate_modifications(x, y)
-            mods_cache[(i, j)] = mods
-            downstairs = enumerate_nat_trans(images[i], images[j])
-            mod_total += len(mods)
-            if len(mods) != len(downstairs):
-                report.add(
-                    f"2-cell count mismatch between pseudo #{i} and #{j}: "
-                    f"{len(mods)} modifications vs {len(downstairs)}"
-                )
-                continue
-            transfers = [_modification_to_nat(m, images[i], images[j], GD) for m in mods]
-            for image in transfers:
-                if image not in downstairs:
-                    report.add(
-                        f"modification between #{i} and #{j} transfers to a non-natural cell"
-                    )
-            for a in range(len(transfers)):
-                for b in range(a + 1, len(transfers)):
-                    if transfers[a] == transfers[b]:
-                        report.add(f"2-cell transfer between #{i} and #{j} is not injective")
-            for cell in downstairs:
-                if _nat_to_modification(cell, x, y, GD) not in mods:
-                    report.add(f"2-cell between induced #{i} and #{j} has no modification preimage")
-    report.stats["modifications"] = mod_total
-    if not report.ok:
-        return report
-
-    for i, x in enumerate(pseudo):
-        lhs = _modification_to_nat(identity_modification(x), images[i], images[i], GD)
-        if lhs != identity_nat_trans(images[i]):
-            report.add(f"identity 2-cell of pseudo #{i} does not transfer to the identity")
-    for i in range(len(pseudo)):
-        for j in range(len(pseudo)):
-            if not mods_cache[(i, j)]:
-                continue
-            for k in range(len(pseudo)):
-                for m in mods_cache[(i, j)]:
-                    for n in mods_cache[(j, k)]:
-                        lhs = _modification_to_nat(
-                            compose_modifications(m, n), images[i], images[k], GD
-                        )
-                        rhs = vertical_compose(
-                            _modification_to_nat(m, images[i], images[j], GD),
-                            _modification_to_nat(n, images[j], images[k], GD),
-                        )
-                        if lhs != rhs:
-                            report.add(
-                                f"2-cell composition not preserved between pseudo #{i},#{j},#{k}"
-                            )
-    return report
+    # a transformation collapses to a functor inverting the cleavage exactly
+    # when it is pseudo, so induced_functor's DomainError marks the others
+    correspondence = Correspondence(
+        noun="pseudo transformation",
+        left=pseudo,
+        right=off_localized,
+        forward=lambda x: induced_functor(transformation_to_functor(x, GD), LC),
+        back=lambda G: functor_to_transformation(compose_functors(LC.L, G), GD),
+        cells=modification_cells(GD),
+    )
+    return check_correspondence(report, correspondence, "modifications")

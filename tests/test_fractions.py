@@ -1,9 +1,11 @@
 import pytest
 
+import catfrac.fractions
 import corpus
 import oracle
 from catfrac import (
     AxiomError,
+    AxiomReport,
     FinCategory,
     FractionsInput,
     Functor,
@@ -14,7 +16,6 @@ from catfrac import (
     identity_functor,
     induced_functor,
     inverts,
-    localization_functor,
     localize,
     sailboat_quotient,
     shape_instances,
@@ -24,7 +25,7 @@ from catfrac import (
     verify_localization_up,
     verify_pseudocolimit,
 )
-from catfrac.errors import DomainError, InputError
+from catfrac.errors import DomainError, InputError, IntegrityError
 
 
 def to_raw(C: FinCategory) -> dict:
@@ -188,6 +189,20 @@ def test_localize_refuses_on_failed_axioms():
     assert exc.value.report is not None
 
 
+def test_localize_catches_a_move_that_changes_endpoints(monkeypatch):
+    # ia;f is tabled as ia, so the move (ia, f, g) -> (ia, ia;g) turns a
+    # span from b into a span from a; only the axiom check is bypassed
+    C = FinCategory.build(
+        ["a", "b"],
+        [("ia", "a", "a"), ("ib", "b", "b"), ("f", "a", "b")],
+        {"a": "ia", "b": "ib"},
+        {("ia", "f"): "ia"},
+    )
+    monkeypatch.setattr(catfrac.fractions, "check_axioms", lambda inp: AxiomReport([]))
+    with pytest.raises(IntegrityError, match="endpoints"):
+        localize(FractionsInput(C, C.arrows))
+
+
 @pytest.mark.parametrize("name,inp", corpus.fractions_corpus())
 def test_exhaustive_limit_changes_nothing(name, inp):
     fast = localize(inp)
@@ -225,7 +240,7 @@ def test_induced_functor_rejects_non_inverting():
 def test_induced_of_localization_functor_is_identity():
     inp = FractionsInput(corpus.two(), ("id:a", "id:b", "f"))
     LC = localize(inp)
-    G = induced_functor(localization_functor(LC), LC)
+    G = induced_functor(LC.L, LC)
     assert G == identity_functor(LC.carrier)
 
 

@@ -1,0 +1,63 @@
+"""Package structure: imports sit at module top and never form a cycle."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "catfrac"
+MODULES = {
+    path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path in sorted(PACKAGE.glob("*.py"))
+}
+
+
+def _imported_modules(tree: ast.Module) -> set:
+    """Modules of this package that a module imports, anywhere in it."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            parts = node.module.split(".")
+            if parts[0] == "catfrac":
+                names.add(parts[1] if len(parts) > 1 else "__init__")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "catfrac":
+                    names.add(parts[1] if len(parts) > 1 else "__init__")
+    return names & set(MODULES)
+
+
+def test_no_imports_inside_functions():
+    nested = set()
+    for name, tree in MODULES.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for node in ast.walk(fn):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        nested.add(f"{name}.py:{node.lineno}")
+    assert not nested, f"imports inside functions: {sorted(nested)}"
+
+
+def test_import_graph_is_acyclic():
+    graph = {name: _imported_modules(tree) for name, tree in MODULES.items()}
+    # the verifier engine sits at the bottom, next to the table kernel
+    assert graph["verify"] <= {"errors", "fincat"}
+    done: set = set()
+
+    def visit(name: str, path: list) -> None:
+        if name in path:
+            cycle = path[path.index(name):] + [name]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if name in done:
+            return
+        for dep in sorted(graph[name]):
+            visit(dep, path + [name])
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name, [])
+

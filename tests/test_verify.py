@@ -1,0 +1,241 @@
+"""The correspondence engine behind every universal-property verifier.
+
+Fake correspondences here are small on purpose: the left 1-cells are the
+labels "p" and "q" for the two functors from the terminal category into the
+parallel pair, and their 2-cells are the natural transformations between
+those functors. Each test breaks one map and expects the phase that checks
+it to say so.
+"""
+
+import dataclasses
+
+import pytest
+
+import corpus
+import catfrac.fractions
+from catfrac import (
+    FractionsInput,
+    Functor,
+    NatTrans,
+    VerifierReport,
+    enumerate_functors,
+    enumerate_nat_trans,
+    grothendieck,
+    identity_nat_trans,
+    verify_localization_up,
+    verify_oplax_colimit,
+    verify_pseudocolimit,
+    vertical_compose,
+)
+from catfrac.errors import DomainError
+from catfrac.verify import Correspondence, TwoCells, check_correspondence
+
+X = corpus.parallel()
+RIGHT = enumerate_functors(corpus.one(), X)  # constant at a, constant at b
+IMAGE = {"p": RIGHT[0], "q": RIGHT[1]}
+CELL_MAPS = ("between", "transfer", "lift", "identity", "compose")
+
+
+def retarget(a, F, G):
+    return NatTrans(F, G, dict(a.components))
+
+
+def fake(**changes) -> Correspondence:
+    """A correspondence that holds, with the given fields replaced."""
+    cells = TwoCells(
+        noun="cell",
+        between=lambda x, y: enumerate_nat_trans(IMAGE[x], IMAGE[y]),
+        transfer=retarget,
+        lift=lambda mu, x, y: retarget(mu, IMAGE[x], IMAGE[y]),
+        identity=lambda x: identity_nat_trans(IMAGE[x]),
+        compose=vertical_compose,
+    )
+    cell_changes = {k: changes.pop(k) for k in CELL_MAPS if k in changes}
+    base = Correspondence(
+        noun="point",
+        left=["p", "q"],
+        right=list(RIGHT),
+        forward=IMAGE.__getitem__,
+        back=lambda F: next(x for x, G in IMAGE.items() if G == F),
+        cells=dataclasses.replace(cells, **cell_changes),
+    )
+    return dataclasses.replace(base, **changes)
+
+
+def run(c: Correspondence) -> VerifierReport:
+    return check_correspondence(VerifierReport(title="fake"), c, "cells")
+
+
+def test_fake_correspondence_passes():
+    report = run(fake())
+    assert report.ok, str(report)
+    # p => p and q => q have one cell each, p => q has two, q => p none
+    assert report.stats == {"cells": 4}
+
+
+def test_count_mismatch():
+    report = run(fake(left=["p"]))
+    assert "count mismatch: 1 points vs 2 functors" in report.problems
+
+
+def test_image_outside_the_other_side():
+    not_a_functor = Functor(corpus.one(), X, {"*": "a"}, {"id:*": "s"})
+
+    def forward(x):
+        return IMAGE["p"] if x == "p" else not_a_functor
+
+    report = run(fake(forward=forward))
+    assert "image of point #1 is not a functor off the carrier" in report.problems
+
+
+def test_undefined_image():
+    def forward(x):
+        if x == "q":
+            raise DomainError("no image")
+        return IMAGE[x]
+
+    report = run(fake(forward=forward))
+    assert "image of point #1 is undefined: no image" in report.problems
+    assert "round-trip through points is undefined on functor #1: no image" in report.problems
+
+
+def test_round_trip_change():
+    report = run(fake(back=lambda F: "p"))
+    assert "round-trip through the carrier changes point #1" in report.problems
+    assert "round-trip through points changes functor #1" in report.problems
+
+
+def test_collapse():
+    report = run(fake(forward=lambda x: RIGHT[0]))
+    assert "points #0 and #1 collapse to the same functor" in report.problems
+
+
+def test_collapse_names_input_positions_after_a_failed_image():
+    def forward(x):
+        if x == "o":
+            raise DomainError("no image")
+        return RIGHT[1]
+
+    report = run(fake(left=["o", "q", "q"], forward=forward))
+    assert "points #1 and #2 collapse to the same functor" in report.problems
+    assert not any("#0 and" in p for p in report.problems)
+
+
+def test_two_cell_count_mismatch():
+    report = run(fake(between=lambda x, y: []))
+    assert "2-cell count mismatch between #0 and #0: 0 cells vs 1 natural transformations" in report.problems
+    assert report.stats == {"cells": 0}
+
+
+def test_non_natural_transfer():
+    def transfer(a, F, G):
+        return NatTrans(F, G, {x: X.identity[F.on_objects[x]] for x in a.components})
+
+    report = run(fake(transfer=transfer))
+    assert "2-cell image between #0 and #1 is not natural" in report.problems
+
+
+def test_transfer_not_injective():
+    # p => q has two cells; sending both to the first breaks both round trips
+    def transfer(a, F, G):
+        return enumerate_nat_trans(F, G)[0]
+
+    report = run(fake(transfer=transfer))
+    assert report.problems == [
+        "2-cell round-trip changes a cell between #0 and #1",
+        "2-cell round-trip changes a 2-cell between #0 and #1",
+    ]
+
+
+def test_missing_preimage():
+    report = run(fake(lift=lambda mu, x, y: None))
+    assert "2-cell preimage between #0 and #0 is not a cell" in report.problems
+    assert "2-cell round-trip changes a cell between #0 and #0" in report.problems
+
+
+def test_identity_not_preserved():
+    def identity(x):
+        F = IMAGE[x]
+        return NatTrans(F, F, {"*": "s"})
+
+    report = run(fake(identity=identity))
+    assert report.problems == [
+        "identity 2-cell of #0 does not map to the identity",
+        "identity 2-cell of #1 does not map to the identity",
+    ]
+
+
+def test_composition_not_preserved():
+    report = run(fake(compose=lambda a, b: a))
+    assert report.problems == ["2-cell composition not preserved between #0,#0,#1"] * 2
+
+
+def test_failed_phase_stops_the_check():
+    report = run(fake(forward=lambda x: RIGHT[0], between=lambda x, y: []))
+    assert "cells" not in report.stats
+    assert not any(p.startswith("2-cell") for p in report.problems)
+
+
+# -- the verifiers, pinned and with their own negative controls ---------------
+
+
+def test_golden_oplax_colimit():
+    report = verify_oplax_colimit(corpus.diag_contra_two(), corpus.iso())
+    assert str(report) == (
+        "oplax colimit universal property: pass "
+        "(functors=8, transformations=8, modifications=64)"
+    )
+
+
+def test_golden_localization_up():
+    inp = FractionsInput(corpus.two(), ("id:a", "id:b", "f"))
+    assert str(verify_localization_up(inp, corpus.iso())) == (
+        "localization universal property: pass "
+        "(inverting functors=4, functors off carrier=4, natural transformations=16)"
+    )
+
+
+def test_golden_pseudocolimit():
+    assert str(verify_pseudocolimit(corpus.diag_contra_two(), corpus.two())) == (
+        "pseudocolimit universal property: pass (carrier arrows=6, localized arrows=7, "
+        "pseudo transformations=3, functors off localized=3, modifications=6)"
+    )
+
+
+def test_golden_oplax_swapped_tags():
+    D = corpus.diag_contra_two()
+    GD = grothendieck(D)
+    a, b = GD.object_name("a", "a"), GD.object_name("a", "b")
+    GD.object_tags[a], GD.object_tags[b] = GD.object_tags[b], GD.object_tags[a]
+    GD.object_index[("a", "a")], GD.object_index[("a", "b")] = b, a
+    assert str(verify_oplax_colimit(D, corpus.iso(), GD=GD)) == (
+        "oplax colimit universal property: FAIL (functors=8, transformations=8)\n"
+        "  - image of transformation #2 is not a functor off the carrier\n"
+        "  - image of transformation #3 is not a functor off the carrier\n"
+        "  - image of transformation #4 is not a functor off the carrier\n"
+        "  - image of transformation #5 is not a functor off the carrier"
+    )
+
+
+@pytest.fixture
+def constant_induced(monkeypatch):
+    """induced_functor replaced by one that sends everything to the first
+    functor off the localized carrier."""
+
+    def induced(F, LC):
+        return enumerate_functors(LC.carrier, F.cod)[0]
+
+    monkeypatch.setattr(catfrac.fractions, "induced_functor", induced)
+
+
+def test_localization_up_catches_a_wrong_induced_functor(constant_induced):
+    inp = FractionsInput(corpus.two(), ("id:a", "id:b", "f"))
+    report = verify_localization_up(inp, corpus.iso())
+    assert not report.ok
+    assert "inverting functors #0 and #1 collapse to the same functor" in report.problems
+
+
+def test_pseudocolimit_catches_a_wrong_induced_functor(constant_induced):
+    report = verify_pseudocolimit(corpus.diag_contra_two(), corpus.two())
+    assert not report.ok
+    assert "pseudo transformations #0 and #1 collapse to the same functor" in report.problems

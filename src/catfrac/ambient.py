@@ -582,8 +582,13 @@ class _SpanMachinery:
     sb_rows: list
     Q: FinSetObject
     q: FinSetMap
-    s_spn: FinSetMap
-    t_spn: FinSetMap
+    s_q: FinSetMap
+    t_q: FinSetMap
+    SP: FinSetObject
+    r0: FinSetMap
+    r1: FinSetMap
+    P2: FinSetObject
+    pair_class: list  # span pair k of SP -> its pair of classes in P2
 
 
 def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
@@ -626,6 +631,11 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
 
     s_spn = compose_maps(pi_v, compose_maps(w, IC.t))
     t_spn = compose_maps(pi_g, IC.t)
+    s_q = coequalizer_mediate(q, s_spn)
+    t_q = coequalizer_mediate(q, t_spn)
+    SP, r0, r1 = pullback(t_spn, s_spn)
+    P2, c0m, c1m = pullback(t_q, s_q)
+    class_pair_pos = {(c0m.table[k], c1m.table[k]): k for k in range(P2.size)}
     return _SpanMachinery(
         ext=ext,
         inp=inp,
@@ -636,8 +646,15 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
         sb_rows=sb_rows,
         Q=Q,
         q=q,
-        s_spn=s_spn,
-        t_spn=t_spn,
+        s_q=s_q,
+        t_q=t_q,
+        SP=SP,
+        r0=r0,
+        r1=r1,
+        P2=P2,
+        pair_class=[
+            class_pair_pos[(q.table[r0.table[k]], q.table[r1.table[k]])] for k in range(SP.size)
+        ],
     )
 
 
@@ -651,9 +668,6 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
     pair quotient.
     """
     M = _span_machinery(IC, w)
-    s_q = coequalizer_mediate(M.q, M.s_spn)
-    t_q = coequalizer_mediate(M.q, M.t_spn)
-
     alpha = []
     for x in range(IC.c0.size):
         for k in range(w.dom.size):
@@ -667,12 +681,11 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
     )
     e_q = FinSetMap(IC.c0, M.Q, e_table)
 
-    SP, r0, r1 = pullback(M.t_spn, M.s_spn)
     weq = M.inp.weq
     w_pos_name = {name: k for k, name in enumerate(weq)}
     sp_values = []
-    for k in range(SP.size):
-        sp1, sp2 = r0.table[k], r1.table[k]
+    for k in range(M.SP.size):
+        sp1, sp2 = M.r0.table[k], M.r1.table[k]
         s1 = ShapeInstance("spn", (weq[M.pi_v.table[sp1]], f"a{M.pi_g.table[sp1]}"))
         s2 = ShapeInstance("spn", (weq[M.pi_v.table[sp2]], f"a{M.pi_g.table[sp2]}"))
         comp = span_compose(M.inp, s1, s2)
@@ -680,11 +693,8 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
         pos = M.pair_pos[(w_pos_name[left], int(right[1:]))]
         sp_values.append(M.q.table[pos])
 
-    P2, c0m, c1m = pullback(t_q, s_q)
-    class_pair_pos = {(c0m.table[k], c1m.table[k]): k for k in range(P2.size)}
-    c_table: list = [None] * P2.size
-    for k in range(SP.size):
-        cls = class_pair_pos[(M.q.table[r0.table[k]], M.q.table[r1.table[k]])]
+    c_table: list = [None] * M.P2.size
+    for k, cls in enumerate(M.pair_class):
         if c_table[cls] is None:
             c_table[cls] = sp_values[k]
         elif c_table[cls] != sp_values[k]:
@@ -693,8 +703,8 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
             )
     if any(v is None for v in c_table):
         raise IntegrityError("a composable pair of classes has no span representative")
-    c_q = FinSetMap(P2, M.Q, tuple(c_table))
-    return InternalCategory(IC.c0, M.Q, s_q, t_q, e_q, c_q)
+    c_q = FinSetMap(M.P2, M.Q, tuple(c_table))
+    return InternalCategory(IC.c0, M.Q, M.s_q, M.t_q, e_q, c_q)
 
 
 def verify_pairs_coequalizer(IC: InternalCategory, w: FinSetMap):
@@ -705,12 +715,8 @@ def verify_pairs_coequalizer(IC: InternalCategory, w: FinSetMap):
     pairs, by an explicit bijection.
     """
     M = _span_machinery(IC, w)
-    s_q = coequalizer_mediate(M.q, M.s_spn)
-    t_q = coequalizer_mediate(M.q, M.t_spn)
     report = VerifierReport(title="composable pairs: pullback vs coequalizer")
-
-    SP, r0, r1 = pullback(M.t_spn, M.s_spn)
-    sp_pos = {(r0.table[k], r1.table[k]): k for k in range(SP.size)}
+    sp_pos = {(M.r0.table[k], M.r1.table[k]): k for k in range(M.SP.size)}
 
     rows = []
     for a0, a1 in M.sb_rows:
@@ -720,21 +726,17 @@ def verify_pairs_coequalizer(IC: InternalCategory, w: FinSetMap):
             if (other, a0) in sp_pos:
                 rows.append((sp_pos[(other, a0)], sp_pos[(other, a1)]))
     R = FinSetObject("sb2", len(rows))
-    m0 = FinSetMap(R, SP, tuple(r[0] for r in rows))
-    m1 = FinSetMap(R, SP, tuple(r[1] for r in rows))
+    m0 = FinSetMap(R, M.SP, tuple(r[0] for r in rows))
+    m1 = FinSetMap(R, M.SP, tuple(r[1] for r in rows))
     if not has_common_section(m0, m1):
         report.add("coordinatewise move pair has no identity section")
         return report
     QP, qp = coequalize_reflexive(m0, m1)
-
-    P2, c0m, c1m = pullback(t_q, s_q)
-    class_pair_pos = {(c0m.table[k], c1m.table[k]): k for k in range(P2.size)}
     report.stats["pair classes"] = QP.size
-    report.stats["class pairs"] = P2.size
+    report.stats["class pairs"] = M.P2.size
 
     comparison: list = [None] * QP.size
-    for k in range(SP.size):
-        target = class_pair_pos[(M.q.table[r0.table[k]], M.q.table[r1.table[k]])]
+    for k, target in enumerate(M.pair_class):
         cls = qp.table[k]
         if comparison[cls] is None:
             comparison[cls] = target
@@ -744,6 +746,6 @@ def verify_pairs_coequalizer(IC: InternalCategory, w: FinSetMap):
         report.add("a pair class has no representative")
     elif len(set(comparison)) != len(comparison):
         report.add("comparison map is not injective")
-    elif set(comparison) != set(range(P2.size)):
+    elif set(comparison) != set(range(M.P2.size)):
         report.add("comparison map is not surjective")
     return report

@@ -30,6 +30,7 @@ from .diagram import (
     VARIANCES,
     derive_unit_compositors,
     validate_pseudofunctor,
+    variance_order,
 )
 from .elements import cleavage, grothendieck, verify_oplax_colimit
 from .errors import AxiomError, DomainError, InputError, IntegrityError
@@ -129,8 +130,7 @@ def load_pseudofunctor(data: dict, base: Path) -> Pseudofunctor:
     for phi, ref in _require(data, "on_arrows", "pseudofunctor").items():
         if phi not in index.src:
             raise InputError(f"on_arrows names unknown index arrow {phi!r}")
-        A, B = index.src[phi], index.tgt[phi]
-        dom, cod = (fibers[A], fibers[B]) if variance == "covariant" else (fibers[B], fibers[A])
+        dom, cod = variance_order(variance, fibers[index.src[phi]], fibers[index.tgt[phi]])
         on_arrows[phi] = Functor(
             dom,
             cod,
@@ -157,10 +157,7 @@ def load_pseudofunctor(data: dict, base: Path) -> Pseudofunctor:
         if (phi, psi) not in index.composition:
             raise InputError(f"compositor key {key!r} names a non-composable pair")
         comp = index.composition[(phi, psi)]
-        if variance == "covariant":
-            target = compose_functors(on_arrows[phi], on_arrows[psi])
-        else:
-            target = compose_functors(on_arrows[psi], on_arrows[phi])
+        target = compose_functors(*variance_order(variance, on_arrows[phi], on_arrows[psi]))
         compositors[(phi, psi)] = NatTrans(on_arrows[comp], target, dict(components))
 
     compositors = derive_unit_compositors(index, variance, on_arrows, unitors, compositors)

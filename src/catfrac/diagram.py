@@ -15,9 +15,8 @@ Composition in formulas is diagrammatic throughout.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import DomainError, InputError
 from .fincat import (
@@ -25,6 +24,7 @@ from .fincat import (
     Functor,
     NatTrans,
     ValidationReport,
+    backtrack,
     compose,
     compose_functors,
     compose_many,
@@ -67,18 +67,23 @@ class Pseudofunctor:
         return self.compositors[(phi, psi)]
 
 
+def variance_order(variance: str, first, second) -> tuple:
+    """``(first, second)`` for a covariant diagram, swapped for a contravariant one.
+
+    Of the categories at the source and target of an index arrow, this is
+    the domain and codomain of the arrow's functor; of the functors at phi
+    and psi, the order whose composite is the compositor's target.
+    """
+    return (first, second) if variance == "covariant" else (second, first)
+
+
 def expected_endpoints(D: Pseudofunctor, phi: str) -> tuple[FinCategory, FinCategory]:
-    a, b = D.index.src[phi], D.index.tgt[phi]
-    if D.variance == "covariant":
-        return D.cat(a), D.cat(b)
-    return D.cat(b), D.cat(a)
+    return variance_order(D.variance, D.cat(D.index.src[phi]), D.cat(D.index.tgt[phi]))
 
 
 def pair_composite_functor(D: Pseudofunctor, phi: str, psi: str) -> Functor:
     """Target functor of the compositor at (phi, psi)."""
-    if D.variance == "covariant":
-        return compose_functors(D.fun(phi), D.fun(psi))
-    return compose_functors(D.fun(psi), D.fun(phi))
+    return compose_functors(*variance_order(D.variance, D.fun(phi), D.fun(psi)))
 
 
 def unitor_inverse_component(D: Pseudofunctor, a: str, x: str) -> str:
@@ -89,7 +94,7 @@ def unitor_inverse_component(D: Pseudofunctor, a: str, x: str) -> str:
 
 
 def compositor_inverse_component(D: Pseudofunctor, phi: str, psi: str, x: str) -> str:
-    host = D.cat(D.index.tgt[psi]) if D.variance == "covariant" else D.cat(D.index.src[phi])
+    host = expected_endpoints(D, D.index.composition[(phi, psi)])[1]
     inv = two_sided_inverse(host, D.compositor(phi, psi).components[x])
     if inv is None:
         raise DomainError(f"compositor at ({phi!r}, {psi!r}) has no inverse at {x!r}")
@@ -280,10 +285,7 @@ def derive_unit_compositors(
         if not phi_id and not psi_id:
             raise InputError(f"no compositor for non-identity pair ({phi!r}, {psi!r})")
         src_fun = on_arrows[comp]
-        if variance == "covariant":
-            tgt_fun = compose_functors(on_arrows[phi], on_arrows[psi])
-        else:
-            tgt_fun = compose_functors(on_arrows[psi], on_arrows[phi])
+        tgt_fun = compose_functors(*variance_order(variance, on_arrows[phi], on_arrows[psi]))
         host = tgt_fun.cod
         components = {}
         for x in src_fun.dom.objects:
@@ -324,10 +326,7 @@ def strictify(
             raise InputError(f"assignment is not strict at identity of {a!r}")
     for phi, psi in index.composable_pairs():
         comp = index.composition[(phi, psi)]
-        if variance == "covariant":
-            expected = compose_functors(on_arrows[phi], on_arrows[psi])
-        else:
-            expected = compose_functors(on_arrows[psi], on_arrows[phi])
+        expected = compose_functors(*variance_order(variance, on_arrows[phi], on_arrows[psi]))
         if on_arrows[comp] != expected:
             raise InputError(f"assignment is not strict at pair ({phi!r}, {psi!r})")
 
@@ -442,36 +441,40 @@ def validate_transformation(x: LaxTransformation) -> ValidationReport:
         if x.two_cells[idx.identity[a]].components != forced.components:
             report.add(f"identity two-cell coherence fails at {a!r}")
 
-    X = x.target
     for phi, psi in idx.composable_pairs():
-        comp = idx.composition[(phi, psi)]
-        if D.variance == "covariant":
-            c_obj = idx.tgt[psi]
-            for p in D.cat(idx.src[phi]).objects:
-                left = compose(
-                    X,
-                    x.two_cells[comp].components[p],
-                    x.components[c_obj].on_arrows[D.compositor(phi, psi).components[p]],
-                )
-                right = compose(
-                    X,
-                    x.two_cells[phi].components[p],
-                    x.two_cells[psi].components[D.fun(phi).on_objects[p]],
-                )
-                if left != right:
-                    report.add(f"composition coherence fails at ({phi!r}, {psi!r}, {p!r})")
-        else:
-            a_obj = idx.src[phi]
-            for p in D.cat(idx.tgt[psi]).objects:
-                left = compose_many(
-                    X,
-                    x.components[a_obj].on_arrows[D.compositor(phi, psi).components[p]],
-                    x.two_cells[phi].components[D.fun(psi).on_objects[p]],
-                    x.two_cells[psi].components[p],
-                )
-                if left != x.two_cells[comp].components[p]:
-                    report.add(f"composition coherence fails at ({phi!r}, {psi!r}, {p!r})")
+        for p in _incoherent_fibers(D, x.target, x.components, x.two_cells, phi, psi):
+            report.add(f"composition coherence fails at ({phi!r}, {psi!r}, {p!r})")
     return report
+
+
+def _incoherent_fibers(
+    D: Pseudofunctor, X: FinCategory, components: dict, cells: dict, phi: str, psi: str
+) -> Iterator[str]:
+    """Fiber objects at which the two-cells break composition coherence at (phi, psi).
+
+    ``components`` and ``cells`` map index objects to component functors and
+    index arrows to two-cells; only those that the law at (phi, psi) reads
+    need to be present.
+    """
+    idx = D.index
+    x_phi, x_psi = cells[phi].components, cells[psi].components
+    x_comp = cells[idx.composition[(phi, psi)]].components
+    compositor = D.compositor(phi, psi).components
+    if D.variance == "covariant":
+        whisker = components[idx.tgt[psi]].on_arrows
+        for p in D.cat(idx.src[phi]).objects:
+            left = compose(X, x_comp[p], whisker[compositor[p]])
+            right = compose(X, x_phi[p], x_psi[D.fun(phi).on_objects[p]])
+            if left != right:
+                yield p
+    else:
+        whisker = components[idx.src[phi]].on_arrows
+        for p in D.cat(idx.tgt[psi]).objects:
+            left = compose_many(
+                X, whisker[compositor[p]], x_phi[D.fun(psi).on_objects[p]], x_psi[p]
+            )
+            if left != x_comp[p]:
+                yield p
 
 
 def is_pseudo(x: LaxTransformation) -> tuple[bool, Optional[tuple[str, str]]]:
@@ -490,88 +493,53 @@ def enumerate_transformations(
     """All transformations D -> X in canonical order.
 
     kind 'lax' yields everything; 'pseudo' keeps those whose two-cells are
-    all invertible.
+    all invertible. Searches component functors per index object, then
+    two-cells: those at identities forced by the components, then one per
+    non-identity arrow. A cell is checked when chosen, and the coherence of
+    a composable pair at its last cell.
     """
     if kind not in ("lax", "pseudo"):
         raise InputError(f"unknown transformation kind {kind!r}")
     idx = D.index
-    per_object = [enumerate_functors(D.cat(a), X) for a in idx.objects]
-    non_id = [f for f in idx.arrows if not idx.is_identity(f)]
-    results: list[LaxTransformation] = []
+    objs = idx.objects
+    n = len(objs)
+    per_object = [enumerate_functors(D.cat(a), X) for a in objs]
+    arrows = [idx.identity[a] for a in objs] + [f for f in idx.arrows if not idx.is_identity(f)]
+    slot = {phi: n + k for k, phi in enumerate(arrows)}
+    pairs_closed: list[list] = [[] for _ in range(n + len(arrows))]
+    for phi, psi in idx.composable_pairs():
+        last = max(slot[phi], slot[psi], slot[idx.composition[(phi, psi)]])
+        pairs_closed[last].append((phi, psi))
 
-    for combo in itertools.product(*per_object):
-        components = dict(zip(idx.objects, combo))
-        two_cells: dict = {}
-        ok = True
-        for a in idx.objects:
-            forced = identity_two_cell(D, components, a)
-            sub = validate_nat_trans(forced)
-            if not sub.ok:
-                ok = False
-                break
-            two_cells[idx.identity[a]] = forced
-        if not ok:
-            continue
+    def domain(i: int, vals: list):
+        if i < n:
+            return per_object[i]
+        components = dict(zip(objs, vals))
+        if i < 2 * n:
+            return (identity_two_cell(D, components, objs[i - n]),)
+        return enumerate_nat_trans(*two_cell_endpoints(D, components, arrows[i - n]))
 
-        def coherence_ok(cells: dict) -> bool:
-            for phi, psi in idx.composable_pairs():
-                comp = idx.composition[(phi, psi)]
-                if phi not in cells or psi not in cells or comp not in cells:
-                    continue
-                if D.variance == "covariant":
-                    c_obj = idx.tgt[psi]
-                    for p in D.cat(idx.src[phi]).objects:
-                        left = compose(
-                            X,
-                            cells[comp].components[p],
-                            components[c_obj].on_arrows[
-                                D.compositor(phi, psi).components[p]
-                            ],
-                        )
-                        right = compose(
-                            X,
-                            cells[phi].components[p],
-                            cells[psi].components[D.fun(phi).on_objects[p]],
-                        )
-                        if left != right:
-                            return False
-                else:
-                    a_obj = idx.src[phi]
-                    for p in D.cat(idx.tgt[psi]).objects:
-                        left = compose_many(
-                            X,
-                            components[a_obj].on_arrows[
-                                D.compositor(phi, psi).components[p]
-                            ],
-                            cells[phi].components[D.fun(psi).on_objects[p]],
-                            cells[psi].components[p],
-                        )
-                        if left != cells[comp].components[p]:
-                            return False
+    def accept(i: int, vals: list) -> bool:
+        if i < n:
             return True
+        cell = vals[i]
+        if i < 2 * n and not validate_nat_trans(cell).ok:
+            return False
+        if kind == "pseudo" and any(
+            two_sided_inverse(X, f) is None for f in cell.components.values()
+        ):
+            return False
+        if pairs_closed[i]:
+            components, cells = dict(zip(objs, vals)), dict(zip(arrows, vals[n : i + 1]))
+            for phi, psi in pairs_closed[i]:
+                for _ in _incoherent_fibers(D, X, components, cells, phi, psi):
+                    return False
+        return True
 
-        if not coherence_ok(two_cells):
-            continue
-
-        def assign(i: int) -> None:
-            if i == len(non_id):
-                cand = LaxTransformation(
-                    source=D, target=X, components=components, two_cells=dict(two_cells)
-                )
-                if kind == "pseudo" and not is_pseudo(cand)[0]:
-                    return
-                results.append(cand)
-                return
-            phi = non_id[i]
-            src_fun, tgt_fun = two_cell_endpoints(D, components, phi)
-            for cell in enumerate_nat_trans(src_fun, tgt_fun):
-                two_cells[phi] = cell
-                if coherence_ok(two_cells):
-                    assign(i + 1)
-                del two_cells[phi]
-
-        assign(0)
-    return results
+    found = backtrack(n + len(arrows), domain, accept)
+    return [
+        LaxTransformation(D, X, dict(zip(objs, vals)), dict(zip(arrows, vals[n:]))) for vals in found
+    ]
 
 
 @dataclass(eq=True)
@@ -608,46 +576,60 @@ def validate_modification(m: Modification) -> ValidationReport:
     if not report.ok:
         return report
 
-    X = x.target
     for phi in idx.arrows:
-        a, b = idx.src[phi], idx.tgt[phi]
-        if D.variance == "covariant":
-            for p in D.cat(a).objects:
-                left = compose(X, m.components[a].components[p], y.two_cells[phi].components[p])
-                right = compose(
-                    X,
-                    x.two_cells[phi].components[p],
-                    m.components[b].components[D.fun(phi).on_objects[p]],
-                )
-                if left != right:
-                    report.add(f"two-cell compatibility fails at ({phi!r}, {p!r})")
-        else:
-            for p in D.cat(b).objects:
-                left = compose(
-                    X,
-                    m.components[a].components[D.fun(phi).on_objects[p]],
-                    y.two_cells[phi].components[p],
-                )
-                right = compose(X, x.two_cells[phi].components[p], m.components[b].components[p])
-                if left != right:
-                    report.add(f"two-cell compatibility fails at ({phi!r}, {p!r})")
+        m_src, m_tgt = m.components[idx.src[phi]], m.components[idx.tgt[phi]]
+        for p in _incompatible_fibers(x, y, phi, m_src, m_tgt):
+            report.add(f"two-cell compatibility fails at ({phi!r}, {p!r})")
     return report
 
 
+def _incompatible_fibers(
+    x: LaxTransformation, y: LaxTransformation, phi: str, m_src: NatTrans, m_tgt: NatTrans
+) -> Iterator[str]:
+    """Fiber objects at which components m_src, m_tgt of a modification x -> y,
+    at the source and target of phi, fail to commute with the two-cells at phi."""
+    D, X = x.source, x.target
+    x_phi, y_phi = x.two_cells[phi].components, y.two_cells[phi].components
+    m_a, m_b = m_src.components, m_tgt.components
+    whisker = D.fun(phi).on_objects
+    if D.variance == "covariant":
+        for p in D.cat(D.index.src[phi]).objects:
+            if compose(X, m_a[p], y_phi[p]) != compose(X, x_phi[p], m_b[whisker[p]]):
+                yield p
+    else:
+        for p in D.cat(D.index.tgt[phi]).objects:
+            if compose(X, m_a[whisker[p]], y_phi[p]) != compose(X, x_phi[p], m_b[p]):
+                yield p
+
+
 def enumerate_modifications(x: LaxTransformation, y: LaxTransformation) -> list[Modification]:
-    """All modifications x -> y in canonical componentwise order."""
+    """All modifications x -> y in canonical componentwise order.
+
+    Searches one natural transformation per index object; the two-cell
+    compatibility at an index arrow is checked once both of its endpoint
+    components are chosen.
+    """
     if x.source != y.source or x.target != y.target:
         raise DomainError("modification endpoints are not parallel")
-    idx = x.source.index
-    per_object = [
-        enumerate_nat_trans(x.components[a], y.components[a]) for a in idx.objects
+    D = x.source
+    objs = D.index.objects
+    per_object = [enumerate_nat_trans(x.components[a], y.components[a]) for a in objs]
+    slot = {a: i for i, a in enumerate(objs)}
+    arrows_closed: list[list] = [[] for _ in objs]
+    for phi in D.index.arrows:
+        s, t = slot[D.index.src[phi]], slot[D.index.tgt[phi]]
+        arrows_closed[max(s, t)].append((phi, s, t))
+
+    def compatible(i: int, vals: list) -> bool:
+        for phi, s, t in arrows_closed[i]:
+            for _ in _incompatible_fibers(x, y, phi, vals[s], vals[t]):
+                return False
+        return True
+
+    return [
+        Modification(src=x, tgt=y, components=dict(zip(objs, vals)))
+        for vals in backtrack(len(objs), lambda i, vals: per_object[i], compatible)
     ]
-    results = []
-    for combo in itertools.product(*per_object):
-        m = Modification(src=x, tgt=y, components=dict(zip(idx.objects, combo)))
-        if validate_modification(m).ok:
-            results.append(m)
-    return results
 
 
 def identity_modification(x: LaxTransformation) -> Modification:

@@ -11,8 +11,9 @@ and searches return the first hit in lexicographic order over those.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import DomainError, InputError
 
@@ -299,92 +300,135 @@ def validate_nat_trans(eta: NatTrans) -> ValidationReport:
     return report
 
 
+def backtrack(
+    n: int,
+    domain: Callable[[int, list], Iterable],
+    accept: Callable[[int, list], bool],
+) -> Iterator[list]:
+    """Every assignment of ``n`` slots that ``accept`` passes, in lexicographic order.
+
+    Slot ``i`` draws its values from ``domain(i, vals)``, where ``vals[:i]``
+    holds the slots already assigned. ``accept(i, vals)`` sees slot ``i``
+    filled and checks only the constraints whose highest slot is ``i``. An
+    explicit stack replaces recursion, so no depth limit applies. The
+    yielded list is reused: copy what you keep.
+    """
+    vals: list = [None] * n
+    if n == 0:
+        yield vals
+        return
+    stack = [iter(domain(0, vals))]
+    while stack:
+        i = len(stack) - 1
+        for v in stack[i]:
+            vals[i] = v
+            if accept(i, vals):
+                break
+        else:
+            stack.pop()
+            continue
+        if i + 1 == n:
+            yield vals
+        else:
+            stack.append(iter(domain(i + 1, vals)))
+
+
+def _functor_search(C: FinCategory, X: FinCategory, bijective: bool) -> Iterator[Functor]:
+    """Functors C -> X in canonical order; with ``bijective``, isomorphisms only.
+
+    Slots: object images, then arrow images, identities first (forced by
+    their object's image) and the rest from the matching hom-set of X. An
+    object slot compares hom-sets with the objects before it: a nonempty
+    one must stay nonempty, or for a bijection keep its size, and a
+    bijection takes no value twice. A composition entry is checked at the
+    highest slot it reads.
+    """
+    objs = C.objects
+    n = len(objs)
+    arrows = [C.identity[x] for x in objs] + [f for f in C.arrows if not C.is_identity(f)]
+    oslot = {x: i for i, x in enumerate(objs)}
+    aslot = {f: n + k for k, f in enumerate(arrows)}
+    ends = [(oslot[C.src[f]], oslot[C.tgt[f]]) for f in arrows[n:]]
+    xhom: dict[tuple[str, str], list[str]] = {}
+    for f in X.arrows:
+        xhom.setdefault((X.src[f], X.tgt[f]), []).append(f)
+    xcount = {pair: len(fs) for pair, fs in xhom.items()}
+    chom = Counter((C.src[f], C.tgt[f]) for f in C.arrows)
+    homs_closed = [
+        [(j, True, chom[(a, x)]) for j, a in enumerate(objs[: i + 1])]
+        + [(j, False, chom[(x, a)]) for j, a in enumerate(objs[: i + 1])]
+        for i, x in enumerate(objs)
+    ]
+    entries_closed: list[list] = [[] for _ in range(n + len(arrows))]
+    for (f, g), h in C.composition.items():
+        s = (aslot[f], aslot[g], aslot[h])
+        entries_closed[max(s)].append(s)
+    comp = X.composition
+
+    def domain(i: int, vals: list) -> Iterable[str]:
+        if i < n:
+            return X.objects
+        if i < 2 * n:
+            return (X.identity[vals[i - n]],)
+        s, t = ends[i - 2 * n]
+        return xhom.get((vals[s], vals[t]), ())
+
+    def accept(i: int, vals: list) -> bool:
+        v = vals[i]
+        if bijective and v in vals[0 if i < n else n : i]:
+            return False
+        if i < n:
+            for j, into, count in homs_closed[i]:
+                got = xcount.get((vals[j], v) if into else (v, vals[j]), 0)
+                if (got != count) if bijective else (count and not got):
+                    return False
+            return True
+        for f, g, h in entries_closed[i]:
+            if comp[(vals[f], vals[g])] != vals[h]:
+                return False
+        return True
+
+    for vals in backtrack(n + len(arrows), domain, accept):
+        yield Functor(C, X, dict(zip(objs, vals)), dict(zip(arrows, vals[n:])))
+
+
 def enumerate_functors(C: FinCategory, X: FinCategory) -> list[Functor]:
     """Every functor C -> X exactly once, in canonical lexicographic order.
 
-    Backtracks over object images first, then over images of non-identity
-    arrows constrained to the matching hom-set of X; identities are forced.
+    Searches object images first, then images of non-identity arrows
+    constrained to the matching hom-set of X; identities are forced.
     """
-    nonid = [f for f in C.arrows if not C.is_identity(f)]
-    out: list[Functor] = []
-    comp_entries = list(C.composition.items())
-
-    def arrows_ok(omap: dict[str, str], amap: dict[str, str]) -> bool:
-        for (f, g), h in comp_entries:
-            ff, gg, hh = amap.get(f), amap.get(g), amap.get(h)
-            if ff is None or gg is None or hh is None:
-                continue
-            if X.composition[(ff, gg)] != hh:
-                return False
-        return True
-
-    def assign_arrows(omap: dict[str, str], amap: dict[str, str], i: int) -> None:
-        if i == len(nonid):
-            out.append(Functor(C, X, dict(omap), dict(amap)))
-            return
-        f = nonid[i]
-        for cand in X.hom(omap[C.src[f]], omap[C.tgt[f]]):
-            amap[f] = cand
-            if arrows_ok(omap, amap):
-                assign_arrows(omap, amap, i + 1)
-            del amap[f]
-
-    def assign_objects(omap: dict[str, str], i: int) -> None:
-        if i == len(C.objects):
-            amap = {C.identity[x]: X.identity[omap[x]] for x in C.objects}
-            if arrows_ok(omap, amap):
-                assign_arrows(omap, amap, 0)
-            return
-        x = C.objects[i]
-        for y in X.objects:
-            omap[x] = y
-            # prune: every outgoing hom from an assigned object must be matchable
-            if all(
-                not C.hom(a, x) or X.hom(omap[a], y)
-                for a in C.objects[: i + 1]
-                if a in omap
-            ) and all(
-                not C.hom(x, a) or X.hom(y, omap[a])
-                for a in C.objects[: i + 1]
-                if a in omap
-            ):
-                assign_objects(omap, i + 1)
-            del omap[x]
-
-    assign_objects({}, 0)
-    return out
+    return list(_functor_search(C, X, bijective=False))
 
 
 def enumerate_nat_trans(F: Functor, G: Functor) -> list[NatTrans]:
-    """All natural transformations F => G in canonical component order."""
+    """All natural transformations F => G in canonical component order.
+
+    Components are searched object by object; the naturality square of an
+    arrow is checked once both of its endpoint components are chosen.
+    """
     if F.dom != G.dom or F.cod != G.cod:
         raise DomainError("cannot enumerate transformations between non-parallel functors")
     C, X = F.dom, F.cod
-    out: list[NatTrans] = []
+    slot = {x: i for i, x in enumerate(C.objects)}
+    homs = [X.hom(F.obj(x), G.obj(x)) for x in C.objects]
+    squares: list[list] = [[] for _ in C.objects]
+    for f in C.arrows:
+        s, t = slot[C.src[f]], slot[C.tgt[f]]
+        squares[max(s, t)].append((s, t, F.arr(f), G.arr(f)))
+    comp = X.composition
 
-    def natural_so_far(comp: dict[str, str]) -> bool:
-        for f in C.arrows:
-            cx = comp.get(C.src[f])
-            cy = comp.get(C.tgt[f])
-            if cx is None or cy is None:
-                continue
-            if compose(X, F.arr(f), cy) != compose(X, cx, G.arr(f)):
+    def natural(i: int, vals: list) -> bool:
+        for s, t, Ff, Gf in squares[i]:
+            if comp[(Ff, vals[t])] != comp[(vals[s], Gf)]:
                 return False
         return True
 
-    def go(comp: dict[str, str], i: int) -> None:
-        if i == len(C.objects):
-            out.append(NatTrans(F, G, dict(comp)))
-            return
-        x = C.objects[i]
-        for cand in X.hom(F.obj(x), G.obj(x)):
-            comp[x] = cand
-            if natural_so_far(comp):
-                go(comp, i + 1)
-            del comp[x]
-
-    go({}, 0)
-    return out
+    found = backtrack(len(homs), lambda i, vals: homs[i], natural)
+    try:
+        return [NatTrans(F, G, dict(zip(C.objects, vals))) for vals in found]
+    except KeyError as exc:  # an arrow image with the wrong endpoints
+        raise DomainError(f"naturality square has a non-composable pair {exc}") from None
 
 
 @dataclass
@@ -458,73 +502,16 @@ def opposite(C: FinCategory) -> FinCategory:
 def find_isomorphism(C: FinCategory, D: FinCategory) -> Optional[IsoWitness]:
     """First isomorphism C ~ D in canonical search order, or None.
 
-    Backtracking over object bijections with hom-cardinality pruning, then
-    over arrow bijections hom by hom.
+    The functor search restricted to bijections: objects first, with
+    hom-cardinality pruning, then arrows hom by hom.
     """
     if len(C.objects) != len(D.objects) or len(C.arrows) != len(D.arrows):
         return None
-
-    nonid = [f for f in C.arrows if not C.is_identity(f)]
-
-    def object_bijections() -> Iterator[dict[str, str]]:
-        def go(omap: dict[str, str], used: set[str], i: int) -> Iterator[dict[str, str]]:
-            if i == len(C.objects):
-                yield dict(omap)
-                return
-            x = C.objects[i]
-            for y in D.objects:
-                if y in used:
-                    continue
-                omap[x] = y
-                used.add(y)
-                if all(
-                    len(C.hom(a, x)) == len(D.hom(omap[a], y))
-                    and len(C.hom(x, a)) == len(D.hom(y, omap[a]))
-                    for a in omap
-                ):
-                    yield from go(omap, used, i + 1)
-                used.discard(y)
-                del omap[x]
-
-        yield from go({}, set(), 0)
-
-    for omap in object_bijections():
-        amap = {C.identity[x]: D.identity[omap[x]] for x in C.objects}
-        used = set(amap.values())
-        if len(used) != len(C.objects):
-            continue
-
-        def comp_ok(amap: dict[str, str]) -> bool:
-            for (f, g), h in C.composition.items():
-                ff, gg, hh = amap.get(f), amap.get(g), amap.get(h)
-                if ff is None or gg is None or hh is None:
-                    continue
-                if D.composition[(ff, gg)] != hh:
-                    return False
-            return True
-
-        def assign(i: int) -> bool:
-            if i == len(nonid):
-                return True
-            f = nonid[i]
-            for cand in D.hom(omap[C.src[f]], omap[C.tgt[f]]):
-                if cand in used:
-                    continue
-                amap[f] = cand
-                used.add(cand)
-                if comp_ok(amap) and assign(i + 1):
-                    return True
-                used.discard(cand)
-                del amap[f]
-            return False
-
-        if not comp_ok(amap):
-            continue
-        if assign(0):
-            fwd = Functor(C, D, omap, dict(amap))
-            back = Functor(D, C, {v: k for k, v in omap.items()}, {v: k for k, v in amap.items()})
-            return IsoWitness(fwd, back)
-    return None
+    fwd = next(_functor_search(C, D, bijective=True), None)
+    if fwd is None:
+        return None
+    inverse = {v: k for k, v in fwd.on_objects.items()}
+    return IsoWitness(fwd, Functor(D, C, inverse, {v: k for k, v in fwd.on_arrows.items()}))
 
 
 def two_sided_inverse(C: FinCategory, f: str) -> Optional[str]:

@@ -220,3 +220,43 @@ def test_associativity_spot_checks(data):
         return
     f, g, h = data.draw(st.sampled_from(triples))
     assert compose(C, compose(C, f, g), h) == compose(C, f, compose(C, g, h))
+
+
+def _chain(n: int, name=lambda i, j: f"{i}<{j}", reverse: bool = False) -> FinCategory:
+    """The poset 0 < 1 < ... < n-1, one arrow name(i, j) for each i <= j."""
+    objs = [str(i) for i in range(n)]
+    arrows = [(name(i, j), str(i), str(j)) for i in range(n) for j in range(i, n)]
+    if reverse:
+        arrows.reverse()
+    return FinCategory.build(
+        objs,
+        arrows,
+        {str(i): name(i, i) for i in range(n)},
+        {
+            (name(i, j), name(j, k)): name(i, k)
+            for i in range(n)
+            for j in range(i, n)
+            for k in range(j, n)
+        },
+    )
+
+
+def test_functor_search_is_not_limited_by_recursion_depth():
+    C = _chain(46)
+    assert len(C.arrows) == 1081
+    assert len(enumerate_functors(C, _chain(1))) == 1
+
+
+def test_isomorphism_search_is_not_limited_by_recursion_depth():
+    C = _chain(46)
+    P = _chain(46, name=lambda i, j: f"r{i}_{j}", reverse=True)
+    wit = find_isomorphism(C, P)
+    assert wit is not None
+    assert validate_functor(wit.forward).ok and validate_functor(wit.backward).ok
+
+
+def test_nat_trans_search_rejects_a_non_functor():
+    C, I = corpus.two(), corpus.iso()
+    F = Functor(C, I, {"a": "a", "b": "b"}, {"id:a": "id:a", "id:b": "id:b", "f": "v"})
+    with pytest.raises(DomainError):
+        enumerate_nat_trans(F, F)

@@ -1,0 +1,109 @@
+"""Enumeration on generated categories: differential against the oracle,
+metamorphic under renaming and redeclaring.
+
+The strategies build only valid categories: posets as transitive closures
+of random DAGs, and monoids of self-maps of {0, 1} closed under
+composition. Each is drawn as the raw dict the oracle reads, with the
+composition table total over composable pairs.
+"""
+
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
+import oracle
+from catfrac import (
+    FinCategory,
+    enumerate_functors,
+    find_isomorphism,
+    validate_category,
+    validate_functor,
+)
+
+
+def build(raw) -> FinCategory:
+    return FinCategory.build(
+        raw["objects"],
+        [(f, s, t) for f, (s, t) in raw["arrows"].items()],
+        raw["identity"],
+        raw["compose"],
+        fill_identity_composites=False,
+    )
+
+
+@st.composite
+def posets(draw, max_objects: int = 3):
+    n = draw(st.integers(1, max_objects))
+    order = draw(st.permutations(range(n)))  # a topological order of the DAG
+    forward = [(order[i], order[j]) for i, j in itertools.combinations(range(n), 2)]
+    edges = draw(st.sets(st.sampled_from(forward))) if forward else set()
+    leq = {(i, i) for i in range(n)} | edges
+    for k, i, j in itertools.product(range(n), repeat=3):
+        if (i, k) in leq and (k, j) in leq:
+            leq.add((i, j))
+    name = "{}<{}".format
+    return {
+        "objects": [str(i) for i in range(n)],
+        "arrows": {name(i, j): (str(i), str(j)) for i, j in sorted(leq)},
+        "identity": {str(i): name(i, i) for i in range(n)},
+        "compose": {
+            (name(i, j), name(j, k)): name(i, k)
+            for i, j in leq
+            for j2, k in leq
+            if j == j2
+        },
+    }
+
+
+@st.composite
+def monoids(draw):
+    """The monoid of self-maps of {0, 1} generated by one or two maps."""
+    maps = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    elements = [(0, 1)] + draw(st.lists(maps, min_size=1, max_size=2))
+    for f in elements:  # grows while it is walked, so this closes it
+        for g in list(elements):
+            for fg in ((g[f[0]], g[f[1]]), (f[g[0]], f[g[1]])):
+                if fg not in elements:
+                    elements.append(fg)
+    name = "m{}{}".format
+    return {
+        "objects": ["*"],
+        "arrows": {name(*f): ("*", "*") for f in elements},
+        "identity": {"*": name(0, 1)},
+        "compose": {
+            (name(*f), name(*g)): name(g[f[0]], g[f[1]]) for f in elements for g in elements
+        },
+    }
+
+
+categories = st.one_of(posets(), monoids())
+# the oracle filters every assignment of arrows, so its test categories stay small
+targets = st.one_of(posets(max_objects=2), monoids())
+
+
+@settings(max_examples=60, deadline=None)
+@given(categories, targets)
+def test_functor_count_matches_oracle(rawc, rawx):
+    assert oracle.laws_hold(rawc) and oracle.laws_hold(rawx)
+    C, X = build(rawc), build(rawx)
+    assert validate_category(C).ok and validate_category(X).ok
+    assert len(enumerate_functors(C, X)) == oracle.functor_count(rawc, rawx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(categories, st.data())
+def test_isomorphic_under_renaming_and_redeclaring(raw, data):
+    objects = data.draw(st.permutations(raw["objects"]))
+    arrows = data.draw(st.permutations(list(raw["arrows"])))
+    rename_obj = {x: f"o{k}" for k, x in enumerate(objects)}
+    rename = {f: f"r{k}" for k, f in enumerate(arrows)}
+    P = FinCategory.build(
+        [rename_obj[x] for x in objects],
+        [(rename[f], *(rename_obj[x] for x in raw["arrows"][f])) for f in arrows],
+        {rename_obj[x]: rename[i] for x, i in raw["identity"].items()},
+        {(rename[f], rename[g]): rename[h] for (f, g), h in raw["compose"].items()},
+        fill_identity_composites=False,
+    )
+    wit = find_isomorphism(build(raw), P)
+    assert wit is not None
+    assert validate_functor(wit.forward).ok and validate_functor(wit.backward).ok

@@ -1,4 +1,5 @@
-"""Package structure: imports sit at module top and never form a cycle."""
+"""Package structure: imports sit at module top and never form a cycle; no
+function recurses, so no input depth can exhaust the interpreter's stack."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,18 @@ def test_import_graph_is_acyclic():
     for name in sorted(graph):
         visit(name, [])
 
+
+
+def test_no_function_calls_itself():
+    recursive = set()
+    for name, tree in MODULES.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == fn.name
+                    ):
+                        recursive.add(f"{name}.py:{fn.lineno} {fn.name}")
+    assert not recursive, f"self-recursive functions: {sorted(recursive)}"

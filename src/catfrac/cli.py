@@ -53,6 +53,7 @@ from .fractions import (
 )
 
 KINDS = ("category", "functor", "pseudofunctor", "fractions-input", "diagram-bundle")
+JSON_TYPES = {list: "a list", dict: "an object"}
 
 
 # -- ingestion ---------------------------------------------------------------
@@ -63,8 +64,10 @@ def _read_json(path: Path) -> dict:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an over-long integer
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} nests too deeply to read") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: top level must be an object")
     return data
@@ -84,16 +87,23 @@ def _resolve(value, base: Path, expected: str) -> dict:
     return data
 
 
-def _require(data: dict, key: str, ctx: str):
+def _typed(value, kind: type, ctx: str):
+    """``value``, if it has the JSON type ``kind`` (list or dict)."""
+    if not isinstance(value, kind):
+        raise InputError(f"{ctx} must be {JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _require(data: dict, key: str, ctx: str, kind: type = object):
     if key not in data:
         raise InputError(f"{ctx}: missing field {key!r}")
-    return data[key]
+    return _typed(data[key], kind, f"{ctx}: field {key!r}")
 
 
 def load_category(data: dict, base: Path) -> FinCategory:
-    objects = _require(data, "objects", "category")
-    arrows = _require(data, "arrows", "category")
-    identities = _require(data, "identities", "category")
+    objects = _require(data, "objects", "category", list)
+    arrows = _require(data, "arrows", "category", list)
+    identities = _require(data, "identities", "category", dict)
     compose_rows = data.get("compose", [])
     try:
         arrow_triples = [(a["name"], a["src"], a["tgt"]) for a in arrows]
@@ -109,8 +119,8 @@ def load_functor(data: dict, base: Path) -> Functor:
     return Functor(
         dom,
         cod,
-        dict(_require(data, "on_objects", "functor")),
-        dict(_require(data, "on_arrows", "functor")),
+        dict(_require(data, "on_objects", "functor", dict)),
+        dict(_require(data, "on_arrows", "functor", dict)),
     )
 
 
@@ -121,35 +131,37 @@ def load_pseudofunctor(data: dict, base: Path) -> Pseudofunctor:
         raise InputError(f"unknown variance {variance!r}")
     fibers = {
         A: load_category(_resolve(ref, base, "category"), base)
-        for A, ref in _require(data, "on_objects", "pseudofunctor").items()
+        for A, ref in _require(data, "on_objects", "pseudofunctor", dict).items()
     }
     if set(fibers) != set(index.objects):
         raise InputError("on_objects must cover the index objects exactly")
 
     on_arrows = {}
-    for phi, ref in _require(data, "on_arrows", "pseudofunctor").items():
+    for phi, ref in _require(data, "on_arrows", "pseudofunctor", dict).items():
         if phi not in index.src:
             raise InputError(f"on_arrows names unknown index arrow {phi!r}")
         dom, cod = variance_order(variance, fibers[index.src[phi]], fibers[index.tgt[phi]])
         on_arrows[phi] = Functor(
             dom,
             cod,
-            dict(_require(ref, "on_objects", f"on_arrows[{phi}]")),
-            dict(_require(ref, "on_arrows", f"on_arrows[{phi}]")),
+            dict(_require(ref, "on_objects", f"on_arrows[{phi}]", dict)),
+            dict(_require(ref, "on_arrows", f"on_arrows[{phi}]", dict)),
         )
     if set(on_arrows) != set(index.arrows):
         raise InputError("on_arrows must cover the index arrows exactly")
 
     unitors = {}
-    for A, components in _require(data, "unitors", "pseudofunctor").items():
+    for A, components in _require(data, "unitors", "pseudofunctor", dict).items():
         if A not in fibers:
             raise InputError(f"unitor given for unknown index object {A!r}")
         unitors[A] = NatTrans(
-            on_arrows[index.identity[A]], identity_functor(fibers[A]), dict(components)
+            on_arrows[index.identity[A]],
+            identity_functor(fibers[A]),
+            dict(_typed(components, dict, f"unitors[{A}]")),
         )
 
     compositors = {}
-    for key, components in data.get("compositors", {}).items():
+    for key, components in _typed(data.get("compositors", {}), dict, "compositors").items():
         parts = key.split(";")
         if len(parts) != 2:
             raise InputError(f"compositor key {key!r} is not of the form 'phi;psi'")
@@ -158,7 +170,9 @@ def load_pseudofunctor(data: dict, base: Path) -> Pseudofunctor:
             raise InputError(f"compositor key {key!r} names a non-composable pair")
         comp = index.composition[(phi, psi)]
         target = compose_functors(*variance_order(variance, on_arrows[phi], on_arrows[psi]))
-        compositors[(phi, psi)] = NatTrans(on_arrows[comp], target, dict(components))
+        compositors[(phi, psi)] = NatTrans(
+            on_arrows[comp], target, dict(_typed(components, dict, f"compositors[{key}]"))
+        )
 
     compositors = derive_unit_compositors(index, variance, on_arrows, unitors, compositors)
     return Pseudofunctor(index, variance, fibers, on_arrows, unitors, compositors)
@@ -168,7 +182,7 @@ def load_fractions_input(data: dict, base: Path) -> FractionsInput:
     category = load_category(
         _resolve(_require(data, "category", "fractions-input"), base, "category"), base
     )
-    weq = _require(data, "weq", "fractions-input")
+    weq = _require(data, "weq", "fractions-input", list)
     inp = FractionsInput(category=category, weq=tuple(weq))
     inp.check()
     return inp

@@ -13,14 +13,15 @@ v, then forward along g", so the class [v;g] runs from t(v) to t(g).
 
 All searches (sections, Ore fillers, weak-composition witnesses, zippers)
 take the first candidate in canonical order; exhaustive modes re-run them
-over every candidate to witness independence.
+over every candidate to witness independence.  Within one localize call
+each Ore-filler and weak-filler list is searched once and shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .diagram import enumerate_transformations
 from .elements import (
@@ -38,7 +39,6 @@ from .fincat import (
     check_shape,
     compose,
     compose_functors,
-    compose_many,
     enumerate_functors,
     enumerate_nat_trans,
     identity_nat_trans,
@@ -63,6 +63,28 @@ class FractionsInput:
             if v in seen:
                 raise InputError(f"marked arrow {v!r} listed twice")
             seen.add(v)
+
+    def _fillers(self, search, *key) -> Iterable:
+        """What ``search(self, *key)`` finds, searched lazily."""
+        return search(self, *key)
+
+
+class _SharedFillers(FractionsInput):
+    """The input of one localize call, keeping every filler list it
+    searches.  The composition loop and self-check (b) compose many span
+    pairs over the same cospans and marked pairs, and each list is complete
+    and in canonical order, so its first entry is the lazy search's first
+    hit.  It lives only as long as that call."""
+
+    def __init__(self, inp: FractionsInput) -> None:
+        super().__init__(inp.category, inp.weq)
+        self._found: dict = {}
+
+    def _fillers(self, search, *key) -> list:
+        found = self._found.get((search, key))
+        if found is None:
+            found = self._found[(search, key)] = list(search(self, *key))
+        return found
 
 
 @dataclass(frozen=True, eq=True)
@@ -173,7 +195,7 @@ def _weak_fillers(inp: FractionsInput, v: str, vp: str) -> Iterator[str]:
     C = inp.category
     wset = set(inp.weq)
     for m in C.arrows:
-        if C.tgt[m] == C.src[v] and compose_many(C, m, v, vp) in wset:
+        if C.tgt[m] == C.src[v] and compose(C, C.composition[(m, v)], vp) in wset:
             yield m
 
 
@@ -184,12 +206,9 @@ def _ore_fillers(inp: FractionsInput, h: str, v: str) -> Iterator[tuple]:
     for wp in inp.weq:
         if C.tgt[wp] != C.src[h]:
             continue
+        wph = C.composition[(wp, h)]
         for g in C.arrows:
-            if (
-                C.src[g] == C.src[wp]
-                and C.tgt[g] == C.src[v]
-                and compose(C, wp, h) == compose(C, g, v)
-            ):
+            if C.src[g] == C.src[wp] and C.tgt[g] == C.src[v] and C.composition[(g, v)] == wph:
                 yield wp, g
 
 
@@ -318,19 +337,21 @@ def span_compose(
             f"{s2.payload!r} starts at {C.tgt[v2]!r}"
         )
 
-    def fillers(found: Iterator) -> list:
+    def fillers(search, *key) -> list:
+        found = inp._fillers(search, *key)
         return list(found) if exhaustive else list(islice(found, 1))
 
-    ore_fillers = fillers(_ore_fillers(inp, g1, v2))
+    ore_fillers = fillers(_ore_fillers, g1, v2)
     if not ore_fillers:
         raise AxiomError(
             f"no Ore filler for cospan ({g1!r}, {v2!r})",
             report=check_axioms(inp),
         )
+    # the searches yield only m with t(m) = s(w') and h2 with s(h2) = s(w')
     results = [
-        (compose_many(C, m, wp, v1), compose_many(C, m, h2, g2))
+        (compose(C, C.composition[(m, wp)], v1), compose(C, C.composition[(m, h2)], g2))
         for wp, h2 in ore_fillers
-        for m in fillers(_weak_fillers(inp, wp, v1))
+        for m in fillers(_weak_fillers, wp, v1)
     ]
     if not results:
         raise AxiomError(
@@ -377,13 +398,14 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     alpha, _ = _section(inp)
     identity = {x: class_of_span[(alpha[x], alpha[x])] for x in C.objects}
 
+    shared = _SharedFillers(inp)
     composition = {}
     for n1, (v1, g1) in class_reps.items():
         for n2, (v2, g2) in class_reps.items():
             if C.tgt[g1] != C.tgt[v2]:
                 continue
             comp = span_compose(
-                inp, ShapeInstance("spn", (v1, g1)), ShapeInstance("spn", (v2, g2))
+                shared, ShapeInstance("spn", (v1, g1)), ShapeInstance("spn", (v2, g2))
             )
             composition[(n1, n2)] = class_of_span[comp.payload]
 
@@ -416,13 +438,14 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
             for s2 in spans:
                 if C.tgt[s1.payload[1]] != C.tgt[s2.payload[0]]:
                     continue
-                _, all_payloads = span_compose(inp, s1, s2, exhaustive=True)
+                _, all_payloads = span_compose(shared, s1, s2, exhaustive=True)
                 expected = composition[(class_of_span[s1.payload], class_of_span[s2.payload])]
-                got = {class_of_span[p] for p in all_payloads}
+                # a payload that is no span stands for itself
+                got = {class_of_span.get(p, p) for p in all_payloads}
                 if got != {expected}:
                     raise IntegrityError(
                         f"composite of {s1.payload!r} and {s2.payload!r} "
-                        f"is not well-defined: classes {sorted(got)!r}"
+                        f"is not well-defined: classes {sorted(got, key=str)!r}"
                     )
     return out
 

@@ -193,3 +193,43 @@ def test_crosscheck_rejects_covariant(capsys):
     code, out, _ = run(capsys, "crosscheck", FIX / "diagram_swap.json")
     assert code == 2
     assert "contravariant" in out
+
+
+CATEGORY_ONE = {
+    "kind": "category",
+    "objects": ["a"],
+    "arrows": [{"name": "ia", "src": "a", "tgt": "a"}],
+    "identities": {"a": "ia"},
+}
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        pytest.param(b"[" * 100000 + b"]" * 100000, "nests too deeply", id="deep"),
+        pytest.param(json.dumps(dict(CATEGORY_ONE, identities=["a"])).encode(),
+                     "field 'identities' must be an object", id="identities_list"),
+        pytest.param(json.dumps(dict(CATEGORY_ONE, objects="a")).encode(),
+                     "field 'objects' must be a list", id="objects_string"),
+        pytest.param(json.dumps({"kind": "fractions-input", "category": CATEGORY_ONE, "weq": "ia"}).encode(),
+                     "field 'weq' must be a list", id="weq_string"),
+        pytest.param(b'{"kind": ' + b"9" * 5000 + b"}", "not valid JSON", id="long_integer"),
+        pytest.param(b'{"kind": "\xff"}', "not valid JSON", id="latin1"),
+    ],
+)
+def test_malformed_inputs_exit_2_with_a_message(capsys, tmp_path, data, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 2
+    assert out.startswith("error: ") and message in out
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_json.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_json_output_matches_golden(capsys, case):
+    command, *flags, fixture = case.split()
+    code, out, _ = run(capsys, command, FIX / f"{fixture}.json", *flags)
+    assert (code, out) == (GOLDEN[case]["code"], GOLDEN[case]["stdout"])

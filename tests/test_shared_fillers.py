@@ -1,0 +1,192 @@
+"""localize shares its Ore-filler and weak-filler searches within one call.
+
+Differential: the composition loop and self-check (b) read the shared lists;
+the public span_compose searches on its own. Negative controls: a fault
+injected into a search reaches self-checks (a) and (b) and fires them.
+"""
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import catfrac.fractions
+import corpus
+from catfrac import (
+    FinCategory,
+    FractionsInput,
+    ShapeInstance,
+    check_axioms,
+    find_isomorphism,
+    localize,
+    shape_instances,
+    span_compose,
+)
+from catfrac.errors import IntegrityError
+from test_generated import build, monoids, posets
+
+LIMIT = 64  # localize's default exhaustive_limit
+
+
+def localize_spying(inp: FractionsInput):
+    """localize, recording every span_compose call self-check (b) makes."""
+    seen = {}
+    public = catfrac.fractions.span_compose
+
+    def spy(shared, s1, s2, exhaustive=False):
+        out = public(shared, s1, s2, exhaustive)
+        if exhaustive:
+            seen[(s1.payload, s2.payload)] = out
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catfrac.fractions, "span_compose", spy)
+        LC = localize(inp)
+    return LC, seen
+
+
+def check_against_public(inp: FractionsInput) -> None:
+    LC, seen = localize_spying(inp)
+    fresh = FractionsInput(inp.category, inp.weq)
+    for (n1, n2), n in LC.carrier.composition.items():
+        s1 = ShapeInstance("spn", LC.class_reps[n1])
+        s2 = ShapeInstance("spn", LC.class_reps[n2])
+        assert LC.q[span_compose(fresh, s1, s2).payload] == n
+    spans = shape_instances(inp, "spn")
+    C = inp.category
+    pairs = [(s1, s2) for s1 in spans for s2 in spans if C.tgt[s1.payload[1]] == C.tgt[s2.payload[0]]]
+    if len(spans) > LIMIT:
+        assert seen == {}
+        return
+    assert set(seen) == {(s1.payload, s2.payload) for s1, s2 in pairs}
+    for s1, s2 in pairs:
+        assert seen[(s1.payload, s2.payload)] == span_compose(fresh, s1, s2, exhaustive=True)
+
+
+def chain(n: int) -> FinCategory:
+    """The poset 0 < 1 < ... < n-1."""
+    name = "{}<{}".format
+    leq = [(i, j) for i in range(n) for j in range(i, n)]
+    return FinCategory.build(
+        [str(i) for i in range(n)],
+        [(name(i, j), str(i), str(j)) for i, j in leq],
+        {str(i): name(i, i) for i in range(n)},
+        {(name(i, j), name(j, k)): name(i, k) for i, j in leq for j2, k in leq if j == j2},
+    )
+
+
+def fully_marked_chain(n: int) -> FractionsInput:
+    C = chain(n)
+    return FractionsInput(C, C.arrows)
+
+
+@pytest.mark.parametrize(
+    "name,inp",
+    corpus.fractions_corpus() + [
+        ("chain(5)/all", fully_marked_chain(5)),  # 55 spans, (b) runs
+        ("chain(6)/all", fully_marked_chain(6)),  # 91 spans, (b) is skipped
+    ],
+)
+def test_corpus_composites_match_public_span_compose(name, inp):
+    check_against_public(inp)
+
+
+@st.composite
+def marked(draw):
+    C = build(draw(st.one_of(posets(), monoids())))
+    ids = tuple(C.identity[x] for x in C.objects)
+    rest = [f for f in C.arrows if f not in ids]
+    extra = draw(st.sets(st.sampled_from(rest))) if rest else set()
+    return FractionsInput(C, ids + tuple(f for f in rest if f in extra))
+
+
+@settings(max_examples=60, deadline=None)
+@given(marked())
+def test_generated_composites_match_public_span_compose(inp):
+    assume(check_axioms(inp).ok)
+    check_against_public(inp)
+
+
+def group(table) -> FinCategory:
+    """A group on one object from its multiplication table over 'eabc'."""
+    arrows = "eabc"
+    return FinCategory.build(
+        ["*"],
+        [(f, "*", "*") for f in arrows],
+        {"*": "e"},
+        {(f, g): table[arrows.index(f)][arrows.index(g)] for f in arrows for g in arrows},
+    )
+
+
+def test_each_call_searches_its_own_table():
+    # Z/4 and the Klein group share every arrow name; a;a is b in one, e in the other
+    z4 = group(["eabc", "abce", "bcea", "ceab"])
+    k4 = group(["eabc", "aecb", "bcea", "cbae"])
+    for first, second in ((z4, k4), (k4, z4)):
+        for C in (first, second):
+            LC = localize(FractionsInput(C, C.arrows))
+            L = LC.L.on_arrows
+            assert LC.carrier.composition[(L["a"], L["a"])] == L[C.composition[("a", "a")]]
+            assert find_isomorphism(LC.carrier, C) is not None
+    assert find_isomorphism(z4, k4) is None
+
+
+def with_bogus_last(search, bogus):
+    """``search`` followed by one extra result: what ``bogus`` picks among
+    the candidates the genuine search did not yield."""
+
+    def faulty(inp, *key):
+        genuine = list(search(inp, *key))
+        yield from genuine
+        extra = bogus(inp, genuine, *key)
+        if extra is not None:
+            yield extra
+
+    return faulty
+
+
+def non_filler(inp, genuine, v, vp):
+    C = inp.category
+    return next((m for m in C.arrows if C.tgt[m] == C.src[v] and m not in genuine), None)
+
+
+def non_square(inp, genuine, h, v):
+    C = inp.category
+    if not genuine:
+        return None
+    wp = genuine[0][0]
+    for g in C.hom(C.src[wp], C.src[v]):
+        if (wp, g) not in genuine:
+            return wp, g
+    return None
+
+
+def foreign_section(inp, genuine, x):
+    C = inp.category
+    return next((v for v in inp.weq if C.tgt[v] != x), None)
+
+
+@pytest.mark.parametrize(
+    "name,search,bogus",
+    [
+        ("idem/ids", "_weak_fillers", non_filler),
+        ("Z2/all", "_ore_fillers", non_square),
+    ],
+)
+def test_self_check_b_fires_on_a_bogus_last_filler(monkeypatch, name, search, bogus):
+    inp = dict(corpus.fractions_corpus())[name]
+    honest = localize(inp)
+    monkeypatch.setattr(
+        catfrac.fractions, search, with_bogus_last(getattr(catfrac.fractions, search), bogus)
+    )
+    # the composition loop takes the first filler, so without (b) nothing shows
+    assert localize(inp, exhaustive_limit=0) == honest
+    with pytest.raises(IntegrityError, match="not well-defined"):
+        localize(inp)
+
+
+def test_self_check_a_fires_on_a_bogus_last_section(monkeypatch):
+    inp = dict(corpus.fractions_corpus())["arrow/all"]
+    monkeypatch.setattr(
+        catfrac.fractions, "_sections", with_bogus_last(catfrac.fractions._sections, foreign_section)
+    )
+    with pytest.raises(IntegrityError, match="depends on the section"):
+        localize(inp)

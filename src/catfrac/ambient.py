@@ -148,10 +148,9 @@ def has_common_section(f: FinSetMap, g: FinSetMap) -> bool:
     reflexive. Simultaneous sections are built pointwise when they exist."""
     if f.dom != g.dom or f.cod != g.cod:
         raise DomainError("sections make sense for parallel pairs only")
-    return all(
-        any(f.table[r] == a and g.table[r] == a for r in range(f.dom.size))
-        for a in range(f.cod.size)
-    )
+    # every table value lies in the codomain, so the diagonal covers it
+    # exactly when it has cod.size distinct values
+    return len({a for a, b in zip(f.table, g.table) if a == b}) == f.cod.size
 
 
 def coequalize_reflexive(f: FinSetMap, g: FinSetMap) -> tuple[FinSetObject, FinSetMap]:

@@ -190,13 +190,10 @@ def load_fractions_input(data: dict, base: Path) -> FractionsInput:
 
 def category_to_json(C: FinCategory) -> dict:
     rows = []
-    for f in C.arrows:
-        for g in C.arrows:
-            if C.tgt[f] != C.src[g]:
-                continue
-            if C.is_identity(f) or C.is_identity(g):
-                continue
-            rows.append({"first": f, "then": g, "equals": C.composition[(f, g)]})
+    for f, g in C.composable_pairs():
+        if C.is_identity(f) or C.is_identity(g):
+            continue
+        rows.append({"first": f, "then": g, "equals": C.composition[(f, g)]})
     return {
         "kind": "category",
         "objects": list(C.objects),

@@ -220,9 +220,7 @@ def _check_unit_coherence(D: Pseudofunctor, report: ValidationReport) -> None:
 def _check_assoc_coherence(D: Pseudofunctor, report: ValidationReport) -> None:
     idx = D.index
     for phi, psi in idx.composable_pairs():
-        for gamma in idx.arrows:
-            if idx.src[gamma] != idx.tgt[psi]:
-                continue
+        for gamma in idx.out_of(idx.tgt[psi]):
             psigamma = idx.composition[(psi, gamma)]
             phipsi = idx.composition[(phi, psi)]
             if D.variance == "covariant":

@@ -26,6 +26,7 @@ from .diagram import (
     compositor_inverse_component,
     enumerate_modifications,
     enumerate_transformations,
+    expected_endpoints,
     identity_modification,
     two_cell_endpoints,
     unitor_inverse_component,
@@ -84,22 +85,11 @@ def grothendieck(D: Pseudofunctor) -> ElementsCategory:
 
     arr_tag_list = []
     for phi in idx.arrows:
-        A, B = idx.src[phi], idx.tgt[phi]
-        F = D.fun(phi)
-        if D.variance == "covariant":
-            coords, fibers = D.cat(A), D.cat(B)
-            for x in coords.objects:
-                img = F.on_objects[x]
-                for f in fibers.arrows:
-                    if fibers.src[f] == img:
-                        arr_tag_list.append((phi, x, f))
-        else:
-            coords, fibers = D.cat(B), D.cat(A)
-            for x in coords.objects:
-                img = F.on_objects[x]
-                for f in fibers.arrows:
-                    if fibers.tgt[f] == img:
-                        arr_tag_list.append((phi, x, f))
+        coords, fibers = expected_endpoints(D, phi)
+        fiber_arrows = fibers.out_of if D.variance == "covariant" else fibers.into
+        for x in coords.objects:
+            for f in fiber_arrows(D.fun(phi).on_objects[x]):
+                arr_tag_list.append((phi, x, f))
     arr_names = uniquify([f"({phi};{x};{f})" for phi, x, f in arr_tag_list])
     arrow_index = dict(zip(arr_tag_list, arr_names))
     arrow_tags = dict(zip(arr_names, arr_tag_list))

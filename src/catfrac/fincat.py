@@ -11,7 +11,6 @@ and searches return the first hit in lexicographic order over those.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -47,6 +46,20 @@ class FinCategory:
     # (f, g) -> f-then-g, total over composable pairs
     composition: dict[tuple[str, str], str]
 
+    def __post_init__(self) -> None:
+        # Fibres of (src, tgt) in declaration order, set during __init__
+        # because an attribute added later slows every attribute read on the
+        # instance. A missing endpoint is keyed None; _check_structure says so.
+        homs, outs, ins = {}, {}, {}
+        for f in self.arrows:
+            s, t = self.src.get(f), self.tgt.get(f)
+            homs.setdefault((s, t), []).append(f)
+            outs.setdefault(s, []).append(f)
+            ins.setdefault(t, []).append(f)
+        self._homs = {key: tuple(fs) for key, fs in homs.items()}
+        self._outs = {x: tuple(fs) for x, fs in outs.items()}
+        self._ins = {y: tuple(fs) for y, fs in ins.items()}
+
     @classmethod
     def build(
         cls,
@@ -74,14 +87,13 @@ class FinCategory:
         cat = cls(objs, arrst, src, tgt, dict(identity), dict(composition))
         cat._check_structure(allow_partial=fill_identity_composites)
         if fill_identity_composites:
-            for f in arrst:
-                for g in arrst:
-                    if tgt[f] != src[g] or (f, g) in cat.composition:
-                        continue
-                    if g == identity.get(tgt[f]):
-                        cat.composition[(f, g)] = f
-                    elif f == identity.get(src[g]):
-                        cat.composition[(f, g)] = g
+            for f, g in cat.composable_pairs():
+                if (f, g) in cat.composition:
+                    continue
+                if g == identity.get(tgt[f]):
+                    cat.composition[(f, g)] = f
+                elif f == identity.get(src[g]):
+                    cat.composition[(f, g)] = g
             cat._check_structure(allow_partial=False)
         return cat
 
@@ -108,21 +120,28 @@ class FinCategory:
             if self.tgt[f] != self.src[g]:
                 raise InputError(f"composition entry for non-composable pair ({f!r},{g!r})")
         if not allow_partial:
-            for f in self.arrows:
-                for g in self.arrows:
-                    if self.tgt[f] == self.src[g] and (f, g) not in self.composition:
-                        raise InputError(f"composition table is partial: missing ({f!r},{g!r})")
+            for f, g in self.composable_pairs():
+                if (f, g) not in self.composition:
+                    raise InputError(f"composition table is partial: missing ({f!r},{g!r})")
 
     # -- small conveniences --------------------------------------------------
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
-        return tuple(f for f in self.arrows if self.src[f] == x and self.tgt[f] == y)
+        """Arrows x -> y, in declaration order."""
+        return self._homs.get((x, y), ())
+
+    def out_of(self, x: str) -> tuple[str, ...]:
+        """Arrows with source x, in declaration order."""
+        return self._outs.get(x, ())
+
+    def into(self, y: str) -> tuple[str, ...]:
+        """Arrows with target y, in declaration order."""
+        return self._ins.get(y, ())
 
     def composable_pairs(self) -> Iterator[tuple[str, str]]:
         for f in self.arrows:
-            for g in self.arrows:
-                if self.tgt[f] == self.src[g]:
-                    yield (f, g)
+            for g in self.out_of(self.tgt[f]):
+                yield (f, g)
 
     def is_identity(self, f: str) -> bool:
         return self.identity.get(self.src[f]) == f
@@ -155,6 +174,16 @@ class IsoWitness:
     backward: Functor
 
 
+def misplaced_composites(C: FinCategory) -> Iterator[str]:
+    """One message per composite of (f, g) that lies outside hom(s(f), t(g))."""
+    for (f, g), h in C.composition.items():
+        if C.src[h] != C.src[f] or C.tgt[h] != C.tgt[g]:
+            yield (
+                f"composite ({f!r},{g!r})={h!r} lands in hom({C.src[h]!r},{C.tgt[h]!r}), "
+                f"expected hom({C.src[f]!r},{C.tgt[g]!r})"
+            )
+
+
 def validate_category(C: FinCategory) -> ValidationReport:
     """Report every violated category law; structural defects raise InputError."""
     C._check_structure()
@@ -163,12 +192,7 @@ def validate_category(C: FinCategory) -> ValidationReport:
         i = C.identity[x]
         if C.src[i] != x or C.tgt[i] != x:
             report.add(f"identity of {x!r} is {i!r}: {C.src[i]!r} -> {C.tgt[i]!r}, not an endomorphism of {x!r}")
-    for (f, g), h in C.composition.items():
-        if C.src[h] != C.src[f] or C.tgt[h] != C.tgt[g]:
-            report.add(
-                f"composite ({f!r},{g!r})={h!r} lands in hom({C.src[h]!r},{C.tgt[h]!r}), "
-                f"expected hom({C.src[f]!r},{C.tgt[g]!r})"
-            )
+    report.problems.extend(misplaced_composites(C))
     for f in C.arrows:
         li = C.identity[C.src[f]]
         ri = C.identity[C.tgt[f]]
@@ -178,19 +202,14 @@ def validate_category(C: FinCategory) -> ValidationReport:
         got = C.composition.get((f, ri))
         if got is not None and got != f:
             report.add(f"right identity law fails at ({f!r},{ri!r}): got {got!r}")
-    for f in C.arrows:
-        for g in C.arrows:
-            if C.tgt[f] != C.src[g]:
-                continue
-            fg = C.composition[(f, g)]
-            for h in C.arrows:
-                if C.tgt[g] != C.src[h]:
-                    continue
-                gh = C.composition[(g, h)]
-                left = C.composition.get((fg, h))
-                right = C.composition.get((f, gh))
-                if left != right or left is None:
-                    report.add(f"associativity fails at ({f!r},{g!r},{h!r}): ({f}{g}){h}={left!r}, {f}({g}{h})={right!r}")
+    for f, g in C.composable_pairs():
+        fg = C.composition[(f, g)]
+        for h in C.out_of(C.tgt[g]):
+            gh = C.composition[(g, h)]
+            left = C.composition.get((fg, h))
+            right = C.composition.get((f, gh))
+            if left != right or left is None:
+                report.add(f"associativity fails at ({f!r},{g!r},{h!r}): ({f}{g}){h}={left!r}, {f}({g}{h})={right!r}")
     return report
 
 
@@ -349,14 +368,9 @@ def _functor_search(C: FinCategory, X: FinCategory, bijective: bool) -> Iterator
     oslot = {x: i for i, x in enumerate(objs)}
     aslot = {f: n + k for k, f in enumerate(arrows)}
     ends = [(oslot[C.src[f]], oslot[C.tgt[f]]) for f in arrows[n:]]
-    xhom: dict[tuple[str, str], list[str]] = {}
-    for f in X.arrows:
-        xhom.setdefault((X.src[f], X.tgt[f]), []).append(f)
-    xcount = {pair: len(fs) for pair, fs in xhom.items()}
-    chom = Counter((C.src[f], C.tgt[f]) for f in C.arrows)
     homs_closed = [
-        [(j, True, chom[(a, x)]) for j, a in enumerate(objs[: i + 1])]
-        + [(j, False, chom[(x, a)]) for j, a in enumerate(objs[: i + 1])]
+        [(j, True, len(C.hom(a, x))) for j, a in enumerate(objs[: i + 1])]
+        + [(j, False, len(C.hom(x, a))) for j, a in enumerate(objs[: i + 1])]
         for i, x in enumerate(objs)
     ]
     entries_closed: list[list] = [[] for _ in range(n + len(arrows))]
@@ -364,6 +378,7 @@ def _functor_search(C: FinCategory, X: FinCategory, bijective: bool) -> Iterator
         s = (aslot[f], aslot[g], aslot[h])
         entries_closed[max(s)].append(s)
     comp = X.composition
+    xhom = X.hom
 
     def domain(i: int, vals: list) -> Iterable[str]:
         if i < n:
@@ -371,7 +386,7 @@ def _functor_search(C: FinCategory, X: FinCategory, bijective: bool) -> Iterator
         if i < 2 * n:
             return (X.identity[vals[i - n]],)
         s, t = ends[i - 2 * n]
-        return xhom.get((vals[s], vals[t]), ())
+        return xhom(vals[s], vals[t])
 
     def accept(i: int, vals: list) -> bool:
         v = vals[i]
@@ -379,7 +394,7 @@ def _functor_search(C: FinCategory, X: FinCategory, bijective: bool) -> Iterator
             return False
         if i < n:
             for j, into, count in homs_closed[i]:
-                got = xcount.get((vals[j], v) if into else (v, vals[j]), 0)
+                got = len(xhom(vals[j], v) if into else xhom(v, vals[j]))
                 if (got != count) if bijective else (count and not got):
                     return False
             return True
@@ -470,17 +485,13 @@ def check_shape(A: FinCategory, direction: str) -> ShapeReport:
                 return ShapeReport(direction, False, pair_w, par_w, f"objects ({x!r},{y!r}) admit no {kind}")
             pair_w[(x, y)] = found
     for f in A.arrows:
-        for g in A.arrows:
-            if f == g or A.src[f] != A.src[g] or A.tgt[f] != A.tgt[g]:
+        for g in A.hom(A.src[f], A.tgt[f]):
+            if f == g:
                 continue
-            found_h = None
-            for h in A.arrows:
-                if fwd and A.src[h] == A.tgt[f] and compose(A, f, h) == compose(A, g, h):
-                    found_h = h
-                    break
-                if not fwd and A.tgt[h] == A.src[f] and compose(A, h, f) == compose(A, h, g):
-                    found_h = h
-                    break
+            if fwd:
+                found_h = next((h for h in A.out_of(A.tgt[f]) if compose(A, f, h) == compose(A, g, h)), None)
+            else:
+                found_h = next((h for h in A.into(A.src[f]) if compose(A, h, f) == compose(A, h, g)), None)
             if found_h is None:
                 kind = "coequalizing" if fwd else "equalizing"
                 return ShapeReport(direction, False, pair_w, par_w, f"parallel pair ({f!r},{g!r}) has no {kind} arrow")
@@ -517,9 +528,7 @@ def find_isomorphism(C: FinCategory, D: FinCategory) -> Optional[IsoWitness]:
 def two_sided_inverse(C: FinCategory, f: str) -> Optional[str]:
     """First arrow r with f.r and r.f both identities, in canonical order."""
     x, y = C.src[f], C.tgt[f]
-    for r in C.arrows:
-        if C.src[r] != y or C.tgt[r] != x:
-            continue
+    for r in C.hom(y, x):
         if C.composition[(f, r)] == C.identity[x] and C.composition[(r, f)] == C.identity[y]:
             return r
     return None

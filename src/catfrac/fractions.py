@@ -42,6 +42,7 @@ from .fincat import (
     enumerate_functors,
     enumerate_nat_trans,
     identity_nat_trans,
+    misplaced_composites,
     two_sided_inverse,
     uniquify,
     vertical_compose,
@@ -138,9 +139,8 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[ShapeInstance]:
     out = []
     if kind == "spn":
         for v in W:
-            for g in C.arrows:
-                if C.src[v] == C.src[g]:
-                    out.append(ShapeInstance(kind, (v, g)))
+            for g in C.out_of(C.src[v]):
+                out.append(ShapeInstance(kind, (v, g)))
     elif kind == "csp":
         for h in C.arrows:
             for v in W:
@@ -151,19 +151,15 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[ShapeInstance]:
             for v in W:
                 if C.tgt[h] != C.src[v] or compose(C, h, v) not in wset:
                     continue
-                for g in C.arrows:
-                    if C.src[g] == C.src[v]:
-                        out.append(ShapeInstance(kind, (h, v, g)))
+                for g in C.out_of(C.src[v]):
+                    out.append(ShapeInstance(kind, (h, v, g)))
     elif kind == "p":
         for f in C.arrows:
-            for g in C.arrows:
-                if C.src[f] == C.src[g] and C.tgt[f] == C.tgt[g]:
-                    out.append(ShapeInstance(kind, (f, g)))
+            for g in C.hom(C.src[f], C.tgt[f]):
+                out.append(ShapeInstance(kind, (f, g)))
     elif kind == "p_cq":
         for f in C.arrows:
-            for g in C.arrows:
-                if C.src[f] != C.src[g] or C.tgt[f] != C.tgt[g]:
-                    continue
+            for g in C.hom(C.src[f], C.tgt[f]):
                 for v in W:
                     if C.src[v] == C.tgt[f] and compose(C, f, v) == compose(C, g, v):
                         out.append(ShapeInstance(kind, (f, g, v)))
@@ -194,8 +190,8 @@ def _weak_fillers(inp: FractionsInput, v: str, vp: str) -> Iterator[str]:
     m with m;v;v' marked, in canonical order."""
     C = inp.category
     wset = set(inp.weq)
-    for m in C.arrows:
-        if C.tgt[m] == C.src[v] and compose(C, C.composition[(m, v)], vp) in wset:
+    for m in C.into(C.src[v]):
+        if compose(C, C.composition[(m, v)], vp) in wset:
             yield m
 
 
@@ -207,8 +203,8 @@ def _ore_fillers(inp: FractionsInput, h: str, v: str) -> Iterator[tuple]:
         if C.tgt[wp] != C.src[h]:
             continue
         wph = C.composition[(wp, h)]
-        for g in C.arrows:
-            if C.src[g] == C.src[wp] and C.tgt[g] == C.src[v] and C.composition[(g, v)] == wph:
+        for g in C.hom(C.src[wp], C.src[v]):
+            if C.composition[(g, v)] == wph:
                 yield wp, g
 
 
@@ -236,9 +232,13 @@ def _decide(inp: FractionsInput, axiom: int, cases: list, search, kind: str) -> 
 
 
 def check_axioms(inp: FractionsInput) -> AxiomReport:
-    """Decide the four weakened right-fractions axioms with witnesses."""
+    """Decide the four weakened right-fractions axioms with witnesses; a
+    composite outside hom(s(f), t(g)) raises InputError before any search."""
     inp.check()
     C = inp.category
+    problem = next(misplaced_composites(C), None)
+    if problem is not None:
+        raise InputError(problem)
     W = inp.weq
     objects = [((x,), (x,)) for x in C.objects]
     marked_pairs = [((v, vp), (v, vp)) for v in W for vp in W if C.tgt[v] == C.src[vp]]
@@ -538,11 +538,11 @@ def verify_pseudocolimit(D, X: FinCategory):
     GD = grothendieck(D)
     W = cleavage(GD)
     inp = FractionsInput(category=GD.carrier, weq=W.members)
-    axioms = check_axioms(inp)
-    if not axioms.ok:
-        report.add("cleavage fails the fractions axioms:\n" + str(axioms))
+    try:
+        LC = localize(inp)
+    except AxiomError as exc:
+        report.add("cleavage fails the fractions axioms:\n" + str(exc.report))
         return report
-    LC = localize(inp)
     report.stats["carrier arrows"] = len(GD.carrier.arrows)
     report.stats["localized arrows"] = len(LC.carrier.arrows)
 

@@ -164,6 +164,18 @@ def random_map(draw, dom=None, cod=None):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
+def test_common_section_matches_pointwise_definition(data):
+    f = data.draw(random_map())
+    g = data.draw(st.one_of(st.just(f), random_map(dom=f.dom, cod=f.cod)))
+    pointwise = all(
+        any(f.table[r] == a == g.table[r] for r in range(f.dom.size))
+        for a in range(f.cod.size)
+    )
+    assert has_common_section(f, g) == pointwise
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
 def test_pullback_mediate_roundtrip(data):
     B = obj(data.draw(st.integers(min_value=1, max_value=3)), "B")
     f = data.draw(random_map(cod=B))

@@ -225,6 +225,33 @@ def test_malformed_inputs_exit_2_with_a_message(capsys, tmp_path, data, message)
     assert out.startswith("error: ") and message in out
 
 
+MISTYPED_COMPOSITE = {
+    "kind": "fractions-input",
+    "category": {
+        "kind": "category",
+        "objects": ["a", "b"],
+        "arrows": [
+            {"name": "ia", "src": "a", "tgt": "a"},
+            {"name": "ib", "src": "b", "tgt": "b"},
+            {"name": "f", "src": "a", "tgt": "b"},
+        ],
+        "identities": {"a": "ia", "b": "ib"},
+        "compose": [{"first": "ia", "then": "f", "equals": "ia"}],
+    },
+    "weq": ["ia", "ib", "f"],
+}
+
+
+@pytest.mark.parametrize("command", ["axioms", "localize"])
+def test_mistyped_composite_is_named(capsys, tmp_path, command):
+    # ia;f is tabled as ia, an arrow a -> a where hom(a, b) is due
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(MISTYPED_COMPOSITE), encoding="utf-8")
+    code, out, _ = run(capsys, command, path)
+    assert code == 2
+    assert out.startswith("error: composite ('ia','f')='ia' lands in hom('a','a')")
+
+
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_json.json").read_text(encoding="utf-8"))
 
 

@@ -1,5 +1,6 @@
 """Enumeration on generated categories: differential against the oracle,
-metamorphic under renaming and redeclaring.
+metamorphic under renaming and redeclaring; the hom index against a filter
+over the arrows, on these and on the corpus.
 
 The strategies build only valid categories: posets as transitive closures
 of random DAGs, and monoids of self-maps of {0, 1} closed under
@@ -9,13 +10,16 @@ composition table total over composable pairs.
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import corpus
 import oracle
 from catfrac import (
     FinCategory,
     enumerate_functors,
     find_isomorphism,
+    opposite,
     validate_category,
     validate_functor,
 )
@@ -107,3 +111,26 @@ def test_isomorphic_under_renaming_and_redeclaring(raw, data):
     wit = find_isomorphism(build(raw), P)
     assert wit is not None
     assert validate_functor(wit.forward).ok and validate_functor(wit.backward).ok
+
+
+def assert_hom_index_is_the_filter(C: FinCategory) -> None:
+    for x in C.objects:
+        assert C.out_of(x) == tuple(f for f in C.arrows if C.src[f] == x)
+        assert C.into(x) == tuple(f for f in C.arrows if C.tgt[f] == x)
+        for y in C.objects:
+            assert C.hom(x, y) == tuple(f for f in C.arrows if C.src[f] == x and C.tgt[f] == y)
+
+
+@pytest.mark.parametrize("name,C", corpus.all_categories())
+def test_hom_index_matches_filter_on_corpus(name, C):
+    assert_hom_index_is_the_filter(C)
+    assert_hom_index_is_the_filter(opposite(C))
+
+
+@settings(max_examples=60, deadline=None)
+@given(categories, st.data())
+def test_hom_index_matches_filter_on_generated(raw, data):
+    arrows = data.draw(st.permutations(list(raw["arrows"])))
+    C = build(dict(raw, arrows={f: raw["arrows"][f] for f in arrows}))
+    assert_hom_index_is_the_filter(C)
+    assert_hom_index_is_the_filter(opposite(C))

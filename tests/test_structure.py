@@ -1,8 +1,19 @@
 """Package structure: imports sit at module top and never form a cycle; no
-function recurses, so no input depth can exhaust the interpreter's stack."""
+function recurses, so no input depth can exhaust the interpreter's stack;
+a category gains no attribute after construction."""
 
 import ast
+import dataclasses
 from pathlib import Path
+
+import corpus
+from catfrac import (
+    FinCategory,
+    FractionsInput,
+    enumerate_functors,
+    localize,
+    validate_category,
+)
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "catfrac"
 MODULES = {
@@ -77,3 +88,18 @@ def test_no_function_calls_itself():
                     ):
                         recursive.add(f"{name}.py:{fn.lineno} {fn.name}")
     assert not recursive, f"self-recursive functions: {sorted(recursive)}"
+
+
+def test_no_attribute_is_attached_after_construction():
+    # an attribute set after __init__ slows every attribute read on the
+    # instance, and the hom index must stay out of __eq__ and repr
+    C = corpus.two()
+    keys = list(vars(C))
+    C.hom("a", "b")
+    validate_category(C)
+    enumerate_functors(C, C)
+    localize(FractionsInput(C, C.arrows))
+    assert list(vars(C)) == keys
+    assert [f.name for f in dataclasses.fields(FinCategory)] == [
+        "objects", "arrows", "src", "tgt", "identity", "composition"
+    ]

@@ -14,6 +14,7 @@ import pytest
 import corpus
 import catfrac.fractions
 from catfrac import (
+    AxiomReport,
     FractionsInput,
     Functor,
     NatTrans,
@@ -28,6 +29,7 @@ from catfrac import (
     vertical_compose,
 )
 from catfrac.errors import DomainError
+from catfrac.fractions import AxiomFinding
 from catfrac.verify import Correspondence, TwoCells, check_correspondence
 
 X = corpus.parallel()
@@ -239,3 +241,23 @@ def test_pseudocolimit_catches_a_wrong_induced_functor(constant_induced):
     report = verify_pseudocolimit(corpus.diag_contra_two(), corpus.two())
     assert not report.ok
     assert "pseudo transformations #0 and #1 collapse to the same functor" in report.problems
+
+
+def test_pseudocolimit_decides_the_axioms_once(monkeypatch):
+    calls = []
+    check_axioms = catfrac.fractions.check_axioms
+
+    def counted(inp):
+        calls.append(inp)
+        return check_axioms(inp)
+
+    monkeypatch.setattr(catfrac.fractions, "check_axioms", counted)
+    assert verify_pseudocolimit(corpus.diag_contra_two(), corpus.two()).ok
+    assert len(calls) == 1
+
+
+def test_pseudocolimit_reports_failing_axioms(monkeypatch):
+    failing = AxiomReport([AxiomFinding(axiom=1, ok=False, counterexample=("x",))])
+    monkeypatch.setattr(catfrac.fractions, "check_axioms", lambda inp: failing)
+    report = verify_pseudocolimit(corpus.diag_contra_two(), corpus.two())
+    assert report.problems == ["cleavage fails the fractions axioms:\naxiom (1): FAIL at ('x',)"]

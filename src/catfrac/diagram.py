@@ -609,13 +609,26 @@ def enumerate_modifications(x: LaxTransformation, y: LaxTransformation) -> list[
     """
     if x.source != y.source or x.target != y.target:
         raise DomainError("modification endpoints are not parallel")
-    D = x.source
-    objs = D.index.objects
+    objs = x.source.index.objects
     per_object = [enumerate_nat_trans(x.components[a], y.components[a]) for a in objs]
-    slot = {a: i for i, a in enumerate(objs)}
-    arrows_closed: list[list] = [[] for _ in objs]
-    for phi in D.index.arrows:
-        s, t = slot[D.index.src[phi]], slot[D.index.tgt[phi]]
+    return [
+        Modification(src=x, tgt=y, components=dict(zip(objs, vals)))
+        for vals in _modification_search(x, y, per_object)
+    ]
+
+
+def _modification_search(
+    x: LaxTransformation, y: LaxTransformation, per_object: list
+) -> Iterator[list]:
+    """Compatible choices of one component per index object, drawn from
+    ``per_object`` (the natural transformations between the components of
+    x and y, in index-object order), in canonical order.  The yielded list
+    is reused: copy what you keep."""
+    idx = x.source.index
+    slot = {a: i for i, a in enumerate(idx.objects)}
+    arrows_closed: list[list] = [[] for _ in idx.objects]
+    for phi in idx.arrows:
+        s, t = slot[idx.src[phi]], slot[idx.tgt[phi]]
         arrows_closed[max(s, t)].append((phi, s, t))
 
     def compatible(i: int, vals: list) -> bool:
@@ -624,10 +637,7 @@ def enumerate_modifications(x: LaxTransformation, y: LaxTransformation) -> list[
                 return False
         return True
 
-    return [
-        Modification(src=x, tgt=y, components=dict(zip(objs, vals)))
-        for vals in backtrack(len(objs), lambda i, vals: per_object[i], compatible)
-    ]
+    return backtrack(len(per_object), lambda i, vals: per_object[i], compatible)
 
 
 def identity_modification(x: LaxTransformation) -> Modification:

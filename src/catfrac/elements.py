@@ -20,14 +20,11 @@ from typing import Optional
 
 from .diagram import (
     LaxTransformation,
-    Modification,
     Pseudofunctor,
-    compose_modifications,
+    _modification_search,
     compositor_inverse_component,
-    enumerate_modifications,
     enumerate_transformations,
     expected_endpoints,
-    identity_modification,
     two_cell_endpoints,
     unitor_inverse_component,
 )
@@ -40,9 +37,17 @@ from .fincat import (
     compose_functors,
     compose_many,
     enumerate_functors,
+    enumerate_nat_trans,
+    functor_key,
     uniquify,
 )
-from .verify import Correspondence, TwoCells, VerifierReport, check_correspondence
+from .verify import (
+    Correspondence,
+    TwoCells,
+    VerifierReport,
+    cell_composer,
+    check_correspondence,
+)
 
 
 @dataclass(eq=True)
@@ -260,35 +265,50 @@ def functor_to_transformation(F: Functor, GD: ElementsCategory) -> LaxTransforma
     )
 
 
-def modification_cells(GD: ElementsCategory) -> TwoCells:
-    """Modifications between transformations out of GD's diagram.  A
-    modification crosses to the natural transformation between the
-    collapsed functors whose component at (A; a) is its component at A, a."""
+def modification_cells(GD: ElementsCategory, X: FinCategory) -> TwoCells:
+    """Modifications between transformations out of GD's diagram into X.
+
+    A modification is the tuple of its components at the carrier objects
+    (A; a), in carrier order.  It crosses to the natural transformation
+    between the collapsed functors whose component at (A; a) is its
+    component at A, a: the same tuple, since functors off the carrier (and
+    off its localization) share its object order.  The natural
+    transformations between two component functors at one index object are
+    searched once per call of this function, not once per pair of
+    transformations sharing them.
+    """
     D = GD.diagram
+    objs = D.index.objects
+    slot = {A: s for s, A in enumerate(objs)}
+    tags = [GD.object_tags[name] for name in GD.carrier.objects]
+    picks = [(slot[A], a) for A, a in tags]
+    searched: dict = {}
 
-    def transfer(m: Modification, F: Functor, G: Functor) -> NatTrans:
-        components = {
-            name: m.components[A].components[a] for name, (A, a) in GD.object_tags.items()
-        }
-        return NatTrans(src=F, tgt=G, components=components)
+    def components(F: Functor, G: Functor, A: str) -> list[NatTrans]:
+        # every transformation here goes into X, so (A, maps) fixes F and G
+        key = (A, functor_key(F), functor_key(G))
+        found = searched.get(key)
+        if found is None:
+            found = searched[key] = enumerate_nat_trans(F, G)
+        return found
 
-    def lift(mu: NatTrans, x: LaxTransformation, y: LaxTransformation) -> Modification:
-        components = {}
-        for A in D.index.objects:
-            components[A] = NatTrans(
-                src=x.components[A],
-                tgt=y.components[A],
-                components={a: mu.components[GD.object_name(A, a)] for a in D.cat(A).objects},
-            )
-        return Modification(src=x, tgt=y, components=components)
+    def between(x: LaxTransformation, y: LaxTransformation) -> list[tuple]:
+        per_object = [components(x.components[A], y.components[A], A) for A in objs]
+        return [
+            tuple([vals[s].components[a] for s, a in picks])
+            for vals in _modification_search(x, y, per_object)
+        ]
+
+    def identity(x: LaxTransformation) -> tuple:
+        return tuple(X.identity[x.components[A].on_objects[a]] for A, a in tags)
 
     return TwoCells(
         noun="modification",
-        between=enumerate_modifications,
-        transfer=transfer,
-        lift=lift,
-        identity=identity_modification,
-        compose=compose_modifications,
+        between=between,
+        transfer=lambda a, F, G: a,
+        lift=lambda mu, x, y: mu,
+        identity=identity,
+        compose=cell_composer(X),
     )
 
 
@@ -316,6 +336,6 @@ def verify_oplax_colimit(
         right=funs,
         forward=lambda t: transformation_to_functor(t, GD),
         back=lambda F: functor_to_transformation(F, GD),
-        cells=modification_cells(GD),
+        cells=modification_cells(GD, X),
     )
     return check_correspondence(report, correspondence, "modifications")

@@ -174,6 +174,13 @@ class IsoWitness:
     backward: Functor
 
 
+def functor_key(F: Functor) -> tuple:
+    """A hashable key of F's object and arrow maps.  Equal functors have
+    equal keys; functors with equal keys are equal when their domains and
+    codomains are."""
+    return (frozenset(F.on_objects.items()), frozenset(F.on_arrows.items()))
+
+
 def misplaced_composites(C: FinCategory) -> Iterator[str]:
     """One message per composite of (f, g) that lies outside hom(s(f), t(g))."""
     for (f, g), h in C.composition.items():

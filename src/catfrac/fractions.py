@@ -35,7 +35,6 @@ from .errors import AxiomError, DomainError, InputError, IntegrityError
 from .fincat import (
     FinCategory,
     Functor,
-    NatTrans,
     check_shape,
     compose,
     compose_functors,
@@ -45,9 +44,15 @@ from .fincat import (
     misplaced_composites,
     two_sided_inverse,
     uniquify,
-    vertical_compose,
 )
-from .verify import Correspondence, TwoCells, VerifierReport, check_correspondence
+from .verify import (
+    Correspondence,
+    TwoCells,
+    VerifierReport,
+    as_cell,
+    cell_composer,
+    check_correspondence,
+)
 
 
 @dataclass(eq=True)
@@ -398,12 +403,16 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     alpha, _ = _section(inp)
     identity = {x: class_of_span[(alpha[x], alpha[x])] for x in C.objects}
 
+    # a span (v, g) runs from t(v) to t(g); listing the classes (and, for
+    # (b), the spans) out of each object in their own order makes each loop
+    # visit only the composable pairs, in the order of the full product
+    reps_out: dict[str, list] = {}
+    for n, (v, g) in class_reps.items():
+        reps_out.setdefault(C.tgt[v], []).append((n, (v, g)))
     shared = _SharedFillers(inp)
     composition = {}
     for n1, (v1, g1) in class_reps.items():
-        for n2, (v2, g2) in class_reps.items():
-            if C.tgt[g1] != C.tgt[v2]:
-                continue
+        for n2, (v2, g2) in reps_out.get(C.tgt[g1], ()):
             comp = span_compose(
                 shared, ShapeInstance("spn", (v1, g1)), ShapeInstance("spn", (v2, g2))
             )
@@ -434,10 +443,11 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
 
     # (b) composites do not depend on fillers or representatives
     if len(spans) <= exhaustive_limit:
+        spans_out: dict[str, list] = {}
+        for s in spans:
+            spans_out.setdefault(C.tgt[s.payload[0]], []).append(s)
         for s1 in spans:
-            for s2 in spans:
-                if C.tgt[s1.payload[1]] != C.tgt[s2.payload[0]]:
-                    continue
+            for s2 in spans_out.get(C.tgt[s1.payload[1]], ()):
                 _, all_payloads = span_compose(shared, s1, s2, exhaustive=True)
                 expected = composition[(class_of_span[s1.payload], class_of_span[s2.payload])]
                 # a payload that is no span stands for itself
@@ -503,9 +513,8 @@ def verify_localization_up(inp: FractionsInput, X: FinCategory):
     report.stats["inverting functors"] = len(inverting)
     report.stats["functors off carrier"] = len(off_carrier)
 
-    def retarget(a: NatTrans, F: Functor, G: Functor) -> NatTrans:
-        return NatTrans(F, G, dict(a.components))
-
+    # 2-cells on both sides are components in the object order of C, which
+    # the localized carrier keeps, so they cross unchanged
     correspondence = Correspondence(
         noun="inverting functor",
         left=inverting,
@@ -514,11 +523,11 @@ def verify_localization_up(inp: FractionsInput, X: FinCategory):
         back=lambda G: compose_functors(LC.L, G),
         cells=TwoCells(
             noun="natural transformation",
-            between=enumerate_nat_trans,
-            transfer=retarget,
-            lift=retarget,
-            identity=identity_nat_trans,
-            compose=vertical_compose,
+            between=lambda F, G: [as_cell(mu) for mu in enumerate_nat_trans(F, G)],
+            transfer=lambda a, F, G: a,
+            lift=lambda mu, F, G: mu,
+            identity=lambda F: as_cell(identity_nat_trans(F)),
+            compose=cell_composer(X),
         ),
     )
     return check_correspondence(report, correspondence, "natural transformations")
@@ -562,6 +571,6 @@ def verify_pseudocolimit(D, X: FinCategory):
         right=off_localized,
         forward=lambda x: induced_functor(transformation_to_functor(x, GD), LC),
         back=lambda G: functor_to_transformation(compose_functors(LC.L, G), GD),
-        cells=modification_cells(GD),
+        cells=modification_cells(GD, X),
     )
     return check_correspondence(report, correspondence, "modifications")

@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError
-from .fincat import enumerate_nat_trans, identity_nat_trans, vertical_compose
+from .fincat import (
+    FinCategory,
+    NatTrans,
+    enumerate_nat_trans,
+    functor_key,
+    identity_nat_trans,
+)
 
 
 @dataclass
@@ -44,9 +50,13 @@ class VerifierReport:
 class TwoCells:
     """The 2-cells between left 1-cells and how they cross the correspondence.
 
-    ``between(x, y)`` lists the 2-cells x => y in canonical order;
-    ``transfer(a, F, G)`` sends one to a natural transformation F => G
-    between the images of x and y, and ``lift(mu, x, y)`` brings one back.
+    A 2-cell is a tuple of arrows of the common target, one component per
+    object in a fixed order: an order the left side chooses, and on the
+    right the object order ``F.dom.objects`` of the carrier, so that equal
+    2-cells are equal tuples and can be hashed.  ``between(x, y)`` lists
+    the 2-cells x => y in canonical order; ``transfer(a, F, G)`` sends one
+    to the components of a natural transformation F => G between the
+    images of x and y, and ``lift(mu, x, y)`` brings one back.
     ``identity(x)`` and ``compose(a, b)`` are the identity 2-cells and
     vertical composition on the left.
     """
@@ -96,10 +106,25 @@ def check_correspondence(
     return report
 
 
+def as_cell(mu: NatTrans) -> tuple:
+    """The components of ``mu`` in the object order of its domain."""
+    return tuple(map(mu.components.__getitem__, mu.src.dom.objects))
+
+
+def cell_composer(X: FinCategory) -> Callable[[tuple, tuple], tuple]:
+    """Componentwise composition in X of 2-cells, a then b.  It reads the
+    table directly: callers pass cells whose components already compose."""
+    read = X.composition.__getitem__
+    return lambda a, b: tuple(map(read, zip(a, b)))
+
+
 def _one_cells(report: VerifierReport, c: Correspondence) -> list:
     noun = c.noun
     if len(c.left) != len(c.right):
         report.add(f"count mismatch: {len(c.left)} {noun}s vs {len(c.right)} functors")
+    right: dict = {}
+    for y in c.right:
+        right.setdefault(functor_key(y), []).append(y)
     images: list = []
     for i, x in enumerate(c.left):
         try:
@@ -109,7 +134,7 @@ def _one_cells(report: VerifierReport, c: Correspondence) -> list:
             images.append(None)
             continue
         images.append(y)
-        if y not in c.right:
+        if not any(y == z for z in right.get(functor_key(y), ())):
             report.add(f"image of {noun} #{i} is not a functor off the carrier")
         elif c.back(y) != x:
             report.add(f"round-trip through the carrier changes {noun} #{i}")
@@ -128,14 +153,15 @@ def _one_cells(report: VerifierReport, c: Correspondence) -> list:
 
 def _two_cells(report: VerifierReport, c: Correspondence, images: list, cells_stat: str) -> dict:
     """Check that transfer is a bijection for every pair; return, per pair
-    (i, j), the left 2-cells and their transfers."""
+    (i, j), the left 2-cells, their transfers and the first position of
+    each left 2-cell."""
     cells = c.cells
     total = 0
     table = {}
     for i, x in enumerate(c.left):
         for j, y in enumerate(c.left):
             ups = cells.between(x, y)
-            downs = enumerate_nat_trans(images[i], images[j])
+            downs = [as_cell(mu) for mu in enumerate_nat_trans(images[i], images[j])]
             total += len(ups)
             if len(ups) != len(downs):
                 report.add(
@@ -144,44 +170,59 @@ def _two_cells(report: VerifierReport, c: Correspondence, images: list, cells_st
                 )
                 continue
             moved = [cells.transfer(a, images[i], images[j]) for a in ups]
-            table[(i, j)] = (ups, moved)
+            position: dict = {}
+            for p, a in enumerate(ups):
+                position.setdefault(a, p)
+            table[(i, j)] = (ups, moved, position)
+            natural = set(downs)
             for a, mu in zip(ups, moved):
-                if mu not in downs:
+                if mu not in natural:
                     report.add(f"2-cell image between #{i} and #{j} is not natural")
                 elif cells.lift(mu, x, y) != a:
                     report.add(
                         f"2-cell round-trip changes a {cells.noun} between #{i} and #{j}"
                     )
             for mu in downs:
-                try:
-                    p = ups.index(cells.lift(mu, x, y))
-                except ValueError:
+                p = position.get(cells.lift(mu, x, y))
+                if p is None:
                     report.add(f"2-cell preimage between #{i} and #{j} is not a {cells.noun}")
-                    continue
-                if moved[p] != mu:
+                elif moved[p] != mu:
                     report.add(f"2-cell round-trip changes a 2-cell between #{i} and #{j}")
     report.stats[cells_stat] = total
     return table
 
 
 def _functoriality(report: VerifierReport, c: Correspondence, images: list, table: dict) -> None:
+    """Identities and vertical composites transfer to identities and
+    vertical composites.  Every transferred 2-cell is one of the enumerated
+    natural transformations (``_two_cells`` passed), so the vertical
+    composite of two of them reads the table directly.  A left composite
+    found among the (i, k) 2-cells is not transferred again: ``transfer``
+    is a function, so its image is the one stored for that 2-cell."""
     cells = c.cells
     for i, x in enumerate(c.left):
         image = cells.transfer(cells.identity(x), images[i], images[i])
-        if image != identity_nat_trans(images[i]):
+        if image != as_cell(identity_nat_trans(images[i])):
             report.add(f"identity 2-cell of #{i} does not map to the identity")
     n = len(c.left)
     for i in range(n):
+        vertical = cell_composer(images[i].cod)
         for j in range(n):
-            ups_ij, moved_ij = table[(i, j)]
+            ups_ij, moved_ij, _ = table[(i, j)]
             if not ups_ij:
                 continue
             for k in range(n):
-                ups_jk, moved_jk = table[(j, k)]
+                ups_jk, moved_jk, _ = table[(j, k)]
+                _, moved_ik, position_ik = table[(i, k)]
                 for a, mu in zip(ups_ij, moved_ij):
                     for b, nu in zip(ups_jk, moved_jk):
-                        lhs = cells.transfer(cells.compose(a, b), images[i], images[k])
-                        if lhs != vertical_compose(mu, nu):
+                        ab = cells.compose(a, b)
+                        p = position_ik.get(ab)
+                        if p is None:
+                            lhs = cells.transfer(ab, images[i], images[k])
+                        else:
+                            lhs = moved_ik[p]
+                        if lhs != vertical(mu, nu):
                             report.add(
                                 f"2-cell composition not preserved between #{i},#{j},#{k}"
                             )
@@ -196,8 +237,7 @@ def _collisions(images: list) -> list[tuple[int, int]]:
     for j, F in enumerate(images):
         if F is None:
             continue
-        key = (frozenset(F.on_objects.items()), frozenset(F.on_arrows.items()))
-        bucket = earlier.setdefault(key, [])
+        bucket = earlier.setdefault(functor_key(F), [])
         pairs += [(i, j) for i in bucket if images[i] == F]
         bucket.append(j)
     return sorted(pairs)

@@ -4,6 +4,7 @@ import corpus
 from catfrac import (
     canonical_cocone,
     cleavage,
+    enumerate_modifications,
     enumerate_transformations,
     find_isomorphism,
     functor_to_transformation,
@@ -15,6 +16,7 @@ from catfrac import (
     validate_transformation,
     verify_oplax_colimit,
 )
+from catfrac.elements import modification_cells
 from catfrac.errors import DomainError
 
 
@@ -22,6 +24,24 @@ from catfrac.errors import DomainError
 def test_carriers_are_categories(name, D):
     GD = grothendieck(D)
     assert validate_category(GD.carrier).ok
+
+
+@pytest.mark.parametrize("name,D", corpus.oplax_diagrams())
+def test_modification_cells_list_the_public_enumeration(name, D):
+    # the adapter shares its component searches across pairs of
+    # transformations; each list must still be enumerate_modifications',
+    # read at the carrier objects in carrier order
+    GD = grothendieck(D)
+    tags = [GD.object_tags[n] for n in GD.carrier.objects]
+    for X in (corpus.iso(), corpus.z2()):
+        cells = modification_cells(GD, X)
+        trans = enumerate_transformations(D, X, "lax")
+        for x in trans:
+            for y in trans:
+                assert cells.between(x, y) == [
+                    tuple(m.components[A].components[a] for A, a in tags)
+                    for m in enumerate_modifications(x, y)
+                ]
 
 
 def test_contra_two_carrier_shape():

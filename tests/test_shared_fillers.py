@@ -89,6 +89,30 @@ def test_corpus_composites_match_public_span_compose(name, inp):
     check_against_public(inp)
 
 
+@pytest.mark.parametrize(
+    "name,inp",
+    corpus.fractions_corpus() + [
+        ("chain(5)/all", fully_marked_chain(5)),
+        ("chain(6)/all", fully_marked_chain(6)),
+    ],
+)
+def test_loops_visit_composable_pairs_in_product_order(name, inp):
+    # FinCategory.build keeps the insertion order of the composition table,
+    # so the class loop must list pairs as the filtered full product does;
+    # self-check (b) visits span pairs in the same order
+    LC, seen = localize_spying(inp)
+    K = LC.carrier
+    assert list(K.composition) == [
+        (n1, n2) for n1 in K.arrows for n2 in K.arrows if K.tgt[n1] == K.src[n2]
+    ]
+    spans = [s.payload for s in shape_instances(inp, "spn")]
+    C = inp.category
+    if len(spans) <= LIMIT:
+        assert list(seen) == [
+            (p1, p2) for p1 in spans for p2 in spans if C.tgt[p1[1]] == C.tgt[p2[0]]
+        ]
+
+
 @st.composite
 def marked(draw):
     C = build(draw(st.one_of(posets(), monoids())))

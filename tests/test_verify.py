@@ -3,8 +3,8 @@
 Fake correspondences here are small on purpose: the left 1-cells are the
 labels "p" and "q" for the two functors from the terminal category into the
 parallel pair, and their 2-cells are the natural transformations between
-those functors. Each test breaks one map and expects the phase that checks
-it to say so.
+those functors, as tuples of components. Each test breaks one map and
+expects the phase that checks it to say so.
 """
 
 import dataclasses
@@ -17,7 +17,6 @@ from catfrac import (
     AxiomReport,
     FractionsInput,
     Functor,
-    NatTrans,
     VerifierReport,
     enumerate_functors,
     enumerate_nat_trans,
@@ -26,11 +25,16 @@ from catfrac import (
     verify_localization_up,
     verify_oplax_colimit,
     verify_pseudocolimit,
-    vertical_compose,
 )
 from catfrac.errors import DomainError
 from catfrac.fractions import AxiomFinding
-from catfrac.verify import Correspondence, TwoCells, check_correspondence
+from catfrac.verify import (
+    Correspondence,
+    TwoCells,
+    as_cell,
+    cell_composer,
+    check_correspondence,
+)
 
 X = corpus.parallel()
 RIGHT = enumerate_functors(corpus.one(), X)  # constant at a, constant at b
@@ -38,19 +42,15 @@ IMAGE = {"p": RIGHT[0], "q": RIGHT[1]}
 CELL_MAPS = ("between", "transfer", "lift", "identity", "compose")
 
 
-def retarget(a, F, G):
-    return NatTrans(F, G, dict(a.components))
-
-
 def fake(**changes) -> Correspondence:
     """A correspondence that holds, with the given fields replaced."""
     cells = TwoCells(
         noun="cell",
-        between=lambda x, y: enumerate_nat_trans(IMAGE[x], IMAGE[y]),
-        transfer=retarget,
-        lift=lambda mu, x, y: retarget(mu, IMAGE[x], IMAGE[y]),
-        identity=lambda x: identity_nat_trans(IMAGE[x]),
-        compose=vertical_compose,
+        between=lambda x, y: [as_cell(mu) for mu in enumerate_nat_trans(IMAGE[x], IMAGE[y])],
+        transfer=lambda a, F, G: a,
+        lift=lambda mu, x, y: mu,
+        identity=lambda x: as_cell(identity_nat_trans(IMAGE[x])),
+        compose=cell_composer(X),
     )
     cell_changes = {k: changes.pop(k) for k in CELL_MAPS if k in changes}
     base = Correspondence(
@@ -131,7 +131,7 @@ def test_two_cell_count_mismatch():
 
 def test_non_natural_transfer():
     def transfer(a, F, G):
-        return NatTrans(F, G, {x: X.identity[F.on_objects[x]] for x in a.components})
+        return tuple(X.identity[F.on_objects[x]] for x in F.dom.objects)
 
     report = run(fake(transfer=transfer))
     assert "2-cell image between #0 and #1 is not natural" in report.problems
@@ -140,7 +140,7 @@ def test_non_natural_transfer():
 def test_transfer_not_injective():
     # p => q has two cells; sending both to the first breaks both round trips
     def transfer(a, F, G):
-        return enumerate_nat_trans(F, G)[0]
+        return as_cell(enumerate_nat_trans(F, G)[0])
 
     report = run(fake(transfer=transfer))
     assert report.problems == [
@@ -157,8 +157,7 @@ def test_missing_preimage():
 
 def test_identity_not_preserved():
     def identity(x):
-        F = IMAGE[x]
-        return NatTrans(F, F, {"*": "s"})
+        return ("s",)
 
     report = run(fake(identity=identity))
     assert report.problems == [
@@ -168,8 +167,28 @@ def test_identity_not_preserved():
 
 
 def test_composition_not_preserved():
+    # id_p composed with a cell p => q gives id_p, no cell p => q: the
+    # composite is transferred afresh
     report = run(fake(compose=lambda a, b: a))
     assert report.problems == ["2-cell composition not preserved between #0,#0,#1"] * 2
+
+
+def test_composition_found_among_the_cells_but_wrong():
+    # the composite is swapped for the other cell p => q, so it is found
+    # among the (p, q) cells and its stored transfer must be compared
+    s, t = (as_cell(mu) for mu in enumerate_nat_trans(IMAGE["p"], IMAGE["q"]))
+    swap = {s: t, t: s}
+    vertical = cell_composer(X)
+
+    def compose(a, b):
+        ab = vertical(a, b)
+        return swap.get(ab, ab)
+
+    report = run(fake(compose=compose))
+    assert report.problems == (
+        ["2-cell composition not preserved between #0,#0,#1"] * 2
+        + ["2-cell composition not preserved between #0,#1,#1"] * 2
+    )
 
 
 def test_failed_phase_stops_the_check():

@@ -613,17 +613,20 @@ def enumerate_modifications(x: LaxTransformation, y: LaxTransformation) -> list[
     per_object = [enumerate_nat_trans(x.components[a], y.components[a]) for a in objs]
     return [
         Modification(src=x, tgt=y, components=dict(zip(objs, vals)))
-        for vals in _modification_search(x, y, per_object)
+        for vals in search_modifications(x, y, per_object)
     ]
 
 
-def _modification_search(
+def search_modifications(
     x: LaxTransformation, y: LaxTransformation, per_object: list
 ) -> Iterator[list]:
-    """Compatible choices of one component per index object, drawn from
-    ``per_object`` (the natural transformations between the components of
-    x and y, in index-object order), in canonical order.  The yielded list
-    is reused: copy what you keep."""
+    """The search behind ``enumerate_modifications``, for callers that
+    list the natural transformations between components themselves.
+
+    Yields the compatible choices of one component per index object, drawn
+    from ``per_object`` (the natural transformations between the components
+    of x and y, in index-object order), in canonical order.  The yielded
+    list is reused: copy what you keep."""
     idx = x.source.index
     slot = {a: i for i, a in enumerate(idx.objects)}
     arrows_closed: list[list] = [[] for _ in idx.objects]

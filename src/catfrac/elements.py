@@ -21,10 +21,10 @@ from typing import Optional
 from .diagram import (
     LaxTransformation,
     Pseudofunctor,
-    _modification_search,
     compositor_inverse_component,
     enumerate_transformations,
     expected_endpoints,
+    search_modifications,
     two_cell_endpoints,
     unitor_inverse_component,
 )
@@ -296,7 +296,7 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> TwoCells:
         per_object = [components(x.components[A], y.components[A], A) for A in objs]
         return [
             tuple([vals[s].components[a] for s, a in picks])
-            for vals in _modification_search(x, y, per_object)
+            for vals in search_modifications(x, y, per_object)
         ]
 
     def identity(x: LaxTransformation) -> tuple:

@@ -153,8 +153,7 @@ def _one_cells(report: VerifierReport, c: Correspondence) -> list:
 
 def _two_cells(report: VerifierReport, c: Correspondence, images: list, cells_stat: str) -> dict:
     """Check that transfer is a bijection for every pair; return, per pair
-    (i, j), the left 2-cells, their transfers and the first position of
-    each left 2-cell."""
+    (i, j), the left 2-cells and their transfers."""
     cells = c.cells
     total = 0
     table = {}
@@ -173,7 +172,7 @@ def _two_cells(report: VerifierReport, c: Correspondence, images: list, cells_st
             position: dict = {}
             for p, a in enumerate(ups):
                 position.setdefault(a, p)
-            table[(i, j)] = (ups, moved, position)
+            table[(i, j)] = (ups, moved)
             natural = set(downs)
             for a, mu in zip(ups, moved):
                 if mu not in natural:
@@ -196,9 +195,7 @@ def _functoriality(report: VerifierReport, c: Correspondence, images: list, tabl
     """Identities and vertical composites transfer to identities and
     vertical composites.  Every transferred 2-cell is one of the enumerated
     natural transformations (``_two_cells`` passed), so the vertical
-    composite of two of them reads the table directly.  A left composite
-    found among the (i, k) 2-cells is not transferred again: ``transfer``
-    is a function, so its image is the one stored for that 2-cell."""
+    composite of two of them reads the table directly."""
     cells = c.cells
     for i, x in enumerate(c.left):
         image = cells.transfer(cells.identity(x), images[i], images[i])
@@ -208,20 +205,14 @@ def _functoriality(report: VerifierReport, c: Correspondence, images: list, tabl
     for i in range(n):
         vertical = cell_composer(images[i].cod)
         for j in range(n):
-            ups_ij, moved_ij, _ = table[(i, j)]
+            ups_ij, moved_ij = table[(i, j)]
             if not ups_ij:
                 continue
             for k in range(n):
-                ups_jk, moved_jk, _ = table[(j, k)]
-                _, moved_ik, position_ik = table[(i, k)]
+                ups_jk, moved_jk = table[(j, k)]
                 for a, mu in zip(ups_ij, moved_ij):
                     for b, nu in zip(ups_jk, moved_jk):
-                        ab = cells.compose(a, b)
-                        p = position_ik.get(ab)
-                        if p is None:
-                            lhs = cells.transfer(ab, images[i], images[k])
-                        else:
-                            lhs = moved_ik[p]
+                        lhs = cells.transfer(cells.compose(a, b), images[i], images[k])
                         if lhs != vertical(mu, nu):
                             report.add(
                                 f"2-cell composition not preserved between #{i},#{j},#{k}"

@@ -167,15 +167,14 @@ def test_identity_not_preserved():
 
 
 def test_composition_not_preserved():
-    # id_p composed with a cell p => q gives id_p, no cell p => q: the
-    # composite is transferred afresh
+    # id_p composed with a cell p => q gives id_p, no cell p => q
     report = run(fake(compose=lambda a, b: a))
     assert report.problems == ["2-cell composition not preserved between #0,#0,#1"] * 2
 
 
 def test_composition_found_among_the_cells_but_wrong():
-    # the composite is swapped for the other cell p => q, so it is found
-    # among the (p, q) cells and its stored transfer must be compared
+    # the composite is swapped for the other cell p => q: a 2-cell of the
+    # right pair, but not the vertical composite
     s, t = (as_cell(mu) for mu in enumerate_nat_trans(IMAGE["p"], IMAGE["q"]))
     swap = {s: t, t: s}
     vertical = cell_composer(X)

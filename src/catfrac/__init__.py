@@ -22,6 +22,7 @@ from .fincat import (
     find_isomorphism,
     identity_functor,
     identity_nat_trans,
+    nat_trans_search,
     opposite,
     two_sided_inverse,
     validate_category,

@@ -73,16 +73,20 @@ def is_surjective(f: FinSetMap) -> bool:
     return len(set(f.table)) == f.cod.size
 
 
+def fibres(f: FinSetMap) -> list[list[int]]:
+    """The preimage of each codomain element under f, in ascending order."""
+    over: list[list[int]] = [[] for _ in range(f.cod.size)]
+    for x, y in enumerate(f.table):
+        over[y].append(x)
+    return over
+
+
 def pullback(f: FinSetMap, g: FinSetMap) -> tuple[FinSetObject, FinSetMap, FinSetMap]:
     """Pairs (x, y) with f(x) = g(y), in lexicographic order."""
     if f.cod != g.cod:
         raise DomainError("pullback needs a common codomain")
-    pairs = [
-        (x, y)
-        for x in range(f.dom.size)
-        for y in range(g.dom.size)
-        if f.table[x] == g.table[y]
-    ]
+    over = fibres(g)
+    pairs = [(x, y) for x in range(f.dom.size) for y in over[f.table[x]]]
     P = FinSetObject(f"pb({f.dom.label},{g.dom.label})", len(pairs))
     pi0 = FinSetMap(P, f.dom, tuple(x for x, _ in pairs))
     pi1 = FinSetMap(P, g.dom, tuple(y for _, y in pairs))
@@ -226,17 +230,20 @@ def verify_cover_class(max_size: int = 4) -> ValidationReport:
             report.add(f"identity on size {A.size} is not a cover")
 
     member = [f for f in maps if is_surjective(f)]
+    members_from: dict = {A: [] for A in objects}
+    for g in member:
+        members_from[g.dom].append(g)
+    maps_into: dict = {B: [] for B in objects}
+    for g in maps:
+        maps_into[g.cod].append(g)
+
     for f in member:
-        for g in member:
-            if f.cod != g.dom:
-                continue
+        for g in members_from[f.cod]:
             if not is_surjective(compose_maps(f, g)):
                 report.add(f"composite of covers {f.table!r};{g.table!r} is not a cover")
 
     for f in member:
-        for g in maps:
-            if g.cod != f.cod:
-                continue
+        for g in maps_into[f.cod]:
             _, _, p1 = pullback(f, g)
             if not is_surjective(p1):
                 report.add(
@@ -311,14 +318,11 @@ def validate_internal_category(IC: InternalCategory) -> ValidationReport:
         if right is None or IC.c.table[right] != f:
             report.add(f"right identity law fails at arrow {f}")
 
+    out_of = fibres(IC.s)
     for f in range(IC.c1.size):
-        for g in range(IC.c1.size):
-            if IC.t.table[f] != IC.s.table[g]:
-                continue
+        for g in out_of[IC.t.table[f]]:
             fg = IC.c.table[pairs[(f, g)]]
-            for h in range(IC.c1.size):
-                if IC.t.table[g] != IC.s.table[h]:
-                    continue
+            for h in out_of[IC.t.table[g]]:
                 gh = IC.c.table[pairs[(g, h)]]
                 # a composite with broken endpoints was reported above and
                 # makes one of these pairs non-composable
@@ -608,17 +612,14 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
 
     w_pos = {arrow: k for k, arrow in enumerate(w.table)}
     cpairs = _pair_positions(IC)
+    marked_out_of, out_of = fibres(ws), fibres(IC.s)
     sb_rows = []
     for h in range(IC.c1.size):
-        for k in range(w.dom.size):
-            if IC.t.table[h] != IC.s.table[w.table[k]]:
-                continue
+        for k in marked_out_of[IC.t.table[h]]:
             hv = IC.c.table[cpairs[(h, w.table[k])]]
             if hv not in w_pos:
                 continue
-            for g in range(IC.c1.size):
-                if IC.s.table[g] != IC.s.table[w.table[k]]:
-                    continue
+            for g in out_of[ws.table[k]]:
                 hg = IC.c.table[cpairs[(h, g)]]
                 sb_rows.append((pair_pos[(k, g)], pair_pos[(w_pos[hv], hg)]))
     SB = FinSetObject("sb", len(sb_rows))
@@ -717,9 +718,13 @@ def verify_pairs_coequalizer(IC: InternalCategory, w: FinSetMap):
     report = VerifierReport(title="composable pairs: pullback vs coequalizer")
     sp_pos = {(M.r0.table[k], M.r1.table[k]): k for k in range(M.SP.size)}
 
+    # the span pairs with a0 as first or as second span, in the order of
+    # the other span
+    as_first, as_second = fibres(M.r0), fibres(M.r1)
     rows = []
     for a0, a1 in M.sb_rows:
-        for other in range(M.spn.size):
+        others = {M.r1.table[k] for k in as_first[a0]} | {M.r0.table[k] for k in as_second[a0]}
+        for other in sorted(others):
             if (a0, other) in sp_pos:
                 rows.append((sp_pos[(a0, other)], sp_pos[(a1, other)]))
             if (other, a0) in sp_pos:

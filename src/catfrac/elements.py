@@ -37,17 +37,11 @@ from .fincat import (
     compose_functors,
     compose_many,
     enumerate_functors,
-    enumerate_nat_trans,
     functor_key,
+    nat_trans_search,
     uniquify,
 )
-from .verify import (
-    Correspondence,
-    TwoCells,
-    VerifierReport,
-    cell_composer,
-    check_correspondence,
-)
+from .verify import Correspondence, TwoCells, VerifierReport, check_correspondence
 
 
 @dataclass(eq=True)
@@ -275,13 +269,15 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> TwoCells:
     off its localization) share its object order.  The natural
     transformations between two component functors at one index object are
     searched once per call of this function, not once per pair of
-    transformations sharing them.
+    transformations sharing them, by a search prepared once per index
+    object.
     """
     D = GD.diagram
     objs = D.index.objects
     slot = {A: s for s, A in enumerate(objs)}
     tags = [GD.object_tags[name] for name in GD.carrier.objects]
     picks = [(slot[A], a) for A, a in tags]
+    natural_between = {A: nat_trans_search(D.cat(A), X) for A in objs}
     searched: dict = {}
 
     def components(F: Functor, G: Functor, A: str) -> list[NatTrans]:
@@ -289,7 +285,10 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> TwoCells:
         key = (A, functor_key(F), functor_key(G))
         found = searched.get(key)
         if found is None:
-            found = searched[key] = enumerate_nat_trans(F, G)
+            names = F.dom.objects
+            found = searched[key] = [
+                NatTrans(F, G, dict(zip(names, cell))) for cell in natural_between[A](F, G)
+            ]
         return found
 
     def between(x: LaxTransformation, y: LaxTransformation) -> list[tuple]:
@@ -302,14 +301,7 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> TwoCells:
     def identity(x: LaxTransformation) -> tuple:
         return tuple(X.identity[x.components[A].on_objects[a]] for A, a in tags)
 
-    return TwoCells(
-        noun="modification",
-        between=between,
-        transfer=lambda a, F, G: a,
-        lift=lambda mu, x, y: mu,
-        identity=identity,
-        compose=cell_composer(X),
-    )
+    return TwoCells(noun="modification", between=between, identity=identity)
 
 
 def verify_oplax_colimit(
@@ -318,10 +310,10 @@ def verify_oplax_colimit(
     """Check that functors off the carrier match transformations out of D.
 
     Confirms the two 1-cell maps are mutually inverse bijections, and that
-    modifications correspond to natural transformations compatibly with
-    identities and vertical composition.  The optional carrier override
-    exists so callers can aim the verifier at a deliberately broken carrier
-    and watch it fail.
+    the modifications between two transformations are exactly the natural
+    transformations between their images, identities included.  The
+    optional carrier override exists so callers can aim the verifier at a
+    deliberately broken carrier and watch it fail.
     """
     if GD is None:
         GD = grothendieck(D)

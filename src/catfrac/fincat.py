@@ -423,34 +423,56 @@ def enumerate_functors(C: FinCategory, X: FinCategory) -> list[Functor]:
     return list(_functor_search(C, X, bijective=False))
 
 
-def enumerate_nat_trans(F: Functor, G: Functor) -> list[NatTrans]:
-    """All natural transformations F => G in canonical component order.
+def nat_trans_search(C: FinCategory, X: FinCategory) -> Callable[[Functor, Functor], list[tuple]]:
+    """The natural-transformation search between functors C -> X, set up once.
 
-    Components are searched object by object; the naturality square of an
-    arrow is checked once both of its endpoint components are chosen.
+    Returns a function that takes functors F, G : C -> X and lists every
+    natural transformation F => G as the tuple of its components in the
+    object order of C, in canonical order. Components are searched object by
+    object; the naturality square of an arrow is checked at the slot that
+    closes it, the later of its endpoints. Slots and closing slots depend
+    only on C, so callers that search many pairs of functors on one domain
+    prepare them once. The returned function does not check that F and G
+    are parallel functors C -> X: ``enumerate_nat_trans`` does.
     """
-    if F.dom != G.dom or F.cod != G.cod:
-        raise DomainError("cannot enumerate transformations between non-parallel functors")
-    C, X = F.dom, F.cod
-    slot = {x: i for i, x in enumerate(C.objects)}
-    homs = [X.hom(F.obj(x), G.obj(x)) for x in C.objects]
-    squares: list[list] = [[] for _ in C.objects]
+    objs = C.objects
+    slot = {x: i for i, x in enumerate(objs)}
+    closing: list[list] = [[] for _ in objs]
     for f in C.arrows:
         s, t = slot[C.src[f]], slot[C.tgt[f]]
-        squares[max(s, t)].append((s, t, F.arr(f), G.arr(f)))
+        closing[max(s, t)].append((s, t, f))
     comp = X.composition
+    xhom = X.hom
 
-    def natural(i: int, vals: list) -> bool:
-        for s, t, Ff, Gf in squares[i]:
-            if comp[(Ff, vals[t])] != comp[(vals[s], Gf)]:
-                return False
-        return True
+    def search(F: Functor, G: Functor) -> list[tuple]:
+        Fo, Go, Fa, Ga = F.on_objects, G.on_objects, F.on_arrows, G.on_arrows
+        homs = [xhom(Fo[x], Go[x]) for x in objs]
+        squares = [[(s, t, Fa[f], Ga[f]) for s, t, f in fs] for fs in closing]
 
-    found = backtrack(len(homs), lambda i, vals: homs[i], natural)
-    try:
-        return [NatTrans(F, G, dict(zip(C.objects, vals))) for vals in found]
-    except KeyError as exc:  # an arrow image with the wrong endpoints
-        raise DomainError(f"naturality square has a non-composable pair {exc}") from None
+        def natural(i: int, vals: list) -> bool:
+            for s, t, Ff, Gf in squares[i]:
+                if comp[(Ff, vals[t])] != comp[(vals[s], Gf)]:
+                    return False
+            return True
+
+        found = backtrack(len(homs), lambda i, vals: homs[i], natural)
+        try:
+            return [tuple(vals) for vals in found]
+        except KeyError as exc:  # an arrow image with the wrong endpoints
+            raise DomainError(f"naturality square has a non-composable pair {exc}") from None
+
+    return search
+
+
+def enumerate_nat_trans(F: Functor, G: Functor) -> list[NatTrans]:
+    """All natural transformations F => G in canonical component order:
+    ``nat_trans_search`` on F's domain and codomain, once."""
+    if F.dom != G.dom or F.cod != G.cod:
+        raise DomainError("cannot enumerate transformations between non-parallel functors")
+    objs = F.dom.objects
+    return [
+        NatTrans(F, G, dict(zip(objs, cell))) for cell in nat_trans_search(F.dom, F.cod)(F, G)
+    ]
 
 
 @dataclass

@@ -39,20 +39,13 @@ from .fincat import (
     compose,
     compose_functors,
     enumerate_functors,
-    enumerate_nat_trans,
     identity_nat_trans,
     misplaced_composites,
+    nat_trans_search,
     two_sided_inverse,
     uniquify,
 )
-from .verify import (
-    Correspondence,
-    TwoCells,
-    VerifierReport,
-    as_cell,
-    cell_composer,
-    check_correspondence,
-)
+from .verify import Correspondence, TwoCells, VerifierReport, as_cell, check_correspondence
 
 
 @dataclass(eq=True)
@@ -503,8 +496,9 @@ def verify_localization_up(inp: FractionsInput, X: FinCategory):
     """Check the localization's universal property against a target.
 
     Functors inverting the marked arrows must match functors off the
-    localized carrier via the induced/precompose maps, and natural
-    transformations must transfer componentwise, functorially.
+    localized carrier via the induced/precompose maps, and the natural
+    transformations between two of them must be exactly those between
+    their images, componentwise, with identities matching identities.
     """
     LC = localize(inp)
     report = VerifierReport(title="localization universal property")
@@ -514,7 +508,7 @@ def verify_localization_up(inp: FractionsInput, X: FinCategory):
     report.stats["functors off carrier"] = len(off_carrier)
 
     # 2-cells on both sides are components in the object order of C, which
-    # the localized carrier keeps, so they cross unchanged
+    # the localized carrier keeps, so they are the same tuples
     correspondence = Correspondence(
         noun="inverting functor",
         left=inverting,
@@ -523,11 +517,8 @@ def verify_localization_up(inp: FractionsInput, X: FinCategory):
         back=lambda G: compose_functors(LC.L, G),
         cells=TwoCells(
             noun="natural transformation",
-            between=lambda F, G: [as_cell(mu) for mu in enumerate_nat_trans(F, G)],
-            transfer=lambda a, F, G: a,
-            lift=lambda mu, F, G: mu,
+            between=nat_trans_search(inp.category, X),
             identity=lambda F: as_cell(identity_nat_trans(F)),
-            compose=cell_composer(X),
         ),
     )
     return check_correspondence(report, correspondence, "natural transformations")

@@ -1,6 +1,7 @@
 """Package structure: imports sit at module top and never form a cycle; no
 function recurses, so no input depth can exhaust the interpreter's stack;
-a category gains no attribute after construction."""
+a category gains no attribute after construction; the verifier engine's
+2-cells carry no maps between the two sides."""
 
 import ast
 import dataclasses
@@ -14,6 +15,7 @@ from catfrac import (
     localize,
     validate_category,
 )
+from catfrac.verify import TwoCells
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "catfrac"
 MODULES = {
@@ -77,6 +79,12 @@ def test_verifier_engine_imports_only_the_table_kernel():
     # modifications or natural transformations into tuples is the
     # adapters' job in elements and fractions
     assert _imported_modules(MODULES["verify"]) <= {"errors", "fincat"}
+
+
+def test_two_cells_carry_no_transfer():
+    # both sides write a 2-cell as the same tuple, so the engine needs no
+    # maps between them and no composition of its own
+    assert [f.name for f in dataclasses.fields(TwoCells)] == ["noun", "between", "identity"]
 
 
 def test_no_function_calls_itself():

@@ -57,7 +57,6 @@ from .fractions import (
     AxiomReport,
     FractionsInput,
     LocalizedCategory,
-    ShapeInstance,
     check_axioms,
     induced_functor,
     inverts,

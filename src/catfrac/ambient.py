@@ -25,7 +25,7 @@ from typing import Sequence
 from .diagram import compositor_inverse_component, unitor_inverse_component
 from .errors import AxiomError, DomainError, InputError, IntegrityError
 from .fincat import FinCategory, ValidationReport, compose_many
-from .fractions import FractionsInput, ShapeInstance, check_axioms, span_compose
+from .fractions import FractionsInput, check_axioms, span_compose
 from .verify import VerifierReport
 
 
@@ -686,10 +686,9 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
     sp_values = []
     for k in range(M.SP.size):
         sp1, sp2 = M.r0.table[k], M.r1.table[k]
-        s1 = ShapeInstance("spn", (weq[M.pi_v.table[sp1]], f"a{M.pi_g.table[sp1]}"))
-        s2 = ShapeInstance("spn", (weq[M.pi_v.table[sp2]], f"a{M.pi_g.table[sp2]}"))
-        comp = span_compose(M.inp, s1, s2)
-        left, right = comp.payload
+        s1 = (weq[M.pi_v.table[sp1]], f"a{M.pi_g.table[sp1]}")
+        s2 = (weq[M.pi_v.table[sp2]], f"a{M.pi_g.table[sp2]}")
+        left, right = span_compose(M.inp, s1, s2)
         pos = M.pair_pos[(w_pos_name[left], int(right[1:]))]
         sp_values.append(M.q.table[pos])
 

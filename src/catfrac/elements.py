@@ -16,7 +16,7 @@ coherent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .diagram import (
     LaxTransformation,
@@ -41,7 +41,7 @@ from .fincat import (
     nat_trans_search,
     uniquify,
 )
-from .verify import Correspondence, TwoCells, VerifierReport, check_correspondence
+from .verify import Correspondence, VerifierReport, check_correspondence
 
 
 @dataclass(eq=True)
@@ -103,8 +103,13 @@ def grothendieck(D: Pseudofunctor) -> ElementsCategory:
             s = object_index[(A, D.cat(A).src[f])]
             t = object_index[(B, x)]
         arrows_decl.append((name, s, t))
-    srcmap = {name: s for name, s, _ in arrows_decl}
     tgtmap = {name: t for name, _, t in arrows_decl}
+    # listing the arrows out of each object in declaration order makes the
+    # composition loop visit only composable pairs, in the order of the
+    # full product
+    arrows_out: dict = {}
+    for name, s, _ in arrows_decl:
+        arrows_out.setdefault(s, []).append(name)
 
     identity = {}
     for (A, a), name in object_index.items():
@@ -116,9 +121,7 @@ def grothendieck(D: Pseudofunctor) -> ElementsCategory:
 
     composition = {}
     for n1 in arr_names:
-        for n2 in arr_names:
-            if tgtmap[n1] != srcmap[n2]:
-                continue
+        for n2 in arrows_out.get(tgtmap[n1], ()):
             phi, x1, f = arrow_tags[n1]
             psi, x2, g = arrow_tags[n2]
             comp = idx.composition[(phi, psi)]
@@ -259,8 +262,9 @@ def functor_to_transformation(F: Functor, GD: ElementsCategory) -> LaxTransforma
     )
 
 
-def modification_cells(GD: ElementsCategory, X: FinCategory) -> TwoCells:
-    """Modifications between transformations out of GD's diagram into X.
+def modification_cells(GD: ElementsCategory, X: FinCategory) -> Callable:
+    """Modifications between transformations out of GD's diagram into X:
+    ``between(x, y)`` lists the modifications x => y in canonical order.
 
     A modification is the tuple of its components at the carrier objects
     (A; a), in carrier order.  It crosses to the natural transformation
@@ -298,10 +302,7 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> TwoCells:
             for vals in search_modifications(x, y, per_object)
         ]
 
-    def identity(x: LaxTransformation) -> tuple:
-        return tuple(X.identity[x.components[A].on_objects[a]] for A, a in tags)
-
-    return TwoCells(noun="modification", between=between, identity=identity)
+    return between
 
 
 def verify_oplax_colimit(
@@ -311,9 +312,11 @@ def verify_oplax_colimit(
 
     Confirms the two 1-cell maps are mutually inverse bijections, and that
     the modifications between two transformations are exactly the natural
-    transformations between their images, identities included.  The
-    optional carrier override exists so callers can aim the verifier at a
-    deliberately broken carrier and watch it fail.
+    transformations between their images.  Identities match identities
+    without a check: the identity modification of x and the identity of
+    its collapsed functor are both the identity at x's component images.
+    The optional carrier override exists so callers can aim the verifier at
+    a deliberately broken carrier and watch it fail.
     """
     if GD is None:
         GD = grothendieck(D)
@@ -328,6 +331,7 @@ def verify_oplax_colimit(
         right=funs,
         forward=lambda t: transformation_to_functor(t, GD),
         back=lambda F: functor_to_transformation(F, GD),
-        cells=modification_cells(GD, X),
+        cell_noun="modification",
+        between=modification_cells(GD, X),
     )
-    return check_correspondence(report, correspondence, "modifications")
+    return check_correspondence(report, correspondence)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .diagram import enumerate_transformations
 from .elements import (
@@ -39,13 +39,12 @@ from .fincat import (
     compose,
     compose_functors,
     enumerate_functors,
-    identity_nat_trans,
     misplaced_composites,
     nat_trans_search,
     two_sided_inverse,
     uniquify,
 )
-from .verify import Correspondence, TwoCells, VerifierReport, as_cell, check_correspondence
+from .verify import Correspondence, VerifierReport, check_correspondence
 
 
 @dataclass(eq=True)
@@ -86,20 +85,6 @@ class _SharedFillers(FractionsInput):
         return found
 
 
-@dataclass(frozen=True, eq=True)
-class ShapeInstance:
-    kind: str
-    payload: tuple
-
-
-@dataclass(eq=True)
-class FillerWitness:
-    ore: Optional[tuple] = None
-    weak: Optional[str] = None
-    zipper: Optional[str] = None
-    section: Optional[str] = None
-
-
 @dataclass
 class AxiomFinding:
     axiom: int
@@ -128,8 +113,10 @@ class AxiomReport:
         return "\n".join(str(f) for f in self.findings)
 
 
-def shape_instances(inp: FractionsInput, kind: str) -> list[ShapeInstance]:
-    """Exhaustively enumerate one shape kind in canonical payload order."""
+def shape_instances(inp: FractionsInput, kind: str) -> list[tuple]:
+    """Exhaustively enumerate one shape kind in canonical order: spans
+    ``"spn"`` (v, g), sailboats ``"sb"`` (h, v, g) and parallel pairs with a
+    coequalizing marked arrow ``"p_cq"`` (f, g, v)."""
     inp.check()
     C = inp.category
     W = inp.weq
@@ -138,29 +125,20 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[ShapeInstance]:
     if kind == "spn":
         for v in W:
             for g in C.out_of(C.src[v]):
-                out.append(ShapeInstance(kind, (v, g)))
-    elif kind == "csp":
-        for h in C.arrows:
-            for v in W:
-                if C.tgt[h] == C.tgt[v]:
-                    out.append(ShapeInstance(kind, (h, v)))
+                out.append((v, g))
     elif kind == "sb":
         for h in C.arrows:
             for v in W:
                 if C.tgt[h] != C.src[v] or compose(C, h, v) not in wset:
                     continue
                 for g in C.out_of(C.src[v]):
-                    out.append(ShapeInstance(kind, (h, v, g)))
-    elif kind == "p":
-        for f in C.arrows:
-            for g in C.hom(C.src[f], C.tgt[f]):
-                out.append(ShapeInstance(kind, (f, g)))
+                    out.append((h, v, g))
     elif kind == "p_cq":
         for f in C.arrows:
             for g in C.hom(C.src[f], C.tgt[f]):
                 for v in W:
                     if C.src[v] == C.tgt[f] and compose(C, f, v) == compose(C, g, v):
-                        out.append(ShapeInstance(kind, (f, g, v)))
+                        out.append((f, g, v))
     else:
         raise InputError(f"unknown shape kind {kind!r}")
     return out
@@ -214,7 +192,7 @@ def _zippers(inp: FractionsInput, f: str, g: str) -> Iterator[str]:
             yield u
 
 
-def _decide(inp: FractionsInput, axiom: int, cases: list, search, kind: str) -> AxiomFinding:
+def _decide(inp: FractionsInput, axiom: int, cases: list, search) -> AxiomFinding:
     """Run ``search`` on each case (key, shown) in order.  The first filler
     found is the key's witness; the first case without one is shown as the
     counterexample."""
@@ -222,7 +200,7 @@ def _decide(inp: FractionsInput, axiom: int, cases: list, search, kind: str) -> 
     for key, shown in cases:
         found = next(search(inp, *key), None)
         if found is not None:
-            finding.witnesses[key] = FillerWitness(**{kind: found})
+            finding.witnesses[key] = found
         elif finding.ok:
             finding.ok = False
             finding.counterexample = shown
@@ -244,12 +222,12 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
     # a parallel pair is shown with the first arrow that coequalizes it
     coequalized: dict = {}
     for s in shape_instances(inp, "p_cq"):
-        coequalized.setdefault(s.payload[:2], s.payload)
+        coequalized.setdefault(s[:2], s)
     return AxiomReport(findings=[
-        _decide(inp, 1, objects, _sections, "section"),
-        _decide(inp, 2, marked_pairs, _weak_fillers, "weak"),
-        _decide(inp, 3, cospans, _ore_fillers, "ore"),
-        _decide(inp, 4, list(coequalized.items()), _zippers, "zipper"),
+        _decide(inp, 1, objects, _sections),
+        _decide(inp, 2, marked_pairs, _weak_fillers),
+        _decide(inp, 3, cospans, _ore_fillers),
+        _decide(inp, 4, list(coequalized.items()), _zippers),
     ])
 
 
@@ -293,13 +271,13 @@ def _span_partition(inp: FractionsInput):
     """
     C = inp.category
     spans = shape_instances(inp, "spn")
-    index = {s.payload: i for i, s in enumerate(spans)}
+    index = {s: i for i, s in enumerate(spans)}
     uf = _UnionFind(len(spans))
     for sb in shape_instances(inp, "sb"):
-        h, v, g = sb.payload
+        h, v, g = sb
         moved = (compose(C, h, v), compose(C, h, g))
         if moved not in index or C.tgt[moved[0]] != C.tgt[v] or C.tgt[moved[1]] != C.tgt[g]:
-            raise IntegrityError(f"sailboat move {sb.payload!r} changes the span's endpoints")
+            raise IntegrityError(f"sailboat move {sb!r} changes the span's endpoints")
         uf.union(index[(v, g)], index[moved])
     classes: dict[int, list[int]] = {}
     for i in range(len(spans)):
@@ -308,7 +286,7 @@ def _span_partition(inp: FractionsInput):
     return spans, ordered
 
 
-def sailboat_quotient(inp: FractionsInput) -> list[list[ShapeInstance]]:
+def sailboat_quotient(inp: FractionsInput) -> list[list[tuple]]:
     """Partition of the spans into sailboat classes, canonical reps first."""
     spans, ordered = _span_partition(inp)
     return [[spans[i] for i in members] for members in ordered]
@@ -316,23 +294,24 @@ def sailboat_quotient(inp: FractionsInput) -> list[list[ShapeInstance]]:
 
 def span_compose(
     inp: FractionsInput,
-    s1: ShapeInstance,
-    s2: ShapeInstance,
+    s1: tuple,
+    s2: tuple,
     exhaustive: bool = False,
-) -> Union[ShapeInstance, tuple]:
-    """Composite span via an Ore square then a weak-composition witness.
+) -> tuple:
+    """Composite of two spans (v, g) via an Ore square then a
+    weak-composition witness.
 
     Takes the first filler of each kind in canonical order.  With
-    exhaustive=True, also returns the frozenset of payloads produced by
-    every (Ore filler, weak filler) combination.
+    exhaustive=True, returns the pair (first, frozenset of the spans
+    produced by every (Ore filler, weak filler) combination).
     """
     C = inp.category
-    v1, g1 = s1.payload
-    v2, g2 = s2.payload
+    v1, g1 = s1
+    v2, g2 = s2
     if C.tgt[g1] != C.tgt[v2]:
         raise DomainError(
-            f"spans not composable: {s1.payload!r} ends at {C.tgt[g1]!r}, "
-            f"{s2.payload!r} starts at {C.tgt[v2]!r}"
+            f"spans not composable: {s1!r} ends at {C.tgt[g1]!r}, "
+            f"{s2!r} starts at {C.tgt[v2]!r}"
         )
 
     def fillers(search, *key) -> list:
@@ -353,13 +332,12 @@ def span_compose(
     ]
     if not results:
         raise AxiomError(
-            f"no filler chain composes {s1.payload!r} with {s2.payload!r}",
+            f"no filler chain composes {s1!r} with {s2!r}",
             report=check_axioms(inp),
         )
-    first = ShapeInstance("spn", results[0])
     if exhaustive:
-        return first, frozenset(results)
-    return first
+        return results[0], frozenset(results)
+    return results[0]
 
 
 def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCategory:
@@ -381,12 +359,12 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     C = inp.category
     spans, ordered = _span_partition(inp)
 
-    rep_payloads = [spans[members[0]].payload for members in ordered]
+    rep_payloads = [spans[members[0]] for members in ordered]
     names = uniquify([f"[{v};{g}]" for v, g in rep_payloads])
     class_of_span: dict[tuple, str] = {}
     for name, members in zip(names, ordered):
         for i in members:
-            class_of_span[spans[i].payload] = name
+            class_of_span[spans[i]] = name
     class_reps = dict(zip(names, rep_payloads))
 
     arrows_decl = []
@@ -404,12 +382,9 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
         reps_out.setdefault(C.tgt[v], []).append((n, (v, g)))
     shared = _SharedFillers(inp)
     composition = {}
-    for n1, (v1, g1) in class_reps.items():
-        for n2, (v2, g2) in reps_out.get(C.tgt[g1], ()):
-            comp = span_compose(
-                shared, ShapeInstance("spn", (v1, g1)), ShapeInstance("spn", (v2, g2))
-            )
-            composition[(n1, n2)] = class_of_span[comp.payload]
+    for n1, s1 in class_reps.items():
+        for n2, s2 in reps_out.get(C.tgt[s1[1]], ()):
+            composition[(n1, n2)] = class_of_span[span_compose(shared, s1, s2)]
 
     carrier = FinCategory.build(
         C.objects, arrows_decl, identity, composition, fill_identity_composites=False
@@ -438,16 +413,16 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     if len(spans) <= exhaustive_limit:
         spans_out: dict[str, list] = {}
         for s in spans:
-            spans_out.setdefault(C.tgt[s.payload[0]], []).append(s)
+            spans_out.setdefault(C.tgt[s[0]], []).append(s)
         for s1 in spans:
-            for s2 in spans_out.get(C.tgt[s1.payload[1]], ()):
+            for s2 in spans_out.get(C.tgt[s1[1]], ()):
                 _, all_payloads = span_compose(shared, s1, s2, exhaustive=True)
-                expected = composition[(class_of_span[s1.payload], class_of_span[s2.payload])]
+                expected = composition[(class_of_span[s1], class_of_span[s2])]
                 # a payload that is no span stands for itself
                 got = {class_of_span.get(p, p) for p in all_payloads}
                 if got != {expected}:
                     raise IntegrityError(
-                        f"composite of {s1.payload!r} and {s2.payload!r} "
+                        f"composite of {s1!r} and {s2!r} "
                         f"is not well-defined: classes {sorted(got, key=str)!r}"
                     )
     return out
@@ -498,7 +473,9 @@ def verify_localization_up(inp: FractionsInput, X: FinCategory):
     Functors inverting the marked arrows must match functors off the
     localized carrier via the induced/precompose maps, and the natural
     transformations between two of them must be exactly those between
-    their images, componentwise, with identities matching identities.
+    their images, componentwise.  Identities match identities without a
+    check: ``induced_functor`` keeps the object map, so an identity
+    transformation and the identity between the images are one tuple.
     """
     LC = localize(inp)
     report = VerifierReport(title="localization universal property")
@@ -515,13 +492,10 @@ def verify_localization_up(inp: FractionsInput, X: FinCategory):
         right=off_carrier,
         forward=lambda F: induced_functor(F, LC),
         back=lambda G: compose_functors(LC.L, G),
-        cells=TwoCells(
-            noun="natural transformation",
-            between=nat_trans_search(inp.category, X),
-            identity=lambda F: as_cell(identity_nat_trans(F)),
-        ),
+        cell_noun="natural transformation",
+        between=nat_trans_search(inp.category, X),
     )
-    return check_correspondence(report, correspondence, "natural transformations")
+    return check_correspondence(report, correspondence)
 
 
 def verify_pseudocolimit(D, X: FinCategory):
@@ -562,6 +536,7 @@ def verify_pseudocolimit(D, X: FinCategory):
         right=off_localized,
         forward=lambda x: induced_functor(transformation_to_functor(x, GD), LC),
         back=lambda G: functor_to_transformation(compose_functors(LC.L, G), GD),
-        cells=modification_cells(GD, X),
+        cell_noun="modification",
+        between=modification_cells(GD, X),
     )
-    return check_correspondence(report, correspondence, "modifications")
+    return check_correspondence(report, correspondence)

@@ -7,10 +7,12 @@ carrier one to one, and their 2-cells must match natural transformations.
 Both sides write a 2-cell as the tuple of its components in the carrier's
 object order, so the 2-cell correspondence is the identity on tuples: the
 2-cells between two 1-cells must be exactly the natural transformations
-between their images, and identity 2-cells must be identities. Vertical
-composition needs no check of its own, because both sides compose tuples
-componentwise in the target by the same formula.  ``check_correspondence``
-runs that comparison; a verifier supplies the two sides and the maps between.
+between their images.  Identities and vertical composition need no check of
+their own.  An identity 2-cell is, on both sides, the identity arrow at the
+image of each carrier object, one formula on the image's object map; and
+both sides compose tuples componentwise in the target by the same formula.
+``check_correspondence`` runs that comparison; a verifier supplies the two
+sides and the maps between.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError
-from .fincat import NatTrans, functor_key, identity_nat_trans, nat_trans_search
+from .fincat import NatTrans, functor_key, nat_trans_search
 
 
 @dataclass
@@ -46,23 +48,6 @@ class VerifierReport:
 
 
 @dataclass
-class TwoCells:
-    """The 2-cells between left 1-cells.
-
-    A 2-cell is a tuple of arrows of the common target, one component per
-    carrier object in the carrier's object order ``F.dom.objects``, the
-    order in which the natural transformations off the carrier are listed
-    too; so equal 2-cells are equal tuples and can be hashed.
-    ``between(x, y)`` lists the 2-cells x => y in canonical order and
-    ``identity(x)`` is the identity 2-cell of x.
-    """
-
-    noun: str
-    between: Callable
-    identity: Callable
-
-
-@dataclass
 class Correspondence:
     """The two sides of a universal property and the 1-cell maps between them.
 
@@ -70,6 +55,10 @@ class Correspondence:
     one), ``right`` the functors off the carrier. ``forward`` sends a left
     1-cell to a functor off the carrier and raises DomainError where it is
     undefined; ``back`` sends a functor off the carrier to a left 1-cell.
+    ``between(x, y)`` lists the 2-cells x => y (``cell_noun`` names one) in
+    canonical order, each a tuple of arrows of the common target, one
+    component per carrier object in the carrier's object order
+    ``F.dom.objects``; so equal 2-cells are equal tuples and can be hashed.
     """
 
     noun: str
@@ -77,25 +66,21 @@ class Correspondence:
     right: list
     forward: Callable
     back: Callable
-    cells: TwoCells
+    cell_noun: str
+    between: Callable
 
 
-def check_correspondence(
-    report: VerifierReport, c: Correspondence, cells_stat: str
-) -> VerifierReport:
+def check_correspondence(report: VerifierReport, c: Correspondence) -> VerifierReport:
     """Add every way ``c`` fails to be an equivalence to ``report``.
 
-    The phases run in order: 1-cells biject, 2-cells biject pair by pair
-    (their count goes into ``report.stats[cells_stat]``), identities are
-    preserved. A failed phase stops the check. Problems are numbered by
-    position in ``c.left`` and ``c.right``.
+    The phases run in order: 1-cells biject, then 2-cells biject pair by
+    pair (their count goes into ``report.stats`` under the plural of
+    ``c.cell_noun``); the 2-cell phase runs only if the 1-cells passed.
+    Problems are numbered by position in ``c.left`` and ``c.right``.
     """
     images = _one_cells(report, c)
-    if not report.ok:
-        return report
-    _two_cells(report, c, images, cells_stat)
     if report.ok:
-        _functoriality(report, c, images)
+        _two_cells(report, c, images)
     return report
 
 
@@ -137,23 +122,22 @@ def _one_cells(report: VerifierReport, c: Correspondence) -> list:
     return images
 
 
-def _two_cells(report: VerifierReport, c: Correspondence, images: list, cells_stat: str) -> None:
+def _two_cells(report: VerifierReport, c: Correspondence, images: list) -> None:
     """Check, for every pair (i, j), that the left 2-cells are exactly the
     natural transformations between the images, as sets of tuples. The
     images are functors off one carrier, so one prepared search serves
     every pair."""
-    cells = c.cells
     natural_between = nat_trans_search(images[0].dom, images[0].cod) if images else None
     total = 0
     for i, x in enumerate(c.left):
         for j, y in enumerate(c.left):
-            ups = cells.between(x, y)
+            ups = c.between(x, y)
             downs = natural_between(images[i], images[j])
             total += len(ups)
             if len(ups) != len(downs):
                 report.add(
                     f"2-cell count mismatch between #{i} and #{j}: "
-                    f"{len(ups)} {cells.noun}s vs {len(downs)} natural transformations"
+                    f"{len(ups)} {c.cell_noun}s vs {len(downs)} natural transformations"
                 )
                 continue
             natural = set(downs)
@@ -163,20 +147,8 @@ def _two_cells(report: VerifierReport, c: Correspondence, images: list, cells_st
             listed = set(ups)
             for mu in downs:
                 if mu not in listed:
-                    report.add(f"2-cell preimage between #{i} and #{j} is not a {cells.noun}")
-    report.stats[cells_stat] = total
-
-
-def _functoriality(report: VerifierReport, c: Correspondence, images: list) -> None:
-    """Identity 2-cells go to identity natural transformations.
-
-    Vertical composition is preserved without a check: ``_two_cells``
-    passed, so the 2-cells x => y are the natural transformations between
-    the images as the same tuples, and both sides compose tuples
-    componentwise in the target."""
-    for i, x in enumerate(c.left):
-        if c.cells.identity(x) != as_cell(identity_nat_trans(images[i])):
-            report.add(f"identity 2-cell of #{i} does not map to the identity")
+                    report.add(f"2-cell preimage between #{i} and #{j} is not a {c.cell_noun}")
+    report.stats[f"{c.cell_noun}s"] = total
 
 
 def _collisions(images: list) -> list[tuple[int, int]]:

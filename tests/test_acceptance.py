@@ -16,7 +16,6 @@ from catfrac import (
     FractionsInput,
     FinSetMap,
     FinSetObject,
-    ShapeInstance,
     check_axioms,
     cleavage,
     compose,
@@ -166,11 +165,11 @@ def test_criterion_06_choice_independence(capsys):
             C = inp.category
             # passes internal filler/representative/section re-derivations
             LC = localize(inp, exhaustive_limit=10**9)
-            cls = {s: LC.q[s.payload] for s in spans}
+            cls = {s: LC.q[s] for s in spans}
             # composites: every filler of every representative pair agrees
             for s1 in spans:
                 for s2 in spans:
-                    if C.tgt[s1.payload[1]] != C.tgt[s2.payload[0]]:
+                    if C.tgt[s1[1]] != C.tgt[s2[0]]:
                         continue
                     first, results = span_compose(inp, s1, s2, exhaustive=True)
                     assert {LC.q[p] for p in results} == {cls[first]}

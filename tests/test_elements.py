@@ -34,14 +34,24 @@ def test_modification_cells_list_the_public_enumeration(name, D):
     GD = grothendieck(D)
     tags = [GD.object_tags[n] for n in GD.carrier.objects]
     for X in (corpus.iso(), corpus.z2()):
-        cells = modification_cells(GD, X)
+        between = modification_cells(GD, X)
         trans = enumerate_transformations(D, X, "lax")
         for x in trans:
             for y in trans:
-                assert cells.between(x, y) == [
+                assert between(x, y) == [
                     tuple(m.components[A].components[a] for A, a in tags)
                     for m in enumerate_modifications(x, y)
                 ]
+
+
+@pytest.mark.parametrize("name,D", corpus.oplax_diagrams())
+def test_composition_loop_visits_composable_pairs_in_product_order(name, D):
+    # FinCategory.build keeps the insertion order of the composition table,
+    # so grothendieck must list pairs as the filtered full product does
+    K = grothendieck(D).carrier
+    assert list(K.composition) == [
+        (n1, n2) for n1 in K.arrows for n2 in K.arrows if K.tgt[n1] == K.src[n2]
+    ]
 
 
 def test_contra_two_carrier_shape():

@@ -1,12 +1,15 @@
-"""The prepared natural-transformation search, and the composition law the
-verifier engine relies on.
+"""The prepared natural-transformation search, and the identity and
+composition laws the verifier engine relies on.
 
-The engine compares 2-cells as sets of tuples and checks identities only:
-vertical composition is preserved because both sides compose tuples
-componentwise in the target. That the listed 2-cells are closed under
-composition is a theorem about natural transformations and modifications;
-it is checked here, on the corpus and on generated categories, so that a
-search that loses a result still fails somewhere.
+The engine compares 2-cells as sets of tuples and nothing else. Identities
+are preserved because an identity 2-cell is, on both sides, the identity at
+the image of each carrier object, and vertical composition because both
+sides compose tuples componentwise in the target. That the listed 2-cells
+hold the identities and are closed under composition is a theorem about
+natural transformations and modifications; it is checked here, on the
+corpus and on generated categories, against code the adapters do not use,
+so that a search that loses a result or a wrong identity still fails
+somewhere.
 """
 
 import pytest
@@ -19,9 +22,14 @@ from catfrac import (
     enumerate_transformations,
     grothendieck,
     identity_nat_trans,
+    induced_functor,
+    inverts,
+    localize,
     nat_trans_search,
+    transformation_to_functor,
     vertical_compose,
 )
+from catfrac.diagram import identity_modification
 from catfrac.elements import modification_cells
 from catfrac.verify import as_cell
 from test_generated import build, categories, targets
@@ -84,13 +92,11 @@ DIAGRAM_TARGETS = [
 
 @pytest.mark.parametrize("name,D,X", DIAGRAM_TARGETS, ids=[p[0] for p in DIAGRAM_TARGETS])
 def test_modifications_hold_identities_and_composites(name, D, X):
-    cells = modification_cells(grothendieck(D), X)
+    between = modification_cells(grothendieck(D), X)
     lax = enumerate_transformations(D, X, "lax")
     n = len(lax)
-    listed = {(i, j): cells.between(x, y) for i, x in enumerate(lax) for j, y in enumerate(lax)}
+    listed = {(i, j): between(x, y) for i, x in enumerate(lax) for j, y in enumerate(lax)}
     found = {pair: set(mods) for pair, mods in listed.items()}
-    for i, x in enumerate(lax):
-        assert cells.identity(x) in found[(i, i)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -98,3 +104,35 @@ def test_modifications_hold_identities_and_composites(name, D, X):
                     for b in listed[(j, k)]:
                         ab = tuple(X.composition[pair] for pair in zip(a, b))
                         assert ab in found[(i, k)]
+
+
+@pytest.mark.parametrize("name,D,X", DIAGRAM_TARGETS, ids=[p[0] for p in DIAGRAM_TARGETS])
+def test_identity_modification_is_the_identity_off_the_carrier(name, D, X):
+    # the oplax colimit's 2-cell correspondence sends the identity
+    # modification of x to the identity of x's collapsed functor
+    GD = grothendieck(D)
+    tags = [GD.object_tags[obj] for obj in GD.carrier.objects]
+    between = modification_cells(GD, X)
+    for x in enumerate_transformations(D, X, "lax"):
+        m = identity_modification(x)
+        cell = tuple(m.components[A].components[a] for A, a in tags)
+        assert cell == as_cell(identity_nat_trans(transformation_to_functor(x, GD)))
+        assert cell in between(x, x)
+
+
+FRACTION_TARGETS = [
+    (f"{fn}->{xn}", inp, X)
+    for fn, inp in corpus.fractions_corpus()
+    for xn, X in (("iso", corpus.iso()), ("z2", corpus.z2()))
+]
+
+
+@pytest.mark.parametrize("name,inp,X", FRACTION_TARGETS, ids=[p[0] for p in FRACTION_TARGETS])
+def test_induced_functor_keeps_the_identity(name, inp, X):
+    # the localization's 2-cell correspondence sends the identity of an
+    # inverting functor to the identity of the functor it induces
+    LC = localize(inp)
+    for F in enumerate_functors(inp.category, X):
+        if inverts(F, inp)[0]:
+            G = induced_functor(F, LC)
+            assert as_cell(identity_nat_trans(F)) == as_cell(identity_nat_trans(G))

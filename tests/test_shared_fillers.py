@@ -13,7 +13,6 @@ import corpus
 from catfrac import (
     FinCategory,
     FractionsInput,
-    ShapeInstance,
     check_axioms,
     find_isomorphism,
     localize,
@@ -34,7 +33,7 @@ def localize_spying(inp: FractionsInput):
     def spy(shared, s1, s2, exhaustive=False):
         out = public(shared, s1, s2, exhaustive)
         if exhaustive:
-            seen[(s1.payload, s2.payload)] = out
+            seen[(s1, s2)] = out
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -47,18 +46,17 @@ def check_against_public(inp: FractionsInput) -> None:
     LC, seen = localize_spying(inp)
     fresh = FractionsInput(inp.category, inp.weq)
     for (n1, n2), n in LC.carrier.composition.items():
-        s1 = ShapeInstance("spn", LC.class_reps[n1])
-        s2 = ShapeInstance("spn", LC.class_reps[n2])
-        assert LC.q[span_compose(fresh, s1, s2).payload] == n
+        s1, s2 = LC.class_reps[n1], LC.class_reps[n2]
+        assert LC.q[span_compose(fresh, s1, s2)] == n
     spans = shape_instances(inp, "spn")
     C = inp.category
-    pairs = [(s1, s2) for s1 in spans for s2 in spans if C.tgt[s1.payload[1]] == C.tgt[s2.payload[0]]]
+    pairs = [(s1, s2) for s1 in spans for s2 in spans if C.tgt[s1[1]] == C.tgt[s2[0]]]
     if len(spans) > LIMIT:
         assert seen == {}
         return
-    assert set(seen) == {(s1.payload, s2.payload) for s1, s2 in pairs}
+    assert set(seen) == set(pairs)
     for s1, s2 in pairs:
-        assert seen[(s1.payload, s2.payload)] == span_compose(fresh, s1, s2, exhaustive=True)
+        assert seen[(s1, s2)] == span_compose(fresh, s1, s2, exhaustive=True)
 
 
 def chain(n: int) -> FinCategory:
@@ -105,7 +103,7 @@ def test_loops_visit_composable_pairs_in_product_order(name, inp):
     assert list(K.composition) == [
         (n1, n2) for n1 in K.arrows for n2 in K.arrows if K.tgt[n1] == K.src[n2]
     ]
-    spans = [s.payload for s in shape_instances(inp, "spn")]
+    spans = shape_instances(inp, "spn")
     C = inp.category
     if len(spans) <= LIMIT:
         assert list(seen) == [

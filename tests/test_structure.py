@@ -1,7 +1,7 @@
 """Package structure: imports sit at module top and never form a cycle; no
 function recurses, so no input depth can exhaust the interpreter's stack;
-a category gains no attribute after construction; the verifier engine's
-2-cells carry no maps between the two sides."""
+a category gains no attribute after construction; spans and 2-cells are
+plain tuples, with no wrapper type around them."""
 
 import ast
 import dataclasses
@@ -15,7 +15,7 @@ from catfrac import (
     localize,
     validate_category,
 )
-from catfrac.verify import TwoCells
+from catfrac.verify import Correspondence
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "catfrac"
 MODULES = {
@@ -83,8 +83,23 @@ def test_verifier_engine_imports_only_the_table_kernel():
 
 def test_two_cells_carry_no_transfer():
     # both sides write a 2-cell as the same tuple, so the engine needs no
-    # maps between them and no composition of its own
-    assert [f.name for f in dataclasses.fields(TwoCells)] == ["noun", "between", "identity"]
+    # maps between them, no composition and no identity of its own
+    assert [f.name for f in dataclasses.fields(Correspondence)] == [
+        "noun", "left", "right", "forward", "back", "cell_noun", "between"
+    ]
+
+
+def test_no_wrapper_types_around_tuples():
+    # spans, filler witnesses and 2-cells are the tuples themselves
+    retired = {"ShapeInstance", "FillerWitness", "TwoCells", "_functoriality"}
+    defined = set()
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+    assert not defined & retired, sorted(defined & retired)
 
 
 def test_no_function_calls_itself():

@@ -21,42 +21,35 @@ from catfrac import (
     enumerate_functors,
     enumerate_nat_trans,
     grothendieck,
-    identity_nat_trans,
     verify_localization_up,
     verify_oplax_colimit,
     verify_pseudocolimit,
 )
 from catfrac.errors import DomainError
 from catfrac.fractions import AxiomFinding
-from catfrac.verify import Correspondence, TwoCells, as_cell, check_correspondence
+from catfrac.verify import Correspondence, as_cell, check_correspondence
 
 X = corpus.parallel()
 RIGHT = enumerate_functors(corpus.one(), X)  # constant at a, constant at b
 IMAGE = {"p": RIGHT[0], "q": RIGHT[1]}
-CELL_MAPS = ("between", "identity")
 
 
 def fake(**changes) -> Correspondence:
     """A correspondence that holds, with the given fields replaced."""
-    cells = TwoCells(
-        noun="cell",
-        between=lambda x, y: [as_cell(mu) for mu in enumerate_nat_trans(IMAGE[x], IMAGE[y])],
-        identity=lambda x: as_cell(identity_nat_trans(IMAGE[x])),
-    )
-    cell_changes = {k: changes.pop(k) for k in CELL_MAPS if k in changes}
     base = Correspondence(
         noun="point",
         left=["p", "q"],
         right=list(RIGHT),
         forward=IMAGE.__getitem__,
         back=lambda F: next(x for x, G in IMAGE.items() if G == F),
-        cells=dataclasses.replace(cells, **cell_changes),
+        cell_noun="cell",
+        between=lambda x, y: [as_cell(mu) for mu in enumerate_nat_trans(IMAGE[x], IMAGE[y])],
     )
     return dataclasses.replace(base, **changes)
 
 
 def run(c: Correspondence) -> VerifierReport:
-    return check_correspondence(VerifierReport(title="fake"), c, "cells")
+    return check_correspondence(VerifierReport(title="fake"), c)
 
 
 def test_fake_correspondence_passes():
@@ -123,7 +116,7 @@ def test_two_cell_count_mismatch():
 def test_non_natural_transfer():
     # p => q lists an identity tuple in place of its first cell, though the
     # identity of a is no arrow a -> b; the count still matches
-    listed = fake().cells.between
+    listed = fake().between
 
     def between(x, y):
         cells = listed(x, y)
@@ -141,7 +134,7 @@ def test_non_natural_transfer():
 def test_missing_preimage():
     # p => q lists its second cell twice and its first not at all: the
     # counts match and every listed cell is natural
-    listed = fake().cells.between
+    listed = fake().between
 
     def between(x, y):
         cells = listed(x, y)
@@ -151,17 +144,6 @@ def test_missing_preimage():
 
     report = run(fake(between=between))
     assert report.problems == ["2-cell preimage between #0 and #1 is not a cell"]
-
-
-def test_identity_not_preserved():
-    def identity(x):
-        return ("s",)
-
-    report = run(fake(identity=identity))
-    assert report.problems == [
-        "identity 2-cell of #0 does not map to the identity",
-        "identity 2-cell of #1 does not map to the identity",
-    ]
 
 
 def test_failed_phase_stops_the_check():

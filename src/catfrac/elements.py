@@ -243,23 +243,33 @@ def transformation_to_functor(x: LaxTransformation, GD: ElementsCategory) -> Fun
     return Functor(GD.carrier, X, on_objects, on_arrows)
 
 
-def functor_to_transformation(F: Functor, GD: ElementsCategory) -> LaxTransformation:
-    """Whisker the canonical cocone with a functor off the carrier."""
-    if F.dom != GD.carrier:
-        raise DomainError("functor domain is not this carrier")
+def _whiskering(GD: ElementsCategory) -> Callable[[Functor], LaxTransformation]:
+    """``functor_to_transformation`` off GD, with the canonical cocone built
+    once for every functor it whiskers."""
     D = GD.diagram
     ell = canonical_cocone(D, GD)
-    components = {A: compose_functors(ell.components[A], F) for A in D.index.objects}
-    two_cells = {}
-    for phi in D.index.arrows:
-        src_fun, tgt_fun = two_cell_endpoints(D, components, phi)
-        cells = {
-            p: F.on_arrows[c] for p, c in ell.two_cells[phi].components.items()
-        }
-        two_cells[phi] = NatTrans(src=src_fun, tgt=tgt_fun, components=cells)
-    return LaxTransformation(
-        source=D, target=F.cod, components=components, two_cells=two_cells
-    )
+
+    def whisker(F: Functor) -> LaxTransformation:
+        if F.dom != GD.carrier:
+            raise DomainError("functor domain is not this carrier")
+        components = {A: compose_functors(ell.components[A], F) for A in D.index.objects}
+        two_cells = {}
+        for phi in D.index.arrows:
+            src_fun, tgt_fun = two_cell_endpoints(D, components, phi)
+            cells = {
+                p: F.on_arrows[c] for p, c in ell.two_cells[phi].components.items()
+            }
+            two_cells[phi] = NatTrans(src=src_fun, tgt=tgt_fun, components=cells)
+        return LaxTransformation(
+            source=D, target=F.cod, components=components, two_cells=two_cells
+        )
+
+    return whisker
+
+
+def functor_to_transformation(F: Functor, GD: ElementsCategory) -> LaxTransformation:
+    """Whisker the canonical cocone with a functor off the carrier."""
+    return _whiskering(GD)(F)
 
 
 def modification_cells(GD: ElementsCategory, X: FinCategory) -> Callable:
@@ -330,7 +340,7 @@ def verify_oplax_colimit(
         left=trans,
         right=funs,
         forward=lambda t: transformation_to_functor(t, GD),
-        back=lambda F: functor_to_transformation(F, GD),
+        back=_whiskering(GD),
         cell_noun="modification",
         between=modification_cells(GD, X),
     )

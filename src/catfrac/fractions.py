@@ -14,7 +14,9 @@ v, then forward along g", so the class [v;g] runs from t(v) to t(g).
 All searches (sections, Ore fillers, weak-composition witnesses, zippers)
 take the first candidate in canonical order; exhaustive modes re-run them
 over every candidate to witness independence.  Within one localize call
-each Ore-filler and weak-filler list is searched once and shared.
+each Ore-filler and weak-filler list is searched once and shared, and so
+is each Ore x weak product: it is formed once per (v1, g1, v2), since
+composing (v1, g1) with (v2, g2) uses g2 only in its last step.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Iterable, Iterator, Optional
 
 from .diagram import enumerate_transformations
 from .elements import (
+    _whiskering,
     cleavage,
-    functor_to_transformation,
     grothendieck,
     modification_cells,
     transformation_to_functor,
@@ -184,6 +186,22 @@ def _ore_fillers(inp: FractionsInput, h: str, v: str) -> Iterator[tuple]:
                 yield wp, g
 
 
+def _composite_heads(inp: FractionsInput, v1: str, g1: str, v2: str) -> Iterator[tuple]:
+    """What composing a span (v1, g1) with any span (v2, g2) makes before
+    g2: pairs ((m;w');v1, m;h2) over each Ore filler (w', h2) of (g1, v2)
+    and each weak filler m of (w', v1), in canonical order, each first
+    occurrence only."""
+    C = inp.category
+    seen = set()
+    # the searches yield only m with t(m) = s(w') and h2 with s(h2) = s(w')
+    for wp, h2 in inp._fillers(_ore_fillers, g1, v2):
+        for m in inp._fillers(_weak_fillers, wp, v1):
+            head = (compose(C, C.composition[(m, wp)], v1), C.composition[(m, h2)])
+            if head not in seen:
+                seen.add(head)
+                yield head
+
+
 def _zippers(inp: FractionsInput, f: str, g: str) -> Iterator[str]:
     """Marked arrows u with u;f = u;g, in canonical order."""
     C = inp.category
@@ -303,7 +321,9 @@ def span_compose(
 
     Takes the first filler of each kind in canonical order.  With
     exhaustive=True, returns the pair (first, frozenset of the spans
-    produced by every (Ore filler, weak filler) combination).
+    produced by every (Ore filler, weak filler) combination).  Those are
+    the distinct heads of ``_composite_heads`` composed with g2, and within
+    one localize call each (v1, g1, v2) forms its heads once.
     """
     C = inp.category
     v1, g1 = s1
@@ -314,22 +334,24 @@ def span_compose(
             f"{s2!r} starts at {C.tgt[v2]!r}"
         )
 
-    def fillers(search, *key) -> list:
-        found = inp._fillers(search, *key)
-        return list(found) if exhaustive else list(islice(found, 1))
-
-    ore_fillers = fillers(_ore_fillers, g1, v2)
-    if not ore_fillers:
+    found = inp._fillers(_ore_fillers, g1, v2)
+    first = next(iter(found), None)
+    if first is None:
         raise AxiomError(
             f"no Ore filler for cospan ({g1!r}, {v2!r})",
             report=check_axioms(inp),
         )
-    # the searches yield only m with t(m) = s(w') and h2 with s(h2) = s(w')
-    results = [
-        (compose(C, C.composition[(m, wp)], v1), compose(C, C.composition[(m, h2)], g2))
-        for wp, h2 in ore_fillers
-        for m in fillers(_weak_fillers, wp, v1)
-    ]
+    if exhaustive:
+        # composition is a function, so a repeated head repeats its result
+        heads = inp._fillers(_composite_heads, v1, g1, v2)
+        results = [(a, compose(C, b, g2)) for a, b in heads]
+    else:
+        # the search yields only m with t(m) = s(w') and s(h2) = s(w')
+        wp, h2 = first
+        results = [
+            (compose(C, C.composition[(m, wp)], v1), compose(C, C.composition[(m, h2)], g2))
+            for m in islice(inp._fillers(_weak_fillers, wp, v1), 1)
+        ]
     if not results:
         raise AxiomError(
             f"no filler chain composes {s1!r} with {s2!r}",
@@ -346,7 +368,9 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     Refuses with the axiom report when any axiom fails.  Also re-derives
     its own choices: identity classes are independent of the chosen
     section, and composites are independent of fillers and representatives
-    (exhaustively when the span count is within exhaustive_limit).  Any
+    (exhaustively when the span count is within exhaustive_limit; each
+    Ore x weak product is formed once per (v1, g1, v2) and shared by the
+    span pairs that differ only in g2).  Any
     failure of those re-derivations, or a sailboat move that changes a
     span's endpoints, raises IntegrityError.
     """
@@ -528,6 +552,7 @@ def verify_pseudocolimit(D, X: FinCategory):
     off_localized = enumerate_functors(LC.carrier, X)
     report.stats["pseudo transformations"] = len(pseudo)
     report.stats["functors off localized"] = len(off_localized)
+    whisker = _whiskering(GD)
     # a transformation collapses to a functor inverting the cleavage exactly
     # when it is pseudo, so induced_functor's DomainError marks the others
     correspondence = Correspondence(
@@ -535,7 +560,7 @@ def verify_pseudocolimit(D, X: FinCategory):
         left=pseudo,
         right=off_localized,
         forward=lambda x: induced_functor(transformation_to_functor(x, GD), LC),
-        back=lambda G: functor_to_transformation(compose_functors(LC.L, G), GD),
+        back=lambda G: whisker(compose_functors(LC.L, G)),
         cell_noun="modification",
         between=modification_cells(GD, X),
     )

@@ -1,7 +1,9 @@
 """localize shares its Ore-filler and weak-filler searches within one call.
 
 Differential: the composition loop and self-check (b) read the shared lists;
-the public span_compose searches on its own. Negative controls: a fault
+the public span_compose searches on its own, and its exhaustive mode gives
+what the whole Ore x weak product gives.  A count of compose calls bounds
+the cost of (b) without timing it. Negative controls: a fault
 injected into a search reaches self-checks (a) and (b) and fires them.
 """
 
@@ -14,12 +16,14 @@ from catfrac import (
     FinCategory,
     FractionsInput,
     check_axioms,
+    compose,
     find_isomorphism,
     localize,
     shape_instances,
     span_compose,
 )
 from catfrac.errors import IntegrityError
+from catfrac.fractions import _ore_fillers, _weak_fillers
 from test_generated import build, monoids, posets
 
 LIMIT = 64  # localize's default exhaustive_limit
@@ -111,6 +115,74 @@ def test_loops_visit_composable_pairs_in_product_order(name, inp):
         ]
 
 
+def cyclic(n: int) -> FinCategory:
+    """The group Z/n on one object, with r0 the identity."""
+    r = [f"r{i}" for i in range(n)]
+    return FinCategory.build(
+        ["*"],
+        [(f, "*", "*") for f in r],
+        {"*": "r0"},
+        {(r[i], r[j]): r[(i + j) % n] for i in range(n) for j in range(n)},
+    )
+
+
+def fully_marked_cyclic(n: int) -> FractionsInput:
+    C = cyclic(n)
+    return FractionsInput(C, C.arrows)
+
+
+def whole_product(inp: FractionsInput, s1: tuple, s2: tuple) -> tuple:
+    """Every (Ore filler, weak filler) composite in canonical order, nothing
+    shared and nothing dropped: (first, frozenset of all)."""
+    C = inp.category
+    (v1, g1), (v2, g2) = s1, s2
+    found = [
+        (compose(C, compose(C, m, wp), v1), compose(C, compose(C, m, h2), g2))
+        for wp, h2 in list(_ore_fillers(inp, g1, v2))
+        for m in list(_weak_fillers(inp, wp, v1))
+    ]
+    return found[0], frozenset(found)
+
+
+def check_whole_product(inp: FractionsInput) -> None:
+    C = inp.category
+    spans = shape_instances(inp, "spn")
+    for s1 in spans:
+        for s2 in spans:
+            if C.tgt[s1[1]] == C.tgt[s2[0]]:
+                fresh = FractionsInput(C, inp.weq)
+                assert span_compose(fresh, s1, s2, exhaustive=True) == whole_product(inp, s1, s2)
+
+
+@pytest.mark.parametrize(
+    "name,inp",
+    corpus.fractions_corpus()
+    + [("chain(5)/all", fully_marked_chain(5))]
+    + [(f"Z/{n}/all", fully_marked_cyclic(n)) for n in range(3, 7)],
+)
+def test_exhaustive_composites_are_the_whole_product(name, inp):
+    # the heads shared per (v1, g1, v2) drop only repeats, and composing a
+    # repeated head with g2 repeats its result
+    check_whole_product(inp)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_self_check_b_composes_about_n5_times(monkeypatch, n):
+    # fully marked Z/n has n^2 spans and n^4 composable span pairs, each with
+    # n^2 (Ore filler, weak filler) combinations but only n distinct heads
+    calls = 0
+
+    def counting(C, f, g):
+        nonlocal calls
+        calls += 1
+        return compose(C, f, g)
+
+    monkeypatch.setattr(catfrac.fractions, "compose", counting)
+    LC = localize(fully_marked_cyclic(n))
+    assert len(LC.carrier.arrows) == n
+    assert calls <= 3 * n**5
+
+
 @st.composite
 def marked(draw):
     C = build(draw(st.one_of(posets(), monoids())))
@@ -125,6 +197,13 @@ def marked(draw):
 def test_generated_composites_match_public_span_compose(inp):
     assume(check_axioms(inp).ok)
     check_against_public(inp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(marked())
+def test_generated_exhaustive_composites_are_the_whole_product(inp):
+    assume(check_axioms(inp).ok)
+    check_whole_product(inp)
 
 
 def group(table) -> FinCategory:

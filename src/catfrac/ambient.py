@@ -14,12 +14,19 @@ class (surjections) is certified by exhausting small instances.
 Canonical orders everywhere: pullback elements are lexicographic pairs,
 coproducts concatenate blocks in input order, quotients list classes by
 their least member.
+
+Each map indexes its fibres once, on first use, and every operation that
+needs preimages reads that index.  A map built from outside is validated;
+the maps the ambient's own operations build (identities, composites,
+pullback projections, coproduct injections, quotient maps) are in range by
+construction and are not validated again.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .diagram import compositor_inverse_component, unitor_inverse_component
@@ -46,39 +53,53 @@ class FinSetMap:
     table: tuple
 
     def __post_init__(self) -> None:
-        if len(self.table) != self.dom.size:
+        table, size = self.table, self.cod.size
+        if len(table) != self.dom.size:
             raise InputError(
-                f"map table has {len(self.table)} entries for a domain of size {self.dom.size}"
+                f"map table has {len(table)} entries for a domain of size {self.dom.size}"
             )
-        for v in self.table:
-            if not isinstance(v, int) or not 0 <= v < self.cod.size:
-                raise InputError(f"map value {v!r} outside codomain of size {self.cod.size}")
+        for v in table:
+            if not isinstance(v, int) or not 0 <= v < size:
+                raise InputError(f"map value {v!r} outside codomain of size {size}")
 
     def __call__(self, i: int) -> int:
         return self.table[i]
 
+    @cached_property
+    def _fibres(self) -> tuple:
+        over: list[list[int]] = [[] for _ in range(self.cod.size)]
+        for x, y in enumerate(self.table):
+            over[y].append(x)
+        return tuple(map(tuple, over))
+
+
+def _built(dom: FinSetObject, cod: FinSetObject, table: tuple) -> FinSetMap:
+    """A map whose table the caller built in range; not validated again."""
+    f = object.__new__(FinSetMap)
+    fields = f.__dict__  # the frozen __setattr__ guards attribute writes only
+    fields["dom"], fields["cod"], fields["table"] = dom, cod, table
+    return f
+
 
 def identity_map(A: FinSetObject) -> FinSetMap:
-    return FinSetMap(A, A, tuple(range(A.size)))
+    return _built(A, A, tuple(range(A.size)))
 
 
 def compose_maps(f: FinSetMap, g: FinSetMap) -> FinSetMap:
     """f followed by g."""
     if f.cod != g.dom:
         raise DomainError(f"maps not composable: {f.cod!r} vs {g.dom!r}")
-    return FinSetMap(f.dom, g.cod, tuple(g.table[v] for v in f.table))
+    return _built(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
 
 
 def is_surjective(f: FinSetMap) -> bool:
     return len(set(f.table)) == f.cod.size
 
 
-def fibres(f: FinSetMap) -> list[list[int]]:
-    """The preimage of each codomain element under f, in ascending order."""
-    over: list[list[int]] = [[] for _ in range(f.cod.size)]
-    for x, y in enumerate(f.table):
-        over[y].append(x)
-    return over
+def fibres(f: FinSetMap) -> tuple[tuple[int, ...], ...]:
+    """The preimage of each codomain element under f, in ascending order.
+    Computed once per map and shared by every caller."""
+    return f._fibres
 
 
 def pullback(f: FinSetMap, g: FinSetMap) -> tuple[FinSetObject, FinSetMap, FinSetMap]:
@@ -86,11 +107,14 @@ def pullback(f: FinSetMap, g: FinSetMap) -> tuple[FinSetObject, FinSetMap, FinSe
     if f.cod != g.cod:
         raise DomainError("pullback needs a common codomain")
     over = fibres(g)
-    pairs = [(x, y) for x in range(f.dom.size) for y in over[f.table[x]]]
-    P = FinSetObject(f"pb({f.dom.label},{g.dom.label})", len(pairs))
-    pi0 = FinSetMap(P, f.dom, tuple(x for x, _ in pairs))
-    pi1 = FinSetMap(P, g.dom, tuple(y for _, y in pairs))
-    return P, pi0, pi1
+    t0: list[int] = []
+    t1: list[int] = []
+    for x, y in enumerate(f.table):
+        ys = over[y]
+        t0 += [x] * len(ys)
+        t1 += ys
+    P = FinSetObject(f"pb({f.dom.label},{g.dom.label})", len(t0))
+    return P, _built(P, f.dom, tuple(t0)), _built(P, g.dom, tuple(t1))
 
 
 def pullback_mediate(
@@ -99,13 +123,11 @@ def pullback_mediate(
     """The unique map into the pullback matching a cone; checked, not assumed."""
     if h0.dom != h1.dom or h0.cod != pi0.cod or h1.cod != pi1.cod:
         raise DomainError("cone does not match the pullback's feet")
+    over = fibres(pi0)
     table = []
     for z in range(h0.dom.size):
-        hits = [
-            p
-            for p in range(pi0.dom.size)
-            if pi0.table[p] == h0.table[z] and pi1.table[p] == h1.table[z]
-        ]
+        y = h1.table[z]
+        hits = [p for p in over[h0.table[z]] if pi1.table[p] == y]
         if len(hits) != 1:
             raise DomainError(
                 f"cone element {z} has {len(hits)} factorizations through the pullback"
@@ -122,7 +144,7 @@ def coproduct(parts: Sequence[FinSetObject]) -> tuple[FinSetObject, list[FinSetM
     injections = []
     offset = 0
     for p in parts:
-        injections.append(FinSetMap(p, S, tuple(range(offset, offset + p.size))))
+        injections.append(_built(p, S, tuple(range(offset, offset + p.size))))
         offset += p.size
     return S, injections
 
@@ -183,7 +205,7 @@ def coequalize_reflexive(f: FinSetMap, g: FinSetMap) -> tuple[FinSetObject, FinS
     roots = sorted({find(i) for i in range(f.cod.size)})
     root_pos = {root: k for k, root in enumerate(roots)}
     Q = FinSetObject(f"{f.cod.label}/~", len(roots))
-    q = FinSetMap(f.cod, Q, tuple(root_pos[find(i)] for i in range(f.cod.size)))
+    q = _built(f.cod, Q, tuple(root_pos[find(i)] for i in range(f.cod.size)))
     return Q, q
 
 

@@ -284,7 +284,8 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> Callable:
     transformations between two component functors at one index object are
     searched once per call of this function, not once per pair of
     transformations sharing them, by a search prepared once per index
-    object.
+    object; the functor keys of each transformation's components are
+    computed once per call of this function too.
     """
     D = GD.diagram
     objs = D.index.objects
@@ -293,10 +294,17 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> Callable:
     picks = [(slot[A], a) for A, a in tags]
     natural_between = {A: nat_trans_search(D.cat(A), X) for A in objs}
     searched: dict = {}
+    keyed: dict = {}
 
-    def components(F: Functor, G: Functor, A: str) -> list[NatTrans]:
+    def keys(x: LaxTransformation) -> tuple:
+        # the entry holds x, so no other object takes its id meanwhile
+        entry = keyed.get(id(x))
+        if entry is None:
+            entry = keyed[id(x)] = (x, tuple(functor_key(x.components[A]) for A in objs))
+        return entry[1]
+
+    def components(F: Functor, G: Functor, A: str, key: tuple) -> list[NatTrans]:
         # every transformation here goes into X, so (A, maps) fixes F and G
-        key = (A, functor_key(F), functor_key(G))
         found = searched.get(key)
         if found is None:
             names = F.dom.objects
@@ -306,7 +314,10 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> Callable:
         return found
 
     def between(x: LaxTransformation, y: LaxTransformation) -> list[tuple]:
-        per_object = [components(x.components[A], y.components[A], A) for A in objs]
+        per_object = [
+            components(x.components[A], y.components[A], A, (A, kx, ky))
+            for A, kx, ky in zip(objs, keys(x), keys(y))
+        ]
         return [
             tuple([vals[s].components[a] for s, a in picks])
             for vals in search_modifications(x, y, per_object)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,8 +38,9 @@ from catfrac import (
     verify_cover_class,
     verify_pairs_coequalizer,
 )
-from catfrac.ambient import has_common_section, is_surjective
-from catfrac.errors import AxiomError, DomainError, InputError
+import catfrac.ambient as ambient
+from catfrac.ambient import fibres, has_common_section, is_surjective
+from catfrac.errors import AxiomError, DomainError, InputError, IntegrityError
 
 
 def obj(n: int, label: str = "S") -> FinSetObject:
@@ -213,6 +216,65 @@ def test_coequalizer_mediate_roundtrip(data):
     assert m == m0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_maps_would_pass_public_validation(data):
+    f = data.draw(random_map())
+    g = data.draw(random_map(dom=f.cod))
+    h = data.draw(random_map(cod=f.cod))
+    _, p0, p1 = pullback(f, h)
+    _, injections = coproduct([f.dom, f.cod, h.dom])
+    _, q = coequalize_reflexive(f, data.draw(random_map(dom=f.dom, cod=f.cod)))
+    for m in [identity_map(f.dom), compose_maps(f, g), p0, p1, *injections, q]:
+        assert FinSetMap(m.dom, m.cod, m.table) == m
+        assert set(map(type, m.table)) <= {int}
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_map())
+def test_fibres_are_the_preimages(f):
+    naive = [[x for x in range(f.dom.size) if f.table[x] == y] for y in range(f.cod.size)]
+    assert [list(ys) for ys in fibres(f)] == naive
+    assert fibres(f) is fibres(f)
+    # the index is no field: equality, hash and repr ignore it
+    fresh = FinSetMap(f.dom, f.cod, f.table)
+    assert fresh == f and hash(fresh) == hash(f) and repr(fresh) == repr(f)
+
+
+def test_map_fields_are_unchanged():
+    assert [fl.name for fl in fields(FinSetMap)] == ["dom", "cod", "table"]
+
+
+@pytest.mark.parametrize(
+    "table,bad",
+    [((0, -1, 5), "-1"), ((0, 2, -1), "2"), ((0, 1.0, 7), "1.0"), ((1, None, -1), "None")],
+)
+def test_map_names_the_first_bad_value(table, bad):
+    with pytest.raises(InputError) as exc:
+        FinSetMap(obj(3, "A"), obj(2, "B"), table)
+    assert str(exc.value) == f"map value {bad} outside codomain of size 2"
+
+
+def test_map_accepts_bool_values():
+    f = FinSetMap(obj(2, "A"), obj(2, "B"), (True, False))
+    assert f.table == (1, 0) and fibres(f) == ((1,), (0,))
+
+
+def test_cover_class_validates_only_maps_built_outside(monkeypatch):
+    """The kernel's own maps skip validation: about 600 of the 31,231
+    validations of the fully validating kernel remain."""
+    calls = []
+    validate = FinSetMap.__post_init__
+
+    def spy(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(FinSetMap, "__post_init__", spy)
+    assert verify_cover_class(4).ok
+    assert len(calls) <= 1000
+
+
 def test_cover_class_small():
     report = verify_cover_class(max_size=3)
     assert report.ok
@@ -378,4 +440,37 @@ def test_internal_localize_requires_injective_marks():
     IC = internalize(C)
     w = FinSetMap(FinSetObject("W", 2), IC.c1, (0, 0))
     with pytest.raises(InputError):
+        internal_localize(IC, w)
+
+
+def test_lost_pullback_row_is_caught_by_internal_elements(monkeypatch):
+    exact = ambient.pullback
+
+    def lossy(f, g):
+        P, p0, p1 = exact(f, g)
+        if P.size == 0:
+            return P, p0, p1
+        Q = FinSetObject(P.label, P.size - 1)
+        return Q, FinSetMap(Q, p0.cod, p0.table[:-1]), FinSetMap(Q, p1.cod, p1.table[:-1])
+
+    monkeypatch.setattr(ambient, "pullback", lossy)
+    with pytest.raises(IntegrityError, match="pullback blocks disagree with the tag enumeration"):
+        internal_elements(corpus.diag_contra_two())
+
+
+def test_lost_sailboat_rows_are_caught_by_span_machinery(monkeypatch):
+    """A pullback that loses a span fails earlier, on the missing span's
+    position; the identity sections go missing when the marked arrows out
+    of each object lose their first member instead."""
+    C = corpus.chain3()
+    IC = internalize(C)
+    w = FinSetMap(FinSetObject("W", IC.c1.size), IC.c1, tuple(range(IC.c1.size)))
+    exact = ambient.fibres
+
+    def lossy(f):
+        over = exact(f)
+        return tuple(ys[1:] for ys in over) if f.dom is w.dom else over
+
+    monkeypatch.setattr(ambient, "fibres", lossy)
+    with pytest.raises(IntegrityError, match="span-relation pair lost its identity section"):
         internal_localize(IC, w)

@@ -643,7 +643,13 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
                 continue
             for g in out_of[ws.table[k]]:
                 hg = IC.c.table[cpairs[(h, g)]]
-                sb_rows.append((pair_pos[(k, g)], pair_pos[(w_pos[hv], hg)]))
+                try:
+                    sb_rows.append((pair_pos[(k, g)], pair_pos[(w_pos[hv], hg)]))
+                except KeyError as exc:
+                    kk, gg = exc.args[0]
+                    raise IntegrityError(
+                        f"span (a{w.table[kk]}, a{gg}) is missing from the pullback of w;s along s"
+                    ) from None
     SB = FinSetObject("sb", len(sb_rows))
     p0 = FinSetMap(SB, spn, tuple(r[0] for r in sb_rows))
     p1 = FinSetMap(SB, spn, tuple(r[1] for r in sb_rows))

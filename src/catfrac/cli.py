@@ -269,15 +269,25 @@ def cmd_groth(args) -> int:
     return 0
 
 
+def _lawful_fractions_input(path: Path) -> FractionsInput:
+    """The marked category in ``path``; its first violated category law,
+    if any, is an InputError, since the fractions layer assumes the laws."""
+    inp = load_fractions_input(_read_json(path), path.parent)
+    report = validate_category(inp.category)
+    if not report.ok:
+        raise InputError(report.problems[0])
+    return inp
+
+
 def cmd_axioms(args) -> int:
-    inp = load_fractions_input(_read_json(Path(args.path)), Path(args.path).parent)
+    inp = _lawful_fractions_input(Path(args.path))
     report = check_axioms(inp)
     print(report)
     return 0 if report.ok else 1
 
 
 def cmd_localize(args) -> int:
-    inp = load_fractions_input(_read_json(Path(args.path)), Path(args.path).parent)
+    inp = _lawful_fractions_input(Path(args.path))
     limit = 10**9 if args.exhaustive else 64
     LC = localize(inp, exhaustive_limit=limit)
     if args.json:

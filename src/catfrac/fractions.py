@@ -13,7 +13,11 @@ v, then forward along g", so the class [v;g] runs from t(v) to t(g).
 
 All searches (sections, Ore fillers, weak-composition witnesses, zippers)
 take the first candidate in canonical order; exhaustive modes re-run them
-over every candidate to witness independence.  Within one localize call
+over every candidate to witness independence.  Every search over W reads
+the marked arrows at one endpoint from an index each ``FractionsInput``
+builds once (marked arrows by source and by target, each bucket in W
+order), so a filtered scan of W yields the same sequence without visiting
+the rest of W.  Within one localize call
 each Ore-filler and weak-filler list is searched once and shared, and so
 is each Ore x weak product: it is formed once per (v1, g1, v2), since
 composing (v1, g1) with (v2, g2) uses g2 only in its last step.
@@ -51,8 +55,27 @@ from .verify import Correspondence, VerifierReport, check_correspondence
 
 @dataclass(eq=True)
 class FractionsInput:
+    """A category with a class W of marked arrows, listed in canonical order.
+
+    Construction indexes W once: ``_wset`` holds the marked arrows,
+    ``_w_out`` and ``_w_into`` list them by source and by target, each in W
+    order.  The index stays out of the fields, ``__eq__`` and ``repr``.  A
+    marked arrow that is not in the category is keyed None; ``check`` says
+    so before any search reads the index.
+    """
+
     category: FinCategory
     weq: tuple
+
+    def __post_init__(self) -> None:
+        src, tgt = self.category.src, self.category.tgt
+        outs, ins = {}, {}
+        for v in self.weq:
+            outs.setdefault(src.get(v), []).append(v)
+            ins.setdefault(tgt.get(v), []).append(v)
+        self._wset = frozenset(self.weq)
+        self._w_out = {x: tuple(vs) for x, vs in outs.items()}
+        self._w_into = {y: tuple(vs) for y, vs in ins.items()}
 
     def check(self) -> None:
         arrset = set(self.category.arrows)
@@ -121,25 +144,24 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[tuple]:
     coequalizing marked arrow ``"p_cq"`` (f, g, v)."""
     inp.check()
     C = inp.category
-    W = inp.weq
-    wset = set(W)
+    comp = C.composition
     out = []
     if kind == "spn":
-        for v in W:
+        for v in inp.weq:
             for g in C.out_of(C.src[v]):
                 out.append((v, g))
     elif kind == "sb":
         for h in C.arrows:
-            for v in W:
-                if C.tgt[h] != C.src[v] or compose(C, h, v) not in wset:
+            for v in inp._w_out.get(C.tgt[h], ()):
+                if comp[(h, v)] not in inp._wset:
                     continue
                 for g in C.out_of(C.src[v]):
                     out.append((h, v, g))
     elif kind == "p_cq":
         for f in C.arrows:
             for g in C.hom(C.src[f], C.tgt[f]):
-                for v in W:
-                    if C.src[v] == C.tgt[f] and compose(C, f, v) == compose(C, g, v):
+                for v in inp._w_out.get(C.tgt[f], ()):
+                    if comp[(f, v)] == comp[(g, v)]:
                         out.append((f, g, v))
     else:
         raise InputError(f"unknown shape kind {kind!r}")
@@ -148,9 +170,7 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[tuple]:
 
 def _sections(inp: FractionsInput, x: str) -> Iterator[str]:
     """Marked arrows into x, in canonical order."""
-    for v in inp.weq:
-        if inp.category.tgt[v] == x:
-            yield v
+    return iter(inp._w_into.get(x, ()))
 
 
 def _section(inp: FractionsInput) -> tuple[Optional[dict], Optional[str]]:
@@ -167,9 +187,8 @@ def _weak_fillers(inp: FractionsInput, v: str, vp: str) -> Iterator[str]:
     """Weak-composition fillers of a marked composable pair (v, v'): arrows
     m with m;v;v' marked, in canonical order."""
     C = inp.category
-    wset = set(inp.weq)
     for m in C.into(C.src[v]):
-        if compose(C, C.composition[(m, v)], vp) in wset:
+        if compose(C, C.composition[(m, v)], vp) in inp._wset:
             yield m
 
 
@@ -177,9 +196,7 @@ def _ore_fillers(inp: FractionsInput, h: str, v: str) -> Iterator[tuple]:
     """Ore squares on a cospan (h, v) with v marked: pairs (w', g) with w'
     marked and w';h = g;v, in canonical order."""
     C = inp.category
-    for wp in inp.weq:
-        if C.tgt[wp] != C.src[h]:
-            continue
+    for wp in inp._w_into.get(C.src[h], ()):
         wph = C.composition[(wp, h)]
         for g in C.hom(C.src[wp], C.src[v]):
             if C.composition[(g, v)] == wph:
@@ -203,10 +220,11 @@ def _composite_heads(inp: FractionsInput, v1: str, g1: str, v2: str) -> Iterator
 
 
 def _zippers(inp: FractionsInput, f: str, g: str) -> Iterator[str]:
-    """Marked arrows u with u;f = u;g, in canonical order."""
-    C = inp.category
-    for u in inp.weq:
-        if C.tgt[u] == C.src[f] and compose(C, u, f) == compose(C, u, g):
+    """Marked arrows u with u;f = u;g for a parallel pair (f, g), in
+    canonical order."""
+    comp = inp.category.composition
+    for u in inp._w_into.get(inp.category.src[f], ()):
+        if comp[(u, f)] == comp[(u, g)]:
             yield u
 
 
@@ -233,10 +251,11 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
     problem = next(misplaced_composites(C), None)
     if problem is not None:
         raise InputError(problem)
-    W = inp.weq
     objects = [((x,), (x,)) for x in C.objects]
-    marked_pairs = [((v, vp), (v, vp)) for v in W for vp in W if C.tgt[v] == C.src[vp]]
-    cospans = [((h, v), (h, v)) for h in C.arrows for v in W if C.tgt[h] == C.tgt[v]]
+    marked_pairs = [
+        ((v, vp), (v, vp)) for v in inp.weq for vp in inp._w_out.get(C.tgt[v], ())
+    ]
+    cospans = [((h, v), (h, v)) for h in C.arrows for v in inp._w_into.get(C.tgt[h], ())]
     # a parallel pair is shown with the first arrow that coequalizes it
     coequalized: dict = {}
     for s in shape_instances(inp, "p_cq"):
@@ -291,9 +310,10 @@ def _span_partition(inp: FractionsInput):
     spans = shape_instances(inp, "spn")
     index = {s: i for i, s in enumerate(spans)}
     uf = _UnionFind(len(spans))
+    # "sb" matched t(h) = s(v) = s(g), so both composites are table reads
     for sb in shape_instances(inp, "sb"):
         h, v, g = sb
-        moved = (compose(C, h, v), compose(C, h, g))
+        moved = (C.composition[(h, v)], C.composition[(h, g)])
         if moved not in index or C.tgt[moved[0]] != C.tgt[v] or C.tgt[moved[1]] != C.tgt[g]:
             raise IntegrityError(f"sailboat move {sb!r} changes the span's endpoints")
         uf.union(index[(v, g)], index[moved])
@@ -373,6 +393,11 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     span pairs that differ only in g2).  Any
     failure of those re-derivations, or a sailboat move that changes a
     span's endpoints, raises IntegrityError.
+
+    The input's table is assumed to be a category: the associativity and
+    identity laws are not checked here (``validate_category`` does that;
+    the CLI runs it first).  On a table that breaks them the result
+    localizes nothing meaningful.
     """
     inp.check()
     axioms = check_axioms(inp)

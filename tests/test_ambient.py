@@ -458,6 +458,26 @@ def test_lost_pullback_row_is_caught_by_internal_elements(monkeypatch):
         internal_elements(corpus.diag_contra_two())
 
 
+def test_lost_span_is_named_by_span_machinery(monkeypatch):
+    """A pullback of w;s along s that loses its last span is an integrity
+    failure naming that span, not a bare KeyError."""
+    C = corpus.chain3()
+    IC = internalize(C)
+    w = FinSetMap(FinSetObject("W", IC.c1.size), IC.c1, tuple(range(IC.c1.size)))
+    exact = ambient.pullback
+
+    def lossy(f, g):
+        P, p0, p1 = exact(f, g)
+        if f.dom != w.dom or g is not IC.s:
+            return P, p0, p1
+        Q = FinSetObject(P.label, P.size - 1)
+        return Q, FinSetMap(Q, p0.cod, p0.table[:-1]), FinSetMap(Q, p1.cod, p1.table[:-1])
+
+    monkeypatch.setattr(ambient, "pullback", lossy)
+    with pytest.raises(IntegrityError, match=r"span \(a5, a5\) is missing from the pullback"):
+        internal_localize(IC, w)
+
+
 def test_lost_sailboat_rows_are_caught_by_span_machinery(monkeypatch):
     """A pullback that loses a span fails earlier, on the missing span's
     position; the identity sections go missing when the marked arrows out

@@ -260,3 +260,54 @@ def test_json_output_matches_golden(capsys, case):
     command, *flags, fixture = case.split()
     code, out, _ = run(capsys, command, FIX / f"{fixture}.json", *flags)
     assert (code, out) == (GOLDEN[case]["code"], GOLDEN[case]["stdout"])
+
+
+TWO = dict(MISTYPED_COMPOSITE["category"], compose=[])
+
+
+@pytest.mark.parametrize("command", ["validate", "axioms", "localize"])
+@pytest.mark.parametrize(
+    "weq,message",
+    [
+        (["ia", "nope", "ib"], "error: marked arrow 'nope' is not in the category\n"),
+        (["ia", "f", "ib", "f"], "error: marked arrow 'f' listed twice\n"),
+        (["ia", None, "ib"], "error: marked arrow None is not in the category\n"),
+        (["ia", ["f"], "ib"], "error: malformed input (TypeError(\"unhashable type: 'list'\"))\n"),
+    ],
+)
+def test_bad_marks_exit_2_with_a_message(capsys, tmp_path, command, weq, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"kind": "fractions-input", "category": TWO, "weq": weq}))
+    assert run(capsys, command, path)[:2] == (2, message)
+
+
+# a unital magma on one object: a;a = b and a;b = a, so (a;a);a = b;a = b
+# while a;(a;a) = a;b = a
+NON_ASSOCIATIVE = {
+    "kind": "fractions-input",
+    "category": {
+        "kind": "category",
+        "objects": ["*"],
+        "arrows": [{"name": f, "src": "*", "tgt": "*"} for f in ("e", "a", "b")],
+        "identities": {"*": "e"},
+        "compose": [
+            {"first": f, "then": g, "equals": h}
+            for (f, g), h in {("a", "a"): "b", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "a"}.items()
+        ],
+    },
+    "weq": ["e", "a", "b"],
+}
+
+
+@pytest.mark.parametrize("command", ["axioms", "localize"])
+def test_non_associative_table_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "magma.json"
+    path.write_text(json.dumps(NON_ASSOCIATIVE), encoding="utf-8")
+    code, out, _ = run(capsys, command, path)
+    assert code == 2
+    assert out == "error: associativity fails at ('a','a','a'): (aa)a='b', a(aa)='a'\n"
+    # validate still prints every violated law
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 1
+    assert out.startswith("fractions-input: INVALID\n  associativity fails at ('a','a','a')")
+    assert out.count("associativity fails") > 1

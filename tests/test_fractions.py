@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import catfrac.fractions
 import corpus
@@ -10,6 +11,7 @@ from catfrac import (
     FractionsInput,
     Functor,
     check_axioms,
+    compose,
     compose_functors,
     find_isomorphism,
     identity_functor,
@@ -25,6 +27,7 @@ from catfrac import (
     verify_pseudocolimit,
 )
 from catfrac.errors import DomainError, InputError, IntegrityError
+from test_shared_fillers import marked
 
 
 def to_raw(C: FinCategory) -> dict:
@@ -60,6 +63,24 @@ def test_input_check_rejects_bad_marks():
         FractionsInput(corpus.two(), ("nope",)).check()
     with pytest.raises(InputError):
         FractionsInput(corpus.two(), ("f", "f")).check()
+
+
+@pytest.mark.parametrize(
+    "weq,message",
+    [
+        (("id:a", "nope", "id:b"), "marked arrow 'nope' is not in the category"),
+        (("id:a", "f", "id:b", "f"), "marked arrow 'f' listed twice"),
+        (("id:a", None, "id:b"), "marked arrow None is not in the category"),
+    ],
+)
+def test_bad_marks_are_reported_by_check_not_by_construction(weq, message):
+    # the endpoint index keys an unknown arrow under None, so only check
+    # speaks, with the same words as before the index existed
+    inp = FractionsInput(corpus.two(), weq)
+    for call in (inp.check, lambda: check_axioms(inp), lambda: localize(inp)):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("name,inp", corpus.fractions_corpus())
@@ -252,3 +273,113 @@ def test_verify_localization_up():
 def test_verify_pseudocolimit_quick():
     rep = verify_pseudocolimit(corpus.diag_contra_two(), corpus.two())
     assert rep.ok, str(rep)
+
+
+# -- the endpoint index changes no order ---------------------------------------
+# A reference that scans all of W, as the searches did before the marked
+# class was indexed by endpoint.  Each endpoint bucket keeps W order, so each
+# filtered scan must yield the same sequence as the indexed read.
+
+
+def scanned_shapes(inp: FractionsInput, kind: str) -> list[tuple]:
+    C, W = inp.category, inp.weq
+    if kind == "spn":
+        return [(v, g) for v in W for g in C.arrows if C.src[g] == C.src[v]]
+    if kind == "sb":
+        return [
+            (h, v, g)
+            for h in C.arrows
+            for v in W
+            if C.tgt[h] == C.src[v] and compose(C, h, v) in set(W)
+            for g in C.arrows
+            if C.src[g] == C.src[v]
+        ]
+    return [
+        (f, g, v)
+        for f in C.arrows
+        for g in C.arrows
+        if C.src[g] == C.src[f] and C.tgt[g] == C.tgt[f]
+        for v in W
+        if C.src[v] == C.tgt[f] and compose(C, f, v) == compose(C, g, v)
+    ]
+
+
+def scanned_findings(inp: FractionsInput) -> list[tuple]:
+    """(ok, witnesses in order, counterexample) per axiom, by full scans."""
+    C, W = inp.category, inp.weq
+
+    def sections(x):
+        return (v for v in W if C.tgt[v] == x)
+
+    def weak(v, vp):
+        return (m for m in C.arrows if C.tgt[m] == C.src[v]
+                and compose(C, compose(C, m, v), vp) in set(W))
+
+    def ore(h, v):
+        return ((wp, g) for wp in W if C.tgt[wp] == C.src[h]
+                for g in C.arrows if C.src[g] == C.src[wp] and C.tgt[g] == C.src[v]
+                and compose(C, g, v) == compose(C, wp, h))
+
+    def zippers(f, g):
+        return (u for u in W if C.tgt[u] == C.src[f] and compose(C, u, f) == compose(C, u, g))
+
+    coequalized: dict = {}
+    for s in scanned_shapes(inp, "p_cq"):
+        coequalized.setdefault(s[:2], s)
+    cases = [
+        (sections, [((x,), (x,)) for x in C.objects]),
+        (weak, [((v, vp), (v, vp)) for v in W for vp in W if C.tgt[v] == C.src[vp]]),
+        (ore, [((h, v), (h, v)) for h in C.arrows for v in W if C.tgt[h] == C.tgt[v]]),
+        (zippers, list(coequalized.items())),
+    ]
+    out = []
+    for search, keyed in cases:
+        witnesses, counterexample = [], None
+        for key, shown in keyed:
+            found = next(search(*key), None)
+            if found is not None:
+                witnesses.append((key, found))
+            elif counterexample is None:
+                counterexample = shown
+        out.append((counterexample is None, witnesses, counterexample))
+    return out
+
+
+def assert_index_keeps_scan_order(inp: FractionsInput) -> None:
+    for kind in ("spn", "sb", "p_cq"):
+        assert shape_instances(inp, kind) == scanned_shapes(inp, kind), kind
+    findings = [
+        (f.ok, list(f.witnesses.items()), f.counterexample) for f in check_axioms(inp).findings
+    ]
+    assert findings == scanned_findings(inp)
+
+
+@pytest.mark.parametrize(
+    "name,inp",
+    corpus.fractions_corpus() + [(n, inp) for n, inp, _ in corpus.failing_fractions()],
+)
+def test_index_keeps_scan_order_on_corpus(name, inp):
+    assert_index_keeps_scan_order(inp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(marked())
+def test_index_keeps_scan_order_on_generated(inp):
+    assert_index_keeps_scan_order(inp)
+
+
+@st.composite
+def unital_magmas(draw):
+    """A unit e and two or three more arrows on one object, any product
+    table, so most are not associative; W is any subset in any order."""
+    arrows = ["e"] + [f"a{i}" for i in range(draw(st.integers(2, 3)))]
+    rest = arrows[1:]
+    table = {(f, g): draw(st.sampled_from(arrows)) for f in rest for g in rest}
+    C = FinCategory.build(["*"], [(f, "*", "*") for f in arrows], {"*": "e"}, table)
+    return FractionsInput(C, tuple(draw(st.lists(st.sampled_from(arrows), unique=True))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unital_magmas())
+def test_index_keeps_scan_order_on_unital_magmas(inp):
+    assert_index_keeps_scan_order(inp)

@@ -1,7 +1,8 @@
 """Package structure: imports sit at module top and never form a cycle; no
 function recurses, so no input depth can exhaust the interpreter's stack;
-a category gains no attribute after construction; spans and 2-cells are
-plain tuples, with no wrapper type around them."""
+a category or a marked category gains no attribute after construction; the
+fractions searches read the marked class through its endpoint index; spans
+and 2-cells are plain tuples, with no wrapper type around them."""
 
 import ast
 import dataclasses
@@ -11,6 +12,7 @@ import corpus
 from catfrac import (
     FinCategory,
     FractionsInput,
+    check_axioms,
     enumerate_functors,
     localize,
     validate_category,
@@ -130,3 +132,61 @@ def test_no_attribute_is_attached_after_construction():
     assert [f.name for f in dataclasses.fields(FinCategory)] == [
         "objects", "arrows", "src", "tgt", "identity", "composition"
     ]
+
+
+def test_marked_category_gains_no_attribute():
+    # the endpoint index of W is built at construction, stays out of the
+    # fields (so out of __eq__ and repr) and is only read afterwards
+    assert [f.name for f in dataclasses.fields(FractionsInput)] == ["category", "weq"]
+    for _, inp in corpus.fractions_corpus():
+        before = dict(vars(inp))
+        check_axioms(inp)
+        localize(inp)
+        assert vars(inp).keys() == before.keys()
+        assert all(vars(inp)[k] is v for k, v in before.items())
+
+
+ITERATING_BUILTINS = {
+    "all", "any", "enumerate", "filter", "frozenset", "list", "map", "set", "sorted", "sum",
+    "tuple", "zip",
+}
+
+
+def _scans_of_weq(fn: ast.AST) -> int:
+    """Loops, comprehensions and iterating builtin calls of ``fn`` that run
+    over some ``x.weq``, and names bound to it (an alias is there to be
+    scanned)."""
+
+    def is_weq(node):
+        return isinstance(node, ast.Attribute) and node.attr == "weq"
+
+    count = 0
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            count += is_weq(node.iter)
+        elif isinstance(node, ast.Assign):
+            count += is_weq(node.value)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in ITERATING_BUILTINS:
+                count += sum(map(is_weq, node.args))
+    return count
+
+
+def test_fractions_searches_read_the_endpoint_index():
+    # a search that filters all of W by an endpoint must read the index
+    # instead; the scans left are the index build, the input check, the
+    # inversion check, and the first factor of the spans W x C1 and of the
+    # marked pairs W x W, each visiting every marked arrow once
+    scans = {}
+    for fn in ast.walk(MODULES["fractions"]):
+        if isinstance(fn, ast.FunctionDef):
+            count = _scans_of_weq(fn)
+            if count:
+                scans[fn.name] = count
+    assert scans == {
+        "__post_init__": 2,
+        "check": 1,
+        "shape_instances": 1,
+        "check_axioms": 1,
+        "inverts": 1,
+    }

@@ -5,7 +5,11 @@ finite sets (elements 0..size-1), structure maps are total tables, and the
 composable-pairs object is the canonical pullback of target along source.
 The elements and localization constructions are rebuilt in this language
 from the ambient operations, independently of the direct modules, so the
-two routes can be compared by isomorphism search on instances.
+two routes can be compared by isomorphism search on instances.  The
+elements category's arrow set is the coproduct of one pullback block per
+index arrow, and its source, target, identity and cleavage maps are the
+mediating maps of those pullbacks and coproducts; the identity and
+composition cells are still read from the external pseudofunctor.
 
 Every universal property used is witnessed: the mediating-map constructors
 check existence and uniqueness instead of assuming them, and the cover
@@ -152,12 +156,14 @@ def coproduct(parts: Sequence[FinSetObject]) -> tuple[FinSetObject, list[FinSetM
 def coproduct_mediate(
     S: FinSetObject, injections: Sequence[FinSetMap], legs: Sequence[FinSetMap]
 ) -> FinSetMap:
-    """The unique map off a coproduct agreeing with every leg."""
+    """The unique map off a coproduct agreeing with every leg.  With no legs
+    it is the empty map into the empty coproduct, labelled as ``coproduct``
+    labels it."""
     if len(injections) != len(legs):
         raise DomainError("one leg per block required")
     if any(leg.dom != inj.dom for inj, leg in zip(injections, legs)):
         raise DomainError("legs do not match the coproduct blocks")
-    cod = legs[0].cod if legs else FinSetObject("0", 0)
+    cod = legs[0].cod if legs else FinSetObject("()", 0)
     if any(leg.cod != cod for leg in legs):
         raise DomainError("legs have different codomains")
     table: list = [None] * S.size
@@ -464,133 +470,120 @@ def externalize(IC: InternalCategory, validate: bool = True) -> FinCategory:
     )
 
 
-def _element_tags(D) -> tuple[list, list]:
-    """Object and arrow tags of the elements category, in canonical order."""
+def _element_blocks(D):
+    """Object and arrow sets of the elements category, as ambient
+    coproducts and pullbacks of the fibres' tables.
+
+    D₀ = ⊔_A D(A)₀; for each index arrow φ : A → B the block P_φ is the
+    pullback of D(φ)₀ : D(B)₀ → D(A)₀ along t_A : D(A)₁ → D(A)₀, its pairs
+    (b, f) in lexicographic position order; D₁ = ⊔_φ P_φ.  Returns
+    (s_A, e_A) per index object, D₀ and its injections, (p₀, p₁, D(φ)₀) per
+    index arrow, and D₁ and its injections.
+    """
     idx = D.index
-    obj_tags = [(A, a) for A in idx.objects for a in D.cat(A).objects]
-    arr_tags = []
+    fibre_maps, targets, obj_pos = {}, {}, {}
+    for A in idx.objects:
+        fiber = D.cat(A)
+        obj_pos[A] = {x: i for i, x in enumerate(fiber.objects)}
+        arr_pos = {f: i for i, f in enumerate(fiber.arrows)}
+        C0 = FinSetObject(f"D({A})0", len(fiber.objects))
+        C1 = FinSetObject(f"D({A})1", len(fiber.arrows))
+        targets[A] = _built(C1, C0, tuple(obj_pos[A][fiber.tgt[f]] for f in fiber.arrows))
+        fibre_maps[A] = (
+            _built(C1, C0, tuple(obj_pos[A][fiber.src[f]] for f in fiber.arrows)),
+            _built(C0, C1, tuple(arr_pos[fiber.identity[x]] for x in fiber.objects)),
+        )
+    D0, inj0 = coproduct([targets[A].cod for A in idx.objects])
+
+    blocks = {}
     for phi in idx.arrows:
         A, B = idx.src[phi], idx.tgt[phi]
-        fiber = D.cat(A)
-        for b in D.cat(B).objects:
-            img = D.fun(phi).on_objects[b]
-            for f in fiber.arrows:
-                if fiber.tgt[f] == img:
-                    arr_tags.append((phi, b, f))
-    return obj_tags, arr_tags
+        image = [D.fun(phi).on_objects[b] for b in D.cat(B).objects]
+        on_obj = _built(targets[B].cod, targets[A].cod, tuple(obj_pos[A][a] for a in image))
+        P, p0, p1 = pullback(on_obj, targets[A])
+        # counted independently, from the fibre's hom index
+        if P.size != sum(len(D.cat(A).into(a)) for a in image):
+            raise IntegrityError("pullback blocks disagree with the tag enumeration")
+        blocks[phi] = (p0, p1, on_obj)
+    D1, inj1 = coproduct([blocks[phi][0].dom for phi in idx.arrows])
+    return fibre_maps, D0, dict(zip(idx.objects, inj0)), blocks, D1, dict(zip(idx.arrows, inj1))
 
 
 def internal_elements(D) -> InternalCategory:
     """The elements construction carried out on sets of positions.
 
-    Object and arrow sets arise as coproducts of fibers and of the
-    per-index-arrow pullbacks; the structure tables are then filled in via
-    the comparison-cell formulas.
+    Object and arrow sets come from ``_element_blocks``: the arrow over φ at
+    (b, f) is the pair (b, f) of the block P_φ.  The structure maps come
+    from the universal properties: s = [p₁ ; s_A ; inj_A]_φ and
+    t = [p₀ ; inj_B]_φ off D₁, e = [⟨1, u_A⟩ ; inj_{1_A}]_A with u_A the
+    unitor-inverse components, and c by the comparison-cell formula on the
+    pairs decoded from the block projections.
     """
     if D.variance != "contravariant":
         raise DomainError("internal elements are built for contravariant diagrams")
     idx = D.index
-
-    obj_sets = {A: FinSetObject(f"D({A})0", len(D.cat(A).objects)) for A in idx.objects}
-    arr_sets = {A: FinSetObject(f"D({A})1", len(D.cat(A).arrows)) for A in idx.objects}
-    obj_pos = {A: {x: i for i, x in enumerate(D.cat(A).objects)} for A in idx.objects}
+    fibre_maps, D0, inj0, blocks, D1, inj1 = _element_blocks(D)
     arr_pos = {A: {f: i for i, f in enumerate(D.cat(A).arrows)} for A in idx.objects}
 
-    D0, inj0 = coproduct([obj_sets[A] for A in idx.objects])
-    obj_tags, arr_tags = _element_tags(D)
-    obj_index = {
-        (A, a): inj0[i].table[obj_pos[A][a]]
-        for i, A in enumerate(idx.objects)
-        for a in D.cat(A).objects
-    }
-
-    blocks = []
-    block_pairs = []
+    s_legs, t_legs = [], []
     for phi in idx.arrows:
-        A, B = idx.src[phi], idx.tgt[phi]
-        on_obj = FinSetMap(
-            obj_sets[B],
-            obj_sets[A],
-            tuple(obj_pos[A][D.fun(phi).on_objects[b]] for b in D.cat(B).objects),
-        )
-        tmap = FinSetMap(
-            arr_sets[A],
-            obj_sets[A],
-            tuple(obj_pos[A][D.cat(A).tgt[f]] for f in D.cat(A).arrows),
-        )
-        P, p0, p1 = pullback(on_obj, tmap)
-        blocks.append(P)
-        block_pairs.append((p0, p1))
-    D1, inj1 = coproduct(blocks)
-    if D1.size != len(arr_tags):
-        raise IntegrityError("pullback blocks disagree with the tag enumeration")
+        p0, p1, _ = blocks[phi]
+        s_A = fibre_maps[idx.src[phi]][0]
+        s_legs.append(compose_maps(p1, compose_maps(s_A, inj0[idx.src[phi]])))
+        t_legs.append(compose_maps(p0, inj0[idx.tgt[phi]]))
+    blocks_in = list(inj1.values())
+    s, t = coproduct_mediate(D1, blocks_in, s_legs), coproduct_mediate(D1, blocks_in, t_legs)
 
-    arr_index = {}
-    pos = 0
-    for phi, block in zip(idx.arrows, blocks):
-        A, B = idx.src[phi], idx.tgt[phi]
-        local = [
-            (b, f)
-            for b in D.cat(B).objects
-            for f in D.cat(A).arrows
-            if D.cat(A).tgt[f] == D.fun(phi).on_objects[b]
-        ]
-        if len(local) != block.size:
-            raise IntegrityError(f"pullback block for {phi!r} has unexpected size")
-        for b, f in local:
-            arr_index[(phi, b, f)] = pos
-            pos += 1
+    e_legs = []
+    for A in idx.objects:
+        p0, p1, _ = blocks[idx.identity[A]]
+        u_A = tuple(arr_pos[A][unitor_inverse_component(D, A, a)] for a in D.cat(A).objects)
+        unit = pullback_mediate(p0, p1, identity_map(p0.cod), _built(p0.cod, p1.cod, u_A))
+        e_legs.append(compose_maps(unit, inj1[idx.identity[A]]))
+    e = coproduct_mediate(D0, list(inj0.values()), e_legs)
 
-    s_table = []
-    t_table = []
-    for phi, b, f in arr_tags:
-        A, B = idx.src[phi], idx.tgt[phi]
-        s_table.append(obj_index[(A, D.cat(A).src[f])])
-        t_table.append(obj_index[(B, b)])
-    s = FinSetMap(D1, D0, tuple(s_table))
-    t = FinSetMap(D1, D0, tuple(t_table))
+    # each arrow of D₁ decoded from its block's projections to (φ, b, f),
+    # named in D(B) and D(A), and each block's (b, f) -> position table
+    decode, at = [], {}
+    for phi in idx.arrows:
+        p0, p1, _ = blocks[phi]
+        b_names, f_names = D.cat(idx.tgt[phi]).objects, D.cat(idx.src[phi]).arrows
+        pairs = [(b_names[b], f_names[f]) for b, f in zip(p0.table, p1.table)]
+        decode += [(phi, b, f) for b, f in pairs]
+        at[phi] = dict(zip(pairs, inj1[phi].table))
 
-    e_table = []
-    for A, a in obj_tags:
-        e_table.append(arr_index[(idx.identity[A], a, unitor_inverse_component(D, A, a))])
-    e = FinSetMap(D0, D1, tuple(e_table))
-
-    P2, p0, p1 = pullback(t, s)
+    P2, q0, q1 = pullback(t, s)
     c_table = []
     for k in range(P2.size):
-        phi, x1, f = arr_tags[p0.table[k]]
-        psi, x2, g = arr_tags[p1.table[k]]
-        comp = idx.composition[(phi, psi)]
-        fiber = D.cat(idx.src[phi])
+        phi, _, f = decode[q0.table[k]]
+        psi, x2, g = decode[q1.table[k]]
         h = compose_many(
-            fiber,
+            D.cat(idx.src[phi]),
             f,
             D.fun(phi).on_arrows[g],
             compositor_inverse_component(D, phi, psi, x2),
         )
-        c_table.append(arr_index[(comp, x2, h)])
+        c_table.append(at[idx.composition[(phi, psi)]][(x2, h)])
     c = FinSetMap(P2, D1, tuple(c_table))
     return InternalCategory(D0, D1, s, t, e, c)
 
 
 def internal_cleavage(D, ID: InternalCategory) -> FinSetMap:
-    """The marked-arrows object: one element per (index arrow, target-fiber
-    object), injected into the arrow set at the chosen identities."""
+    """The marked-arrows object W = ⊔_φ D(B)₀ and its map into the arrow set,
+    w = [⟨1, D(φ)₀ ; e_A⟩ ; inj_φ]_φ: at b, the identity of D(A) at D(φ)b
+    read as an arrow of the block P_φ."""
     if D.variance != "contravariant":
         raise DomainError("the cleavage exists for contravariant diagrams only")
     idx = D.index
-    _, arr_tags = _element_tags(D)
-    arr_index = {tag: i for i, tag in enumerate(arr_tags)}
-    parts = [
-        FinSetObject(f"W({phi})", len(D.cat(idx.tgt[phi]).objects)) for phi in idx.arrows
-    ]
-    W, _ = coproduct(parts)
-    table = []
+    fibre_maps, _, _, blocks, _, inj1 = _element_blocks(D)
+    parts, table = [], []
     for phi in idx.arrows:
-        A, B = idx.src[phi], idx.tgt[phi]
-        for b in D.cat(B).objects:
-            fid = D.cat(A).identity[D.fun(phi).on_objects[b]]
-            table.append(arr_index[(phi, b, fid)])
+        p0, p1, on_obj = blocks[phi]
+        e_A = fibre_maps[idx.src[phi]][1]
+        ident = pullback_mediate(p0, p1, identity_map(p0.cod), compose_maps(on_obj, e_A))
+        parts.append(FinSetObject(f"W({phi})", p0.cod.size))
+        table += compose_maps(ident, inj1[phi]).table
+    W, _ = coproduct(parts)
     if len(set(table)) != len(table):
         raise IntegrityError("cleavage element map is not injective")
     return FinSetMap(W, ID.c1, tuple(table))
@@ -696,29 +689,25 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
     pair quotient.
     """
     M = _span_machinery(IC, w)
+    # the section at x: the first marked arrow into x, in W order
     alpha = []
-    for x in range(IC.c0.size):
-        for k in range(w.dom.size):
-            if IC.t.table[w.table[k]] == x:
-                alpha.append(k)
-                break
-        else:
+    for into_x in fibres(compose_maps(w, IC.t)):
+        if not into_x:
             raise IntegrityError("axioms passed but an object has no marked arrow into it")
-    e_table = tuple(
-        M.q.table[M.pair_pos[(alpha[x], w.table[alpha[x]])]] for x in range(IC.c0.size)
-    )
+        alpha.append(into_x[0])
+    e_table = tuple(M.q.table[M.pair_pos[(k, w.table[k])]] for k in alpha)
     e_q = FinSetMap(IC.c0, M.Q, e_table)
 
-    weq = M.inp.weq
+    weq, names = M.inp.weq, M.ext.arrows
     w_pos_name = {name: k for k, name in enumerate(weq)}
+    arr_pos = {name: i for i, name in enumerate(names)}
     sp_values = []
     for k in range(M.SP.size):
         sp1, sp2 = M.r0.table[k], M.r1.table[k]
-        s1 = (weq[M.pi_v.table[sp1]], f"a{M.pi_g.table[sp1]}")
-        s2 = (weq[M.pi_v.table[sp2]], f"a{M.pi_g.table[sp2]}")
+        s1 = (weq[M.pi_v.table[sp1]], names[M.pi_g.table[sp1]])
+        s2 = (weq[M.pi_v.table[sp2]], names[M.pi_g.table[sp2]])
         left, right = span_compose(M.inp, s1, s2)
-        pos = M.pair_pos[(w_pos_name[left], int(right[1:]))]
-        sp_values.append(M.q.table[pos])
+        sp_values.append(M.q.table[M.pair_pos[(w_pos_name[left], arr_pos[right])]])
 
     c_table: list = [None] * M.P2.size
     for k, cls in enumerate(M.pair_class):

@@ -269,10 +269,10 @@ def cmd_groth(args) -> int:
     return 0
 
 
-def _lawful_fractions_input(path: Path) -> FractionsInput:
-    """The marked category in ``path``; its first violated category law,
+def _lawful_fractions_input(data: dict, base: Path) -> FractionsInput:
+    """The marked category in ``data``; its first violated category law,
     if any, is an InputError, since the fractions layer assumes the laws."""
-    inp = load_fractions_input(_read_json(path), path.parent)
+    inp = load_fractions_input(data, base)
     report = validate_category(inp.category)
     if not report.ok:
         raise InputError(report.problems[0])
@@ -280,14 +280,16 @@ def _lawful_fractions_input(path: Path) -> FractionsInput:
 
 
 def cmd_axioms(args) -> int:
-    inp = _lawful_fractions_input(Path(args.path))
+    path = Path(args.path)
+    inp = _lawful_fractions_input(_read_json(path), path.parent)
     report = check_axioms(inp)
     print(report)
     return 0 if report.ok else 1
 
 
 def cmd_localize(args) -> int:
-    inp = _lawful_fractions_input(Path(args.path))
+    path = Path(args.path)
+    inp = _lawful_fractions_input(_read_json(path), path.parent)
     limit = 10**9 if args.exhaustive else 64
     LC = localize(inp, exhaustive_limit=limit)
     if args.json:
@@ -330,7 +332,7 @@ def cmd_verify(args) -> int:
         raise InputError("no test category: pass --against or use a diagram-bundle")
 
     if args.which == "localization":
-        inp = load_fractions_input(data, base)
+        inp = _lawful_fractions_input(data, base)
         reports = [verify_localization_up(inp, X) for X in against]
     else:
         if data.get("kind") == "diagram-bundle":

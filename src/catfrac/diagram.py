@@ -371,12 +371,6 @@ class LaxTransformation:
     components: dict
     two_cells: dict
 
-    def component(self, a: str) -> Functor:
-        return self.components[a]
-
-    def two_cell(self, phi: str) -> NatTrans:
-        return self.two_cells[phi]
-
 
 def two_cell_endpoints(
     D: Pseudofunctor, components: dict, phi: str
@@ -547,9 +541,6 @@ class Modification:
     src: LaxTransformation
     tgt: LaxTransformation
     components: dict
-
-    def component(self, a: str) -> NatTrans:
-        return self.components[a]
 
 
 def validate_modification(m: Modification) -> ValidationReport:

@@ -11,11 +11,14 @@ from catfrac import (
     FinSetMap,
     FinSetObject,
     Functor,
+    NatTrans,
+    Pseudofunctor,
     InternalCategory,
     InternalFunctor,
     InternalNatTrans,
     cleavage,
     compose_maps,
+    derive_unit_compositors,
     coequalize_reflexive,
     coequalizer_mediate,
     coproduct,
@@ -23,6 +26,7 @@ from catfrac import (
     externalize,
     find_isomorphism,
     grothendieck,
+    identity_functor,
     identity_map,
     internal_cleavage,
     internal_elements,
@@ -31,16 +35,20 @@ from catfrac import (
     localize,
     pullback,
     pullback_mediate,
+    strictify,
     validate_category,
     validate_internal_category,
     validate_internal_functor,
     validate_internal_nat_trans,
+    validate_pseudofunctor,
     verify_cover_class,
     verify_pairs_coequalizer,
 )
 import catfrac.ambient as ambient
 from catfrac.ambient import fibres, has_common_section, is_surjective
+from catfrac.cli import _positional_mismatch
 from catfrac.errors import AxiomError, DomainError, InputError, IntegrityError
+from catfrac.fractions import AxiomReport
 
 
 def obj(n: int, label: str = "S") -> FinSetObject:
@@ -373,6 +381,15 @@ def test_internal_elements_matches_direct(dname):
     assert validate_functor(fwd).ok
 
 
+def test_internal_elements_of_the_empty_diagram():
+    # the structure maps mediate off empty coproducts, so they must land in
+    # the empty object and arrow sets
+    D = strictify(FinCategory.build([], [], {}, {}), {}, {}, variance="contravariant")
+    IE = internal_elements(D)
+    assert validate_internal_category(IE).ok
+    assert IE.c0.size == IE.c1.size == internal_cleavage(D, IE).dom.size == 0
+
+
 def test_internal_elements_rejects_covariant():
     with pytest.raises(DomainError):
         internal_elements(corpus.diag_cov_two())
@@ -494,3 +511,110 @@ def test_lost_sailboat_rows_are_caught_by_span_machinery(monkeypatch):
     monkeypatch.setattr(ambient, "fibres", lossy)
     with pytest.raises(IntegrityError, match="span-relation pair lost its identity section"):
         internal_localize(IC, w)
+
+
+def test_missing_section_is_caught_by_internal_localize(monkeypatch):
+    """Axiom (1) faked as passing: the object a of the walking arrow, marked
+    at f only, has no marked arrow into it."""
+    C = corpus.two()
+    IC = internalize(C)
+    w = FinSetMap(FinSetObject("W", 1), IC.c1, (C.arrows.index("f"),))
+    monkeypatch.setattr(ambient, "check_axioms", lambda inp: AxiomReport(findings=[]))
+    with pytest.raises(IntegrityError, match="an object has no marked arrow into it"):
+        internal_localize(IC, w)
+
+
+def test_collapsed_cleavage_is_caught(monkeypatch):
+    """A mediating map that sends every object of a fibre to one pair puts
+    two marked arrows on one position."""
+    D = corpus.diag_contra_two()
+    IE = internal_elements(D)
+
+    def constant(pi0, pi1, h0, h1):
+        return FinSetMap(h0.dom, pi0.dom, (0,) * h0.dom.size)
+
+    monkeypatch.setattr(ambient, "pullback_mediate", constant)
+    with pytest.raises(IntegrityError, match="cleavage element map is not injective"):
+        internal_cleavage(D, IE)
+
+
+def chain_arrow(i: int, j: int) -> str:
+    return f"id:{i}" if i == j else f"{i}<{j}"
+
+
+@st.composite
+def shuffled_chain(draw, n: int) -> FinCategory:
+    """The poset 0 < ... < n-1, objects and arrows declared in a drawn order."""
+    objects = draw(st.permutations([str(i) for i in range(n)]))
+    arrows = [(chain_arrow(i, j), str(i), str(j)) for i in range(n) for j in range(i, n)]
+    composition = {
+        (chain_arrow(i, j), chain_arrow(j, k)): chain_arrow(i, k)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(j + 1, n)
+    }
+    return FinCategory.build(
+        objects, draw(st.permutations(arrows)), {x: f"id:{x}" for x in objects}, composition
+    )
+
+
+@st.composite
+def strict_chain_diagrams(draw):
+    """Contravariant over a chain, fibre chain(k_i) at i; the arrow i -> j
+    goes to v |-> min(v, min(k_i..k_j) - 1)."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    index = draw(shuffled_chain(len(sizes)))
+    fibers = {str(i): draw(shuffled_chain(k)) for i, k in enumerate(sizes)}
+    on_arrows = {}
+    for phi in index.arrows:
+        i, j = int(index.src[phi]), int(index.tgt[phi])
+        dom, cod = fibers[str(j)], fibers[str(i)]
+        table = [min(v, min(sizes[i:j + 1]) - 1) for v in range(sizes[j])]
+        on_arrows[phi] = Functor(
+            dom,
+            cod,
+            {str(v): str(image) for v, image in enumerate(table)},
+            {f: chain_arrow(table[int(dom.src[f])], table[int(dom.tgt[f])]) for f in dom.arrows},
+        )
+    return strictify(index, fibers, on_arrows, variance="contravariant")
+
+
+@st.composite
+def swap_diagrams(draw):
+    """Contravariant over the walking arrow with walking-iso fibres, each
+    index arrow sent to the identity or the swap: nonstrict wherever an
+    index identity goes to the swap."""
+    index = corpus.two()
+    iso = corpus.iso()
+    I = FinCategory.build(
+        draw(st.permutations(iso.objects)),
+        draw(st.permutations([(f, iso.src[f], iso.tgt[f]) for f in iso.arrows])),
+        dict(iso.identity),
+        {("u", "v"): "id:a", ("v", "u"): "id:b"},
+    )
+    swap = corpus.swap_iso(I)
+    flips = {phi: draw(st.booleans()) for phi in index.arrows}
+    on_arrows = {phi: swap if flips[phi] else identity_functor(I) for phi in index.arrows}
+    unitors = {
+        A: NatTrans(
+            on_arrows[index.identity[A]],
+            identity_functor(I),
+            {"a": "v", "b": "u"} if flips[index.identity[A]] else {"a": "id:a", "b": "id:b"},
+        )
+        for A in index.objects
+    }
+    compositors = derive_unit_compositors(index, "contravariant", on_arrows, unitors, {})
+    return Pseudofunctor(index, "contravariant", {"a": I, "b": I}, on_arrows, unitors, compositors)
+
+
+@settings(max_examples=40, deadline=5000)
+@given(st.one_of(strict_chain_diagrams(), swap_diagrams()))
+def test_internal_positions_match_direct_on_generated_diagrams(D):
+    """Element j of the internal arrow set is the j-th carrier arrow, and
+    the cleavage picks the direct cleavage's members in order."""
+    assert validate_pseudofunctor(D).ok
+    IE = internal_elements(D)
+    GD = grothendieck(D)
+    assert _positional_mismatch(externalize(IE), GD.carrier) is None
+    w = internal_cleavage(D, IE)
+    assert [GD.carrier.arrows[j] for j in w.table] == list(cleavage(GD).members)

@@ -299,11 +299,14 @@ NON_ASSOCIATIVE = {
 }
 
 
-@pytest.mark.parametrize("command", ["axioms", "localize"])
+EXTRA_ARGS = {"verify": ("localization", "--against", FIX / "iso.json")}
+
+
+@pytest.mark.parametrize("command", ["axioms", "localize", "verify"])
 def test_non_associative_table_exits_2(capsys, tmp_path, command):
     path = tmp_path / "magma.json"
     path.write_text(json.dumps(NON_ASSOCIATIVE), encoding="utf-8")
-    code, out, _ = run(capsys, command, path)
+    code, out, _ = run(capsys, command, path, *EXTRA_ARGS.get(command, ()))
     assert code == 2
     assert out == "error: associativity fails at ('a','a','a'): (aa)a='b', a(aa)='a'\n"
     # validate still prints every violated law

@@ -93,7 +93,9 @@ def test_two_cells_carry_no_transfer():
 
 def test_no_wrapper_types_around_tuples():
     # spans, filler witnesses and 2-cells are the tuples themselves
-    retired = {"ShapeInstance", "FillerWitness", "TwoCells", "_functoriality"}
+    retired = {
+        "ShapeInstance", "FillerWitness", "TwoCells", "_functoriality", "two_cell", "_element_tags"
+    }
     defined = set()
     for tree in MODULES.values():
         for node in ast.walk(tree):

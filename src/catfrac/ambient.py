@@ -20,10 +20,18 @@ coproducts concatenate blocks in input order, quotients list classes by
 their least member.
 
 Each map indexes its fibres once, on first use, and every operation that
-needs preimages reads that index.  A map built from outside is validated;
-the maps the ambient's own operations build (identities, composites,
-pullback projections, coproduct injections, quotient maps) are in range by
-construction and are not validated again.
+needs preimages reads that index.  An object or map built from outside is
+validated; the ones the ambient's own operations build are in range by
+construction and are not validated again: pullback, coproduct and quotient
+objects (their sizes are counts), identities, composites, pullback
+projections, coproduct injections, quotient maps, the mediating maps once
+their existence and uniqueness checks pass, and the internal tables read
+off those maps.  The cleavage map stays validated: its codomain is the
+arrow set the caller passes in.
+
+Within one call, ``internal_elements`` computes each compositor inverse
+once, and the span machinery keeps every filler list its compositions
+search (``fractions._SharedFillers``).
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from typing import Sequence
 from .diagram import compositor_inverse_component, unitor_inverse_component
 from .errors import AxiomError, DomainError, InputError, IntegrityError
 from .fincat import FinCategory, ValidationReport, compose_many
-from .fractions import FractionsInput, check_axioms, span_compose
+from .fractions import FractionsInput, _SharedFillers, check_axioms, span_compose
 from .verify import VerifierReport
 
 
@@ -75,6 +83,14 @@ class FinSetMap:
         for x, y in enumerate(self.table):
             over[y].append(x)
         return tuple(map(tuple, over))
+
+
+def _sized(label: str, size: int) -> FinSetObject:
+    """An object whose size the caller counted; not validated again."""
+    A = object.__new__(FinSetObject)
+    fields = A.__dict__  # the frozen __setattr__ guards attribute writes only
+    fields["label"], fields["size"] = label, size
+    return A
 
 
 def _built(dom: FinSetObject, cod: FinSetObject, table: tuple) -> FinSetMap:
@@ -117,7 +133,7 @@ def pullback(f: FinSetMap, g: FinSetMap) -> tuple[FinSetObject, FinSetMap, FinSe
         ys = over[y]
         t0 += [x] * len(ys)
         t1 += ys
-    P = FinSetObject(f"pb({f.dom.label},{g.dom.label})", len(t0))
+    P = _sized(f"pb({f.dom.label},{g.dom.label})", len(t0))
     return P, _built(P, f.dom, tuple(t0)), _built(P, g.dom, tuple(t1))
 
 
@@ -137,14 +153,14 @@ def pullback_mediate(
                 f"cone element {z} has {len(hits)} factorizations through the pullback"
             )
         table.append(hits[0])
-    return FinSetMap(h0.dom, pi0.dom, tuple(table))
+    return _built(h0.dom, pi0.dom, tuple(table))
 
 
 def coproduct(parts: Sequence[FinSetObject]) -> tuple[FinSetObject, list[FinSetMap]]:
     """Tagged disjoint union; blocks in input order."""
     total = sum(p.size for p in parts)
     label = "(" + "+".join(p.label for p in parts) + ")"
-    S = FinSetObject(label, total)
+    S = _sized(label, total)
     injections = []
     offset = 0
     for p in parts:
@@ -172,7 +188,7 @@ def coproduct_mediate(
             table[inj.table[i]] = leg.table[i]
     if any(v is None for v in table):
         raise DomainError("injections do not cover the coproduct")
-    return FinSetMap(S, cod, tuple(table))
+    return _built(S, cod, tuple(table))
 
 
 def has_common_section(f: FinSetMap, g: FinSetMap) -> bool:
@@ -210,7 +226,7 @@ def coequalize_reflexive(f: FinSetMap, g: FinSetMap) -> tuple[FinSetObject, FinS
             parent[max(a, b)] = min(a, b)
     roots = sorted({find(i) for i in range(f.cod.size)})
     root_pos = {root: k for k, root in enumerate(roots)}
-    Q = FinSetObject(f"{f.cod.label}/~", len(roots))
+    Q = _sized(f"{f.cod.label}/~", len(roots))
     q = _built(f.cod, Q, tuple(root_pos[find(i)] for i in range(f.cod.size)))
     return Q, q
 
@@ -228,7 +244,7 @@ def coequalizer_mediate(q: FinSetMap, h: FinSetMap) -> FinSetMap:
             raise DomainError(f"leg is not constant on the class of element {a}")
     if any(v is None for v in table):
         raise DomainError("quotient map is not surjective")
-    return FinSetMap(q.cod, h.cod, tuple(table))
+    return _built(q.cod, h.cod, tuple(table))
 
 
 def _all_objects(max_size: int) -> list[FinSetObject]:
@@ -553,18 +569,17 @@ def internal_elements(D) -> InternalCategory:
         at[phi] = dict(zip(pairs, inj1[phi].table))
 
     P2, q0, q1 = pullback(t, s)
+    inverses: dict = {}  # compositor inverse at (φ, ψ, x), computed once
     c_table = []
     for k in range(P2.size):
         phi, _, f = decode[q0.table[k]]
         psi, x2, g = decode[q1.table[k]]
-        h = compose_many(
-            D.cat(idx.src[phi]),
-            f,
-            D.fun(phi).on_arrows[g],
-            compositor_inverse_component(D, phi, psi, x2),
-        )
+        key = (phi, psi, x2)
+        if key not in inverses:
+            inverses[key] = compositor_inverse_component(D, phi, psi, x2)
+        h = compose_many(D.cat(idx.src[phi]), f, D.fun(phi).on_arrows[g], inverses[key])
         c_table.append(at[idx.composition[(phi, psi)]][(x2, h)])
-    c = FinSetMap(P2, D1, tuple(c_table))
+    c = _built(P2, D1, tuple(c_table))
     return InternalCategory(D0, D1, s, t, e, c)
 
 
@@ -616,7 +631,7 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
         raise InputError("marked-arrows map is not injective")
     ext = externalize(IC)
     weq = tuple(f"a{i}" for i in w.table)
-    inp = FractionsInput(category=ext, weq=weq)
+    inp = _SharedFillers(FractionsInput(category=ext, weq=weq))
     axioms = check_axioms(inp)
     if not axioms.ok:
         raise AxiomError("marked arrows fail the fractions axioms:\n" + str(axioms), report=axioms)
@@ -644,8 +659,8 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
                         f"span (a{w.table[kk]}, a{gg}) is missing from the pullback of w;s along s"
                     ) from None
     SB = FinSetObject("sb", len(sb_rows))
-    p0 = FinSetMap(SB, spn, tuple(r[0] for r in sb_rows))
-    p1 = FinSetMap(SB, spn, tuple(r[1] for r in sb_rows))
+    p0 = _built(SB, spn, tuple(r[0] for r in sb_rows))
+    p1 = _built(SB, spn, tuple(r[1] for r in sb_rows))
     if not has_common_section(p0, p1):
         raise IntegrityError("span-relation pair lost its identity section")
     Q, q = coequalize_reflexive(p0, p1)
@@ -696,7 +711,7 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
             raise IntegrityError("axioms passed but an object has no marked arrow into it")
         alpha.append(into_x[0])
     e_table = tuple(M.q.table[M.pair_pos[(k, w.table[k])]] for k in alpha)
-    e_q = FinSetMap(IC.c0, M.Q, e_table)
+    e_q = _built(IC.c0, M.Q, e_table)
 
     weq, names = M.inp.weq, M.ext.arrows
     w_pos_name = {name: k for k, name in enumerate(weq)}
@@ -719,7 +734,7 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
             )
     if any(v is None for v in c_table):
         raise IntegrityError("a composable pair of classes has no span representative")
-    c_q = FinSetMap(M.P2, M.Q, tuple(c_table))
+    c_q = _built(M.P2, M.Q, tuple(c_table))
     return InternalCategory(IC.c0, M.Q, M.s_q, M.t_q, e_q, c_q)
 
 
@@ -746,8 +761,8 @@ def verify_pairs_coequalizer(IC: InternalCategory, w: FinSetMap):
             if (other, a0) in sp_pos:
                 rows.append((sp_pos[(other, a0)], sp_pos[(other, a1)]))
     R = FinSetObject("sb2", len(rows))
-    m0 = FinSetMap(R, M.SP, tuple(r[0] for r in rows))
-    m1 = FinSetMap(R, M.SP, tuple(r[1] for r in rows))
+    m0 = _built(R, M.SP, tuple(r[0] for r in rows))
+    m1 = _built(R, M.SP, tuple(r[1] for r in rows))
     if not has_common_section(m0, m1):
         report.add("coordinatewise move pair has no identity section")
         return report

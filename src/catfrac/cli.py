@@ -12,6 +12,7 @@ checked property failed, 2 means the input or a precondition was bad.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -430,7 +431,9 @@ def cmd_crosscheck(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="catfrac",
         description="Validate, build, and verify finite categories of fractions.",
@@ -467,8 +470,17 @@ def main(argv=None) -> int:
     p.add_argument("path")
     p.add_argument("--shuffle", action="store_true", help="negative control: corrupt the internal table first")
     p.set_defaults(fn=cmd_crosscheck)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    """Run one command; returns its exit code.
+
+    The parser is built on the first call and kept for the process, so the
+    ``cmd_*`` handlers are bound at that first build: replacing one later
+    does not reach ``main``.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except AxiomError as exc:

@@ -576,18 +576,32 @@ def _incompatible_fibers(
     x: LaxTransformation, y: LaxTransformation, phi: str, m_src: NatTrans, m_tgt: NatTrans
 ) -> Iterator[str]:
     """Fiber objects at which components m_src, m_tgt of a modification x -> y,
-    at the source and target of phi, fail to commute with the two-cells at phi."""
+    at the source and target of phi, fail to commute with the two-cells at phi.
+
+    Both callers pass typed components, so the composites are read from the
+    table.  On a lookup that fails, the same comparison is made again with
+    the checked ``compose``, which raises what it always raised: an
+    ill-typed two-cell is named by the same DomainError."""
     D, X = x.source, x.target
+    comp = X.composition
     x_phi, y_phi = x.two_cells[phi].components, y.two_cells[phi].components
     m_a, m_b = m_src.components, m_tgt.components
     whisker = D.fun(phi).on_objects
     if D.variance == "covariant":
         for p in D.cat(D.index.src[phi]).objects:
-            if compose(X, m_a[p], y_phi[p]) != compose(X, x_phi[p], m_b[whisker[p]]):
+            try:
+                differs = comp[(m_a[p], y_phi[p])] != comp[(x_phi[p], m_b[whisker[p]])]
+            except KeyError:
+                differs = compose(X, m_a[p], y_phi[p]) != compose(X, x_phi[p], m_b[whisker[p]])
+            if differs:
                 yield p
     else:
         for p in D.cat(D.index.tgt[phi]).objects:
-            if compose(X, m_a[whisker[p]], y_phi[p]) != compose(X, x_phi[p], m_b[p]):
+            try:
+                differs = comp[(m_a[whisker[p]], y_phi[p])] != comp[(x_phi[p], m_b[p])]
+            except KeyError:
+                differs = compose(X, m_a[whisker[p]], y_phi[p]) != compose(X, x_phi[p], m_b[p])
+            if differs:
                 yield p
 
 

@@ -93,11 +93,12 @@ class FractionsInput:
 
 
 class _SharedFillers(FractionsInput):
-    """The input of one localize call, keeping every filler list it
-    searches.  The composition loop and self-check (b) compose many span
-    pairs over the same cospans and marked pairs, and each list is complete
-    and in canonical order, so its first entry is the lazy search's first
-    hit.  It lives only as long as that call."""
+    """The input of one localize call, or of one ambient span machinery,
+    keeping every filler list it searches.  The composition loop and
+    self-check (b), and the ambient's composition of every span pair,
+    compose many span pairs over the same cospans and marked pairs, and each
+    list is complete and in canonical order, so its first entry is the lazy
+    search's first hit.  It lives only as long as that call."""
 
     def __init__(self, inp: FractionsInput) -> None:
         super().__init__(inp.category, inp.weq)

@@ -1,4 +1,6 @@
+from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,8 +47,9 @@ from catfrac import (
     verify_pairs_coequalizer,
 )
 import catfrac.ambient as ambient
+import catfrac.fractions as fractions
 from catfrac.ambient import fibres, has_common_section, is_surjective
-from catfrac.cli import _positional_mismatch
+from catfrac.cli import _positional_mismatch, main
 from catfrac.errors import AxiomError, DomainError, InputError, IntegrityError
 from catfrac.fractions import AxiomReport
 
@@ -281,6 +284,24 @@ def test_cover_class_validates_only_maps_built_outside(monkeypatch):
     monkeypatch.setattr(FinSetMap, "__post_init__", spy)
     assert verify_cover_class(4).ok
     assert len(calls) <= 1000
+
+
+def test_crosscheck_validates_only_the_cleavage_map(monkeypatch, capsys):
+    """One catfrac crosscheck on the 3x3 diagram (two chain(3) fibres)
+    validates 22 maps when every mediating map is validated; only the
+    cleavage map, whose codomain comes from the caller, is left."""
+    calls = []
+    validate = FinSetMap.__post_init__
+
+    def spy(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(FinSetMap, "__post_init__", spy)
+    fixture = Path(__file__).parent / "fixtures" / "diagram_contra_3x3.json"
+    assert main(["crosscheck", str(fixture)]) == 0
+    assert "composable pairs: pullback vs coequalizer: pass" in capsys.readouterr().out
+    assert [f.dom.label for f in calls] == ["(W(id:a)+W(id:b)+W(f))"]
 
 
 def test_cover_class_small():
@@ -524,6 +545,55 @@ def test_missing_section_is_caught_by_internal_localize(monkeypatch):
         internal_localize(IC, w)
 
 
+def fully_marked(C: FinCategory) -> tuple:
+    IC = internalize(C)
+    return IC, FinSetMap(FinSetObject("W", IC.c1.size), IC.c1, tuple(range(IC.c1.size)))
+
+
+def test_split_pair_class_is_caught_by_internal_localize(monkeypatch):
+    """One span pair composed into a class other than that of an earlier
+    representative of its pair class."""
+    IC, w = fully_marked(corpus.chain3())
+    M = ambient._span_machinery(IC, w)
+    k = next(k for k, cls in enumerate(M.pair_class) if cls in M.pair_class[:k])
+    spans = [(M.inp.weq[v], M.ext.arrows[g]) for v, g in zip(M.pi_v.table, M.pi_g.table)]
+    exact = ambient.span_compose
+    calls = []
+
+    def stray(inp, s1, s2):
+        out = exact(inp, s1, s2)
+        calls.append(out)
+        if len(calls) == k + 1:
+            cls = M.q.table[spans.index(out)]
+            return next(s for i, s in enumerate(spans) if M.q.table[i] != cls)
+        return out
+
+    monkeypatch.setattr(ambient, "span_compose", stray)
+    with pytest.raises(
+        IntegrityError, match="^composite classes differ across representatives of a pair class$"
+    ):
+        internal_localize(IC, w)
+    assert len(calls) == M.SP.size  # every span pair is composed before the check
+
+
+def test_unrepresented_class_pair_is_caught_by_internal_localize(monkeypatch):
+    """The span pairs cut off before the first representative of the last
+    pair of classes."""
+    IC, w = fully_marked(corpus.chain3())
+    exact = ambient._span_machinery
+
+    def shortened(IC, w):
+        M = exact(IC, w)
+        M.pair_class = M.pair_class[:M.pair_class.index(M.P2.size - 1)]
+        return M
+
+    monkeypatch.setattr(ambient, "_span_machinery", shortened)
+    with pytest.raises(
+        IntegrityError, match="^a composable pair of classes has no span representative$"
+    ):
+        internal_localize(IC, w)
+
+
 def test_collapsed_cleavage_is_caught(monkeypatch):
     """A mediating map that sends every object of a fibre to one pair puts
     two marked arrows on one position."""
@@ -618,3 +688,75 @@ def test_internal_positions_match_direct_on_generated_diagrams(D):
     assert _positional_mismatch(externalize(IE), GD.carrier) is None
     w = internal_cleavage(D, IE)
     assert [GD.carrier.arrows[j] for j in w.table] == list(cleavage(GD).members)
+
+
+def localized_tables(D, mp: pytest.MonkeyPatch) -> tuple:
+    """internal_localize's tables, every span composite it formed, in order,
+    and the pairs comparison, on D's cleavage."""
+    IE = internal_elements(D)
+    w = internal_cleavage(D, IE)
+    composites = []
+
+    def spy(inp, s1, s2):
+        composites.append((s1, s2, fractions.span_compose(inp, s1, s2)))
+        return composites[-1][2]
+
+    mp.setattr(ambient, "span_compose", spy)
+    IL = internal_localize(IE, w)
+    report = verify_pairs_coequalizer(IE, w)
+    tables = tuple((m.dom.size, m.cod.size, m.table) for m in (IL.s, IL.t, IL.e, IL.c))
+    return tables, composites, report.problems, list(report.stats.items()), str(report)
+
+
+def assert_fillers_shared_faithfully(D) -> None:
+    with pytest.MonkeyPatch.context() as mp:
+        shared = localized_tables(D, mp)
+        mp.setattr(ambient, "_SharedFillers", lambda inp: inp)
+        assert localized_tables(D, mp) == shared
+
+
+@pytest.mark.parametrize("dname", ["contra_one", "contra_two", "contra_chain", "contra_swap"])
+def test_shared_fillers_change_no_ambient_table(dname):
+    """The span machinery's kept filler lists against lazy searches on a
+    plain FractionsInput: same tables, same composite spans and the same
+    report, in the same order."""
+    assert_fillers_shared_faithfully(getattr(corpus, f"diag_{dname}")())
+
+
+@settings(max_examples=30, deadline=5000)
+@given(st.one_of(strict_chain_diagrams(), swap_diagrams()))
+def test_shared_fillers_change_no_ambient_table_on_generated_diagrams(D):
+    assert_fillers_shared_faithfully(D)
+
+
+def test_ambient_composition_searches_each_cospan_once(monkeypatch):
+    """Outside the axiom check, one internal_localize call runs the Ore
+    search at most once per cospan; lazy searches on a plain input repeat
+    it."""
+    D = corpus.diag_contra_chain()
+    IE = internal_elements(D)
+    w = internal_cleavage(D, IE)
+    searched = Counter()
+    deciding = []
+    exact_search, exact_axioms = fractions._ore_fillers, ambient.check_axioms
+
+    def spy(inp, h, v):
+        if not deciding:
+            searched[(h, v)] += 1
+        return exact_search(inp, h, v)
+
+    def axioms(inp):
+        deciding.append(inp)
+        try:
+            return exact_axioms(inp)
+        finally:
+            deciding.pop()
+
+    monkeypatch.setattr(fractions, "_ore_fillers", spy)
+    monkeypatch.setattr(ambient, "check_axioms", axioms)
+    internal_localize(IE, w)
+    assert searched and max(searched.values()) == 1
+    searched.clear()
+    monkeypatch.setattr(ambient, "_SharedFillers", lambda inp: inp)
+    internal_localize(IE, w)
+    assert max(searched.values()) > 1

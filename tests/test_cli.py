@@ -1,8 +1,10 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
+import catfrac.cli
 from catfrac.cli import main
 
 FIX = Path(__file__).parent / "fixtures"
@@ -193,6 +195,52 @@ def test_crosscheck_rejects_covariant(capsys):
     code, out, _ = run(capsys, "crosscheck", FIX / "diagram_swap.json")
     assert code == 2
     assert "contravariant" in out
+
+
+def test_two_calls_build_the_parser_once(monkeypatch, capsys):
+    # one parser and one subparser per command make the tree
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    catfrac.cli._parser.cache_clear()
+    assert run(capsys, "validate", FIX / "two.json")[0] == 0
+    assert len(built) == 7
+    assert run(capsys, "crosscheck", FIX / "diagram_contra_two.json")[0] == 0
+    assert len(built) == 7
+
+
+@pytest.mark.parametrize(
+    "code,argv",
+    [
+        (0, ("validate", FIX / "two.json")),
+        (1, ("validate", FIX / "bad_category.json")),
+        (2, ("validate", FIX / "malformed.json")),
+        (0, ("groth", FIX / "diagram_contra_two.json", "--contravariant")),
+        (0, ("groth", FIX / "diagram_contra_two.json", "--json")),
+        (2, ("groth", FIX / "two.json")),
+        (0, ("axioms", FIX / "two_all.json")),
+        (1, ("axioms", FIX / "two_f.json")),
+        (0, ("localize", FIX / "chain_f.json", "--exhaustive", "--json")),
+        (1, ("localize", FIX / "two_f.json")),
+        (0, ("verify", FIX / "diagram_contra_two.json", "oplax", "--against", FIX / "two.json")),
+        (0, ("verify", FIX / "two_all.json", "localization", "--against", FIX / "iso.json")),
+        (0, ("verify", FIX / "bundle_contra.json", "pseudocolim")),
+        (0, ("crosscheck", FIX / "diagram_contra_3x3.json")),
+        (1, ("crosscheck", FIX / "diagram_contra_two.json", "--shuffle")),
+        (2, ("crosscheck", FIX / "diagram_swap.json")),
+    ],
+    ids=lambda v: v if isinstance(v, int) else " ".join(getattr(a, "name", a) for a in v),
+)
+def test_repeated_commands_answer_alike(capsys, code, argv):
+    # the kept parser hands each call fresh arguments
+    first = run(capsys, *argv)
+    assert first[0] == code
+    assert run(capsys, *argv) == first
 
 
 CATEGORY_ONE = {

@@ -210,3 +210,19 @@ def test_modification_rejects_nonparallel():
     except DomainError:
         return
     assert not report_or_err.ok
+
+
+def test_ill_typed_two_cell_is_named_by_the_checked_compose():
+    # over f : a -> b the cell at * of D(b) must start at x_a(D(f)(*)) = a;
+    # id:b starts at b, so no table entry exists for the composite
+    D = corpus.diag_contra_two()
+    x = enumerate_transformations(D, corpus.two())[0]
+    cell = x.two_cells["f"]
+    x.two_cells["f"] = NatTrans(cell.src, cell.tgt, {"*": "id:b"})
+    message = "non-composable pair ('id:a','id:b'): tgt 'a' != src 'b'"
+    with pytest.raises(DomainError) as exc:
+        validate_modification(identity_modification(x))
+    assert str(exc.value) == message
+    with pytest.raises(DomainError) as exc:
+        enumerate_modifications(x, x)
+    assert str(exc.value) == message

@@ -30,8 +30,9 @@ off those maps.  The cleavage map stays validated: its codomain is the
 arrow set the caller passes in.
 
 Within one call, ``internal_elements`` computes each compositor inverse
-once, and the span machinery keeps every filler list its compositions
-search (``fractions._SharedFillers``).
+once, and the span machinery keeps every filler list and every composite
+head its compositions search (``fractions._SharedFillers``), so each span
+pair costs one table read past its head.
 """
 
 from __future__ import annotations
@@ -141,6 +142,8 @@ def pullback_mediate(
     pi0: FinSetMap, pi1: FinSetMap, h0: FinSetMap, h1: FinSetMap
 ) -> FinSetMap:
     """The unique map into the pullback matching a cone; checked, not assumed."""
+    if pi0.dom != pi1.dom:
+        raise DomainError("projections do not share a pullback object")
     if h0.dom != h1.dom or h0.cod != pi0.cod or h1.cod != pi1.cod:
         raise DomainError("cone does not match the pullback's feet")
     over = fibres(pi0)
@@ -177,6 +180,8 @@ def coproduct_mediate(
     labels it."""
     if len(injections) != len(legs):
         raise DomainError("one leg per block required")
+    if any(inj.cod != S for inj in injections):
+        raise DomainError("injections do not land in the coproduct")
     if any(leg.dom != inj.dom for inj, leg in zip(injections, legs)):
         raise DomainError("legs do not match the coproduct blocks")
     cod = legs[0].cod if legs else FinSetObject("()", 0)

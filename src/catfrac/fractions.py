@@ -17,16 +17,19 @@ over every candidate to witness independence.  Every search over W reads
 the marked arrows at one endpoint from an index each ``FractionsInput``
 builds once (marked arrows by source and by target, each bucket in W
 order), so a filtered scan of W yields the same sequence without visiting
-the rest of W.  Within one localize call
-each Ore-filler and weak-filler list is searched once and shared, and so
-is each Ore x weak product: it is formed once per (v1, g1, v2), since
-composing (v1, g1) with (v2, g2) uses g2 only in its last step.
+the rest of W.
+
+Composing (v1, g1) with (v2, g2) reads g2 only in its last step, so a
+composite is a head, made from an Ore filler of (g1, v2) and a weak filler
+of (w', v1), followed by g2.  Within one localize call, or one ambient span
+machinery, each Ore-filler and weak-filler list is searched once and shared,
+and so are the first head and the Ore x weak product of heads: each is
+formed once per (v1, g1, v2) and shared by every g2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .diagram import enumerate_transformations
@@ -94,11 +97,13 @@ class FractionsInput:
 
 class _SharedFillers(FractionsInput):
     """The input of one localize call, or of one ambient span machinery,
-    keeping every filler list it searches.  The composition loop and
-    self-check (b), and the ambient's composition of every span pair,
-    compose many span pairs over the same cospans and marked pairs, and each
-    list is complete and in canonical order, so its first entry is the lazy
-    search's first hit.  It lives only as long as that call."""
+    keeping every filler list and every list of heads it searches.  The
+    composition loop and self-check (b), and the ambient's composition of
+    every span pair, compose many span pairs over the same cospans, marked
+    pairs and (v1, g1, v2), and each list is complete and in canonical
+    order, so its first entry is the lazy search's first hit.  So
+    span_compose forms each head once per (v1, g1, v2) and only reads the
+    composite with g2 per span pair.  It lives only as long as that call."""
 
     def __init__(self, inp: FractionsInput) -> None:
         super().__init__(inp.category, inp.weq)
@@ -208,7 +213,8 @@ def _composite_heads(inp: FractionsInput, v1: str, g1: str, v2: str) -> Iterator
     """What composing a span (v1, g1) with any span (v2, g2) makes before
     g2: pairs ((m;w');v1, m;h2) over each Ore filler (w', h2) of (g1, v2)
     and each weak filler m of (w', v1), in canonical order, each first
-    occurrence only."""
+    occurrence only: composition is a function, so a repeated head would
+    only repeat its composite."""
     C = inp.category
     seen = set()
     # the searches yield only m with t(m) = s(w') and h2 with s(h2) = s(w')
@@ -218,6 +224,22 @@ def _composite_heads(inp: FractionsInput, v1: str, g1: str, v2: str) -> Iterator
             if head not in seen:
                 seen.add(head)
                 yield head
+
+
+def _first_head(inp: FractionsInput, v1: str, g1: str, v2: str) -> Iterator[tuple]:
+    """The head a composite of (v1, g1) with any (v2, g2) takes from the
+    first filler of each kind: ((m;w');v1, m;h2) for the first Ore filler
+    (w', h2) of (g1, v2) and the first weak filler m of (w', v1), or nothing
+    when either is missing."""
+    C = inp.category
+    first = next(iter(inp._fillers(_ore_fillers, g1, v2)), None)
+    if first is None:
+        return
+    wp, h2 = first
+    m = next(iter(inp._fillers(_weak_fillers, wp, v1)), None)
+    if m is not None:
+        # the searches yield only m with t(m) = s(w') and h2 with s(h2) = s(w')
+        yield compose(C, C.composition[(m, wp)], v1), C.composition[(m, h2)]
 
 
 def _zippers(inp: FractionsInput, f: str, g: str) -> Iterator[str]:
@@ -342,9 +364,11 @@ def span_compose(
 
     Takes the first filler of each kind in canonical order.  With
     exhaustive=True, returns the pair (first, frozenset of the spans
-    produced by every (Ore filler, weak filler) combination).  Those are
-    the distinct heads of ``_composite_heads`` composed with g2, and within
-    one localize call each (v1, g1, v2) forms its heads once.
+    produced by every (Ore filler, weak filler) combination).  Either way
+    the composite is a head (``_first_head``, or each of
+    ``_composite_heads``) composed with g2: only that last step reads g2,
+    so an input that keeps its fillers (``_SharedFillers``) forms each head
+    once per (v1, g1, v2) and shares it with every g2.
     """
     C = inp.category
     v1, g1 = s1
@@ -355,29 +379,28 @@ def span_compose(
             f"{s2!r} starts at {C.tgt[v2]!r}"
         )
 
-    found = inp._fillers(_ore_fillers, g1, v2)
-    first = next(iter(found), None)
-    if first is None:
-        raise AxiomError(
-            f"no Ore filler for cospan ({g1!r}, {v2!r})",
-            report=check_axioms(inp),
-        )
-    if exhaustive:
-        # composition is a function, so a repeated head repeats its result
-        heads = inp._fillers(_composite_heads, v1, g1, v2)
-        results = [(a, compose(C, b, g2)) for a, b in heads]
-    else:
-        # the search yields only m with t(m) = s(w') and s(h2) = s(w')
-        wp, h2 = first
-        results = [
-            (compose(C, C.composition[(m, wp)], v1), compose(C, C.composition[(m, h2)], g2))
-            for m in islice(inp._fillers(_weak_fillers, wp, v1), 1)
-        ]
-    if not results:
+    # listed before the reads below, so a head search's own KeyError is
+    # never taken for a failed read
+    heads = list(inp._fillers(_composite_heads if exhaustive else _first_head, v1, g1, v2))
+    if not heads:
+        if next(_ore_fillers(inp, g1, v2), None) is None:
+            raise AxiomError(
+                f"no Ore filler for cospan ({g1!r}, {v2!r})",
+                report=check_axioms(inp),
+            )
         raise AxiomError(
             f"no filler chain composes {s1!r} with {s2!r}",
             report=check_axioms(inp),
         )
+    # a head ends at s(v2), which is s(g2) when s2 is a span; the table
+    # holds only composable pairs, and compose names the pair that is not
+    comp = C.composition
+    results = []
+    for a, b in heads:
+        try:
+            results.append((a, comp[(b, g2)]))
+        except KeyError:
+            results.append((a, compose(C, b, g2)))
     if exhaustive:
         return results[0], frozenset(results)
     return results[0]

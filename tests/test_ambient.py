@@ -93,6 +93,16 @@ def test_pullback_mediate_picks_the_unique_element():
         pullback_mediate(p0, p1, FinSetMap(Z, A, (1,)), FinSetMap(Z, obj(1, "pt"), (0,)))
 
 
+def test_pullback_mediate_rejects_projections_off_different_objects():
+    A = obj(2, "A")
+    k = FinSetMap(A, obj(1, "pt"), (0, 0))
+    P, p0, p1 = pullback(k, k)
+    Q, q0, _ = pullback(identity_map(A), identity_map(A))
+    Z = obj(1, "Z")
+    with pytest.raises(DomainError, match="^projections do not share a pullback object$"):
+        pullback_mediate(q0, p1, FinSetMap(Z, A, (1,)), FinSetMap(Z, A, (0,)))
+
+
 def test_coproduct_examples():
     S, injs = coproduct([obj(2, "A"), obj(1, "B")])
     assert S.size == 3
@@ -113,6 +123,23 @@ def test_coproduct_mediate_agrees_with_legs():
         assert compose_maps(inj, m) == leg
     with pytest.raises(DomainError):
         coproduct_mediate(S, injs, legs[:1])
+
+
+@pytest.mark.parametrize(
+    "other,block",
+    [
+        ([obj(2, "A")], 0),  # positions 0, 1 fit the coproduct
+        ([obj(2, "C"), obj(2, "A")], 1),  # positions 2, 3 do not
+    ],
+)
+def test_coproduct_mediate_rejects_injections_into_another_object(other, block):
+    parts = [obj(2, "A"), obj(1, "B")]
+    S, injs = coproduct(parts)
+    _, foreign = coproduct(other)
+    T = obj(2, "T")
+    legs = [FinSetMap(parts[0], T, (1, 0)), FinSetMap(parts[1], T, (1,))]
+    with pytest.raises(DomainError, match="^injections do not land in the coproduct$"):
+        coproduct_mediate(S, [foreign[block], injs[1]], legs)
 
 
 def test_coequalizer_examples():

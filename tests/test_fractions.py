@@ -27,7 +27,8 @@ from catfrac import (
     verify_pseudocolimit,
 )
 from catfrac.errors import DomainError, InputError, IntegrityError
-from test_shared_fillers import marked
+from catfrac.fractions import _SharedFillers
+from test_shared_fillers import fully_marked_chain, marked
 
 
 def to_raw(C: FinCategory) -> dict:
@@ -152,6 +153,32 @@ def test_span_compose_rejects_mismatched_endpoints():
     s_xy = ("id:x", "f")
     with pytest.raises(DomainError):
         span_compose(inp, s_xy, s_xy)
+
+
+@pytest.mark.parametrize(
+    "s1,s2,message",
+    [
+        # s1 is no span: the weak-filler search of its head names the pair
+        (("0<1", "1<2"), ("2<2", "2<2"), "non-composable pair ('0<1','0<1'): tgt '1' != src '0'"),
+        # s2 is no span: the last step, head then g2, names the pair
+        (("1<1", "1<2"), ("2<2", "0<1"), "non-composable pair ('0<2','0<1'): tgt '2' != src '0'"),
+        (
+            ("0<1", "0<0"),
+            ("1<1", "0<2"),
+            "spans not composable: ('0<1', '0<0') ends at '0', ('1<1', '0<2') starts at '1'",
+        ),
+    ],
+)
+@pytest.mark.parametrize("exhaustive", [False, True])
+@pytest.mark.parametrize("shared", [False, True])
+def test_span_compose_names_malformed_spans(s1, s2, message, exhaustive, shared):
+    # the same DomainError whether the heads are searched lazily or kept
+    inp = fully_marked_chain(3)
+    if shared:
+        inp = _SharedFillers(inp)
+    with pytest.raises(DomainError) as exc:
+        span_compose(inp, s1, s2, exhaustive=exhaustive)
+    assert str(exc.value) == message
 
 
 def test_span_compose_reports_axiom_failure():

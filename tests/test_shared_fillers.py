@@ -7,9 +7,13 @@ the cost of (b) without timing it. Negative controls: a fault
 injected into a search reaches self-checks (a) and (b) and fires them.
 """
 
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import catfrac.ambient
 import catfrac.fractions
 import corpus
 from catfrac import (
@@ -18,6 +22,9 @@ from catfrac import (
     check_axioms,
     compose,
     find_isomorphism,
+    internal_cleavage,
+    internal_elements,
+    internal_localize,
     localize,
     shape_instances,
     span_compose,
@@ -181,6 +188,58 @@ def test_self_check_b_composes_about_n5_times(monkeypatch, n):
     LC = localize(fully_marked_cyclic(n))
     assert len(LC.carrier.arrows) == n
     assert calls <= 3 * n**5
+
+
+def count_heads(monkeypatch) -> Counter:
+    """How often each (v1, g1, v2) has its first head searched."""
+    searched = Counter()
+    exact = catfrac.fractions._first_head
+
+    def spy(inp, *key):
+        searched[key] += 1
+        return exact(inp, *key)
+
+    monkeypatch.setattr(catfrac.fractions, "_first_head", spy)
+    return searched
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])  # 30 and 55 spans run (b), 91 skip it
+def test_class_loop_searches_each_head_once(monkeypatch, n):
+    # every class pair out of (v1, g1) into s(v2) shares one head, and
+    # composes it with g2 by one table read: a checked compose only for the
+    # head's v1 step, or as the fallback of a failed read (spans never fail)
+    heads = count_heads(monkeypatch)
+    callers = Counter()
+
+    def counting(C, f, g):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return compose(C, f, g)
+
+    monkeypatch.setattr(catfrac.fractions, "compose", counting)
+    LC = localize(fully_marked_chain(n))
+    assert len(LC.carrier.arrows) == n * n
+    assert heads and max(heads.values()) == 1
+    assert len(heads) < len(LC.carrier.composition)
+    assert callers["_first_head"] <= len(heads)
+    assert callers["span_compose"] == 0
+
+
+def test_internal_localize_searches_each_head_once(monkeypatch):
+    D = corpus.diag_contra_chain()
+    IE = internal_elements(D)
+    w = internal_cleavage(D, IE)
+    heads = count_heads(monkeypatch)
+    pairs = []
+    exact = catfrac.ambient.span_compose
+
+    def composing(inp, s1, s2):
+        pairs.append((s1, s2))
+        return exact(inp, s1, s2)
+
+    monkeypatch.setattr(catfrac.ambient, "span_compose", composing)
+    internal_localize(IE, w)
+    assert heads and max(heads.values()) == 1
+    assert len(heads) < len(pairs)
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """Package structure: imports sit at module top and never form a cycle; no
 function recurses, so no input depth can exhaust the interpreter's stack;
 a category or a marked category gains no attribute after construction; the
-fractions searches read the marked class through its endpoint index; spans
+fractions searches read the marked class through its endpoint index;
+span_compose searches fillers only through the input's filler cache; spans
 and 2-cells are plain tuples, with no wrapper type around them."""
 
 import ast
@@ -192,3 +193,83 @@ def test_fractions_searches_read_the_endpoint_index():
         "check_axioms": 1,
         "inverts": 1,
     }
+
+
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    return next(
+        fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == name
+    )
+
+
+def _raises_axiom_error(block: list) -> bool:
+    return any(
+        isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+        and node.exc.func.id == "AxiomError"
+        for stmt in block
+        for node in ast.walk(stmt)
+    )
+
+
+def _unshared_reads(fn: ast.FunctionDef, names: set, axiom_path: bool) -> list:
+    """Reads of ``names`` in ``fn`` that are not themselves an argument of
+    an ``x._fillers(...)`` call (possibly chosen by a conditional
+    expression) and, when ``axiom_path``, not inside the test or body of an
+    ``if`` whose body raises AxiomError."""
+    parent = {child: node for node in ast.walk(fn) for child in ast.iter_child_nodes(node)}
+
+    def on_axiom_path(node) -> bool:
+        while node in parent:
+            node, up = parent[node], node
+            if isinstance(node, ast.If) and up not in node.orelse and _raises_axiom_error(node.body):
+                return True
+        return False
+
+    found = []
+    for node in ast.walk(fn):
+        if not (isinstance(node, ast.Name) and node.id in names):
+            continue
+        arg = node
+        while isinstance(parent[arg], ast.IfExp) and arg is not parent[arg].test:
+            arg = parent[arg]
+        call = parent[arg]
+        if isinstance(call, ast.Call) and arg in call.args:
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "_fillers":
+                continue
+        if axiom_path and on_axiom_path(node):
+            continue
+        found.append(f"{node.id} at line {node.lineno}")
+    return found
+
+
+def _per_pair_searches(fn: ast.FunctionDef) -> list:
+    return _unshared_reads(fn, {"_ore_fillers", "_weak_fillers"}, axiom_path=True) + (
+        _unshared_reads(fn, {"_first_head", "_composite_heads"}, axiom_path=False)
+    )
+
+
+def test_span_compose_searches_only_through_the_filler_cache():
+    # a composite's heads are searched through inp._fillers, which keeps
+    # them for every g2 on a shared input; a direct filler search is left
+    # only for naming the missing filler on the way to an AxiomError
+    fn = _function(MODULES["fractions"], "span_compose")
+    assert _per_pair_searches(fn) == []
+    assert any(
+        isinstance(node, ast.Attribute) and node.attr == "_fillers" for node in ast.walk(fn)
+    )
+
+
+def test_per_pair_search_check_fires():
+    per_pair = ast.parse(
+        "def span_compose(inp, s1, s2, exhaustive=False):\n"
+        "    wp, h2 = next(_ore_fillers(inp, g1, v2))\n"
+        "    if next(_ore_fillers(inp, g1, v2), None) is None:\n"
+        "        raise AxiomError('no Ore filler', report=check_axioms(inp))\n"
+        "    heads = _composite_heads(inp, v1, g1, v2) if exhaustive else (\n"
+        "        inp._fillers(_first_head, v1, g1, v2))\n"
+        "    return [inp._fillers(_weak_fillers, wp, v1)[0], _weak_fillers(inp, wp, v1)]\n"
+    )
+    assert _per_pair_searches(_function(per_pair, "span_compose")) == [
+        "_ore_fillers at line 2", "_weak_fillers at line 7", "_composite_heads at line 5"
+    ]

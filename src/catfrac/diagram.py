@@ -11,6 +11,12 @@ D(A) -> D(B) and its transformation two-cells are lax,
 x_phi : x_A => D(phi).x_B.  A contravariant diagram sends phi to a functor
 D(B) -> D(A) and the two-cells are oplax, x_phi : D(phi).x_A => x_B.
 Composition in formulas is diagrammatic throughout.
+
+Whiskering rule: a cell whiskered with a functor F has component
+cell[F(x)] at x when F acts before the cell, and F(cell[x]) when F acts
+after it.  Which of the two a coherence law needs is the one thing its
+variance decides, and `variance_order` decides it, so each law is written
+once for both variances.
 """
 
 from __future__ import annotations
@@ -175,89 +181,58 @@ def validate_pseudofunctor(D: Pseudofunctor) -> ValidationReport:
     return report
 
 
+def _whiskered(cell: NatTrans, F: Functor, F_first: bool, x: str) -> str:
+    """The component at x of the cell whiskered with F: ``cell[F(x)]`` when
+    F acts before the cell, ``F(cell[x])`` when it acts after."""
+    return cell.components[F.on_objects[x]] if F_first else F.on_arrows[cell.components[x]]
+
+
 def _check_unit_coherence(D: Pseudofunctor, report: ValidationReport) -> None:
     idx = D.index
+    # whether D(phi) acts before the unitor on the left leg, and on the right
+    left_first, right_first = variance_order(D.variance, False, True)
     for phi in idx.arrows:
+        F = D.fun(phi)
+        host = F.cod
         a, b = idx.src[phi], idx.tgt[phi]
-        ida, idb = idx.identity[a], idx.identity[b]
-        if D.variance == "covariant":
-            host = D.cat(b)
-            for x in D.cat(a).objects:
-                left = compose(
-                    host,
-                    D.compositor(ida, phi).components[x],
-                    D.fun(phi).on_arrows[D.unitors[a].components[x]],
-                )
-                if left != host.identity[D.fun(phi).on_objects[x]]:
-                    report.add(f"left unit coherence fails at ({phi!r}, {x!r})")
-                right = compose(
-                    host,
-                    D.compositor(phi, idb).components[x],
-                    D.unitors[b].components[D.fun(phi).on_objects[x]],
-                )
-                if right != host.identity[D.fun(phi).on_objects[x]]:
-                    report.add(f"right unit coherence fails at ({phi!r}, {x!r})")
-        else:
-            host = D.cat(a)
-            for y in D.cat(b).objects:
-                img = D.fun(phi).on_objects[y]
-                left = compose(
-                    host,
-                    D.compositor(ida, phi).components[y],
-                    D.unitors[a].components[img],
-                )
-                if left != host.identity[img]:
-                    report.add(f"left unit coherence fails at ({phi!r}, {y!r})")
-                right = compose(
-                    host,
-                    D.compositor(phi, idb).components[y],
-                    D.fun(phi).on_arrows[D.unitors[b].components[y]],
-                )
-                if right != host.identity[img]:
-                    report.add(f"right unit coherence fails at ({phi!r}, {y!r})")
+        left_cell = D.compositor(idx.identity[a], phi).components
+        right_cell = D.compositor(phi, idx.identity[b]).components
+        for x in F.dom.objects:
+            unit = host.identity[F.on_objects[x]]
+            left = compose(host, left_cell[x], _whiskered(D.unitors[a], F, left_first, x))
+            if left != unit:
+                report.add(f"left unit coherence fails at ({phi!r}, {x!r})")
+            right = compose(host, right_cell[x], _whiskered(D.unitors[b], F, right_first, x))
+            if right != unit:
+                report.add(f"right unit coherence fails at ({phi!r}, {x!r})")
 
 
 def _check_assoc_coherence(D: Pseudofunctor, report: ValidationReport) -> None:
     idx = D.index
+    # whether D(gamma) acts before compositor(phi, psi) on the right leg, and
+    # D(phi) before compositor(psi, gamma) on the left
+    right_first, left_first = variance_order(D.variance, False, True)
     for phi, psi in idx.composable_pairs():
+        phipsi = idx.composition[(phi, psi)]
         for gamma in idx.out_of(idx.tgt[psi]):
             psigamma = idx.composition[(psi, gamma)]
-            phipsi = idx.composition[(phi, psi)]
-            if D.variance == "covariant":
-                host = D.cat(idx.tgt[gamma])
-                for x in D.cat(idx.src[phi]).objects:
-                    mid = D.fun(phi).on_objects[x]
-                    left = compose(
-                        host,
-                        D.compositor(phi, psigamma).components[x],
-                        D.compositor(psi, gamma).components[mid],
+            F = D.fun(idx.composition[(phipsi, gamma)])
+            host = F.cod
+            for x in F.dom.objects:
+                left = compose(
+                    host,
+                    D.compositor(phi, psigamma).components[x],
+                    _whiskered(D.compositor(psi, gamma), D.fun(phi), left_first, x),
+                )
+                right = compose(
+                    host,
+                    D.compositor(phipsi, gamma).components[x],
+                    _whiskered(D.compositor(phi, psi), D.fun(gamma), right_first, x),
+                )
+                if left != right:
+                    report.add(
+                        f"associativity coherence fails at ({phi!r}, {psi!r}, {gamma!r}, {x!r})"
                     )
-                    right = compose(
-                        host,
-                        D.compositor(phipsi, gamma).components[x],
-                        D.fun(gamma).on_arrows[D.compositor(phi, psi).components[x]],
-                    )
-                    if left != right:
-                        report.add(
-                            f"associativity coherence fails at ({phi!r}, {psi!r}, {gamma!r}, {x!r})"
-                        )
-            else:
-                host = D.cat(idx.src[phi])
-                for x in D.cat(idx.tgt[gamma]).objects:
-                    left = compose(
-                        host,
-                        D.compositor(phi, psigamma).components[x],
-                        D.fun(phi).on_arrows[D.compositor(psi, gamma).components[x]],
-                    )
-                    right = compose(
-                        host,
-                        D.compositor(phipsi, gamma).components[x],
-                        D.compositor(phi, psi).components[D.fun(gamma).on_objects[x]],
-                    )
-                    if left != right:
-                        report.add(
-                            f"associativity coherence fails at ({phi!r}, {psi!r}, {gamma!r}, {x!r})"
-                        )
 
 
 def derive_unit_compositors(
@@ -274,6 +249,7 @@ def derive_unit_compositors(
     later full validation cross-checks any derived entry.
     """
     out = dict(compositors)
+    left_first, right_first = variance_order(variance, False, True)
     for phi, psi in index.composable_pairs():
         if (phi, psi) in out:
             continue
@@ -285,21 +261,15 @@ def derive_unit_compositors(
         src_fun = on_arrows[comp]
         tgt_fun = compose_functors(*variance_order(variance, on_arrows[phi], on_arrows[psi]))
         host = tgt_fun.cod
+        # the unitor at the identity leg, whiskered with the other leg's
+        # functor as in the unit coherence law that the result must meet
+        if phi_id:
+            a, F, F_first = index.src[phi], on_arrows[psi], left_first
+        else:
+            a, F, F_first = index.tgt[psi], on_arrows[phi], right_first
         components = {}
         for x in src_fun.dom.objects:
-            if phi_id:
-                a = index.src[phi]
-                if variance == "covariant":
-                    forward = on_arrows[psi].on_arrows[unitors[a].components[x]]
-                else:
-                    forward = unitors[a].components[on_arrows[psi].on_objects[x]]
-            else:
-                b = index.tgt[psi]
-                if variance == "covariant":
-                    forward = unitors[b].components[on_arrows[phi].on_objects[x]]
-                else:
-                    forward = on_arrows[phi].on_arrows[unitors[b].components[x]]
-            inv = two_sided_inverse(host, forward)
+            inv = two_sided_inverse(host, _whiskered(unitors[a], F, F_first, x))
             if inv is None:
                 raise InputError(
                     f"cannot derive compositor at ({phi!r}, {psi!r}): no inverse at {x!r}"

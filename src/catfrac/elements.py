@@ -180,21 +180,11 @@ def canonical_cocone(D: Pseudofunctor, GD: ElementsCategory) -> LaxTransformatio
 
     two_cells = {}
     for phi in idx.arrows:
-        A, B = idx.src[phi], idx.tgt[phi]
-        src_fun, tgt_fun = two_cell_endpoints(D, components, phi)
-        if D.variance == "covariant":
-            coords = D.cat(A)
-            cells = {
-                a: GD.arrow_name(phi, a, D.cat(B).identity[D.fun(phi).on_objects[a]])
-                for a in coords.objects
-            }
-        else:
-            coords = D.cat(B)
-            cells = {
-                b: GD.arrow_name(phi, b, D.cat(A).identity[D.fun(phi).on_objects[b]])
-                for b in coords.objects
-            }
-        two_cells[phi] = NatTrans(src=src_fun, tgt=tgt_fun, components=cells)
+        # the cell at a coordinate x is the arrow (phi; x; identity of D(phi)(x))
+        coords, fibers = expected_endpoints(D, phi)
+        F = D.fun(phi)
+        cells = {x: GD.arrow_name(phi, x, fibers.identity[F.on_objects[x]]) for x in coords.objects}
+        two_cells[phi] = NatTrans(*two_cell_endpoints(D, components, phi), components=cells)
     return LaxTransformation(
         source=D, target=GD.carrier, components=components, two_cells=two_cells
     )

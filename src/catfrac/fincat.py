@@ -491,11 +491,16 @@ def check_shape(A: FinCategory, direction: str) -> ShapeReport:
     """Decide filteredness or cofilteredness, with witnesses.
 
     filtered: nonempty, every object pair admits a cocone, every parallel
-    pair admits a coequalizing arrow. cofiltered is the exact dual.
+    pair admits a coequalizing arrow. cofiltered is filtered on the
+    opposite category, which keeps every name and declaration order, so
+    the witnesses are the same arrows read the other way.
     """
-    if direction not in ("filtered", "cofiltered"):
+    if direction == "filtered":
+        cone, equalizing = "cocone", "coequalizing"
+    elif direction == "cofiltered":
+        A, cone, equalizing = opposite(A), "cone", "equalizing"
+    else:
         raise DomainError(f"unknown shape direction {direction!r}")
-    fwd = direction == "filtered"
     pair_w: dict[tuple[str, str], tuple[str, str, str]] = {}
     par_w: dict[tuple[str, str], str] = {}
     if not A.objects:
@@ -504,26 +509,20 @@ def check_shape(A: FinCategory, direction: str) -> ShapeReport:
         for y in A.objects:
             found = None
             for z in A.objects:
-                legs_x = A.hom(x, z) if fwd else A.hom(z, x)
-                legs_y = A.hom(y, z) if fwd else A.hom(z, y)
+                legs_x, legs_y = A.hom(x, z), A.hom(y, z)
                 if legs_x and legs_y:
                     found = (z, legs_x[0], legs_y[0])
                     break
             if found is None:
-                kind = "cocone" if fwd else "cone"
-                return ShapeReport(direction, False, pair_w, par_w, f"objects ({x!r},{y!r}) admit no {kind}")
+                return ShapeReport(direction, False, pair_w, par_w, f"objects ({x!r},{y!r}) admit no {cone}")
             pair_w[(x, y)] = found
     for f in A.arrows:
         for g in A.hom(A.src[f], A.tgt[f]):
             if f == g:
                 continue
-            if fwd:
-                found_h = next((h for h in A.out_of(A.tgt[f]) if compose(A, f, h) == compose(A, g, h)), None)
-            else:
-                found_h = next((h for h in A.into(A.src[f]) if compose(A, h, f) == compose(A, h, g)), None)
+            found_h = next((h for h in A.out_of(A.tgt[f]) if compose(A, f, h) == compose(A, g, h)), None)
             if found_h is None:
-                kind = "coequalizing" if fwd else "equalizing"
-                return ShapeReport(direction, False, pair_w, par_w, f"parallel pair ({f!r},{g!r}) has no {kind} arrow")
+                return ShapeReport(direction, False, pair_w, par_w, f"parallel pair ({f!r},{g!r}) has no {equalizing} arrow")
             par_w[(f, g)] = found_h
     return ShapeReport(direction, True, pair_w, par_w)
 

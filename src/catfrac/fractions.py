@@ -373,7 +373,11 @@ def span_compose(
     C = inp.category
     v1, g1 = s1
     v2, g2 = s2
-    if C.tgt[g1] != C.tgt[v2]:
+    try:
+        composable = C.tgt[g1] == C.tgt[v2]
+    except KeyError as exc:
+        raise InputError(f"unknown arrow in compose: {exc.args[0]!r}") from None
+    if not composable:
         raise DomainError(
             f"spans not composable: {s1!r} ends at {C.tgt[g1]!r}, "
             f"{s2!r} starts at {C.tgt[v2]!r}"

@@ -127,6 +127,54 @@ def square() -> FinCategory:
     )
 
 
+def chain(n: int) -> FinCategory:
+    """The poset 0 < 1 < ... < n-1."""
+    name = "{}<{}".format
+    leq = [(i, j) for i in range(n) for j in range(i, n)]
+    return FinCategory.build(
+        [str(i) for i in range(n)],
+        [(name(i, j), str(i), str(j)) for i, j in leq],
+        {str(i): name(i, i) for i in range(n)},
+        {(name(i, j), name(j, k)): name(i, k) for i, j in leq for j2, k in leq if j == j2},
+    )
+
+
+TWISTED = {
+    ("a", "a", 0): "id:a", ("a", "a", 1): "t:a", ("b", "b", 0): "id:b", ("b", "b", 1): "t:b",
+    ("a", "b", 0): "u", ("a", "b", 1): "tu", ("b", "a", 0): "v", ("b", "a", 1): "tv",
+}
+
+
+def twisted_iso() -> FinCategory:
+    """The walking iso times Z/2: hom(x, y) holds an arrow of each twist 0
+    and 1, and composing adds the twists mod 2, so t:x (twist 1 at x) is
+    central."""
+    return FinCategory.build(
+        ["a", "b"],
+        [(f, x, y) for (x, y, _), f in TWISTED.items()],
+        {"a": "id:a", "b": "id:b"},
+        {
+            (f, g): TWISTED[(x, z, (k + m) % 2)]
+            for (x, y, k), f in TWISTED.items()
+            for (y2, z, m), g in TWISTED.items()
+            if y == y2
+        },
+    )
+
+
+def twisted_functor(T: FinCategory, swap: bool, twist: bool) -> Functor:
+    """On the twisted iso: ``swap`` exchanges a and b, ``twist`` adds a
+    twist to the arrows between a and b."""
+    obj = {"a": "b", "b": "a"} if swap else {"a": "a", "b": "b"}
+    return Functor(
+        T, T, obj,
+        {
+            f: TWISTED[(obj[x], obj[y], (k + (twist and x != y)) % 2)]
+            for (x, y, k), f in TWISTED.items()
+        },
+    )
+
+
 def all_categories() -> list[tuple[str, FinCategory]]:
     return [
         ("terminal", one()),
@@ -319,6 +367,33 @@ def diag_contra_swap() -> Pseudofunctor:
     )
 
 
+def diag_chain_z2(variance: str) -> Pseudofunctor:
+    """Over chain(4), Z/2 at every index object and identity functors
+    throughout: strict, so every comparison cell is an identity."""
+    idx = chain(4)
+    Z = z2()
+    return strictify(
+        idx,
+        {a: Z for a in idx.objects},
+        {phi: identity_functor(Z) for phi in idx.arrows},
+        variance=variance,
+    )
+
+
+def diag_twisted(variance: str) -> Pseudofunctor:
+    """Over the walking arrow, the twisted iso at both ends, each index
+    identity sent to the twist and f to the swap; the unitors pick t:b at b,
+    so whiskering a cell with the swap from one side or the other gives
+    cells that differ by the central twist."""
+    idx = two()
+    T = twisted_iso()
+    twist = twisted_functor(T, swap=False, twist=True)
+    on_arrows = {"id:a": twist, "id:b": twist, "f": twisted_functor(T, swap=True, twist=False)}
+    unitors = {a: NatTrans(twist, identity_functor(T), {"a": "id:a", "b": "t:b"}) for a in "ab"}
+    compositors = derive_unit_compositors(idx, variance, on_arrows, unitors, {})
+    return Pseudofunctor(idx, variance, {"a": T, "b": T}, on_arrows, unitors, compositors)
+
+
 def oplax_diagrams() -> list[tuple[str, Pseudofunctor]]:
     return [
         ("swap over point", diag_swap_one()),
@@ -337,4 +412,17 @@ def pseudocolimit_diagrams() -> list[tuple[str, Pseudofunctor]]:
         ("contravariant over arrow", diag_contra_two()),
         ("contravariant over chain", diag_contra_chain()),
         ("contravariant nonstrict", diag_contra_swap()),
+    ]
+
+
+def coherence_diagrams() -> list[tuple[str, Pseudofunctor]]:
+    """Every diagram above, and the ones that exercise the coherence laws:
+    a chain of four, and nontrivial cells whiskered with a functor that is
+    not the identity, in both variances."""
+    return oplax_diagrams() + [
+        ("contravariant over chain", diag_contra_chain()),
+        ("covariant Z/2 over chain(4)", diag_chain_z2("covariant")),
+        ("contravariant Z/2 over chain(4)", diag_chain_z2("contravariant")),
+        ("covariant twisted", diag_twisted("covariant")),
+        ("contravariant twisted", diag_twisted("contravariant")),
     ]

@@ -107,6 +107,86 @@ def test_validator_catches_nonfunctorial_value():
     assert not validate_pseudofunctor(D).ok
 
 
+def _with_compositor(D: Pseudofunctor, pair: tuple, components) -> Pseudofunctor:
+    cell = D.compositors[pair]
+    D.compositors[pair] = NatTrans(cell.src, cell.tgt, components(cell))
+    return D
+
+
+def _twisted(cell: NatTrans) -> dict:
+    """Each component followed by the central twist at its target: still
+    natural and invertible, so only the coherence laws can object."""
+    T = cell.tgt.cod
+    return {x: T.composition[(f, "t:" + T.tgt[f])] for x, f in cell.components.items()}
+
+
+CHAIN_Z2_CONTROLS = [
+    (("0<1", "1<2"), [
+        "associativity coherence fails at ('0<1', '1<2', '2<3', '*')",
+    ]),
+    (("0<0", "0<1"), [
+        "left unit coherence fails at ('0<1', '*')",
+        "associativity coherence fails at ('0<0', '0<0', '0<1', '*')",
+        "associativity coherence fails at ('0<0', '0<1', '1<2', '*')",
+        "associativity coherence fails at ('0<0', '0<1', '1<3', '*')",
+    ]),
+    (("2<3", "3<3"), [
+        "right unit coherence fails at ('2<3', '*')",
+        "associativity coherence fails at ('0<2', '2<3', '3<3', '*')",
+        "associativity coherence fails at ('1<2', '2<3', '3<3', '*')",
+        "associativity coherence fails at ('2<3', '3<3', '3<3', '*')",
+    ]),
+]
+
+
+@pytest.mark.parametrize("variance", ["covariant", "contravariant"])
+@pytest.mark.parametrize("pair,problems", CHAIN_Z2_CONTROLS)
+def test_coherence_controls_over_chain(variance, pair, problems):
+    # one compositor of the strict Z/2 diagram set to the generator: natural
+    # and invertible, so each law reports exactly where it reads that cell
+    D = _with_compositor(corpus.diag_chain_z2(variance), pair, lambda cell: {"*": "s"})
+    assert validate_pseudofunctor(D).problems == problems
+
+
+TWISTED_CONTROLS = [
+    (("id:a", "f"), [
+        "left unit coherence fails at ('f', 'a')",
+        "left unit coherence fails at ('f', 'b')",
+        "associativity coherence fails at ('id:a', 'id:a', 'f', 'a')",
+        "associativity coherence fails at ('id:a', 'id:a', 'f', 'b')",
+    ]),
+    (("f", "id:b"), [
+        "right unit coherence fails at ('f', 'a')",
+        "right unit coherence fails at ('f', 'b')",
+        "associativity coherence fails at ('f', 'id:b', 'id:b', 'a')",
+        "associativity coherence fails at ('f', 'id:b', 'id:b', 'b')",
+    ]),
+    (("id:b", "id:b"), [
+        "left unit coherence fails at ('id:b', 'a')",
+        "right unit coherence fails at ('id:b', 'a')",
+        "left unit coherence fails at ('id:b', 'b')",
+        "right unit coherence fails at ('id:b', 'b')",
+        "associativity coherence fails at ('f', 'id:b', 'id:b', 'a')",
+        "associativity coherence fails at ('f', 'id:b', 'id:b', 'b')",
+    ]),
+]
+
+
+@pytest.mark.parametrize("variance", ["covariant", "contravariant"])
+def test_coherence_whiskers_with_the_swap(variance):
+    # whiskering a unitor or compositor of the twisted diagram with the swap
+    # from the wrong side moves it by the twist at every fibre object, so
+    # this valid diagram would fail every law that whiskers with D(f)
+    assert validate_pseudofunctor(corpus.diag_twisted(variance)).problems == []
+
+
+@pytest.mark.parametrize("variance", ["covariant", "contravariant"])
+@pytest.mark.parametrize("pair,problems", TWISTED_CONTROLS)
+def test_coherence_controls_with_the_swap(variance, pair, problems):
+    D = _with_compositor(corpus.diag_twisted(variance), pair, _twisted)
+    assert validate_pseudofunctor(D).problems == problems
+
+
 def test_transformations_over_point_are_functors():
     from catfrac import enumerate_functors
 

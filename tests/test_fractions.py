@@ -181,6 +181,23 @@ def test_span_compose_names_malformed_spans(s1, s2, message, exhaustive, shared)
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "s1,s2,message",
+    [
+        # v1 and g2 are read by the searches, g1 and v2 by the endpoint check
+        (("zz", "0<0"), ("0<0", "0<0"), "unknown arrow in compose: '0<0', 'zz'"),
+        (("0<0", "0<0"), ("0<0", "zz"), "unknown arrow in compose: '0<0', 'zz'"),
+        (("0<0", "zz"), ("0<0", "0<0"), "unknown arrow in compose: 'zz'"),
+        (("0<0", "0<0"), ("zz", "0<0"), "unknown arrow in compose: 'zz'"),
+    ],
+)
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_span_compose_names_unknown_arrows(s1, s2, message, exhaustive):
+    with pytest.raises(InputError) as exc:
+        span_compose(fully_marked_chain(3), s1, s2, exhaustive=exhaustive)
+    assert str(exc.value) == message
+
+
 def test_span_compose_reports_axiom_failure():
     C = corpus.two()
     inp = FractionsInput(C, ("f",))  # identities unmarked: axioms fail

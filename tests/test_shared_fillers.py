@@ -70,20 +70,8 @@ def check_against_public(inp: FractionsInput) -> None:
         assert seen[(s1, s2)] == span_compose(fresh, s1, s2, exhaustive=True)
 
 
-def chain(n: int) -> FinCategory:
-    """The poset 0 < 1 < ... < n-1."""
-    name = "{}<{}".format
-    leq = [(i, j) for i in range(n) for j in range(i, n)]
-    return FinCategory.build(
-        [str(i) for i in range(n)],
-        [(name(i, j), str(i), str(j)) for i, j in leq],
-        {str(i): name(i, i) for i in range(n)},
-        {(name(i, j), name(j, k)): name(i, k) for i, j in leq for j2, k in leq if j == j2},
-    )
-
-
 def fully_marked_chain(n: int) -> FractionsInput:
-    C = chain(n)
+    C = corpus.chain(n)
     return FractionsInput(C, C.arrows)
 
 

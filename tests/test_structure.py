@@ -3,7 +3,8 @@ function recurses, so no input depth can exhaust the interpreter's stack;
 a category or a marked category gains no attribute after construction; the
 fractions searches read the marked class through its endpoint index;
 span_compose searches fillers only through the input's filler cache; spans
-and 2-cells are plain tuples, with no wrapper type around them."""
+and 2-cells are plain tuples, with no wrapper type around them; the
+pseudofunctor coherence laws are written once for both variances."""
 
 import ast
 import dataclasses
@@ -273,3 +274,38 @@ def test_per_pair_search_check_fires():
     assert _per_pair_searches(_function(per_pair, "span_compose")) == [
         "_ore_fillers at line 2", "_weak_fillers at line 7", "_composite_heads at line 5"
     ]
+
+
+def _variance_forks(fn: ast.FunctionDef) -> list:
+    """Lines of the ``if`` statements and conditional expressions in ``fn``
+    whose test reads a variance."""
+
+    def reads_variance(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "variance") or (
+            isinstance(node, ast.Attribute) and node.attr == "variance"
+        )
+
+    return [
+        node.lineno
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.If, ast.IfExp)) and any(map(reads_variance, ast.walk(node.test)))
+    ]
+
+
+def test_coherence_laws_are_written_once():
+    # each law is one formula: variance_order says on which side a functor
+    # whiskers a cell, and _whiskered reads the component that side gives
+    for name in ("_check_unit_coherence", "_check_assoc_coherence", "derive_unit_compositors"):
+        assert _variance_forks(_function(MODULES["diagram"], name)) == [], name
+
+
+def test_variance_fork_check_fires():
+    forked = ast.parse(
+        "def law(D, variance):\n"
+        "    if D.variance == 'covariant':\n"
+        "        pass\n"
+        "    x = 1 if variance == 'contravariant' else 2\n"
+        "    if x:\n"
+        "        pass\n"
+    )
+    assert _variance_forks(_function(forked, "law")) == [2, 4]

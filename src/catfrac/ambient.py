@@ -75,9 +75,6 @@ class FinSetMap:
             if not isinstance(v, int) or not 0 <= v < size:
                 raise InputError(f"map value {v!r} outside codomain of size {size}")
 
-    def __call__(self, i: int) -> int:
-        return self.table[i]
-
     @cached_property
     def _fibres(self) -> tuple:
         over: list[list[int]] = [[] for _ in range(self.cod.size)]
@@ -611,22 +608,18 @@ def internal_cleavage(D, ID: InternalCategory) -> FinSetMap:
 
 @dataclass
 class _SpanMachinery:
-    ext: FinCategory
     inp: object
-    spn: FinSetObject
     pi_v: FinSetMap
     pi_g: FinSetMap
     pair_pos: dict
     sb_rows: list
-    Q: FinSetObject
     q: FinSetMap
     s_q: FinSetMap
     t_q: FinSetMap
-    SP: FinSetObject
     r0: FinSetMap
     r1: FinSetMap
     P2: FinSetObject
-    pair_class: list  # span pair k of SP -> its pair of classes in P2
+    pair_class: list  # span pair k of r0.dom -> its pair of classes in P2
 
 
 def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
@@ -668,7 +661,7 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
     p1 = _built(SB, spn, tuple(r[1] for r in sb_rows))
     if not has_common_section(p0, p1):
         raise IntegrityError("span-relation pair lost its identity section")
-    Q, q = coequalize_reflexive(p0, p1)
+    _, q = coequalize_reflexive(p0, p1)
 
     s_spn = compose_maps(pi_v, compose_maps(w, IC.t))
     t_spn = compose_maps(pi_g, IC.t)
@@ -678,18 +671,14 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
     P2, c0m, c1m = pullback(t_q, s_q)
     class_pair_pos = {(c0m.table[k], c1m.table[k]): k for k in range(P2.size)}
     return _SpanMachinery(
-        ext=ext,
         inp=inp,
-        spn=spn,
         pi_v=pi_v,
         pi_g=pi_g,
         pair_pos=pair_pos,
         sb_rows=sb_rows,
-        Q=Q,
         q=q,
         s_q=s_q,
         t_q=t_q,
-        SP=SP,
         r0=r0,
         r1=r1,
         P2=P2,
@@ -716,13 +705,13 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
             raise IntegrityError("axioms passed but an object has no marked arrow into it")
         alpha.append(into_x[0])
     e_table = tuple(M.q.table[M.pair_pos[(k, w.table[k])]] for k in alpha)
-    e_q = _built(IC.c0, M.Q, e_table)
+    e_q = _built(IC.c0, M.q.cod, e_table)
 
-    weq, names = M.inp.weq, M.ext.arrows
+    weq, names = M.inp.weq, M.inp.category.arrows
     w_pos_name = {name: k for k, name in enumerate(weq)}
     arr_pos = {name: i for i, name in enumerate(names)}
     sp_values = []
-    for k in range(M.SP.size):
+    for k in range(M.r0.dom.size):
         sp1, sp2 = M.r0.table[k], M.r1.table[k]
         s1 = (weq[M.pi_v.table[sp1]], names[M.pi_g.table[sp1]])
         s2 = (weq[M.pi_v.table[sp2]], names[M.pi_g.table[sp2]])
@@ -739,8 +728,8 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
             )
     if any(v is None for v in c_table):
         raise IntegrityError("a composable pair of classes has no span representative")
-    c_q = _built(M.P2, M.Q, tuple(c_table))
-    return InternalCategory(IC.c0, M.Q, M.s_q, M.t_q, e_q, c_q)
+    c_q = _built(M.P2, M.q.cod, tuple(c_table))
+    return InternalCategory(IC.c0, M.q.cod, M.s_q, M.t_q, e_q, c_q)
 
 
 def verify_pairs_coequalizer(IC: InternalCategory, w: FinSetMap):
@@ -752,7 +741,7 @@ def verify_pairs_coequalizer(IC: InternalCategory, w: FinSetMap):
     """
     M = _span_machinery(IC, w)
     report = VerifierReport(title="composable pairs: pullback vs coequalizer")
-    sp_pos = {(M.r0.table[k], M.r1.table[k]): k for k in range(M.SP.size)}
+    sp_pos = {(M.r0.table[k], M.r1.table[k]): k for k in range(M.r0.dom.size)}
 
     # the span pairs with a0 as first or as second span, in the order of
     # the other span
@@ -766,8 +755,8 @@ def verify_pairs_coequalizer(IC: InternalCategory, w: FinSetMap):
             if (other, a0) in sp_pos:
                 rows.append((sp_pos[(other, a0)], sp_pos[(other, a1)]))
     R = FinSetObject("sb2", len(rows))
-    m0 = _built(R, M.SP, tuple(r[0] for r in rows))
-    m1 = _built(R, M.SP, tuple(r[1] for r in rows))
+    m0 = _built(R, M.r0.dom, tuple(r[0] for r in rows))
+    m1 = _built(R, M.r0.dom, tuple(r[1] for r in rows))
     if not has_common_section(m0, m1):
         report.add("coordinatewise move pair has no identity section")
         return report

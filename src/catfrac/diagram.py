@@ -267,6 +267,8 @@ def derive_unit_compositors(
             a, F, F_first = index.src[phi], on_arrows[psi], left_first
         else:
             a, F, F_first = index.tgt[psi], on_arrows[phi], right_first
+        if a not in unitors:
+            raise InputError(f"no unitor at index object {a!r}")
         components = {}
         for x in src_fun.dom.objects:
             inv = two_sided_inverse(host, _whiskered(unitors[a], F, F_first, x))

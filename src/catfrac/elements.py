@@ -51,7 +51,6 @@ class ElementsCategory:
     carrier: FinCategory
     object_tags: dict
     arrow_tags: dict
-    variance: str
     diagram: Pseudofunctor
     object_index: dict
     arrow_index: dict
@@ -68,9 +67,7 @@ class CleavageSet:
     """The chosen arrows (phi; b; identity), one per index arrow and
     target-fiber object, in declaration order."""
 
-    host: ElementsCategory
     members: tuple
-    member_tags: dict
 
 
 def grothendieck(D: Pseudofunctor) -> ElementsCategory:
@@ -151,7 +148,6 @@ def grothendieck(D: Pseudofunctor) -> ElementsCategory:
         carrier=carrier,
         object_tags=object_tags,
         arrow_tags=arrow_tags,
-        variance=D.variance,
         diagram=D,
         object_index=object_index,
         arrow_index=arrow_index,
@@ -193,20 +189,17 @@ def canonical_cocone(D: Pseudofunctor, GD: ElementsCategory) -> LaxTransformatio
 def cleavage(GD: ElementsCategory) -> CleavageSet:
     """The arrows to invert: one (phi; b; identity) per index arrow phi and
     object b of the fiber over its target."""
-    if GD.variance != "contravariant":
-        raise DomainError("cleavage is defined for contravariant diagrams only")
     D = GD.diagram
+    if D.variance != "contravariant":
+        raise DomainError("cleavage is defined for contravariant diagrams only")
     idx = D.index
     members = []
-    member_tags = {}
     for phi in idx.arrows:
         B = idx.tgt[phi]
         for b in D.cat(B).objects:
             fid = D.cat(idx.src[phi]).identity[D.fun(phi).on_objects[b]]
-            name = GD.arrow_name(phi, b, fid)
-            members.append(name)
-            member_tags[name] = (phi, b)
-    return CleavageSet(host=GD, members=tuple(members), member_tags=member_tags)
+            members.append(GD.arrow_name(phi, b, fid))
+    return CleavageSet(tuple(members))
 
 
 def transformation_to_functor(x: LaxTransformation, GD: ElementsCategory) -> Functor:

@@ -85,8 +85,8 @@ class FinCategory:
             tgt[name] = t
         arrst = tuple(arrs)
         cat = cls(objs, arrst, src, tgt, dict(identity), dict(composition))
-        cat._check_structure(allow_partial=fill_identity_composites)
         if fill_identity_composites:
+            # the fill appends only well-formed entries, so one check after it suffices
             for f, g in cat.composable_pairs():
                 if (f, g) in cat.composition:
                     continue
@@ -94,12 +94,12 @@ class FinCategory:
                     cat.composition[(f, g)] = f
                 elif f == identity.get(src[g]):
                     cat.composition[(f, g)] = g
-            cat._check_structure(allow_partial=False)
+        cat._check_structure()
         return cat
 
     # -- structure ---------------------------------------------------------
 
-    def _check_structure(self, allow_partial: bool = False) -> None:
+    def _check_structure(self) -> None:
         if len(set(self.objects)) != len(self.objects):
             raise InputError("duplicate object names")
         if len(set(self.arrows)) != len(self.arrows):
@@ -119,10 +119,9 @@ class FinCategory:
                 raise InputError(f"composition entry ({f!r},{g!r})={h!r} references unknown arrows")
             if self.tgt[f] != self.src[g]:
                 raise InputError(f"composition entry for non-composable pair ({f!r},{g!r})")
-        if not allow_partial:
-            for f, g in self.composable_pairs():
-                if (f, g) not in self.composition:
-                    raise InputError(f"composition table is partial: missing ({f!r},{g!r})")
+        for f, g in self.composable_pairs():
+            if (f, g) not in self.composition:
+                raise InputError(f"composition table is partial: missing ({f!r},{g!r})")
 
     # -- small conveniences --------------------------------------------------
 
@@ -153,12 +152,6 @@ class Functor:
     cod: FinCategory
     on_objects: dict[str, str]
     on_arrows: dict[str, str]
-
-    def obj(self, x: str) -> str:
-        return self.on_objects[x]
-
-    def arr(self, f: str) -> str:
-        return self.on_arrows[f]
 
 
 @dataclass(eq=True)
@@ -253,7 +246,7 @@ def compose_functors(F: Functor, G: Functor) -> Functor:
 
 
 def identity_nat_trans(F: Functor) -> NatTrans:
-    return NatTrans(F, F, {x: F.cod.identity[F.obj(x)] for x in F.dom.objects})
+    return NatTrans(F, F, {x: F.cod.identity[F.on_objects[x]] for x in F.dom.objects})
 
 
 def vertical_compose(a: NatTrans, b: NatTrans) -> NatTrans:
@@ -280,19 +273,20 @@ def validate_functor(F: Functor) -> ValidationReport:
             raise InputError(f"functor arrow mapping not total: missing {f!r}")
         if F.on_arrows[f] not in cod.src:
             raise InputError(f"functor maps {f!r} to unknown arrow {F.on_arrows[f]!r}")
+    Fo, Fa = F.on_objects, F.on_arrows
     report = ValidationReport()
     for f in dom.arrows:
-        ff = F.arr(f)
-        if cod.src[ff] != F.obj(dom.src[f]) or cod.tgt[ff] != F.obj(dom.tgt[f]):
+        ff = Fa[f]
+        if cod.src[ff] != Fo[dom.src[f]] or cod.tgt[ff] != Fo[dom.tgt[f]]:
             report.add(f"functor breaks endpoints at {f!r}: image {ff!r}")
     for x in dom.objects:
-        if F.arr(dom.identity[x]) != cod.identity[F.obj(x)]:
+        if Fa[dom.identity[x]] != cod.identity[Fo[x]]:
             report.add(f"functor breaks identity at {x!r}")
     for (f, g), h in dom.composition.items():
-        ff, gg = F.arr(f), F.arr(g)
+        ff, gg = Fa[f], Fa[g]
         if cod.tgt[ff] != cod.src[gg]:
             continue  # endpoint problem already reported
-        if cod.composition[(ff, gg)] != F.arr(h):
+        if cod.composition[(ff, gg)] != Fa[h]:
             report.add(f"functor breaks composition at ({f!r},{g!r})")
     return report
 
@@ -310,15 +304,15 @@ def validate_nat_trans(eta: NatTrans) -> ValidationReport:
     report = ValidationReport()
     for x in F.dom.objects:
         c = eta.components[x]
-        if X.src[c] != F.obj(x) or X.tgt[c] != G.obj(x):
+        if X.src[c] != F.on_objects[x] or X.tgt[c] != G.on_objects[x]:
             report.add(
                 f"component at {x!r} is {c!r}: {X.src[c]!r} -> {X.tgt[c]!r}, "
-                f"expected {F.obj(x)!r} -> {G.obj(x)!r}"
+                f"expected {F.on_objects[x]!r} -> {G.on_objects[x]!r}"
             )
     for f in F.dom.arrows:
         x, y = F.dom.src[f], F.dom.tgt[f]
         cx, cy = eta.components[x], eta.components[y]
-        Ff, Gf = F.arr(f), G.arr(f)
+        Ff, Gf = F.on_arrows[f], G.on_arrows[f]
         if X.tgt[Ff] != X.src[cy] or X.tgt[cx] != X.src[Gf]:
             continue  # component typing already reported
         if compose(X, Ff, cy) != compose(X, cx, Gf):

@@ -179,16 +179,6 @@ def _sections(inp: FractionsInput, x: str) -> Iterator[str]:
     return iter(inp._w_into.get(x, ()))
 
 
-def _section(inp: FractionsInput) -> tuple[Optional[dict], Optional[str]]:
-    """First W-arrow targeting each object, or the first uncovered object."""
-    alpha = {}
-    for x in inp.category.objects:
-        alpha[x] = next(_sections(inp, x), None)
-        if alpha[x] is None:
-            return None, x
-    return alpha, None
-
-
 def _weak_fillers(inp: FractionsInput, v: str, vp: str) -> Iterator[str]:
     """Weak-composition fillers of a marked composable pair (v, v'): arrows
     m with m;v;v' marked, in canonical order."""
@@ -448,7 +438,8 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     for name, (v, g) in zip(names, rep_payloads):
         arrows_decl.append((name, C.tgt[v], C.tgt[g]))
 
-    alpha, _ = _section(inp)
+    # axiom (1), checked above, gives every object a marked arrow into it
+    alpha = {x: next(_sections(inp, x)) for x in C.objects}
     identity = {x: class_of_span[(alpha[x], alpha[x])] for x in C.objects}
 
     # a span (v, g) runs from t(v) to t(g); listing the classes (and, for

@@ -583,7 +583,7 @@ def test_split_pair_class_is_caught_by_internal_localize(monkeypatch):
     IC, w = fully_marked(corpus.chain3())
     M = ambient._span_machinery(IC, w)
     k = next(k for k, cls in enumerate(M.pair_class) if cls in M.pair_class[:k])
-    spans = [(M.inp.weq[v], M.ext.arrows[g]) for v, g in zip(M.pi_v.table, M.pi_g.table)]
+    spans = [(M.inp.weq[v], M.inp.category.arrows[g]) for v, g in zip(M.pi_v.table, M.pi_g.table)]
     exact = ambient.span_compose
     calls = []
 
@@ -600,7 +600,7 @@ def test_split_pair_class_is_caught_by_internal_localize(monkeypatch):
         IntegrityError, match="^composite classes differ across representatives of a pair class$"
     ):
         internal_localize(IC, w)
-    assert len(calls) == M.SP.size  # every span pair is composed before the check
+    assert len(calls) == M.r0.dom.size  # every span pair is composed before the check
 
 
 def test_unrepresented_class_pair_is_caught_by_internal_localize(monkeypatch):
@@ -619,6 +619,51 @@ def test_unrepresented_class_pair_is_caught_by_internal_localize(monkeypatch):
         IntegrityError, match="^a composable pair of classes has no span representative$"
     ):
         internal_localize(IC, w)
+
+
+def _no_moves(M):
+    M.sb_rows = []
+
+
+def _split_pair_class(M):
+    k = next(k for k, cls in enumerate(M.pair_class) if cls in M.pair_class[:k])
+    M.pair_class[k] = (M.pair_class[k] + 1) % M.P2.size
+
+
+def _cut_pair_class(M):
+    M.pair_class = M.pair_class[:M.pair_class.index(M.P2.size - 1)]
+
+
+def _merged_class_pairs(M):
+    M.pair_class = [0 if cls == 1 else cls for cls in M.pair_class]
+
+
+def _wider_class_pairs(M):
+    M.P2 = FinSetObject("P2", M.P2.size + 1)
+
+
+@pytest.mark.parametrize(
+    "perturb,problem",
+    [
+        (_no_moves, "coordinatewise move pair has no identity section"),
+        (_split_pair_class, "pair class 3 maps to two different class pairs"),
+        (_cut_pair_class, "a pair class has no representative"),
+        (_merged_class_pairs, "comparison map is not injective"),
+        (_wider_class_pairs, "comparison map is not surjective"),
+    ],
+    ids=["no_section", "split", "unrepresented", "not_injective", "not_surjective"],
+)
+def test_pairs_coequalizer_reports_each_defect(monkeypatch, perturb, problem):
+    IC, w = fully_marked(corpus.chain3())
+    exact = ambient._span_machinery
+
+    def perturbed(IC, w):
+        M = exact(IC, w)
+        perturb(M)
+        return M
+
+    monkeypatch.setattr(ambient, "_span_machinery", perturbed)
+    assert verify_pairs_coequalizer(IC, w).problems == [problem]
 
 
 def test_collapsed_cleavage_is_caught(monkeypatch):

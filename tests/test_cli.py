@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import catfrac.cli
-from catfrac.cli import main
+from catfrac.cli import load_pseudofunctor, main
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -362,3 +362,51 @@ def test_non_associative_table_exits_2(capsys, tmp_path, command):
     assert code == 1
     assert out.startswith("fractions-input: INVALID\n  associativity fails at ('a','a','a')")
     assert out.count("associativity fails") > 1
+
+
+def test_explicit_compositor_is_loaded_and_accepted(capsys):
+    # over chain(3), Z/2 everywhere: the generator s as the compositor at
+    # (f, g) is natural, invertible and coherent, since Z/2 is abelian
+    path = FIX / "diagram_chain_compositor.json"
+    D = load_pseudofunctor(json.loads(path.read_text(encoding="utf-8")), FIX)
+    assert D.compositors[("f", "g")].components == {"*": "s"}
+    assert run(capsys, "validate", path)[:2] == (0, "pseudofunctor: valid\n")
+
+
+def _drop(field, key):
+    return lambda data: data[field].pop(key)
+
+
+def _add(field, key, value):
+    return lambda data: data[field].update({key: value})
+
+
+@pytest.mark.parametrize(
+    "fixture,edit,message",
+    [
+        ("diagram_chain_compositor", _add("compositors", "f", {"*": "s"}),
+         "compositor key 'f' is not of the form 'phi;psi'"),
+        ("diagram_chain_compositor", _add("compositors", "g;f", {"*": "s"}),
+         "compositor key 'g;f' names a non-composable pair"),
+        ("diagram_chain_compositor", _add("on_arrows", "k", {"on_objects": {}, "on_arrows": {}}),
+         "on_arrows names unknown index arrow 'k'"),
+        ("diagram_chain_compositor", _add("unitors", "w", {"*": "id:*"}),
+         "unitor given for unknown index object 'w'"),
+        ("diagram_chain_compositor", _drop("on_objects", "z"),
+         "on_objects must cover the index objects exactly"),
+        ("diagram_chain_compositor", _drop("on_arrows", "g"),
+         "on_arrows must cover the index arrows exactly"),
+        ("diagram_parallel", _drop("unitors", "b"), "no unitor at index object 'b'"),
+    ],
+    ids=["key_form", "non_composable_key", "unknown_index_arrow", "unknown_unitor_object",
+         "on_objects_cover", "on_arrows_cover", "missing_unitor"],
+)
+def test_pseudofunctor_loader_names_the_defect(capsys, tmp_path, fixture, edit, message):
+    data = json.loads((FIX / f"{fixture}.json").read_text(encoding="utf-8"))
+    # the copy is read from elsewhere, so its file references point back here
+    data["index"] = str(FIX / data["index"])
+    data["on_objects"] = {A: str(FIX / ref) for A, ref in data["on_objects"].items()}
+    edit(data)
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(capsys, "validate", path)[:2] == (2, f"error: {message}\n")

@@ -241,6 +241,21 @@ def test_validate_transformation_catches_corruption():
     assert not validate_transformation(x).ok
 
 
+@pytest.mark.parametrize("variance", ["covariant", "contravariant"])
+def test_validate_transformation_names_composition_incoherence(variance):
+    # the strict Z/2 diagram over chain(4): the cell at 0<2 set to the
+    # generator stays natural and meets the identity law, but disagrees with
+    # the composite of the identity cells at 0<1 and 1<2, and its composite
+    # with the cell at 2<3 disagrees with the identity cell at 0<3
+    x = enumerate_transformations(corpus.diag_chain_z2(variance), corpus.z2())[0]
+    cell = x.two_cells["0<2"]
+    x.two_cells["0<2"] = NatTrans(cell.src, cell.tgt, {"*": "s"})
+    assert validate_transformation(x).problems == [
+        "composition coherence fails at ('0<1', '1<2', '*')",
+        "composition coherence fails at ('0<2', '2<3', '*')",
+    ]
+
+
 def test_transformation_structural_gaps():
     D = corpus.diag_contra_one()
     X = corpus.two()

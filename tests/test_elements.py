@@ -107,7 +107,7 @@ def test_cleavage_members():
         "(id:b;*;id:*)",
         "(f;*;id:b)",
     )
-    assert W.member_tags["(f;*;id:b)"] == ("f", "*")
+    assert GD.arrow_tags["(f;*;id:b)"][:2] == ("f", "*")
 
 
 def test_cleavage_rejects_covariant():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -208,6 +210,21 @@ def test_span_compose_reports_axiom_failure():
     assert not exc.value.report.ok
 
 
+def test_span_compose_names_the_cospan_without_an_ore_square():
+    # h : x -> z and marked v : y -> z, with no arrow x -> y to close them
+    C = FinCategory.build(
+        ["x", "y", "z"],
+        [("id:x", "x", "x"), ("id:y", "y", "y"), ("id:z", "z", "z"), ("h", "x", "z"), ("v", "y", "z")],
+        {"x": "id:x", "y": "id:y", "z": "id:z"},
+        {},
+    )
+    inp = FractionsInput(C, ("id:x", "id:y", "id:z", "v"))
+    with pytest.raises(AxiomError) as exc:
+        span_compose(inp, ("id:x", "h"), ("v", "id:y"))
+    assert str(exc.value) == "no Ore filler for cospan ('h', 'v')"
+    assert [f.axiom for f in exc.value.report.findings if not f.ok] == [3]
+
+
 def test_localize_walking_arrow_all():
     inp = FractionsInput(corpus.two(), ("id:a", "id:b", "f"))
     LC = localize(inp)
@@ -305,6 +322,19 @@ def test_induced_of_localization_functor_is_identity():
     LC = localize(inp)
     G = induced_functor(LC.L, LC)
     assert G == identity_functor(LC.carrier)
+
+
+def test_induced_functor_refuses_a_class_with_two_images():
+    # the formal inverse of f filed under the class of f: F sends one to u
+    # and the other to v
+    inp = FractionsInput(corpus.two(), ("id:a", "id:b", "f"))
+    LC = localize(inp)
+    merged = LC.q[("id:a", "f")]
+    LC = dataclasses.replace(LC, q={**LC.q, ("f", "id:a"): merged})
+    F = Functor(corpus.two(), corpus.iso(), {"a": "a", "b": "b"}, {"id:a": "id:a", "id:b": "id:b", "f": "u"})
+    with pytest.raises(IntegrityError) as exc:
+        induced_functor(F, LC)
+    assert str(exc.value) == f"induced image of class {merged!r} differs across representatives"
 
 
 def test_verify_localization_up():

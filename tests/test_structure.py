@@ -1,17 +1,22 @@
 """Package structure: imports sit at module top and never form a cycle; no
 function recurses, so no input depth can exhaust the interpreter's stack;
-a category or a marked category gains no attribute after construction; the
-fractions searches read the marked class through its endpoint index;
+a category or a marked category gains no attribute after construction; a
+record keeps no field that another of its fields gives, and a functor no
+accessor over its maps; the fractions searches read the marked class
+through its endpoint index;
 span_compose searches fillers only through the input's filler cache; spans
 and 2-cells are plain tuples, with no wrapper type around them; the
 pseudofunctor coherence laws are written once for both variances."""
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import corpus
 from catfrac import (
+    CleavageSet,
+    ElementsCategory,
     FinCategory,
     FractionsInput,
     check_axioms,
@@ -19,6 +24,7 @@ from catfrac import (
     localize,
     validate_category,
 )
+from catfrac.ambient import _SpanMachinery
 from catfrac.verify import Correspondence
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "catfrac"
@@ -148,6 +154,28 @@ def test_marked_category_gains_no_attribute():
         localize(inp)
         assert vars(inp).keys() == before.keys()
         assert all(vars(inp)[k] is v for k, v in before.items())
+
+
+def test_records_keep_no_field_another_field_gives():
+    # a cleavage member's tag is GD.arrow_tags[name][:2], a carrier's
+    # variance is its diagram's, and the span machinery's objects are the
+    # domains and codomains of its maps
+    assert [f.name for f in dataclasses.fields(CleavageSet)] == ["members"]
+    assert "variance" not in [f.name for f in dataclasses.fields(ElementsCategory)]
+    assert not {"ext", "spn", "Q", "SP"} & {f.name for f in dataclasses.fields(_SpanMachinery)}
+
+
+def test_functor_is_read_through_its_maps():
+    cls = next(
+        node for node in ast.walk(MODULES["fincat"])
+        if isinstance(node, ast.ClassDef) and node.name == "Functor"
+    )
+    assert [node.name for node in cls.body if isinstance(node, ast.FunctionDef)] == []
+
+
+def test_structure_is_checked_in_one_pass():
+    # build fills identity composites first, so one full check suffices
+    assert list(inspect.signature(FinCategory._check_structure).parameters) == ["self"]
 
 
 ITERATING_BUILTINS = {

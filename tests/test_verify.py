@@ -21,6 +21,7 @@ from catfrac import (
     enumerate_functors,
     enumerate_nat_trans,
     grothendieck,
+    two_sided_inverse,
     verify_localization_up,
     verify_oplax_colimit,
     verify_pseudocolimit,
@@ -235,3 +236,20 @@ def test_pseudocolimit_reports_failing_axioms(monkeypatch):
     monkeypatch.setattr(catfrac.fractions, "check_axioms", lambda inp: failing)
     report = verify_pseudocolimit(corpus.diag_contra_two(), corpus.two())
     assert report.problems == ["cleavage fails the fractions axioms:\naxiom (1): FAIL at ('x',)"]
+
+
+def test_pseudocolimit_reports_a_functor_that_keeps_the_cleavage(monkeypatch):
+    # the last cleavage member sent to an arrow with no inverse; the
+    # round trips through that map fail after it, so only the first
+    # problem is pinned
+    exact = catfrac.fractions.localize
+
+    def keeping(inp):
+        LC = exact(inp)
+        stuck = next(f for f in LC.carrier.arrows if two_sided_inverse(LC.carrier, f) is None)
+        L = Functor(LC.L.dom, LC.L.cod, LC.L.on_objects, {**LC.L.on_arrows, inp.weq[-1]: stuck})
+        return dataclasses.replace(LC, L=L)
+
+    monkeypatch.setattr(catfrac.fractions, "localize", keeping)
+    report = verify_pseudocolimit(corpus.diag_contra_two(), corpus.two())
+    assert report.problems[0] == "the localization functor does not invert the cleavage"

@@ -17,7 +17,8 @@ class (surjections) is certified by exhausting small instances.
 
 Canonical orders everywhere: pullback elements are lexicographic pairs,
 coproducts concatenate blocks in input order, quotients list classes by
-their least member.
+their least member; ``fincat.partition`` closes the relation that each
+route builds for itself (here the coequalizer rows, there the sailboats).
 
 Each map indexes its fibres once, on first use, and every operation that
 needs preimages reads that index.  An object or map built from outside is
@@ -44,7 +45,7 @@ from typing import Sequence
 
 from .diagram import compositor_inverse_component, unitor_inverse_component
 from .errors import AxiomError, DomainError, InputError, IntegrityError
-from .fincat import FinCategory, ValidationReport, compose_many
+from .fincat import FinCategory, ValidationReport, compose_many, partition
 from .fractions import FractionsInput, _SharedFillers, check_axioms, span_compose
 from .verify import VerifierReport
 
@@ -206,31 +207,17 @@ def has_common_section(f: FinSetMap, g: FinSetMap) -> bool:
 def coequalize_reflexive(f: FinSetMap, g: FinSetMap) -> tuple[FinSetObject, FinSetMap]:
     """Quotient of the shared codomain by f(x) ~ g(x); classes by least member.
 
-    Finite sets have all such quotients, so the computation never needs the
-    pair to be reflexive; callers that rely on reflexivity assert it with
+    The rows (f(x), g(x)) are closed by fincat.partition.  Finite sets have
+    all such quotients, so the computation never needs the pair to be
+    reflexive; callers that rely on reflexivity assert it with
     has_common_section.
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise DomainError("coequalizer needs a parallel pair")
-    parent = list(range(f.cod.size))
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    for r in range(f.dom.size):
-        a, b = find(f.table[r]), find(g.table[r])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    roots = sorted({find(i) for i in range(f.cod.size)})
-    root_pos = {root: k for k, root in enumerate(roots)}
-    Q = _sized(f"{f.cod.label}/~", len(roots))
-    q = _built(f.cod, Q, tuple(root_pos[find(i)] for i in range(f.cod.size)))
-    return Q, q
+    classes = partition(f.cod.size, zip(f.table, g.table))
+    class_of = {i: k for k, members in enumerate(classes) for i in members}
+    Q = _sized(f"{f.cod.label}/~", len(classes))
+    return Q, _built(f.cod, Q, tuple(class_of[i] for i in range(f.cod.size)))
 
 
 def coequalizer_mediate(q: FinSetMap, h: FinSetMap) -> FinSetMap:
@@ -741,19 +728,16 @@ def verify_pairs_coequalizer(IC: InternalCategory, w: FinSetMap):
     """
     M = _span_machinery(IC, w)
     report = VerifierReport(title="composable pairs: pullback vs coequalizer")
-    sp_pos = {(M.r0.table[k], M.r1.table[k]): k for k in range(M.r0.dom.size)}
+    r0, r1 = M.r0.table, M.r1.table
+    sp_pos = {(r0[k], r1[k]): k for k in range(M.r0.dom.size)}
 
-    # the span pairs with a0 as first or as second span, in the order of
-    # the other span
+    # each span pair k with a0 as its first (second) span moves to the pair
+    # with a1 in that place; the fibres of r0 and r1 list those k
     as_first, as_second = fibres(M.r0), fibres(M.r1)
     rows = []
     for a0, a1 in M.sb_rows:
-        others = {M.r1.table[k] for k in as_first[a0]} | {M.r0.table[k] for k in as_second[a0]}
-        for other in sorted(others):
-            if (a0, other) in sp_pos:
-                rows.append((sp_pos[(a0, other)], sp_pos[(a1, other)]))
-            if (other, a0) in sp_pos:
-                rows.append((sp_pos[(other, a0)], sp_pos[(other, a1)]))
+        rows += [(k, sp_pos[(a1, r1[k])]) for k in as_first[a0]]
+        rows += [(k, sp_pos[(r0[k], a1)]) for k in as_second[a0]]
     R = FinSetObject("sb2", len(rows))
     m0 = _built(R, M.r0.dom, tuple(r[0] for r in rows))
     m1 = _built(R, M.r0.dom, tuple(r[1] for r in rows))

@@ -142,6 +142,7 @@ def load_pseudofunctor(data: dict, base: Path) -> Pseudofunctor:
         if phi not in index.src:
             raise InputError(f"on_arrows names unknown index arrow {phi!r}")
         dom, cod = variance_order(variance, fibers[index.src[phi]], fibers[index.tgt[phi]])
+        ref = _typed(ref, dict, f"on_arrows[{phi}]")
         on_arrows[phi] = Functor(
             dom,
             cod,

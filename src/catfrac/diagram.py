@@ -155,9 +155,7 @@ def validate_pseudofunctor(D: Pseudofunctor) -> ValidationReport:
         if delta.src != D.fun(ida) or delta.tgt != identity_functor(D.cat(a)):
             report.add(f"unitor at {a!r} does not compare D(1) with the identity functor")
             continue
-        sub = validate_nat_trans(delta)
-        for p in sub.problems:
-            report.add(f"unitor at {a!r}: {p}")
+        report.problems.extend(_cell_problems(delta, f"unitor at {a!r}"))
         for x in D.cat(a).objects:
             if two_sided_inverse(D.cat(a), delta.components[x]) is None:
                 report.add(f"unitor at {a!r} not invertible at object {x!r}")
@@ -167,9 +165,7 @@ def validate_pseudofunctor(D: Pseudofunctor) -> ValidationReport:
         if delta.src != D.fun(comp) or delta.tgt != pair_composite_functor(D, phi, psi):
             report.add(f"compositor at ({phi!r}, {psi!r}) has wrong endpoint functors")
             continue
-        sub = validate_nat_trans(delta)
-        for p in sub.problems:
-            report.add(f"compositor at ({phi!r}, {psi!r}): {p}")
+        report.problems.extend(_cell_problems(delta, f"compositor at ({phi!r}, {psi!r})"))
         for x in delta.src.dom.objects:
             if two_sided_inverse(delta.src.cod, delta.components[x]) is None:
                 report.add(f"compositor at ({phi!r}, {psi!r}) not invertible at {x!r}")
@@ -179,6 +175,16 @@ def validate_pseudofunctor(D: Pseudofunctor) -> ValidationReport:
     _check_unit_coherence(D, report)
     _check_assoc_coherence(D, report)
     return report
+
+
+def _cell_problems(delta: NatTrans, where: str) -> list[str]:
+    """validate_nat_trans's problems for the cell at ``where``, each prefixed
+    with it; a structural InputError is raised again with the same prefix."""
+    try:
+        sub = validate_nat_trans(delta)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
+    return [f"{where}: {p}" for p in sub.problems]
 
 
 def _whiskered(cell: NatTrans, F: Functor, F_first: bool, x: str) -> str:

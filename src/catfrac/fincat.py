@@ -353,6 +353,30 @@ def backtrack(
             stack.append(iter(domain(i + 1, vals)))
 
 
+def partition(size: int, moves: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Classes of 0..size-1 under the equivalence the pairs in ``moves``
+    generate: members ascending, classes by least member. The closure is a
+    function of the relation and the grouping pass runs in ascending index,
+    so the order of ``moves`` changes nothing."""
+    parent = list(range(size))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, j in moves:
+        a, b = find(i), find(j)
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    classes: dict[int, list[int]] = {}
+    for i in range(size):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
+
+
 def _functor_search(C: FinCategory, X: FinCategory, bijective: bool) -> Iterator[Functor]:
     """Functors C -> X in canonical order; with ``bijective``, isomorphisms only.
 

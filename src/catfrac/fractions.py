@@ -50,6 +50,7 @@ from .fincat import (
     enumerate_functors,
     misplaced_composites,
     nat_trans_search,
+    partition,
     two_sided_inverse,
     uniquify,
 )
@@ -289,27 +290,6 @@ class LocalizedCategory:
     class_reps: dict
 
 
-class _UnionFind:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            # keep the smaller index as root so reps are canonical
-            if rj < ri:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
-
-
 def _span_partition(inp: FractionsInput):
     """Spans and their sailboat classes (as index lists).
 
@@ -318,23 +298,23 @@ def _span_partition(inp: FractionsInput):
     span pairs are exactly the composable pairs of classes.  localize
     composes classes through representatives on that ground; a move that
     breaks the invariant (only a corrupt table can) raises IntegrityError.
+    The moves are built here; fincat.partition, shared with the ambient
+    coequalizer, closes them.
     """
     C = inp.category
     spans = shape_instances(inp, "spn")
     index = {s: i for i, s in enumerate(spans)}
-    uf = _UnionFind(len(spans))
-    # "sb" matched t(h) = s(v) = s(g), so both composites are table reads
-    for sb in shape_instances(inp, "sb"):
-        h, v, g = sb
-        moved = (C.composition[(h, v)], C.composition[(h, g)])
-        if moved not in index or C.tgt[moved[0]] != C.tgt[v] or C.tgt[moved[1]] != C.tgt[g]:
-            raise IntegrityError(f"sailboat move {sb!r} changes the span's endpoints")
-        uf.union(index[(v, g)], index[moved])
-    classes: dict[int, list[int]] = {}
-    for i in range(len(spans)):
-        classes.setdefault(uf.find(i), []).append(i)
-    ordered = [classes[root] for root in sorted(classes)]
-    return spans, ordered
+
+    def moves() -> Iterator[tuple[int, int]]:
+        # "sb" matched t(h) = s(v) = s(g), so both composites are table reads
+        for sb in shape_instances(inp, "sb"):
+            h, v, g = sb
+            moved = (C.composition[(h, v)], C.composition[(h, g)])
+            if moved not in index or C.tgt[moved[0]] != C.tgt[v] or C.tgt[moved[1]] != C.tgt[g]:
+                raise IntegrityError(f"sailboat move {sb!r} changes the span's endpoints")
+            yield index[(v, g)], index[moved]
+
+    return spans, partition(len(spans), moves())
 
 
 def sailboat_quotient(inp: FractionsInput) -> list[list[tuple]]:

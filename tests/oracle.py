@@ -91,6 +91,23 @@ def span_classes(raw, weq):
     return [frozenset(c) for c in classes]
 
 
+def components(size, pairs):
+    """Classes of 0..size-1 under the equivalence the pairs generate, by
+    sweep-to-fixpoint; members ascending, classes by least member."""
+    classes = [{i} for i in range(size)]
+    changed = True
+    while changed:
+        changed = False
+        for a, b in pairs:
+            ca = next(c for c in classes if a in c)
+            cb = next(c for c in classes if b in c)
+            if ca is not cb:
+                ca |= cb
+                classes.remove(cb)
+                changed = True
+    return sorted((sorted(c) for c in classes), key=lambda c: c[0])
+
+
 def functor_count(rawc, rawx) -> int:
     """Count functors by filtering the full product of assignments."""
     cobj, xobj = rawc["objects"], rawx["objects"]

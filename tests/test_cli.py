@@ -410,3 +410,31 @@ def test_pseudofunctor_loader_names_the_defect(capsys, tmp_path, fixture, edit, 
     path = tmp_path / "diagram.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert run(capsys, "validate", path)[:2] == (2, f"error: {message}\n")
+
+
+def _bad_unitor_at_x(data):
+    # explicit identity-leg compositors at x keep the loader from deriving
+    # them out of the unitor, so the defect reaches validation
+    data["unitors"]["x"] = {"*": "nope"}
+    for key in ("id:x;id:x", "id:x;f", "id:x;h"):
+        data["compositors"][key] = {"*": "id:*"}
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_add("on_arrows", "f", "x"), "on_arrows[f] must be an object, got str"),
+        (_add("on_arrows", "f", "on_objects"), "on_arrows[f] must be an object, got str"),
+        (_bad_unitor_at_x, "unitor at 'x': component at '*' is not an arrow of the codomain"),
+        (_add("compositors", "f;g", {"*": "nope"}),
+         "compositor at ('f', 'g'): component at '*' is not an arrow of the codomain"),
+    ],
+    ids=["on_arrows_entry_string", "on_arrows_entry_field_name", "unitor_component",
+         "compositor_component"],
+)
+def test_pseudofunctor_defect_names_its_entry(capsys, tmp_path, edit, message):
+    # a non-object on_arrows entry is refused before its fields are read,
+    # and a structural defect of a unitor or compositor names that cell
+    test_pseudofunctor_loader_names_the_defect(
+        capsys, tmp_path, "diagram_chain_compositor", edit, message
+    )

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import corpus
 import oracle
@@ -24,7 +24,7 @@ from catfrac import (
     vertical_compose,
 )
 from catfrac.errors import DomainError, InputError
-from catfrac.fincat import uniquify
+from catfrac.fincat import partition, uniquify
 
 
 @pytest.mark.parametrize("name,C", corpus.all_categories())
@@ -260,3 +260,16 @@ def test_nat_trans_search_rejects_a_non_functor():
     F = Functor(C, I, {"a": "a", "b": "b"}, {"id:a": "id:a", "id:b": "id:b", "f": "v"})
     with pytest.raises(DomainError):
         enumerate_nat_trans(F, F)
+
+
+@settings(max_examples=200, deadline=5000)
+@given(st.data())
+def test_partition_matches_the_oracle(data):
+    # the same classes, class order and member order as naive sweep merging,
+    # whatever the order of the moves
+    size = data.draw(st.integers(min_value=0, max_value=30))
+    element = st.integers(min_value=0, max_value=max(size - 1, 0))
+    moves = data.draw(st.lists(st.tuples(element, element), max_size=40)) if size else []
+    expected = oracle.components(size, moves)
+    assert partition(size, moves) == expected
+    assert partition(size, iter(data.draw(st.permutations(moves)))) == expected

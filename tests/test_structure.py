@@ -6,7 +6,8 @@ accessor over its maps; the fractions searches read the marked class
 through its endpoint index;
 span_compose searches fillers only through the input's filler cache; spans
 and 2-cells are plain tuples, with no wrapper type around them; the
-pseudofunctor coherence laws are written once for both variances."""
+pseudofunctor coherence laws are written once for both variances; every
+quotient is closed by the one partition routine in fincat."""
 
 import ast
 import dataclasses
@@ -337,3 +338,32 @@ def test_variance_fork_check_fires():
         "        pass\n"
     )
     assert _variance_forks(_function(forked, "law")) == [2, 4]
+
+
+def _union_finds(trees: dict) -> list:
+    """Union-find classes and ``find`` functions defined outside fincat."""
+    return [
+        f"{name}.py:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        if name != "fincat"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ClassDef) and "UnionFind" in node.name)
+        or (isinstance(node, ast.FunctionDef) and node.name == "find")
+    ]
+
+
+def test_one_partition_routine():
+    # the sailboat classes and the ambient coequalizer both close their
+    # relation with fincat.partition; only the relations differ by route
+    assert _union_finds(MODULES) == []
+
+
+def test_partition_routine_check_fires():
+    copies = {
+        "fincat": ast.parse("def partition(size, moves):\n    def find(i):\n        return i\n"),
+        "fractions": ast.parse("class _UnionFind:\n    def find(self, i):\n        return i\n"),
+        "ambient": ast.parse("def coequalize_reflexive(f, g):\n    def find(i):\n        return i\n"),
+    }
+    assert _union_finds(copies) == [
+        "fractions.py:1 _UnionFind", "fractions.py:2 find", "ambient.py:2 find"
+    ]

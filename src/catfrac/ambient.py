@@ -31,9 +31,10 @@ off those maps.  The cleavage map stays validated: its codomain is the
 arrow set the caller passes in.
 
 Within one call, ``internal_elements`` computes each compositor inverse
-once, and the span machinery keeps every filler list and every composite
-head its compositions search (``fractions._SharedFillers``), so each span
-pair costs one table read past its head.
+once.  ``internal_localize`` alone enters the fractions layer: it decides
+the axioms on the externalized category and composes spans through
+``fractions.span_compose``, keeping every filler list and composite head
+(``fractions._SharedFillers``).  The span machinery reads ambient tables.
 """
 
 from __future__ import annotations
@@ -448,18 +449,20 @@ def internalize(C: FinCategory) -> InternalCategory:
     return InternalCategory(C0, C1, s, t, e, FinSetMap(P, C1, ctable))
 
 
+def _require_laws(IC: InternalCategory) -> None:
+    report = validate_internal_category(IC)
+    if not report.ok:
+        raise InputError("cannot externalize an invalid internal category:\n" + str(report))
+
+
 def externalize(IC: InternalCategory, validate: bool = True) -> FinCategory:
     """Read an internal category as an ordinary one with positional names.
 
-    validate=False skips the law check, for negative controls that compare
-    deliberately broken tables.
+    validate=False skips the law check: for callers that made it already,
+    and for negative controls that compare deliberately broken tables.
     """
     if validate:
-        report = validate_internal_category(IC)
-        if not report.ok:
-            raise InputError(
-                "cannot externalize an invalid internal category:\n" + str(report)
-            )
+        _require_laws(IC)
     objects = [f"x{i}" for i in range(IC.c0.size)]
     arrows = [
         (f"a{j}", f"x{IC.s.table[j]}", f"x{IC.t.table[j]}") for j in range(IC.c1.size)
@@ -595,7 +598,6 @@ def internal_cleavage(D, ID: InternalCategory) -> FinSetMap:
 
 @dataclass
 class _SpanMachinery:
-    inp: object
     pi_v: FinSetMap
     pi_g: FinSetMap
     pair_pos: dict
@@ -614,12 +616,7 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
         raise InputError("marked-arrows map does not land in the arrow set")
     if len(set(w.table)) != len(w.table):
         raise InputError("marked-arrows map is not injective")
-    ext = externalize(IC)
-    weq = tuple(f"a{i}" for i in w.table)
-    inp = _SharedFillers(FractionsInput(category=ext, weq=weq))
-    axioms = check_axioms(inp)
-    if not axioms.ok:
-        raise AxiomError("marked arrows fail the fractions axioms:\n" + str(axioms), report=axioms)
+    _require_laws(IC)
 
     ws = compose_maps(w, IC.s)
     spn, pi_v, pi_g = pullback(ws, IC.s)
@@ -658,7 +655,6 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
     P2, c0m, c1m = pullback(t_q, s_q)
     class_pair_pos = {(c0m.table[k], c1m.table[k]): k for k in range(P2.size)}
     return _SpanMachinery(
-        inp=inp,
         pi_v=pi_v,
         pi_g=pi_g,
         pair_pos=pair_pos,
@@ -685,6 +681,12 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
     pair quotient.
     """
     M = _span_machinery(IC, w)
+    ext = externalize(IC, validate=False)
+    names = ext.arrows
+    inp = _SharedFillers(FractionsInput(category=ext, weq=tuple(names[i] for i in w.table)))
+    axioms = check_axioms(inp)
+    if not axioms.ok:
+        raise AxiomError("marked arrows fail the fractions axioms:\n" + str(axioms), report=axioms)
     # the section at x: the first marked arrow into x, in W order
     alpha = []
     for into_x in fibres(compose_maps(w, IC.t)):
@@ -694,16 +696,12 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
     e_table = tuple(M.q.table[M.pair_pos[(k, w.table[k])]] for k in alpha)
     e_q = _built(IC.c0, M.q.cod, e_table)
 
-    weq, names = M.inp.weq, M.inp.category.arrows
-    w_pos_name = {name: k for k, name in enumerate(weq)}
-    arr_pos = {name: i for i, name in enumerate(names)}
-    sp_values = []
-    for k in range(M.r0.dom.size):
-        sp1, sp2 = M.r0.table[k], M.r1.table[k]
-        s1 = (weq[M.pi_v.table[sp1]], names[M.pi_g.table[sp1]])
-        s2 = (weq[M.pi_v.table[sp2]], names[M.pi_g.table[sp2]])
-        left, right = span_compose(M.inp, s1, s2)
-        sp_values.append(M.q.table[M.pair_pos[(w_pos_name[left], arr_pos[right])]])
+    spans = [(names[w.table[v]], names[g]) for v, g in zip(M.pi_v.table, M.pi_g.table)]
+    span_pos = {span: k for k, span in enumerate(spans)}
+    sp_values = [
+        M.q.table[span_pos[span_compose(inp, spans[a], spans[b])]]
+        for a, b in zip(M.r0.table, M.r1.table)
+    ]
 
     c_table: list = [None] * M.P2.size
     for k, cls in enumerate(M.pair_class):
@@ -724,7 +722,9 @@ def verify_pairs_coequalizer(IC: InternalCategory, w: FinSetMap):
 
     The pullback of the quotient endpoints is compared with the reflexive
     coequalizer of the coordinatewise sailboat moves on composable span
-    pairs, by an explicit bijection.
+    pairs, by an explicit bijection.  A fact about the ambient: it needs a
+    lawful category and an injective w, not the fractions axioms, since the
+    identity sailboat of each span makes the span relation reflexive.
     """
     M = _span_machinery(IC, w)
     report = VerifierReport(title="composable pairs: pullback vs coequalizer")

@@ -30,6 +30,7 @@ from .diagram import (
     Pseudofunctor,
     VARIANCES,
     derive_unit_compositors,
+    naming,
     validate_pseudofunctor,
     variance_order,
 )
@@ -39,6 +40,8 @@ from .fincat import (
     FinCategory,
     Functor,
     NatTrans,
+    check_components,
+    check_functor_maps,
     compose_functors,
     find_isomorphism,
     identity_functor,
@@ -149,6 +152,8 @@ def load_pseudofunctor(data: dict, base: Path) -> Pseudofunctor:
             dict(_require(ref, "on_objects", f"on_arrows[{phi}]", dict)),
             dict(_require(ref, "on_arrows", f"on_arrows[{phi}]", dict)),
         )
+        with naming(f"functor at {phi!r}"):
+            check_functor_maps(on_arrows[phi])
     if set(on_arrows) != set(index.arrows):
         raise InputError("on_arrows must cover the index arrows exactly")
 
@@ -161,6 +166,8 @@ def load_pseudofunctor(data: dict, base: Path) -> Pseudofunctor:
             identity_functor(fibers[A]),
             dict(_typed(components, dict, f"unitors[{A}]")),
         )
+        with naming(f"unitor at {A!r}"):
+            check_components(unitors[A])
 
     compositors = {}
     for key, components in _typed(data.get("compositors", {}), dict, "compositors").items():
@@ -187,6 +194,21 @@ def load_fractions_input(data: dict, base: Path) -> FractionsInput:
     weq = _require(data, "weq", "fractions-input", list)
     inp = FractionsInput(category=category, weq=tuple(weq))
     inp.check()
+    return inp
+
+
+def _lawful(value, validate):
+    """``value``; its first violated law, if any, is an InputError, since the
+    constructions assume the laws (``validate`` lists them all)."""
+    report = validate(value)
+    if not report.ok:
+        raise InputError(report.problems[0])
+    return value
+
+
+def _lawful_fractions_input(data: dict, base: Path) -> FractionsInput:
+    inp = load_fractions_input(data, base)
+    _lawful(inp.category, validate_category)
     return inp
 
 
@@ -244,7 +266,7 @@ def cmd_groth(args) -> int:
     data = _read_json(path)
     if data.get("kind") != "pseudofunctor":
         raise InputError(f"groth expects a pseudofunctor file, found kind {data.get('kind')!r}")
-    D = load_pseudofunctor(data, path.parent)
+    D = _lawful(load_pseudofunctor(data, path.parent), validate_pseudofunctor)
     if args.contravariant and D.variance != "contravariant":
         raise DomainError("--contravariant requested but the diagram is covariant")
     GD = grothendieck(D)
@@ -269,16 +291,6 @@ def cmd_groth(args) -> int:
     if weq is not None:
         print(f"cleavage ({len(weq)} arrows): {', '.join(weq)}")
     return 0
-
-
-def _lawful_fractions_input(data: dict, base: Path) -> FractionsInput:
-    """The marked category in ``data``; its first violated category law,
-    if any, is an InputError, since the fractions layer assumes the laws."""
-    inp = load_fractions_input(data, base)
-    report = validate_category(inp.category)
-    if not report.ok:
-        raise InputError(report.problems[0])
-    return inp
 
 
 def cmd_axioms(args) -> int:
@@ -330,6 +342,7 @@ def cmd_verify(args) -> int:
             load_category(_resolve(ref, base, "category"), base)
             for ref in _require(data, "against", "diagram-bundle")
         ]
+    against = [_lawful(X, validate_category) for X in against]
     if not against:
         raise InputError("no test category: pass --against or use a diagram-bundle")
 
@@ -341,7 +354,7 @@ def cmd_verify(args) -> int:
             pf_data = _resolve(_require(data, "diagram", "diagram-bundle"), base, "pseudofunctor")
         else:
             pf_data = data
-        D = load_pseudofunctor(pf_data, base)
+        D = _lawful(load_pseudofunctor(pf_data, base), validate_pseudofunctor)
         if args.which == "oplax":
             reports = [verify_oplax_colimit(D, X) for X in against]
         else:
@@ -385,7 +398,7 @@ def cmd_crosscheck(args) -> int:
     base = path.parent
     if data.get("kind") == "diagram-bundle":
         data = _resolve(_require(data, "diagram", "diagram-bundle"), base, "pseudofunctor")
-    D = load_pseudofunctor(data, base)
+    D = _lawful(load_pseudofunctor(data, base), validate_pseudofunctor)
     GD = grothendieck(D)
     IE = internal_elements(D)
 

@@ -21,6 +21,7 @@ once for both variances.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -143,7 +144,8 @@ def validate_pseudofunctor(D: Pseudofunctor) -> ValidationReport:
         if F.dom != dom or F.cod != cod:
             report.add(f"functor at {phi!r} has wrong endpoints for {D.variance} variance")
             continue
-        sub = validate_functor(F)
+        with naming(f"functor at {phi!r}"):
+            sub = validate_functor(F)
         for p in sub.problems:
             report.add(f"functor at {phi!r}: {p}")
     if not report.ok:
@@ -177,13 +179,21 @@ def validate_pseudofunctor(D: Pseudofunctor) -> ValidationReport:
     return report
 
 
+@contextmanager
+def naming(where: str) -> Iterator[None]:
+    """Raise a structural InputError of the block again, prefixed with the
+    entry it is about (``where``, as "unitor at 'x'")."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
+
+
 def _cell_problems(delta: NatTrans, where: str) -> list[str]:
     """validate_nat_trans's problems for the cell at ``where``, each prefixed
     with it; a structural InputError is raised again with the same prefix."""
-    try:
+    with naming(where):
         sub = validate_nat_trans(delta)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from None
     return [f"{where}: {p}" for p in sub.problems]
 
 

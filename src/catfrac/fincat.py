@@ -261,7 +261,8 @@ def vertical_compose(a: NatTrans, b: NatTrans) -> NatTrans:
     )
 
 
-def validate_functor(F: Functor) -> ValidationReport:
+def check_functor_maps(F: Functor) -> None:
+    """Raise InputError unless F's maps are total and land in its codomain."""
     dom, cod = F.dom, F.cod
     for x in dom.objects:
         if x not in F.on_objects:
@@ -273,6 +274,11 @@ def validate_functor(F: Functor) -> ValidationReport:
             raise InputError(f"functor arrow mapping not total: missing {f!r}")
         if F.on_arrows[f] not in cod.src:
             raise InputError(f"functor maps {f!r} to unknown arrow {F.on_arrows[f]!r}")
+
+
+def validate_functor(F: Functor) -> ValidationReport:
+    check_functor_maps(F)
+    dom, cod = F.dom, F.cod
     Fo, Fa = F.on_objects, F.on_arrows
     report = ValidationReport()
     for f in dom.arrows:
@@ -291,16 +297,23 @@ def validate_functor(F: Functor) -> ValidationReport:
     return report
 
 
-def validate_nat_trans(eta: NatTrans) -> ValidationReport:
+def check_components(eta: NatTrans) -> None:
+    """Raise unless eta's functors are parallel and it has a component at
+    every object, each an arrow of the codomain."""
     F, G = eta.src, eta.tgt
     if F.dom != G.dom or F.cod != G.cod:
         raise DomainError("natural transformation between non-parallel functors")
-    X = F.cod
     for x in F.dom.objects:
         if x not in eta.components:
             raise InputError(f"missing component at {x!r}")
-        if eta.components[x] not in X.src:
+        if eta.components[x] not in F.cod.src:
             raise InputError(f"component at {x!r} is not an arrow of the codomain")
+
+
+def validate_nat_trans(eta: NatTrans) -> ValidationReport:
+    check_components(eta)
+    F, G = eta.src, eta.tgt
+    X = F.cod
     report = ValidationReport()
     for x in F.dom.objects:
         c = eta.components[x]

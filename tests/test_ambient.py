@@ -331,6 +331,57 @@ def test_crosscheck_validates_only_the_cleavage_map(monkeypatch, capsys):
     assert [f.dom.label for f in calls] == ["(W(id:a)+W(id:b)+W(f))"]
 
 
+def _constant_identity(A):
+    return FinSetMap(A, A, (0,) * A.size)
+
+
+def _collapsing_compose(f, g):
+    """The composite of the swap of size 2 with itself sent to a constant."""
+    h = compose_maps(f, g)
+    return FinSetMap(h.dom, h.cod, (0,) * h.dom.size) if f.table == (1, 0) == g.table else h
+
+
+def _lossy_pullback(f, g):
+    """The pullback of (0, 1) along (1, 0) without its last pair."""
+    P, p0, p1 = pullback(f, g)
+    if (f.table, g.table) != ((0, 1), (1, 0)):
+        return P, p0, p1
+    Q = FinSetObject(P.label, P.size - 1)
+    return Q, FinSetMap(Q, p0.cod, p0.table[:-1]), FinSetMap(Q, p1.cod, p1.table[:-1])
+
+
+def _one_class(f, g):
+    Q = FinSetObject("Q", min(f.cod.size, 1))
+    return Q, FinSetMap(f.cod, Q, (0,) * f.cod.size)
+
+
+def _no_classes_merged(f, g):
+    return f.cod, identity_map(f.cod)
+
+
+@pytest.mark.parametrize(
+    "operation,fake,problems",
+    [
+        ("identity_map", _constant_identity, ["identity on size 2 is not a cover"]),
+        ("compose_maps", _collapsing_compose,
+         ["composite of covers (1, 0);(1, 0) is not a cover"]),
+        ("pullback", _lossy_pullback, ["pullback of cover (0, 1) along (1, 0) is not a cover"]),
+        ("coequalize_reflexive", _one_class,
+         ["cover (0, 1) does not coequalize its kernel pair",
+          "cover (1, 0) does not coequalize its kernel pair"]),
+        ("coequalize_reflexive", _no_classes_merged,
+         ["comparison for cover (0, 0) is not an isomorphism"]),
+    ],
+    ids=["identity", "composite", "pullback", "effective", "comparison"],
+)
+def test_cover_class_reports_each_broken_operation(monkeypatch, operation, fake, problems):
+    """Each line of the certificate fires when the ambient operation it
+    certifies is broken: identities, composites, pullbacks, and quotients
+    by kernel pairs (too coarse, then too fine)."""
+    monkeypatch.setattr(ambient, operation, fake)
+    assert verify_cover_class(max_size=2).problems == problems
+
+
 def test_cover_class_small():
     report = verify_cover_class(max_size=3)
     assert report.ok
@@ -508,6 +559,43 @@ def test_internal_localize_requires_injective_marks():
         internal_localize(IC, w)
 
 
+@pytest.mark.parametrize("name,inp,axiom", corpus.failing_fractions())
+def test_pairs_comparison_reads_only_the_ambient(name, inp, axiom):
+    """The composable-pairs comparison needs a lawful category and an
+    injective w, not the fractions axioms: each span's identity sailboat
+    makes the span relation reflexive.  internal_localize, which composes
+    spans, still refuses the marks."""
+    IC = internalize(inp.category)
+    w = FinSetMap(
+        FinSetObject("W", len(inp.weq)), IC.c1, tuple(map(inp.category.arrows.index, inp.weq))
+    )
+    report = verify_pairs_coequalizer(IC, w)
+    assert report.ok, str(report)
+    assert report.stats["pair classes"] == report.stats["class pairs"]
+    with pytest.raises(AxiomError, match="^marked arrows fail the fractions axioms:\n") as exc:
+        internal_localize(IC, w)
+    assert not exc.value.report.finding(axiom).ok
+
+
+def test_unlawful_category_is_refused_by_both_ambient_readers():
+    """The crosscheck --shuffle corruption of the composition table breaks
+    the category laws; both readers refuse it as externalize does."""
+    D = corpus.diag_contra_two()
+    IE = internal_elements(D)
+    w = internal_cleavage(D, IE)
+    table = IE.c.table
+    shuffled = InternalCategory(
+        IE.c0, IE.c1, IE.s, IE.t, IE.e, FinSetMap(IE.c.dom, IE.c.cod, table[1:] + table[:1])
+    )
+    with pytest.raises(InputError) as expected:
+        externalize(shuffled)
+    assert str(expected.value).startswith("cannot externalize an invalid internal category:\n")
+    for reader in (internal_localize, verify_pairs_coequalizer):
+        with pytest.raises(InputError) as exc:
+            reader(shuffled, w)
+        assert str(exc.value) == str(expected.value)
+
+
 def test_lost_pullback_row_is_caught_by_internal_elements(monkeypatch):
     exact = ambient.pullback
 
@@ -583,7 +671,7 @@ def test_split_pair_class_is_caught_by_internal_localize(monkeypatch):
     IC, w = fully_marked(corpus.chain3())
     M = ambient._span_machinery(IC, w)
     k = next(k for k, cls in enumerate(M.pair_class) if cls in M.pair_class[:k])
-    spans = [(M.inp.weq[v], M.inp.category.arrows[g]) for v, g in zip(M.pi_v.table, M.pi_g.table)]
+    spans = [(f"a{w.table[v]}", f"a{g}") for v, g in zip(M.pi_v.table, M.pi_g.table)]
     exact = ambient.span_compose
     calls = []
 

@@ -4,8 +4,23 @@ from pathlib import Path
 
 import pytest
 
+import corpus
+import catfrac.ambient
 import catfrac.cli
-from catfrac.cli import load_pseudofunctor, main
+from catfrac import (
+    CleavageSet,
+    FinCategory,
+    FinSetMap,
+    FinSetObject,
+    FractionsInput,
+    InternalCategory,
+    cleavage,
+    internal_elements,
+    localize,
+    pullback,
+    verify_pairs_coequalizer,
+)
+from catfrac.cli import _positional_mismatch, load_pseudofunctor, main
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -438,3 +453,193 @@ def test_pseudofunctor_defect_names_its_entry(capsys, tmp_path, edit, message):
     test_pseudofunctor_loader_names_the_defect(
         capsys, tmp_path, "diagram_chain_compositor", edit, message
     )
+
+
+def _edit_on_arrows(phi, field, **entries):
+    """Set ``entries`` in the ``field`` map of on_arrows[phi]."""
+    return lambda data: data["on_arrows"][phi][field].update(entries)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_add("unitors", "x", {"*": "nope"}),
+         "unitor at 'x': component at '*' is not an arrow of the codomain"),
+        (_add("unitors", "x", {}), "unitor at 'x': missing component at '*'"),
+        (lambda data: data["on_arrows"]["f"].update(on_objects={}),
+         "functor at 'f': functor object mapping not total: missing '*'"),
+        (lambda data: data["on_arrows"]["id:x"]["on_arrows"].pop("s"),
+         "functor at 'id:x': functor arrow mapping not total: missing 's'"),
+        (_edit_on_arrows("f", "on_arrows", s="zz"),
+         "functor at 'f': functor maps 's' to unknown arrow 'zz'"),
+        (_edit_on_arrows("g", "on_objects", **{"*": "o"}),
+         "functor at 'g': functor maps '*' to unknown object 'o'"),
+    ],
+    ids=["unitor_component", "unitor_empty", "functor_objects_empty", "functor_arrow_missing",
+         "functor_arrow_unknown", "functor_object_unknown"],
+)
+def test_loader_checks_each_cell_before_deriving_from_it(capsys, tmp_path, edit, message):
+    # the identity-leg compositors at x are left to the loader, which reads
+    # the unitor at x and the functors of every pair to derive them
+    test_pseudofunctor_loader_names_the_defect(
+        capsys, tmp_path, "diagram_chain_compositor", edit, message
+    )
+
+
+def _relocated(fixture):
+    """A fixture diagram whose file references point back here, so that a
+    copy of it can be read from elsewhere."""
+    data = json.loads((FIX / f"{fixture}.json").read_text(encoding="utf-8"))
+    data["index"] = str(FIX / data["index"])
+    data["on_objects"] = {A: str(FIX / ref) for A, ref in data["on_objects"].items()}
+    return data
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("groth", ()),
+        ("groth", ("--contravariant",)),
+        ("crosscheck", ()),
+        ("crosscheck", ("--shuffle",)),
+        ("verify", ("oplax", "--against", FIX / "two.json")),
+        ("verify", ("pseudocolim", "--against", FIX / "two.json")),
+    ],
+    ids=["groth", "groth_contravariant", "crosscheck", "crosscheck_shuffle", "verify_oplax",
+         "verify_pseudocolim"],
+)
+def test_unlawful_diagram_is_refused(capsys, tmp_path, command, extra):
+    # D(f) swaps the identity and the generator of Z/2: total and typed,
+    # but not a functor, so no construction may start from it
+    data = _relocated("diagram_chain_compositor")
+    data["on_arrows"]["f"]["on_arrows"] = {"id:*": "s", "s": "id:*"}
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    first = "functor at 'f': functor breaks identity at '*'"
+    assert run(capsys, command, path, *extra)[:2] == (2, f"error: {first}\n")
+    # validate still lists every violated law
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 1
+    assert out.startswith(f"pseudofunctor: INVALID\n  {first}\n")
+    assert out.count("functor at 'f'") == 5
+
+
+BAD_CATEGORY = "error: composite ('f','g')='id:z' lands in hom('z','z'), expected hom('x','z')\n"
+
+
+@pytest.mark.parametrize(
+    "path,which",
+    [
+        (FIX / "diagram_contra_two.json", "oplax"),
+        (FIX / "diagram_contra_two.json", "pseudocolim"),
+        (FIX / "two_all.json", "localization"),
+    ],
+)
+def test_unlawful_test_category_is_refused(capsys, path, which):
+    # the construction is not blamed for a test category that is none
+    argv = ("verify", path, which, "--against", FIX / "bad_category.json")
+    assert run(capsys, *argv)[:2] == (2, BAD_CATEGORY)
+
+
+@pytest.mark.parametrize("which", ["oplax", "pseudocolim"])
+def test_unlawful_bundle_test_category_is_refused(capsys, tmp_path, which):
+    bundle = {
+        "kind": "diagram-bundle",
+        "diagram": _relocated("diagram_contra_two"),
+        "against": [str(FIX / "two.json"), str(FIX / "bad_category.json")],
+    }
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle), encoding="utf-8")
+    assert run(capsys, "verify", path, which)[:2] == (2, BAD_CATEGORY)
+    # validate still lists every problem of the bundle
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 1
+    assert out.count("\n  ") == 2
+
+
+
+def _objects_reversed(D):
+    """The internal elements category with its objects listed backwards:
+    lawful and isomorphic, but no longer aligned with the direct route."""
+    IE = internal_elements(D)
+    rev = tuple(reversed(range(IE.c0.size)))
+    s = FinSetMap(IE.c1, IE.c0, tuple(rev[x] for x in IE.s.table))
+    t = FinSetMap(IE.c1, IE.c0, tuple(rev[x] for x in IE.t.table))
+    e = FinSetMap(IE.c0, IE.c1, tuple(IE.e.table[rev[x]] for x in range(IE.c0.size)))
+    P, _, _ = pullback(t, s)
+    return InternalCategory(IE.c0, IE.c1, s, t, e, FinSetMap(P, IE.c1, IE.c.table))
+
+
+def _members_reversed(GD):
+    return CleavageSet(tuple(reversed(cleavage(GD).members)))
+
+
+def _all_marked(inp):
+    return localize(FractionsInput(inp.category, inp.category.arrows))
+
+
+def _one_class_pair_too_many(IC, w):
+    exact = catfrac.ambient._span_machinery
+
+    def wider(IC, w):
+        M = exact(IC, w)
+        M.P2 = FinSetObject("P2", M.P2.size + 1)
+        return M
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catfrac.ambient, "_span_machinery", wider)
+        return verify_pairs_coequalizer(IC, w)
+
+
+ELEMENTS_OK = "elements: ok (3 objects, 6 arrows)\n"
+CLEAVAGE_OK = "cleavage: ok (4 arrows)\n"
+LOCALIZATION_OK = "localization: ok (3 objects, 7 arrows)\n"
+PAIRS_OK = "composable pairs: pullback vs coequalizer: pass (pair classes=15, class pairs=15)\n"
+
+
+@pytest.mark.parametrize(
+    "name,fake,out",
+    [
+        ("internal_elements", _objects_reversed,
+         "elements: FAIL: arrow (id:a;a;id:a) has different endpoints on the two routes\n"
+         + CLEAVAGE_OK
+         + "localization: FAIL: arrow [(id:a;a;id:a);(id:a;a;id:a)] has different endpoints "
+         "on the two routes\n" + PAIRS_OK),
+        ("cleavage", _members_reversed,
+         ELEMENTS_OK
+         + "cleavage: FAIL: ('(id:a;a;id:a)', '(id:a;b;id:b)', '(id:b;*;id:*)', '(f;*;id:b)') "
+         "vs ('(f;*;id:b)', '(id:b;*;id:*)', '(id:a;b;id:b)', '(id:a;a;id:a)')\n"
+         "localization: FAIL: arrow [(f;*;id:b);(id:a;b;id:b)] has different endpoints "
+         "on the two routes\n" + PAIRS_OK),
+        ("localize", _all_marked,
+         ELEMENTS_OK + CLEAVAGE_OK
+         + "localization: FAIL: size mismatch: 3/7 vs 3/9 objects/arrows\n" + PAIRS_OK),
+        ("verify_pairs_coequalizer", _one_class_pair_too_many,
+         ELEMENTS_OK + CLEAVAGE_OK + LOCALIZATION_OK
+         + "composable pairs: pullback vs coequalizer: FAIL (pair classes=15, class pairs=16)\n"
+         "  - comparison map is not surjective\n"),
+    ],
+    ids=["elements", "cleavage", "localization", "pairs"],
+)
+def test_crosscheck_reports_each_disagreement(monkeypatch, capsys, name, fake, out):
+    # one route of one comparison is perturbed; what depends on it fails too
+    monkeypatch.setattr(catfrac.cli, name, fake)
+    assert run(capsys, "crosscheck", FIX / "diagram_contra_two.json")[:2] == (1, out)
+
+
+def test_positional_mismatch_names_each_difference():
+    two, z2 = corpus.two(), corpus.z2()
+    assert _positional_mismatch(two, corpus.one()) == (
+        "size mismatch: 2/3 vs 1/1 objects/arrows"
+    )
+    # the same arrows listed in another order: f sits where id:b was
+    moved = FinCategory.build(
+        list(two.objects), [(f, two.src[f], two.tgt[f]) for f in ("id:a", "f", "id:b")],
+        dict(two.identity), {},
+    )
+    assert _positional_mismatch(two, moved) == "arrow f has different endpoints on the two routes"
+    # one object, so every endpoint agrees, but the identity moved
+    swapped = FinCategory.build(
+        ["*"], [(f, "*", "*") for f in reversed(z2.arrows)], {"*": "id:*"}, {("s", "s"): "id:*"}
+    )
+    assert _positional_mismatch(z2, swapped) == "identity at * differs between the two routes"

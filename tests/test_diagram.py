@@ -107,6 +107,15 @@ def test_validator_catches_nonfunctorial_value():
     assert not validate_pseudofunctor(D).ok
 
 
+def test_validator_names_a_functor_with_missing_images():
+    # as for unitors and compositors, a structural defect names its entry
+    D = corpus.diag_cov_two()
+    del D.on_arrows["f"].on_arrows["f"]
+    with pytest.raises(InputError) as exc:
+        validate_pseudofunctor(D)
+    assert str(exc.value) == "functor at 'f': functor arrow mapping not total: missing 'f'"
+
+
 def _with_compositor(D: Pseudofunctor, pair: tuple, components) -> Pseudofunctor:
     cell = D.compositors[pair]
     D.compositors[pair] = NatTrans(cell.src, cell.tgt, components(cell))

@@ -24,7 +24,7 @@ from catfrac import (
     vertical_compose,
 )
 from catfrac.errors import DomainError, InputError
-from catfrac.fincat import partition, uniquify
+from catfrac.fincat import backtrack, partition, uniquify
 
 
 @pytest.mark.parametrize("name,C", corpus.all_categories())
@@ -164,6 +164,20 @@ def test_check_shape_filtered_is_dual():
     par = corpus.parallel()
     assert not check_shape(par, "filtered").ok
     assert check_shape(opposite(corpus.span_shape()), "filtered").ok
+
+
+def test_empty_category():
+    E = FinCategory.build([], [], {}, {})
+    assert validate_category(E).ok
+    # no slots: one empty assignment, and accept is never asked
+    assert list(backtrack(0, lambda i, vals: [], lambda i, vals: False)) == [[]]
+    for direction in ("filtered", "cofiltered"):
+        report = check_shape(E, direction)
+        assert not report.ok and report.failure == "category is empty"
+    assert [F.on_objects for F in enumerate_functors(E, corpus.two())] == [{}]
+    assert list(enumerate_functors(corpus.two(), E)) == []
+    assert find_isomorphism(E, E) is not None
+    assert find_isomorphism(E, corpus.one()) is None
 
 
 def test_opposite_involution():

@@ -225,6 +225,27 @@ def test_span_compose_names_the_cospan_without_an_ore_square():
     assert [f.axiom for f in exc.value.report.findings if not f.ok] == [3]
 
 
+def test_span_compose_names_the_spans_no_filler_chain_composes():
+    # the first Ore filler of the cospan (1<1, 1<1) is (0<1, 0<1); no m
+    # makes m;0<1;1<2 marked, since 0<2 is not
+    inp = FractionsInput(corpus.chain(3), ("0<1", "1<2", "1<1"))
+    with pytest.raises(AxiomError) as exc:
+        span_compose(inp, ("1<2", "1<1"), ("1<1", "1<1"))
+    assert str(exc.value) == "no filler chain composes ('1<2', '1<1') with ('1<1', '1<1')"
+    assert not exc.value.report.ok
+
+
+def test_empty_category_localizes_to_itself():
+    E = FinCategory.build([], [], {}, {})
+    inp = FractionsInput(E, ())
+    assert check_axioms(inp).ok
+    LC = localize(inp)
+    assert LC.carrier.objects == () and LC.carrier.arrows == ()
+    for X in (E, corpus.two()):
+        report = verify_localization_up(inp, X)
+        assert report.ok, str(report)
+
+
 def test_localize_walking_arrow_all():
     inp = FractionsInput(corpus.two(), ("id:a", "id:b", "f"))
     LC = localize(inp)

@@ -7,7 +7,8 @@ through its endpoint index;
 span_compose searches fillers only through the input's filler cache; spans
 and 2-cells are plain tuples, with no wrapper type around them; the
 pseudofunctor coherence laws are written once for both variances; every
-quotient is closed by the one partition routine in fincat."""
+quotient is closed by the one partition routine in fincat; internal_localize
+is the one ambient function that enters the fractions layer."""
 
 import ast
 import dataclasses
@@ -367,3 +368,38 @@ def test_partition_routine_check_fires():
     assert _union_finds(copies) == [
         "fractions.py:1 _UnionFind", "fractions.py:2 find", "ambient.py:2 find"
     ]
+
+
+FRACTIONS_ENTRY = {"FractionsInput", "_SharedFillers", "check_axioms", "span_compose"}
+
+
+def _fractions_reads(tree: ast.Module) -> list:
+    """Reads of the fractions layer's entry names outside internal_localize."""
+    inside = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "internal_localize"
+        for node in ast.walk(fn)
+    }
+    return [
+        f"ambient.py:{node.lineno} {node.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in FRACTIONS_ENTRY and id(node) not in inside
+    ]
+
+
+def test_internal_localize_is_the_one_fractions_entry():
+    # the span machinery and the pairs comparison read the ambient's tables
+    # only; composing spans is what needs the fractions axioms
+    assert _fractions_reads(MODULES["ambient"]) == []
+    assert "inp" not in {f.name for f in dataclasses.fields(_SpanMachinery)}
+
+
+def test_fractions_entry_check_fires():
+    copy = ast.parse(
+        "def _span_machinery(IC, w):\n"
+        "    return check_axioms(FractionsInput(externalize(IC), w))\n"
+        "def internal_localize(IC, w):\n"
+        "    return span_compose(_SharedFillers(inp), s1, s2)\n"
+    )
+    assert _fractions_reads(copy) == ["ambient.py:2 check_axioms", "ambient.py:2 FractionsInput"]

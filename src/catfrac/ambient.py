@@ -473,9 +473,7 @@ def externalize(IC: InternalCategory, validate: bool = True) -> FinCategory:
         (f"a{p0.table[k]}", f"a{p1.table[k]}"): f"a{IC.c.table[k]}"
         for k in range(P.size)
     }
-    return FinCategory.build(
-        objects, arrows, identity, composition, fill_identity_composites=False
-    )
+    return FinCategory.build(objects, arrows, identity, composition)
 
 
 def _element_blocks(D):

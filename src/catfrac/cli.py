@@ -2,8 +2,8 @@
 
 Files are UTF-8 JSON with a "kind" discriminator: category, functor,
 pseudofunctor, fractions-input, or diagram-bundle. Wherever a sub-document
-is expected, either an inline object or a string holding a path relative
-to the referring file is accepted.
+is expected, an inline object or a path is accepted; a path is relative to
+the file whose text names it, inline objects included.
 
 Exit codes are uniform across commands: 0 means valid/verified, 1 means a
 checked property failed, 2 means the input or a precondition was bad.
@@ -56,7 +56,6 @@ from .fractions import (
     verify_pseudocolimit,
 )
 
-KINDS = ("category", "functor", "pseudofunctor", "fractions-input", "diagram-bundle")
 JSON_TYPES = {list: "a list", dict: "an object"}
 
 
@@ -77,10 +76,11 @@ def _read_json(path: Path) -> dict:
     return data
 
 
-def _resolve(value, base: Path, expected: str) -> dict:
-    """Inline object, or a path relative to the referring file."""
+def _resolve(value, base: Path, expected: str) -> tuple[dict, Path]:
+    """The document a reference names, and the directory its own references
+    resolve against: a path's file directory, or ``base`` for an inline object."""
     if isinstance(value, str):
-        data = _read_json(base / value)
+        data, base = _read_json(base / value), (base / value).parent
     elif isinstance(value, dict):
         data = value
     else:
@@ -88,7 +88,14 @@ def _resolve(value, base: Path, expected: str) -> dict:
     kind = data.get("kind", expected)
     if kind != expected:
         raise InputError(f"expected a {expected} document, found kind {kind!r}")
-    return data
+    return data, base
+
+
+def _diagram(data: dict, base: Path) -> tuple[dict, Path]:
+    """The pseudofunctor document of a bundle, or ``data`` itself."""
+    if data.get("kind") == "diagram-bundle":
+        return _resolve(_require(data, "diagram", "diagram-bundle"), base, "pseudofunctor")
+    return data, base
 
 
 def _typed(value, kind: type, ctx: str):
@@ -118,8 +125,8 @@ def load_category(data: dict, base: Path) -> FinCategory:
 
 
 def load_functor(data: dict, base: Path) -> Functor:
-    dom = load_category(_resolve(_require(data, "dom", "functor"), base, "category"), base)
-    cod = load_category(_resolve(_require(data, "cod", "functor"), base, "category"), base)
+    dom = load_category(*_resolve(_require(data, "dom", "functor"), base, "category"))
+    cod = load_category(*_resolve(_require(data, "cod", "functor"), base, "category"))
     return Functor(
         dom,
         cod,
@@ -129,12 +136,12 @@ def load_functor(data: dict, base: Path) -> Functor:
 
 
 def load_pseudofunctor(data: dict, base: Path) -> Pseudofunctor:
-    index = load_category(_resolve(_require(data, "index", "pseudofunctor"), base, "category"), base)
+    index = load_category(*_resolve(_require(data, "index", "pseudofunctor"), base, "category"))
     variance = _require(data, "variance", "pseudofunctor")
     if variance not in VARIANCES:
         raise InputError(f"unknown variance {variance!r}")
     fibers = {
-        A: load_category(_resolve(ref, base, "category"), base)
+        A: load_category(*_resolve(ref, base, "category"))
         for A, ref in _require(data, "on_objects", "pseudofunctor", dict).items()
     }
     if set(fibers) != set(index.objects):
@@ -188,28 +195,48 @@ def load_pseudofunctor(data: dict, base: Path) -> Pseudofunctor:
 
 
 def load_fractions_input(data: dict, base: Path) -> FractionsInput:
-    category = load_category(
-        _resolve(_require(data, "category", "fractions-input"), base, "category"), base
-    )
+    ref = _require(data, "category", "fractions-input")
+    category = load_category(*_resolve(ref, base, "category"))
     weq = _require(data, "weq", "fractions-input", list)
     inp = FractionsInput(category=category, weq=tuple(weq))
     inp.check()
     return inp
 
 
-def _lawful(value, validate):
-    """``value``; its first violated law, if any, is an InputError, since the
-    constructions assume the laws (``validate`` lists them all)."""
-    report = validate(value)
+def _load_bundle(data: dict, base: Path) -> tuple[Pseudofunctor, list[FinCategory]]:
+    diagram = load_pseudofunctor(*_diagram(data, base))
+    against = [load_category(*_resolve(ref, base, "category")) for ref in data.get("against", [])]
+    return diagram, against
+
+
+def _bundle_laws(bundle: tuple[Pseudofunctor, list[FinCategory]]):
+    diagram, against = bundle
+    report = validate_pseudofunctor(diagram)
+    for i, X in enumerate(against):
+        report.problems.extend(f"against[{i}]: {line}" for line in validate_category(X).problems)
+    return report
+
+
+# each kind's loader and law check; a check is looked up when it runs, so a
+# wrapper installed on this module (perfbench's tracer) sees the call
+KINDS = {
+    "category": (load_category, lambda C: validate_category(C)),
+    "functor": (load_functor, lambda F: validate_functor(F)),
+    "pseudofunctor": (load_pseudofunctor, lambda D: validate_pseudofunctor(D)),
+    "fractions-input": (load_fractions_input, lambda inp: validate_category(inp.category)),
+    "diagram-bundle": (_load_bundle, _bundle_laws),
+}
+
+
+def _lawful(kind: str, data: dict, base: Path):
+    """``data`` loaded as ``kind``; its first violated law is an InputError,
+    since the constructions assume the laws (``validate`` lists them all)."""
+    load, laws = KINDS[kind]
+    value = load(data, base)
+    report = laws(value)
     if not report.ok:
         raise InputError(report.problems[0])
     return value
-
-
-def _lawful_fractions_input(data: dict, base: Path) -> FractionsInput:
-    inp = load_fractions_input(data, base)
-    _lawful(inp.category, validate_category)
-    return inp
 
 
 def category_to_json(C: FinCategory) -> dict:
@@ -236,22 +263,8 @@ def cmd_validate(args) -> int:
     kind = data.get("kind")
     if kind not in KINDS:
         raise InputError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
-    base = path.parent
-    if kind == "category":
-        report = validate_category(load_category(data, base))
-    elif kind == "functor":
-        report = validate_functor(load_functor(data, base))
-    elif kind == "pseudofunctor":
-        report = validate_pseudofunctor(load_pseudofunctor(data, base))
-    elif kind == "fractions-input":
-        inp = load_fractions_input(data, base)
-        report = validate_category(inp.category)
-    else:
-        bundle_diagram = _resolve(_require(data, "diagram", "diagram-bundle"), base, "pseudofunctor")
-        report = validate_pseudofunctor(load_pseudofunctor(bundle_diagram, base))
-        for ref in data.get("against", []):
-            xrep = validate_category(load_category(_resolve(ref, base, "category"), base))
-            report.problems.extend(xrep.problems)
+    load, laws = KINDS[kind]
+    report = laws(load(data, path.parent))
     if report.ok:
         print(f"{kind}: valid")
         return 0
@@ -266,7 +279,7 @@ def cmd_groth(args) -> int:
     data = _read_json(path)
     if data.get("kind") != "pseudofunctor":
         raise InputError(f"groth expects a pseudofunctor file, found kind {data.get('kind')!r}")
-    D = _lawful(load_pseudofunctor(data, path.parent), validate_pseudofunctor)
+    D = _lawful("pseudofunctor", data, path.parent)
     if args.contravariant and D.variance != "contravariant":
         raise DomainError("--contravariant requested but the diagram is covariant")
     GD = grothendieck(D)
@@ -295,7 +308,7 @@ def cmd_groth(args) -> int:
 
 def cmd_axioms(args) -> int:
     path = Path(args.path)
-    inp = _lawful_fractions_input(_read_json(path), path.parent)
+    inp = _lawful("fractions-input", _read_json(path), path.parent)
     report = check_axioms(inp)
     print(report)
     return 0 if report.ok else 1
@@ -303,7 +316,7 @@ def cmd_axioms(args) -> int:
 
 def cmd_localize(args) -> int:
     path = Path(args.path)
-    inp = _lawful_fractions_input(_read_json(path), path.parent)
+    inp = _lawful("fractions-input", _read_json(path), path.parent)
     limit = 10**9 if args.exhaustive else 64
     LC = localize(inp, exhaustive_limit=limit)
     if args.json:
@@ -334,36 +347,25 @@ def cmd_verify(args) -> int:
     path = Path(args.path)
     data = _read_json(path)
     base = path.parent
-    against = []
-    if args.against:
-        against.append(load_category(_read_json(Path(args.against)), Path(args.against).parent))
+    refs, refs_base = [], base
+    if args.against:  # a path given on the command line is read from the working directory
+        refs, refs_base = [args.against], Path()
     elif data.get("kind") == "diagram-bundle":
-        against = [
-            load_category(_resolve(ref, base, "category"), base)
-            for ref in _require(data, "against", "diagram-bundle")
-        ]
-    against = [_lawful(X, validate_category) for X in against]
+        refs = _require(data, "against", "diagram-bundle")
+    against = [_lawful("category", *_resolve(ref, refs_base, "category")) for ref in refs]
     if not against:
         raise InputError("no test category: pass --against or use a diagram-bundle")
 
     if args.which == "localization":
-        inp = _lawful_fractions_input(data, base)
+        inp = _lawful("fractions-input", data, base)
         reports = [verify_localization_up(inp, X) for X in against]
     else:
-        if data.get("kind") == "diagram-bundle":
-            pf_data = _resolve(_require(data, "diagram", "diagram-bundle"), base, "pseudofunctor")
-        else:
-            pf_data = data
-        D = _lawful(load_pseudofunctor(pf_data, base), validate_pseudofunctor)
-        if args.which == "oplax":
-            reports = [verify_oplax_colimit(D, X) for X in against]
-        else:
-            reports = [verify_pseudocolimit(D, X) for X in against]
-    ok = True
+        D = _lawful("pseudofunctor", *_diagram(data, base))
+        verifier = verify_oplax_colimit if args.which == "oplax" else verify_pseudocolimit
+        reports = [verifier(D, X) for X in against]
     for report in reports:
         print(report)
-        ok = ok and report.ok
-    return 0 if ok else 1
+    return 0 if all(report.ok for report in reports) else 1
 
 
 def _positional_mismatch(A: FinCategory, B: FinCategory):
@@ -395,10 +397,7 @@ def _positional_mismatch(A: FinCategory, B: FinCategory):
 def cmd_crosscheck(args) -> int:
     path = Path(args.path)
     data = _read_json(path)
-    base = path.parent
-    if data.get("kind") == "diagram-bundle":
-        data = _resolve(_require(data, "diagram", "diagram-bundle"), base, "pseudofunctor")
-    D = _lawful(load_pseudofunctor(data, base), validate_pseudofunctor)
+    D = _lawful("pseudofunctor", *_diagram(data, path.parent))
     GD = grothendieck(D)
     IE = internal_elements(D)
 

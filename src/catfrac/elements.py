@@ -141,9 +141,7 @@ def grothendieck(D: Pseudofunctor) -> ElementsCategory:
                 )
                 composition[(n1, n2)] = arrow_index[(comp, x2, h)]
 
-    carrier = FinCategory.build(
-        obj_names, arrows_decl, identity, composition, fill_identity_composites=False
-    )
+    carrier = FinCategory.build(obj_names, arrows_decl, identity, composition)
     return ElementsCategory(
         carrier=carrier,
         object_tags=object_tags,

@@ -67,13 +67,12 @@ class FinCategory:
         arrows: Iterable[tuple[str, str, str]],
         identity: dict[str, str],
         composition: dict[tuple[str, str], str],
-        fill_identity_composites: bool = True,
     ) -> "FinCategory":
         """Assemble and structurally check a category table.
 
         ``arrows`` is a sequence of (name, src, tgt). Missing composites with
-        an identity factor are filled in automatically unless disabled; law
-        violations (wrong values) are left for validate_category to report.
+        an identity factor are filled in; law violations (wrong values) are
+        left for validate_category to report.
         """
         objs = tuple(objects)
         arrs = []
@@ -85,15 +84,14 @@ class FinCategory:
             tgt[name] = t
         arrst = tuple(arrs)
         cat = cls(objs, arrst, src, tgt, dict(identity), dict(composition))
-        if fill_identity_composites:
-            # the fill appends only well-formed entries, so one check after it suffices
-            for f, g in cat.composable_pairs():
-                if (f, g) in cat.composition:
-                    continue
-                if g == identity.get(tgt[f]):
-                    cat.composition[(f, g)] = f
-                elif f == identity.get(src[g]):
-                    cat.composition[(f, g)] = g
+        # the fill appends only well-formed entries, so one check after it suffices
+        for f, g in cat.composable_pairs():
+            if (f, g) in cat.composition:
+                continue
+            if g == identity.get(tgt[f]):
+                cat.composition[(f, g)] = f
+            elif f == identity.get(src[g]):
+                cat.composition[(f, g)] = g
         cat._check_structure()
         return cat
 

@@ -434,9 +434,7 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
         for n2, s2 in reps_out.get(C.tgt[s1[1]], ()):
             composition[(n1, n2)] = class_of_span[span_compose(shared, s1, s2)]
 
-    carrier = FinCategory.build(
-        C.objects, arrows_decl, identity, composition, fill_identity_composites=False
-    )
+    carrier = FinCategory.build(C.objects, arrows_decl, identity, composition)
 
     L = Functor(
         C,

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -555,6 +556,64 @@ def test_unlawful_bundle_test_category_is_refused(capsys, tmp_path, which):
     code, out, _ = run(capsys, "validate", path)
     assert code == 1
     assert out.count("\n  ") == 2
+
+
+def _bundle_in(directory, against):
+    """A bundle in ``directory`` that names the fixture diagram and its test
+    categories by paths relative to ``directory``; the diagram's own paths
+    stay relative to the fixtures."""
+    bundle = {
+        "kind": "diagram-bundle",
+        "diagram": os.path.relpath(FIX / "diagram_contra_two.json", directory),
+        "against": [os.path.relpath(FIX / name, directory) for name in against],
+    }
+    path = directory / "bundle.json"
+    path.write_text(json.dumps(bundle), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("validate",), ("verify", "oplax"), ("verify", "pseudocolim"), ("crosscheck",)],
+    ids=" ".join,
+)
+def test_reference_resolves_against_the_file_that_names_it(capsys, tmp_path, command):
+    # the diagram's "index": "two.json" sits beside the diagram, not the bundle
+    path = _bundle_in(tmp_path, ["one.json", "two.json", "iso.json"])
+    name, *rest = command
+    moved = run(capsys, name, path, *rest)
+    assert moved[0] == 0
+    assert moved == run(capsys, name, FIX / "bundle_contra.json", *rest)
+
+
+def test_validate_names_the_broken_test_category(capsys, tmp_path):
+    path = _bundle_in(tmp_path, ["two.json", "bad_category.json"])
+    assert run(capsys, "validate", path)[:2] == (1, (
+        "diagram-bundle: INVALID\n"
+        "  against[1]: composite ('f','g')='id:z' lands in hom('z','z'), expected hom('x','z')\n"
+        "  against[1]: associativity fails at ('id:x','f','g'): (id:xf)g='id:z', id:x(fg)=None\n"
+    ))
+
+
+@pytest.mark.parametrize("which", ["oplax", "pseudocolim"])
+def test_bundle_without_test_categories_is_refused(capsys, tmp_path, which):
+    path = _bundle_in(tmp_path, [])
+    assert run(capsys, "verify", path, which)[:2] == (
+        2, "error: no test category: pass --against or use a diagram-bundle\n"
+    )
+
+
+def test_against_must_name_a_category(capsys):
+    diagram = FIX / "diagram_contra_two.json"
+    assert run(capsys, "verify", diagram, "oplax", "--against", diagram)[:2] == (
+        2, "error: expected a category document, found kind 'pseudofunctor'\n"
+    )
+
+
+def test_crosscheck_reads_the_diagram_of_a_bundle(capsys):
+    bundle = run(capsys, "crosscheck", FIX / "bundle_contra.json")
+    assert bundle[0] == 0
+    assert bundle == run(capsys, "crosscheck", FIX / "diagram_contra_two.json")
 
 
 

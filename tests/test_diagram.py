@@ -330,3 +330,19 @@ def test_ill_typed_two_cell_is_named_by_the_checked_compose():
     with pytest.raises(DomainError) as exc:
         enumerate_modifications(x, x)
     assert str(exc.value) == message
+
+
+def test_ill_typed_two_cell_of_a_covariant_diagram_is_named_by_the_checked_compose():
+    # over f : a -> b the cell at a of D(a) must start at x_a(a) = a; id:b
+    # starts at b, so no table entry exists for the composite
+    D = corpus.diag_cov_two()
+    x = enumerate_transformations(D, corpus.two())[0]
+    cell = x.two_cells["f"]
+    x.two_cells["f"] = NatTrans(cell.src, cell.tgt, {"a": "id:b", "b": "id:a"})
+    message = "non-composable pair ('id:a','id:b'): tgt 'a' != src 'b'"
+    with pytest.raises(DomainError) as exc:
+        validate_modification(identity_modification(x))
+    assert str(exc.value) == message
+    with pytest.raises(DomainError) as exc:
+        enumerate_modifications(x, x)
+    assert str(exc.value) == message

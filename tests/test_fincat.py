@@ -139,7 +139,6 @@ def test_enumerate_functors_matches_oracle(make_c, make_x):
             [(f, s, t) for f, (s, t) in raw["arrows"].items()],
             raw["identity"],
             raw["compose"],
-            fill_identity_composites=False,
         )
 
     C, X = from_raw(make_c()), from_raw(make_x())
@@ -208,6 +207,10 @@ def test_two_sided_inverse():
 def test_uniquify_examples():
     assert uniquify(["a", "a", "b", "a"]) == ["a", "a#2", "b", "a#3"]
     assert uniquify([]) == []
+
+
+def test_uniquify_skips_a_name_already_taken():
+    assert uniquify(["x", "x#2", "x"]) == ["x", "x#2", "x#3"]
 
 
 @given(st.lists(st.text(alphabet="ab#2", max_size=4), max_size=12))

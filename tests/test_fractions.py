@@ -370,6 +370,35 @@ def test_verify_pseudocolimit_quick():
     assert rep.ok, str(rep)
 
 
+def test_verify_pseudocolimit_refuses_a_covariant_diagram():
+    with pytest.raises(DomainError) as exc:
+        verify_pseudocolimit(corpus.diag_chain_z2("covariant"), corpus.one())
+    assert str(exc.value) == "pseudocolimit verification needs a contravariant diagram"
+
+
+def test_check_axioms_refuses_a_composite_outside_its_hom():
+    # f ; g lands in hom(z, z) where hom(x, z) is due
+    C = FinCategory.build(
+        ["x", "y", "z"],
+        [("id:x", "x", "x"), ("id:y", "y", "y"), ("id:z", "z", "z"),
+         ("f", "x", "y"), ("g", "y", "z"), ("h", "x", "z")],
+        {"x": "id:x", "y": "id:y", "z": "id:z"},
+        {("f", "g"): "id:z"},
+    )
+    with pytest.raises(InputError) as exc:
+        check_axioms(FractionsInput(C, corpus.identities_of(C)))
+    assert str(exc.value) == (
+        "composite ('f','g')='id:z' lands in hom('z','z'), expected hom('x','z')"
+    )
+
+
+def test_inverts_refuses_a_functor_off_another_category():
+    inp = FractionsInput(corpus.two(), ("id:a", "id:b", "f"))
+    with pytest.raises(DomainError) as exc:
+        inverts(identity_functor(corpus.iso()), inp)
+    assert str(exc.value) == "functor domain is not the marked category"
+
+
 # -- the endpoint index changes no order ---------------------------------------
 # A reference that scans all of W, as the searches did before the marked
 # class was indexed by endpoint.  Each endpoint bucket keeps W order, so each

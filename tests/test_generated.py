@@ -31,7 +31,6 @@ def build(raw) -> FinCategory:
         [(f, s, t) for f, (s, t) in raw["arrows"].items()],
         raw["identity"],
         raw["compose"],
-        fill_identity_composites=False,
     )
 
 
@@ -106,7 +105,6 @@ def test_isomorphic_under_renaming_and_redeclaring(raw, data):
         [(rename[f], *(rename_obj[x] for x in raw["arrows"][f])) for f in arrows],
         {rename_obj[x]: rename[i] for x, i in raw["identity"].items()},
         {(rename[f], rename[g]): rename[h] for (f, g), h in raw["compose"].items()},
-        fill_identity_composites=False,
     )
     wit = find_isomorphism(build(raw), P)
     assert wit is not None

@@ -8,7 +8,9 @@ span_compose searches fillers only through the input's filler cache; spans
 and 2-cells are plain tuples, with no wrapper type around them; the
 pseudofunctor coherence laws are written once for both variances; every
 quotient is closed by the one partition routine in fincat; internal_localize
-is the one ambient function that enters the fractions layer."""
+is the one ambient function that enters the fractions layer; the CLI reads a
+file only to resolve a reference or a command's own path, and a bundle's
+diagram in one place; FinCategory.build has no option."""
 
 import ast
 import dataclasses
@@ -178,6 +180,13 @@ def test_functor_is_read_through_its_maps():
 def test_structure_is_checked_in_one_pass():
     # build fills identity composites first, so one full check suffices
     assert list(inspect.signature(FinCategory._check_structure).parameters) == ["self"]
+
+
+def test_build_has_no_option():
+    # every table gets the identity fill, which leaves a total table as it is
+    assert list(inspect.signature(FinCategory.build).parameters) == [
+        "objects", "arrows", "identity", "composition"
+    ]
 
 
 ITERATING_BUILTINS = {
@@ -403,3 +412,44 @@ def test_fractions_entry_check_fires():
         "    return span_compose(_SharedFillers(inp), s1, s2)\n"
     )
     assert _fractions_reads(copy) == ["ambient.py:2 check_axioms", "ambient.py:2 FractionsInput"]
+
+
+def _ingestion_reads(tree: ast.Module) -> list:
+    """Reads of a file outside _resolve and a command's read of its own
+    ``path``, and reads of a bundle's "diagram" field outside _diagram."""
+    found = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_read_json":
+                own_path = fn.name.startswith("cmd_") and getattr(node.args[0], "id", None) == "path"
+                if fn.name != "_resolve" and not own_path:
+                    found.append(f"cli.py:{node.lineno} {fn.name} reads a file")
+            elif isinstance(node, ast.Constant) and node.value == "diagram":
+                if fn.name != "_diagram":
+                    found.append(f"cli.py:{node.lineno} {fn.name} reads a diagram")
+    return sorted(found)
+
+
+def test_cli_has_one_ingestion_path():
+    # a reference is read, and its own references placed, only by _resolve
+    assert _ingestion_reads(MODULES["cli"]) == []
+
+
+def test_ingestion_check_fires():
+    copy = ast.parse(
+        "def load_functor(data, base):\n"
+        "    return load_category(_read_json(base / data['dom']), base)\n"
+        "def cmd_verify(args):\n"
+        "    data = _read_json(path)\n"
+        "    X = load_category(_read_json(Path(args.against)), Path())\n"
+        "    D = load_pseudofunctor(_resolve(data['diagram'], base, 'pseudofunctor'), base)\n"
+        "def _diagram(data, base):\n"
+        "    return _resolve(_require(data, 'diagram', 'diagram-bundle'), base, 'pseudofunctor')\n"
+    )
+    assert _ingestion_reads(copy) == [
+        "cli.py:2 load_functor reads a file",
+        "cli.py:5 cmd_verify reads a file",
+        "cli.py:6 cmd_verify reads a diagram",
+    ]

@@ -1,9 +1,15 @@
 """Command-line front end: file ingestion and runnable verifiers.
 
 Files are UTF-8 JSON with a "kind" discriminator: category, functor,
-pseudofunctor, fractions-input, or diagram-bundle. Wherever a sub-document
-is expected, an inline object or a path is accepted; a path is relative to
-the file whose text names it, inline objects included.
+pseudofunctor, fractions-input, or diagram-bundle. ``validate`` takes any
+kind and dispatches on it; ``groth`` takes a pseudofunctor; ``axioms``,
+``localize`` and ``verify ... localization`` take a fractions-input;
+``verify ... oplax|pseudocolim`` and ``crosscheck`` take a pseudofunctor or
+a diagram-bundle, whose optional "against" is a list of test categories.
+A command's file and every reference in it enter through ``_resolve``, and
+a document with no kind reads as the kind expected there. Wherever a
+sub-document is expected, an inline object or a path is accepted; a path
+is relative to the file whose text names it, inline objects included.
 
 Exit codes are uniform across commands: 0 means valid/verified, 1 means a
 checked property failed, 2 means the input or a precondition was bad.
@@ -57,6 +63,8 @@ from .fractions import (
 )
 
 JSON_TYPES = {list: "a list", dict: "an object"}
+# the kinds of file that hold a diagram, as the diagram commands read them
+DIAGRAM_KINDS = ("pseudofunctor", "diagram-bundle")
 
 
 # -- ingestion ---------------------------------------------------------------
@@ -76,8 +84,9 @@ def _read_json(path: Path) -> dict:
     return data
 
 
-def _resolve(value, base: Path, expected: str) -> tuple[dict, Path]:
-    """The document a reference names, and the directory its own references
+def _resolve(value, base: Path, *kinds: str) -> tuple[dict, Path]:
+    """The document a reference names, of one of ``kinds`` (a document with
+    no kind reads as the first), and the directory its own references
     resolve against: a path's file directory, or ``base`` for an inline object."""
     if isinstance(value, str):
         data, base = _read_json(base / value), (base / value).parent
@@ -85,9 +94,9 @@ def _resolve(value, base: Path, expected: str) -> tuple[dict, Path]:
         data = value
     else:
         raise InputError(f"expected an object or a file path, got {value!r}")
-    kind = data.get("kind", expected)
-    if kind != expected:
-        raise InputError(f"expected a {expected} document, found kind {kind!r}")
+    kind = data.get("kind", kinds[0])
+    if kind not in kinds:
+        raise InputError(f"expected a {' or '.join(kinds)} document, found kind {kind!r}")
     return data, base
 
 
@@ -96,6 +105,14 @@ def _diagram(data: dict, base: Path) -> tuple[dict, Path]:
     if data.get("kind") == "diagram-bundle":
         return _resolve(_require(data, "diagram", "diagram-bundle"), base, "pseudofunctor")
     return data, base
+
+
+def _against(data: dict) -> list:
+    """The test-category references of a bundle, an optional list; none for
+    any other document."""
+    if data.get("kind") != "diagram-bundle":
+        return []
+    return _typed(data.get("against", []), list, "diagram-bundle: field 'against'")
 
 
 def _typed(value, kind: type, ctx: str):
@@ -205,7 +222,7 @@ def load_fractions_input(data: dict, base: Path) -> FractionsInput:
 
 def _load_bundle(data: dict, base: Path) -> tuple[Pseudofunctor, list[FinCategory]]:
     diagram = load_pseudofunctor(*_diagram(data, base))
-    against = [load_category(*_resolve(ref, base, "category")) for ref in data.get("against", [])]
+    against = [load_category(*_resolve(ref, base, "category")) for ref in _against(data)]
     return diagram, against
 
 
@@ -261,7 +278,7 @@ def cmd_validate(args) -> int:
     path = Path(args.path)
     data = _read_json(path)
     kind = data.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise InputError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
     load, laws = KINDS[kind]
     report = laws(load(data, path.parent))
@@ -275,11 +292,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_groth(args) -> int:
-    path = Path(args.path)
-    data = _read_json(path)
-    if data.get("kind") != "pseudofunctor":
-        raise InputError(f"groth expects a pseudofunctor file, found kind {data.get('kind')!r}")
-    D = _lawful("pseudofunctor", data, path.parent)
+    D = _lawful("pseudofunctor", *_resolve(args.path, Path(), "pseudofunctor"))
     if args.contravariant and D.variance != "contravariant":
         raise DomainError("--contravariant requested but the diagram is covariant")
     GD = grothendieck(D)
@@ -307,16 +320,14 @@ def cmd_groth(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    path = Path(args.path)
-    inp = _lawful("fractions-input", _read_json(path), path.parent)
+    inp = _lawful("fractions-input", *_resolve(args.path, Path(), "fractions-input"))
     report = check_axioms(inp)
     print(report)
     return 0 if report.ok else 1
 
 
 def cmd_localize(args) -> int:
-    path = Path(args.path)
-    inp = _lawful("fractions-input", _read_json(path), path.parent)
+    inp = _lawful("fractions-input", *_resolve(args.path, Path(), "fractions-input"))
     limit = 10**9 if args.exhaustive else 64
     LC = localize(inp, exhaustive_limit=limit)
     if args.json:
@@ -344,14 +355,11 @@ def cmd_localize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    path = Path(args.path)
-    data = _read_json(path)
-    base = path.parent
-    refs, refs_base = [], base
+    kinds = ("fractions-input",) if args.which == "localization" else DIAGRAM_KINDS
+    data, base = _resolve(args.path, Path(), *kinds)
+    refs, refs_base = _against(data), base
     if args.against:  # a path given on the command line is read from the working directory
         refs, refs_base = [args.against], Path()
-    elif data.get("kind") == "diagram-bundle":
-        refs = _require(data, "against", "diagram-bundle")
     against = [_lawful("category", *_resolve(ref, refs_base, "category")) for ref in refs]
     if not against:
         raise InputError("no test category: pass --against or use a diagram-bundle")
@@ -395,9 +403,7 @@ def _positional_mismatch(A: FinCategory, B: FinCategory):
 
 
 def cmd_crosscheck(args) -> int:
-    path = Path(args.path)
-    data = _read_json(path)
-    D = _lawful("pseudofunctor", *_diagram(data, path.parent))
+    D = _lawful("pseudofunctor", *_diagram(*_resolve(args.path, Path(), *DIAGRAM_KINDS)))
     GD = grothendieck(D)
     IE = internal_elements(D)
 
@@ -476,7 +482,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a universal property against a test category")
     p.add_argument("path")
     p.add_argument("which", choices=("oplax", "localization", "pseudocolim"))
-    p.add_argument("--against", help="path to the test category file")
+    p.add_argument("--against", help="path to the test category file; replaces a bundle's own list")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("crosscheck", help="compare internal constructions with the direct ones")

@@ -492,6 +492,8 @@ def inverts(F: Functor, inp: FractionsInput) -> tuple[bool, dict]:
 
 def induced_functor(F: Functor, LC: LocalizedCategory) -> Functor:
     """Factor a W-inverting functor through the localization."""
+    if F.dom != LC.L.dom:
+        raise DomainError("functor domain is not the marked category")
     X = F.cod
     members: dict[str, list] = {}
     for payload, name in LC.q.items():

@@ -50,6 +50,15 @@ def test_validate_malformed_file(capsys):
     assert "error" in out
 
 
+@pytest.mark.parametrize("kind", [None, 3, ["category"], {"kind": "category"}],
+                         ids=["null", "number", "list", "object"])
+def test_validate_names_a_kind_that_is_not_a_string(capsys, tmp_path, kind):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": kind}), encoding="utf-8")
+    code, out, _ = run(capsys, "validate", path)
+    assert (code, out.split(";")[0]) == (2, f"error: unknown kind {kind!r}")
+
+
 def test_validate_missing_file(capsys):
     code, out, _ = run(capsys, "validate", FIX / "no_such_file.json")
     assert code == 2
@@ -614,6 +623,84 @@ def test_crosscheck_reads_the_diagram_of_a_bundle(capsys):
     bundle = run(capsys, "crosscheck", FIX / "bundle_contra.json")
     assert bundle[0] == 0
     assert bundle == run(capsys, "crosscheck", FIX / "diagram_contra_two.json")
+
+
+def _bundle_with(tmp_path, **fields):
+    bundle = {"kind": "diagram-bundle", "diagram": str(FIX / "diagram_contra_two.json"), **fields}
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "against,got",
+    [({"two.json": 1}, "dict"), ("two.json", "str"), (2, "int"), (None, "NoneType")],
+    ids=["object", "string", "number", "null"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [("validate",), ("verify", "pseudocolim"), ("verify", "oplax"),
+     ("verify", "oplax", "--against", str(FIX / "two.json"))],
+    ids=["validate", "verify pseudocolim", "verify oplax", "verify oplax --against"],
+)
+def test_bundle_against_must_be_a_list(capsys, tmp_path, command, against, got):
+    # an object is not iterated by its keys, nor a string by its letters; a
+    # list that --against replaces is still the bundle's, and still checked
+    name, *rest = command
+    assert run(capsys, name, _bundle_with(tmp_path, against=against), *rest)[:2] == (
+        2, f"error: diagram-bundle: field 'against' must be a list, got {got}\n"
+    )
+
+
+def test_bundle_against_is_optional(capsys, tmp_path):
+    path = _bundle_with(tmp_path)
+    assert run(capsys, "validate", path)[:2] == (0, "diagram-bundle: valid\n")
+    assert run(capsys, "verify", path, "oplax")[:2] == (
+        2, "error: no test category: pass --against or use a diagram-bundle\n"
+    )
+    assert run(capsys, "verify", path, "oplax", "--against", FIX / "two.json")[0] == 0
+
+
+DIAGRAM_KINDS = "a pseudofunctor or diagram-bundle document"
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("verify", "bundle_contra.json", "localization"),
+         "a fractions-input document, found kind 'diagram-bundle'"),
+        (("verify", "two_all.json", "oplax", "--against", FIX / "two.json"),
+         f"{DIAGRAM_KINDS}, found kind 'fractions-input'"),
+        (("axioms", "two.json"), "a fractions-input document, found kind 'category'"),
+        (("localize", "diagram_contra_two.json"),
+         "a fractions-input document, found kind 'pseudofunctor'"),
+        (("crosscheck", "two.json"), f"{DIAGRAM_KINDS}, found kind 'category'"),
+        (("groth", "two_f.json"), "a pseudofunctor document, found kind 'fractions-input'"),
+        (("groth", "bundle_contra.json"), "a pseudofunctor document, found kind 'diagram-bundle'"),
+    ],
+    ids=["verify_bundle_localization", "verify_fractions_oplax", "axioms_category",
+         "localize_pseudofunctor", "crosscheck_category", "groth_fractions", "groth_bundle"],
+)
+def test_each_command_names_the_kind_it_takes(capsys, argv, expected):
+    name, path, *rest = argv
+    assert run(capsys, name, FIX / path, *rest)[:2] == (2, f"error: expected {expected}\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("groth", "--contravariant"), ("crosscheck",),
+     ("verify", "oplax", "--against", FIX / "two.json")],
+    ids=lambda v: v[0],
+)
+def test_own_file_without_kind_reads_as_the_commands_kind(capsys, tmp_path, command):
+    data = _relocated("diagram_contra_two")
+    del data["kind"]
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    name, *rest = command
+    unkinded = run(capsys, name, path, *rest)
+    assert unkinded[0] == 0
+    assert unkinded == run(capsys, name, FIX / "diagram_contra_two.json", *rest)
 
 
 

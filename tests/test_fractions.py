@@ -338,6 +338,12 @@ def test_induced_functor_rejects_non_inverting():
         induced_functor(F, LC)
 
 
+def test_induced_functor_rejects_a_functor_off_another_category():
+    LC = localize(FractionsInput(corpus.two(), ("id:a", "id:b", "f")))
+    with pytest.raises(DomainError, match="functor domain is not the marked category"):
+        induced_functor(identity_functor(corpus.iso()), LC)
+
+
 def test_induced_of_localization_functor_is_identity():
     inp = FractionsInput(corpus.two(), ("id:a", "id:b", "f"))
     LC = localize(inp)

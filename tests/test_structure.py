@@ -415,25 +415,28 @@ def test_fractions_entry_check_fires():
 
 
 def _ingestion_reads(tree: ast.Module) -> list:
-    """Reads of a file outside _resolve and a command's read of its own
-    ``path``, and reads of a bundle's "diagram" field outside _diagram."""
+    """Reads of a file outside _resolve and validate's read of its own file,
+    and reads of a bundle's "diagram" or "against" field outside its one
+    reader."""
+    readers = {"diagram": "_diagram", "against": "_against"}
     found = []
     for fn in tree.body:
         if not isinstance(fn, ast.FunctionDef):
             continue
         for node in ast.walk(fn):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_read_json":
-                own_path = fn.name.startswith("cmd_") and getattr(node.args[0], "id", None) == "path"
-                if fn.name != "_resolve" and not own_path:
+                if fn.name not in ("_resolve", "cmd_validate"):
                     found.append(f"cli.py:{node.lineno} {fn.name} reads a file")
-            elif isinstance(node, ast.Constant) and node.value == "diagram":
-                if fn.name != "_diagram":
-                    found.append(f"cli.py:{node.lineno} {fn.name} reads a diagram")
+            elif isinstance(node, ast.Constant) and node.value in readers:
+                if fn.name != readers[node.value]:
+                    found.append(f"cli.py:{node.lineno} {fn.name} reads {node.value!r}")
     return sorted(found)
 
 
 def test_cli_has_one_ingestion_path():
-    # a reference is read, and its own references placed, only by _resolve
+    # every file, a command's own included, is read and kind-checked only by
+    # _resolve (validate dispatches on the kind it finds), and each bundle
+    # field has one reader
     assert _ingestion_reads(MODULES["cli"]) == []
 
 
@@ -450,6 +453,24 @@ def test_ingestion_check_fires():
     )
     assert _ingestion_reads(copy) == [
         "cli.py:2 load_functor reads a file",
+        "cli.py:4 cmd_verify reads a file",
         "cli.py:5 cmd_verify reads a file",
-        "cli.py:6 cmd_verify reads a diagram",
+        "cli.py:6 cmd_verify reads 'diagram'",
+    ]
+
+
+def test_against_check_fires():
+    copy = ast.parse(
+        "def cmd_validate(args):\n"
+        "    data = _read_json(Path(args.path))\n"
+        "def _load_bundle(data, base):\n"
+        "    return [_resolve(ref, base, 'category') for ref in data.get('against', [])]\n"
+        "def cmd_verify(args):\n"
+        "    refs = _require(data, 'against', 'diagram-bundle')\n"
+        "def _against(data):\n"
+        "    return _typed(data.get('against', []), list, 'against')\n"
+    )
+    assert _ingestion_reads(copy) == [
+        "cli.py:4 _load_bundle reads 'against'",
+        "cli.py:6 cmd_verify reads 'against'",
     ]

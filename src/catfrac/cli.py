@@ -62,7 +62,9 @@ from .fractions import (
     verify_pseudocolimit,
 )
 
-JSON_TYPES = {list: "a list", dict: "an object"}
+JSON_TYPES = {
+    list: "a list", dict: "an object", str: "a string", int: "a number", float: "a number"
+}
 # the kinds of file that hold a diagram, as the diagram commands read them
 DIAGRAM_KINDS = ("pseudofunctor", "diagram-bundle")
 
@@ -93,10 +95,11 @@ def _resolve(value, base: Path, *kinds: str) -> tuple[dict, Path]:
     elif isinstance(value, dict):
         data = value
     else:
-        raise InputError(f"expected an object or a file path, got {value!r}")
+        raise InputError(f"expected an object or a file path, got {_json_type(value)}")
     kind = data.get("kind", kinds[0])
     if kind not in kinds:
-        raise InputError(f"expected a {' or '.join(kinds)} document, found kind {kind!r}")
+        found = repr(kind) if isinstance(kind, str) else _json_type(kind)
+        raise InputError(f"expected a {' or '.join(kinds)} document, found kind {found}")
     return data, base
 
 
@@ -115,10 +118,18 @@ def _against(data: dict) -> list:
     return _typed(data.get("against", []), list, "diagram-bundle: field 'against'")
 
 
+def _json_type(value) -> str:
+    """The JSON type of a parsed value, as a message names it: null, true,
+    false, or one of ``JSON_TYPES``."""
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)
+    return JSON_TYPES[type(value)]
+
+
 def _typed(value, kind: type, ctx: str):
     """``value``, if it has the JSON type ``kind`` (list or dict)."""
     if not isinstance(value, kind):
-        raise InputError(f"{ctx} must be {JSON_TYPES[kind]}, got {type(value).__name__}")
+        raise InputError(f"{ctx} must be {JSON_TYPES[kind]}, got {_json_type(value)}")
     return value
 
 

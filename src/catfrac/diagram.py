@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import DomainError, InputError
 from .fincat import (
@@ -38,6 +38,7 @@ from .fincat import (
     enumerate_functors,
     enumerate_nat_trans,
     identity_functor,
+    nat_trans_search,
     two_sided_inverse,
     validate_category,
     validate_functor,
@@ -477,6 +478,13 @@ def enumerate_transformations(
     two-cells: those at identities forced by the components, then one per
     non-identity arrow. A cell is checked when chosen, and the coherence of
     a composable pair at its last cell.
+
+    The two-cells at phi are natural transformations between the endpoint
+    functors of ``two_cell_endpoints``, both off the category at the index
+    object where D(phi) starts (``variance_order``). One ``nat_trans_search``
+    is prepared per such index object, before the search starts, and serves
+    every choice of components; it returns no cell, so the slot has no
+    candidate, when a component hom is empty.
     """
     if kind not in ("lax", "pseudo"):
         raise InputError(f"unknown transformation kind {kind!r}")
@@ -490,6 +498,15 @@ def enumerate_transformations(
     for phi, psi in idx.composable_pairs():
         last = max(slot[phi], slot[psi], slot[idx.composition[(phi, psi)]])
         pairs_closed[last].append((phi, psi))
+    natural: dict = {}  # index object -> (its category's objects, the search on it)
+    cell_searches = []
+    for phi in arrows[n:]:
+        A = variance_order(D.variance, idx.src[phi], idx.tgt[phi])[0]
+        if D.fun(phi).dom != D.cat(A):
+            raise DomainError("cannot enumerate transformations between non-parallel functors")
+        if A not in natural:
+            natural[A] = (D.cat(A).objects, nat_trans_search(D.cat(A), X))
+        cell_searches.append(natural[A])
 
     def domain(i: int, vals: list):
         if i < n:
@@ -497,7 +514,9 @@ def enumerate_transformations(
         components = dict(zip(objs, vals))
         if i < 2 * n:
             return (identity_two_cell(D, components, objs[i - n]),)
-        return enumerate_nat_trans(*two_cell_endpoints(D, components, arrows[i - n]))
+        F, G = two_cell_endpoints(D, components, arrows[i - n])
+        names, search = cell_searches[i - 2 * n]
+        return [NatTrans(F, G, dict(zip(names, cell))) for cell in search(F, G)]
 
     def accept(i: int, vals: list) -> bool:
         if i < n:
@@ -555,42 +574,51 @@ def validate_modification(m: Modification) -> ValidationReport:
 
     for phi in idx.arrows:
         m_src, m_tgt = m.components[idx.src[phi]], m.components[idx.tgt[phi]]
-        for p in _incompatible_fibers(x, y, phi, m_src, m_tgt):
+        incompatible = _incompatible_fibers(
+            x.target, x.two_cells[phi], y.two_cells[phi], m_src, m_tgt, _fiber_reads(D, phi)
+        )
+        for p in incompatible:
             report.add(f"two-cell compatibility fails at ({phi!r}, {p!r})")
     return report
 
 
+def _fiber_reads(D: Pseudofunctor, phi: str) -> list[tuple[str, str, str]]:
+    """Where the compatibility of a modification with the two-cells at phi
+    reads its components: one (p, a, b) per fibre object p of the two-cells'
+    domain, where the components at the source and target of phi are read
+    at a and b. The component on the side where D(phi) acts first is read
+    at D(phi)(p), the other at p; the reads depend only on D."""
+    whisker = D.fun(phi).on_objects
+    if D.variance == "covariant":
+        return [(p, p, whisker[p]) for p in D.cat(D.index.src[phi]).objects]
+    return [(p, whisker[p], p) for p in D.cat(D.index.tgt[phi]).objects]
+
+
 def _incompatible_fibers(
-    x: LaxTransformation, y: LaxTransformation, phi: str, m_src: NatTrans, m_tgt: NatTrans
+    X: FinCategory,
+    x_phi: NatTrans,
+    y_phi: NatTrans,
+    m_src: NatTrans,
+    m_tgt: NatTrans,
+    reads: list,
 ) -> Iterator[str]:
     """Fiber objects at which components m_src, m_tgt of a modification x -> y,
-    at the source and target of phi, fail to commute with the two-cells at phi.
+    at the source and target of phi, fail to commute with the two-cells
+    x_phi, y_phi at phi; ``reads`` is ``_fiber_reads(D, phi)``.
 
     Both callers pass typed components, so the composites are read from the
     table.  On a lookup that fails, the same comparison is made again with
     the checked ``compose``, which raises what it always raised: an
     ill-typed two-cell is named by the same DomainError."""
-    D, X = x.source, x.target
     comp = X.composition
-    x_phi, y_phi = x.two_cells[phi].components, y.two_cells[phi].components
-    m_a, m_b = m_src.components, m_tgt.components
-    whisker = D.fun(phi).on_objects
-    if D.variance == "covariant":
-        for p in D.cat(D.index.src[phi]).objects:
-            try:
-                differs = comp[(m_a[p], y_phi[p])] != comp[(x_phi[p], m_b[whisker[p]])]
-            except KeyError:
-                differs = compose(X, m_a[p], y_phi[p]) != compose(X, x_phi[p], m_b[whisker[p]])
-            if differs:
-                yield p
-    else:
-        for p in D.cat(D.index.tgt[phi]).objects:
-            try:
-                differs = comp[(m_a[whisker[p]], y_phi[p])] != comp[(x_phi[p], m_b[p])]
-            except KeyError:
-                differs = compose(X, m_a[whisker[p]], y_phi[p]) != compose(X, x_phi[p], m_b[p])
-            if differs:
-                yield p
+    x_c, y_c, m_a, m_b = x_phi.components, y_phi.components, m_src.components, m_tgt.components
+    for p, a, b in reads:
+        try:
+            differs = comp[(m_a[a], y_c[p])] != comp[(x_c[p], m_b[b])]
+        except KeyError:
+            differs = compose(X, m_a[a], y_c[p]) != compose(X, x_c[p], m_b[b])
+        if differs:
+            yield p
 
 
 def enumerate_modifications(x: LaxTransformation, y: LaxTransformation) -> list[Modification]:
@@ -598,42 +626,58 @@ def enumerate_modifications(x: LaxTransformation, y: LaxTransformation) -> list[
 
     Searches one natural transformation per index object; the two-cell
     compatibility at an index arrow is checked once both of its endpoint
-    components are chosen.
+    components are chosen. The modification search is prepared once per
+    call, on x's diagram.
     """
     if x.source != y.source or x.target != y.target:
         raise DomainError("modification endpoints are not parallel")
     objs = x.source.index.objects
     per_object = [enumerate_nat_trans(x.components[a], y.components[a]) for a in objs]
+    search = modification_search(x.source, x.target)
     return [
         Modification(src=x, tgt=y, components=dict(zip(objs, vals)))
-        for vals in search_modifications(x, y, per_object)
+        for vals in search(x, y, per_object)
     ]
 
 
-def search_modifications(
-    x: LaxTransformation, y: LaxTransformation, per_object: list
-) -> Iterator[list]:
-    """The search behind ``enumerate_modifications``, for callers that
-    list the natural transformations between components themselves.
+def modification_search(D: Pseudofunctor, X: FinCategory) -> Callable:
+    """The search behind ``enumerate_modifications``, set up once for
+    transformations D -> X, for callers that list the natural
+    transformations between components themselves.
 
-    Yields the compatible choices of one component per index object, drawn
-    from ``per_object`` (the natural transformations between the components
-    of x and y, in index-object order), in canonical order.  The yielded
-    list is reused: copy what you keep."""
-    idx = x.source.index
+    Returns ``search(x, y, per_object)``, which yields the compatible
+    choices of one component per index object, drawn from ``per_object``
+    (the natural transformations between the components of x and y, in
+    index-object order), in canonical order; the yielded list is reused:
+    copy what you keep. The compatibility at an index arrow is checked at
+    the slot that closes it, the later of its endpoints. Those closing
+    lists and, for each arrow, the fibre objects and object map that the
+    check reads (``_fiber_reads``) depend only on D and are prepared here,
+    once. Per pair, the search yields nothing when some list in
+    ``per_object`` is empty, since that slot has no candidate."""
+    idx = D.index
     slot = {a: i for i, a in enumerate(idx.objects)}
     arrows_closed: list[list] = [[] for _ in idx.objects]
     for phi in idx.arrows:
         s, t = slot[idx.src[phi]], slot[idx.tgt[phi]]
-        arrows_closed[max(s, t)].append((phi, s, t))
+        arrows_closed[max(s, t)].append((phi, s, t, _fiber_reads(D, phi)))
 
-    def compatible(i: int, vals: list) -> bool:
-        for phi, s, t in arrows_closed[i]:
-            for _ in _incompatible_fibers(x, y, phi, vals[s], vals[t]):
-                return False
-        return True
+    def search(x: LaxTransformation, y: LaxTransformation, per_object: list) -> Iterator[list]:
+        if not all(per_object):
+            return iter(())
+        x_cells, y_cells = x.two_cells, y.two_cells
 
-    return backtrack(len(per_object), lambda i, vals: per_object[i], compatible)
+        def compatible(i: int, vals: list) -> bool:
+            for phi, s, t, reads in arrows_closed[i]:
+                for _ in _incompatible_fibers(
+                    X, x_cells[phi], y_cells[phi], vals[s], vals[t], reads
+                ):
+                    return False
+            return True
+
+        return backtrack(len(per_object), lambda i, vals: per_object[i], compatible)
+
+    return search
 
 
 def identity_modification(x: LaxTransformation) -> Modification:

@@ -24,7 +24,7 @@ from .diagram import (
     compositor_inverse_component,
     enumerate_transformations,
     expected_endpoints,
-    search_modifications,
+    modification_search,
     two_cell_endpoints,
     unitor_inverse_component,
 )
@@ -265,8 +265,11 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> Callable:
     transformations between two component functors at one index object are
     searched once per call of this function, not once per pair of
     transformations sharing them, by a search prepared once per index
-    object; the functor keys of each transformation's components are
-    computed once per call of this function too.
+    object; the modification search is prepared once per call of this
+    function too, and so are the functor keys of each transformation's
+    components.  A pair with no natural transformation between its
+    components at some index object has no modification, and the search
+    returns at once.
     """
     D = GD.diagram
     objs = D.index.objects
@@ -274,6 +277,7 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> Callable:
     tags = [GD.object_tags[name] for name in GD.carrier.objects]
     picks = [(slot[A], a) for A, a in tags]
     natural_between = {A: nat_trans_search(D.cat(A), X) for A in objs}
+    compatible = modification_search(D, X)
     searched: dict = {}
     keyed: dict = {}
 
@@ -301,7 +305,7 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> Callable:
         ]
         return [
             tuple([vals[s].components[a] for s, a in picks])
-            for vals in search_modifications(x, y, per_object)
+            for vals in compatible(x, y, per_object)
         ]
 
     return between

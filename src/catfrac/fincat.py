@@ -459,10 +459,13 @@ def nat_trans_search(C: FinCategory, X: FinCategory) -> Callable[[Functor, Funct
     natural transformation F => G as the tuple of its components in the
     object order of C, in canonical order. Components are searched object by
     object; the naturality square of an arrow is checked at the slot that
-    closes it, the later of its endpoints. Slots and closing slots depend
-    only on C, so callers that search many pairs of functors on one domain
-    prepare them once. The returned function does not check that F and G
-    are parallel functors C -> X: ``enumerate_nat_trans`` does.
+    closes it, the later of its endpoints, reading the arrow's images under
+    F and G there. The slots and the arrows each slot closes depend only on
+    C and are prepared here, once, so callers that search many pairs of
+    functors on one domain prepare them once. Per pair, the search returns
+    [] before it starts when some component hom X(Fx, Gx) is empty, since
+    that slot has no candidate. The returned function does not check that F
+    and G are parallel functors C -> X: ``enumerate_nat_trans`` does.
     """
     objs = C.objects
     slot = {x: i for i, x in enumerate(objs)}
@@ -476,11 +479,12 @@ def nat_trans_search(C: FinCategory, X: FinCategory) -> Callable[[Functor, Funct
     def search(F: Functor, G: Functor) -> list[tuple]:
         Fo, Go, Fa, Ga = F.on_objects, G.on_objects, F.on_arrows, G.on_arrows
         homs = [xhom(Fo[x], Go[x]) for x in objs]
-        squares = [[(s, t, Fa[f], Ga[f]) for s, t, f in fs] for fs in closing]
+        if not all(homs):
+            return []
 
         def natural(i: int, vals: list) -> bool:
-            for s, t, Ff, Gf in squares[i]:
-                if comp[(Ff, vals[t])] != comp[(vals[s], Gf)]:
+            for s, t, f in closing[i]:
+                if comp[(Fa[f], vals[t])] != comp[(vals[s], Ga[f])]:
                     return False
             return True
 

@@ -133,6 +133,25 @@ def functor_count(rawc, rawx) -> int:
     return n
 
 
+def nat_trans_count(rawc, rawx, F, G) -> int:
+    """Count natural transformations F => G : C -> X by filtering the full
+    product of the component hom-sets X(Fx, Gx). F and G are pairs of raw
+    maps (on objects, on arrows); an empty hom-set makes the product empty."""
+    (fo, fa), (go, ga) = F, G
+    xarr, comp = rawx["arrows"], rawx["compose"]
+    objs = rawc["objects"]
+    homs = [[h for h, ends in xarr.items() if ends == (fo[x], go[x])] for x in objs]
+    n = 0
+    for choice in itertools.product(*homs):
+        eta = dict(zip(objs, choice))
+        if all(
+            comp[(fa[f], eta[t])] == comp[(eta[s], ga[f])]
+            for f, (s, t) in rawc["arrows"].items()
+        ):
+            n += 1
+    return n
+
+
 # --- fixtures for the oracle runs (kept raw and local on purpose) ---
 
 def raw_walking_arrow():

@@ -448,8 +448,8 @@ def _bad_unitor_at_x(data):
 @pytest.mark.parametrize(
     "edit,message",
     [
-        (_add("on_arrows", "f", "x"), "on_arrows[f] must be an object, got str"),
-        (_add("on_arrows", "f", "on_objects"), "on_arrows[f] must be an object, got str"),
+        (_add("on_arrows", "f", "x"), "on_arrows[f] must be an object, got a string"),
+        (_add("on_arrows", "f", "on_objects"), "on_arrows[f] must be an object, got a string"),
         (_bad_unitor_at_x, "unitor at 'x': component at '*' is not an arrow of the codomain"),
         (_add("compositors", "f;g", {"*": "nope"}),
          "compositor at ('f', 'g'): component at '*' is not an arrow of the codomain"),
@@ -634,7 +634,7 @@ def _bundle_with(tmp_path, **fields):
 
 @pytest.mark.parametrize(
     "against,got",
-    [({"two.json": 1}, "dict"), ("two.json", "str"), (2, "int"), (None, "NoneType")],
+    [({"two.json": 1}, "an object"), ("two.json", "a string"), (2, "a number"), (None, "null")],
     ids=["object", "string", "number", "null"],
 )
 @pytest.mark.parametrize(
@@ -649,6 +649,32 @@ def test_bundle_against_must_be_a_list(capsys, tmp_path, command, against, got):
     name, *rest = command
     assert run(capsys, name, _bundle_with(tmp_path, against=against), *rest)[:2] == (
         2, f"error: diagram-bundle: field 'against' must be a list, got {got}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "diagram,got",
+    [(None, "null"), (True, "true"), (3.5, "a number"), (["d.json"], "a list")],
+    ids=["null", "true", "number", "list"],
+)
+def test_reference_of_the_wrong_type_is_named_by_its_json_type(capsys, tmp_path, diagram, got):
+    path = _bundle_with(tmp_path, diagram=diagram, against=[str(FIX / "two.json")])
+    assert run(capsys, "verify", path, "oplax")[:2] == (
+        2, f"error: expected an object or a file path, got {got}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "kind,found", [(True, "true"), (False, "false"), (None, "null"), (7, "a number")],
+    ids=["true", "false", "null", "number"],
+)
+def test_kind_that_is_not_a_string_is_named_by_its_json_type(capsys, tmp_path, kind, found):
+    data = json.loads((FIX / "diagram_contra_two.json").read_text(encoding="utf-8"))
+    data["kind"] = kind
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(capsys, "verify", path, "oplax", "--against", FIX / "two.json")[:2] == (
+        2, f"error: expected a pseudofunctor or diagram-bundle document, found kind {found}\n"
     )
 
 

@@ -346,3 +346,14 @@ def test_ill_typed_two_cell_of_a_covariant_diagram_is_named_by_the_checked_compo
     with pytest.raises(DomainError) as exc:
         enumerate_modifications(x, x)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("D", [corpus.diag_contra_two(), corpus.diag_cov_two()],
+                         ids=["contravariant", "covariant"])
+def test_transformations_refuse_a_functor_off_the_wrong_category(D):
+    # the two-cells at f are searched on the category where D(f) starts;
+    # a D(f) off another category, into the right one, gives non-parallel
+    # endpoint functors
+    D.on_arrows["f"] = identity_functor(D.fun("f").cod)
+    with pytest.raises(DomainError, match="non-parallel functors"):
+        enumerate_transformations(D, corpus.two())

@@ -279,6 +279,18 @@ def test_nat_trans_search_rejects_a_non_functor():
         enumerate_nat_trans(F, F)
 
 
+def test_nat_trans_search_returns_on_an_empty_hom_before_any_square():
+    # F sends id:a to f, so its square at id:a is not composable; but
+    # hom(F(b), G(b)) = hom(b, a) is empty, so the search returns [] before
+    # it checks a square. With that hom nonempty, the square raises.
+    C = corpus.two()
+    F = Functor(C, C, {"a": "a", "b": "b"}, {"id:a": "f", "id:b": "id:b", "f": "f"})
+    G = Functor(C, C, {"a": "a", "b": "a"}, {"id:a": "id:a", "id:b": "id:a", "f": "id:a"})
+    assert enumerate_nat_trans(F, G) == []
+    with pytest.raises(DomainError, match="non-composable pair \\('f', 'id:a'\\)"):
+        enumerate_nat_trans(F, identity_functor(C))
+
+
 @settings(max_examples=200, deadline=5000)
 @given(st.data())
 def test_partition_matches_the_oracle(data):

@@ -9,13 +9,16 @@ hold the identities and are closed under composition is a theorem about
 natural transformations and modifications; it is checked here, on the
 corpus and on generated categories, against code the adapters do not use,
 so that a search that loses a result or a wrong identity still fails
-somewhere.
+somewhere. The prepared search's counts are compared, on generated
+categories, with the oracle's filter over the product of the component
+hom-sets, so a search that returns early on an empty hom must still agree.
 """
 
 import pytest
 from hypothesis import given, settings
 
 import corpus
+import oracle
 from catfrac import (
     enumerate_functors,
     enumerate_nat_trans,
@@ -81,6 +84,35 @@ def test_nat_trans_laws_on_generated(rawc, rawx):
     C, X = build(rawc), build(rawx)
     assert_search_matches_enumeration(C, X)
     assert_identities_and_composites(C, X)
+
+
+def assert_counts_match_the_oracle(rawc, rawx) -> int:
+    """The prepared search lists as many transformations as the oracle counts,
+    for every pair of functors; returns how many pairs have an empty
+    component hom, where the search returns before it starts."""
+    C, X = build(rawc), build(rawx)
+    search = nat_trans_search(C, X)
+    functors = enumerate_functors(C, X)
+    empty = 0
+    for F in functors:
+        for G in functors:
+            raw_f, raw_g = (F.on_objects, F.on_arrows), (G.on_objects, G.on_arrows)
+            assert len(search(F, G)) == oracle.nat_trans_count(rawc, rawx, raw_f, raw_g)
+            empty += not all(X.hom(F.on_objects[x], G.on_objects[x]) for x in C.objects)
+    return empty
+
+
+@settings(max_examples=60, deadline=5000)
+@given(categories, targets)
+def test_nat_trans_count_matches_the_oracle(rawc, rawx):
+    assert_counts_match_the_oracle(rawc, rawx)
+
+
+def test_oracle_count_covers_an_empty_component_hom():
+    # functors off the walking arrow into itself: the constant at b has no
+    # transformation to the constant at a, since hom(b, a) is empty
+    arrow = oracle.raw_walking_arrow()
+    assert assert_counts_match_the_oracle(arrow, arrow) > 0
 
 
 DIAGRAM_TARGETS = [

@@ -10,13 +10,18 @@ pseudofunctor coherence laws are written once for both variances; every
 quotient is closed by the one partition routine in fincat; internal_localize
 is the one ambient function that enters the fractions layer; the CLI reads a
 file only to resolve a reference or a command's own path, and a bundle's
-diagram in one place; FinCategory.build has no option."""
+diagram in one place; FinCategory.build has no option; the verifiers
+prepare each 2-cell search once per domain, not once per pair."""
 
 import ast
 import dataclasses
 import inspect
+import sys
+from collections import Counter
 from pathlib import Path
 
+import catfrac.diagram
+import catfrac.fincat
 import corpus
 from catfrac import (
     CleavageSet,
@@ -25,8 +30,11 @@ from catfrac import (
     FractionsInput,
     check_axioms,
     enumerate_functors,
+    enumerate_modifications,
+    enumerate_transformations,
     localize,
     validate_category,
+    verify_oplax_colimit,
 )
 from catfrac.ambient import _SpanMachinery
 from catfrac.verify import Correspondence
@@ -474,3 +482,67 @@ def test_against_check_fires():
         "cli.py:4 _load_bundle reads 'against'",
         "cli.py:6 cmd_verify reads 'against'",
     ]
+
+
+SEARCHES = {"nat_trans_search": catfrac.fincat, "modification_search": catfrac.diagram}
+
+
+def _prepared_searches(monkeypatch, run) -> list:
+    """Run ``run`` with the two 2-cell searches wrapped wherever a catfrac
+    module binds them, and list one (function that prepared it, search,
+    domain) per search prepared; the domain is a category, or for the
+    modification search a diagram, and is named by its id. A comprehension
+    is its own frame on some Python versions, so the function is the first
+    frame out that has a name."""
+    prepared = []
+    for name, home in SEARCHES.items():
+        original = getattr(home, name)
+
+        def recorded(domain, X, name=name, original=original):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):
+                frame = frame.f_back
+            prepared.append((frame.f_code.co_name, name, id(domain)))
+            return original(domain, X)
+
+        for module in [m for n, m in sys.modules.items() if n.startswith("catfrac")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, recorded)
+    run()
+    return prepared
+
+
+def _repeated(prepared: list) -> list:
+    """Each function that prepared one search more than once on one domain,
+    with the count."""
+    return sorted((fn, name, n) for (fn, name, _), n in Counter(prepared).items() if n > 1)
+
+
+def test_two_cell_searches_are_prepared_once_per_domain(monkeypatch):
+    # enumerate_transformations, modification_cells and the engine each
+    # prepare their searches before their loops over pairs; over the chain
+    # the three index arrows have two domains and each index object has its
+    # own category, so a search prepared per pair would show as a repeat
+    D, X = corpus.diag_cov_chain(), corpus.iso()
+    prepared = _prepared_searches(monkeypatch, lambda: verify_oplax_colimit(D, X))
+    assert _repeated(prepared) == []
+    assert [p for p in prepared if p[1] == "modification_search"] == [
+        ("modification_cells", "modification_search", id(D))
+    ]
+
+
+def test_prepared_search_check_fires(monkeypatch):
+    # enumerate_modifications prepares its searches per call, so calling it
+    # once per pair of transformations prepares them once per pair
+    D, X = corpus.diag_cov_chain(), corpus.iso()
+    trans = enumerate_transformations(D, X)
+
+    def per_pair():
+        for x in trans:
+            for y in trans:
+                enumerate_modifications(x, y)
+
+    pairs = len(trans) ** 2
+    assert _repeated(_prepared_searches(monkeypatch, per_pair)) == [
+        ("enumerate_modifications", "modification_search", pairs)
+    ] + [("enumerate_nat_trans", "nat_trans_search", pairs)] * len(D.index.objects)

@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 import corpus
+import catfrac.elements
 import catfrac.fractions
 from catfrac import (
     AxiomReport,
@@ -20,6 +21,7 @@ from catfrac import (
     VerifierReport,
     enumerate_functors,
     enumerate_nat_trans,
+    enumerate_transformations,
     grothendieck,
     two_sided_inverse,
     verify_localization_up,
@@ -114,6 +116,20 @@ def test_two_cell_count_mismatch():
     assert report.stats == {"cells": 0}
 
 
+def test_two_cell_count_mismatch_on_an_empty_component_hom():
+    # q => p has no natural transformation, since hom(b, a) is empty and the
+    # search returns before it starts; a listed cell must still be counted
+    listed = fake().between
+
+    def between(x, y):
+        return [("s",)] if (x, y) == ("q", "p") else listed(x, y)
+
+    report = run(fake(between=between))
+    assert report.problems == [
+        "2-cell count mismatch between #1 and #0: 1 cells vs 0 natural transformations"
+    ]
+
+
 def test_non_natural_transfer():
     # p => q lists an identity tuple in place of its first cell, though the
     # identity of a is no arrow a -> b; the count still matches
@@ -191,6 +207,28 @@ def test_golden_oplax_swapped_tags():
         "  - image of transformation #3 is not a functor off the carrier\n"
         "  - image of transformation #4 is not a functor off the carrier\n"
         "  - image of transformation #5 is not a functor off the carrier"
+    )
+
+
+def test_oplax_colimit_catches_modifications_of_the_reverse_pair(monkeypatch):
+    # the modification side lists y => x for the pair (x, y); for x = #0 and
+    # y = #1 that pair's components at b are the constants at a and b, so
+    # its per-object list there is empty and the search yields nothing,
+    # while the natural side has one cell
+    D, X = corpus.diag_contra_two(), corpus.two()
+    cells = catfrac.elements.modification_cells
+
+    def reversed_cells(GD, X):
+        between = cells(GD, X)
+        return lambda x, y: between(y, x)
+
+    monkeypatch.setattr(catfrac.elements, "modification_cells", reversed_cells)
+    x, y = enumerate_transformations(D, X)[:2]
+    assert enumerate_nat_trans(y.components["b"], x.components["b"]) == []
+    problems = verify_oplax_colimit(D, X).problems
+    assert (
+        "2-cell count mismatch between #0 and #1: 0 modifications vs 1 natural transformations"
+        in problems
     )
 
 

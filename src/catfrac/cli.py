@@ -98,8 +98,9 @@ def _resolve(value, base: Path, *kinds: str) -> tuple[dict, Path]:
         raise InputError(f"expected an object or a file path, got {_json_type(value)}")
     kind = data.get("kind", kinds[0])
     if kind not in kinds:
-        found = repr(kind) if isinstance(kind, str) else _json_type(kind)
-        raise InputError(f"expected a {' or '.join(kinds)} document, found kind {found}")
+        raise InputError(
+            f"expected a {' or '.join(kinds)} document, found kind {_shown_kind(kind)}"
+        )
     return data, base
 
 
@@ -124,6 +125,12 @@ def _json_type(value) -> str:
     if value is None or isinstance(value, bool):
         return json.dumps(value)
     return JSON_TYPES[type(value)]
+
+
+def _shown_kind(kind) -> str:
+    """A document's kind as a message names it: a string quoted, anything
+    else by its JSON type."""
+    return repr(kind) if isinstance(kind, str) else _json_type(kind)
 
 
 def _typed(value, kind: type, ctx: str):
@@ -288,9 +295,12 @@ def category_to_json(C: FinCategory) -> dict:
 def cmd_validate(args) -> int:
     path = Path(args.path)
     data = _read_json(path)
-    kind = data.get("kind")
+    expected = f"expected one of {', '.join(KINDS)}"
+    if "kind" not in data:
+        raise InputError(f"missing field 'kind'; {expected}")
+    kind = data["kind"]
     if not isinstance(kind, str) or kind not in KINDS:
-        raise InputError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
+        raise InputError(f"unknown kind {_shown_kind(kind)}; {expected}")
     load, laws = KINDS[kind]
     report = laws(load(data, path.parent))
     if report.ok:
@@ -486,7 +496,13 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("localize", help="build the category of fractions")
     p.add_argument("path")
-    p.add_argument("--exhaustive", action="store_true", help="force exhaustive well-definedness checks")
+    p.add_argument(
+        "--exhaustive",
+        action="store_true",
+        help="run the composite check whatever the span count (by default only up to "
+        "64 spans): per row (s1, v2) the heads lie in one class, and per span pair "
+        "the first head composed with g2 lands in the class the table gives",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_localize)
 

@@ -491,8 +491,12 @@ def nat_trans_search(C: FinCategory, X: FinCategory) -> Callable[[Functor, Funct
         found = backtrack(len(homs), lambda i, vals: homs[i], natural)
         try:
             return [tuple(vals) for vals in found]
-        except KeyError as exc:  # an arrow image with the wrong endpoints
-            raise DomainError(f"naturality square has a non-composable pair {exc}") from None
+        except KeyError as exc:
+            key = exc.args[0]
+            if isinstance(key, tuple):  # an arrow image with the wrong endpoints
+                raise DomainError(f"naturality square has a non-composable pair {key!r}") from None
+            which = "first" if key not in Fa else "second"
+            raise DomainError(f"the {which} functor has no image of arrow {key!r}") from None
 
     return search
 

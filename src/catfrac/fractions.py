@@ -99,12 +99,13 @@ class FractionsInput:
 class _SharedFillers(FractionsInput):
     """The input of one localize call, or of one ambient span machinery,
     keeping every filler list and every list of heads it searches.  The
-    composition loop and self-check (b), and the ambient's composition of
-    every span pair, compose many span pairs over the same cospans, marked
-    pairs and (v1, g1, v2), and each list is complete and in canonical
-    order, so its first entry is the lazy search's first hit.  So
-    span_compose forms each head once per (v1, g1, v2) and only reads the
-    composite with g2 per span pair.  It lives only as long as that call."""
+    composition loop and the ambient's composition of every span pair
+    compose many span pairs over the same cospans, marked pairs and
+    (v1, g1, v2), self-check (b) reads the heads of each (v1, g1, v2), and
+    each list is complete and in canonical order, so its first entry is the
+    lazy search's first hit.  So span_compose forms each head once per
+    (v1, g1, v2) and only reads the composite with g2 per span pair.  It
+    lives only as long as that call."""
 
     def __init__(self, inp: FractionsInput) -> None:
         super().__init__(inp.category, inp.weq)
@@ -384,12 +385,17 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     """Quotient the spans and install composition on representatives.
 
     Refuses with the axiom report when any axiom fails.  Also re-derives
-    its own choices: identity classes are independent of the chosen
-    section, and composites are independent of fillers and representatives
-    (exhaustively when the span count is within exhaustive_limit; each
-    Ore x weak product is formed once per (v1, g1, v2) and shared by the
-    span pairs that differ only in g2).  Any
-    failure of those re-derivations, or a sailboat move that changes a
+    its own choices: (a) identity classes are independent of the chosen
+    section, and (b) composites are independent of fillers and
+    representatives, when the span count is within exhaustive_limit.  (b)
+    runs once per row (s1, v2): the distinct heads of (v1, g1, v2), one per
+    Ore x weak filler combination, must lie in one class, and then, per g2
+    out of s(v2), the first head composed with g2 (one table read) must
+    land in the class the table gives the pair.  That is the whole product
+    check, because a sailboat move of a head stays a move once g2 is
+    composed on; ``span_compose(exhaustive=True)`` still forms the whole
+    product per span pair.  A failing row names the pair (s1, (v2, 1)).
+    Any failure of those re-derivations, or a sailboat move that changes a
     span's endpoints, raises IntegrityError.
 
     The input's table is assumed to be a category: the associativity and
@@ -422,9 +428,9 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     alpha = {x: next(_sections(inp, x)) for x in C.objects}
     identity = {x: class_of_span[(alpha[x], alpha[x])] for x in C.objects}
 
-    # a span (v, g) runs from t(v) to t(g); listing the classes (and, for
-    # (b), the spans) out of each object in their own order makes each loop
-    # visit only the composable pairs, in the order of the full product
+    # a span (v, g) runs from t(v) to t(g); listing the classes out of each
+    # object in their own order makes the loop visit only the composable
+    # pairs, in the order of the full product
     reps_out: dict[str, list] = {}
     for n, (v, g) in class_reps.items():
         reps_out.setdefault(C.tgt[v], []).append((n, (v, g)))
@@ -455,22 +461,35 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
                     f"identity at {x!r} depends on the section: {v!r} disagrees"
                 )
 
-    # (b) composites do not depend on fillers or representatives
+    # (b) composites do not depend on fillers or representatives; the rows
+    # (s1, v2), and the g2 within a row, come in the order of the full
+    # product of span pairs, so the first failing pair is named
     if len(spans) <= exhaustive_limit:
-        spans_out: dict[str, list] = {}
-        for s in spans:
-            spans_out.setdefault(C.tgt[s[0]], []).append(s)
+        comp = C.composition
         for s1 in spans:
-            for s2 in spans_out.get(C.tgt[s1[1]], ()):
-                _, all_payloads = span_compose(shared, s1, s2, exhaustive=True)
-                expected = composition[(class_of_span[s1], class_of_span[s2])]
-                # a payload that is no span stands for itself
-                got = {class_of_span.get(p, p) for p in all_payloads}
-                if got != {expected}:
+            v1, g1 = s1
+            n1 = class_of_span[s1]
+            for v2 in inp._w_into.get(C.tgt[g1], ()):
+                # a head that is no span stands for itself
+                heads = shared._fillers(_composite_heads, v1, g1, v2)
+                classes = {class_of_span.get(p, p) for p in heads}
+                if len(classes) != 1:
+                    s2 = (v2, C.identity[C.src[v2]])
                     raise IntegrityError(
                         f"composite of {s1!r} and {s2!r} "
-                        f"is not well-defined: classes {sorted(got, key=str)!r}"
+                        f"is not well-defined: classes {sorted(classes, key=str)!r}"
                     )
+                a, b = heads[0]
+                for g2 in C.out_of(C.src[v2]):
+                    s2 = (v2, g2)
+                    # a head ends at s(v2), so (b, g2) is in the table
+                    p = (a, comp[(b, g2)])
+                    got = class_of_span.get(p, p)
+                    if got != composition[(n1, class_of_span[s2])]:
+                        raise IntegrityError(
+                            f"composite of {s1!r} and {s2!r} "
+                            f"is not well-defined: classes {[got]!r}"
+                        )
     return out
 
 

@@ -50,13 +50,24 @@ def test_validate_malformed_file(capsys):
     assert "error" in out
 
 
-@pytest.mark.parametrize("kind", [None, 3, ["category"], {"kind": "category"}],
-                         ids=["null", "number", "list", "object"])
-def test_validate_names_a_kind_that_is_not_a_string(capsys, tmp_path, kind):
+@pytest.mark.parametrize(
+    "kind,found",
+    [(True, "true"), (None, "null"), (3, "a number"), (["category"], "a list"),
+     ({"kind": "category"}, "an object"), ("graph", "'graph'")],
+    ids=["true", "null", "number", "list", "object", "string"],
+)
+def test_validate_names_a_kind_that_is_not_a_string(capsys, tmp_path, kind, found):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"kind": kind}), encoding="utf-8")
     code, out, _ = run(capsys, "validate", path)
-    assert (code, out.split(";")[0]) == (2, f"error: unknown kind {kind!r}")
+    assert (code, out.split(";")[0]) == (2, f"error: unknown kind {found}")
+
+
+def test_validate_names_a_missing_kind(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"objects": 1}), encoding="utf-8")
+    code, out, _ = run(capsys, "validate", path)
+    assert (code, out.split(";")[0]) == (2, "error: missing field 'kind'")
 
 
 def test_validate_missing_file(capsys):

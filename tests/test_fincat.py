@@ -291,6 +291,18 @@ def test_nat_trans_search_returns_on_an_empty_hom_before_any_square():
         enumerate_nat_trans(F, identity_functor(C))
 
 
+def test_nat_trans_search_names_a_missing_arrow_image():
+    # a missing image and a non-composable pair both fail a table read; the
+    # missing image is named as such, with the functor that lacks it
+    C = corpus.two()
+    partial = Functor(C, C, {"a": "a", "b": "b"}, {"id:a": "id:a", "id:b": "id:b"})
+    whole = identity_functor(C)
+    with pytest.raises(DomainError, match="^the first functor has no image of arrow 'f'$"):
+        enumerate_nat_trans(partial, whole)
+    with pytest.raises(DomainError, match="^the second functor has no image of arrow 'f'$"):
+        enumerate_nat_trans(whole, partial)
+
+
 @settings(max_examples=200, deadline=5000)
 @given(st.data())
 def test_partition_matches_the_oracle(data):

@@ -1,10 +1,15 @@
 """localize shares its Ore-filler and weak-filler searches within one call.
 
-Differential: the composition loop and self-check (b) read the shared lists;
-the public span_compose searches on its own, and its exhaustive mode gives
-what the whole Ore x weak product gives.  A count of compose calls bounds
-the cost of (b) without timing it. Negative controls: a fault
-injected into a search reaches self-checks (a) and (b) and fires them.
+Differential: the composition loop reads the shared lists, and self-check
+(b) reads the shared heads of each row (s1, v2) once, checks that they lie
+in one class, then composes the first head with each g2 out of s(v2) by one
+table read; the public span_compose searches on its own, and its exhaustive
+mode gives what the whole Ore x weak product gives.  With no fault, a
+bogus last filler or a coarser partition injected, (b) fires exactly when
+the whole product, formed test-side per span pair, meets more than one
+class in some class pair.  A count of compose calls bounds the cost of (b)
+without timing it. Negative controls: a fault injected into a search
+reaches self-checks (a) and (b) and fires them.
 """
 
 import sys
@@ -30,44 +35,61 @@ from catfrac import (
     span_compose,
 )
 from catfrac.errors import IntegrityError
-from catfrac.fractions import _ore_fillers, _weak_fillers
+from catfrac.fractions import _composite_heads
 from test_generated import build, monoids, posets
 
 LIMIT = 64  # localize's default exhaustive_limit
 
 
 def localize_spying(inp: FractionsInput):
-    """localize, recording every span_compose call self-check (b) makes."""
-    seen = {}
+    """localize, recording every span_compose call (s1, s2, exhaustive) and
+    every list of heads it reads from its shared fillers, (key, heads)."""
+    composed, read = [], []
     public = catfrac.fractions.span_compose
+    shared_fillers = catfrac.fractions._SharedFillers._fillers
 
-    def spy(shared, s1, s2, exhaustive=False):
-        out = public(shared, s1, s2, exhaustive)
-        if exhaustive:
-            seen[(s1, s2)] = out
-        return out
+    def composing(shared, s1, s2, exhaustive=False):
+        composed.append((s1, s2, exhaustive))
+        return public(shared, s1, s2, exhaustive)
+
+    def reading(shared, search, *key):
+        found = shared_fillers(shared, search, *key)
+        if search is _composite_heads:
+            read.append((key, list(found)))
+        return found
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(catfrac.fractions, "span_compose", spy)
+        mp.setattr(catfrac.fractions, "span_compose", composing)
+        mp.setattr(catfrac.fractions._SharedFillers, "_fillers", reading)
         LC = localize(inp)
-    return LC, seen
+    return LC, composed, read
+
+
+def rows(inp: FractionsInput) -> list[tuple]:
+    """The keys (v1, g1, v2) of the rows (s1, v2) of composable span pairs,
+    in the order of the full product of spans; none above LIMIT spans."""
+    spans = shape_instances(inp, "spn")
+    if len(spans) > LIMIT:
+        return []
+    C = inp.category
+    return [(v1, g1, v2) for v1, g1 in spans for v2 in inp.weq if C.tgt[v2] == C.tgt[g1]]
 
 
 def check_against_public(inp: FractionsInput) -> None:
-    LC, seen = localize_spying(inp)
+    LC, composed, read = localize_spying(inp)
     fresh = FractionsInput(inp.category, inp.weq)
-    for (n1, n2), n in LC.carrier.composition.items():
+    K = LC.carrier
+    # span_compose runs only in the class loop, once per class pair
+    assert composed == [
+        (LC.class_reps[n1], LC.class_reps[n2], False) for n1, n2 in K.composition
+    ]
+    for (n1, n2), n in K.composition.items():
         s1, s2 = LC.class_reps[n1], LC.class_reps[n2]
         assert LC.q[span_compose(fresh, s1, s2)] == n
-    spans = shape_instances(inp, "spn")
-    C = inp.category
-    pairs = [(s1, s2) for s1 in spans for s2 in spans if C.tgt[s1[1]] == C.tgt[s2[0]]]
-    if len(spans) > LIMIT:
-        assert seen == {}
-        return
-    assert set(seen) == set(pairs)
-    for s1, s2 in pairs:
-        assert seen[(s1, s2)] == span_compose(fresh, s1, s2, exhaustive=True)
+    # (b) reads the heads of every row once, each the fresh search's list
+    assert Counter(key for key, _ in read) == Counter(rows(inp))
+    for key, heads in read:
+        assert heads == list(_composite_heads(fresh, *key))
 
 
 def fully_marked_chain(n: int) -> FractionsInput:
@@ -96,18 +118,13 @@ def test_corpus_composites_match_public_span_compose(name, inp):
 def test_loops_visit_composable_pairs_in_product_order(name, inp):
     # FinCategory.build keeps the insertion order of the composition table,
     # so the class loop must list pairs as the filtered full product does;
-    # self-check (b) visits span pairs in the same order
-    LC, seen = localize_spying(inp)
+    # self-check (b) visits the rows (s1, v2) of span pairs in the same order
+    LC, composed, read = localize_spying(inp)
     K = LC.carrier
     assert list(K.composition) == [
         (n1, n2) for n1 in K.arrows for n2 in K.arrows if K.tgt[n1] == K.src[n2]
     ]
-    spans = shape_instances(inp, "spn")
-    C = inp.category
-    if len(spans) <= LIMIT:
-        assert list(seen) == [
-            (p1, p2) for p1 in spans for p2 in spans if C.tgt[p1[1]] == C.tgt[p2[0]]
-        ]
+    assert [key for key, _ in read] == rows(inp)
 
 
 def cyclic(n: int) -> FinCategory:
@@ -128,13 +145,15 @@ def fully_marked_cyclic(n: int) -> FractionsInput:
 
 def whole_product(inp: FractionsInput, s1: tuple, s2: tuple) -> tuple:
     """Every (Ore filler, weak filler) composite in canonical order, nothing
-    shared and nothing dropped: (first, frozenset of all)."""
+    shared and nothing dropped: (first, frozenset of all).  The searches are
+    read from the module when called, so an injected fault reaches them."""
     C = inp.category
     (v1, g1), (v2, g2) = s1, s2
+    searches = catfrac.fractions
     found = [
         (compose(C, compose(C, m, wp), v1), compose(C, compose(C, m, h2), g2))
-        for wp, h2 in list(_ore_fillers(inp, g1, v2))
-        for m in list(_weak_fillers(inp, wp, v1))
+        for wp, h2 in list(searches._ore_fillers(inp, g1, v2))
+        for m in list(searches._weak_fillers(inp, wp, v1))
     ]
     return found[0], frozenset(found)
 
@@ -338,3 +357,121 @@ def test_self_check_a_fires_on_a_bogus_last_section(monkeypatch):
     )
     with pytest.raises(IntegrityError, match="depends on the section"):
         localize(inp)
+
+
+def constants() -> FractionsInput:
+    """The identity e and the two constant maps of {0, 1}, on one object and
+    marked at e: x;c = c for every constant c."""
+    C = FinCategory.build(
+        ["*"],
+        [(f, "*", "*") for f in ("e", "c0", "c1")],
+        {"*": "e"},
+        {(f, g): f if g == "e" else g for f in ("e", "c0", "c1") for g in ("e", "c0", "c1")},
+    )
+    return FractionsInput(C, ("e",))
+
+
+def bogus_last(name: str, bogus):
+    """The fault that appends ``bogus``'s pick to the search ``name``."""
+
+    def inject(mp) -> None:
+        exact = getattr(catfrac.fractions, name)
+        mp.setattr(catfrac.fractions, name, with_bogus_last(exact, bogus))
+
+    return inject
+
+
+def merged_last_class(mp) -> None:
+    """The fault that merges the last sailboat class into the first class
+    with its endpoints: a coarser partition, which no filler fault makes."""
+    exact = catfrac.fractions._span_partition
+
+    def coarser(inp):
+        spans, ordered = exact(inp)
+        C = inp.category
+
+        def ends(members):
+            v, g = spans[members[0]]
+            return C.tgt[v], C.tgt[g]
+
+        for i, members in enumerate(ordered[:-1]):
+            if ends(members) == ends(ordered[-1]):
+                merged = sorted(members + ordered[-1])
+                return spans, ordered[:i] + [merged] + ordered[i + 1:-1]
+        return spans, ordered
+
+    mp.setattr(catfrac.fractions, "_span_partition", coarser)
+
+
+FAULTS = {
+    "no fault": None,
+    "bogus weak filler": bogus_last("_weak_fillers", non_filler),
+    "bogus Ore filler": bogus_last("_ore_fillers", non_square),
+    "merged last class": merged_last_class,
+}
+# the cases below where the whole product disagrees: never without a fault
+DISAGREES = {
+    "bogus weak filler": {"arrow/ids", "chain/f", "chain/g", "iso/u", "parallel/ids",
+                          "idem/ids", "square/n", "constants/e"},
+    "bogus Ore filler": {"parallel/ids", "Z2/all", "idem/ids", "Z/3/all", "Z/4/all",
+                         "Z/5/all", "Z/6/all", "constants/e"},
+    # in constants/e the merge shows only at a g2 after the identity, so a
+    # check of the first g2 of each row alone would miss it
+    "merged last class": {"Z/3/all", "Z/4/all", "Z/5/all", "Z/6/all", "constants/e"},
+}
+
+
+def product_disagrees(inp: FractionsInput, q: dict) -> bool:
+    """Whether the whole product, over the span pairs of some class pair,
+    meets more than one class of q; a payload that is no span stands for
+    itself."""
+    C = inp.category
+    spans = shape_instances(inp, "spn")
+    met: dict = {}
+    for s1 in spans:
+        for s2 in spans:
+            if C.tgt[s1[1]] == C.tgt[s2[0]]:
+                _, payloads = whole_product(inp, s1, s2)
+                met.setdefault((q[s1], q[s2]), set()).update(q.get(p, p) for p in payloads)
+    return any(len(classes) > 1 for classes in met.values())
+
+
+def fires_exactly_where_the_product_disagrees(inp: FractionsInput, fault) -> bool:
+    """Under ``fault``, localize on an input that meets the axioms raises
+    the not-well-defined IntegrityError exactly when the whole product, on
+    the classes localize finds without (b), disagrees; returns whether it
+    raised."""
+    with pytest.MonkeyPatch.context() as mp:
+        if fault is not None:
+            fault(mp)
+        unchecked = localize(inp, exhaustive_limit=0)
+        if len(shape_instances(inp, "spn")) > LIMIT or not product_disagrees(inp, unchecked.q):
+            assert localize(inp) == unchecked
+            return False
+        with pytest.raises(IntegrityError, match="not well-defined"):
+            localize(inp)
+        return True
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize(
+    "name,inp",
+    corpus.fractions_corpus()
+    + [("chain(5)/all", fully_marked_chain(5))]
+    + [(f"Z/{n}/all", fully_marked_cyclic(n)) for n in range(3, 7)]
+    + [("constants/e", constants())],
+)
+def test_self_check_b_fires_exactly_where_the_whole_product_disagrees(name, inp, fault):
+    fired = fires_exactly_where_the_product_disagrees(inp, FAULTS[fault])
+    assert fired == (name in DISAGREES.get(fault, ()))
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@settings(max_examples=30, deadline=None)
+@given(marked())
+def test_generated_self_check_b_fires_exactly_where_the_whole_product_disagrees(fault, inp):
+    # decided before the fault, which would find a bogus filler where the
+    # axioms have none
+    assume(check_axioms(inp).ok)
+    fired = fires_exactly_where_the_product_disagrees(inp, FAULTS[fault])
+    assert not (fired and FAULTS[fault] is None)

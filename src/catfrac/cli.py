@@ -11,6 +11,11 @@ a document with no kind reads as the kind expected there. Wherever a
 sub-document is expected, an inline object or a path is accepted; a path
 is relative to the file whose text names it, inline objects included.
 
+``SHAPES`` types each kind's fields to every depth; ``_resolve`` and
+``validate`` check a document against it before any loader runs, naming a
+misfit by its JSON path (``field 'arrows[0].src' must be a string, got
+null``). A KeyError or TypeError that reaches ``main`` is a library bug.
+
 Exit codes are uniform across commands: 0 means valid/verified, 1 means a
 checked property failed, 2 means the input or a precondition was bad.
 """
@@ -68,6 +73,31 @@ JSON_TYPES = {
 # the kinds of file that hold a diagram, as the diagram commands read them
 DIAGRAM_KINDS = ("pseudofunctor", "diagram-bundle")
 
+# each kind's fields: ``str`` is a name, a kind is a reference (a path or an
+# inline object, shaped as that kind when ``_resolve`` reads it), ``[s]`` is
+# a list of s, ``{str: s}`` an object of s, and any other object a record,
+# whose fields ending in "?" may be missing; fields not named are ignored
+_FUNCTOR_MAPS = {"on_objects": {str: str}, "on_arrows": {str: str}}
+SHAPES = {
+    "category": {
+        "objects": [str],
+        "arrows": [{"name": str, "src": str, "tgt": str}],
+        "identities": {str: str},
+        "compose?": [{"first": str, "then": str, "equals": str}],
+    },
+    "functor": {"dom": "category", "cod": "category", **_FUNCTOR_MAPS},
+    "pseudofunctor": {
+        "index": "category",
+        "variance": str,
+        "on_objects": {str: "category"},
+        "on_arrows": {str: _FUNCTOR_MAPS},
+        "unitors": {str: {str: str}},
+        "compositors?": {str: {str: str}},
+    },
+    "fractions-input": {"category": "category", "weq": [str]},
+    "diagram-bundle": {"diagram": "pseudofunctor", "against?": ["category"]},
+}
+
 
 # -- ingestion ---------------------------------------------------------------
 
@@ -86,37 +116,58 @@ def _read_json(path: Path) -> dict:
     return data
 
 
-def _resolve(value, base: Path, *kinds: str) -> tuple[dict, Path]:
-    """The document a reference names, of one of ``kinds`` (a document with
-    no kind reads as the first), and the directory its own references
-    resolve against: a path's file directory, or ``base`` for an inline object."""
-    if isinstance(value, str):
-        data, base = _read_json(base / value), (base / value).parent
-    elif isinstance(value, dict):
-        data = value
-    else:
-        raise InputError(f"expected an object or a file path, got {_json_type(value)}")
-    kind = data.get("kind", kinds[0])
+def _resolve(doc, base: Path, *kinds: str) -> tuple[dict, Path]:
+    """The document ``doc`` is, or names by its path, of one of ``kinds`` (a
+    document with no kind reads as the first) and fitting its shape, and the
+    directory its references resolve against: a path's own, or else ``base``."""
+    if isinstance(doc, str):
+        doc, base = _read_json(base / doc), (base / doc).parent
+    kind = doc.get("kind", kinds[0])
     if kind not in kinds:
         raise InputError(
             f"expected a {' or '.join(kinds)} document, found kind {_shown_kind(kind)}"
         )
-    return data, base
+    _check_shape(kind, doc)
+    return doc, base
+
+
+def _check_shape(kind: str, data: dict) -> None:
+    """Raise InputError at the first value of ``data`` that does not fit
+    ``SHAPES[kind]``, shallowest first; the walk keeps its own queue."""
+    todo = [("", data, SHAPES[kind])]
+    for path, value, shape in todo:
+        if isinstance(shape, str):
+            wanted, named = (str, dict), "an object or a file path"
+        else:
+            wanted = shape if shape is str else type(shape)
+            named = JSON_TYPES[wanted]
+        if not isinstance(value, wanted):
+            raise InputError(f"{kind}: field '{path}' must be {named}, got {_json_type(value)}")
+        if isinstance(shape, list):
+            todo.extend((f"{path}[{i}]", item, shape[0]) for i, item in enumerate(value))
+        elif isinstance(shape, dict) and str in shape:
+            todo.extend((f"{path}[{key}]", item, shape[str]) for key, item in value.items())
+        elif isinstance(shape, dict):
+            for field, sub in shape.items():
+                name = field.rstrip("?")
+                at = f"{path}.{name}" if path else name
+                if name in value:
+                    todo.append((at, value[name], sub))
+                elif name == field:
+                    raise InputError(f"{kind}: missing field '{at}'")
 
 
 def _diagram(data: dict, base: Path) -> tuple[dict, Path]:
     """The pseudofunctor document of a bundle, or ``data`` itself."""
     if data.get("kind") == "diagram-bundle":
-        return _resolve(_require(data, "diagram", "diagram-bundle"), base, "pseudofunctor")
+        return _resolve(data["diagram"], base, "pseudofunctor")
     return data, base
 
 
 def _against(data: dict) -> list:
     """The test-category references of a bundle, an optional list; none for
     any other document."""
-    if data.get("kind") != "diagram-bundle":
-        return []
-    return _typed(data.get("against", []), list, "diagram-bundle: field 'against'")
+    return data.get("against", []) if data.get("kind") == "diagram-bundle" else []
 
 
 def _json_type(value) -> str:
@@ -133,86 +184,52 @@ def _shown_kind(kind) -> str:
     return repr(kind) if isinstance(kind, str) else _json_type(kind)
 
 
-def _typed(value, kind: type, ctx: str):
-    """``value``, if it has the JSON type ``kind`` (list or dict)."""
-    if not isinstance(value, kind):
-        raise InputError(f"{ctx} must be {JSON_TYPES[kind]}, got {_json_type(value)}")
-    return value
-
-
-def _require(data: dict, key: str, ctx: str, kind: type = object):
-    if key not in data:
-        raise InputError(f"{ctx}: missing field {key!r}")
-    return _typed(data[key], kind, f"{ctx}: field {key!r}")
-
-
 def load_category(data: dict, base: Path) -> FinCategory:
-    objects = _require(data, "objects", "category", list)
-    arrows = _require(data, "arrows", "category", list)
-    identities = _require(data, "identities", "category", dict)
-    compose_rows = data.get("compose", [])
-    try:
-        arrow_triples = [(a["name"], a["src"], a["tgt"]) for a in arrows]
-        table = {(row["first"], row["then"]): row["equals"] for row in compose_rows}
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"category: malformed arrow or compose row ({exc})") from exc
-    return FinCategory.build(objects, arrow_triples, identities, table)
+    arrows = [(a["name"], a["src"], a["tgt"]) for a in data["arrows"]]
+    table = {(row["first"], row["then"]): row["equals"] for row in data.get("compose", [])}
+    return FinCategory.build(data["objects"], arrows, data["identities"], table)
 
 
 def load_functor(data: dict, base: Path) -> Functor:
-    dom = load_category(*_resolve(_require(data, "dom", "functor"), base, "category"))
-    cod = load_category(*_resolve(_require(data, "cod", "functor"), base, "category"))
-    return Functor(
-        dom,
-        cod,
-        dict(_require(data, "on_objects", "functor", dict)),
-        dict(_require(data, "on_arrows", "functor", dict)),
-    )
+    dom = load_category(*_resolve(data["dom"], base, "category"))
+    cod = load_category(*_resolve(data["cod"], base, "category"))
+    return Functor(dom, cod, dict(data["on_objects"]), dict(data["on_arrows"]))
 
 
 def load_pseudofunctor(data: dict, base: Path) -> Pseudofunctor:
-    index = load_category(*_resolve(_require(data, "index", "pseudofunctor"), base, "category"))
-    variance = _require(data, "variance", "pseudofunctor")
+    index = load_category(*_resolve(data["index"], base, "category"))
+    variance = data["variance"]
     if variance not in VARIANCES:
         raise InputError(f"unknown variance {variance!r}")
     fibers = {
         A: load_category(*_resolve(ref, base, "category"))
-        for A, ref in _require(data, "on_objects", "pseudofunctor", dict).items()
+        for A, ref in data["on_objects"].items()
     }
     if set(fibers) != set(index.objects):
         raise InputError("on_objects must cover the index objects exactly")
 
     on_arrows = {}
-    for phi, ref in _require(data, "on_arrows", "pseudofunctor", dict).items():
+    for phi, maps in data["on_arrows"].items():
         if phi not in index.src:
             raise InputError(f"on_arrows names unknown index arrow {phi!r}")
         dom, cod = variance_order(variance, fibers[index.src[phi]], fibers[index.tgt[phi]])
-        ref = _typed(ref, dict, f"on_arrows[{phi}]")
-        on_arrows[phi] = Functor(
-            dom,
-            cod,
-            dict(_require(ref, "on_objects", f"on_arrows[{phi}]", dict)),
-            dict(_require(ref, "on_arrows", f"on_arrows[{phi}]", dict)),
-        )
+        on_arrows[phi] = Functor(dom, cod, dict(maps["on_objects"]), dict(maps["on_arrows"]))
         with naming(f"functor at {phi!r}"):
             check_functor_maps(on_arrows[phi])
     if set(on_arrows) != set(index.arrows):
         raise InputError("on_arrows must cover the index arrows exactly")
 
     unitors = {}
-    for A, components in _require(data, "unitors", "pseudofunctor", dict).items():
+    for A, components in data["unitors"].items():
         if A not in fibers:
             raise InputError(f"unitor given for unknown index object {A!r}")
-        unitors[A] = NatTrans(
-            on_arrows[index.identity[A]],
-            identity_functor(fibers[A]),
-            dict(_typed(components, dict, f"unitors[{A}]")),
-        )
+        identity = identity_functor(fibers[A])
+        unitors[A] = NatTrans(on_arrows[index.identity[A]], identity, dict(components))
         with naming(f"unitor at {A!r}"):
             check_components(unitors[A])
 
     compositors = {}
-    for key, components in _typed(data.get("compositors", {}), dict, "compositors").items():
+    for key, components in data.get("compositors", {}).items():
         parts = key.split(";")
         if len(parts) != 2:
             raise InputError(f"compositor key {key!r} is not of the form 'phi;psi'")
@@ -221,19 +238,15 @@ def load_pseudofunctor(data: dict, base: Path) -> Pseudofunctor:
             raise InputError(f"compositor key {key!r} names a non-composable pair")
         comp = index.composition[(phi, psi)]
         target = compose_functors(*variance_order(variance, on_arrows[phi], on_arrows[psi]))
-        compositors[(phi, psi)] = NatTrans(
-            on_arrows[comp], target, dict(_typed(components, dict, f"compositors[{key}]"))
-        )
+        compositors[(phi, psi)] = NatTrans(on_arrows[comp], target, dict(components))
 
     compositors = derive_unit_compositors(index, variance, on_arrows, unitors, compositors)
     return Pseudofunctor(index, variance, fibers, on_arrows, unitors, compositors)
 
 
 def load_fractions_input(data: dict, base: Path) -> FractionsInput:
-    ref = _require(data, "category", "fractions-input")
-    category = load_category(*_resolve(ref, base, "category"))
-    weq = _require(data, "weq", "fractions-input", list)
-    inp = FractionsInput(category=category, weq=tuple(weq))
+    category = load_category(*_resolve(data["category"], base, "category"))
+    inp = FractionsInput(category=category, weq=tuple(data["weq"]))
     inp.check()
     return inp
 
@@ -301,6 +314,7 @@ def cmd_validate(args) -> int:
     kind = data["kind"]
     if not isinstance(kind, str) or kind not in KINDS:
         raise InputError(f"unknown kind {_shown_kind(kind)}; {expected}")
+    _check_shape(kind, data)
     load, laws = KINDS[kind]
     report = laws(load(data, path.parent))
     if report.ok:
@@ -349,8 +363,7 @@ def cmd_axioms(args) -> int:
 
 def cmd_localize(args) -> int:
     inp = _lawful("fractions-input", *_resolve(args.path, Path(), "fractions-input"))
-    limit = 10**9 if args.exhaustive else 64
-    LC = localize(inp, exhaustive_limit=limit)
+    LC = localize(inp, exhaustive_limit=10**9) if args.exhaustive else localize(inp)
     if args.json:
         doc = category_to_json(LC.carrier)
         doc["classes"] = {name: list(LC.class_reps[name]) for name in LC.carrier.arrows}
@@ -537,9 +550,6 @@ def main(argv=None) -> int:
         return 1
     except (InputError, DomainError) as exc:
         print(f"error: {exc}")
-        return 2
-    except (KeyError, TypeError) as exc:
-        print(f"error: malformed input ({exc!r})")
         return 2
 
 

@@ -207,12 +207,13 @@ def _composite_heads(inp: FractionsInput, v1: str, g1: str, v2: str) -> Iterator
     and each weak filler m of (w', v1), in canonical order, each first
     occurrence only: composition is a function, so a repeated head would
     only repeat its composite."""
-    C = inp.category
+    comp = inp.category.composition
     seen = set()
-    # the searches yield only m with t(m) = s(w') and h2 with s(h2) = s(w')
+    # the searches yield only m with t(m) = s(w') and h2 with s(h2) = s(w'),
+    # and an Ore filler ends at t(w') = s(g1) = s(v1), so all are table reads
     for wp, h2 in inp._fillers(_ore_fillers, g1, v2):
         for m in inp._fillers(_weak_fillers, wp, v1):
-            head = (compose(C, C.composition[(m, wp)], v1), C.composition[(m, h2)])
+            head = (comp[(comp[(m, wp)], v1)], comp[(m, h2)])
             if head not in seen:
                 seen.add(head)
                 yield head
@@ -223,15 +224,15 @@ def _first_head(inp: FractionsInput, v1: str, g1: str, v2: str) -> Iterator[tupl
     first filler of each kind: ((m;w');v1, m;h2) for the first Ore filler
     (w', h2) of (g1, v2) and the first weak filler m of (w', v1), or nothing
     when either is missing."""
-    C = inp.category
+    comp = inp.category.composition
     first = next(iter(inp._fillers(_ore_fillers, g1, v2)), None)
     if first is None:
         return
     wp, h2 = first
     m = next(iter(inp._fillers(_weak_fillers, wp, v1)), None)
     if m is not None:
-        # the searches yield only m with t(m) = s(w') and h2 with s(h2) = s(w')
-        yield compose(C, C.composition[(m, wp)], v1), C.composition[(m, h2)]
+        # table reads, as in _composite_heads
+        yield comp[(comp[(m, wp)], v1)], comp[(m, h2)]
 
 
 def _zippers(inp: FractionsInput, f: str, g: str) -> Iterator[str]:
@@ -395,8 +396,9 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     check, because a sailboat move of a head stays a move once g2 is
     composed on; ``span_compose(exhaustive=True)`` still forms the whole
     product per span pair.  A failing row names the pair (s1, (v2, 1)).
-    Any failure of those re-derivations, or a sailboat move that changes a
-    span's endpoints, raises IntegrityError.
+    Any failure of those re-derivations, a sailboat move that changes a
+    span's endpoints, or a composite that is not a span raises
+    IntegrityError.
 
     The input's table is assumed to be a category: the associativity and
     identity laws are not checked here (``validate_category`` does that;
@@ -438,7 +440,12 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     composition = {}
     for n1, s1 in class_reps.items():
         for n2, s2 in reps_out.get(C.tgt[s1[1]], ()):
-            composition[(n1, n2)] = class_of_span[span_compose(shared, s1, s2)]
+            composite = span_compose(shared, s1, s2)
+            if composite not in class_of_span:
+                raise IntegrityError(
+                    f"composite of {s1!r} and {s2!r} is {composite!r}, which is not a span"
+                )
+            composition[(n1, n2)] = class_of_span[composite]
 
     carrier = FinCategory.build(C.objects, arrows_decl, identity, composition)
 

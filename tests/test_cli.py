@@ -1,6 +1,9 @@
 import argparse
 import json
 import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -355,8 +358,8 @@ TWO = dict(MISTYPED_COMPOSITE["category"], compose=[])
     [
         (["ia", "nope", "ib"], "error: marked arrow 'nope' is not in the category\n"),
         (["ia", "f", "ib", "f"], "error: marked arrow 'f' listed twice\n"),
-        (["ia", None, "ib"], "error: marked arrow None is not in the category\n"),
-        (["ia", ["f"], "ib"], "error: malformed input (TypeError(\"unhashable type: 'list'\"))\n"),
+        (["ia", None, "ib"], "error: fractions-input: field 'weq[1]' must be a string, got null\n"),
+        (["ia", ["f"], "ib"], "error: fractions-input: field 'weq[1]' must be a string, got a list\n"),
     ],
 )
 def test_bad_marks_exit_2_with_a_message(capsys, tmp_path, command, weq, message):
@@ -459,8 +462,10 @@ def _bad_unitor_at_x(data):
 @pytest.mark.parametrize(
     "edit,message",
     [
-        (_add("on_arrows", "f", "x"), "on_arrows[f] must be an object, got a string"),
-        (_add("on_arrows", "f", "on_objects"), "on_arrows[f] must be an object, got a string"),
+        (_add("on_arrows", "f", "x"),
+         "pseudofunctor: field 'on_arrows[f]' must be an object, got a string"),
+        (_add("on_arrows", "f", "on_objects"),
+         "pseudofunctor: field 'on_arrows[f]' must be an object, got a string"),
         (_bad_unitor_at_x, "unitor at 'x': component at '*' is not an arrow of the codomain"),
         (_add("compositors", "f;g", {"*": "nope"}),
          "compositor at ('f', 'g'): component at '*' is not an arrow of the codomain"),
@@ -671,7 +676,7 @@ def test_bundle_against_must_be_a_list(capsys, tmp_path, command, against, got):
 def test_reference_of_the_wrong_type_is_named_by_its_json_type(capsys, tmp_path, diagram, got):
     path = _bundle_with(tmp_path, diagram=diagram, against=[str(FIX / "two.json")])
     assert run(capsys, "verify", path, "oplax")[:2] == (
-        2, f"error: expected an object or a file path, got {got}\n"
+        2, f"error: diagram-bundle: field 'diagram' must be an object or a file path, got {got}\n"
     )
 
 
@@ -738,6 +743,123 @@ def test_own_file_without_kind_reads_as_the_commands_kind(capsys, tmp_path, comm
     unkinded = run(capsys, name, path, *rest)
     assert unkinded[0] == 0
     assert unkinded == run(capsys, name, FIX / "diagram_contra_two.json", *rest)
+
+
+
+def _at(data, path):
+    """The value at ``path`` in a document."""
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _set(*path, value):
+    return lambda data: _at(data, path[:-1]).__setitem__(path[-1], value)
+
+
+def _delete(*path):
+    return lambda data: _at(data, path[:-1]).pop(path[-1])
+
+
+@pytest.mark.parametrize(
+    "fixture,edit,message",
+    [
+        ("two", _set("objects", 0, value=["a"]),
+         "category: field 'objects[0]' must be a string, got a list"),
+        ("two", _set("arrows", 2, "src", value=3),
+         "category: field 'arrows[2].src' must be a string, got a number"),
+        ("two", _delete("arrows", 1, "tgt"), "category: missing field 'arrows[1].tgt'"),
+        ("two", _set("identities", "a", value=["id:a"]),
+         "category: field 'identities[a]' must be a string, got a list"),
+        ("two", _set("compose", value=[{"first": "id:a", "then": "f", "equals": None}]),
+         "category: field 'compose[0].equals' must be a string, got null"),
+        ("functor_pick", _set("on_arrows", "f", value=1),
+         "functor: field 'on_arrows[f]' must be a string, got a number"),
+        ("diagram_chain_compositor", _set("on_arrows", "f", "on_objects", "*", value=True),
+         "pseudofunctor: field 'on_arrows[f].on_objects[*]' must be a string, got true"),
+        ("diagram_chain_compositor", _delete("on_arrows", "g", "on_arrows"),
+         "pseudofunctor: missing field 'on_arrows[g].on_arrows'"),
+        ("diagram_chain_compositor", _set("unitors", "x", "*", value=None),
+         "pseudofunctor: field 'unitors[x][*]' must be a string, got null"),
+        ("diagram_chain_compositor", _set("compositors", "f;g", value=["s"]),
+         "pseudofunctor: field 'compositors[f;g]' must be an object, got a list"),
+        ("diagram_chain_compositor", _set("on_objects", "y", value=3),
+         "pseudofunctor: field 'on_objects[y]' must be an object or a file path, got a number"),
+        ("diagram_chain_compositor", _set("variance", value=False),
+         "pseudofunctor: field 'variance' must be a string, got false"),
+        ("two_f", _set("category", value={"objects": ["a"], "arrows": ["ia"], "identities": {}}),
+         "category: field 'arrows[0]' must be an object, got a string"),
+        ("bundle_contra", _set("against", 1, value=1),
+         "diagram-bundle: field 'against[1]' must be an object or a file path, got a number"),
+    ],
+    ids=["object_name", "arrow_src", "arrow_tgt_missing", "identity", "compose_row",
+         "functor_map", "on_arrows_object_map", "on_arrows_maps_missing", "unitor_component",
+         "compositor", "fiber_reference", "variance", "inline_category_arrow",
+         "against_item"],
+)
+def test_nested_misfit_is_named_by_its_path(capsys, tmp_path, fixture, edit, message):
+    # the first value that does not fit its kind's shape is named by its
+    # JSON path and JSON type before any loader reads the document; an
+    # inline sub-document is named by its own kind
+    shutil.copytree(FIX, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / f"{fixture}.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    edit(data)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(capsys, "validate", path)[:2] == (2, f"error: {message}\n")
+
+
+def test_extra_fields_are_ignored(capsys, tmp_path):
+    data = json.loads((FIX / "two.json").read_text(encoding="utf-8"))
+    data["note"] = [None]
+    data["arrows"][0]["tag"] = {"x": 1}
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(capsys, "validate", path)[:2] == (0, "category: valid\n")
+
+
+@pytest.mark.parametrize(
+    "flags,passed", [((), {}), (("--exhaustive",), {"exhaustive_limit": 10**9})],
+    ids=["default", "exhaustive"],
+)
+def test_localize_takes_the_library_default_limit(monkeypatch, capsys, flags, passed):
+    # only --exhaustive sets a limit; otherwise localize's own default holds
+    seen = []
+    exact = catfrac.cli.localize
+
+    def spy(inp, **kwargs):
+        seen.append(kwargs)
+        return exact(inp, **kwargs)
+
+    monkeypatch.setattr(catfrac.cli, "localize", spy)
+    assert run(capsys, "localize", FIX / "chain_f.json", *flags)[0] == 0
+    assert seen == [passed]
+
+
+def test_entry_point_runs_as_a_module(tmp_path):
+    # the real entry point, in a fresh interpreter: a name that is not a
+    # string ends in a message naming its path, not a traceback
+    src = Path(catfrac.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+
+    def validate(path):
+        return subprocess.run(
+            [sys.executable, "-m", "catfrac", "validate", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    good = validate(FIX / "two.json")
+    assert (good.returncode, good.stdout, good.stderr) == (0, "category: valid\n", "")
+    data = json.loads((FIX / "two.json").read_text(encoding="utf-8"))
+    data["objects"] = [["a"], "b"]
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    bad = validate(path)
+    assert bad.returncode == 2
+    assert bad.stdout == "error: category: field 'objects[0]' must be a string, got a list\n"
+    assert "Traceback" not in bad.stderr
 
 
 

@@ -1,7 +1,11 @@
-"""Every CLI command on top-level documents drawn by hypothesis: fixtures
-with a random kind, with fields of the wrong JSON type, and bundles whose
-``against`` is not a list.  Whatever the document, ``main`` returns an exit
-code, and an exit 2 says why on an ``error:`` line."""
+"""Every CLI command on documents drawn by hypothesis: fixtures with a
+random kind, with top-level fields of the wrong JSON type, bundles whose
+``against`` is not a list, and fixtures with values replaced or deleted at
+nested paths that their kind's shape (``cli.SHAPES``) types: arrow and
+compose rows, functor maps, ``on_arrows`` entries, unitor and compositor
+components, ``weq`` and ``against`` items.  Whatever the document, ``main``
+returns an exit code, and an exit 2 says why on an ``error:`` line; any
+other exception escaping ``main`` is a library bug."""
 
 import contextlib
 import io
@@ -13,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catfrac.cli import KINDS, main
+from catfrac.cli import KINDS, SHAPES, main
 
 FIX = Path(__file__).parent / "fixtures"
 
 BASES = ["two", "two_all", "functor_pick", "diagram_contra_two", "bundle_contra"]
+NESTED_BASES = ["chain", "z2", "two_all", "functor_pick", "diagram_chain_compositor",
+                "diagram_contra_two", "bundle_contra"]
 FIELDS = ["objects", "arrows", "identities", "compose", "dom", "cod", "on_objects", "on_arrows",
           "index", "variance", "unitors", "compositors", "category", "weq", "diagram", "against"]
 COMMANDS = [
@@ -69,6 +75,39 @@ def bundles(draw):
     return doc
 
 
+def nested_paths(doc: dict) -> list:
+    """The paths below the top level of ``doc`` that its kind's shape types
+    (a reference is not followed), wherever the document still fits."""
+    todo, paths = [((), doc, SHAPES[doc["kind"]])], []
+    for path, value, shape in todo:
+        if len(path) > 1:
+            paths.append(path)
+        if isinstance(shape, list) and isinstance(value, list):
+            todo.extend(((*path, i), item, shape[0]) for i, item in enumerate(value))
+        elif isinstance(shape, dict) and isinstance(value, dict):
+            fields = ((key, shape[str]) for key in value) if str in shape else (
+                (field.rstrip("?"), sub) for field, sub in shape.items()
+            )
+            todo.extend(((*path, key), value[key], sub) for key, sub in fields if key in value)
+    return paths
+
+
+@st.composite
+def nested(draw):
+    name = draw(st.sampled_from(NESTED_BASES))
+    doc = json.loads((FIX / f"{name}.json").read_text(encoding="utf-8"))
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, last = draw(st.sampled_from(nested_paths(doc)))
+        parent = doc
+        for key in parents:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[last]
+        else:
+            parent[last] = draw(VALUES)
+    return doc
+
+
 @pytest.fixture(scope="module")
 def fixture_copy(tmp_path_factory):
     """A directory holding the fixtures, so a drawn document's references
@@ -79,10 +118,10 @@ def fixture_copy(tmp_path_factory):
     return directory
 
 
-@settings(max_examples=50, deadline=2000)
-@given(doc=st.one_of(documents(), bundles()))
-def test_every_command_answers_any_document(fixture_copy, doc):
-    path = fixture_copy / "input.json"
+def answers(directory: Path, doc: dict) -> None:
+    """Run every command on ``doc``, written to ``directory``: each returns
+    0, 1 or 2, and an exit 2 prints an ``error:`` line."""
+    path = directory / "input.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     for name, *rest in COMMANDS:
         out = io.StringIO()
@@ -93,3 +132,15 @@ def test_every_command_answers_any_document(fixture_copy, doc):
             assert any(line.startswith("error:") for line in out.getvalue().splitlines()), (
                 name, out.getvalue()
             )
+
+
+@settings(max_examples=50, deadline=2000)
+@given(doc=st.one_of(documents(), bundles()))
+def test_every_command_answers_any_document(fixture_copy, doc):
+    answers(fixture_copy, doc)
+
+
+@settings(max_examples=100, deadline=2000)
+@given(doc=nested())
+def test_every_command_answers_any_nested_misfit(fixture_copy, doc):
+    answers(fixture_copy, doc)

@@ -213,8 +213,9 @@ def count_heads(monkeypatch) -> Counter:
 @pytest.mark.parametrize("n", [4, 5, 6])  # 30 and 55 spans run (b), 91 skip it
 def test_class_loop_searches_each_head_once(monkeypatch, n):
     # every class pair out of (v1, g1) into s(v2) shares one head, and
-    # composes it with g2 by one table read: a checked compose only for the
-    # head's v1 step, or as the fallback of a failed read (spans never fail)
+    # composes it with g2 by one table read; the head itself is table reads
+    # too, and a checked compose is only the fallback of a failed read
+    # (spans never fail)
     heads = count_heads(monkeypatch)
     callers = Counter()
 
@@ -348,6 +349,23 @@ def test_self_check_b_fires_on_a_bogus_last_filler(monkeypatch, name, search, bo
     assert localize(inp, exhaustive_limit=0) == honest
     with pytest.raises(IntegrityError, match="not well-defined"):
         localize(inp)
+
+
+def test_composite_that_is_no_span_is_an_integrity_error(monkeypatch):
+    # the 3-chain marked at its identities, 0<1 and 1<2: 0<1;1<2 has no
+    # genuine weak filler, so the bogus one is the first, passes axiom (2)
+    # and makes the composition loop's composite (0<2, 0<0), not a span
+    C = corpus.chain(3)
+    inp = FractionsInput(C, ("0<0", "1<1", "2<2", "0<1", "1<2"))
+    monkeypatch.setattr(
+        catfrac.fractions, "_weak_fillers",
+        with_bogus_last(catfrac.fractions._weak_fillers, non_filler),
+    )
+    with pytest.raises(IntegrityError) as raised:
+        localize(inp)
+    assert str(raised.value) == (
+        "composite of ('1<2', '1<1') and ('0<1', '0<0') is ('0<2', '0<0'), which is not a span"
+    )
 
 
 def test_self_check_a_fires_on_a_bogus_last_section(monkeypatch):

@@ -10,8 +10,10 @@ pseudofunctor coherence laws are written once for both variances; every
 quotient is closed by the one partition routine in fincat; internal_localize
 is the one ambient function that enters the fractions layer; the CLI reads a
 file only to resolve a reference or a command's own path, and a bundle's
-diagram in one place; FinCategory.build has no option; the verifiers
-prepare each 2-cell search once per domain, not once per pair."""
+diagram in one place; the CLI has one shape per kind and no handler that
+would take a library bug's KeyError or TypeError for bad input;
+FinCategory.build has no option; the verifiers prepare each 2-cell search
+once per domain, not once per pair."""
 
 import ast
 import dataclasses
@@ -20,6 +22,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import catfrac.cli
 import catfrac.diagram
 import catfrac.fincat
 import corpus
@@ -457,7 +460,7 @@ def test_ingestion_check_fires():
         "    X = load_category(_read_json(Path(args.against)), Path())\n"
         "    D = load_pseudofunctor(_resolve(data['diagram'], base, 'pseudofunctor'), base)\n"
         "def _diagram(data, base):\n"
-        "    return _resolve(_require(data, 'diagram', 'diagram-bundle'), base, 'pseudofunctor')\n"
+        "    return _resolve(data['diagram'], base, 'pseudofunctor')\n"
     )
     assert _ingestion_reads(copy) == [
         "cli.py:2 load_functor reads a file",
@@ -474,14 +477,75 @@ def test_against_check_fires():
         "def _load_bundle(data, base):\n"
         "    return [_resolve(ref, base, 'category') for ref in data.get('against', [])]\n"
         "def cmd_verify(args):\n"
-        "    refs = _require(data, 'against', 'diagram-bundle')\n"
+        "    refs = data['against']\n"
         "def _against(data):\n"
-        "    return _typed(data.get('against', []), list, 'against')\n"
+        "    return data.get('against', [])\n"
     )
     assert _ingestion_reads(copy) == [
         "cli.py:4 _load_bundle reads 'against'",
         "cli.py:6 cmd_verify reads 'against'",
     ]
+
+
+# handlers that would take a library bug's KeyError or TypeError for bad input
+CATCH_ALLS = {"KeyError", "TypeError", "LookupError", "Exception", "BaseException"}
+
+
+def _catch_alls(tree: ast.Module) -> list:
+    """The CLI's exception handlers that catch a KeyError or a TypeError,
+    bare ones included."""
+    found = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ExceptHandler):
+                caught = {n.id for n in ast.walk(node.type or ast.Name("BaseException"))
+                          if isinstance(n, ast.Name)}
+                if caught & CATCH_ALLS:
+                    found.append(f"cli.py:{node.lineno} {fn.name}")
+    return found
+
+
+def test_cli_has_no_catch_all():
+    # SHAPES types every field before a loader reads it, so main and the
+    # loaders catch neither; a KeyError or TypeError is a library bug and
+    # shows as a traceback
+    assert _catch_alls(MODULES["cli"]) == []
+
+
+def test_catch_all_check_fires():
+    copy = ast.parse(
+        "def load_category(data, base):\n"
+        "    try:\n"
+        "        rows = [(a['name'], a['src']) for a in data['arrows']]\n"
+        "    except (TypeError, KeyError) as exc:\n"
+        "        raise InputError(str(exc))\n"
+        "def main(argv=None):\n"
+        "    try:\n"
+        "        return args.fn(args)\n"
+        "    except InputError:\n"
+        "        return 2\n"
+        "    except KeyError:\n"
+        "        return 2\n"
+        "    except:\n"
+        "        return 2\n"
+    )
+    assert _catch_alls(copy) == ["cli.py:4 load_category", "cli.py:11 main", "cli.py:13 main"]
+
+
+def test_every_kind_has_one_shape():
+    # a shape names only kinds the CLI can load, each reference included
+    assert list(catfrac.cli.SHAPES) == list(catfrac.cli.KINDS)
+    todo, references = list(catfrac.cli.SHAPES.values()), set()
+    for shape in todo:
+        if isinstance(shape, str):
+            references.add(shape)
+        elif isinstance(shape, list):
+            todo.extend(shape)
+        elif isinstance(shape, dict):
+            todo.extend(shape.values())
+    assert references <= set(catfrac.cli.KINDS)
 
 
 SEARCHES = {"nat_trans_search": catfrac.fincat, "modification_search": catfrac.diagram}

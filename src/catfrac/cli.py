@@ -11,8 +11,8 @@ a document with no kind reads as the kind expected there. Wherever a
 sub-document is expected, an inline object or a path is accepted; a path
 is relative to the file whose text names it, inline objects included.
 
-``SHAPES`` types each kind's fields to every depth; ``_resolve`` and
-``validate`` check a document against it before any loader runs, naming a
+``KINDS`` types each kind's fields to every depth; ``_resolve`` and
+``validate`` check a document against them before any loader runs, naming a
 misfit by its JSON path (``field 'arrows[0].src' must be a string, got
 null``). A KeyError or TypeError that reaches ``main`` is a library bug.
 
@@ -67,36 +67,10 @@ from .fractions import (
     verify_pseudocolimit,
 )
 
-JSON_TYPES = {
-    list: "a list", dict: "an object", str: "a string", int: "a number", float: "a number"
-}
+JSON_TYPES = {list: "a list", dict: "an object", str: "a string", int: "a number",
+              float: "a number", (str, dict): "an object or a file path"}
 # the kinds of file that hold a diagram, as the diagram commands read them
 DIAGRAM_KINDS = ("pseudofunctor", "diagram-bundle")
-
-# each kind's fields: ``str`` is a name, a kind is a reference (a path or an
-# inline object, shaped as that kind when ``_resolve`` reads it), ``[s]`` is
-# a list of s, ``{str: s}`` an object of s, and any other object a record,
-# whose fields ending in "?" may be missing; fields not named are ignored
-_FUNCTOR_MAPS = {"on_objects": {str: str}, "on_arrows": {str: str}}
-SHAPES = {
-    "category": {
-        "objects": [str],
-        "arrows": [{"name": str, "src": str, "tgt": str}],
-        "identities": {str: str},
-        "compose?": [{"first": str, "then": str, "equals": str}],
-    },
-    "functor": {"dom": "category", "cod": "category", **_FUNCTOR_MAPS},
-    "pseudofunctor": {
-        "index": "category",
-        "variance": str,
-        "on_objects": {str: "category"},
-        "on_arrows": {str: _FUNCTOR_MAPS},
-        "unitors": {str: {str: str}},
-        "compositors?": {str: {str: str}},
-    },
-    "fractions-input": {"category": "category", "weq": [str]},
-    "diagram-bundle": {"diagram": "pseudofunctor", "against?": ["category"]},
-}
 
 
 # -- ingestion ---------------------------------------------------------------
@@ -133,28 +107,31 @@ def _resolve(doc, base: Path, *kinds: str) -> tuple[dict, Path]:
 
 def _check_shape(kind: str, data: dict) -> None:
     """Raise InputError at the first value of ``data`` that does not fit
-    ``SHAPES[kind]``, shallowest first; the walk keeps its own queue."""
-    todo = [("", data, SHAPES[kind])]
+    ``kind``'s fields in ``KINDS``, checking each value as its container is
+    walked, containers shallowest first, with the walk's own queue."""
+    todo = [("", data, KINDS[kind][2])]
     for path, value, shape in todo:
-        if isinstance(shape, str):
-            wanted, named = (str, dict), "an object or a file path"
-        else:
-            wanted = shape if shape is str else type(shape)
-            named = JSON_TYPES[wanted]
-        if not isinstance(value, wanted):
-            raise InputError(f"{kind}: field '{path}' must be {named}, got {_json_type(value)}")
         if isinstance(shape, list):
-            todo.extend((f"{path}[{i}]", item, shape[0]) for i, item in enumerate(value))
-        elif isinstance(shape, dict) and str in shape:
-            todo.extend((f"{path}[{key}]", item, shape[str]) for key, item in value.items())
-        elif isinstance(shape, dict):
+            children, at = zip(range(len(value)), value, [shape[0]] * len(value)), "{}[{}]"
+        elif str in shape:
+            children, at = ((key, item, shape[str]) for key, item in value.items()), "{}[{}]"
+        else:
+            children, at = [], "{}.{}" if path else "{1}"
             for field, sub in shape.items():
-                name = field.rstrip("?")
-                at = f"{path}.{name}" if path else name
+                name = field if field in value else field.rstrip("?")
                 if name in value:
-                    todo.append((at, value[name], sub))
+                    children.append((name, value[name], sub))
                 elif name == field:
-                    raise InputError(f"{kind}: missing field '{at}'")
+                    raise InputError(f"{kind}: missing field '{at.format(path, name)}'")
+        for key, item, sub in children:
+            if sub is str and isinstance(item, str):  # most values are names
+                continue
+            wanted = (str, dict) if isinstance(sub, str) else sub if sub is str else type(sub)
+            if not isinstance(item, wanted):
+                where, got = at.format(path, key), _json_type(item)
+                raise InputError(f"{kind}: field '{where}' must be {JSON_TYPES[wanted]}, got {got}")
+            if isinstance(sub, (list, dict)):
+                todo.append((at.format(path, key), item, sub))
 
 
 def _diagram(data: dict, base: Path) -> tuple[dict, Path]:
@@ -265,21 +242,44 @@ def _bundle_laws(bundle: tuple[Pseudofunctor, list[FinCategory]]):
     return report
 
 
-# each kind's loader and law check; a check is looked up when it runs, so a
-# wrapper installed on this module (perfbench's tracer) sees the call
+# each kind's loader, law check and fields; a check is looked up when it
+# runs, so a wrapper installed on this module (perfbench's tracer) sees the
+# call. In the fields, ``str`` is a name, a kind is a reference (a path or an
+# inline object, shaped as that kind when ``_resolve`` reads it), ``[s]`` is
+# a list of s, ``{str: s}`` an object of s, and any other object a record,
+# whose fields ending in "?" may be missing; fields not named are ignored
+_FUNCTOR_MAPS = {"on_objects": {str: str}, "on_arrows": {str: str}}
 KINDS = {
-    "category": (load_category, lambda C: validate_category(C)),
-    "functor": (load_functor, lambda F: validate_functor(F)),
-    "pseudofunctor": (load_pseudofunctor, lambda D: validate_pseudofunctor(D)),
-    "fractions-input": (load_fractions_input, lambda inp: validate_category(inp.category)),
-    "diagram-bundle": (_load_bundle, _bundle_laws),
+    "category": (load_category, lambda C: validate_category(C), {
+        "objects": [str],
+        "arrows": [{"name": str, "src": str, "tgt": str}],
+        "identities": {str: str},
+        "compose?": [{"first": str, "then": str, "equals": str}],
+    }),
+    "functor": (load_functor, lambda F: validate_functor(F), {
+        "dom": "category", "cod": "category", **_FUNCTOR_MAPS,
+    }),
+    "pseudofunctor": (load_pseudofunctor, lambda D: validate_pseudofunctor(D), {
+        "index": "category",
+        "variance": str,
+        "on_objects": {str: "category"},
+        "on_arrows": {str: _FUNCTOR_MAPS},
+        "unitors": {str: {str: str}},
+        "compositors?": {str: {str: str}},
+    }),
+    "fractions-input": (load_fractions_input, lambda inp: validate_category(inp.category), {
+        "category": "category", "weq": [str],
+    }),
+    "diagram-bundle": (_load_bundle, _bundle_laws, {
+        "diagram": "pseudofunctor", "against?": ["category"],
+    }),
 }
 
 
 def _lawful(kind: str, data: dict, base: Path):
     """``data`` loaded as ``kind``; its first violated law is an InputError,
     since the constructions assume the laws (``validate`` lists them all)."""
-    load, laws = KINDS[kind]
+    load, laws, _ = KINDS[kind]
     value = load(data, base)
     report = laws(value)
     if not report.ok:
@@ -315,7 +315,7 @@ def cmd_validate(args) -> int:
     if not isinstance(kind, str) or kind not in KINDS:
         raise InputError(f"unknown kind {_shown_kind(kind)}; {expected}")
     _check_shape(kind, data)
-    load, laws = KINDS[kind]
+    load, laws, _ = KINDS[kind]
     report = laws(load(data, path.parent))
     if report.ok:
         print(f"{kind}: valid")

@@ -109,9 +109,19 @@ def compositor_inverse_component(D: Pseudofunctor, phi: str, psi: str, x: str) -
     return inv
 
 
+def _lawful_index(index: FinCategory) -> None:
+    """Raise InputError at the index's first violated category law: the
+    compositors and the coherence laws are read off its composites, so they
+    must lie where the laws put them."""
+    problem = next(iter(validate_category(index).problems), None)
+    if problem is not None:
+        raise InputError(f"index: {problem}")
+
+
 def _structural_check(D: Pseudofunctor) -> None:
     if D.variance not in VARIANCES:
         raise InputError(f"unknown variance {D.variance!r}")
+    _lawful_index(D.index)
     idx = D.index
     for a in idx.objects:
         if a not in D.on_objects:
@@ -263,8 +273,10 @@ def derive_unit_compositors(
 
     Pairs where both legs are non-identity must already be present.  The
     filled values are the unique ones compatible with unit coherence, so a
-    later full validation cross-checks any derived entry.
+    later full validation cross-checks any derived entry.  An index that
+    breaks a category law raises InputError.
     """
+    _lawful_index(index)
     out = dict(compositors)
     left_first, right_first = variance_order(variance, False, True)
     for phi, psi in index.composable_pairs():

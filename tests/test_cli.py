@@ -550,6 +550,33 @@ def test_unlawful_diagram_is_refused(capsys, tmp_path, command, extra):
     assert out.count("functor at 'f'") == 5
 
 
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("validate", ()),
+        ("groth", ()),
+        ("crosscheck", ()),
+        ("verify", ("oplax", "--against", FIX / "two.json")),
+        ("verify", ("pseudocolim", "--against", FIX / "two.json")),
+    ],
+    ids=["validate", "groth", "crosscheck", "verify_oplax", "verify_pseudocolim"],
+)
+def test_misplaced_index_composite_is_refused(capsys, tmp_path, command, extra):
+    # well typed, but f;id:b lands in hom(a, a): the identity-leg compositors
+    # and the coherence laws are read off the index's composites, so the
+    # index's laws are checked first, and even validate exits 2
+    data = _relocated("diagram_contra_two")
+    data["index"] = json.loads((FIX / "two.json").read_text(encoding="utf-8"))
+    data["index"]["compose"] = [{"first": "f", "then": "id:b", "equals": "id:a"}]
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(capsys, command, path, *extra)[:2] == (
+        2, "error: index: composite ('f','id:b')='id:a' lands in hom('a','a'), "
+        "expected hom('a','b')\n"
+    )
+
+
 BAD_CATEGORY = "error: composite ('f','g')='id:z' lands in hom('z','z'), expected hom('x','z')\n"
 
 

@@ -61,6 +61,23 @@ def test_derive_refuses_missing_nonunit_pair():
         derive_unit_compositors(D.index, D.variance, D.on_arrows, D.unitors, {})
 
 
+
+@pytest.mark.parametrize("check", [
+    validate_pseudofunctor,
+    lambda D: derive_unit_compositors(D.index, D.variance, D.on_arrows, D.unitors, {}),
+], ids=["validate", "derive"])
+def test_index_that_breaks_a_law_is_a_structural_gap(check):
+    # the composite of f and id:b placed in hom(a, a): both read cells off
+    # the index's composites, so both refuse it before reading any cell
+    D = corpus.diag_contra_two()
+    D.index.composition[("f", "id:b")] = "id:a"
+    with pytest.raises(InputError) as exc:
+        check(D)
+    assert str(exc.value) == (
+        "index: composite ('f','id:b')='id:a' lands in hom('a','a'), expected hom('a','b')"
+    )
+
+
 def test_strictify_rejects_nonstrict():
     I = corpus.iso()
     sw = corpus.swap_iso(I)

@@ -10,8 +10,9 @@ pseudofunctor coherence laws are written once for both variances; every
 quotient is closed by the one partition routine in fincat; internal_localize
 is the one ambient function that enters the fractions layer; the CLI reads a
 file only to resolve a reference or a command's own path, and a bundle's
-diagram in one place; the CLI has one shape per kind and no handler that
-would take a library bug's KeyError or TypeError for bad input;
+diagram in one place; the CLI types each kind's fields in its KINDS entry
+and has no handler that would take a library bug's KeyError or TypeError
+for bad input;
 FinCategory.build has no option; the verifiers prepare each 2-cell search
 once per domain, not once per pair."""
 
@@ -508,7 +509,7 @@ def _catch_alls(tree: ast.Module) -> list:
 
 
 def test_cli_has_no_catch_all():
-    # SHAPES types every field before a loader reads it, so main and the
+    # KINDS types every field before a loader reads it, so main and the
     # loaders catch neither; a KeyError or TypeError is a library bug and
     # shows as a traceback
     assert _catch_alls(MODULES["cli"]) == []
@@ -534,10 +535,9 @@ def test_catch_all_check_fires():
     assert _catch_alls(copy) == ["cli.py:4 load_category", "cli.py:11 main", "cli.py:13 main"]
 
 
-def test_every_kind_has_one_shape():
-    # a shape names only kinds the CLI can load, each reference included
-    assert list(catfrac.cli.SHAPES) == list(catfrac.cli.KINDS)
-    todo, references = list(catfrac.cli.SHAPES.values()), set()
+def test_every_reference_names_a_kind():
+    # a kind's fields name only kinds the CLI can load
+    todo, references = [fields for _, _, fields in catfrac.cli.KINDS.values()], set()
     for shape in todo:
         if isinstance(shape, str):
             references.add(shape)

@@ -30,6 +30,14 @@ their existence and uniqueness checks pass, and the internal tables read
 off those maps.  The cleavage map stays validated: its codomain is the
 arrow set the caller passes in.
 
+An internal category is frozen and keeps, as a map keeps its fibres, its
+composable pairs and its law verdict, so each category is checked once.
+It also keeps what one crosscheck would otherwise build twice: the
+result of ``internal_elements`` keeps the blocks it was built from, which
+``internal_cleavage`` reads again, and each internal category keeps the
+span machinery of its last marked-arrows map, which ``internal_localize``
+and ``verify_pairs_coequalizer`` share.
+
 Within one call, ``internal_elements`` computes each compositor inverse
 once.  ``internal_localize`` alone enters the fractions layer: it decides
 the axioms on the externalized category and composes spans through
@@ -51,7 +59,7 @@ from .fractions import FractionsInput, _SharedFillers, check_axioms, span_compos
 from .verify import VerifierReport
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class FinSetObject:
     label: str
     size: int
@@ -59,6 +67,26 @@ class FinSetObject:
     def __post_init__(self) -> None:
         if self.size < 0:
             raise InputError(f"negative size for {self.label!r}")
+
+    # Every operation compares endpoints, and they are mostly the same
+    # object: identity answers first, then (label, size) as the generated
+    # methods would, without building two tuples per comparison.
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.label == other.label and self.size == other.size
+
+    def __ne__(self, other):
+        if self is other:
+            return False
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.label != other.label or self.size != other.size
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.size))
 
 
 @dataclass(frozen=True, eq=True)
@@ -126,15 +154,24 @@ def pullback(f: FinSetMap, g: FinSetMap) -> tuple[FinSetObject, FinSetMap, FinSe
     """Pairs (x, y) with f(x) = g(y), in lexicographic order."""
     if f.cod != g.cod:
         raise DomainError("pullback needs a common codomain")
-    over = fibres(g)
+    over = g._fibres
     t0: list[int] = []
     t1: list[int] = []
     for x, y in enumerate(f.table):
         ys = over[y]
-        t0 += [x] * len(ys)
-        t1 += ys
-    P = _sized(f"pb({f.dom.label},{g.dom.label})", len(t0))
-    return P, _built(P, f.dom, tuple(t0)), _built(P, g.dom, tuple(t1))
+        if ys:
+            t0 += [x] * len(ys)
+            t1 += ys
+    # _sized and _built inlined: the cover-class certificate takes 14,062
+    # pullbacks, most of them of sets of at most four elements
+    P, p0, p1 = object.__new__(FinSetObject), object.__new__(FinSetMap), object.__new__(FinSetMap)
+    fields = P.__dict__
+    fields["label"], fields["size"] = f"pb({f.dom.label},{g.dom.label})", len(t0)
+    fields = p0.__dict__
+    fields["dom"], fields["cod"], fields["table"] = P, f.dom, tuple(t0)
+    fields = p1.__dict__
+    fields["dom"], fields["cod"], fields["table"] = P, g.dom, tuple(t1)
+    return P, p0, p1
 
 
 def pullback_mediate(
@@ -216,9 +253,12 @@ def coequalize_reflexive(f: FinSetMap, g: FinSetMap) -> tuple[FinSetObject, FinS
     if f.dom != g.dom or f.cod != g.cod:
         raise DomainError("coequalizer needs a parallel pair")
     classes = partition(f.cod.size, zip(f.table, g.table))
-    class_of = {i: k for k, members in enumerate(classes) for i in members}
+    class_of = [0] * f.cod.size
+    for k, members in enumerate(classes):
+        for i in members:
+            class_of[i] = k
     Q = _sized(f"{f.cod.label}/~", len(classes))
-    return Q, _built(f.cod, Q, tuple(class_of[i] for i in range(f.cod.size)))
+    return Q, _built(f.cod, Q, tuple(class_of))
 
 
 def coequalizer_mediate(q: FinSetMap, h: FinSetMap) -> FinSetMap:
@@ -253,8 +293,11 @@ def verify_cover_class(max_size: int = 4) -> ValidationReport:
     """Certify the surjection class on every map between small sets.
 
     Checks identities, closure under composition, stability under pullback,
-    and effectiveness (every cover coequalizes its kernel pair).
+    and effectiveness (every cover coequalizes its kernel pair), on the sets
+    of sizes 0..max_size.
     """
+    if isinstance(max_size, bool) or not isinstance(max_size, int) or max_size < 0:
+        raise DomainError(f"max_size must be an integer of at least 0, got {max_size!r}")
     report = ValidationReport()
     objects = _all_objects(max_size)
     maps = [f for A in objects for B in objects for f in _all_maps(A, B)]
@@ -297,9 +340,12 @@ def verify_cover_class(max_size: int = 4) -> ValidationReport:
     return report
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True, eq=True)
 class InternalCategory:
-    """A category object in finite sets: object and arrow sets plus tables."""
+    """A category object in finite sets: object and arrow sets plus tables.
+
+    Frozen, so what it keeps stays true of it (see the module docstring).
+    """
 
     c0: FinSetObject
     c1: FinSetObject
@@ -308,8 +354,15 @@ class InternalCategory:
     e: FinSetMap
     c: FinSetMap
 
+    def __post_init__(self) -> None:
+        # set during __init__, outside the fields, like FinCategory's hom
+        # index; later writes go through __dict__, as _built's do
+        self.__dict__.update(_pairs=None, _laws=None, _blocks=None, _spans=None)
+
     def composable_pairs(self) -> tuple[FinSetObject, FinSetMap, FinSetMap]:
-        return pullback(self.t, self.s)
+        if self._pairs is None:
+            self.__dict__["_pairs"] = pullback(self.t, self.s)
+        return self._pairs
 
 
 def _pair_positions(IC: InternalCategory) -> dict:
@@ -450,9 +503,11 @@ def internalize(C: FinCategory) -> InternalCategory:
 
 
 def _require_laws(IC: InternalCategory) -> None:
-    report = validate_internal_category(IC)
-    if not report.ok:
-        raise InputError("cannot externalize an invalid internal category:\n" + str(report))
+    """Raise unless IC is a category; IC is checked once and keeps the verdict."""
+    if IC._laws is None:
+        IC.__dict__["_laws"] = validate_internal_category(IC)
+    if not IC._laws.ok:
+        raise InputError("cannot externalize an invalid internal category:\n" + str(IC._laws))
 
 
 def externalize(IC: InternalCategory, validate: bool = True) -> FinCategory:
@@ -528,7 +583,8 @@ def internal_elements(D) -> InternalCategory:
     if D.variance != "contravariant":
         raise DomainError("internal elements are built for contravariant diagrams")
     idx = D.index
-    fibre_maps, D0, inj0, blocks, D1, inj1 = _element_blocks(D)
+    built = _element_blocks(D)
+    fibre_maps, D0, inj0, blocks, D1, inj1 = built
     arr_pos = {A: {f: i for i, f in enumerate(D.cat(A).arrows)} for A in idx.objects}
 
     s_legs, t_legs = [], []
@@ -569,18 +625,21 @@ def internal_elements(D) -> InternalCategory:
             inverses[key] = compositor_inverse_component(D, phi, psi, x2)
         h = compose_many(D.cat(idx.src[phi]), f, D.fun(phi).on_arrows[g], inverses[key])
         c_table.append(at[idx.composition[(phi, psi)]][(x2, h)])
-    c = _built(P2, D1, tuple(c_table))
-    return InternalCategory(D0, D1, s, t, e, c)
+    IE = InternalCategory(D0, D1, s, t, e, _built(P2, D1, tuple(c_table)))
+    IE.__dict__.update(_pairs=(P2, q0, q1), _blocks=(D, built))
+    return IE
 
 
 def internal_cleavage(D, ID: InternalCategory) -> FinSetMap:
     """The marked-arrows object W = ⊔_φ D(B)₀ and its map into the arrow set,
     w = [⟨1, D(φ)₀ ; e_A⟩ ; inj_φ]_φ: at b, the identity of D(A) at D(φ)b
-    read as an arrow of the block P_φ."""
+    read as an arrow of the block P_φ.  The blocks are those ID was built
+    from when ID is ``internal_elements(D)``, and are built otherwise."""
     if D.variance != "contravariant":
         raise DomainError("the cleavage exists for contravariant diagrams only")
     idx = D.index
-    fibre_maps, _, _, blocks, _, inj1 = _element_blocks(D)
+    built = ID._blocks[1] if ID._blocks and ID._blocks[0] is D else _element_blocks(D)
+    fibre_maps, _, _, blocks, _, inj1 = built
     parts, table = [], []
     for phi in idx.arrows:
         p0, p1, on_obj = blocks[phi]
@@ -669,6 +728,14 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
     )
 
 
+def _machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
+    """The span machinery of (IC, w), kept on IC with its w: one crosscheck
+    localizes and compares pairs at the same cleavage."""
+    if IC._spans is None or IC._spans[0] is not w:
+        IC.__dict__["_spans"] = (w, _span_machinery(IC, w))
+    return IC._spans[1]
+
+
 def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
     """Localization computed with the ambient operations.
 
@@ -678,7 +745,7 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
     of composable pairs is realized by an identity) factored through the
     pair quotient.
     """
-    M = _span_machinery(IC, w)
+    M = _machinery(IC, w)
     ext = externalize(IC, validate=False)
     names = ext.arrows
     inp = _SharedFillers(FractionsInput(category=ext, weq=tuple(names[i] for i in w.table)))
@@ -724,7 +791,7 @@ def verify_pairs_coequalizer(IC: InternalCategory, w: FinSetMap):
     lawful category and an injective w, not the fractions axioms, since the
     identity sailboat of each span makes the span relation reflexive.
     """
-    M = _span_machinery(IC, w)
+    M = _machinery(IC, w)
     report = VerifierReport(title="composable pairs: pullback vs coequalizer")
     r0, r1 = M.r0.table, M.r1.table
     sp_pos = {(r0[k], r1[k]): k for k in range(M.r0.dom.size)}

@@ -369,22 +369,26 @@ def partition(size: int, moves: Iterable[tuple[int, int]]) -> list[list[int]]:
     generate: members ascending, classes by least member. The closure is a
     function of the relation and the grouping pass runs in ascending index,
     so the order of ``moves`` changes nothing."""
+    # Union-find with path halving, find inlined. A root is the least
+    # member of its tree and parent[i] <= i throughout, so the ascending
+    # pass meets parent[i] with its root already in place.
     parent = list(range(size))
-
-    def find(i: int) -> int:
+    for i, j in moves:
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
-        return i
-
-    for i, j in moves:
-        a, b = find(i), find(j)
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
     classes: dict[int, list[int]] = {}
     for i in range(size):
-        classes.setdefault(find(i), []).append(i)
+        parent[i] = root = parent[parent[i]]
+        if root == i:
+            classes[i] = [i]
+        else:
+            classes[root].append(i)
     return list(classes.values())
 
 

@@ -51,6 +51,7 @@ import catfrac.fractions as fractions
 from catfrac.ambient import fibres, has_common_section, is_surjective
 from catfrac.cli import _positional_mismatch, main
 from catfrac.errors import AxiomError, DomainError, InputError, IntegrityError
+from catfrac.fincat import partition
 from catfrac.fractions import AxiomReport
 
 
@@ -279,6 +280,95 @@ def test_fibres_are_the_preimages(f):
     assert fresh == f and hash(fresh) == hash(f) and repr(fresh) == repr(f)
 
 
+@st.composite
+def kernel_map(draw, dom=None, cod=None, label="D"):
+    """A map between sets of at most six elements; into the empty set only
+    from the empty set."""
+    if cod is None:
+        cod = obj(draw(st.integers(min_value=0, max_value=6)), "C")
+    if dom is None:
+        dom = obj(draw(st.integers(min_value=0, max_value=6 if cod.size else 0)), label)
+    return FinSetMap(dom, cod, tuple(
+        draw(st.integers(min_value=0, max_value=cod.size - 1)) for _ in range(dom.size)
+    ))
+
+
+@st.composite
+def parallel_pair(draw):
+    f = draw(kernel_map())
+    return f, draw(kernel_map(dom=f.dom, cod=f.cod))
+
+
+def brute_classes(size: int, rows) -> list:
+    """Classes of 0..size-1 under the equivalence the rows generate, by
+    search from each least unvisited member: members ascending, classes by
+    least member."""
+    linked = {i: {i} for i in range(size)}
+    for a, b in rows:
+        linked[a].add(b)
+        linked[b].add(a)
+    classes, seen = [], set()
+    for i in range(size):
+        if i in seen:
+            continue
+        members, frontier = {i}, [i]
+        while frontier:
+            new = linked[frontier.pop()] - members
+            members |= new
+            frontier += new
+        seen |= members
+        classes.append(sorted(members))
+    return classes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pullback_is_every_matching_pair_in_order(data):
+    f = data.draw(kernel_map(label="A"))
+    g = data.draw(kernel_map(cod=f.cod, label="B"))
+    P, p0, p1 = pullback(f, g)
+    pairs = [(x, y) for x in range(f.dom.size) for y in range(g.dom.size)
+             if f.table[x] == g.table[y]]
+    assert list(zip(p0.table, p1.table)) == pairs
+    assert P == FinSetObject("pb(A,B)", len(pairs))
+    assert (p0.dom, p0.cod, p1.dom, p1.cod) == (P, f.dom, P, g.dom)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parallel_pair())
+def test_quotients_are_the_generated_classes(pair):
+    f, g = pair
+    classes = brute_classes(f.cod.size, zip(f.table, g.table))
+    assert partition(f.cod.size, zip(f.table, g.table)) == classes
+    Q, q = coequalize_reflexive(f, g)
+    assert Q == FinSetObject("C/~", len(classes))
+    assert (q.dom, q.cod) == (f.cod, Q)
+    assert q.table == tuple(
+        next(k for k, members in enumerate(classes) if i in members) for i in range(f.cod.size)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_partition_is_the_generated_classes(data):
+    """Any list of moves, not only the rows of a parallel pair."""
+    size = data.draw(st.integers(min_value=1, max_value=6))
+    member = st.integers(min_value=0, max_value=size - 1)
+    moves = data.draw(st.lists(st.tuples(member, member), max_size=12))
+    assert partition(size, moves) == brute_classes(size, moves)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["A", "B"]), st.integers(0, 2), st.sampled_from(["A", "B"]), st.integers(0, 2))
+def test_object_equality_is_label_and_size(label, size, other_label, other_size):
+    A, same, other = obj(size, label), obj(size, label), obj(other_size, other_label)
+    assert A is not same and A == same and not A != same and hash(A) == hash(same)
+    assert hash(A) == hash((label, size))
+    assert (A == other) == ((label, size) == (other_label, other_size)) != (A != other)
+    # never equal to a tuple of the same fields, from either side
+    assert A != (label, size) and (label, size) != A and not A == (label, size)
+
+
 def test_map_fields_are_unchanged():
     assert [fl.name for fl in fields(FinSetMap)] == ["dom", "cod", "table"]
 
@@ -380,6 +470,34 @@ def test_cover_class_reports_each_broken_operation(monkeypatch, operation, fake,
     by kernel pairs (too coarse, then too fine)."""
     monkeypatch.setattr(ambient, operation, fake)
     assert verify_cover_class(max_size=2).problems == problems
+
+
+@pytest.mark.parametrize("size", [-1, 1.5, True, "2"])
+def test_cover_class_refuses_a_size_that_is_not_a_count(size):
+    """A negative size would certify no map at all and still pass."""
+    with pytest.raises(DomainError) as exc:
+        verify_cover_class(size)
+    assert str(exc.value) == f"max_size must be an integer of at least 0, got {size!r}"
+
+
+def test_cover_class_stays_exhaustive(monkeypatch):
+    """The certificate takes every pullback, composite and kernel-pair
+    quotient it certifies through the ambient operation itself: one per
+    identity, per pair of composable covers, per cover and map into its
+    codomain, and per cover, on the sets of sizes 0..4."""
+    calls = Counter()
+    for name in ("identity_map", "compose_maps", "pullback", "coequalize_reflexive"):
+        exact = getattr(ambient, name)
+
+        def spy(*args, name=name, exact=exact):
+            calls[name] += 1
+            return exact(*args)
+
+        monkeypatch.setattr(ambient, name, spy)
+    assert verify_cover_class(4).ok
+    assert calls == {
+        "identity_map": 5, "compose_maps": 2417, "pullback": 14062, "coequalize_reflexive": 93
+    }
 
 
 def test_cover_class_small():

@@ -911,6 +911,10 @@ def _all_marked(inp):
 
 
 def _one_class_pair_too_many(IC, w):
+    """The pairs comparison on machinery with one class pair too many. IC
+    keeps the machinery internal_localize built, so the comparison runs on
+    a copy of IC, which keeps nothing yet."""
+    IC = InternalCategory(IC.c0, IC.c1, IC.s, IC.t, IC.e, IC.c)
     exact = catfrac.ambient._span_machinery
 
     def wider(IC, w):

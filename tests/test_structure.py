@@ -14,7 +14,9 @@ diagram in one place; the CLI types each kind's fields in its KINDS entry
 and has no handler that would take a library bug's KeyError or TypeError
 for bad input;
 FinCategory.build has no option; the verifiers prepare each 2-cell search
-once per domain, not once per pair."""
+once per domain, not once per pair; one crosscheck checks each internal
+category's laws, builds the span machinery and builds the element blocks
+once, and an internal category gains no attribute after construction."""
 
 import ast
 import dataclasses
@@ -23,6 +25,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import catfrac.ambient
 import catfrac.cli
 import catfrac.diagram
 import catfrac.fincat
@@ -31,14 +34,21 @@ from catfrac import (
     CleavageSet,
     ElementsCategory,
     FinCategory,
+    FinSetMap,
     FractionsInput,
+    InternalCategory,
     check_axioms,
     enumerate_functors,
     enumerate_modifications,
     enumerate_transformations,
+    externalize,
+    internal_cleavage,
+    internal_elements,
+    internal_localize,
     localize,
     validate_category,
     verify_oplax_colimit,
+    verify_pairs_coequalizer,
 )
 from catfrac.ambient import _SpanMachinery
 from catfrac.verify import Correspondence
@@ -610,3 +620,94 @@ def test_prepared_search_check_fires(monkeypatch):
     assert _repeated(_prepared_searches(monkeypatch, per_pair)) == [
         ("enumerate_modifications", "modification_search", pairs)
     ] + [("enumerate_nat_trans", "nat_trans_search", pairs)] * len(D.index.objects)
+
+
+# the builders of the ambient layer that one crosscheck needs once each
+AMBIENT_BUILDS = ("validate_internal_category", "_span_machinery", "_element_blocks")
+
+
+def _ambient_builds(monkeypatch, run) -> list:
+    """Run ``run`` with the ambient builders wrapped and list one (builder,
+    inputs, first argument) per build. An internal category or a map is
+    named by its repr, so copies count as one input; a diagram by its id."""
+    built = []
+    for name in AMBIENT_BUILDS:
+        original = getattr(catfrac.ambient, name)
+
+        def recorded(*args, name=name, original=original):
+            built.append((name, tuple(
+                repr(a) if isinstance(a, (InternalCategory, FinSetMap)) else id(a) for a in args
+            ), args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(catfrac.ambient, name, recorded)
+    run()
+    return built
+
+
+def _rebuilt(built: list) -> list:
+    """Each builder that ran more than once on one input, with the count."""
+    counts = Counter((name, inputs) for name, inputs, _ in built)
+    return sorted((name, n) for (name, _), n in counts.items() if n > 1)
+
+
+def test_crosscheck_builds_each_internal_structure_once(monkeypatch, capsys):
+    # externalize, internal_localize and verify_pairs_coequalizer share IE's
+    # law verdict, the two readers share the span machinery, and the
+    # cleavage reads the blocks internal_elements built
+    fixture = Path(__file__).parent / "fixtures" / "diagram_contra_3x3.json"
+    codes = []
+    built = _ambient_builds(
+        monkeypatch, lambda: codes.append(catfrac.cli.main(["crosscheck", str(fixture)]))
+    )
+    assert codes == [0] and _rebuilt(built) == []
+    assert [(name, IC.c1.size if name == "validate_internal_category" else None)
+            for name, _, IC in built] == [
+        ("_element_blocks", None),
+        ("validate_internal_category", 18),  # IE, by externalize
+        ("_span_machinery", None),
+        ("validate_internal_category", 24),  # LI, by externalize
+    ]
+    assert capsys.readouterr().out == (
+        "elements: ok (6 objects, 18 arrows)\n"
+        "cleavage: ok (9 arrows)\n"
+        "localization: ok (6 objects, 24 arrows)\n"
+        "composable pairs: pullback vs coequalizer: pass (pair classes=80, class pairs=80)\n"
+    )
+
+
+def test_ambient_build_check_fires(monkeypatch):
+    # the crosscheck's calls on copies of IE, which keep nothing: each
+    # reader checks the laws again and builds its own machinery, and the
+    # cleavage rebuilds the blocks
+    D = corpus.diag_contra_chain()
+
+    def on_copies():
+        IE = internal_elements(D)
+
+        def copy():
+            return InternalCategory(IE.c0, IE.c1, IE.s, IE.t, IE.e, IE.c)
+
+        externalize(copy())
+        w = internal_cleavage(D, copy())
+        internal_localize(copy(), w)
+        verify_pairs_coequalizer(copy(), w)
+
+    assert _rebuilt(_ambient_builds(monkeypatch, on_copies)) == [
+        ("_element_blocks", 2), ("_span_machinery", 2), ("validate_internal_category", 3)
+    ]
+
+
+def test_internal_category_gains_no_attribute():
+    # what an internal category keeps sits in slots set during __init__,
+    # outside the fields, so __eq__, hash and repr ignore it
+    D = corpus.diag_contra_chain()
+    IE = internal_elements(D)
+    keys = list(vars(IE))
+    w = internal_cleavage(D, IE)
+    externalize(internal_localize(IE, w))
+    verify_pairs_coequalizer(IE, w)
+    assert list(vars(IE)) == keys
+    assert [f.name for f in dataclasses.fields(InternalCategory)] == ["c0", "c1", "s", "t", "e", "c"]
+    copy = InternalCategory(IE.c0, IE.c1, IE.s, IE.t, IE.e, IE.c)
+    assert copy == IE and hash(copy) == hash(IE) and repr(copy) == repr(IE)

@@ -68,9 +68,9 @@ class FinSetObject:
         if self.size < 0:
             raise InputError(f"negative size for {self.label!r}")
 
-    # Every operation compares endpoints, and they are mostly the same
-    # object: identity answers first, then (label, size) as the generated
-    # methods would, without building two tuples per comparison.
+    # Every operation compares endpoints, mostly with `!=`, and they are
+    # mostly the same object: identity answers first, then (label, size)
+    # as the generated methods would, without building two tuples.
     def __eq__(self, other):
         if self is other:
             return True

@@ -13,7 +13,14 @@ composition cells are still read from the external pseudofunctor.
 
 Every universal property used is witnessed: the mediating-map constructors
 check existence and uniqueness instead of assuming them, and the cover
-class (surjections) is certified by exhausting small instances.
+class (surjections) is certified by exhausting small instances.  Every map
+off a quotient or a coproduct, the internal localization's composition and
+the pairs comparison included, is filled by one routine, ``_factor``: it
+names each element at which the map would give its class a second value
+(for a coproduct, where two injections overlap and the legs disagree) and
+leaves each class that no element reaches empty, and each caller refuses
+either in its own words.  Pullback elements are looked up by their
+coordinates through one helper, ``_positions``.
 
 Canonical orders everywhere: pullback elements are lexicographic pairs,
 coproducts concatenate blocks in input order, quotients list classes by
@@ -65,6 +72,8 @@ class FinSetObject:
     size: int
 
     def __post_init__(self) -> None:
+        if self.size.__class__ is not int:
+            raise InputError(f"size of {self.label!r} must be an integer, got {self.size!r}")
         if self.size < 0:
             raise InputError(f"negative size for {self.label!r}")
 
@@ -97,12 +106,14 @@ class FinSetMap:
 
     def __post_init__(self) -> None:
         table, size = self.table, self.cod.size
+        if table.__class__ is not tuple:
+            raise InputError(f"map table must be a tuple, got {table!r}")
         if len(table) != self.dom.size:
             raise InputError(
                 f"map table has {len(table)} entries for a domain of size {self.dom.size}"
             )
         for v in table:
-            if not isinstance(v, int) or not 0 <= v < size:
+            if v.__class__ is not int or not 0 <= v < size:
                 raise InputError(f"map value {v!r} outside codomain of size {size}")
 
     @cached_property
@@ -148,6 +159,26 @@ def fibres(f: FinSetMap) -> tuple[tuple[int, ...], ...]:
     """The preimage of each codomain element under f, in ascending order.
     Computed once per map and shared by every caller."""
     return f._fibres
+
+
+def _factor(q_table: Sequence[int], h_table: Sequence, size: int) -> tuple[list, list[int]]:
+    """The table m on ``size`` classes with m[q(a)] = h(a), for every map off
+    a quotient or a coproduct: each class takes the value of its first
+    element, and a class that no element reaches is None.  Also returns
+    every element a at which h(a) differs from its class's value."""
+    table: list = [None] * size
+    splits = []
+    for a, (cls, v) in enumerate(zip(q_table, h_table)):
+        if table[cls] is None:
+            table[cls] = v
+        elif table[cls] != v:
+            splits.append(a)
+    return table, splits
+
+
+def _positions(p0: FinSetMap, p1: FinSetMap) -> dict:
+    """Each element of a pullback, keyed by its pair of coordinates."""
+    return dict(zip(zip(p0.table, p1.table), range(p0.dom.size)))
 
 
 def pullback(f: FinSetMap, g: FinSetMap) -> tuple[FinSetObject, FinSetMap, FinSetMap]:
@@ -223,11 +254,11 @@ def coproduct_mediate(
     cod = legs[0].cod if legs else FinSetObject("()", 0)
     if any(leg.cod != cod for leg in legs):
         raise DomainError("legs have different codomains")
-    table: list = [None] * S.size
-    for inj, leg in zip(injections, legs):
-        for i in range(inj.dom.size):
-            table[inj.table[i]] = leg.table[i]
-    if any(v is None for v in table):
+    into = [x for inj in injections for x in inj.table]
+    table, splits = _factor(into, [v for leg in legs for v in leg.table], S.size)
+    if splits:
+        raise DomainError(f"legs disagree at element {into[splits[0]]} of the coproduct")
+    if None in table:
         raise DomainError("injections do not cover the coproduct")
     return _built(S, cod, tuple(table))
 
@@ -265,14 +296,10 @@ def coequalizer_mediate(q: FinSetMap, h: FinSetMap) -> FinSetMap:
     """The unique map off the quotient with q;m = h; checked elementwise."""
     if h.dom != q.dom:
         raise DomainError("leg does not start at the quotient's source")
-    table: list = [None] * q.cod.size
-    for a in range(q.dom.size):
-        cls = q.table[a]
-        if table[cls] is None:
-            table[cls] = h.table[a]
-        elif table[cls] != h.table[a]:
-            raise DomainError(f"leg is not constant on the class of element {a}")
-    if any(v is None for v in table):
+    table, splits = _factor(q.table, h.table, q.cod.size)
+    if splits:
+        raise DomainError(f"leg is not constant on the class of element {splits[0]}")
+    if None in table:
         raise DomainError("quotient map is not surjective")
     return _built(q.cod, h.cod, tuple(table))
 
@@ -367,7 +394,7 @@ class InternalCategory:
 
 def _pair_positions(IC: InternalCategory) -> dict:
     _, p0, p1 = IC.composable_pairs()
-    return {(p0.table[k], p1.table[k]): k for k in range(p0.dom.size)}
+    return _positions(p0, p1)
 
 
 def validate_internal_category(IC: InternalCategory) -> ValidationReport:
@@ -396,7 +423,7 @@ def validate_internal_category(IC: InternalCategory) -> ValidationReport:
         if IC.t.table[comp] != IC.t.table[j]:
             report.add(f"composite of pair {k} breaks the target law")
 
-    pairs = {(p0.table[k], p1.table[k]): k for k in range(P.size)}
+    pairs = _positions(p0, p1)
     for f in range(IC.c1.size):
         left = pairs.get((IC.e.table[IC.s.table[f]], f))
         if left is None or IC.c.table[left] != f:
@@ -513,8 +540,9 @@ def _require_laws(IC: InternalCategory) -> None:
 def externalize(IC: InternalCategory, validate: bool = True) -> FinCategory:
     """Read an internal category as an ordinary one with positional names.
 
-    validate=False skips the law check: for callers that made it already,
-    and for negative controls that compare deliberately broken tables.
+    validate=False skips the law check.  Its one caller is ``catfrac
+    crosscheck --shuffle``, the negative control that compares a
+    deliberately broken composition table.
     """
     if validate:
         _require_laws(IC)
@@ -634,12 +662,16 @@ def internal_cleavage(D, ID: InternalCategory) -> FinSetMap:
     """The marked-arrows object W = ⊔_φ D(B)₀ and its map into the arrow set,
     w = [⟨1, D(φ)₀ ; e_A⟩ ; inj_φ]_φ: at b, the identity of D(A) at D(φ)b
     read as an arrow of the block P_φ.  The blocks are those ID was built
-    from when ID is ``internal_elements(D)``, and are built otherwise."""
+    from when ID is ``internal_elements(D)``; otherwise that category is
+    built again, and ID must have its arrow set, the one part of ID the
+    cleavage reads."""
     if D.variance != "contravariant":
         raise DomainError("the cleavage exists for contravariant diagrams only")
     idx = D.index
-    built = ID._blocks[1] if ID._blocks and ID._blocks[0] is D else _element_blocks(D)
-    fibre_maps, _, _, blocks, _, inj1 = built
+    IE = ID if ID._blocks and ID._blocks[0] is D else internal_elements(D)
+    if IE.c1 != ID.c1:
+        raise DomainError("the arrow set is not that of the diagram's elements category")
+    fibre_maps, _, _, blocks, _, inj1 = IE._blocks[1]
     parts, table = [], []
     for phi in idx.arrows:
         p0, p1, on_obj = blocks[phi]
@@ -677,7 +709,7 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
 
     ws = compose_maps(w, IC.s)
     spn, pi_v, pi_g = pullback(ws, IC.s)
-    pair_pos = {(pi_v.table[k], pi_g.table[k]): k for k in range(spn.size)}
+    pair_pos = _positions(pi_v, pi_g)
 
     w_pos = {arrow: k for k, arrow in enumerate(w.table)}
     cpairs = _pair_positions(IC)
@@ -710,7 +742,7 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
     t_q = coequalizer_mediate(q, t_spn)
     SP, r0, r1 = pullback(t_spn, s_spn)
     P2, c0m, c1m = pullback(t_q, s_q)
-    class_pair_pos = {(c0m.table[k], c1m.table[k]): k for k in range(P2.size)}
+    class_pair_pos = _positions(c0m, c1m)
     return _SpanMachinery(
         pi_v=pi_v,
         pi_g=pi_g,
@@ -746,7 +778,7 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
     pair quotient.
     """
     M = _machinery(IC, w)
-    ext = externalize(IC, validate=False)
+    ext = externalize(IC)
     names = ext.arrows
     inp = _SharedFillers(FractionsInput(category=ext, weq=tuple(names[i] for i in w.table)))
     axioms = check_axioms(inp)
@@ -768,15 +800,10 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
         for a, b in zip(M.r0.table, M.r1.table)
     ]
 
-    c_table: list = [None] * M.P2.size
-    for k, cls in enumerate(M.pair_class):
-        if c_table[cls] is None:
-            c_table[cls] = sp_values[k]
-        elif c_table[cls] != sp_values[k]:
-            raise IntegrityError(
-                "composite classes differ across representatives of a pair class"
-            )
-    if any(v is None for v in c_table):
+    c_table, splits = _factor(M.pair_class, sp_values, M.P2.size)
+    if splits:
+        raise IntegrityError("composite classes differ across representatives of a pair class")
+    if None in c_table:
         raise IntegrityError("a composable pair of classes has no span representative")
     c_q = _built(M.P2, M.q.cod, tuple(c_table))
     return InternalCategory(IC.c0, M.q.cod, M.s_q, M.t_q, e_q, c_q)
@@ -794,7 +821,7 @@ def verify_pairs_coequalizer(IC: InternalCategory, w: FinSetMap):
     M = _machinery(IC, w)
     report = VerifierReport(title="composable pairs: pullback vs coequalizer")
     r0, r1 = M.r0.table, M.r1.table
-    sp_pos = {(r0[k], r1[k]): k for k in range(M.r0.dom.size)}
+    sp_pos = _positions(M.r0, M.r1)
 
     # each span pair k with a0 as its first (second) span moves to the pair
     # with a1 in that place; the fibres of r0 and r1 list those k
@@ -813,13 +840,9 @@ def verify_pairs_coequalizer(IC: InternalCategory, w: FinSetMap):
     report.stats["pair classes"] = QP.size
     report.stats["class pairs"] = M.P2.size
 
-    comparison: list = [None] * QP.size
-    for k, target in enumerate(M.pair_class):
-        cls = qp.table[k]
-        if comparison[cls] is None:
-            comparison[cls] = target
-        elif comparison[cls] != target:
-            report.add(f"pair class {cls} maps to two different class pairs")
+    comparison, splits = _factor(qp.table, M.pair_class, QP.size)
+    for k in splits:
+        report.add(f"pair class {qp.table[k]} maps to two different class pairs")
     if None in comparison:
         report.add("a pair class has no representative")
     elif len(set(comparison)) != len(comparison):

@@ -124,6 +124,9 @@ def test_coproduct_mediate_agrees_with_legs():
         assert compose_maps(inj, m) == leg
     with pytest.raises(DomainError):
         coproduct_mediate(S, injs, legs[:1])
+    # two injections onto the same elements, with legs that differ there
+    with pytest.raises(DomainError, match="^legs disagree at element 0 of the coproduct$"):
+        coproduct_mediate(S, [injs[0], injs[0]], [legs[0], FinSetMap(parts[0], T, (0, 1))])
 
 
 @pytest.mark.parametrize(
@@ -343,6 +346,84 @@ def test_quotients_are_the_generated_classes(data):
     )
 
 
+def brute_mediator(size: int, T: FinSetObject, pairs: list):
+    """The values of T that m[x] may take, for each x in 0..size-1, when
+    m[x] = v for each (x, v) in pairs: the values every pair at x allows."""
+    return [
+        [v for v in range(T.size) if all(u == v for y, u in pairs if y == x)]
+        for x in range(size)
+    ]
+
+
+def first_disagreement(pairs: list):
+    """The position of the first pair whose element an earlier pair sends
+    to another value, or None."""
+    return next((i for i, (x, v) in enumerate(pairs)
+                 if any(y == x and u != v for y, u in pairs[:i])), None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_coequalizer_mediate_is_the_unique_factorization(data):
+    q = data.draw(kernel_map(label="A"))
+    T = obj(data.draw(st.integers(min_value=1, max_value=6)), "T")
+    if data.draw(st.booleans()):  # a leg that factors whenever q is onto
+        h = compose_maps(q, data.draw(kernel_map(dom=q.cod, cod=T)))
+    else:
+        h = data.draw(kernel_map(dom=q.dom, cod=T))
+    pairs = list(zip(q.table, h.table))
+    candidates = brute_mediator(q.cod.size, T, pairs)
+    split = first_disagreement(pairs)
+    if split is not None:
+        with pytest.raises(DomainError) as exc:
+            coequalizer_mediate(q, h)
+        assert str(exc.value) == f"leg is not constant on the class of element {split}"
+    elif len({x for x, _ in pairs}) < q.cod.size:
+        with pytest.raises(DomainError, match="^quotient map is not surjective$"):
+            coequalizer_mediate(q, h)
+    else:
+        m = coequalizer_mediate(q, h)
+        assert all(len(c) == 1 for c in candidates)
+        assert (m.dom, m.cod, m.table) == (q.cod, T, tuple(c[0] for c in candidates))
+        assert compose_maps(q, m) == h
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_coproduct_mediate_is_the_unique_factorization(data):
+    """Injections are the canonical ones or any maps into S, so blocks may
+    overlap or leave elements unreached."""
+    sizes = data.draw(st.lists(st.integers(min_value=0, max_value=3), max_size=3)
+                      .filter(lambda sizes: sum(sizes) <= 6))
+    parts = [obj(n, f"P{i}") for i, n in enumerate(sizes)]
+    S, canonical = coproduct(parts)
+    T = obj(data.draw(st.integers(min_value=1, max_value=6)), "T")
+    m0 = data.draw(kernel_map(dom=S, cod=T))
+    injections, legs = [], []
+    for part, inj in zip(parts, canonical):
+        if data.draw(st.booleans()):
+            inj = data.draw(kernel_map(dom=part, cod=S))
+        injections.append(inj)
+        legs.append(compose_maps(inj, m0) if data.draw(st.booleans())
+                    else data.draw(kernel_map(dom=part, cod=T)))
+    pairs = [(x, v) for inj, leg in zip(injections, legs) for x, v in zip(inj.table, leg.table)]
+    candidates = brute_mediator(S.size, T, pairs)
+    split = first_disagreement(pairs)
+    if split is not None:
+        with pytest.raises(DomainError) as exc:
+            coproduct_mediate(S, injections, legs)
+        assert str(exc.value) == f"legs disagree at element {pairs[split][0]} of the coproduct"
+    elif len({x for x, _ in pairs}) < S.size:
+        with pytest.raises(DomainError, match="^injections do not cover the coproduct$"):
+            coproduct_mediate(S, injections, legs)
+    else:
+        m = coproduct_mediate(S, injections, legs)
+        assert all(len(c) == 1 for c in candidates)
+        cod = T if parts else FinSetObject("()", 0)
+        assert (m.dom, m.cod, m.table) == (S, cod, tuple(c[0] for c in candidates))
+        assert all(compose_maps(inj, m) == leg for inj, leg in zip(injections, legs))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_partition_is_the_generated_classes(data):
@@ -371,7 +452,8 @@ def test_map_fields_are_unchanged():
 
 @pytest.mark.parametrize(
     "table,bad",
-    [((0, -1, 5), "-1"), ((0, 2, -1), "2"), ((0, 1.0, 7), "1.0"), ((1, None, -1), "None")],
+    [((0, -1, 5), "-1"), ((0, 2, -1), "2"), ((0, 1.0, 7), "1.0"), ((1, None, -1), "None"),
+     ((True, 0, 1), "True")],
 )
 def test_map_names_the_first_bad_value(table, bad):
     with pytest.raises(InputError) as exc:
@@ -379,9 +461,23 @@ def test_map_names_the_first_bad_value(table, bad):
     assert str(exc.value) == f"map value {bad} outside codomain of size 2"
 
 
-def test_map_accepts_bool_values():
-    f = FinSetMap(obj(2, "A"), obj(2, "B"), (True, False))
-    assert f.table == (1, 0) and fibres(f) == ((1,), (0,))
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: FinSetObject("A", 1.5), "size of 'A' must be an integer, got 1.5"),
+        (lambda: FinSetObject("A", "2"), "size of 'A' must be an integer, got '2'"),
+        (lambda: FinSetObject("A", True), "size of 'A' must be an integer, got True"),
+        (lambda: FinSetMap(obj(2, "A"), obj(2, "B"), [0, 1]), "map table must be a tuple, got [0, 1]"),
+    ],
+    ids=["float_size", "str_size", "bool_size", "list_table"],
+)
+def test_finset_refuses_malformed_input(build, message):
+    """Without these checks a float or bool size builds an object that
+    identity_map cannot use, a string size ends in a bare TypeError, and a
+    list table builds an unhashable map, unequal to its tuple twin."""
+    with pytest.raises(InputError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_cover_class_validates_only_maps_built_outside(monkeypatch):
@@ -606,6 +702,19 @@ def test_internal_elements_of_the_empty_diagram():
 def test_internal_elements_rejects_covariant():
     with pytest.raises(DomainError):
         internal_elements(corpus.diag_cov_two())
+
+
+def test_internal_cleavage_refuses_another_arrow_set():
+    """A category not built by internal_elements(D) must have its arrow
+    set; a copy of it, which keeps no blocks, gets the same cleavage."""
+    D = corpus.diag_contra_two()
+    with pytest.raises(
+        DomainError, match="^the arrow set is not that of the diagram's elements category$"
+    ):
+        internal_cleavage(D, internalize(corpus.chain3()))
+    IE = internal_elements(D)
+    copy = InternalCategory(IE.c0, IE.c1, IE.s, IE.t, IE.e, IE.c)
+    assert internal_cleavage(D, copy) == internal_cleavage(D, IE)
 
 
 def test_internal_cleavage_matches_direct():

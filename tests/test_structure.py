@@ -7,7 +7,9 @@ through its endpoint index;
 span_compose searches fillers only through the input's filler cache; spans
 and 2-cells are plain tuples, with no wrapper type around them; the
 pseudofunctor coherence laws are written once for both variances; every
-quotient is closed by the one partition routine in fincat; internal_localize
+quotient is closed by the one partition routine in fincat, and every map off
+a quotient or a coproduct in the ambient is filled by one factorization
+routine; internal_localize
 is the one ambient function that enters the fractions layer; the CLI reads a
 file only to resolve a reference or a command's own path, and a bundle's
 diagram in one place; the CLI types each kind's fields in its KINDS entry
@@ -399,6 +401,46 @@ def test_partition_routine_check_fires():
     assert _union_finds(copies) == [
         "fractions.py:1 _UnionFind", "fractions.py:2 find", "ambient.py:2 find"
     ]
+
+
+def _none_tables(tree: ast.Module) -> list:
+    """``[None] * n`` tables built outside the factorization routine."""
+    inside = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_factor"
+        for node in ast.walk(fn)
+    }
+
+    def none_list(node) -> bool:
+        return isinstance(node, ast.List) and [ast.dump(e) for e in node.elts] == [
+            ast.dump(ast.Constant(None))
+        ]
+
+    return [
+        f"ambient.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and (none_list(node.left) or none_list(node.right)) and id(node) not in inside
+    ]
+
+
+def test_one_factorization_routine():
+    # every map off a quotient or a coproduct fills its table in _factor
+    assert _none_tables(MODULES["ambient"]) == []
+    assert "[None] * size" in inspect.getsource(catfrac.ambient._factor)
+
+
+def test_factorization_routine_check_fires():
+    copy = ast.parse(
+        "def _factor(q_table, h_table, size):\n"
+        "    table = [None] * size\n"
+        "def coproduct_mediate(S, injections, legs):\n"
+        "    table = [None] * S.size\n"
+        "def verify_pairs_coequalizer(IC, w):\n"
+        "    comparison = QP.size * [None]\n"
+    )
+    assert _none_tables(copy) == ["ambient.py:4", "ambient.py:6"]
 
 
 FRACTIONS_ENTRY = {"FractionsInput", "_SharedFillers", "check_axioms", "span_compose"}

@@ -48,8 +48,9 @@ and ``verify_pairs_coequalizer`` share.
 Within one call, ``internal_elements`` computes each compositor inverse
 once.  ``internal_localize`` alone enters the fractions layer: it decides
 the axioms on the externalized category and composes spans through
-``fractions.span_compose``, keeping every filler list and composite head
-(``fractions._SharedFillers``).  The span machinery reads ambient tables.
+``fractions.span_compose``, keeping the decision's first fillers, every
+filler list and every composite head (``fractions._SharedFillers``).  The
+span machinery reads ambient tables.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ class FinSetObject:
     size: int
 
     def __post_init__(self) -> None:
+        if self.label.__class__ is not str:
+            raise InputError(f"label of a finite set must be a string, got {self.label!r}")
         if self.size.__class__ is not int:
             raise InputError(f"size of {self.label!r} must be an integer, got {self.size!r}")
         if self.size < 0:
@@ -105,6 +108,10 @@ class FinSetMap:
     table: tuple
 
     def __post_init__(self) -> None:
+        if not isinstance(self.dom, FinSetObject):
+            raise InputError(f"map domain must be a finite set, got {self.dom!r}")
+        if not isinstance(self.cod, FinSetObject):
+            raise InputError(f"map codomain must be a finite set, got {self.cod!r}")
         table, size = self.table, self.cod.size
         if table.__class__ is not tuple:
             raise InputError(f"map table must be a tuple, got {table!r}")

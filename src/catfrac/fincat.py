@@ -84,14 +84,19 @@ class FinCategory:
             tgt[name] = t
         arrst = tuple(arrs)
         cat = cls(objs, arrst, src, tgt, dict(identity), dict(composition))
-        # the fill appends only well-formed entries, so one check after it suffices
-        for f, g in cat.composable_pairs():
-            if (f, g) in cat.composition:
-                continue
-            if g == identity.get(tgt[f]):
-                cat.composition[(f, g)] = f
-            elif f == identity.get(src[g]):
-                cat.composition[(f, g)] = g
+        # the fill appends only well-formed entries, so one check after it
+        # suffices; a composable pair (f, g) has an identity factor only
+        # when f or g is i = identity[t(f)], so one pass over the arrows
+        # fills them in the order of the composable pairs
+        comp = cat.composition
+        for f in arrst:
+            i = identity.get(tgt[f])
+            if f == i:
+                for g in cat.out_of(tgt[f]):
+                    if (f, g) not in comp:
+                        comp[(f, g)] = g
+            elif i in src and src[i] == tgt[f] and (f, i) not in comp:
+                comp[(f, i)] = f
         cat._check_structure()
         return cat
 

@@ -22,13 +22,17 @@ the rest of W.
 Composing (v1, g1) with (v2, g2) reads g2 only in its last step, so a
 composite is a head, made from an Ore filler of (g1, v2) and a weak filler
 of (w', v1), followed by g2.  Within one localize call, or one ambient span
-machinery, each Ore-filler and weak-filler list is searched once and shared,
-and so are the first head and the Ore x weak product of heads: each is
-formed once per (v1, g1, v2) and shared by every g2.
+machinery, the axiom decision runs on the input the composition loop reads,
+so the first Ore and weak fillers it finds as witnesses are the ones the
+first heads are made from: each first filler is searched once.  Each
+complete filler list, each list of weak legs (m, (m;w');v1), the first head
+and the Ore x weak product of heads are formed once per key and shared, a
+head by every g2.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -95,27 +99,51 @@ class FractionsInput:
         """What ``search(self, *key)`` finds, searched lazily."""
         return search(self, *key)
 
+    def _first(self, search, *key):
+        """What ``search(self, *key)`` finds first, or None."""
+        return next(search(self, *key), None)
+
+    def _keep_firsts(self, search, firsts: dict) -> None:
+        """Nothing: a plain input keeps no first hits."""
+
 
 class _SharedFillers(FractionsInput):
     """The input of one localize call, or of one ambient span machinery,
-    keeping every filler list and every list of heads it searches.  The
-    composition loop and the ambient's composition of every span pair
-    compose many span pairs over the same cospans, marked pairs and
-    (v1, g1, v2), self-check (b) reads the heads of each (v1, g1, v2), and
-    each list is complete and in canonical order, so its first entry is the
-    lazy search's first hit.  So span_compose forms each head once per
-    (v1, g1, v2) and only reads the composite with g2 per span pair.  It
-    lives only as long as that call."""
+    keeping every first filler, every filler list and every list of heads
+    it searches.  The axiom decision runs on it and hands it its witnesses,
+    the first filler of each case that has one; the composition loop
+    and the ambient's composition of every span pair compose many span
+    pairs over those same cospans and marked pairs, and ``_first`` reads
+    the kept witnesses.  Self-check (b) reads the complete lists, each in
+    canonical order, so a list's first entry is the lazy search's first hit
+    and ``_first`` reads it when no first hit is kept.  So span_compose
+    forms each head once per (v1, g1, v2) and only reads the composite with
+    g2 per span pair.  It lives only as long as that call."""
 
     def __init__(self, inp: FractionsInput) -> None:
         super().__init__(inp.category, inp.weq)
-        self._found: dict = {}
+        # per search, each key's complete list and each key's first hit
+        self._found: defaultdict = defaultdict(dict)
+        self._firsts: defaultdict = defaultdict(dict)
 
     def _fillers(self, search, *key) -> list:
-        found = self._found.get((search, key))
-        if found is None:
-            found = self._found[(search, key)] = list(search(self, *key))
-        return found
+        found = self._found[search]
+        listed = found.get(key)
+        if listed is None:
+            listed = found[key] = list(search(self, *key))
+        return listed
+
+    def _first(self, search, *key):
+        firsts = self._firsts[search]
+        if key not in firsts:
+            listed = self._found[search].get(key)
+            if listed is not None:
+                return listed[0] if listed else None
+            firsts[key] = next(search(self, *key), None)
+        return firsts[key]
+
+    def _keep_firsts(self, search, firsts: dict) -> None:
+        self._firsts[search].update(firsts)
 
 
 @dataclass
@@ -185,8 +213,15 @@ def _weak_fillers(inp: FractionsInput, v: str, vp: str) -> Iterator[str]:
     """Weak-composition fillers of a marked composable pair (v, v'): arrows
     m with m;v;v' marked, in canonical order."""
     C = inp.category
+    comp = C.composition
     for m in C.into(C.src[v]):
-        if compose(C, C.composition[(m, v)], vp) in inp._wset:
+        mv = comp[(m, v)]
+        # the table holds only composable pairs; compose names one that is not
+        try:
+            mvvp = comp[(mv, vp)]
+        except KeyError:
+            mvvp = compose(C, mv, vp)
+        if mvvp in inp._wset:
             yield m
 
 
@@ -201,6 +236,16 @@ def _ore_fillers(inp: FractionsInput, h: str, v: str) -> Iterator[tuple]:
                 yield wp, g
 
 
+def _weak_legs(inp: FractionsInput, wp: str, v1: str) -> Iterator[tuple]:
+    """Each weak filler m of (w', v1) with the first leg (m;w');v1 of the
+    heads it makes, in canonical order."""
+    comp = inp.category.composition
+    # the search yields only m with t(m) = s(w') and (m;w');v1 composed, so
+    # both are table reads
+    for m in inp._fillers(_weak_fillers, wp, v1):
+        yield m, comp[(comp[(m, wp)], v1)]
+
+
 def _composite_heads(inp: FractionsInput, v1: str, g1: str, v2: str) -> Iterator[tuple]:
     """What composing a span (v1, g1) with any span (v2, g2) makes before
     g2: pairs ((m;w');v1, m;h2) over each Ore filler (w', h2) of (g1, v2)
@@ -209,11 +254,10 @@ def _composite_heads(inp: FractionsInput, v1: str, g1: str, v2: str) -> Iterator
     only repeat its composite."""
     comp = inp.category.composition
     seen = set()
-    # the searches yield only m with t(m) = s(w') and h2 with s(h2) = s(w'),
-    # and an Ore filler ends at t(w') = s(g1) = s(v1), so all are table reads
+    # an Ore filler's h2 starts at s(w') = t(m), so m;h2 is a table read
     for wp, h2 in inp._fillers(_ore_fillers, g1, v2):
-        for m in inp._fillers(_weak_fillers, wp, v1):
-            head = (comp[(comp[(m, wp)], v1)], comp[(m, h2)])
+        for m, leg in inp._fillers(_weak_legs, wp, v1):
+            head = (leg, comp[(m, h2)])
             if head not in seen:
                 seen.add(head)
                 yield head
@@ -223,15 +267,16 @@ def _first_head(inp: FractionsInput, v1: str, g1: str, v2: str) -> Iterator[tupl
     """The head a composite of (v1, g1) with any (v2, g2) takes from the
     first filler of each kind: ((m;w');v1, m;h2) for the first Ore filler
     (w', h2) of (g1, v2) and the first weak filler m of (w', v1), or nothing
-    when either is missing."""
+    when either is missing.  Both are read through ``_first``, so on the
+    input the axioms were decided on they are that decision's witnesses."""
     comp = inp.category.composition
-    first = next(iter(inp._fillers(_ore_fillers, g1, v2)), None)
+    first = inp._first(_ore_fillers, g1, v2)
     if first is None:
         return
     wp, h2 = first
-    m = next(iter(inp._fillers(_weak_fillers, wp, v1)), None)
+    m = inp._first(_weak_fillers, wp, v1)
     if m is not None:
-        # table reads, as in _composite_heads
+        # table reads, as in _weak_legs and _composite_heads
         yield comp[(comp[(m, wp)], v1)], comp[(m, h2)]
 
 
@@ -247,7 +292,10 @@ def _zippers(inp: FractionsInput, f: str, g: str) -> Iterator[str]:
 def _decide(inp: FractionsInput, axiom: int, cases: list, search) -> AxiomFinding:
     """Run ``search`` on each case (key, shown) in order.  The first filler
     found is the key's witness; the first case without one is shown as the
-    counterexample."""
+    counterexample.  The witnesses are handed to ``inp``, whose ``_first``
+    then reads them on a shared input.  The cases are searched here and not
+    through ``_first``: a call per case would cost the decision more than
+    keeping its witnesses saves the composition loop."""
     finding = AxiomFinding(axiom=axiom, ok=True)
     for key, shown in cases:
         found = next(search(inp, *key), None)
@@ -256,6 +304,7 @@ def _decide(inp: FractionsInput, axiom: int, cases: list, search) -> AxiomFindin
         elif finding.ok:
             finding.ok = False
             finding.counterexample = shown
+    inp._keep_firsts(search, finding.witnesses)
     return finding
 
 
@@ -272,15 +321,21 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
         ((v, vp), (v, vp)) for v in inp.weq for vp in inp._w_out.get(C.tgt[v], ())
     ]
     cospans = [((h, v), (h, v)) for h in C.arrows for v in inp._w_into.get(C.tgt[h], ())]
-    # a parallel pair is shown with the first arrow that coequalizes it
-    coequalized: dict = {}
-    for s in shape_instances(inp, "p_cq"):
-        coequalized.setdefault(s[:2], s)
+    # a parallel pair is shown with the first marked arrow that coequalizes
+    # it, in the order of shape_instances(inp, "p_cq")
+    comp = C.composition
+    coequalized = []
+    for f in C.arrows:
+        for g in C.hom(C.src[f], C.tgt[f]):
+            for v in inp._w_out.get(C.tgt[f], ()):
+                if comp[(f, v)] == comp[(g, v)]:
+                    coequalized.append(((f, g), (f, g, v)))
+                    break
     return AxiomReport(findings=[
         _decide(inp, 1, objects, _sections),
         _decide(inp, 2, marked_pairs, _weak_fillers),
         _decide(inp, 3, cospans, _ore_fillers),
-        _decide(inp, 4, list(coequalized.items()), _zippers),
+        _decide(inp, 4, coequalized, _zippers),
     ])
 
 
@@ -359,7 +414,7 @@ def span_compose(
     # never taken for a failed read
     heads = list(inp._fillers(_composite_heads if exhaustive else _first_head, v1, g1, v2))
     if not heads:
-        if next(_ore_fillers(inp, g1, v2), None) is None:
+        if inp._first(_ore_fillers, g1, v2) is None:
             raise AxiomError(
                 f"no Ore filler for cospan ({g1!r}, {v2!r})",
                 report=check_axioms(inp),
@@ -405,8 +460,10 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     the CLI runs it first).  On a table that breaks them the result
     localizes nothing meaningful.
     """
-    inp.check()
-    axioms = check_axioms(inp)
+    # the axioms are decided on the input the composition loop reads, so
+    # the loop's first fillers are the decision's witnesses
+    shared = _SharedFillers(inp)
+    axioms = check_axioms(shared)
     if not axioms.ok:
         raise AxiomError(
             "fractions axioms fail:\n" + str(axioms), report=axioms
@@ -427,7 +484,7 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
         arrows_decl.append((name, C.tgt[v], C.tgt[g]))
 
     # axiom (1), checked above, gives every object a marked arrow into it
-    alpha = {x: next(_sections(inp, x)) for x in C.objects}
+    alpha = {x: shared._first(_sections, x) for x in C.objects}
     identity = {x: class_of_span[(alpha[x], alpha[x])] for x in C.objects}
 
     # a span (v, g) runs from t(v) to t(g); listing the classes out of each
@@ -436,16 +493,16 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     reps_out: dict[str, list] = {}
     for n, (v, g) in class_reps.items():
         reps_out.setdefault(C.tgt[v], []).append((n, (v, g)))
-    shared = _SharedFillers(inp)
     composition = {}
     for n1, s1 in class_reps.items():
         for n2, s2 in reps_out.get(C.tgt[s1[1]], ()):
             composite = span_compose(shared, s1, s2)
-            if composite not in class_of_span:
+            n = class_of_span.get(composite)
+            if n is None:
                 raise IntegrityError(
                     f"composite of {s1!r} and {s2!r} is {composite!r}, which is not a span"
                 )
-            composition[(n1, n2)] = class_of_span[composite]
+            composition[(n1, n2)] = n
 
     carrier = FinCategory.build(C.objects, arrows_decl, identity, composition)
 

@@ -1113,19 +1113,18 @@ def test_shared_fillers_change_no_ambient_table_on_generated_diagrams(D):
 
 
 def test_ambient_composition_searches_each_cospan_once(monkeypatch):
-    """Outside the axiom check, one internal_localize call runs the Ore
-    search at most once per cospan; lazy searches on a plain input repeat
-    it."""
+    """One internal_localize call runs the Ore search once per cospan, in
+    the axiom check, and the composition reads the first fillers it kept;
+    lazy searches on a plain input repeat it outside the check."""
     D = corpus.diag_contra_chain()
     IE = internal_elements(D)
     w = internal_cleavage(D, IE)
-    searched = Counter()
+    searched, decided = Counter(), Counter()
     deciding = []
     exact_search, exact_axioms = fractions._ore_fillers, ambient.check_axioms
 
     def spy(inp, h, v):
-        if not deciding:
-            searched[(h, v)] += 1
+        (decided if deciding else searched)[(h, v)] += 1
         return exact_search(inp, h, v)
 
     def axioms(inp):
@@ -1138,8 +1137,8 @@ def test_ambient_composition_searches_each_cospan_once(monkeypatch):
     monkeypatch.setattr(fractions, "_ore_fillers", spy)
     monkeypatch.setattr(ambient, "check_axioms", axioms)
     internal_localize(IE, w)
-    assert searched and max(searched.values()) == 1
-    searched.clear()
+    assert decided and max(decided.values()) == 1
+    assert not searched
     monkeypatch.setattr(ambient, "_SharedFillers", lambda inp: inp)
     internal_localize(IE, w)
     assert max(searched.values()) > 1

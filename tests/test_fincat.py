@@ -25,6 +25,7 @@ from catfrac import (
 )
 from catfrac.errors import DomainError, InputError
 from catfrac.fincat import backtrack, partition, uniquify
+from test_generated import build, monoids, posets
 
 
 @pytest.mark.parametrize("name,C", corpus.all_categories())
@@ -37,6 +38,80 @@ def test_build_fills_identity_composites():
     assert C.composition[("id:x", "f")] == "f"
     assert C.composition[("f", "id:y")] == "f"
     assert C.composition[("f", "g")] == "h"
+
+
+def build_with_pairwise_fill(objects, arrows, identity, composition) -> FinCategory:
+    """FinCategory.build with its identity fill written as a walk over every
+    composable pair: the reference for the one pass over the arrows."""
+    src = {f: s for f, s, _ in arrows}
+    tgt = {f: t for f, _, t in arrows}
+    C = FinCategory(
+        tuple(objects), tuple(f for f, _, _ in arrows), src, tgt, dict(identity), dict(composition)
+    )
+    for f, g in C.composable_pairs():
+        if (f, g) in C.composition:
+            continue
+        if g == identity.get(tgt[f]):
+            C.composition[(f, g)] = f
+        elif f == identity.get(src[g]):
+            C.composition[(f, g)] = g
+    C._check_structure()
+    return C
+
+
+def built_or_refused(build, *table):
+    """The composition table, in insertion order, or the refusal's message."""
+    try:
+        return list(build(*table).composition.items())
+    except InputError as exc:
+        return str(exc)
+
+
+def assert_fill_matches_pairwise(objects, arrows, identity, composition) -> None:
+    table = (objects, arrows, identity, composition)
+    assert built_or_refused(FinCategory.build, *table) == built_or_refused(
+        build_with_pairwise_fill, *table
+    )
+
+
+def dropped_tables(C: FinCategory, drop) -> tuple:
+    """C's table with the composition entries ``drop`` picks left out."""
+    arrows = [(f, C.src[f], C.tgt[f]) for f in C.arrows]
+    kept = {pair: h for pair, h in C.composition.items() if not drop(pair)}
+    return C.objects, arrows, C.identity, kept
+
+
+@pytest.mark.parametrize("name,C", corpus.all_categories() + [("chain(4)", corpus.chain(4))])
+def test_identity_fill_matches_the_pairwise_walk(name, C):
+    ids = set(C.identity.values())
+    # every identity composite left to the fill, then each entry dropped on
+    # its own: a dropped identity composite is filled at the end of the
+    # table, any other is named as the first missing pair
+    assert_fill_matches_pairwise(*dropped_tables(C, lambda pair: ids & set(pair)))
+    for dropped in C.composition:
+        assert_fill_matches_pairwise(*dropped_tables(C, lambda pair: pair == dropped))
+
+
+def test_identity_fill_matches_the_pairwise_walk_on_junk_tables():
+    arrows = [("ia", "a", "a"), ("ib", "b", "b"), ("f", "a", "b")]
+    for identity in (
+        {"a": "f", "b": "ib"},  # an identity that is no endomorphism
+        {"a": "ia"},  # an object without an identity
+        {"a": "zz", "b": "ib"},  # an identity that is no arrow
+        {"a": "ia", "b": "ib", None: "ia"},
+    ):
+        assert_fill_matches_pairwise(["a", "b"], arrows, identity, {})
+    # a dangling endpoint, and a duplicated arrow
+    assert_fill_matches_pairwise(["a"], [("ia", "a", "a"), ("f", "a", None)], {"a": "ia"}, {})
+    assert_fill_matches_pairwise(["a"], [("ia", "a", "a"), ("ia", "a", "a")], {"a": "ia"}, {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(posets(), monoids()), st.data())
+def test_identity_fill_matches_the_pairwise_walk_on_generated_tables(raw, data):
+    C = build(raw)
+    dropped = data.draw(st.sets(st.sampled_from(sorted(C.composition))))
+    assert_fill_matches_pairwise(*dropped_tables(C, dropped.__contains__))
 
 
 def test_build_rejects_structural_junk():

@@ -94,6 +94,11 @@ def _unparallel_transformation():
     "run,error,message",
     [
         (lambda: FinSetObject("A", -1), InputError, "negative size for 'A'"),
+        (lambda: FinSetObject(["a"], 1), InputError,
+         "label of a finite set must be a string, got ['a']"),
+        (lambda: FinSetMap(2, 2, ()), InputError, "map domain must be a finite set, got 2"),
+        (lambda: FinSetMap(A, "B", (0, 0)), InputError,
+         "map codomain must be a finite set, got 'B'"),
         (lambda: compose_maps(FinSetMap(A, B, (0, 1)), FinSetMap(A, B, (0, 1))), DomainError,
          "maps not composable: FinSetObject(label='B', size=2) vs FinSetObject(label='A', size=2)"),
         (_cone_off_the_pullback, DomainError,
@@ -118,7 +123,7 @@ def _unparallel_transformation():
          "unknown shape direction 'sideways'"),
     ],
     ids=[
-        "negative_size", "maps_not_composable", "cone_off_pullback", "legs_off_blocks",
+        "negative_size", "unhashable_label", "map_domain", "map_codomain", "maps_not_composable", "cone_off_pullback", "legs_off_blocks",
         "legs_codomains", "coproduct_uncovered", "coequalizer_unparallel", "leg_source",
         "quotient_not_onto", "source_endpoints", "target_endpoints", "identity_endpoints",
         "covariant_cleavage", "marks_off_arrows", "functors_not_composable",

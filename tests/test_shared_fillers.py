@@ -1,7 +1,10 @@
 """localize shares its Ore-filler and weak-filler searches within one call.
 
-Differential: the composition loop reads the shared lists, and self-check
-(b) reads the shared heads of each row (s1, v2) once, checks that they lie
+The axiom decision's witnesses are the first fillers the composition loop
+reads, so it searches none again; a shared input's first hit, whether kept
+from the decision, read off a complete list or searched lazily, is the lazy
+search's.  Differential: the composition loop reads the shared lists, and
+self-check (b) reads the shared heads of each row (s1, v2) once, checks that they lie
 in one class, then composes the first head with each g2 out of s(v2) by one
 table read; the public span_compose searches on its own, and its exhaustive
 mode gives what the whole Ore x weak product gives.  With no fault, a
@@ -250,6 +253,87 @@ def test_internal_localize_searches_each_head_once(monkeypatch):
     assert len(heads) < len(pairs)
 
 
+def test_composition_loop_reads_the_decisions_first_fillers(monkeypatch):
+    # fully marked chain(6) has 91 spans, so (b) is skipped: the axiom
+    # decision searches each cospan and each marked pair once, and the
+    # composition loop reads the first fillers it found
+    inp = fully_marked_chain(6)
+    C = inp.category
+    deciding, decided, composing = [], Counter(), Counter()
+    exact_axioms = catfrac.fractions.check_axioms
+
+    def spied(name):
+        exact = getattr(catfrac.fractions, name)
+
+        def spy(inp, *key):
+            (decided if deciding else composing)[name, key] += 1
+            return exact(inp, *key)
+
+        return spy
+
+    def axioms(inp):
+        deciding.append(inp)
+        try:
+            return exact_axioms(inp)
+        finally:
+            deciding.pop()
+
+    for name in ("_ore_fillers", "_weak_fillers"):
+        monkeypatch.setattr(catfrac.fractions, name, spied(name))
+    monkeypatch.setattr(catfrac.fractions, "check_axioms", axioms)
+    localize(inp)
+    cospans = [(h, v) for h in C.arrows for v in inp.weq if C.tgt[v] == C.tgt[h]]
+    pairs = [(v, vp) for v in inp.weq for vp in inp.weq if C.tgt[v] == C.src[vp]]
+    assert decided == Counter(
+        [("_ore_fillers", key) for key in cospans] + [("_weak_fillers", key) for key in pairs]
+    )
+    assert composing == Counter()
+
+
+def first_filler_keys(inp: FractionsInput) -> list[tuple]:
+    """Each search a first filler is read from, with every key the axiom
+    decision searches it at."""
+    C = inp.category
+    searches = catfrac.fractions
+    return [
+        (searches._sections, [(x,) for x in C.objects]),
+        (searches._weak_fillers,
+         [(v, vp) for v in inp.weq for vp in inp.weq if C.tgt[v] == C.src[vp]]),
+        (searches._ore_fillers,
+         [(h, v) for h in C.arrows for v in inp.weq if C.tgt[h] == C.tgt[v]]),
+        (searches._zippers, [(f, g) for f in C.arrows for g in C.hom(C.src[f], C.tgt[f])]),
+    ]
+
+
+def check_first_fillers(inp: FractionsInput) -> None:
+    """A shared input's first hit, kept from the axiom decision, read off a
+    kept complete list or searched and kept, is the lazy search's."""
+    Shared = catfrac.fractions._SharedFillers
+    fresh = FractionsInput(inp.category, inp.weq)
+    decided, listed, lazy = Shared(inp), Shared(inp), Shared(inp)
+    check_axioms(decided)
+    for search, keys in first_filler_keys(inp):
+        for key in keys:
+            first = next(search(fresh, *key), None)
+            whole = listed._fillers(search, *key)
+            assert (whole[0] if whole else None) == first
+            assert listed._first(search, *key) == first
+            assert decided._first(search, *key) == first
+            assert lazy._first(search, *key) == lazy._first(search, *key) == first
+            assert fresh._first(search, *key) == first
+
+
+@pytest.mark.parametrize(
+    "name,inp",
+    corpus.fractions_corpus()
+    + [(name, inp) for name, inp, _ in corpus.failing_fractions()]
+    + [("chain(6)/all", fully_marked_chain(6))]
+    + [(f"Z/{n}/all", fully_marked_cyclic(n)) for n in range(3, 6)],
+)
+def test_shared_first_fillers_are_the_lazy_searchs(name, inp):
+    check_first_fillers(inp)
+
+
 @st.composite
 def marked(draw):
     C = build(draw(st.one_of(posets(), monoids())))
@@ -264,6 +348,12 @@ def marked(draw):
 def test_generated_composites_match_public_span_compose(inp):
     assume(check_axioms(inp).ok)
     check_against_public(inp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(marked())
+def test_generated_shared_first_fillers_are_the_lazy_searchs(inp):
+    check_first_fillers(inp)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,9 @@ a category or a marked category gains no attribute after construction; a
 record keeps no field that another of its fields gives, and a functor no
 accessor over its maps; the fractions searches read the marked class
 through its endpoint index;
-span_compose searches fillers only through the input's filler cache; spans
+span_compose searches fillers only through the input's filler cache, and a
+first filler is read only through the input's first-hit lookup, which the
+axiom decision feeds; spans
 and 2-cells are plain tuples, with no wrapper type around them; the
 pseudofunctor coherence laws are written once for both variances; every
 quotient is closed by the one partition routine in fincat, and every map off
@@ -21,6 +23,7 @@ category's laws, builds the span machinery and builds the element blocks
 once, and an internal category gains no attribute after construction."""
 
 import ast
+import copy
 import dataclasses
 import inspect
 import sys
@@ -31,6 +34,7 @@ import catfrac.ambient
 import catfrac.cli
 import catfrac.diagram
 import catfrac.fincat
+import catfrac.fractions
 import corpus
 from catfrac import (
     CleavageSet,
@@ -174,14 +178,22 @@ def test_no_attribute_is_attached_after_construction():
 
 def test_marked_category_gains_no_attribute():
     # the endpoint index of W is built at construction, stays out of the
-    # fields (so out of __eq__ and repr) and is only read afterwards
+    # fields (so out of __eq__ and repr) and is only read afterwards; the
+    # shared input of a localize call reads that same index and keeps what
+    # it finds on itself, so nothing outlives the call, on the input or in
+    # the module
     assert [f.name for f in dataclasses.fields(FractionsInput)] == ["category", "weq"]
-    for _, inp in corpus.fractions_corpus():
+    chain = corpus.chain(6)
+    module = dict(vars(catfrac.fractions))
+    for _, inp in corpus.fractions_corpus() + [("chain(6)/all", FractionsInput(chain, chain.arrows))]:
         before = dict(vars(inp))
+        contents = copy.deepcopy(before)
         check_axioms(inp)
         localize(inp)
         assert vars(inp).keys() == before.keys()
         assert all(vars(inp)[k] is v for k, v in before.items())
+        assert vars(inp) == contents
+    assert vars(catfrac.fractions) == module
 
 
 def test_records_keep_no_field_another_field_gives():
@@ -337,6 +349,77 @@ def test_per_pair_search_check_fires():
     assert _per_pair_searches(_function(per_pair, "span_compose")) == [
         "_ore_fillers at line 2", "_weak_fillers at line 7", "_composite_heads at line 5"
     ]
+
+
+def _called_name(call: ast.Call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _first_hit_reads(tree: ast.Module) -> list:
+    """``next(...)`` calls outside ``_first`` and ``_decide`` whose iterator
+    comes from a filler search, from a search passed in as ``search``, or
+    from a filler cache.  The filler searches are the module's functions
+    handed to ``_fillers``, ``_first`` or ``_decide``."""
+    defined = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    handed = {
+        name.id
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and _called_name(call) in {"_fillers", "_first", "_decide"}
+        for arg in call.args
+        for name in ast.walk(arg)
+        if isinstance(name, ast.Name)
+    }
+    searches = (handed & defined) | {"search", "_fillers"}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name in ("_first", "_decide"):
+            continue
+        for call in ast.walk(fn):
+            if not (isinstance(call, ast.Call) and _called_name(call) == "next" and call.args):
+                continue
+            if any(
+                isinstance(node, ast.Call) and _called_name(node) in searches
+                for node in ast.walk(call.args[0])
+            ):
+                found.append(f"{fn.name} at line {call.lineno}")
+    return found
+
+
+def _keeps_its_witnesses(tree: ast.Module) -> bool:
+    return any(
+        isinstance(call, ast.Call) and _called_name(call) == "_keep_firsts"
+        for call in ast.walk(_function(tree, "_decide"))
+    )
+
+
+def test_first_fillers_are_read_in_one_place():
+    # a first filler is read through inp._first, which on a localize call's
+    # shared input answers from the axiom decision's witnesses; the decision
+    # searches its cases itself and hands every witness to the input
+    assert _first_hit_reads(MODULES["fractions"]) == []
+    assert _keeps_its_witnesses(MODULES["fractions"])
+
+
+def test_first_hit_read_check_fires():
+    scattered = ast.parse(
+        "def _first(self, search, *key):\n"
+        "    return next(search(self, *key), None)\n"
+        "def _sections(inp, x):\n"
+        "    return iter(inp._w_into.get(x, ()))\n"
+        "def _first_head(inp, v1, g1, v2):\n"
+        "    first = next(iter(inp._fillers(_ore_fillers, g1, v2)), None)\n"
+        "    m = inp._first(_weak_fillers, first[0], v1)\n"
+        "def localize(inp):\n"
+        "    alpha = {x: next(_sections(inp, x)) for x in inp.category.objects}\n"
+        "    problem = next(misplaced_composites(inp.category), None)\n"
+        "def _decide(inp, axiom, cases, search):\n"
+        "    return [next(search(inp, *key), None) for key, _ in cases]\n"
+        "def check_axioms(inp):\n"
+        "    return _decide(inp, 1, [], _sections)\n"
+    )
+    assert _first_hit_reads(scattered) == ["_first_head at line 6", "localize at line 9"]
+    assert not _keeps_its_witnesses(scattered)
 
 
 def _variance_forks(fn: ast.FunctionDef) -> list:

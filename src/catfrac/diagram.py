@@ -470,13 +470,21 @@ def _incoherent_fibers(
                 yield p
 
 
+def _not_invertible_at(X: FinCategory, cell: NatTrans) -> Optional[str]:
+    """The first object, in component order, where ``cell`` has a component
+    with no two-sided inverse in X; None when every component is invertible."""
+    for obj, f in cell.components.items():
+        if two_sided_inverse(X, f) is None:
+            return obj
+    return None
+
+
 def is_pseudo(x: LaxTransformation) -> tuple[bool, Optional[tuple[str, str]]]:
     """True when every two-cell component is invertible; else a witness."""
     for phi in x.source.index.arrows:
-        cell = x.two_cells[phi]
-        for obj, f in cell.components.items():
-            if two_sided_inverse(x.target, f) is None:
-                return False, (phi, obj)
+        obj = _not_invertible_at(x.target, x.two_cells[phi])
+        if obj is not None:
+            return False, (phi, obj)
     return True, None
 
 
@@ -497,6 +505,17 @@ def enumerate_transformations(
     is prepared per such index object, before the search starts, and serves
     every choice of components; it returns no cell, so the slot has no
     candidate, when a component hom is empty.
+
+    The cells at a non-identity phi depend only on the components at its
+    endpoints, so they are listed at the component slot that closes phi, the
+    later of the two (for 'pseudo', only the invertible ones). An empty list
+    rejects that component there, since phi's cell slot would have no
+    candidate; a search that raises DomainError does not prune, and the
+    cell slot raises it again when the search reaches it. Within one call,
+    each list is kept by (phi, source component, target component), and each
+    forced identity cell with its verdict by component, so a pair of
+    components reached again costs a dict read. The slot order is
+    unchanged, and with it the canonical order.
     """
     if kind not in ("lax", "pseudo"):
         raise InputError(f"unknown transformation kind {kind!r}")
@@ -510,36 +529,64 @@ def enumerate_transformations(
     for phi, psi in idx.composable_pairs():
         last = max(slot[phi], slot[psi], slot[idx.composition[(phi, psi)]])
         pairs_closed[last].append((phi, psi))
+    oslot = {a: i for i, a in enumerate(objs)}
     natural: dict = {}  # index object -> (its category's objects, the search on it)
-    cell_searches = []
-    for phi in arrows[n:]:
+    cell_searches = []  # per non-identity arrow: (phi, source slot, target slot, names, search)
+    arrows_closed: list[list] = [[] for _ in objs]  # component slot -> arrows it closes
+    for k, phi in enumerate(arrows[n:]):
         A = variance_order(D.variance, idx.src[phi], idx.tgt[phi])[0]
         if D.fun(phi).dom != D.cat(A):
             raise DomainError("cannot enumerate transformations between non-parallel functors")
         if A not in natural:
             natural[A] = (D.cat(A).objects, nat_trans_search(D.cat(A), X))
-        cell_searches.append(natural[A])
+        s, t = oslot[idx.src[phi]], oslot[idx.tgt[phi]]
+        cell_searches.append((phi, s, t) + natural[A])
+        arrows_closed[max(s, t)].append(k)
+    # per_object holds every component for the whole call, so a component's
+    # id names it in these keys
+    forced: dict = {}  # id(component at a) -> (a's identity cell, whether it is a candidate)
+    listed: dict = {}  # (k, id(source component), id(target component)) -> candidate cells
+
+    def identity_cell(j: int, vals: list) -> tuple:
+        entry = forced.get(id(vals[j]))
+        if entry is None:
+            cell = identity_two_cell(D, {objs[j]: vals[j]}, objs[j])
+            ok = validate_nat_trans(cell).ok and (
+                kind == "lax" or _not_invertible_at(X, cell) is None
+            )
+            entry = forced[id(vals[j])] = (cell, ok)
+        return entry
+
+    def arrow_cells(k: int, vals: list) -> list:
+        phi, s, t, names, search = cell_searches[k]
+        key = (k, id(vals[s]), id(vals[t]))
+        found = listed.get(key)
+        if found is None:
+            a, b = objs[s], objs[t]
+            F, G = two_cell_endpoints(D, {a: vals[s], b: vals[t]}, phi)
+            found = [NatTrans(F, G, dict(zip(names, cell))) for cell in search(F, G)]
+            if kind == "pseudo":
+                found = [cell for cell in found if _not_invertible_at(X, cell) is None]
+            listed[key] = found
+        return found
 
     def domain(i: int, vals: list):
         if i < n:
             return per_object[i]
-        components = dict(zip(objs, vals))
         if i < 2 * n:
-            return (identity_two_cell(D, components, objs[i - n]),)
-        F, G = two_cell_endpoints(D, components, arrows[i - n])
-        names, search = cell_searches[i - 2 * n]
-        return [NatTrans(F, G, dict(zip(names, cell))) for cell in search(F, G)]
+            cell, ok = identity_cell(i - n, vals)
+            return (cell,) if ok else ()
+        return arrow_cells(i - 2 * n, vals)
 
     def accept(i: int, vals: list) -> bool:
         if i < n:
+            for k in arrows_closed[i]:
+                try:
+                    if not arrow_cells(k, vals):
+                        return False
+                except DomainError:
+                    pass
             return True
-        cell = vals[i]
-        if i < 2 * n and not validate_nat_trans(cell).ok:
-            return False
-        if kind == "pseudo" and any(
-            two_sided_inverse(X, f) is None for f in cell.components.values()
-        ):
-            return False
         if pairs_closed[i]:
             components, cells = dict(zip(objs, vals)), dict(zip(arrows, vals[n : i + 1]))
             for phi, psi in pairs_closed[i]:

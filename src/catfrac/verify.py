@@ -54,7 +54,9 @@ class Correspondence:
     ``left`` lists the 1-cells the property quantifies over (``noun`` names
     one), ``right`` the functors off the carrier. ``forward`` sends a left
     1-cell to a functor off the carrier and raises DomainError where it is
-    undefined; ``back`` sends a functor off the carrier to a left 1-cell.
+    undefined; ``back`` sends a functor off the carrier to a left 1-cell,
+    and may raise DomainError the same way. Both must be functions: equal
+    arguments give equal results, so each round trip is formed once.
     ``between(x, y)`` lists the 2-cells x => y (``cell_noun`` names one) in
     canonical order, each a tuple of arrows of the common target, one
     component per carrier object in the carrier's object order
@@ -76,7 +78,10 @@ def check_correspondence(report: VerifierReport, c: Correspondence) -> VerifierR
     The phases run in order: 1-cells biject, then 2-cells biject pair by
     pair (their count goes into ``report.stats`` under the plural of
     ``c.cell_noun``); the 2-cell phase runs only if the 1-cells passed.
-    Problems are numbered by position in ``c.left`` and ``c.right``.
+    Problems are numbered by position in ``c.left`` and ``c.right``. The
+    1-cell phase calls ``c.back`` once per right functor on a passing check:
+    a round trip the left pass closes is not formed again from the right.
+    A DomainError from ``c.forward`` or ``c.back`` is reported, never raised.
     """
     images = _one_cells(report, c)
     if report.ok:
@@ -90,12 +95,20 @@ def as_cell(mu: NatTrans) -> tuple:
 
 
 def _one_cells(report: VerifierReport, c: Correspondence) -> list:
+    """Check that ``c.forward`` and ``c.back`` are mutually inverse
+    bijections; returns the images of ``c.left``, None where undefined.
+
+    Each round trip is formed once. When the left pass finds x with
+    forward(x) equal to right functor k and back of it equal to x, then
+    forward(back(functor k)) is forward(x), functor k again, since both
+    maps are functions; so the right pass checks only the other functors."""
     noun = c.noun
     if len(c.left) != len(c.right):
         report.add(f"count mismatch: {len(c.left)} {noun}s vs {len(c.right)} functors")
     right: dict = {}
-    for y in c.right:
-        right.setdefault(functor_key(y), []).append(y)
+    for k, y in enumerate(c.right):
+        right.setdefault(functor_key(y), []).append(k)
+    settled: set = set()
     images: list = []
     for i, x in enumerate(c.left):
         try:
@@ -105,13 +118,24 @@ def _one_cells(report: VerifierReport, c: Correspondence) -> list:
             images.append(None)
             continue
         images.append(y)
-        if not any(y == z for z in right.get(functor_key(y), ())):
+        equal = [k for k in right.get(functor_key(y), ()) if c.right[k] == y]
+        if not equal:
             report.add(f"image of {noun} #{i} is not a functor off the carrier")
-        elif c.back(y) != x:
+            continue
+        try:
+            back = c.back(y)
+        except DomainError as exc:
+            report.add(f"round-trip through the carrier is undefined on {noun} #{i}: {exc}")
+            continue
+        if back != x:
             report.add(f"round-trip through the carrier changes {noun} #{i}")
+        else:
+            settled.update(equal)
     for i, j in _collisions(images):
         report.add(f"{noun}s #{i} and #{j} collapse to the same functor")
     for k, y in enumerate(c.right):
+        if k in settled:
+            continue
         try:
             same = c.forward(c.back(y)) == y
         except DomainError as exc:

@@ -152,6 +152,75 @@ def nat_trans_count(rawc, rawx, F, G) -> int:
     return n
 
 
+def arrow_category(rawx):
+    """Arr(X): the objects are the arrows of X, an arrow f -> g is a
+    commuting square (u, v) with u: src f -> src g, v: tgt f -> tgt g and
+    f.v == u.g, and squares compose side by side (Kelly 1989)."""
+    xarr, comp, ident = rawx["arrows"], rawx["compose"], rawx["identity"]
+    squares = {}
+    for f, (sf, tf) in xarr.items():
+        for g, (sg, tg) in xarr.items():
+            for u, ends_u in xarr.items():
+                if ends_u != (sf, sg):
+                    continue
+                for v, ends_v in xarr.items():
+                    if ends_v == (tf, tg) and comp[(f, v)] == comp[(u, g)]:
+                        squares[(f, g, u, v)] = (f, g)
+    return {
+        "objects": list(xarr),
+        "arrows": squares,
+        "identity": {f: (f, f, ident[s], ident[t]) for f, (s, t) in xarr.items()},
+        "compose": {
+            (a, b): (a[0], b[1], comp[(a[2], b[2])], comp[(a[3], b[3])])
+            for a in squares
+            for b in squares
+            if a[1] == b[0]
+        },
+    }
+
+
+def functors(rawc, rawx):
+    """Every functor C -> X as (object map, arrow map), by filtering, for each
+    object map, the product of the arrows of X with each arrow's endpoints."""
+    cobj, carr = rawc["objects"], rawc["arrows"]
+    xarr = rawx["arrows"]
+    found = []
+    for objmap in itertools.product(rawx["objects"], repeat=len(cobj)):
+        o = dict(zip(cobj, objmap))
+        choices = [
+            [h for h, ends in xarr.items() if ends == (o[s], o[t])] for s, t in carr.values()
+        ]
+        for arrmap in itertools.product(*choices):
+            m = dict(zip(carr, arrmap))
+            if any(m[rawc["identity"][x]] != rawx["identity"][o[x]] for x in cobj):
+                continue
+            if any(rawx["compose"][(m[f], m[g])] != m[h] for (f, g), h in rawc["compose"].items()):
+                continue
+            found.append((o, m))
+    return found
+
+
+def two_cells_by_ends(rawc, rawx):
+    """The natural transformations between functors C -> X, read off the
+    functors C -> Arr(X): each is one over its (dom, cod) pair. Returns
+    {(F, G): list of component tuples in C's object order}, where F and G
+    are (object map, arrow map) as sorted item tuples."""
+    xarr = rawx["arrows"]
+
+    def ends(o, m, side):
+        # side 0 reads the square's top edge u, side 1 its bottom edge v
+        return (
+            tuple(sorted((x, xarr[o[x]][side]) for x in o)),
+            tuple(sorted((f, m[f][2 + side]) for f in m)),
+        )
+
+    buckets = {}
+    for o, m in functors(rawc, arrow_category(rawx)):
+        key = (ends(o, m, 0), ends(o, m, 1))
+        buckets.setdefault(key, []).append(tuple(o[x] for x in rawc["objects"]))
+    return buckets
+
+
 # --- fixtures for the oracle runs (kept raw and local on purpose) ---
 
 def raw_walking_arrow():

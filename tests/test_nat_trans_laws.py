@@ -11,7 +11,9 @@ corpus and on generated categories, against code the adapters do not use,
 so that a search that loses a result or a wrong identity still fails
 somewhere. The prepared search's counts are compared, on generated
 categories, with the oracle's filter over the product of the component
-hom-sets, so a search that returns early on an empty hom must still agree.
+hom-sets, so a search that returns early on an empty hom must still agree,
+and on the corpus with the functors into the oracle's arrow category
+(Kelly 1989), bucketed by their two ends.
 """
 
 import pytest
@@ -35,6 +37,7 @@ from catfrac import (
 from catfrac.diagram import identity_modification
 from catfrac.elements import modification_cells
 from catfrac.verify import as_cell
+from test_fractions import to_raw
 from test_generated import build, categories, targets
 
 TARGETS = [("two", corpus.two()), ("iso", corpus.iso()), ("z2", corpus.z2())]
@@ -113,6 +116,34 @@ def test_oracle_count_covers_an_empty_component_hom():
     # transformation to the constant at a, since hom(b, a) is empty
     arrow = oracle.raw_walking_arrow()
     assert assert_counts_match_the_oracle(arrow, arrow) > 0
+
+
+ARROW_TARGETS = [("arrow", corpus.two()), ("iso", corpus.iso()), ("Z/2", corpus.z2())]
+ARROW_PAIRS = [
+    (f"{cn}->{xn}", C, X) for cn, C in corpus.all_categories() for xn, X in ARROW_TARGETS
+]
+
+
+@pytest.mark.parametrize("name,C,X", ARROW_PAIRS, ids=[p[0] for p in ARROW_PAIRS])
+def test_two_cells_are_functors_into_the_arrow_category(name, C, X):
+    # Kelly: a natural transformation F => G : C -> X is a functor
+    # C -> Arr(X) over (F, G). The oracle lists those functors with no
+    # library code and buckets them by (dom, cod); each bucket must be
+    # enumerate_nat_trans for that pair, and every bucket must sit over a
+    # pair of functors the library lists
+    buckets = oracle.two_cells_by_ends(to_raw(C), to_raw(X))
+
+    def maps(F):
+        return tuple(sorted(F.on_objects.items())), tuple(sorted(F.on_arrows.items()))
+
+    functors = enumerate_functors(C, X)
+    pairs = set()
+    for F in functors:
+        for G in functors:
+            cells = [as_cell(mu) for mu in enumerate_nat_trans(F, G)]
+            assert sorted(cells) == sorted(buckets.get((maps(F), maps(G)), []))
+            pairs.add((maps(F), maps(G)))
+    assert set(buckets) <= pairs
 
 
 DIAGRAM_TARGETS = [

@@ -29,6 +29,7 @@ from catfrac import (
     verify_pseudocolimit,
 )
 from catfrac.errors import DomainError
+from catfrac.fincat import functor_key
 from catfrac.fractions import AxiomFinding
 from catfrac.verify import Correspondence, as_cell, check_correspondence
 
@@ -92,6 +93,57 @@ def test_round_trip_change():
     report = run(fake(back=lambda F: "p"))
     assert "round-trip through the carrier changes point #1" in report.problems
     assert "round-trip through points changes functor #1" in report.problems
+
+
+def test_undefined_back_is_reported_on_both_sides():
+    def back(F):
+        if F == RIGHT[1]:
+            raise DomainError("no preimage")
+        return "p"
+
+    report = run(fake(back=back))
+    assert report.problems == [
+        "round-trip through the carrier is undefined on point #1: no preimage",
+        "round-trip through points is undefined on functor #1: no preimage",
+    ]
+
+
+def test_unreached_functor_still_fails_its_round_trip():
+    # the right side holds a third functor that no left image equals; the
+    # left pass settles #0 and #1, and #2 goes back to p, whose image is #0
+    third = Functor(corpus.one(), X, {"*": "a"}, {"id:*": "s"})
+
+    def back(F):
+        return "p" if F == third else fake().back(F)
+
+    report = run(fake(right=RIGHT + [third], back=back))
+    assert report.problems == [
+        "count mismatch: 2 points vs 3 functors",
+        "round-trip through points changes functor #2",
+    ]
+
+
+def test_each_round_trip_is_formed_once(monkeypatch):
+    # back runs once per functor off the carrier on a passing check: the
+    # left pass forms back(forward(x)), and the right pass skips each
+    # functor whose round trip that settled
+    calls = []
+    whiskering = catfrac.elements._whiskering
+
+    def counted(GD):
+        back = whiskering(GD)
+
+        def spy(F):
+            calls.append(functor_key(F))
+            return back(F)
+
+        return spy
+
+    monkeypatch.setattr(catfrac.elements, "_whiskering", counted)
+    D, X = corpus.diag_contra_two(), corpus.iso()
+    assert verify_oplax_colimit(D, X).ok
+    keys = [functor_key(F) for F in enumerate_functors(grothendieck(D).carrier, X)]
+    assert sorted(calls) == sorted(keys)
 
 
 def test_collapse():

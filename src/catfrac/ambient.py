@@ -272,7 +272,9 @@ def coproduct_mediate(
 
 def has_common_section(f: FinSetMap, g: FinSetMap) -> bool:
     """Whether some h satisfies h;f = h;g = identity, i.e. the pair is
-    reflexive. Simultaneous sections are built pointwise when they exist."""
+    reflexive: whether every element of the codomain is f(x) = g(x) for
+    some x. No section is built; the whole diagonal is read, with no early
+    exit."""
     if f.dom != g.dom or f.cod != g.cod:
         raise DomainError("sections make sense for parallel pairs only")
     # every table value lies in the codomain, so the diagonal covers it

@@ -38,11 +38,13 @@ from .fincat import (
     enumerate_functors,
     enumerate_nat_trans,
     identity_functor,
+    identity_nat_trans,
     nat_trans_search,
     two_sided_inverse,
     validate_category,
     validate_functor,
     validate_nat_trans,
+    vertical_compose,
 )
 
 VARIANCES = ("covariant", "contravariant")
@@ -110,12 +112,12 @@ def compositor_inverse_component(D: Pseudofunctor, phi: str, psi: str, x: str) -
 
 
 def _lawful_index(index: FinCategory) -> None:
-    """Raise InputError at the index's first violated category law: the
-    compositors and the coherence laws are read off its composites, so they
-    must lie where the laws put them."""
-    problem = next(iter(validate_category(index).problems), None)
-    if problem is not None:
-        raise InputError(f"index: {problem}")
+    """Raise InputError, prefixed "index", at the index's first structural
+    gap or violated category law: the compositors and the coherence laws are
+    read off its composites, so they must lie where the laws put them."""
+    problems = _sub_problems(validate_category, index, "index")
+    if problems:
+        raise InputError(problems[0])
 
 
 def _structural_check(D: Pseudofunctor) -> None:
@@ -143,9 +145,8 @@ def validate_pseudofunctor(D: Pseudofunctor) -> ValidationReport:
     idx = D.index
 
     for a in idx.objects:
-        sub = validate_category(D.cat(a))
-        for p in sub.problems:
-            report.add(f"value category at {a!r}: {p}")
+        where = f"value category at {a!r}"
+        report.problems.extend(_sub_problems(validate_category, D.cat(a), where))
     if not report.ok:
         return report  # laws below presuppose sane value categories
 
@@ -155,10 +156,7 @@ def validate_pseudofunctor(D: Pseudofunctor) -> ValidationReport:
         if F.dom != dom or F.cod != cod:
             report.add(f"functor at {phi!r} has wrong endpoints for {D.variance} variance")
             continue
-        with naming(f"functor at {phi!r}"):
-            sub = validate_functor(F)
-        for p in sub.problems:
-            report.add(f"functor at {phi!r}: {p}")
+        report.problems.extend(_sub_problems(validate_functor, F, f"functor at {phi!r}"))
     if not report.ok:
         return report
 
@@ -168,7 +166,7 @@ def validate_pseudofunctor(D: Pseudofunctor) -> ValidationReport:
         if delta.src != D.fun(ida) or delta.tgt != identity_functor(D.cat(a)):
             report.add(f"unitor at {a!r} does not compare D(1) with the identity functor")
             continue
-        report.problems.extend(_cell_problems(delta, f"unitor at {a!r}"))
+        report.problems.extend(_sub_problems(validate_nat_trans, delta, f"unitor at {a!r}"))
         for x in D.cat(a).objects:
             if two_sided_inverse(D.cat(a), delta.components[x]) is None:
                 report.add(f"unitor at {a!r} not invertible at object {x!r}")
@@ -178,7 +176,8 @@ def validate_pseudofunctor(D: Pseudofunctor) -> ValidationReport:
         if delta.src != D.fun(comp) or delta.tgt != pair_composite_functor(D, phi, psi):
             report.add(f"compositor at ({phi!r}, {psi!r}) has wrong endpoint functors")
             continue
-        report.problems.extend(_cell_problems(delta, f"compositor at ({phi!r}, {psi!r})"))
+        where = f"compositor at ({phi!r}, {psi!r})"
+        report.problems.extend(_sub_problems(validate_nat_trans, delta, where))
         for x in delta.src.dom.objects:
             if two_sided_inverse(delta.src.cod, delta.components[x]) is None:
                 report.add(f"compositor at ({phi!r}, {psi!r}) not invertible at {x!r}")
@@ -200,11 +199,12 @@ def naming(where: str) -> Iterator[None]:
         raise InputError(f"{where}: {exc}") from None
 
 
-def _cell_problems(delta: NatTrans, where: str) -> list[str]:
-    """validate_nat_trans's problems for the cell at ``where``, each prefixed
-    with it; a structural InputError is raised again with the same prefix."""
+def _sub_problems(check: Callable, value, where: str) -> list[str]:
+    """The problems of ``check(value)``, each prefixed with the entry it is
+    about (``where``); a structural InputError is raised again with the same
+    prefix."""
     with naming(where):
-        sub = validate_nat_trans(delta)
+        sub = check(value)
     return [f"{where}: {p}" for p in sub.problems]
 
 
@@ -329,24 +329,12 @@ def strictify(
         if on_arrows[comp] != expected:
             raise InputError(f"assignment is not strict at pair ({phi!r}, {psi!r})")
 
-    unitors = {}
-    for a in index.objects:
-        C = on_objects[a]
-        unitors[a] = NatTrans(
-            src=on_arrows[index.identity[a]],
-            tgt=identity_functor(C),
-            components={x: C.identity[x] for x in C.objects},
-        )
-    compositors = {}
-    for phi, psi in index.composable_pairs():
-        comp = on_arrows[index.composition[(phi, psi)]]
-        compositors[(phi, psi)] = NatTrans(
-            src=comp,
-            tgt=comp,
-            components={
-                x: comp.cod.identity[comp.on_objects[x]] for x in comp.dom.objects
-            },
-        )
+    # D(1_a) is the identity functor, checked above
+    unitors = {a: identity_nat_trans(on_arrows[index.identity[a]]) for a in index.objects}
+    compositors = {
+        pair: identity_nat_trans(on_arrows[index.composition[pair]])
+        for pair in index.composable_pairs()
+    }
     return Pseudofunctor(
         index=index,
         variance=variance,
@@ -411,9 +399,7 @@ def validate_transformation(x: LaxTransformation) -> ValidationReport:
         if F.dom != D.cat(a) or F.cod != x.target:
             report.add(f"component at {a!r} has wrong endpoints")
             continue
-        sub = validate_functor(F)
-        for p in sub.problems:
-            report.add(f"component at {a!r}: {p}")
+        report.problems.extend(_sub_problems(validate_functor, F, f"component at {a!r}"))
     if not report.ok:
         return report
 
@@ -423,9 +409,7 @@ def validate_transformation(x: LaxTransformation) -> ValidationReport:
         if cell.src != src_fun or cell.tgt != tgt_fun:
             report.add(f"two-cell at {phi!r} has wrong endpoint functors")
             continue
-        sub = validate_nat_trans(cell)
-        for p in sub.problems:
-            report.add(f"two-cell at {phi!r}: {p}")
+        report.problems.extend(_sub_problems(validate_nat_trans, cell, f"two-cell at {phi!r}"))
     if not report.ok:
         return report
 
@@ -479,15 +463,6 @@ def _not_invertible_at(X: FinCategory, cell: NatTrans) -> Optional[str]:
     return None
 
 
-def is_pseudo(x: LaxTransformation) -> tuple[bool, Optional[tuple[str, str]]]:
-    """True when every two-cell component is invertible; else a witness."""
-    for phi in x.source.index.arrows:
-        obj = _not_invertible_at(x.target, x.two_cells[phi])
-        if obj is not None:
-            return False, (phi, obj)
-    return True, None
-
-
 def enumerate_transformations(
     D: Pseudofunctor, X: FinCategory, kind: str = "lax"
 ) -> list[LaxTransformation]:
@@ -498,6 +473,9 @@ def enumerate_transformations(
     two-cells: those at identities forced by the components, then one per
     non-identity arrow. A cell is checked when chosen, and the coherence of
     a composable pair at its last cell.
+
+    Each D(phi) is checked to be a functor first; the first problem, or a
+    structural gap, raises InputError named by its index arrow.
 
     The two-cells at phi are natural transformations between the endpoint
     functors of ``two_cell_endpoints``, both off the category at the index
@@ -520,6 +498,10 @@ def enumerate_transformations(
     if kind not in ("lax", "pseudo"):
         raise InputError(f"unknown transformation kind {kind!r}")
     idx = D.index
+    for phi in idx.arrows:
+        problems = _sub_problems(validate_functor, D.fun(phi), f"functor at {phi!r}")
+        if problems:
+            raise InputError(problems[0])
     objs = idx.objects
     n = len(objs)
     per_object = [enumerate_functors(D.cat(a), X) for a in objs]
@@ -625,9 +607,7 @@ def validate_modification(m: Modification) -> ValidationReport:
         if g.src != x.components[a] or g.tgt != y.components[a]:
             report.add(f"component at {a!r} has wrong endpoint functors")
             continue
-        sub = validate_nat_trans(g)
-        for p in sub.problems:
-            report.add(f"component at {a!r}: {p}")
+        report.problems.extend(_sub_problems(validate_nat_trans, g, f"component at {a!r}"))
     if not report.ok:
         return report
 
@@ -740,14 +720,7 @@ def modification_search(D: Pseudofunctor, X: FinCategory) -> Callable:
 
 
 def identity_modification(x: LaxTransformation) -> Modification:
-    components = {}
-    for a in x.source.index.objects:
-        F = x.components[a]
-        components[a] = NatTrans(
-            src=F,
-            tgt=F,
-            components={p: x.target.identity[F.on_objects[p]] for p in F.dom.objects},
-        )
+    components = {a: identity_nat_trans(x.components[a]) for a in x.source.index.objects}
     return Modification(src=x, tgt=x, components=components)
 
 
@@ -755,15 +728,6 @@ def compose_modifications(m: Modification, n: Modification) -> Modification:
     """Vertical composite, m then n."""
     if m.tgt != n.src:
         raise DomainError("modifications are not vertically composable")
-    X = m.src.target
-    components = {}
-    for a in m.src.source.index.objects:
-        g, h = m.components[a], n.components[a]
-        components[a] = NatTrans(
-            src=g.src,
-            tgt=h.tgt,
-            components={
-                p: compose(X, g.components[p], h.components[p]) for p in g.src.dom.objects
-            },
-        )
+    objs = m.src.source.index.objects
+    components = {a: vertical_compose(m.components[a], n.components[a]) for a in objs}
     return Modification(src=m.src, tgt=n.tgt, components=components)

@@ -176,8 +176,7 @@ class AxiomReport:
 
 def shape_instances(inp: FractionsInput, kind: str) -> list[tuple]:
     """Exhaustively enumerate one shape kind in canonical order: spans
-    ``"spn"`` (v, g), sailboats ``"sb"`` (h, v, g) and parallel pairs with a
-    coequalizing marked arrow ``"p_cq"`` (f, g, v)."""
+    ``"spn"`` (v, g) and sailboats ``"sb"`` (h, v, g)."""
     inp.check()
     C = inp.category
     comp = C.composition
@@ -193,12 +192,6 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[tuple]:
                     continue
                 for g in C.out_of(C.src[v]):
                     out.append((h, v, g))
-    elif kind == "p_cq":
-        for f in C.arrows:
-            for g in C.hom(C.src[f], C.tgt[f]):
-                for v in inp._w_out.get(C.tgt[f], ()):
-                    if comp[(f, v)] == comp[(g, v)]:
-                        out.append((f, g, v))
     else:
         raise InputError(f"unknown shape kind {kind!r}")
     return out
@@ -321,8 +314,8 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
         ((v, vp), (v, vp)) for v in inp.weq for vp in inp._w_out.get(C.tgt[v], ())
     ]
     cospans = [((h, v), (h, v)) for h in C.arrows for v in inp._w_into.get(C.tgt[h], ())]
-    # a parallel pair is shown with the first marked arrow that coequalizes
-    # it, in the order of shape_instances(inp, "p_cq")
+    # a parallel pair (f, g) is shown with the first marked arrow v out of
+    # t(f) that coequalizes it, f;v = g;v
     comp = C.composition
     coequalized = []
     for f in C.arrows:

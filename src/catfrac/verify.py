@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError
-from .fincat import NatTrans, functor_key, nat_trans_search
+from .fincat import functor_key, nat_trans_search
 
 
 @dataclass
@@ -87,11 +87,6 @@ def check_correspondence(report: VerifierReport, c: Correspondence) -> VerifierR
     if report.ok:
         _two_cells(report, c, images)
     return report
-
-
-def as_cell(mu: NatTrans) -> tuple:
-    """The components of ``mu`` in the object order of its domain."""
-    return tuple(map(mu.components.__getitem__, mu.src.dom.objects))
 
 
 def _one_cells(report: VerifierReport, c: Correspondence) -> list:

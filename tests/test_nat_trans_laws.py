@@ -22,6 +22,7 @@ from hypothesis import given, settings
 import corpus
 import oracle
 from catfrac import (
+    NatTrans,
     enumerate_functors,
     enumerate_nat_trans,
     enumerate_transformations,
@@ -36,12 +37,17 @@ from catfrac import (
 )
 from catfrac.diagram import identity_modification
 from catfrac.elements import modification_cells
-from catfrac.verify import as_cell
 from test_fractions import to_raw
 from test_generated import build, categories, targets
 
 TARGETS = [("two", corpus.two()), ("iso", corpus.iso()), ("z2", corpus.z2())]
 PAIRS = [(f"{cn}->{xn}", C, X) for cn, C in corpus.test_battery() for xn, X in TARGETS]
+
+
+def as_cell(mu: NatTrans) -> tuple:
+    """The components of ``mu`` in the object order of its domain: a 2-cell
+    as the verifiers' engine writes it."""
+    return tuple(map(mu.components.__getitem__, mu.src.dom.objects))
 
 
 def assert_search_matches_enumeration(C, X) -> None:

@@ -1,6 +1,6 @@
 """Negative controls for refusals that no other test reaches: each input
 below is malformed in one way, and the check written for that fault fires
-with its exact message."""
+with its exact message, raised or, for a validator's law, reported."""
 
 import json
 from pathlib import Path
@@ -10,9 +10,12 @@ import pytest
 import catfrac.cli
 import corpus
 from catfrac import (
+    FinCategory,
     FinSetMap,
     FinSetObject,
+    Functor,
     InternalCategory,
+    Modification,
     NatTrans,
     check_shape,
     coequalize_reflexive,
@@ -21,17 +24,33 @@ from catfrac import (
     compose_maps,
     coproduct,
     coproduct_mediate,
+    enumerate_functors,
+    enumerate_modifications,
+    enumerate_nat_trans,
+    enumerate_transformations,
     identity_functor,
+    identity_nat_trans,
     internal_cleavage,
     internal_elements,
     internal_localize,
     internalize,
     pullback,
     pullback_mediate,
+    strictify,
     validate_internal_category,
+    validate_modification,
     validate_nat_trans,
+    validate_pseudofunctor,
+    validate_transformation,
+    vertical_compose,
 )
 from catfrac.cli import main
+from catfrac.diagram import (
+    compose_modifications,
+    compositor_inverse_component,
+    identity_modification,
+    unitor_inverse_component,
+)
 from catfrac.errors import DomainError, InputError, IntegrityError
 
 FIX = Path(__file__).parent / "fixtures"
@@ -134,6 +153,213 @@ def test_library_refusal(run, error, message):
     with pytest.raises(error) as exc:
         run()
     assert str(exc.value) == message
+
+
+# -- the diagram layer: strictification, the 2-cell algebra and the validators --
+
+
+def _transformation(X=None, k=0):
+    """The k-th transformation out of the walking arrow over the point,
+    contravariant, into X (the walking arrow unless given)."""
+    return enumerate_transformations(corpus.diag_contra_one(), X or corpus.two())[k]
+
+
+def _changed(make, change):
+    """``make()`` with ``change`` applied to it in place."""
+    value = make()
+    change(value)
+    return value
+
+
+def _pseudofunctor(change):
+    return validate_pseudofunctor(_changed(corpus.diag_cov_two, change))
+
+
+def _lax(change, X=None, k=1):
+    """The report on that transformation, with ``change`` applied to it."""
+    return validate_transformation(_changed(lambda: _transformation(X=X, k=k), change))
+
+
+def _modification(components, k=1):
+    """The report on a modification with these components, from the
+    transformation at k of that list to the one at 1."""
+    x, y = _transformation(k=k), _transformation(k=1)
+    return validate_modification(Modification(x, y, components))
+
+
+def _component(x, cells):
+    F = x.components["*"]
+    return {"*": NatTrans(F, F, cells)}
+
+
+def _not_strict_at_the_identity():
+    pt = corpus.one()
+    strictify(pt, {"*": corpus.two()}, {"id:*": identity_functor(pt)})
+
+
+def _modifications_not_composable():
+    xs = enumerate_transformations(corpus.diag_swap_one(), corpus.iso())
+    compose_modifications(identity_modification(xs[0]), identity_modification(xs[1]))
+
+
+def _cells_not_composable():
+    F, G = enumerate_functors(corpus.one(), corpus.two())[:2]
+    vertical_compose(identity_nat_trans(F), identity_nat_trans(G))
+
+
+def _component_missing_an_image(x):
+    del x.components["*"].on_arrows["f"]
+
+
+def _cell_at_identity(components):
+    """A change that gives the two-cell at id:* these components."""
+    def change(x):
+        cell = x.two_cells["id:*"]
+        x.two_cells["id:*"] = NatTrans(cell.src, cell.tgt, components)
+    return change
+
+
+def _uninvertible_unitor():
+    D = corpus.diag_cov_two()
+    D.unitors["a"].components["a"] = "f"
+    unitor_inverse_component(D, "a", "a")
+
+
+def _uninvertible_compositor():
+    D = corpus.diag_contra_two()
+    D.compositor("id:a", "f").components["*"] = "f"
+    compositor_inverse_component(D, "id:a", "f", "*")
+
+
+NO_IDENTITY = FinCategory(("x",), (), {}, {}, {}, {})
+
+
+@pytest.mark.parametrize(
+    "run,error,message",
+    [
+        (lambda: strictify(corpus.one(), {"*": corpus.one()},
+                           {"id:*": identity_functor(corpus.one())}, "sideways"),
+         InputError, "unknown variance 'sideways'"),
+        (_not_strict_at_the_identity, InputError, "assignment is not strict at identity of '*'"),
+        (_modifications_not_composable, DomainError,
+         "modifications are not vertically composable"),
+        (_cells_not_composable, DomainError, "natural transformations not composable"),
+        (lambda: enumerate_nat_trans(*map(identity_functor, (corpus.two(), corpus.one()))),
+         DomainError, "cannot enumerate transformations between non-parallel functors"),
+        (_uninvertible_unitor, DomainError, "unitor at 'a' has no inverse at object 'a'"),
+        (_uninvertible_compositor, DomainError,
+         "compositor at ('id:a', 'f') has no inverse at '*'"),
+        (lambda: enumerate_transformations(corpus.diag_contra_one(), corpus.two(), "strong"),
+         InputError, "unknown transformation kind 'strong'"),
+        (lambda: enumerate_modifications(_transformation(), _transformation(X=corpus.iso())),
+         DomainError, "modification endpoints are not parallel"),
+        (lambda: _pseudofunctor(lambda D: setattr(D, "variance", "sideways")), InputError,
+         "unknown variance 'sideways'"),
+        (lambda: _pseudofunctor(lambda D: D.index.identity.pop("a")), InputError,
+         "index: no identity declared for object 'a'"),
+        (lambda: _pseudofunctor(lambda D: D.on_objects.pop("b")), InputError,
+         "no category assigned to index object 'b'"),
+        (lambda: _pseudofunctor(lambda D: D.unitors.pop("b")), InputError,
+         "no unitor at index object 'b'"),
+        (lambda: _pseudofunctor(lambda D: D.on_arrows.pop("f")), InputError,
+         "no functor assigned to index arrow 'f'"),
+        (lambda: _pseudofunctor(lambda D: D.compositors.pop(("id:a", "f"))), InputError,
+         "no compositor for composable pair ('id:a', 'f')"),
+        (lambda: _pseudofunctor(lambda D: D.on_objects.update(b=NO_IDENTITY)), InputError,
+         "value category at 'b': no identity declared for object 'x'"),
+        (lambda: _lax(lambda x: x.components.clear()), InputError,
+         "no component functor at index object '*'"),
+        (lambda: _lax(lambda x: x.two_cells.clear()), InputError,
+         "no two-cell at index arrow 'id:*'"),
+        (lambda: _lax(_component_missing_an_image), InputError,
+         "component at '*': functor arrow mapping not total: missing 'f'"),
+        (lambda: _lax(_cell_at_identity({})), InputError,
+         "two-cell at 'id:*': missing component at 'a'"),
+        (lambda: _modification({}), InputError,
+         "no modification component at '*'"),
+        (lambda: validate_modification(Modification(
+            _transformation(), _transformation(X=corpus.iso()), {})), DomainError,
+         "modification endpoints are not parallel"),
+        (lambda: _modification(_component(_transformation(k=1), {})), InputError,
+         "component at '*': missing component at 'a'"),
+    ],
+    ids=[
+        "strictify_variance", "strictify_identity", "modifications_not_composable",
+        "cells_not_composable", "nat_trans_unparallel", "unitor_not_invertible",
+        "compositor_not_invertible", "transformation_kind", "modifications_unparallel",
+        "diagram_variance", "index_structure", "no_category", "no_unitor",
+        "no_functor", "no_compositor", "value_category_structure", "no_component",
+        "no_two_cell", "component_structure", "two_cell_structure", "no_modification_component",
+        "modification_unparallel", "modification_component_structure",
+    ],
+)
+def test_diagram_refusal(run, error, message):
+    with pytest.raises(error) as exc:
+        run()
+    assert str(exc.value) == message
+
+
+def _lawless_two():
+    C = corpus.two()
+    C.composition[("f", "id:b")] = "id:a"
+    return C
+
+
+def _broken_component(x):
+    F = x.components["*"]
+    x.components["*"] = Functor(F.dom, F.cod, dict(F.on_objects), {**F.on_arrows, "f": "id:a"})
+
+
+def _incompatible_modification():
+    # over f : a -> b, contravariant, into Z/2: the identity at a against
+    # the generator at b does not commute with the identity two-cells at f
+    x = enumerate_transformations(corpus.diag_contra_two(), corpus.z2())[0]
+    m = identity_modification(x)
+    F = x.components["b"]
+    m.components["b"] = NatTrans(F, F, {"*": "s"})
+    return validate_modification(m)
+
+
+@pytest.mark.parametrize(
+    "run,problems",
+    [
+        (lambda: _pseudofunctor(lambda D: D.on_objects.update(a=_lawless_two())), [
+            "value category at 'a': composite ('f','id:b')='id:a' lands in hom('a','a'), "
+            "expected hom('a','b')",
+            "value category at 'a': right identity law fails at ('f','id:b'): got 'id:a'",
+            "value category at 'a': associativity fails at ('f','id:b','id:b'): "
+            "(fid:b)id:b=None, f(id:bid:b)='id:a'",
+        ]),
+        (lambda: _pseudofunctor(lambda D: D.on_arrows.update(f=identity_functor(corpus.two()))),
+         ["functor at 'f' has wrong endpoints for covariant variance"]),
+        (lambda: _lax(lambda x: x.components.update({"*": identity_functor(corpus.one())})),
+         ["component at '*' has wrong endpoints"]),
+        (lambda: _lax(_broken_component),
+         ["component at '*': functor breaks endpoints at 'f': image 'id:a'"]),
+        (lambda: _lax(lambda x: x.two_cells.update(_transformation(k=0).two_cells)),
+         ["two-cell at 'id:*' has wrong endpoint functors"]),
+        (lambda: _lax(_cell_at_identity({"a": "f", "b": "id:b"})),
+         ["two-cell at 'id:*': component at 'a' is 'f': 'a' -> 'b', expected 'a' -> 'a'"]),
+        (lambda: _lax(_cell_at_identity({"a": "s", "b": "s"}), X=corpus.z2(), k=0), [
+            "identity two-cell coherence fails at '*'",
+            "composition coherence fails at ('id:*', 'id:*', 'a')",
+            "composition coherence fails at ('id:*', 'id:*', 'b')",
+        ]),
+        (lambda: _modification({"*": identity_nat_trans(_transformation(k=1).components["*"])},
+                               k=0),
+         ["component at '*' has wrong endpoint functors"]),
+        (lambda: _modification(_component(_transformation(k=1), {"a": "f", "b": "id:b"})),
+         ["component at '*': component at 'a' is 'f': 'a' -> 'b', expected 'a' -> 'a'"]),
+        (_incompatible_modification, ["two-cell compatibility fails at ('f', '*')"]),
+    ],
+    ids=[
+        "value_category_laws", "functor_endpoints", "component_endpoints", "component_laws",
+        "two_cell_endpoints", "two_cell_laws", "identity_two_cell", "modification_endpoints",
+        "modification_component_laws", "two_cell_compatibility",
+    ],
+)
+def test_diagram_problem(run, problems):
+    assert run().problems == problems
 
 
 def _run(capsys, *argv):

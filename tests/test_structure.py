@@ -20,7 +20,9 @@ for bad input;
 FinCategory.build has no option; the verifiers prepare each 2-cell search
 once per domain, not once per pair; one crosscheck checks each internal
 category's laws, builds the span machinery and builds the element blocks
-once, and an internal category gains no attribute after construction."""
+once, and an internal category gains no attribute after construction; every
+public name has a caller in the package or a line in the README's list of
+public API without one."""
 
 import ast
 import copy
@@ -836,3 +838,67 @@ def test_internal_category_gains_no_attribute():
     assert [f.name for f in dataclasses.fields(InternalCategory)] == ["c0", "c1", "s", "t", "e", "c"]
     copy = InternalCategory(IE.c0, IE.c1, IE.s, IE.t, IE.e, IE.c)
     assert copy == IE and hash(copy) == hash(IE) and repr(copy) == repr(IE)
+
+
+README = PACKAGE.parent.parent / "README.md"
+API_HEADING = "## Public API without a library caller"
+
+
+def _uncalled_public_names(trees: dict) -> set:
+    """``module.name`` for each module-level public function, class or
+    assignment that no code in ``trees`` reads outside its own definition."""
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.extend((module, t.id, node) for t in targets if isinstance(t, ast.Name))
+    uncalled = set()
+    for module, name, definition in defined:
+        if name.startswith("_"):
+            continue
+        own = set(map(id, ast.walk(definition)))
+        if not any(
+            id(node) not in own
+            and (
+                (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+            )
+            for tree in trees.values()
+            for node in ast.walk(tree)
+        ):
+            uncalled.add(f"{module}.{name}")
+    return uncalled
+
+
+def _api_list() -> set:
+    """The ``module.name`` entries of the README's list of public API
+    without a library caller."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split(API_HEADING, 1)[1].split("\n## ", 1)[0]
+    items = [item.split("\n\n")[0] for item in section.split("\n- ")[1:]]
+    return {name for item in items for name in item.split("`")[1::2] if "." in name}
+
+
+def test_every_public_name_has_a_caller_or_a_readme_line():
+    # a re-export in __init__ is an import, not a read, so it is no caller
+    assert _uncalled_public_names(MODULES) == _api_list()
+
+
+def test_uncalled_name_check_fires():
+    synthetic = ast.parse(
+        "LIMIT = 3\n"
+        "_hidden = 1\n"
+        "def read():\n"
+        "    return LIMIT + _hidden\n"
+        "def recurse(n):\n"
+        "    return recurse(n - 1)\n"
+        "class Record:\n"
+        "    pass\n"
+    )
+    caller = ast.parse("from .synthetic import read\nread()\n")
+    assert _uncalled_public_names({"synthetic": synthetic, "caller": caller}) == {
+        "synthetic.recurse", "synthetic.Record"
+    }

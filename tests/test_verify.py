@@ -31,7 +31,8 @@ from catfrac import (
 from catfrac.errors import DomainError
 from catfrac.fincat import functor_key
 from catfrac.fractions import AxiomFinding
-from catfrac.verify import Correspondence, as_cell, check_correspondence
+from catfrac.verify import Correspondence, check_correspondence
+from test_nat_trans_laws import as_cell
 
 X = corpus.parallel()
 RIGHT = enumerate_functors(corpus.one(), X)  # constant at a, constant at b

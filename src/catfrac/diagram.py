@@ -31,6 +31,7 @@ from .fincat import (
     Functor,
     NatTrans,
     ValidationReport,
+    _slot_generators,
     backtrack,
     compose,
     compose_functors,
@@ -97,17 +98,24 @@ def pair_composite_functor(D: Pseudofunctor, phi: str, psi: str) -> Functor:
 
 
 def unitor_inverse_component(D: Pseudofunctor, a: str, x: str) -> str:
-    inv = two_sided_inverse(D.cat(a), D.unitors[a].components[x])
-    if inv is None:
-        raise DomainError(f"unitor at {a!r} has no inverse at object {x!r}")
-    return inv
+    cell = D.unitors[a].components[x]
+    return _inverse_component(D.cat(a), cell, f"unitor at {a!r}", f"object {x!r}")
 
 
 def compositor_inverse_component(D: Pseudofunctor, phi: str, psi: str, x: str) -> str:
     host = expected_endpoints(D, D.index.composition[(phi, psi)])[1]
-    inv = two_sided_inverse(host, D.compositor(phi, psi).components[x])
+    cell = D.compositor(phi, psi).components[x]
+    return _inverse_component(host, cell, f"compositor at ({phi!r}, {psi!r})", repr(x))
+
+
+def _inverse_component(host: FinCategory, f: str, name: str, at: str) -> str:
+    """The inverse in ``host`` of f, the component at ``at`` of the cell
+    called ``name``; both names go into the errors."""
+    if f not in host.src:
+        raise InputError(f"{name} has component {f!r} at {at}, which is not an arrow of its host")
+    inv = two_sided_inverse(host, f)
     if inv is None:
-        raise DomainError(f"compositor at ({phi!r}, {psi!r}) has no inverse at {x!r}")
+        raise DomainError(f"{name} has no inverse at {at}")
     return inv
 
 
@@ -320,8 +328,14 @@ def strictify(
     if variance not in VARIANCES:
         raise InputError(f"unknown variance {variance!r}")
     for a in index.objects:
+        if a not in on_objects:
+            raise InputError(f"no category assigned to index object {a!r}")
+    for phi in index.arrows:
+        if phi not in on_arrows:
+            raise InputError(f"no functor assigned to index arrow {phi!r}")
+    for a in index.objects:
         ida = index.identity[a]
-        if ida not in on_arrows or on_arrows[ida] != identity_functor(on_objects[a]):
+        if on_arrows[ida] != identity_functor(on_objects[a]):
             raise InputError(f"assignment is not strict at identity of {a!r}")
     for phi, psi in index.composable_pairs():
         comp = index.composition[(phi, psi)]
@@ -472,10 +486,16 @@ def enumerate_transformations(
     all invertible. Searches component functors per index object, then
     two-cells: those at identities forced by the components, then one per
     non-identity arrow. A cell is checked when chosen, and the coherence of
-    a composable pair at its last cell.
+    a composable pair of non-identity arrows at its last cell.
 
-    Each D(phi) is checked to be a functor first; the first problem, or a
-    structural gap, raises InputError named by its index arrow.
+    First D's entries are checked to be present, each D(phi) to be a
+    functor, and D's unit coherence law to hold; the first problem, or a
+    structural gap, raises InputError (a D(phi) between other categories
+    than its variance puts at its ends, DomainError). With the law, the
+    coherence at a pair with an identity leg holds for every candidate: it
+    is the law whiskered with the components, after the other leg's cell
+    is moved across the unitor by its naturality. So those pairs are not
+    checked per transformation. X must be a lawful category.
 
     The two-cells at phi are natural transformations between the endpoint
     functors of ``two_cell_endpoints``, both off the category at the index
@@ -497,11 +517,19 @@ def enumerate_transformations(
     """
     if kind not in ("lax", "pseudo"):
         raise InputError(f"unknown transformation kind {kind!r}")
+    _structural_check(D)
     idx = D.index
     for phi in idx.arrows:
-        problems = _sub_problems(validate_functor, D.fun(phi), f"functor at {phi!r}")
+        F = D.fun(phi)
+        problems = _sub_problems(validate_functor, F, f"functor at {phi!r}")
         if problems:
             raise InputError(problems[0])
+        if (F.dom, F.cod) != expected_endpoints(D, phi):
+            raise DomainError("cannot enumerate transformations between non-parallel functors")
+    unit = ValidationReport()
+    _check_unit_coherence(D, unit)
+    if not unit.ok:
+        raise InputError(unit.problems[0])
     objs = idx.objects
     n = len(objs)
     per_object = [enumerate_functors(D.cat(a), X) for a in objs]
@@ -509,6 +537,8 @@ def enumerate_transformations(
     slot = {phi: n + k for k, phi in enumerate(arrows)}
     pairs_closed: list[list] = [[] for _ in range(n + len(arrows))]
     for phi, psi in idx.composable_pairs():
+        if idx.is_identity(phi) or idx.is_identity(psi):
+            continue  # holds by D's unit coherence, checked above
         last = max(slot[phi], slot[psi], slot[idx.composition[(phi, psi)]])
         pairs_closed[last].append((phi, psi))
     oslot = {a: i for i, a in enumerate(objs)}
@@ -517,8 +547,6 @@ def enumerate_transformations(
     arrows_closed: list[list] = [[] for _ in objs]  # component slot -> arrows it closes
     for k, phi in enumerate(arrows[n:]):
         A = variance_order(D.variance, idx.src[phi], idx.tgt[phi])[0]
-        if D.fun(phi).dom != D.cat(A):
-            raise DomainError("cannot enumerate transformations between non-parallel functors")
         if A not in natural:
             natural[A] = (D.cat(A).objects, nat_trans_search(D.cat(A), X))
         s, t = oslot[idx.src[phi]], oslot[idx.tgt[phi]]
@@ -664,9 +692,11 @@ def enumerate_modifications(x: LaxTransformation, y: LaxTransformation) -> list[
     """All modifications x -> y in canonical componentwise order.
 
     Searches one natural transformation per index object; the two-cell
-    compatibility at an index arrow is checked once both of its endpoint
-    components are chosen. The modification search is prepared once per
-    call, on x's diagram.
+    compatibility is checked as ``modification_search`` does, on the index
+    arrows the laws leave open, so x and y must be lawful transformations
+    of a lawful diagram into a lawful category (``validate_modification``
+    checks every arrow). The modification search is prepared once per call,
+    on x's diagram.
     """
     if x.source != y.source or x.target != y.target:
         raise DomainError("modification endpoints are not parallel")
@@ -688,18 +718,25 @@ def modification_search(D: Pseudofunctor, X: FinCategory) -> Callable:
     choices of one component per index object, drawn from ``per_object``
     (the natural transformations between the components of x and y, in
     index-object order), in canonical order; the yielded list is reused:
-    copy what you keep. The compatibility at an index arrow is checked at
-    the slot that closes it, the later of its endpoints. Those closing
-    lists and, for each arrow, the fibre objects and object map that the
-    check reads (``_fiber_reads``) depend only on D and are prepared here,
-    once. Per pair, the search yields nothing when some list in
-    ``per_object`` is empty, since that slot has no candidate."""
+    copy what you keep. At each slot the search checks the compatibility at
+    the index arrows that ``fincat._slot_generators`` keeps there. At an
+    identity it holds by the unit axiom of x and y and the naturality of
+    the component, and at phi.psi it pastes from phi and psi through their
+    composition axiom, whose compositor is invertible; so the choices
+    accepted at each slot are those that checking every arrow at the slot
+    that closes it, the later of its endpoints, would accept. This needs x
+    and y lawful transformations of a lawful D into a lawful X, and
+    natural transformations in ``per_object``. The kept arrows and, for
+    each, the fibre objects and object map that the check reads
+    (``_fiber_reads``) depend only on D and are prepared here, once. Per
+    pair, the search yields nothing when some list in ``per_object`` is
+    empty, since that slot has no candidate."""
     idx = D.index
     slot = {a: i for i, a in enumerate(idx.objects)}
-    arrows_closed: list[list] = [[] for _ in idx.objects]
-    for phi in idx.arrows:
-        s, t = slot[idx.src[phi]], slot[idx.tgt[phi]]
-        arrows_closed[max(s, t)].append((phi, s, t, _fiber_reads(D, phi)))
+    arrows_closed = [
+        [(phi, slot[idx.src[phi]], slot[idx.tgt[phi]], _fiber_reads(D, phi)) for phi in kept]
+        for kept in _slot_generators(idx)
+    ]
 
     def search(x: LaxTransformation, y: LaxTransformation, per_object: list) -> Iterator[list]:
         if not all(per_object):

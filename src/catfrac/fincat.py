@@ -461,27 +461,95 @@ def enumerate_functors(C: FinCategory, X: FinCategory) -> list[Functor]:
     return list(_functor_search(C, X, bijective=False))
 
 
+def _slot_generators(C: FinCategory) -> list[list[str]]:
+    """Per object slot i (C's i-th object), the arrows closing there (the
+    later endpoint is at slot i) that a search checks, in declaration order.
+
+    Every arrow closing at slot i is an identity or lies in the closure
+    under composition of the arrows kept at slots <= i. So a constraint that
+    holds at identities and pastes along composites (a naturality square, a
+    modification's compatibility) holds on all of C's full subcategory on
+    slots <= i once it holds on the arrows kept there: a search that checks
+    only those rejects at the same slot as one that checks every arrow.
+
+    At slot i the kept arrows are, first, each non-identity arrow that is no
+    composite of two non-identity arrows of that full subcategory (no
+    generating set can leave it out), then, in declaration order, each arrow
+    still outside the closure of the arrows kept so far. The closure grows
+    from each kept arrow through the hom index: each new arrow is composed
+    on both sides with the arrows already reached.
+    """
+    slot = {x: i for i, x in enumerate(C.objects)}
+    closing: list[list[str]] = [[] for _ in C.objects]
+    for f in C.arrows:
+        if not C.is_identity(f):
+            closing[max(slot[C.src[f]], slot[C.tgt[f]])].append(f)
+    comp = C.composition
+    reached = {C.identity[x] for x in C.objects}
+
+    def close(f: str) -> None:
+        reached.add(f)
+        todo = [f]
+        while todo:
+            g = todo.pop()
+            new = [comp[(g, h)] for h in C.out_of(C.tgt[g]) if h in reached]
+            new += [comp[(h, g)] for h in C.into(C.src[g]) if h in reached]
+            for gh in new:
+                if gh not in reached:
+                    reached.add(gh)
+                    todo.append(gh)
+
+    kept: list[list[str]] = []
+    for i, here in enumerate(closing):
+        keep = {
+            f
+            for f in here
+            if not any(
+                comp[(g, h)] == f
+                for g in C.out_of(C.src[f])
+                if slot[C.tgt[g]] <= i and not C.is_identity(g)
+                for h in C.hom(C.tgt[g], C.tgt[f])
+                if not C.is_identity(h)
+            )
+        }
+        for f in here:
+            if f in keep:
+                close(f)
+        for f in here:
+            if f not in reached:
+                keep.add(f)
+                close(f)
+        kept.append([f for f in here if f in keep])
+    return kept
+
+
 def nat_trans_search(C: FinCategory, X: FinCategory) -> Callable[[Functor, Functor], list[tuple]]:
     """The natural-transformation search between functors C -> X, set up once.
 
     Returns a function that takes functors F, G : C -> X and lists every
     natural transformation F => G as the tuple of its components in the
     object order of C, in canonical order. Components are searched object by
-    object; the naturality square of an arrow is checked at the slot that
-    closes it, the later of its endpoints, reading the arrow's images under
-    F and G there. The slots and the arrows each slot closes depend only on
-    C and are prepared here, once, so callers that search many pairs of
-    functors on one domain prepare them once. Per pair, the search returns
-    [] before it starts when some component hom X(Fx, Gx) is empty, since
-    that slot has no candidate. The returned function does not check that F
-    and G are parallel functors C -> X: ``enumerate_nat_trans`` does.
+    object; at each slot the search checks the naturality squares of the
+    arrows ``_slot_generators`` keeps there, reading their images under F
+    and G. Identity squares hold because F and G keep identities, and the
+    square at g.h pastes from those at g and h because they keep
+    composites, so the partial assignments accepted at each slot are those
+    that checking every arrow at the slot that closes it, the later of its
+    endpoints, would accept. F and G must be lawful functors and C and X
+    lawful categories: on other input the list can differ from what
+    ``validate_nat_trans`` passes (it checks every arrow). The slots and
+    the arrows each slot checks depend only on C and are prepared here,
+    once, so callers that search many pairs of functors on one domain
+    prepare them once. Per pair, the search returns [] before it starts
+    when some component hom X(Fx, Gx) is empty, since that slot has no
+    candidate. The returned function does not check that F and G are
+    parallel functors C -> X: ``enumerate_nat_trans`` does.
     """
     objs = C.objects
     slot = {x: i for i, x in enumerate(objs)}
-    closing: list[list] = [[] for _ in objs]
-    for f in C.arrows:
-        s, t = slot[C.src[f]], slot[C.tgt[f]]
-        closing[max(s, t)].append((s, t, f))
+    closing = [
+        [(slot[C.src[f]], slot[C.tgt[f]], f) for f in kept] for kept in _slot_generators(C)
+    ]
     comp = X.composition
     xhom = X.hom
 
@@ -512,7 +580,9 @@ def nat_trans_search(C: FinCategory, X: FinCategory) -> Callable[[Functor, Funct
 
 def enumerate_nat_trans(F: Functor, G: Functor) -> list[NatTrans]:
     """All natural transformations F => G in canonical component order:
-    ``nat_trans_search`` on F's domain and codomain, once."""
+    ``nat_trans_search`` on F's domain and codomain, once. F and G must be
+    lawful functors: the search checks naturality only on the arrows the
+    functor laws leave open, and ``validate_nat_trans`` checks every arrow."""
     if F.dom != G.dom or F.cod != G.cod:
         raise DomainError("cannot enumerate transformations between non-parallel functors")
     objs = F.dom.objects

@@ -355,14 +355,15 @@ def test_nat_trans_search_rejects_a_non_functor():
 
 
 def test_nat_trans_search_returns_on_an_empty_hom_before_any_square():
-    # F sends id:a to f, so its square at id:a is not composable; but
-    # hom(F(b), G(b)) = hom(b, a) is empty, so the search returns [] before
-    # it checks a square. With that hom nonempty, the square raises.
+    # F sends the generating arrow f to id:a, so its square at f is not
+    # composable; but hom(F(b), G(b)) = hom(b, a) is empty, so the search
+    # returns [] before it checks a square. With that hom nonempty, the
+    # square raises.
     C = corpus.two()
-    F = Functor(C, C, {"a": "a", "b": "b"}, {"id:a": "f", "id:b": "id:b", "f": "f"})
+    F = Functor(C, C, {"a": "a", "b": "b"}, {"id:a": "id:a", "id:b": "id:b", "f": "id:a"})
     G = Functor(C, C, {"a": "a", "b": "a"}, {"id:a": "id:a", "id:b": "id:a", "f": "id:a"})
     assert enumerate_nat_trans(F, G) == []
-    with pytest.raises(DomainError, match="non-composable pair \\('f', 'id:a'\\)"):
+    with pytest.raises(DomainError, match="non-composable pair \\('id:a', 'id:b'\\)"):
         enumerate_nat_trans(F, identity_functor(C))
 
 

@@ -231,6 +231,29 @@ def _uninvertible_compositor():
     compositor_inverse_component(D, "id:a", "f", "*")
 
 
+def _compositor_off_its_host():
+    D = corpus.diag_cov_two()
+    D.compositor("id:a", "f").components["a"] = "f"
+    compositor_inverse_component(D, "id:a", "f", "a")
+
+
+def _strictify_two(on_objects, on_arrows):
+    """The walking arrow with the given entries; each value category is the
+    point and each functor its identity."""
+    pt = corpus.one()
+    strictify(corpus.two(), {a: pt for a in on_objects}, {f: identity_functor(pt) for f in on_arrows})
+
+
+def _transformations_out_of_a_unit_incoherent_diagram():
+    # Z/2 at both ends of the walking arrow, strict except that the
+    # compositor at (id:a, f) is the generator s, which breaks the left unit
+    # law at f; the search skips the identity-leg pairs on that law
+    Z, idx = corpus.z2(), corpus.two()
+    D = strictify(idx, {"a": Z, "b": Z}, {f: identity_functor(Z) for f in idx.arrows})
+    D.compositor("id:a", "f").components["*"] = "s"
+    enumerate_transformations(D, corpus.two())
+
+
 NO_IDENTITY = FinCategory(("x",), (), {}, {}, {}, {})
 
 
@@ -241,6 +264,10 @@ NO_IDENTITY = FinCategory(("x",), (), {}, {}, {}, {})
                            {"id:*": identity_functor(corpus.one())}, "sideways"),
          InputError, "unknown variance 'sideways'"),
         (_not_strict_at_the_identity, InputError, "assignment is not strict at identity of '*'"),
+        (lambda: _strictify_two("ab", ["id:a", "id:b"]), InputError,
+         "no functor assigned to index arrow 'f'"),
+        (lambda: _strictify_two("a", ["id:a", "id:b", "f"]), InputError,
+         "no category assigned to index object 'b'"),
         (_modifications_not_composable, DomainError,
          "modifications are not vertically composable"),
         (_cells_not_composable, DomainError, "natural transformations not composable"),
@@ -249,8 +276,12 @@ NO_IDENTITY = FinCategory(("x",), (), {}, {}, {}, {})
         (_uninvertible_unitor, DomainError, "unitor at 'a' has no inverse at object 'a'"),
         (_uninvertible_compositor, DomainError,
          "compositor at ('id:a', 'f') has no inverse at '*'"),
+        (_compositor_off_its_host, InputError,
+         "compositor at ('id:a', 'f') has component 'f' at 'a', which is not an arrow of its host"),
         (lambda: enumerate_transformations(corpus.diag_contra_one(), corpus.two(), "strong"),
          InputError, "unknown transformation kind 'strong'"),
+        (_transformations_out_of_a_unit_incoherent_diagram, InputError,
+         "left unit coherence fails at ('f', '*')"),
         (lambda: enumerate_modifications(_transformation(), _transformation(X=corpus.iso())),
          DomainError, "modification endpoints are not parallel"),
         (lambda: _pseudofunctor(lambda D: setattr(D, "variance", "sideways")), InputError,
@@ -284,9 +315,11 @@ NO_IDENTITY = FinCategory(("x",), (), {}, {}, {}, {})
          "component at '*': missing component at 'a'"),
     ],
     ids=[
-        "strictify_variance", "strictify_identity", "modifications_not_composable",
+        "strictify_variance", "strictify_identity", "strictify_no_functor",
+        "strictify_no_category", "modifications_not_composable",
         "cells_not_composable", "nat_trans_unparallel", "unitor_not_invertible",
-        "compositor_not_invertible", "transformation_kind", "modifications_unparallel",
+        "compositor_not_invertible", "compositor_off_its_host", "transformation_kind",
+        "transformation_unit_coherence", "modifications_unparallel",
         "diagram_variance", "index_structure", "no_category", "no_unitor",
         "no_functor", "no_compositor", "value_category_structure", "no_component",
         "no_two_cell", "component_structure", "two_cell_structure", "no_modification_component",

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .diagram import compositor_inverse_component, unitor_inverse_component
+from .diagram import compositor_inverse_component, require_lawful, unitor_inverse_component
 from .errors import AxiomError, DomainError, InputError, IntegrityError
 from .fincat import FinCategory, ValidationReport, compose_many, partition
 from .fractions import FractionsInput, _SharedFillers, check_axioms, span_compose
@@ -615,10 +615,13 @@ def internal_elements(D) -> InternalCategory:
     from the universal properties: s = [p₁ ; s_A ; inj_A]_φ and
     t = [p₀ ; inj_B]_φ off D₁, e = [⟨1, u_A⟩ ; inj_{1_A}]_A with u_A the
     unitor-inverse components, and c by the comparison-cell formula on the
-    pairs decoded from the block projections.
+    pairs decoded from the block projections.  An unlawful D is refused
+    (``require_lawful``): those formulas give a category only for a
+    coherent diagram.
     """
     if D.variance != "contravariant":
         raise DomainError("internal elements are built for contravariant diagrams")
+    require_lawful(D)
     idx = D.index
     built = _element_blocks(D)
     fibre_maps, D0, inj0, blocks, D1, inj1 = built

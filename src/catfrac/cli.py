@@ -41,8 +41,8 @@ from .diagram import (
     Pseudofunctor,
     VARIANCES,
     derive_unit_compositors,
+    law_verdict,
     naming,
-    validate_pseudofunctor,
     variance_order,
 )
 from .elements import cleavage, grothendieck, verify_oplax_colimit
@@ -51,6 +51,7 @@ from .fincat import (
     FinCategory,
     Functor,
     NatTrans,
+    ValidationReport,
     check_components,
     check_functor_maps,
     compose_functors,
@@ -236,10 +237,10 @@ def _load_bundle(data: dict, base: Path) -> tuple[Pseudofunctor, list[FinCategor
 
 def _bundle_laws(bundle: tuple[Pseudofunctor, list[FinCategory]]):
     diagram, against = bundle
-    report = validate_pseudofunctor(diagram)
+    problems = list(law_verdict(diagram).problems)
     for i, X in enumerate(against):
-        report.problems.extend(f"against[{i}]: {line}" for line in validate_category(X).problems)
-    return report
+        problems.extend(f"against[{i}]: {line}" for line in validate_category(X).problems)
+    return ValidationReport(problems)
 
 
 # each kind's loader, law check and fields; a check is looked up when it
@@ -247,7 +248,9 @@ def _bundle_laws(bundle: tuple[Pseudofunctor, list[FinCategory]]):
 # call. In the fields, ``str`` is a name, a kind is a reference (a path or an
 # inline object, shaped as that kind when ``_resolve`` reads it), ``[s]`` is
 # a list of s, ``{str: s}`` an object of s, and any other object a record,
-# whose fields ending in "?" may be missing; fields not named are ignored
+# whose fields ending in "?" may be missing; fields not named are ignored.
+# A pseudofunctor's check is the verdict the diagram keeps, which every
+# construction that reads the diagram then reads again, not decides again
 _FUNCTOR_MAPS = {"on_objects": {str: str}, "on_arrows": {str: str}}
 KINDS = {
     "category": (load_category, lambda C: validate_category(C), {
@@ -259,7 +262,7 @@ KINDS = {
     "functor": (load_functor, lambda F: validate_functor(F), {
         "dom": "category", "cod": "category", **_FUNCTOR_MAPS,
     }),
-    "pseudofunctor": (load_pseudofunctor, lambda D: validate_pseudofunctor(D), {
+    "pseudofunctor": (load_pseudofunctor, lambda D: law_verdict(D), {
         "index": "category",
         "variance": str,
         "on_objects": {str: "category"},

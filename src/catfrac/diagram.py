@@ -59,6 +59,10 @@ class Pseudofunctor:
     maps each index object A to the comparison D(1_A) => Id on D(A);
     `compositors` holds one comparison cell per composable index pair,
     keyed by the pair itself.
+
+    A diagram is not changed after it is built: the first construction that
+    reads it decides its laws (``require_lawful``) and the diagram keeps
+    that verdict, outside the fields, so ``__eq__`` and ``repr`` ignore it.
     """
 
     index: FinCategory
@@ -67,6 +71,11 @@ class Pseudofunctor:
     on_arrows: dict
     unitors: dict
     compositors: dict
+
+    def __post_init__(self) -> None:
+        # set during __init__, as FinCategory's hom index is: an attribute
+        # added later slows every attribute read on the instance
+        self._laws = None
 
     def cat(self, a: str) -> FinCategory:
         return self.on_objects[a]
@@ -128,7 +137,8 @@ def _lawful_index(index: FinCategory) -> None:
         raise InputError(problems[0])
 
 
-def _structural_check(D: Pseudofunctor) -> None:
+def validate_pseudofunctor(D: Pseudofunctor) -> ValidationReport:
+    """Check every coherence law; structural gaps raise InputError."""
     if D.variance not in VARIANCES:
         raise InputError(f"unknown variance {D.variance!r}")
     _lawful_index(D.index)
@@ -145,13 +155,7 @@ def _structural_check(D: Pseudofunctor) -> None:
         if pair not in D.compositors:
             raise InputError(f"no compositor for composable pair {pair!r}")
 
-
-def validate_pseudofunctor(D: Pseudofunctor) -> ValidationReport:
-    """Check every coherence law; structural gaps raise InputError."""
-    _structural_check(D)
     report = ValidationReport()
-    idx = D.index
-
     for a in idx.objects:
         where = f"value category at {a!r}"
         report.problems.extend(_sub_problems(validate_category, D.cat(a), where))
@@ -195,6 +199,25 @@ def validate_pseudofunctor(D: Pseudofunctor) -> ValidationReport:
     _check_unit_coherence(D, report)
     _check_assoc_coherence(D, report)
     return report
+
+
+def law_verdict(D: Pseudofunctor) -> ValidationReport:
+    """``validate_pseudofunctor``'s report on D, computed on the first call
+    and kept on D; its problems are a tuple, so no reader can extend it.
+    A structural gap raises InputError on every call, as the validator
+    raises it."""
+    if D._laws is None:
+        D._laws = ValidationReport(tuple(validate_pseudofunctor(D).problems))
+    return D._laws
+
+
+def require_lawful(D: Pseudofunctor) -> None:
+    """Raise InputError at D's first violated law: every construction that
+    reads a diagram presupposes its laws, and decides them here, once per
+    diagram (``law_verdict``)."""
+    laws = law_verdict(D)
+    if not laws.ok:
+        raise InputError(laws.problems[0])
 
 
 @contextmanager
@@ -483,19 +506,20 @@ def enumerate_transformations(
     """All transformations D -> X in canonical order.
 
     kind 'lax' yields everything; 'pseudo' keeps those whose two-cells are
-    all invertible. Searches component functors per index object, then
-    two-cells: those at identities forced by the components, then one per
-    non-identity arrow. A cell is checked when chosen, and the coherence of
-    a composable pair of non-identity arrows at its last cell.
+    all invertible. D must be lawful (``require_lawful`` refuses it with
+    InputError) and X a lawful category. Searches component functors per
+    index object, then one two-cell per non-identity arrow. A cell is
+    checked when chosen, and the coherence of a composable pair of
+    non-identity arrows at the last of its cells.
 
-    First D's entries are checked to be present, each D(phi) to be a
-    functor, and D's unit coherence law to hold; the first problem, or a
-    structural gap, raises InputError (a D(phi) between other categories
-    than its variance puts at its ends, DomainError). With the law, the
-    coherence at a pair with an identity leg holds for every candidate: it
-    is the law whiskered with the components, after the other leg's cell
-    is moved across the unitor by its naturality. So those pairs are not
-    checked per transformation. X must be a lawful category.
+    With D's laws the cell at an index identity is forced: the component
+    applied to the unitor (its inverse, for a covariant D), natural and
+    invertible for every component. It is built once per component, read
+    where a pair composes to that identity, and listed first in each
+    output, as the canonical order has it. The coherence at a pair with an
+    identity leg holds for every candidate: it is D's unit coherence law
+    whiskered with the components, after the other leg's cell is moved
+    across the unitor by its naturality. So those pairs are not checked.
 
     The two-cells at phi are natural transformations between the endpoint
     functors of ``two_cell_endpoints``, both off the category at the index
@@ -508,44 +532,34 @@ def enumerate_transformations(
     endpoints, so they are listed at the component slot that closes phi, the
     later of the two (for 'pseudo', only the invertible ones). An empty list
     rejects that component there, since phi's cell slot would have no
-    candidate; a search that raises DomainError does not prune, and the
-    cell slot raises it again when the search reaches it. Within one call,
-    each list is kept by (phi, source component, target component), and each
-    forced identity cell with its verdict by component, so a pair of
-    components reached again costs a dict read. The slot order is
-    unchanged, and with it the canonical order.
+    candidate. Within one call each list is kept by (phi, source component,
+    target component), so a pair of components reached again costs a dict
+    read.
     """
     if kind not in ("lax", "pseudo"):
         raise InputError(f"unknown transformation kind {kind!r}")
-    _structural_check(D)
+    require_lawful(D)
     idx = D.index
-    for phi in idx.arrows:
-        F = D.fun(phi)
-        problems = _sub_problems(validate_functor, F, f"functor at {phi!r}")
-        if problems:
-            raise InputError(problems[0])
-        if (F.dom, F.cod) != expected_endpoints(D, phi):
-            raise DomainError("cannot enumerate transformations between non-parallel functors")
-    unit = ValidationReport()
-    _check_unit_coherence(D, unit)
-    if not unit.ok:
-        raise InputError(unit.problems[0])
     objs = idx.objects
     n = len(objs)
     per_object = [enumerate_functors(D.cat(a), X) for a in objs]
-    arrows = [idx.identity[a] for a in objs] + [f for f in idx.arrows if not idx.is_identity(f)]
+    arrows = [f for f in idx.arrows if not idx.is_identity(f)]
+    oslot = {a: i for i, a in enumerate(objs)}
     slot = {phi: n + k for k, phi in enumerate(arrows)}
+    # slot -> the pairs of non-identity arrows whose coherence it closes, with
+    # j when phi;psi is the identity at object slot j: that cell is forced and
+    # has no slot, so the pair closes at the last of its own cells
     pairs_closed: list[list] = [[] for _ in range(n + len(arrows))]
     for phi, psi in idx.composable_pairs():
         if idx.is_identity(phi) or idx.is_identity(psi):
-            continue  # holds by D's unit coherence, checked above
-        last = max(slot[phi], slot[psi], slot[idx.composition[(phi, psi)]])
-        pairs_closed[last].append((phi, psi))
-    oslot = {a: i for i, a in enumerate(objs)}
+            continue  # holds by D's unit coherence
+        comp = idx.composition[(phi, psi)]
+        j = oslot[idx.src[phi]] if idx.is_identity(comp) else None
+        pairs_closed[max(slot[phi], slot[psi], slot.get(comp, 0))].append((phi, psi, j))
     natural: dict = {}  # index object -> (its category's objects, the search on it)
     cell_searches = []  # per non-identity arrow: (phi, source slot, target slot, names, search)
     arrows_closed: list[list] = [[] for _ in objs]  # component slot -> arrows it closes
-    for k, phi in enumerate(arrows[n:]):
+    for k, phi in enumerate(arrows):
         A = variance_order(D.variance, idx.src[phi], idx.tgt[phi])[0]
         if A not in natural:
             natural[A] = (D.cat(A).objects, nat_trans_search(D.cat(A), X))
@@ -554,18 +568,14 @@ def enumerate_transformations(
         arrows_closed[max(s, t)].append(k)
     # per_object holds every component for the whole call, so a component's
     # id names it in these keys
-    forced: dict = {}  # id(component at a) -> (a's identity cell, whether it is a candidate)
+    forced: dict = {}  # id(component at a) -> a's identity cell
     listed: dict = {}  # (k, id(source component), id(target component)) -> candidate cells
 
-    def identity_cell(j: int, vals: list) -> tuple:
-        entry = forced.get(id(vals[j]))
-        if entry is None:
-            cell = identity_two_cell(D, {objs[j]: vals[j]}, objs[j])
-            ok = validate_nat_trans(cell).ok and (
-                kind == "lax" or _not_invertible_at(X, cell) is None
-            )
-            entry = forced[id(vals[j])] = (cell, ok)
-        return entry
+    def identity_cell(j: int, vals: list) -> NatTrans:
+        cell = forced.get(id(vals[j]))
+        if cell is None:
+            cell = forced[id(vals[j])] = identity_two_cell(D, {objs[j]: vals[j]}, objs[j])
+        return cell
 
     def arrow_cells(k: int, vals: list) -> list:
         phi, s, t, names, search = cell_searches[k]
@@ -581,33 +591,26 @@ def enumerate_transformations(
         return found
 
     def domain(i: int, vals: list):
-        if i < n:
-            return per_object[i]
-        if i < 2 * n:
-            cell, ok = identity_cell(i - n, vals)
-            return (cell,) if ok else ()
-        return arrow_cells(i - 2 * n, vals)
+        return per_object[i] if i < n else arrow_cells(i - n, vals)
 
     def accept(i: int, vals: list) -> bool:
         if i < n:
-            for k in arrows_closed[i]:
-                try:
-                    if not arrow_cells(k, vals):
-                        return False
-                except DomainError:
-                    pass
-            return True
+            return all(arrow_cells(k, vals) for k in arrows_closed[i])
         if pairs_closed[i]:
             components, cells = dict(zip(objs, vals)), dict(zip(arrows, vals[n : i + 1]))
-            for phi, psi in pairs_closed[i]:
+            for phi, psi, j in pairs_closed[i]:
+                if j is not None:
+                    cells[idx.identity[objs[j]]] = identity_cell(j, vals)
                 for _ in _incoherent_fibers(D, X, components, cells, phi, psi):
                     return False
         return True
 
-    found = backtrack(n + len(arrows), domain, accept)
-    return [
-        LaxTransformation(D, X, dict(zip(objs, vals)), dict(zip(arrows, vals[n:]))) for vals in found
-    ]
+    found = []
+    for vals in backtrack(n + len(arrows), domain, accept):
+        cells = {idx.identity[a]: identity_cell(j, vals) for j, a in enumerate(objs)}
+        cells.update(zip(arrows, vals[n:]))
+        found.append(LaxTransformation(D, X, dict(zip(objs, vals)), cells))
+    return found
 
 
 @dataclass(eq=True)

@@ -25,6 +25,7 @@ from .diagram import (
     enumerate_transformations,
     expected_endpoints,
     modification_search,
+    require_lawful,
     two_cell_endpoints,
     unitor_inverse_component,
 )
@@ -71,7 +72,10 @@ class CleavageSet:
 
 
 def grothendieck(D: Pseudofunctor) -> ElementsCategory:
-    """Category of elements of a validated diagram."""
+    """Category of elements of a diagram; refuses an unlawful one
+    (``require_lawful``), since the carrier is a category only because the
+    diagram is coherent."""
+    require_lawful(D)
     idx = D.index
 
     obj_tag_list = [(A, a) for A in idx.objects for a in D.cat(A).objects]

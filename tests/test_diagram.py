@@ -376,8 +376,9 @@ def test_ill_typed_two_cell_of_a_covariant_diagram_is_named_by_the_checked_compo
                          ids=["contravariant", "covariant"])
 def test_transformations_refuse_a_functor_off_the_wrong_category(D):
     # the two-cells at f are searched on the category where D(f) starts;
-    # a D(f) off another category, into the right one, gives non-parallel
-    # endpoint functors
+    # a D(f) off another category, into the right one, breaks D's laws,
+    # and the search refuses it as the validator names it
     D.on_arrows["f"] = identity_functor(D.fun("f").cod)
-    with pytest.raises(DomainError, match="non-parallel functors"):
+    with pytest.raises(InputError) as exc:
         enumerate_transformations(D, corpus.two())
+    assert str(exc.value) == f"functor at 'f' has wrong endpoints for {D.variance} variance"

@@ -15,6 +15,8 @@ from catfrac import (
     FinSetObject,
     Functor,
     InternalCategory,
+    InternalFunctor,
+    InternalNatTrans,
     Modification,
     NatTrans,
     check_shape,
@@ -28,7 +30,9 @@ from catfrac import (
     enumerate_modifications,
     enumerate_nat_trans,
     enumerate_transformations,
+    grothendieck,
     identity_functor,
+    identity_map,
     identity_nat_trans,
     internal_cleavage,
     internal_elements,
@@ -38,10 +42,14 @@ from catfrac import (
     pullback_mediate,
     strictify,
     validate_internal_category,
+    validate_internal_functor,
+    validate_internal_nat_trans,
     validate_modification,
     validate_nat_trans,
     validate_pseudofunctor,
     validate_transformation,
+    verify_oplax_colimit,
+    verify_pseudocolimit,
     vertical_compose,
 )
 from catfrac.cli import main
@@ -109,6 +117,39 @@ def _unparallel_transformation():
     validate_nat_trans(NatTrans(identity_functor(corpus.two()), identity_functor(corpus.one()), {}))
 
 
+def _internal(C):
+    return internalize(getattr(corpus, C)())
+
+
+def _internal_functor(dom, cod, f0, f1):
+    """The internal functor between the internalized corpus categories dom
+    and cod with these object and arrow tables."""
+    D, C = _internal(dom), _internal(cod)
+    return InternalFunctor(D, C, FinSetMap(D.c0, C.c0, f0), FinSetMap(D.c1, C.c1, f1))
+
+
+def _off_its_ends(part):
+    """The walking arrow into the walking iso, a, b -> a, b and f -> u, with
+    the object or the arrow part replaced by a map into the wrong set."""
+    F = _internal_functor("two", "iso", (0, 1), (0, 1, 2))
+    if part == "objects":
+        F.f0 = FinSetMap(F.dom.c0, F.cod.c1, (0, 1))
+    else:
+        F.f1 = FinSetMap(F.dom.c1, F.cod.c0, (0, 1, 0))
+    validate_internal_functor(F)
+
+
+def _internal_nat_trans(components, codomain="c1"):
+    """A transformation from the identity of the internalized walking arrow
+    to the functor constant at b, with these components (arrow positions,
+    or object positions into the objects when ``codomain`` is "c0")."""
+    two = _internal("two")
+    idf = InternalFunctor(two, two, identity_map(two.c0), identity_map(two.c1))
+    const_b = InternalFunctor(two, two, FinSetMap(two.c0, two.c0, (1, 1)),
+                              FinSetMap(two.c1, two.c1, (1, 1, 1)))
+    return InternalNatTrans(idf, const_b, FinSetMap(two.c0, getattr(two, codomain), components))
+
+
 @pytest.mark.parametrize(
     "run,error,message",
     [
@@ -140,19 +181,47 @@ def _unparallel_transformation():
          "natural transformation between non-parallel functors"),
         (lambda: check_shape(corpus.two(), "sideways"), DomainError,
          "unknown shape direction 'sideways'"),
+        (lambda: _off_its_ends("objects"), InputError, "object part has wrong endpoints"),
+        (lambda: _off_its_ends("arrows"), InputError, "arrow part has wrong endpoints"),
+        (lambda: validate_internal_nat_trans(_internal_nat_trans((1, 1), "c0")), InputError,
+         "component map has wrong endpoints"),
     ],
     ids=[
         "negative_size", "unhashable_label", "map_domain", "map_codomain", "maps_not_composable", "cone_off_pullback", "legs_off_blocks",
         "legs_codomains", "coproduct_uncovered", "coequalizer_unparallel", "leg_source",
         "quotient_not_onto", "source_endpoints", "target_endpoints", "identity_endpoints",
         "covariant_cleavage", "marks_off_arrows", "functors_not_composable",
-        "transformation_unparallel", "shape_direction",
+        "transformation_unparallel", "shape_direction", "object_part_endpoints",
+        "arrow_part_endpoints", "component_map_endpoints",
     ],
 )
 def test_library_refusal(run, error, message):
     with pytest.raises(error) as exc:
         run()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "run,problems",
+    [
+        # the identity of a sent to e keeps every composite, as e;e = e
+        (lambda: validate_internal_functor(_internal_functor("two", "idem", (0, 0), (1, 0, 1))),
+         ["identity square does not commute"]),
+        # s sent to e keeps the identity but not s;s = id
+        (lambda: validate_internal_functor(_internal_functor("z2", "idem", (0,), (0, 1))),
+         ["composition square fails at pair (1,1)"]),
+        # the identities at a and b: the one at a ends at a, where the
+        # constant functor has b, so the naturality squares do not compose
+        (lambda: validate_internal_nat_trans(_internal_nat_trans((0, 1))), [
+            "components do not end at the target functor",
+            "naturality square at arrow 0 does not compose",
+            "naturality square at arrow 2 does not compose",
+        ]),
+    ],
+    ids=["identity_square", "composition_square", "components_end"],
+)
+def test_internal_problem(run, problems):
+    assert run().problems == problems
 
 
 # -- the diagram layer: strictification, the 2-cell algebra and the validators --
@@ -257,6 +326,55 @@ def _transformations_out_of_a_unit_incoherent_diagram():
 NO_IDENTITY = FinCategory(("x",), (), {}, {}, {}, {})
 
 
+def _contra_without_unitor_component():
+    D = corpus.diag_contra_two()
+    del D.unitors["a"].components["a"]
+    return D
+
+
+def _contra_without_compositor():
+    D = corpus.diag_contra_two()
+    del D.compositors[("id:a", "id:a")]
+    return D
+
+
+def _cov_without_compositor_component():
+    D = corpus.diag_cov_two()
+    del D.compositor("id:a", "f").components["a"]
+    return D
+
+
+# every construction that reads a diagram refuses a partial one through the
+# diagram's law verdict, with the validator's message; the ambient elements
+# and the pseudocolimit verifier refuse a covariant diagram first
+READERS = {
+    "grothendieck": grothendieck,
+    "internal_elements": internal_elements,
+    "oplax": lambda D: verify_oplax_colimit(D, corpus.two()),
+    "pseudocolim": lambda D: verify_pseudocolimit(D, corpus.two()),
+    "transformations": lambda D: enumerate_transformations(D, corpus.two()),
+}
+PARTIAL_DIAGRAMS = [
+    ("unitor_component", _contra_without_unitor_component, READERS,
+     "unitor at 'a': missing component at 'a'"),
+    ("compositor", _contra_without_compositor, READERS,
+     "no compositor for composable pair ('id:a', 'id:a')"),
+    ("compositor_component", _cov_without_compositor_component,
+     {k: READERS[k] for k in ("grothendieck", "oplax", "transformations")},
+     "compositor at ('id:a', 'f'): missing component at 'a'"),
+]
+PARTIAL_ROWS = [
+    (lambda make=make, read=read: read(make()), InputError, message)
+    for _, make, readers, message in PARTIAL_DIAGRAMS
+    for read in readers.values()
+]
+PARTIAL_IDS = [
+    f"partial_{name}_{reader}"
+    for name, _, readers, _ in PARTIAL_DIAGRAMS
+    for reader in readers
+]
+
+
 @pytest.mark.parametrize(
     "run,error,message",
     [
@@ -313,7 +431,7 @@ NO_IDENTITY = FinCategory(("x",), (), {}, {}, {}, {})
          "modification endpoints are not parallel"),
         (lambda: _modification(_component(_transformation(k=1), {})), InputError,
          "component at '*': missing component at 'a'"),
-    ],
+    ] + PARTIAL_ROWS,
     ids=[
         "strictify_variance", "strictify_identity", "strictify_no_functor",
         "strictify_no_category", "modifications_not_composable",
@@ -324,7 +442,7 @@ NO_IDENTITY = FinCategory(("x",), (), {}, {}, {}, {})
         "no_functor", "no_compositor", "value_category_structure", "no_component",
         "no_two_cell", "component_structure", "two_cell_structure", "no_modification_component",
         "modification_unparallel", "modification_component_structure",
-    ],
+    ] + PARTIAL_IDS,
 )
 def test_diagram_refusal(run, error, message):
     with pytest.raises(error) as exc:

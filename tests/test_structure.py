@@ -20,9 +20,11 @@ for bad input;
 FinCategory.build has no option; the verifiers prepare each 2-cell search
 once per domain, not once per pair; one crosscheck checks each internal
 category's laws, builds the span machinery and builds the element blocks
-once, and an internal category gains no attribute after construction; every
-public name has a caller in the package or a line in the README's list of
-public API without one."""
+once, and an internal category gains no attribute after construction; a
+diagram's laws are decided in one place, once per diagram, and the verdict
+it keeps adds no attribute after construction; every public name has a
+caller in the package or a line in the README's list of public API without
+one."""
 
 import ast
 import copy
@@ -31,6 +33,8 @@ import inspect
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import catfrac.ambient
 import catfrac.cli
@@ -45,11 +49,13 @@ from catfrac import (
     FinSetMap,
     FractionsInput,
     InternalCategory,
+    Pseudofunctor,
     check_axioms,
     enumerate_functors,
     enumerate_modifications,
     enumerate_transformations,
     externalize,
+    grothendieck,
     internal_cleavage,
     internal_elements,
     internal_localize,
@@ -838,6 +844,128 @@ def test_internal_category_gains_no_attribute():
     assert [f.name for f in dataclasses.fields(InternalCategory)] == ["c0", "c1", "s", "t", "e", "c"]
     copy = InternalCategory(IE.c0, IE.c1, IE.s, IE.t, IE.e, IE.c)
     assert copy == IE and hash(copy) == hash(IE) and repr(copy) == repr(IE)
+
+
+def _gained(value, run) -> list:
+    """The attributes ``value`` has after ``run()`` that it had not before."""
+    keys = set(vars(value))
+    run()
+    return sorted(set(vars(value)) - keys)
+
+
+def test_pseudofunctor_gains_no_attribute():
+    # the law verdict a diagram keeps sits in a slot set during __init__,
+    # outside the fields, so __eq__ and repr ignore it
+    D, X = corpus.diag_contra_chain(), corpus.two()
+    assert _gained(D, lambda: (
+        grothendieck(D), internal_elements(D), enumerate_transformations(D, X)
+    )) == []
+    assert [f.name for f in dataclasses.fields(Pseudofunctor)] == [
+        "index", "variance", "on_objects", "on_arrows", "unitors", "compositors"
+    ]
+    copy = dataclasses.replace(D)
+    assert copy == D and repr(copy) == repr(D)
+
+
+def test_gained_attribute_check_fires():
+    D = corpus.diag_contra_chain()
+    assert _gained(D, lambda: setattr(D, "_verdict", None)) == ["_verdict"]
+
+
+def _validator_reads(trees: dict) -> list:
+    """``module.name`` of each top-level definition that reads
+    validate_pseudofunctor, its own definition aside; a re-export in
+    __init__ is an import, not a read."""
+    found = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                name = top.name
+            elif isinstance(top, ast.Assign) and isinstance(top.targets[0], ast.Name):
+                name = top.targets[0].id
+            else:
+                continue
+            if name != "validate_pseudofunctor" and any(
+                getattr(node, "id", getattr(node, "attr", None)) == "validate_pseudofunctor"
+                for node in ast.walk(top)
+            ):
+                found.append(f"{module}.{name}")
+    return found
+
+
+def test_diagram_laws_are_decided_in_one_place():
+    # every construction that reads a diagram, and the CLI's law check,
+    # reads the verdict law_verdict keeps on the diagram
+    assert _validator_reads(MODULES) == ["diagram.law_verdict"]
+
+
+def test_validator_read_check_fires():
+    copy = {
+        "cli": ast.parse(
+            "KINDS = {'pseudofunctor': (load, lambda D: validate_pseudofunctor(D))}\n"
+            "def _bundle_laws(bundle):\n"
+            "    return diagram.validate_pseudofunctor(bundle[0])\n"
+        ),
+        "diagram": ast.parse(
+            "def validate_pseudofunctor(D):\n"
+            "    return validate_pseudofunctor\n"
+            "def law_verdict(D):\n"
+            "    return validate_pseudofunctor(D)\n"
+        ),
+    }
+    assert _validator_reads(copy) == ["cli.KINDS", "cli._bundle_laws", "diagram.law_verdict"]
+
+
+# the checks that decide a diagram's laws: the validator, and the unit
+# coherence law that the transformation search once checked on its own
+LAW_CHECKS = ("validate_pseudofunctor", "_check_unit_coherence")
+
+
+def _law_checks(monkeypatch, run) -> Counter:
+    """Run ``run`` with the diagram's law checks wrapped and count each
+    check per diagram; a diagram is named by its repr, so copies count as
+    one."""
+    checked = Counter()
+    for name in LAW_CHECKS:
+        original = getattr(catfrac.diagram, name)
+
+        def recorded(D, *rest, name=name, original=original):
+            checked[(name, repr(D))] += 1
+            return original(D, *rest)
+
+        monkeypatch.setattr(catfrac.diagram, name, recorded)
+    run()
+    return checked
+
+
+@pytest.mark.parametrize("argv", [
+    ["crosscheck", "diagram_contra_3x3.json"],
+    ["verify", "bundle_contra.json", "pseudocolim"],  # three test categories
+], ids=["crosscheck", "verify"])
+def test_a_command_decides_its_diagram_once(monkeypatch, capsys, argv):
+    # the CLI's law check decides the diagram's laws, and every construction
+    # after it, once per test category, reads the verdict the diagram keeps
+    fixtures = Path(__file__).parent / "fixtures"
+    argv = [argv[0], str(fixtures / argv[1])] + argv[2:]
+    codes = []
+    checked = _law_checks(monkeypatch, lambda: codes.append(catfrac.cli.main(argv)))
+    capsys.readouterr()
+    assert codes == [0] and len({D for _, D in checked}) == 1
+    assert sorted(checked.values()) == [1, 1]
+
+
+def test_law_check_count_fires(monkeypatch):
+    # the readers on copies of one diagram, which keep nothing: each
+    # decides the laws again
+    D, X = corpus.diag_contra_two(), corpus.two()
+
+    def on_copies():
+        grothendieck(dataclasses.replace(D))
+        internal_elements(dataclasses.replace(D))
+        enumerate_transformations(dataclasses.replace(D), X)
+
+    checked = _law_checks(monkeypatch, on_copies)
+    assert len({D for _, D in checked}) == 1 and sorted(checked.values()) == [3, 3]
 
 
 README = PACKAGE.parent.parent / "README.md"

@@ -5,9 +5,11 @@ without it.
 lookahead: every cell slot searches its own candidates, and the pseudo
 filter runs when a cell is chosen. The lookahead must list the same
 transformations in the same order, on generated chain diagrams of both
-variances, both kinds and several targets, and on the corpus. A spy on the
-natural-transformation search counts the cell searches: within one call
-each (arrow, source component, target component) is searched at most once.
+variances, both kinds and several targets, on the corpus, and on strict
+diagrams over the walking iso and Z/2, whose index arrows compose to
+identities in pairs. A spy on the natural-transformation search counts the
+cell searches: within one call each (arrow, source component, target
+component) is searched at most once.
 A diagram whose D(phi) is not a functor is refused before either search.
 """
 
@@ -25,6 +27,7 @@ from catfrac import (
     enumerate_transformations,
     identity_functor,
     strictify,
+    validate_transformation,
 )
 from catfrac.errors import DomainError, InputError
 from catfrac.fincat import functor_key
@@ -182,6 +185,40 @@ def test_lookahead_lists_the_reference_transformations_on_the_corpus(name, D, X,
     assert spelled(enumerate_transformations(D, X, kind)) == spelled(
         reference_transformations(D, X, kind)
     )
+
+
+# -- indexes with inverse pairs ----------------------------------------------------
+
+
+def inverse_pair_diagram(index, variance):
+    """Strict over ``index``, the walking iso at every index object, each
+    index identity sent to the identity and every other arrow to the swap.
+    Over the walking iso or Z/2, two non-identity index arrows compose to an
+    identity, so that pair's coherence reads the identity's forced cell."""
+    I = corpus.iso()
+    on_arrows = {
+        phi: identity_functor(I) if index.is_identity(phi) else corpus.swap_iso(I)
+        for phi in index.arrows
+    }
+    return strictify(index, {a: I for a in index.objects}, on_arrows, variance)
+
+
+INVERSE_PAIR_CASES = [
+    (f"{iname}-{variance}->{xn}-{kind}", inverse_pair_diagram(index, variance), X, kind)
+    for iname, index in (("iso", corpus.iso()), ("z2", corpus.z2()))
+    for variance in dg.VARIANCES
+    for xn, X in TARGETS + [("idem", corpus.idem())]
+    for kind in KINDS
+]
+
+
+@pytest.mark.parametrize(
+    "name,D,X,kind", INVERSE_PAIR_CASES, ids=[c[0] for c in INVERSE_PAIR_CASES]
+)
+def test_inverse_pairs_list_the_reference_transformations(name, D, X, kind):
+    found = enumerate_transformations(D, X, kind)
+    assert found and spelled(found) == spelled(reference_transformations(D, X, kind))
+    assert all(validate_transformation(x).ok for x in found)
 
 
 # -- each cell list is searched once per call ------------------------------------

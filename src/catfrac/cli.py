@@ -17,7 +17,8 @@ misfit by its JSON path (``field 'arrows[0].src' must be a string, got
 null``). A KeyError or TypeError that reaches ``main`` is a library bug.
 
 Exit codes are uniform across commands: 0 means valid/verified, 1 means a
-checked property failed, 2 means the input or a precondition was bad.
+checked property failed, 2 means the input or a precondition was bad, or
+the reader closed stdout before the output was written.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -543,6 +545,20 @@ def main(argv=None) -> int:
     does not reach ``main``.
     """
     args = _parser().parse_args(argv)
+    try:
+        code = _run(args)
+        # output that fit stdout's buffer meets a closed reader only here
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, as ``catfrac ... | head`` does: the rest
+        # of the output, and the flush at exit, go to the null device
+        sys.stdout = open(os.devnull, "w")
+        return 2
+    return code
+
+
+def _run(args) -> int:
+    """The command's exit code, its refusal printed."""
     try:
         return args.fn(args)
     except AxiomError as exc:

@@ -137,6 +137,13 @@ def _lawful_index(index: FinCategory) -> None:
         raise InputError(problems[0])
 
 
+def _require_assigned(index: FinCategory, on_arrows: dict) -> None:
+    """Raise InputError at the first index arrow ``on_arrows`` leaves out."""
+    for phi in index.arrows:
+        if phi not in on_arrows:
+            raise InputError(f"no functor assigned to index arrow {phi!r}")
+
+
 def validate_pseudofunctor(D: Pseudofunctor) -> ValidationReport:
     """Check every coherence law; structural gaps raise InputError."""
     if D.variance not in VARIANCES:
@@ -148,9 +155,7 @@ def validate_pseudofunctor(D: Pseudofunctor) -> ValidationReport:
             raise InputError(f"no category assigned to index object {a!r}")
         if a not in D.unitors:
             raise InputError(f"no unitor at index object {a!r}")
-    for f in idx.arrows:
-        if f not in D.on_arrows:
-            raise InputError(f"no functor assigned to index arrow {f!r}")
+    _require_assigned(idx, D.on_arrows)
     for pair in idx.composable_pairs():
         if pair not in D.compositors:
             raise InputError(f"no compositor for composable pair {pair!r}")
@@ -305,9 +310,11 @@ def derive_unit_compositors(
     Pairs where both legs are non-identity must already be present.  The
     filled values are the unique ones compatible with unit coherence, so a
     later full validation cross-checks any derived entry.  An index that
-    breaks a category law raises InputError.
+    breaks a category law, or an index arrow with no functor, raises
+    InputError.
     """
     _lawful_index(index)
+    _require_assigned(index, on_arrows)
     out = dict(compositors)
     left_first, right_first = variance_order(variance, False, True)
     for phi, psi in index.composable_pairs():
@@ -353,9 +360,7 @@ def strictify(
     for a in index.objects:
         if a not in on_objects:
             raise InputError(f"no category assigned to index object {a!r}")
-    for phi in index.arrows:
-        if phi not in on_arrows:
-            raise InputError(f"no functor assigned to index arrow {phi!r}")
+    _require_assigned(index, on_arrows)
     for a in index.objects:
         ida = index.identity[a]
         if on_arrows[ida] != identity_functor(on_objects[a]):
@@ -420,8 +425,10 @@ def identity_two_cell(D: Pseudofunctor, components: dict, a: str) -> NatTrans:
 
 
 def validate_transformation(x: LaxTransformation) -> ValidationReport:
-    """Check component functors, two-cell typing, and both coherence laws."""
+    """Check component functors, two-cell typing, and both coherence laws;
+    an unlawful diagram is refused with InputError (``require_lawful``)."""
     D = x.source
+    require_lawful(D)
     idx = D.index
     for a in idx.objects:
         if a not in x.components:

@@ -157,7 +157,9 @@ def grothendieck(D: Pseudofunctor) -> ElementsCategory:
 
 
 def canonical_cocone(D: Pseudofunctor, GD: ElementsCategory) -> LaxTransformation:
-    """The tautological transformation from the diagram into its carrier."""
+    """The tautological transformation from the diagram into its carrier;
+    an unlawful diagram is refused with InputError (``require_lawful``)."""
+    require_lawful(D)
     idx = D.index
     components = {}
     for A in idx.objects:

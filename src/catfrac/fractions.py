@@ -21,20 +21,22 @@ the rest of W.
 
 Composing (v1, g1) with (v2, g2) reads g2 only in its last step, so a
 composite is a head, made from an Ore filler of (g1, v2) and a weak filler
-of (w', v1), followed by g2.  Within one localize call, or one ambient span
-machinery, the axiom decision runs on the input the composition loop reads,
-so the first Ore and weak fillers it finds as witnesses are the ones the
-first heads are made from: each first filler is searched once.  Each
-complete filler list, each list of weak legs (m, (m;w');v1), the first head
-and the Ore x weak product of heads are formed once per key and shared, a
-head by every g2.
+of (w', v1), followed by g2.  An input decides its axioms once
+(``axiom_verdict``): localize reads the kept verdict and hands its witnesses
+to the input the composition loop reads, and one ambient span machinery
+decides them on that input itself, so the first Ore and weak fillers found
+as witnesses are the ones the first heads are made from: each first filler
+is searched once.  Each complete filler list, each list of weak legs
+(m, (m;w');v1), the first head and the Ore x weak product of heads are
+formed once per key and shared, a head by every g2.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .diagram import enumerate_transformations
 from .elements import (
@@ -70,6 +72,11 @@ class FractionsInput:
     order.  The index stays out of the fields, ``__eq__`` and ``repr``.  A
     marked arrow that is not in the category is keyed None; ``check`` says
     so before any search reads the index.
+
+    An input is not changed after it is built: once they are decided, it
+    keeps the first misplaced composite of its table (``_misplaced``, "" for
+    none) and its axiom report (``_axioms``, see ``axiom_verdict``), in
+    slots outside the fields, so ``__eq__`` and ``repr`` ignore them.
     """
 
     category: FinCategory
@@ -84,6 +91,10 @@ class FractionsInput:
         self._wset = frozenset(self.weq)
         self._w_out = {x: tuple(vs) for x, vs in outs.items()}
         self._w_into = {y: tuple(vs) for y, vs in ins.items()}
+        # set during __init__, as Pseudofunctor's verdict is: an attribute
+        # added later slows every attribute read on the instance
+        self._misplaced = None
+        self._axioms = None
 
     def check(self) -> None:
         arrset = set(self.category.arrows)
@@ -110,15 +121,17 @@ class FractionsInput:
 class _SharedFillers(FractionsInput):
     """The input of one localize call, or of one ambient span machinery,
     keeping every first filler, every filler list and every list of heads
-    it searches.  The axiom decision runs on it and hands it its witnesses,
-    the first filler of each case that has one; the composition loop
-    and the ambient's composition of every span pair compose many span
-    pairs over those same cospans and marked pairs, and ``_first`` reads
-    the kept witnesses.  Self-check (b) reads the complete lists, each in
-    canonical order, so a list's first entry is the lazy search's first hit
-    and ``_first`` reads it when no first hit is kept.  So span_compose
-    forms each head once per (v1, g1, v2) and only reads the composite with
-    g2 per span pair.  It lives only as long as that call."""
+    it searches.  It is handed the axiom decision's witnesses, the first
+    filler of each case that has one: localize hands it those of its
+    input's kept verdict, and the ambient decides the axioms on it.  The
+    composition loop and the ambient's composition of every span pair
+    compose many span pairs over those same cospans and marked pairs, and
+    ``_first`` reads the kept witnesses.  Self-check (b) reads the complete
+    lists, each in canonical order, so a list's first entry is the lazy
+    search's first hit and ``_first`` reads it when no first hit is kept.
+    So span_compose forms each head once per (v1, g1, v2) and only reads
+    the composite with g2 per span pair.  It lives only as long as that
+    call."""
 
     def __init__(self, inp: FractionsInput) -> None:
         super().__init__(inp.category, inp.weq)
@@ -146,11 +159,11 @@ class _SharedFillers(FractionsInput):
         self._firsts[search].update(firsts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AxiomFinding:
     axiom: int
     ok: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: Mapping = field(default_factory=dict)
     counterexample: Optional[tuple] = None
 
     def __str__(self) -> str:
@@ -159,9 +172,9 @@ class AxiomFinding:
         return f"axiom ({self.axiom}): FAIL at {self.counterexample!r}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AxiomReport:
-    findings: list
+    findings: tuple
 
     @property
     def ok(self) -> bool:
@@ -289,26 +302,29 @@ def _decide(inp: FractionsInput, axiom: int, cases: list, search) -> AxiomFindin
     then reads them on a shared input.  The cases are searched here and not
     through ``_first``: a call per case would cost the decision more than
     keeping its witnesses saves the composition loop."""
-    finding = AxiomFinding(axiom=axiom, ok=True)
+    witnesses, counterexample = {}, None
     for key, shown in cases:
         found = next(search(inp, *key), None)
         if found is not None:
-            finding.witnesses[key] = found
-        elif finding.ok:
-            finding.ok = False
-            finding.counterexample = shown
-    inp._keep_firsts(search, finding.witnesses)
-    return finding
+            witnesses[key] = found
+        elif counterexample is None:
+            counterexample = shown
+    inp._keep_firsts(search, witnesses)
+    return AxiomFinding(axiom, counterexample is None, MappingProxyType(witnesses), counterexample)
 
 
 def check_axioms(inp: FractionsInput) -> AxiomReport:
     """Decide the four weakened right-fractions axioms with witnesses; a
-    composite outside hom(s(f), t(g)) raises InputError before any search."""
+    composite outside hom(s(f), t(g)) raises InputError before any search.
+    The report is fresh on every call and read-only: its findings are a
+    tuple and each finding's witnesses a read-only mapping.  The table is
+    walked once per input."""
     inp.check()
     C = inp.category
-    problem = next(misplaced_composites(C), None)
-    if problem is not None:
-        raise InputError(problem)
+    if inp._misplaced is None:
+        inp._misplaced = next(misplaced_composites(C), "")
+    if inp._misplaced:
+        raise InputError(inp._misplaced)
     objects = [((x,), (x,)) for x in C.objects]
     marked_pairs = [
         ((v, vp), (v, vp)) for v in inp.weq for vp in inp._w_out.get(C.tgt[v], ())
@@ -324,12 +340,22 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
                 if comp[(f, v)] == comp[(g, v)]:
                     coequalized.append(((f, g), (f, g, v)))
                     break
-    return AxiomReport(findings=[
+    return AxiomReport(findings=(
         _decide(inp, 1, objects, _sections),
         _decide(inp, 2, marked_pairs, _weak_fillers),
         _decide(inp, 3, cospans, _ore_fillers),
         _decide(inp, 4, coequalized, _zippers),
-    ])
+    ))
+
+
+def axiom_verdict(inp: FractionsInput) -> AxiomReport:
+    """``check_axioms``'s report on inp, computed on the first call and kept
+    on inp; the report is read-only, so no reader can change what a later
+    call reads.  An InputError raises on every call, as ``check_axioms``
+    raises it, and is never kept."""
+    if inp._axioms is None:
+        inp._axioms = check_axioms(inp)
+    return inp._axioms
 
 
 @dataclass(eq=True)
@@ -433,7 +459,8 @@ def span_compose(
 def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCategory:
     """Quotient the spans and install composition on representatives.
 
-    Refuses with the axiom report when any axiom fails.  Also re-derives
+    Refuses with the axiom report, read from the kept verdict
+    (``axiom_verdict``), when any axiom fails.  Also re-derives
     its own choices: (a) identity classes are independent of the chosen
     section, and (b) composites are independent of fillers and
     representatives, when the span count is within exhaustive_limit.  (b)
@@ -453,14 +480,18 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     the CLI runs it first).  On a table that breaks them the result
     localizes nothing meaningful.
     """
-    # the axioms are decided on the input the composition loop reads, so
-    # the loop's first fillers are the decision's witnesses
-    shared = _SharedFillers(inp)
-    axioms = check_axioms(shared)
+    axioms = axiom_verdict(inp)
     if not axioms.ok:
         raise AxiomError(
             "fractions axioms fail:\n" + str(axioms), report=axioms
         )
+    # the input the composition loop reads keeps the verdict's witnesses,
+    # so the loop's first fillers are the decision's; each is copied to a
+    # dict first, which a dict updates from ten times faster than from a
+    # read-only mapping
+    shared = _SharedFillers(inp)
+    for search, finding in zip((_sections, _weak_fillers, _ore_fillers, _zippers), axioms.findings):
+        shared._keep_firsts(search, finding.witnesses.copy())
     C = inp.category
     spans, ordered = _span_partition(inp)
 

@@ -863,13 +863,18 @@ def test_localize_takes_the_library_default_limit(monkeypatch, capsys, flags, pa
     assert seen == [passed]
 
 
+def _module_env() -> dict:
+    """The environment that runs ``python -m catfrac`` on this checkout."""
+    src = Path(catfrac.cli.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+
+
 def test_entry_point_runs_as_a_module(tmp_path):
     # the real entry point, in a fresh interpreter: a name that is not a
     # string ends in a message naming its path, not a traceback
-    src = Path(catfrac.cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
-    ))
+    env = _module_env()
 
     def validate(path):
         return subprocess.run(
@@ -979,3 +984,54 @@ def test_positional_mismatch_names_each_difference():
         ["*"], [(f, "*", "*") for f in reversed(z2.arrows)], {"*": "id:*"}, {("s", "s"): "id:*"}
     )
     assert _positional_mismatch(z2, swapped) == "identity at * differs between the two routes"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: ``write``, or only ``flush`` when
+    the output would fit the buffer, raises BrokenPipeError."""
+
+    def __init__(self, at: str) -> None:
+        self.at = at
+
+    def write(self, text: str) -> int:
+        if self.at == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self) -> None:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("at", ["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ["groth", "diagram_contra_3x3.json", "--json"],
+    ["localize", "two_all.json", "--json"],
+    ["axioms", "zipper.json"],
+], ids=["groth", "localize", "axioms"])
+def test_a_closed_stdout_ends_quietly(monkeypatch, capsys, argv, at):
+    # ``catfrac ... | head`` closes the pipe before the output is written:
+    # exit 2, nothing on stderr, and the rest of the output goes nowhere
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(at))
+    code = main([argv[0], str(FIX / argv[1]), *argv[2:]])
+    rest = sys.stdout
+    try:
+        assert code == 2 and rest.name == os.devnull
+        print("more output", file=rest, flush=True)
+    finally:
+        rest.close()
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_ends_the_entry_point_quietly():
+    # the real entry point writing into a pipe whose reader is closed
+    # before it starts: no traceback, not even from the flush at exit
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "catfrac", "groth", str(FIX / "diagram_contra_3x3.json"), "--json"],
+            stdout=writer, stderr=subprocess.PIPE, text=True, env=_module_env(), timeout=60,
+        )
+    finally:
+        os.close(writer)
+    assert (done.returncode, done.stderr) == (2, "")

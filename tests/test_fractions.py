@@ -78,12 +78,14 @@ def test_input_check_rejects_bad_marks():
 )
 def test_bad_marks_are_reported_by_check_not_by_construction(weq, message):
     # the endpoint index keys an unknown arrow under None, so only check
-    # speaks, with the same words as before the index existed
+    # speaks, with the same words as before the index existed; the refusal
+    # is raised again on every call and no axiom verdict is kept
     inp = FractionsInput(corpus.two(), weq)
-    for call in (inp.check, lambda: check_axioms(inp), lambda: localize(inp)):
+    for call in (inp.check, lambda: check_axioms(inp), lambda: localize(inp), lambda: localize(inp)):
         with pytest.raises(InputError) as exc:
             call()
         assert str(exc.value) == message
+    assert inp._axioms is None
 
 
 @pytest.mark.parametrize("name,inp", corpus.fractions_corpus())
@@ -290,6 +292,59 @@ def test_localize_refuses_on_failed_axioms():
     assert exc.value.report is not None
 
 
+def test_a_refusal_report_is_read_only():
+    # the report an AxiomError carries is the verdict the input keeps, so
+    # no write through it reaches what a later call reads
+    inp = FractionsInput(corpus.two(), ("f",))
+    with pytest.raises(AxiomError) as exc:
+        localize(inp)
+    report = exc.value.report
+    with pytest.raises(TypeError):
+        report.findings[0] = report.findings[1]
+    with pytest.raises(TypeError):
+        report.finding(2).witnesses[("f", "f")] = "id:a"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.finding(1).ok = True
+    with pytest.raises(AxiomError) as again:
+        localize(inp)
+    assert again.value.report is report and str(report) == str(check_axioms(inp))
+
+
+def localized_text(LC) -> str:
+    """Every name of a localization in its canonical order."""
+    C = LC.carrier
+    return repr((C.objects, C.arrows, C.identity, C.composition, LC.class_reps, LC.q, LC.L.on_arrows))
+
+
+def outcomes_in_each_order(inp: FractionsInput) -> list:
+    """What localize gives on fresh copies of inp: called first, after
+    check_axioms, and twice; a refusal is its message."""
+
+    def outcome(inp):
+        try:
+            return localized_text(localize(inp))
+        except AxiomError as exc:
+            return str(exc)
+
+    first, after, twice = (FractionsInput(inp.category, inp.weq) for _ in range(3))
+    check_axioms(after)
+    return [outcome(first), outcome(after), outcome(twice), outcome(twice)]
+
+
+@pytest.mark.parametrize(
+    "name,inp",
+    corpus.fractions_corpus() + [(name, inp) for name, inp, _ in corpus.failing_fractions()],
+)
+def test_a_kept_verdict_localizes_as_a_fresh_one(name, inp):
+    assert len(set(outcomes_in_each_order(inp))) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(marked())
+def test_a_kept_verdict_localizes_as_a_fresh_one_on_generated(inp):
+    assert len(set(outcomes_in_each_order(inp))) == 1
+
+
 def test_localize_catches_a_move_that_changes_endpoints(monkeypatch):
     # ia;f is tabled as ia, so the move (ia, f, g) -> (ia, ia;g) turns a
     # span from b into a span from a; only the axiom check is bypassed
@@ -391,11 +446,16 @@ def test_check_axioms_refuses_a_composite_outside_its_hom():
         {"x": "id:x", "y": "id:y", "z": "id:z"},
         {("f", "g"): "id:z"},
     )
-    with pytest.raises(InputError) as exc:
-        check_axioms(FractionsInput(C, corpus.identities_of(C)))
-    assert str(exc.value) == (
-        "composite ('f','g')='id:z' lands in hom('z','z'), expected hom('x','z')"
-    )
+    inp = FractionsInput(C, corpus.identities_of(C))
+    # the walk is kept, its refusal raised again on every call and the
+    # axiom verdict never kept
+    for call in (check_axioms, localize, localize):
+        with pytest.raises(InputError) as exc:
+            call(inp)
+        assert str(exc.value) == (
+            "composite ('f','g')='id:z' lands in hom('z','z'), expected hom('x','z')"
+        )
+    assert inp._axioms is None
 
 
 def test_inverts_refuses_a_functor_off_another_category():

@@ -2,6 +2,7 @@
 below is malformed in one way, and the check written for that fault fires
 with its exact message, raised or, for a validator's law, reported."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from catfrac import (
     InternalNatTrans,
     Modification,
     NatTrans,
+    canonical_cocone,
     check_shape,
     coequalize_reflexive,
     coequalizer_mediate,
@@ -26,6 +28,7 @@ from catfrac import (
     compose_maps,
     coproduct,
     coproduct_mediate,
+    derive_unit_compositors,
     enumerate_functors,
     enumerate_modifications,
     enumerate_nat_trans,
@@ -313,6 +316,15 @@ def _strictify_two(on_objects, on_arrows):
     strictify(corpus.two(), {a: pt for a in on_objects}, {f: identity_functor(pt) for f in on_arrows})
 
 
+def _derive_over_two(on_arrows):
+    """Compositors over the walking arrow with the given functor entries;
+    each value category is the point, with its identity unitors."""
+    unit = identity_nat_trans(identity_functor(corpus.one()))
+    derive_unit_compositors(
+        corpus.two(), "covariant", {f: unit.src for f in on_arrows}, {"a": unit, "b": unit}, {}
+    )
+
+
 def _transformations_out_of_a_unit_incoherent_diagram():
     # Z/2 at both ends of the walking arrow, strict except that the
     # compositor at (id:a, f) is the generator s, which breaks the left unit
@@ -344,10 +356,23 @@ def _cov_without_compositor_component():
     return D
 
 
+def _lawful_twin(D):
+    """The diagram D was made from by leaving something out."""
+    return corpus.diag_contra_two() if D.variance == "contravariant" else corpus.diag_cov_two()
+
+
+def _cocone_of(D):
+    """The canonical cocone of D's lawful twin, read as a transformation out of D."""
+    twin = _lawful_twin(D)
+    return dataclasses.replace(canonical_cocone(twin, grothendieck(twin)), source=D)
+
+
 # every construction that reads a diagram refuses a partial one through the
 # diagram's law verdict, with the validator's message; the ambient elements
 # and the pseudocolimit verifier refuse a covariant diagram first
 READERS = {
+    "cocone": lambda D: canonical_cocone(D, grothendieck(_lawful_twin(D))),
+    "validate_transformation": lambda D: validate_transformation(_cocone_of(D)),
     "grothendieck": grothendieck,
     "internal_elements": internal_elements,
     "oplax": lambda D: verify_oplax_colimit(D, corpus.two()),
@@ -360,7 +385,9 @@ PARTIAL_DIAGRAMS = [
     ("compositor", _contra_without_compositor, READERS,
      "no compositor for composable pair ('id:a', 'id:a')"),
     ("compositor_component", _cov_without_compositor_component,
-     {k: READERS[k] for k in ("grothendieck", "oplax", "transformations")},
+     {k: READERS[k] for k in (
+         "cocone", "validate_transformation", "grothendieck", "oplax", "transformations"
+     )},
      "compositor at ('id:a', 'f'): missing component at 'a'"),
 ]
 PARTIAL_ROWS = [
@@ -386,6 +413,8 @@ PARTIAL_IDS = [
          "no functor assigned to index arrow 'f'"),
         (lambda: _strictify_two("a", ["id:a", "id:b", "f"]), InputError,
          "no category assigned to index object 'b'"),
+        (lambda: _derive_over_two(["id:a", "id:b"]), InputError,
+         "no functor assigned to index arrow 'f'"),
         (_modifications_not_composable, DomainError,
          "modifications are not vertically composable"),
         (_cells_not_composable, DomainError, "natural transformations not composable"),
@@ -434,7 +463,7 @@ PARTIAL_IDS = [
     ] + PARTIAL_ROWS,
     ids=[
         "strictify_variance", "strictify_identity", "strictify_no_functor",
-        "strictify_no_category", "modifications_not_composable",
+        "strictify_no_category", "derive_no_functor", "modifications_not_composable",
         "cells_not_composable", "nat_trans_unparallel", "unitor_not_invertible",
         "compositor_not_invertible", "compositor_off_its_host", "transformation_kind",
         "transformation_unit_coherence", "modifications_unparallel",

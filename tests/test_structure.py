@@ -187,21 +187,75 @@ def test_no_attribute_is_attached_after_construction():
 def test_marked_category_gains_no_attribute():
     # the endpoint index of W is built at construction, stays out of the
     # fields (so out of __eq__ and repr) and is only read afterwards; the
-    # shared input of a localize call reads that same index and keeps what
-    # it finds on itself, so nothing outlives the call, on the input or in
-    # the module
+    # two verdicts an input keeps, its table walk and its axiom report, sit
+    # in slots set during __init__ and are the only attributes whose values
+    # change; the shared input of a localize call keeps what it finds on
+    # itself, so nothing else outlives the call, on the input or in the
+    # module
     assert [f.name for f in dataclasses.fields(FractionsInput)] == ["category", "weq"]
+    kept = {"_misplaced", "_axioms"}
     chain = corpus.chain(6)
     module = dict(vars(catfrac.fractions))
     for _, inp in corpus.fractions_corpus() + [("chain(6)/all", FractionsInput(chain, chain.arrows))]:
         before = dict(vars(inp))
         contents = copy.deepcopy(before)
+        assert kept <= before.keys() and all(before[k] is None for k in kept)
         check_axioms(inp)
         localize(inp)
         assert vars(inp).keys() == before.keys()
-        assert all(vars(inp)[k] is v for k, v in before.items())
-        assert vars(inp) == contents
+        assert [k for k, v in before.items() if vars(inp)[k] is not v] == [
+            k for k in before if k in kept
+        ]
+        assert {k: v for k, v in vars(inp).items() if k not in kept} == {
+            k: v for k, v in contents.items() if k not in kept
+        }
+        fresh = check_axioms(inp)
+        assert inp._misplaced == "" and str(inp._axioms) == str(fresh)
+        assert [dict(f.witnesses) for f in inp._axioms.findings] == [
+            f.witnesses for f in fresh.findings
+        ]
     assert vars(catfrac.fractions) == module
+
+
+# the decisions an input's axioms take: the table walk and one search per axiom
+AXIOM_WORK = ("misplaced_composites", "_decide")
+
+
+def _axiom_work(monkeypatch, run) -> Counter:
+    """Run ``run`` with the axiom decision's parts wrapped and count each."""
+    done = Counter()
+    for name in AXIOM_WORK:
+        original = getattr(catfrac.fractions, name)
+
+        def recorded(*args, name=name, original=original):
+            done[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(catfrac.fractions, name, recorded)
+    run()
+    return done
+
+
+def test_an_input_decides_its_axioms_once(monkeypatch):
+    # the public check walks the table and decides the four axioms; the
+    # first localize decides them once more, for the verdict it keeps, on
+    # the walk the input kept; the second reads that verdict
+    C = corpus.chain(4)
+    inp = FractionsInput(C, C.arrows)
+    work = _axiom_work(monkeypatch, lambda: (check_axioms(inp), localize(inp), localize(inp)))
+    assert work == Counter({"misplaced_composites": 1, "_decide": 8})
+
+
+def test_axiom_work_count_fires(monkeypatch):
+    # the same calls on copies, which keep nothing: each walks and decides
+    C = corpus.chain(4)
+
+    def on_copies():
+        check_axioms(FractionsInput(C, C.arrows))
+        localize(FractionsInput(C, C.arrows))
+        localize(FractionsInput(C, C.arrows))
+
+    assert _axiom_work(monkeypatch, on_copies) == Counter({"misplaced_composites": 3, "_decide": 12})
 
 
 def test_records_keep_no_field_another_field_gives():

@@ -73,10 +73,10 @@ class FractionsInput:
     marked arrow that is not in the category is keyed None; ``check`` says
     so before any search reads the index.
 
-    An input is not changed after it is built: once they are decided, it
-    keeps the first misplaced composite of its table (``_misplaced``, "" for
-    none) and its axiom report (``_axioms``, see ``axiom_verdict``), in
-    slots outside the fields, so ``__eq__`` and ``repr`` ignore them.
+    An input is not changed after it is built: it keeps the report of the
+    first ``check_axioms`` call that completes on it (``_axioms``, see
+    ``axiom_verdict``), in a slot outside the fields, so ``__eq__`` and
+    ``repr`` ignore it.
     """
 
     category: FinCategory
@@ -93,7 +93,6 @@ class FractionsInput:
         self._w_into = {y: tuple(vs) for y, vs in ins.items()}
         # set during __init__, as Pseudofunctor's verdict is: an attribute
         # added later slows every attribute read on the instance
-        self._misplaced = None
         self._axioms = None
 
     def check(self) -> None:
@@ -317,14 +316,13 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
     """Decide the four weakened right-fractions axioms with witnesses; a
     composite outside hom(s(f), t(g)) raises InputError before any search.
     The report is fresh on every call and read-only: its findings are a
-    tuple and each finding's witnesses a read-only mapping.  The table is
-    walked once per input."""
+    tuple and each finding's witnesses a read-only mapping.  The first
+    report on inp is kept as its verdict (``axiom_verdict``)."""
     inp.check()
     C = inp.category
-    if inp._misplaced is None:
-        inp._misplaced = next(misplaced_composites(C), "")
-    if inp._misplaced:
-        raise InputError(inp._misplaced)
+    problem = next(misplaced_composites(C), None)
+    if problem is not None:
+        raise InputError(problem)
     objects = [((x,), (x,)) for x in C.objects]
     marked_pairs = [
         ((v, vp), (v, vp)) for v in inp.weq for vp in inp._w_out.get(C.tgt[v], ())
@@ -340,22 +338,23 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
                 if comp[(f, v)] == comp[(g, v)]:
                     coequalized.append(((f, g), (f, g, v)))
                     break
-    return AxiomReport(findings=(
+    report = AxiomReport(findings=(
         _decide(inp, 1, objects, _sections),
         _decide(inp, 2, marked_pairs, _weak_fillers),
         _decide(inp, 3, cospans, _ore_fillers),
         _decide(inp, 4, coequalized, _zippers),
     ))
+    if inp._axioms is None:
+        inp._axioms = report
+    return report
 
 
 def axiom_verdict(inp: FractionsInput) -> AxiomReport:
-    """``check_axioms``'s report on inp, computed on the first call and kept
-    on inp; the report is read-only, so no reader can change what a later
-    call reads.  An InputError raises on every call, as ``check_axioms``
+    """The report the first ``check_axioms`` call on inp kept, making that
+    call when none is kept yet; the report is read-only, so no reader can
+    change what a later call reads.  An InputError raises on every call, as ``check_axioms``
     raises it, and is never kept."""
-    if inp._axioms is None:
-        inp._axioms = check_axioms(inp)
-    return inp._axioms
+    return inp._axioms if inp._axioms is not None else check_axioms(inp)
 
 
 @dataclass(eq=True)

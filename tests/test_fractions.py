@@ -447,8 +447,8 @@ def test_check_axioms_refuses_a_composite_outside_its_hom():
         {("f", "g"): "id:z"},
     )
     inp = FractionsInput(C, corpus.identities_of(C))
-    # the walk is kept, its refusal raised again on every call and the
-    # axiom verdict never kept
+    # the refusal is raised again on every call and the axiom verdict is
+    # never kept
     for call in (check_axioms, localize, localize):
         with pytest.raises(InputError) as exc:
             call(inp)

@@ -325,14 +325,31 @@ def _derive_over_two(on_arrows):
     )
 
 
-def _transformations_out_of_a_unit_incoherent_diagram():
-    # Z/2 at both ends of the walking arrow, strict except that the
-    # compositor at (id:a, f) is the generator s, which breaks the left unit
-    # law at f; the search skips the identity-leg pairs on that law
+def _strict_z2_over_two():
+    """Z/2 at both ends of the walking arrow, every functor the identity."""
     Z, idx = corpus.z2(), corpus.two()
-    D = strictify(idx, {"a": Z, "b": Z}, {f: identity_functor(Z) for f in idx.arrows})
+    return strictify(idx, {"a": Z, "b": Z}, {f: identity_functor(Z) for f in idx.arrows})
+
+
+def _unit_incoherent():
+    # complete, and strict except that the compositor at (id:a, f) is the
+    # generator s, which breaks the left unit law at f
+    D = _strict_z2_over_two()
     D.compositor("id:a", "f").components["*"] = "s"
-    enumerate_transformations(D, corpus.two())
+    return D
+
+
+def _transformations_out_of_a_unit_incoherent_diagram():
+    # the search skips the identity-leg pairs on that law
+    enumerate_transformations(_unit_incoherent(), corpus.two())
+
+
+def _validate_a_cocone_out_of_a_unit_incoherent_diagram():
+    # the canonical cocone of the strict diagram, read as a transformation
+    # out of the incoherent one: its source is refused, not reported on
+    strict = _strict_z2_over_two()
+    cocone = canonical_cocone(strict, grothendieck(strict))
+    validate_transformation(dataclasses.replace(cocone, source=_unit_incoherent()))
 
 
 NO_IDENTITY = FinCategory(("x",), (), {}, {}, {}, {})
@@ -429,6 +446,8 @@ PARTIAL_IDS = [
          InputError, "unknown transformation kind 'strong'"),
         (_transformations_out_of_a_unit_incoherent_diagram, InputError,
          "left unit coherence fails at ('f', '*')"),
+        (_validate_a_cocone_out_of_a_unit_incoherent_diagram, InputError,
+         "left unit coherence fails at ('f', '*')"),
         (lambda: enumerate_modifications(_transformation(), _transformation(X=corpus.iso())),
          DomainError, "modification endpoints are not parallel"),
         (lambda: _pseudofunctor(lambda D: setattr(D, "variance", "sideways")), InputError,
@@ -466,7 +485,8 @@ PARTIAL_IDS = [
         "strictify_no_category", "derive_no_functor", "modifications_not_composable",
         "cells_not_composable", "nat_trans_unparallel", "unitor_not_invertible",
         "compositor_not_invertible", "compositor_off_its_host", "transformation_kind",
-        "transformation_unit_coherence", "modifications_unparallel",
+        "transformation_unit_coherence", "validate_transformation_unit_coherence",
+        "modifications_unparallel",
         "diagram_variance", "index_structure", "no_category", "no_unitor",
         "no_functor", "no_compositor", "value_category_structure", "no_component",
         "no_two_cell", "component_structure", "two_cell_structure", "no_modification_component",

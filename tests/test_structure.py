@@ -187,13 +187,13 @@ def test_no_attribute_is_attached_after_construction():
 def test_marked_category_gains_no_attribute():
     # the endpoint index of W is built at construction, stays out of the
     # fields (so out of __eq__ and repr) and is only read afterwards; the
-    # two verdicts an input keeps, its table walk and its axiom report, sit
-    # in slots set during __init__ and are the only attributes whose values
-    # change; the shared input of a localize call keeps what it finds on
+    # verdict an input keeps, its first axiom report, sits in a slot set
+    # during __init__ and is the only attribute whose value changes; the
+    # shared input of a localize call keeps what it finds on
     # itself, so nothing else outlives the call, on the input or in the
     # module
     assert [f.name for f in dataclasses.fields(FractionsInput)] == ["category", "weq"]
-    kept = {"_misplaced", "_axioms"}
+    kept = {"_axioms"}
     chain = corpus.chain(6)
     module = dict(vars(catfrac.fractions))
     for _, inp in corpus.fractions_corpus() + [("chain(6)/all", FractionsInput(chain, chain.arrows))]:
@@ -210,7 +210,7 @@ def test_marked_category_gains_no_attribute():
             k: v for k, v in contents.items() if k not in kept
         }
         fresh = check_axioms(inp)
-        assert inp._misplaced == "" and str(inp._axioms) == str(fresh)
+        assert str(inp._axioms) == str(fresh)
         assert [dict(f.witnesses) for f in inp._axioms.findings] == [
             f.witnesses for f in fresh.findings
         ]
@@ -237,13 +237,12 @@ def _axiom_work(monkeypatch, run) -> Counter:
 
 
 def test_an_input_decides_its_axioms_once(monkeypatch):
-    # the public check walks the table and decides the four axioms; the
-    # first localize decides them once more, for the verdict it keeps, on
-    # the walk the input kept; the second reads that verdict
+    # the public check walks the table, decides the four axioms and keeps
+    # its report; both localize calls read that verdict
     C = corpus.chain(4)
     inp = FractionsInput(C, C.arrows)
     work = _axiom_work(monkeypatch, lambda: (check_axioms(inp), localize(inp), localize(inp)))
-    assert work == Counter({"misplaced_composites": 1, "_decide": 8})
+    assert work == Counter({"misplaced_composites": 1, "_decide": 4})
 
 
 def test_axiom_work_count_fires(monkeypatch):

@@ -19,8 +19,13 @@ the pairs comparison included, is filled by one routine, ``_factor``: it
 names each element at which the map would give its class a second value
 (for a coproduct, where two injections overlap and the legs disagree) and
 leaves each class that no element reaches empty, and each caller refuses
-either in its own words.  Pullback elements are looked up by their
-coordinates through one helper, ``_positions``.
+either in its own words.  A pullback element is found by its coordinates
+with no table of pairs: ``pullback`` lists the fibres block after block, so
+(x, y) sits at its block's start plus y's rank within its fibre, and one
+helper, ``_pair_index``, reads both off the projections.  A lookup whose
+pair the caller has not shown to be an element checks the coordinates at
+that position (``_find``); ``pullback_mediate`` scans fibres instead, since
+it counts factorizations through projections that need not be lexicographic.
 
 Canonical orders everywhere: pullback elements are lexicographic pairs,
 coproducts concatenate blocks in input order, quotients list classes by
@@ -56,6 +61,7 @@ span machinery reads ambient tables.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -183,11 +189,6 @@ def _factor(q_table: Sequence[int], h_table: Sequence, size: int) -> tuple[list,
     return table, splits
 
 
-def _positions(p0: FinSetMap, p1: FinSetMap) -> dict:
-    """Each element of a pullback, keyed by its pair of coordinates."""
-    return dict(zip(zip(p0.table, p1.table), range(p0.dom.size)))
-
-
 def pullback(f: FinSetMap, g: FinSetMap) -> tuple[FinSetObject, FinSetMap, FinSetMap]:
     """Pairs (x, y) with f(x) = g(y), in lexicographic order."""
     if f.cod != g.cod:
@@ -210,6 +211,27 @@ def pullback(f: FinSetMap, g: FinSetMap) -> tuple[FinSetObject, FinSetMap, FinSe
     fields = p1.__dict__
     fields["dom"], fields["cod"], fields["table"] = P, g.dom, tuple(t1)
     return P, p0, p1
+
+
+def _pair_index(p0: FinSetMap, p1: FinSetMap) -> tuple[list[int], list[int]]:
+    """Where the pairs of a pullback sit, read off its projections.
+
+    ``pullback`` lists x's fibre g⁻¹(f(x)) as one block, block after block,
+    so (x, y) is element start[x] + rank[y]: start[x] is where x's block
+    begins, rank[y] is y's index within its fibre (0 for a y in no block)."""
+    t0 = p0.table
+    start = [bisect_left(t0, x) for x in range(p0.cod.size)]
+    rank = [0] * p1.cod.size
+    for k, x, y in zip(range(len(t0)), t0, p1.table):
+        rank[y] = k - start[x]
+    return start, rank
+
+
+def _find(p0: FinSetMap, p1: FinSetMap, index: tuple, x: int, y: int):
+    """The element (x, y) of the pullback with these projections and index,
+    or None if (x, y) is not one of its elements."""
+    k = index[0][x] + index[1][y]
+    return k if 0 <= k < len(p0.table) and p0.table[k] == x and p1.table[k] == y else None
 
 
 def pullback_mediate(
@@ -401,11 +423,6 @@ class InternalCategory:
         return self._pairs
 
 
-def _pair_positions(IC: InternalCategory) -> dict:
-    _, p0, p1 = IC.composable_pairs()
-    return _positions(p0, p1)
-
-
 def validate_internal_category(IC: InternalCategory) -> ValidationReport:
     """All category laws as table equalities; malformed shapes raise."""
     if IC.s.dom != IC.c1 or IC.s.cod != IC.c0:
@@ -424,34 +441,42 @@ def validate_internal_category(IC: InternalCategory) -> ValidationReport:
     if compose_maps(IC.e, IC.t).table != tuple(range(IC.c0.size)):
         report.add("identities do not section the target map")
 
-    for k in range(P.size):
-        i, j = p0.table[k], p1.table[k]
-        comp = IC.c.table[k]
-        if IC.s.table[comp] != IC.s.table[i]:
+    s, t, e, c = IC.s.table, IC.t.table, IC.e.table, IC.c.table
+    t0, t1, n = p0.table, p1.table, P.size
+    for k, i, j, comp in zip(range(n), t0, t1, c):
+        if s[comp] != s[i]:
             report.add(f"composite of pair {k} breaks the source law")
-        if IC.t.table[comp] != IC.t.table[j]:
+        if t[comp] != t[j]:
             report.add(f"composite of pair {k} breaks the target law")
 
-    pairs = _positions(p0, p1)
+    index = _pair_index(p0, p1)
     for f in range(IC.c1.size):
-        left = pairs.get((IC.e.table[IC.s.table[f]], f))
-        if left is None or IC.c.table[left] != f:
+        left = _find(p0, p1, index, e[s[f]], f)
+        if left is None or c[left] != f:
             report.add(f"left identity law fails at arrow {f}")
-        right = pairs.get((f, IC.e.table[IC.t.table[f]]))
-        if right is None or IC.c.table[right] != f:
+        right = _find(p0, p1, index, f, e[t[f]])
+        if right is None or c[right] != f:
             report.add(f"right identity law fails at arrow {f}")
 
+    # (f, g) with g out of t(f) is composable, so it sits at start[f] +
+    # rank[g]; (fg, h) and (f, gh) are checked at their positions, inline
+    # for speed: a composite with broken endpoints was reported above and
+    # makes one of them non-composable
+    start, rank = index
     out_of = fibres(IC.s)
     for f in range(IC.c1.size):
-        for g in out_of[IC.t.table[f]]:
-            fg = IC.c.table[pairs[(f, g)]]
-            for h in out_of[IC.t.table[g]]:
-                gh = IC.c.table[pairs[(g, h)]]
-                # a composite with broken endpoints was reported above and
-                # makes one of these pairs non-composable
-                if (fg, h) not in pairs or (f, gh) not in pairs:
+        sf = start[f]
+        for g in out_of[t[f]]:
+            fg, sg = c[sf + rank[g]], start[g]
+            sfg = start[fg]
+            for h in out_of[t[g]]:
+                rh = rank[h]
+                gh = c[sg + rh]
+                left, right = sfg + rh, sf + rank[gh]
+                if not (0 <= left < n and t0[left] == fg and t1[left] == h
+                        and 0 <= right < n and t0[right] == f and t1[right] == gh):
                     continue
-                if IC.c.table[pairs[(fg, h)]] != IC.c.table[pairs[(f, gh)]]:
+                if c[left] != c[right]:
                     report.add(f"associativity fails at triple ({f},{g},{h})")
     return report
 
@@ -476,15 +501,16 @@ def validate_internal_functor(F: InternalFunctor) -> ValidationReport:
         report.add("target square does not commute")
     if compose_maps(F.dom.e, F.f1).table != compose_maps(F.f0, F.cod.e).table:
         report.add("identity square does not commute")
-    dpairs = _pair_positions(F.dom)
-    cpairs = _pair_positions(F.cod)
-    for (i, j), k in dpairs.items():
+    _, d0, d1 = F.dom.composable_pairs()
+    _, c0, c1 = F.cod.composable_pairs()
+    index = _pair_index(c0, c1)
+    for k, i, j in zip(range(len(d0.table)), d0.table, d1.table):
         lhs = F.f1.table[F.dom.c.table[k]]
-        key = (F.f1.table[i], F.f1.table[j])
-        if key not in cpairs:
+        image = _find(c0, c1, index, F.f1.table[i], F.f1.table[j])
+        if image is None:
             report.add(f"images of pair ({i},{j}) are not composable")
             continue
-        rhs = F.cod.c.table[cpairs[key]]
+        rhs = F.cod.c.table[image]
         if lhs != rhs:
             report.add(f"composition square fails at pair ({i},{j})")
     return report
@@ -508,15 +534,16 @@ def validate_internal_nat_trans(eta: InternalNatTrans) -> ValidationReport:
         report.add("components do not start at the source functor")
     if compose_maps(eta.component, F.cod.t).table != G.f0.table:
         report.add("components do not end at the target functor")
-    cpairs = _pair_positions(F.cod)
+    _, c0, c1 = F.cod.composable_pairs()
+    index = _pair_index(c0, c1)
     for f in range(F.dom.c1.size):
         x, y = F.dom.s.table[f], F.dom.t.table[f]
-        k1 = (F.f1.table[f], eta.component.table[y])
-        k2 = (eta.component.table[x], G.f1.table[f])
-        if k1 not in cpairs or k2 not in cpairs:
+        k1 = _find(c0, c1, index, F.f1.table[f], eta.component.table[y])
+        k2 = _find(c0, c1, index, eta.component.table[x], G.f1.table[f])
+        if k1 is None or k2 is None:
             report.add(f"naturality square at arrow {f} does not compose")
             continue
-        if F.cod.c.table[cpairs[k1]] != F.cod.c.table[cpairs[k2]]:
+        if F.cod.c.table[k1] != F.cod.c.table[k2]:
             report.add(f"naturality fails at arrow {f}")
     return report
 
@@ -701,7 +728,7 @@ def internal_cleavage(D, ID: InternalCategory) -> FinSetMap:
 class _SpanMachinery:
     pi_v: FinSetMap
     pi_g: FinSetMap
-    pair_pos: dict
+    span_index: tuple  # _pair_index of (pi_v, pi_g)
     sb_rows: list
     q: FinSetMap
     s_q: FinSetMap
@@ -721,26 +748,33 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
 
     ws = compose_maps(w, IC.s)
     spn, pi_v, pi_g = pullback(ws, IC.s)
-    pair_pos = _positions(pi_v, pi_g)
+    span_index = _pair_index(pi_v, pi_g)
 
+    # (h, v) and (h, g) below are composable by the choice of v and g, so
+    # each sits at its index position; the spans are found with their
+    # coordinates checked, since a lost span must be named
     w_pos = {arrow: k for k, arrow in enumerate(w.table)}
-    cpairs = _pair_positions(IC)
+    _, c0, c1 = IC.composable_pairs()
+    start, rank = _pair_index(c0, c1)
     marked_out_of, out_of = fibres(ws), fibres(IC.s)
+    t, c, wt = IC.t.table, IC.c.table, w.table
     sb_rows = []
     for h in range(IC.c1.size):
-        for k in marked_out_of[IC.t.table[h]]:
-            hv = IC.c.table[cpairs[(h, w.table[k])]]
+        sh = start[h]
+        for k in marked_out_of[t[h]]:
+            hv = c[sh + rank[wt[k]]]
             if hv not in w_pos:
                 continue
             for g in out_of[ws.table[k]]:
-                hg = IC.c.table[cpairs[(h, g)]]
-                try:
-                    sb_rows.append((pair_pos[(k, g)], pair_pos[(w_pos[hv], hg)]))
-                except KeyError as exc:
-                    kk, gg = exc.args[0]
+                hg = c[sh + rank[g]]
+                a0 = _find(pi_v, pi_g, span_index, k, g)
+                a1 = _find(pi_v, pi_g, span_index, w_pos[hv], hg)
+                if a0 is None or a1 is None:
+                    kk, gg = (k, g) if a0 is None else (w_pos[hv], hg)
                     raise IntegrityError(
-                        f"span (a{w.table[kk]}, a{gg}) is missing from the pullback of w;s along s"
-                    ) from None
+                        f"span (a{wt[kk]}, a{gg}) is missing from the pullback of w;s along s"
+                    )
+                sb_rows.append((a0, a1))
     SB = FinSetObject("sb", len(sb_rows))
     p0 = _built(SB, spn, tuple(r[0] for r in sb_rows))
     p1 = _built(SB, spn, tuple(r[1] for r in sb_rows))
@@ -752,13 +786,15 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
     t_spn = compose_maps(pi_g, IC.t)
     s_q = coequalizer_mediate(q, s_spn)
     t_q = coequalizer_mediate(q, t_spn)
-    SP, r0, r1 = pullback(t_spn, s_spn)
+    _, r0, r1 = pullback(t_spn, s_spn)
+    # the classes of a composable span pair are composable, as s_q and t_q
+    # factor the span endpoints
     P2, c0m, c1m = pullback(t_q, s_q)
-    class_pair_pos = _positions(c0m, c1m)
+    start, rank = _pair_index(c0m, c1m)
     return _SpanMachinery(
         pi_v=pi_v,
         pi_g=pi_g,
-        pair_pos=pair_pos,
+        span_index=span_index,
         sb_rows=sb_rows,
         q=q,
         s_q=s_q,
@@ -766,9 +802,7 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
         r0=r0,
         r1=r1,
         P2=P2,
-        pair_class=[
-            class_pair_pos[(q.table[r0.table[k]], q.table[r1.table[k]])] for k in range(SP.size)
-        ],
+        pair_class=[start[q.table[a]] + rank[q.table[b]] for a, b in zip(r0.table, r1.table)],
     )
 
 
@@ -802,7 +836,9 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
         if not into_x:
             raise IntegrityError("axioms passed but an object has no marked arrow into it")
         alpha.append(into_x[0])
-    e_table = tuple(M.q.table[M.pair_pos[(k, w.table[k])]] for k in alpha)
+    # (k, w(k)) is a span: both legs start at s(w(k))
+    start, rank = M.span_index
+    e_table = tuple(M.q.table[start[k] + rank[w.table[k]]] for k in alpha)
     e_q = _built(IC.c0, M.q.cod, e_table)
 
     spans = [(names[w.table[v]], names[g]) for v, g in zip(M.pi_v.table, M.pi_g.table)]
@@ -833,15 +869,17 @@ def verify_pairs_coequalizer(IC: InternalCategory, w: FinSetMap):
     M = _machinery(IC, w)
     report = VerifierReport(title="composable pairs: pullback vs coequalizer")
     r0, r1 = M.r0.table, M.r1.table
-    sp_pos = _positions(M.r0, M.r1)
+    start, rank = _pair_index(M.r0, M.r1)
 
     # each span pair k with a0 as its first (second) span moves to the pair
-    # with a1 in that place; the fibres of r0 and r1 list those k
+    # with a1 in that place; the fibres of r0 and r1 list those k.  A
+    # sailboat keeps a span's endpoints (s_q and t_q factor them), so the
+    # moved pair is composable and sits at its index position
     as_first, as_second = fibres(M.r0), fibres(M.r1)
     rows = []
     for a0, a1 in M.sb_rows:
-        rows += [(k, sp_pos[(a1, r1[k])]) for k in as_first[a0]]
-        rows += [(k, sp_pos[(r0[k], a1)]) for k in as_second[a0]]
+        rows += [(k, start[a1] + rank[r1[k]]) for k in as_first[a0]]
+        rows += [(k, start[r0[k]] + rank[a1]) for k in as_second[a0]]
     R = FinSetObject("sb2", len(rows))
     m0 = _built(R, M.r0.dom, tuple(r[0] for r in rows))
     m1 = _built(R, M.r0.dom, tuple(r[1] for r in rows))

@@ -448,9 +448,15 @@ def cmd_crosscheck(args) -> int:
 
     if args.shuffle:
         table = IE.c.table
+        rotated = table[1:] + table[:1]
+        if rotated == table:
+            # the control would compare an intact table and claim a failure
+            raise DomainError(
+                "the shuffled control cannot break this composition table: "
+                "rotating it leaves it unchanged"
+            )
         IE = InternalCategory(
-            IE.c0, IE.c1, IE.s, IE.t, IE.e,
-            FinSetMap(IE.c.dom, IE.c.cod, table[1:] + table[:1]),
+            IE.c0, IE.c1, IE.s, IE.t, IE.e, FinSetMap(IE.c.dom, IE.c.cod, rotated)
         )
         mismatch = _positional_mismatch(externalize(IE, validate=False), GD.carrier)
         print(f"elements (shuffled control): FAIL: {mismatch}")

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -331,6 +332,41 @@ def test_pullback_is_every_matching_pair_in_order(data):
     assert (p0.dom, p0.cod, p1.dom, p1.cod) == (P, f.dom, P, g.dom)
 
 
+@st.composite
+def cospans(draw):
+    """f : A -> B and g : C -> B, each set of at most five elements; a
+    point of B outside both images leaves an empty fibre."""
+    B = obj(draw(st.integers(min_value=0, max_value=5)), "B")
+
+    def into_B(label):
+        size = draw(st.integers(min_value=0, max_value=5 if B.size else 0))
+        return FinSetMap(obj(size, label), B, tuple(
+            draw(st.integers(min_value=0, max_value=B.size - 1)) for _ in range(size)
+        ))
+
+    return into_B("A"), into_B("C")
+
+
+@settings(max_examples=300, deadline=2000)
+@given(cospans())
+def test_pair_index_finds_every_pullback_element(cospan):
+    """Each (x, y) with f(x) = g(y) sits at start[x] + rank[y]; the guarded
+    lookup finds it there and misses every other pair."""
+    f, g = cospan
+    _, p0, p1 = pullback(f, g)
+    index = ambient._pair_index(p0, p1)
+    start, rank = index
+    for x in range(f.dom.size):
+        for y in range(g.dom.size):
+            found = ambient._find(p0, p1, index, x, y)
+            if f.table[x] == g.table[y]:
+                k = start[x] + rank[y]
+                assert (p0.table[k], p1.table[k]) == (x, y)
+                assert found == k
+            else:
+                assert found is None
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_quotients_are_the_generated_classes(data):
@@ -640,6 +676,43 @@ def test_every_table_perturbation_is_detected():
                 checked += 1
     expected = sum(f.dom.size * (f.cod.size - 1) for f in tables.values())
     assert checked == expected == 89
+
+
+PERTURBATIONS = Path(__file__).parent / "golden" / "internal_category_perturbations.json"
+
+
+def perturbation_verdicts() -> dict:
+    """validate_internal_category's problem list, or its InputError message,
+    for every single-entry change of s, t, e or c of four internalized
+    categories, keyed "category field position value"."""
+    verdicts = {}
+    for name in ("chain3", "iso", "twisted_iso", "square"):
+        base = internalize(getattr(corpus, name)())
+        for field in ("s", "t", "e", "c"):
+            fmap = getattr(base, field)
+            for pos in range(fmap.dom.size):
+                for new in range(fmap.cod.size):
+                    if new == fmap.table[pos]:
+                        continue
+                    table = fmap.table[:pos] + (new,) + fmap.table[pos + 1:]
+                    maps = {f: getattr(base, f) for f in ("s", "t", "e", "c")}
+                    maps[field] = FinSetMap(fmap.dom, fmap.cod, table)
+                    IC = InternalCategory(base.c0, base.c1, **maps)
+                    try:
+                        verdict = validate_internal_category(IC).problems
+                    except InputError as exc:
+                        verdict = {"error": str(exc)}
+                    verdicts[f"{name} {field} {pos} {new}"] = verdict
+    return verdicts
+
+
+def test_table_perturbations_match_golden():
+    """The identity-law and associativity lookups of the law check name the
+    same problems, in the same order, on every perturbed table."""
+    golden = json.loads(PERTURBATIONS.read_text(encoding="utf-8"))
+    verdicts = perturbation_verdicts()
+    assert len(verdicts) == 89 + 38 + 254 + 214
+    assert verdicts == golden
 
 
 def test_internal_functor_validation():

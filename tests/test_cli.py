@@ -230,6 +230,15 @@ def test_crosscheck_shuffle_control(capsys):
     assert "hom" in out and "mismatch" in out
 
 
+def test_crosscheck_shuffle_refuses_a_table_rotation_cannot_change(capsys):
+    # over the point with the point as its fibre there is one composable
+    # pair: the rotated table is the table, so the control would see no
+    # failure
+    code, out, _ = run(capsys, "crosscheck", FIX / "diagram_contra_point.json", "--shuffle")
+    assert (code, out) == (2, "error: the shuffled control cannot break this composition table: "
+                              "rotating it leaves it unchanged\n")
+
+
 def test_crosscheck_rejects_covariant(capsys):
     code, out, _ = run(capsys, "crosscheck", FIX / "diagram_swap.json")
     assert code == 2
@@ -271,6 +280,8 @@ def test_two_calls_build_the_parser_once(monkeypatch, capsys):
         (0, ("verify", FIX / "bundle_contra.json", "pseudocolim")),
         (0, ("crosscheck", FIX / "diagram_contra_3x3.json")),
         (1, ("crosscheck", FIX / "diagram_contra_two.json", "--shuffle")),
+        (2, ("crosscheck", FIX / "diagram_contra_point.json", "--shuffle")),
+        (0, ("crosscheck", FIX / "diagram_contra_point.json")),
         (2, ("crosscheck", FIX / "diagram_swap.json")),
     ],
     ids=lambda v: v if isinstance(v, int) else " ".join(getattr(a, "name", a) for a in v),

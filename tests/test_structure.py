@@ -11,7 +11,8 @@ and 2-cells are plain tuples, with no wrapper type around them; the
 pseudofunctor coherence laws are written once for both variances; every
 quotient is closed by the one partition routine in fincat, and every map off
 a quotient or a coproduct in the ambient is filled by one factorization
-routine; internal_localize
+routine, and a pullback element is found by one arithmetic index, not a dict
+of coordinate pairs; internal_localize
 is the one ambient function that enters the fractions layer; the CLI reads a
 file only to resolve a reference or a command's own path, and a bundle's
 diagram in one place; the CLI types each kind's fields in its KINDS entry
@@ -585,6 +586,60 @@ def test_factorization_routine_check_fires():
         "    comparison = QP.size * [None]\n"
     )
     assert _none_tables(copy) == ["ambient.py:4", "ambient.py:6"]
+
+
+def _coordinate_lookups(tree: ast.Module) -> list:
+    """Pullback elements found by a table of pairs, not by the index: a
+    ``_positions`` or ``_pair_positions`` helper, a dict built from a zip of
+    two maps' tables, and block starts (``bisect_left``) read outside the
+    one index builder."""
+    inside = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_pair_index"
+        for node in ast.walk(fn)
+    }
+
+    def zips_tables(node) -> bool:
+        return any(
+            isinstance(call, ast.Call) and getattr(call.func, "id", None) == "zip"
+            and sum(isinstance(a, ast.Attribute) and a.attr == "table" for a in call.args) >= 2
+            for call in ast.walk(node)
+        )
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in ("_positions", "_pair_positions"):
+            found.append(f"ambient.py:{node.lineno} {node.name}")
+        elif (isinstance(node, ast.DictComp) or isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "dict") and zips_tables(node):
+            found.append(f"ambient.py:{node.lineno} dict of table pairs")
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "bisect_left"
+              and id(node) not in inside):
+            found.append(f"ambient.py:{node.lineno} block starts")
+    return found
+
+
+def test_pullback_elements_are_found_by_the_index():
+    # (x, y) sits at start[x] + rank[y]; no dict keyed by coordinate pairs
+    assert _coordinate_lookups(MODULES["ambient"]) == []
+    assert "bisect_left" in inspect.getsource(catfrac.ambient._pair_index)
+
+
+def test_coordinate_lookup_check_fires():
+    copy = ast.parse(
+        "def _pair_index(p0, p1):\n"
+        "    start = [bisect_left(p0.table, x) for x in range(n)]\n"
+        "def _positions(p0, p1):\n"
+        "    return dict(zip(zip(p0.table, p1.table), range(p0.dom.size)))\n"
+        "def _span_machinery(IC, w):\n"
+        "    pairs = {(x, y): k for k, (x, y) in enumerate(zip(pi_v.table, pi_g.table))}\n"
+        "    start = [bisect_left(pi_v.table, x) for x in range(n)]\n"
+    )
+    assert _coordinate_lookups(copy) == [
+        "ambient.py:3 _positions", "ambient.py:4 dict of table pairs",
+        "ambient.py:6 dict of table pairs", "ambient.py:7 block starts",
+    ]
 
 
 FRACTIONS_ENTRY = {"FractionsInput", "_SharedFillers", "check_axioms", "span_compose"}

@@ -70,8 +70,9 @@ class FractionsInput:
     Construction indexes W once: ``_wset`` holds the marked arrows,
     ``_w_out`` and ``_w_into`` list them by source and by target, each in W
     order.  The index stays out of the fields, ``__eq__`` and ``repr``.  A
-    marked arrow that is not in the category is keyed None; ``check`` says
-    so before any search reads the index.
+    marked arrow that is not in the category, or an entry that is no
+    string, is keyed None; ``check`` says so before any search reads the
+    index.
 
     An input is not changed after it is built: it keeps the report of the
     first ``check_axioms`` call that completes on it (``_axioms``, see
@@ -86,9 +87,11 @@ class FractionsInput:
         src, tgt = self.category.src, self.category.tgt
         outs, ins = {}, {}
         for v in self.weq:
-            outs.setdefault(src.get(v), []).append(v)
-            ins.setdefault(tgt.get(v), []).append(v)
-        self._wset = frozenset(self.weq)
+            # an entry that is no string may be unhashable; no arrow is one
+            key = v if isinstance(v, str) else None
+            outs.setdefault(src.get(key), []).append(v)
+            ins.setdefault(tgt.get(key), []).append(v)
+        self._wset = frozenset(v for v in self.weq if isinstance(v, str))
         self._w_out = {x: tuple(vs) for x, vs in outs.items()}
         self._w_into = {y: tuple(vs) for y, vs in ins.items()}
         # set during __init__, as Pseudofunctor's verdict is: an attribute
@@ -99,7 +102,7 @@ class FractionsInput:
         arrset = set(self.category.arrows)
         seen = set()
         for v in self.weq:
-            if v not in arrset:
+            if not isinstance(v, str) or v not in arrset:
                 raise InputError(f"marked arrow {v!r} is not in the category")
             if v in seen:
                 raise InputError(f"marked arrow {v!r} listed twice")
@@ -128,9 +131,8 @@ class _SharedFillers(FractionsInput):
     ``_first`` reads the kept witnesses.  Self-check (b) reads the complete
     lists, each in canonical order, so a list's first entry is the lazy
     search's first hit and ``_first`` reads it when no first hit is kept.
-    So span_compose forms each head once per (v1, g1, v2) and only reads
-    the composite with g2 per span pair.  It lives only as long as that
-    call."""
+    So each head is formed once per (v1, g1, v2), and each span pair only
+    reads its composite with g2.  It lives only as long as that call."""
 
     def __init__(self, inp: FractionsInput) -> None:
         super().__init__(inp.category, inp.weq)
@@ -413,11 +415,18 @@ def span_compose(
     the composite is a head (``_first_head``, or each of
     ``_composite_heads``) composed with g2: only that last step reads g2,
     so an input that keeps its fillers (``_SharedFillers``) forms each head
-    once per (v1, g1, v2) and shares it with every g2.
+    once per (v1, g1, v2) and shares it with every g2.  localize's class
+    loop reads those heads itself and calls this only to refuse a row that
+    has none; the ambient's ``internal_localize`` composes through it.
     """
     C = inp.category
-    v1, g1 = s1
-    v2, g2 = s2
+    s = s1
+    try:
+        v1, g1 = s
+        s = s2
+        v2, g2 = s
+    except (TypeError, ValueError):
+        raise InputError(f"a span is a pair (v, g), got {s!r}") from None
     try:
         composable = C.tgt[g1] == C.tgt[v2]
     except KeyError as exc:
@@ -428,10 +437,21 @@ def span_compose(
             f"{s2!r} starts at {C.tgt[v2]!r}"
         )
 
-    # listed before the reads below, so a head search's own KeyError is
-    # never taken for a failed read
-    heads = list(inp._fillers(_composite_heads if exhaustive else _first_head, v1, g1, v2))
-    if not heads:
+    # a head ends at s(v2), which is s(g2) when s2 is a span; the table
+    # holds only composable pairs, and compose names the pair that is not.
+    # A head search's own KeyError raises in the loop header, outside the
+    # try, so it is never taken for a failed read.
+    comp = C.composition
+    results = []
+    for a, b in inp._fillers(_composite_heads if exhaustive else _first_head, v1, g1, v2):
+        try:
+            composite = a, comp[(b, g2)]
+        except KeyError:
+            composite = a, compose(C, b, g2)
+        if not exhaustive:
+            return composite
+        results.append(composite)
+    if not results:
         if inp._first(_ore_fillers, g1, v2) is None:
             raise AxiomError(
                 f"no Ore filler for cospan ({g1!r}, {v2!r})",
@@ -441,18 +461,7 @@ def span_compose(
             f"no filler chain composes {s1!r} with {s2!r}",
             report=check_axioms(inp),
         )
-    # a head ends at s(v2), which is s(g2) when s2 is a span; the table
-    # holds only composable pairs, and compose names the pair that is not
-    comp = C.composition
-    results = []
-    for a, b in heads:
-        try:
-            results.append((a, comp[(b, g2)]))
-        except KeyError:
-            results.append((a, compose(C, b, g2)))
-    if exhaustive:
-        return results[0], frozenset(results)
-    return results[0]
+    return results[0], frozenset(results)
 
 
 def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCategory:
@@ -479,6 +488,11 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     the CLI runs it first).  On a table that breaks them the result
     localizes nothing meaningful.
     """
+    if (isinstance(exhaustive_limit, bool) or not isinstance(exhaustive_limit, int)
+            or exhaustive_limit < 0):
+        raise DomainError(
+            f"exhaustive_limit must be an integer of at least 0, got {exhaustive_limit!r}"
+        )
     axioms = axiom_verdict(inp)
     if not axioms.ok:
         raise AxiomError(
@@ -516,10 +530,26 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     reps_out: dict[str, list] = {}
     for n, (v, g) in class_reps.items():
         reps_out.setdefault(C.tgt[v], []).append((n, (v, g)))
+    # a row is the class pairs out of one n1; the first head of (v1, g1, v2)
+    # is read once per row and v2, and each pair composes it with g2 by one
+    # table read, as span_compose does; span_compose runs only for a row
+    # with no head, to raise its AxiomError
+    comp = C.composition
     composition = {}
     for n1, s1 in class_reps.items():
-        for n2, s2 in reps_out.get(C.tgt[s1[1]], ()):
-            composite = span_compose(shared, s1, s2)
+        v1, g1 = s1
+        row_heads = {}
+        for n2, s2 in reps_out.get(C.tgt[g1], ()):
+            v2, g2 = s2
+            head = row_heads.get(v2)
+            if head is None:
+                found = shared._fillers(_first_head, v1, g1, v2)
+                if not found:
+                    span_compose(shared, s1, s2)  # raises
+                head = row_heads[v2] = found[0]
+            a, b = head
+            # a head ends at s(v2) = s(g2), so (b, g2) is in the table
+            composite = (a, comp[(b, g2)])
             n = class_of_span.get(composite)
             if n is None:
                 raise IntegrityError(
@@ -552,7 +582,6 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     # (s1, v2), and the g2 within a row, come in the order of the full
     # product of span pairs, so the first failing pair is named
     if len(spans) <= exhaustive_limit:
-        comp = C.composition
         for s1 in spans:
             v1, g1 = s1
             n1 = class_of_span[s1]

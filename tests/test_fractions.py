@@ -74,6 +74,7 @@ def test_input_check_rejects_bad_marks():
         (("id:a", "nope", "id:b"), "marked arrow 'nope' is not in the category"),
         (("id:a", "f", "id:b", "f"), "marked arrow 'f' listed twice"),
         (("id:a", None, "id:b"), "marked arrow None is not in the category"),
+        (("id:a", ["f"], "id:b"), "marked arrow ['f'] is not in the category"),
     ],
 )
 def test_bad_marks_are_reported_by_check_not_by_construction(weq, message):
@@ -85,6 +86,17 @@ def test_bad_marks_are_reported_by_check_not_by_construction(weq, message):
         with pytest.raises(InputError) as exc:
             call()
         assert str(exc.value) == message
+    assert inp._axioms is None
+
+
+@pytest.mark.parametrize("kind", ["spn", "sb"])
+def test_shape_instances_refuse_an_unhashable_mark(kind):
+    # an entry that is no string is indexed under None, as an unknown arrow
+    inp = FractionsInput(corpus.two(), ("id:a", ["f"], "id:b"))
+    for _ in range(2):
+        with pytest.raises(InputError) as exc:
+            shape_instances(inp, kind)
+        assert str(exc.value) == "marked arrow ['f'] is not in the category"
     assert inp._axioms is None
 
 

@@ -14,6 +14,7 @@ from catfrac import (
     FinCategory,
     FinSetMap,
     FinSetObject,
+    FractionsInput,
     Functor,
     InternalCategory,
     InternalFunctor,
@@ -41,8 +42,10 @@ from catfrac import (
     internal_elements,
     internal_localize,
     internalize,
+    localize,
     pullback,
     pullback_mediate,
+    span_compose,
     strictify,
     validate_internal_category,
     validate_internal_functor,
@@ -105,6 +108,12 @@ def _borrowed(field, other):
     tables = dict(s=IC.s, t=IC.t, e=IC.e)
     tables[field] = tables[other]
     validate_internal_category(InternalCategory(IC.c0, IC.c1, c=IC.c, **tables))
+
+
+def _walking_arrow_all():
+    """The walking arrow with every arrow marked."""
+    C = corpus.two()
+    return FractionsInput(C, C.arrows)
 
 
 def _marks_into_the_objects():
@@ -188,6 +197,20 @@ def _internal_nat_trans(components, codomain="c1"):
         (lambda: _off_its_ends("arrows"), InputError, "arrow part has wrong endpoints"),
         (lambda: validate_internal_nat_trans(_internal_nat_trans((1, 1), "c0")), InputError,
          "component map has wrong endpoints"),
+        (lambda: localize(_walking_arrow_all(), exhaustive_limit="5"), DomainError,
+         "exhaustive_limit must be an integer of at least 0, got '5'"),
+        (lambda: localize(_walking_arrow_all(), exhaustive_limit=None), DomainError,
+         "exhaustive_limit must be an integer of at least 0, got None"),
+        (lambda: localize(_walking_arrow_all(), exhaustive_limit=True), DomainError,
+         "exhaustive_limit must be an integer of at least 0, got True"),
+        (lambda: localize(_walking_arrow_all(), exhaustive_limit=-1), DomainError,
+         "exhaustive_limit must be an integer of at least 0, got -1"),
+        (lambda: span_compose(_walking_arrow_all(), ("f",), ("id:b", "id:b")), InputError,
+         "a span is a pair (v, g), got ('f',)"),
+        (lambda: span_compose(_walking_arrow_all(), ("id:a", "f", "x"), ("id:b", "id:b")),
+         InputError, "a span is a pair (v, g), got ('id:a', 'f', 'x')"),
+        (lambda: span_compose(_walking_arrow_all(), ("id:a", "f"), None), InputError,
+         "a span is a pair (v, g), got None"),
     ],
     ids=[
         "negative_size", "unhashable_label", "map_domain", "map_codomain", "maps_not_composable", "cone_off_pullback", "legs_off_blocks",
@@ -195,7 +218,8 @@ def _internal_nat_trans(components, codomain="c1"):
         "quotient_not_onto", "source_endpoints", "target_endpoints", "identity_endpoints",
         "covariant_cleavage", "marks_off_arrows", "functors_not_composable",
         "transformation_unparallel", "shape_direction", "object_part_endpoints",
-        "arrow_part_endpoints", "component_map_endpoints",
+        "arrow_part_endpoints", "component_map_endpoints", "limit_str", "limit_none",
+        "limit_bool", "limit_negative", "span_one_entry", "span_three_entries", "span_none",
     ],
 )
 def test_library_refusal(run, error, message):

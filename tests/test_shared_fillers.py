@@ -82,10 +82,9 @@ def check_against_public(inp: FractionsInput) -> None:
     LC, composed, read = localize_spying(inp)
     fresh = FractionsInput(inp.category, inp.weq)
     K = LC.carrier
-    # span_compose runs only in the class loop, once per class pair
-    assert composed == [
-        (LC.class_reps[n1], LC.class_reps[n2], False) for n1, n2 in K.composition
-    ]
+    # the class loop composes each class pair from its row's head, so on an
+    # input that passes the axioms span_compose never runs
+    assert composed == []
     for (n1, n2), n in K.composition.items():
         s1, s2 = LC.class_reps[n1], LC.class_reps[n2]
         assert LC.q[span_compose(fresh, s1, s2)] == n

@@ -36,8 +36,54 @@ class ValidationReport:
         return "\n".join(self.problems)
 
 
+class _Positions:
+    """A category's objects and arrows as positions in declaration order.
+
+    ``object`` and ``arrow`` map each name to its position; ``src`` and
+    ``tgt`` give each arrow's endpoints as object positions; ``flat[f*N +
+    g]`` (N arrows) is the position of the composite of f and g, or None
+    when they are not composable; ``outs`` and ``ins`` list, per object, the
+    arrows out of and into it, and ``out_rank`` gives each arrow's place in
+    the out-list of its source.  It is derived from the names and read only.
+    """
+
+    __slots__ = ("object", "arrow", "src", "tgt", "flat", "outs", "ins", "out_rank")
+
+    def __init__(self, C: "FinCategory") -> None:
+        obj = {x: i for i, x in enumerate(C.objects)}
+        arr = {f: i for i, f in enumerate(C.arrows)}
+        n = len(C.arrows)
+        flat = [None] * (n * n)
+        for (f, g), h in C.composition.items():
+            flat[arr[f] * n + arr[g]] = arr[h]
+        src = [obj[C.src[f]] for f in C.arrows]
+        tgt = [obj[C.tgt[f]] for f in C.arrows]
+        # one pass in declaration order lists each object's arrows as
+        # out_of and into do
+        outs = [[] for _ in C.objects]
+        ins = [[] for _ in C.objects]
+        rank = []
+        for f, (s, t) in enumerate(zip(src, tgt)):
+            rank.append(len(outs[s]))
+            outs[s].append(f)
+            ins[t].append(f)
+        self.object, self.arrow, self.flat, self.src, self.tgt = obj, arr, flat, src, tgt
+        self.outs = tuple(map(tuple, outs))
+        self.ins = tuple(map(tuple, ins))
+        self.out_rank = rank
+
+
 @dataclass(eq=True)
 class FinCategory:
+    """A finite category as tables over names.
+
+    A category is not changed after it is built: the hom index
+    (``hom``, ``out_of``, ``into``) is taken at construction, and the
+    positional view (``_positions``) on first use, so neither would see a
+    later edit.  Both stay out of the fields, so ``__eq__`` and ``repr``
+    ignore them.
+    """
+
     objects: tuple[str, ...]
     arrows: tuple[str, ...]
     src: dict[str, str]
@@ -59,6 +105,7 @@ class FinCategory:
         self._homs = {key: tuple(fs) for key, fs in homs.items()}
         self._outs = {x: tuple(fs) for x, fs in outs.items()}
         self._ins = {y: tuple(fs) for y, fs in ins.items()}
+        self._view = None
 
     @classmethod
     def build(
@@ -139,6 +186,13 @@ class FinCategory:
     def into(self, y: str) -> tuple[str, ...]:
         """Arrows with target y, in declaration order."""
         return self._ins.get(y, ())
+
+    def _positions(self) -> _Positions:
+        """The positional view, built on the first call and kept."""
+        view = self._view
+        if view is None:
+            view = self._view = _Positions(self)
+        return view
 
     def composable_pairs(self) -> Iterator[tuple[str, str]]:
         for f in self.arrows:

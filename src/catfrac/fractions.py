@@ -29,6 +29,11 @@ as witnesses are the ones the first heads are made from: each first filler
 is searched once.  Each complete filler list, each list of weak legs
 (m, (m;w');v1), the first head and the Ore x weak product of heads are
 formed once per key and shared, a head by every g2.
+
+The filler searches and the first head run on names.  The weak legs, the
+Ore fillers' second legs and the product of heads are arrow positions in
+the category's positional view, and localize's own loops run on that view,
+with names kept at the edges.
 """
 
 from __future__ import annotations
@@ -132,7 +137,10 @@ class _SharedFillers(FractionsInput):
     lists, each in canonical order, so a list's first entry is the lazy
     search's first hit and ``_first`` reads it when no first hit is kept.
     So each head is formed once per (v1, g1, v2), and each span pair only
-    reads its composite with g2.  It lives only as long as that call."""
+    reads its composite with g2.  The lists the head product reads, the Ore
+    fillers' second legs and the weak legs, are kept as arrow positions
+    (``_ore_legs``, ``_weak_legs``), so each is converted once per key.  It
+    lives only as long as that call."""
 
     def __init__(self, inp: FractionsInput) -> None:
         super().__init__(inp.category, inp.weq)
@@ -193,22 +201,40 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[tuple]:
     ``"spn"`` (v, g) and sailboats ``"sb"`` (h, v, g)."""
     inp.check()
     C = inp.category
-    comp = C.composition
     out = []
     if kind == "spn":
         for v in inp.weq:
             for g in C.out_of(C.src[v]):
                 out.append((v, g))
     elif kind == "sb":
-        for h in C.arrows:
-            for v in inp._w_out.get(C.tgt[h], ()):
-                if comp[(h, v)] not in inp._wset:
-                    continue
-                for g in C.out_of(C.src[v]):
-                    out.append((h, v, g))
+        arrows = C.arrows
+        P = C._positions()
+        for h, v, _ in _masts(inp):
+            out += [(arrows[h], arrows[v], arrows[g]) for g in P.outs[P.src[v]]]
     else:
         raise InputError(f"unknown shape kind {kind!r}")
     return out
+
+
+def _masts(inp: FractionsInput) -> Iterator[tuple[int, int, int]]:
+    """The sailboats (h, v, g), as arrow positions, by mast: each (h, v, h;v)
+    with t(h) = s(v) and v, h;v marked, in canonical order.  The sailboats
+    on a mast are those with g out of s(v), in declaration order, so this
+    is the one sailboat enumeration; ``shape_instances(inp, "sb")`` names
+    it.  The input must pass ``check``."""
+    C = inp.category
+    P = C._positions()
+    n, pos, flat = len(C.arrows), P.arrow, P.flat
+    marked = [False] * n
+    for v in inp._wset:
+        marked[pos[v]] = True
+    w_out = [tuple(pos[v] for v in inp._w_out.get(x, ())) for x in C.objects]
+    for h, t in enumerate(P.tgt):
+        hn = h * n
+        for v in w_out[t]:
+            hv = flat[hn + v]
+            if marked[hv]:
+                yield h, v, hv
 
 
 def _sections(inp: FractionsInput, x: str) -> Iterator[str]:
@@ -243,31 +269,46 @@ def _ore_fillers(inp: FractionsInput, h: str, v: str) -> Iterator[tuple]:
                 yield wp, g
 
 
+def _ore_legs(inp: FractionsInput, h: str, v: str) -> Iterator[tuple]:
+    """Each Ore filler (w', h2) of (h, v), with h2 as an arrow position, in
+    canonical order."""
+    pos = inp.category._positions().arrow
+    for wp, h2 in inp._fillers(_ore_fillers, h, v):
+        yield wp, pos[h2]
+
+
 def _weak_legs(inp: FractionsInput, wp: str, v1: str) -> Iterator[tuple]:
     """Each weak filler m of (w', v1) with the first leg (m;w');v1 of the
-    heads it makes, in canonical order."""
-    comp = inp.category.composition
+    heads it makes, both as arrow positions, in canonical order."""
+    C = inp.category
+    P = C._positions()
+    n, pos, flat = len(C.arrows), P.arrow, P.flat
     # the search yields only m with t(m) = s(w') and (m;w');v1 composed, so
-    # both are table reads
+    # both are table reads; it names an unknown v1 before the first read
     for m in inp._fillers(_weak_fillers, wp, v1):
-        yield m, comp[(comp[(m, wp)], v1)]
+        m = pos[m]
+        yield m, flat[flat[m * n + pos[wp]] * n + pos[v1]]
 
 
 def _composite_heads(inp: FractionsInput, v1: str, g1: str, v2: str) -> Iterator[tuple]:
     """What composing a span (v1, g1) with any span (v2, g2) makes before
-    g2: pairs ((m;w');v1, m;h2) over each Ore filler (w', h2) of (g1, v2)
-    and each weak filler m of (w', v1), in canonical order, each first
-    occurrence only: composition is a function, so a repeated head would
-    only repeat its composite."""
-    comp = inp.category.composition
+    g2: pairs ((m;w');v1, m;h2), as arrow positions, over each Ore filler
+    (w', h2) of (g1, v2) and each weak filler m of (w', v1), in canonical
+    order, each first occurrence only: composition is a function, so a
+    repeated head would only repeat its composite.  A shared input keeps
+    the Ore fillers and weak legs of each key as positions, so each filler
+    is converted once per key, not once per combination."""
+    C = inp.category
+    n, flat = len(C.arrows), C._positions().flat
     seen = set()
     # an Ore filler's h2 starts at s(w') = t(m), so m;h2 is a table read
-    for wp, h2 in inp._fillers(_ore_fillers, g1, v2):
+    for wp, h2 in inp._fillers(_ore_legs, g1, v2):
         for m, leg in inp._fillers(_weak_legs, wp, v1):
-            head = (leg, comp[(m, h2)])
-            if head not in seen:
-                seen.add(head)
-                yield head
+            b = flat[m * n + h2]
+            key = leg * n + b
+            if key not in seen:
+                seen.add(key)
+                yield leg, b
 
 
 def _first_head(inp: FractionsInput, v1: str, g1: str, v2: str) -> Iterator[tuple]:
@@ -367,6 +408,21 @@ class LocalizedCategory:
     class_reps: dict
 
 
+def _span_starts(C: FinCategory, spans: list) -> list:
+    """Where each marked arrow's block of ``spans`` (as ``shape_instances``
+    lists them) starts, by arrow position; -1 for an arrow that is not
+    marked.  The span (v, g) is then ``spans[start[v] + out_rank[g]]``."""
+    P = C._positions()
+    start = [-1] * len(C.arrows)
+    i = 0
+    while i < len(spans):
+        v = P.arrow[spans[i][0]]
+        start[v] = i
+        # v's block lists every g out of s(v), v itself among them
+        i += len(P.outs[P.src[v]])
+    return start
+
+
 def _span_partition(inp: FractionsInput):
     """Spans and their sailboat classes (as index lists).
 
@@ -375,21 +431,29 @@ def _span_partition(inp: FractionsInput):
     span pairs are exactly the composable pairs of classes.  localize
     composes classes through representatives on that ground; a move that
     breaks the invariant (only a corrupt table can) raises IntegrityError.
-    The moves are built here; fincat.partition, shared with the ambient
-    coequalizer, closes them.
+    The moves are built here, on span indices; fincat.partition, shared
+    with the ambient coequalizer, closes them.
     """
     C = inp.category
     spans = shape_instances(inp, "spn")
-    index = {s: i for i, s in enumerate(spans)}
+    start = _span_starts(C, spans)
+    P = C._positions()
+    n, src, tgt, flat, outs, rank = len(C.arrows), P.src, P.tgt, P.flat, P.outs, P.out_rank
 
     def moves() -> Iterator[tuple[int, int]]:
-        # "sb" matched t(h) = s(v) = s(g), so both composites are table reads
-        for sb in shape_instances(inp, "sb"):
-            h, v, g = sb
-            moved = (C.composition[(h, v)], C.composition[(h, g)])
-            if moved not in index or C.tgt[moved[0]] != C.tgt[v] or C.tgt[moved[1]] != C.tgt[g]:
-                raise IntegrityError(f"sailboat move {sb!r} changes the span's endpoints")
-            yield index[(v, g)], index[moved]
+        # a mast has t(h) = s(v) = s(g), so both composites are table reads
+        for h, v, hv in _masts(inp):
+            # (hv, hg) is a span when s(hg) = s(hv); a move off a mast with
+            # t(hv) != t(v) breaks the invariant at its first g
+            s = src[hv] if tgt[hv] == tgt[v] else None
+            i, j, hn = start[v], start[hv], h * n
+            for g in outs[src[v]]:
+                hg = flat[hn + g]
+                if src[hg] != s or tgt[hg] != tgt[g]:
+                    sb = C.arrows[h], C.arrows[v], C.arrows[g]
+                    raise IntegrityError(f"sailboat move {sb!r} changes the span's endpoints")
+                yield i, j + rank[hg]
+                i += 1
 
     return spans, partition(len(spans), moves())
 
@@ -398,6 +462,17 @@ def sailboat_quotient(inp: FractionsInput) -> list[list[tuple]]:
     """Partition of the spans into sailboat classes, canonical reps first."""
     spans, ordered = _span_partition(inp)
     return [[spans[i] for i in members] for members in ordered]
+
+
+def _refuse_unhashable(*spans: tuple) -> None:
+    """Raise InputError naming the first of ``spans`` with an entry that
+    cannot be hashed, so names no arrow; do nothing if there is none."""
+    for s in spans:
+        for x in s:
+            try:
+                hash(x)
+            except TypeError:
+                raise InputError(f"a span is a pair (v, g) of arrows, got {s!r}") from None
 
 
 def span_compose(
@@ -413,7 +488,8 @@ def span_compose(
     exhaustive=True, returns the pair (first, frozenset of the spans
     produced by every (Ore filler, weak filler) combination).  Either way
     the composite is a head (``_first_head``, or each of
-    ``_composite_heads``) composed with g2: only that last step reads g2,
+    ``_composite_heads``, named from its positions) composed with g2: only
+    that last step reads g2,
     so an input that keeps its fillers (``_SharedFillers``) forms each head
     once per (v1, g1, v2) and shares it with every g2.  localize's class
     loop reads those heads itself and calls this only to refuse a row that
@@ -431,6 +507,9 @@ def span_compose(
         composable = C.tgt[g1] == C.tgt[v2]
     except KeyError as exc:
         raise InputError(f"unknown arrow in compose: {exc.args[0]!r}") from None
+    except TypeError:
+        _refuse_unhashable(s1, s2)
+        raise
     if not composable:
         raise DomainError(
             f"spans not composable: {s1!r} ends at {C.tgt[g1]!r}, "
@@ -440,17 +519,24 @@ def span_compose(
     # a head ends at s(v2), which is s(g2) when s2 is a span; the table
     # holds only composable pairs, and compose names the pair that is not.
     # A head search's own KeyError raises in the loop header, outside the
-    # try, so it is never taken for a failed read.
-    comp = C.composition
+    # inner try, so it is never taken for a failed read.
+    comp, arrows = C.composition, C.arrows
     results = []
-    for a, b in inp._fillers(_composite_heads if exhaustive else _first_head, v1, g1, v2):
-        try:
-            composite = a, comp[(b, g2)]
-        except KeyError:
-            composite = a, compose(C, b, g2)
-        if not exhaustive:
-            return composite
-        results.append(composite)
+    try:
+        for a, b in inp._fillers(_composite_heads if exhaustive else _first_head, v1, g1, v2):
+            if exhaustive:  # the heads of every combination are positions
+                a, b = arrows[a], arrows[b]
+            try:
+                composite = a, comp[(b, g2)]
+            except KeyError:
+                composite = a, compose(C, b, g2)
+            if not exhaustive:
+                return composite
+            results.append(composite)
+    except TypeError:
+        # an entry that cannot be hashed fails the first read of it
+        _refuse_unhashable(s1, s2)
+        raise
     if not results:
         if inp._first(_ore_fillers, g1, v2) is None:
             raise AxiomError(
@@ -483,6 +569,13 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     span's endpoints, or a composite that is not a span raises
     IntegrityError.
 
+    The sailboat moves, the class loop and (b) run on the category's
+    positional view (``FinCategory._positions``): spans are dense indices,
+    heads are pairs of arrow positions, classes are numbers, and each
+    composite is one read of the flat table.  Names are kept at the edges:
+    class names, ``q``, ``class_reps``, ``L``, the carrier tables and every
+    error message, formatted on the failure path only.
+
     The input's table is assumed to be a category: the associativity and
     identity laws are not checked here (``validate_category`` does that;
     the CLI runs it first).  On a table that breaks them the result
@@ -508,12 +601,16 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     C = inp.category
     spans, ordered = _span_partition(inp)
 
+    # names at the edges: class names, q, class_reps, L and the carrier
+    # tables; the loops below read positions of arrows, spans and classes
     rep_payloads = [spans[members[0]] for members in ordered]
     names = uniquify([f"[{v};{g}]" for v, g in rep_payloads])
     class_of_span: dict[tuple, str] = {}
-    for name, members in zip(names, ordered):
+    cls = [0] * len(spans)
+    for k, (name, members) in enumerate(zip(names, ordered)):
         for i in members:
             class_of_span[spans[i]] = name
+            cls[i] = k
     class_reps = dict(zip(names, rep_payloads))
 
     arrows_decl = []
@@ -524,38 +621,54 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     alpha = {x: shared._first(_sections, x) for x in C.objects}
     identity = {x: class_of_span[(alpha[x], alpha[x])] for x in C.objects}
 
+    P = C._positions()
+    arrows, pos, src, flat, outs, rank = C.arrows, P.arrow, P.src, P.flat, P.outs, P.out_rank
+    n, K = len(arrows), len(names)
+    # the span (v, g) is spans[start[v] + rank[g]], so a pair (a, c) of
+    # positions is a span of class cls[start[a] + rank[c]] exactly when
+    # start[a] >= 0 (a is marked) and s(c) = s(a)
+    start = _span_starts(C, spans)
+
     # a span (v, g) runs from t(v) to t(g); listing the classes out of each
     # object in their own order makes the loop visit only the composable
-    # pairs, in the order of the full product
-    reps_out: dict[str, list] = {}
-    for n, (v, g) in class_reps.items():
-        reps_out.setdefault(C.tgt[v], []).append((n, (v, g)))
-    # a row is the class pairs out of one n1; the first head of (v1, g1, v2)
-    # is read once per row and v2, and each pair composes it with g2 by one
-    # table read, as span_compose does; span_compose runs only for a row
-    # with no head, to raise its AxiomError
-    comp = C.composition
+    # pairs, in the order of the full product.  Classes come in the order
+    # of their least spans, and the spans of one v are consecutive, so the
+    # classes out of an object fall into runs of one v each
+    runs_out: list[list] = [[] for _ in C.objects]
+    for k, (v, g) in enumerate(rep_payloads):
+        runs = runs_out[P.tgt[pos[v]]]
+        if not runs or runs[-1][0] != v:
+            runs.append((v, []))
+        runs[-1][1].append((k, names[k], pos[g]))
+    # a row is the class pairs out of one class k1; the first head of (v1,
+    # g1, v2) is read once per row and run of v2, as positions, and each
+    # pair composes it with g2 by one read of the flat table, as
+    # span_compose does; span_compose runs only for a row with no head, to
+    # raise its AxiomError
     composition = {}
-    for n1, s1 in class_reps.items():
+    composed = {}  # k1 * K + k2 -> the class of the composite, for (b)
+    for k1, s1 in enumerate(rep_payloads):
         v1, g1 = s1
-        row_heads = {}
-        for n2, s2 in reps_out.get(C.tgt[g1], ()):
-            v2, g2 = s2
-            head = row_heads.get(v2)
-            if head is None:
-                found = shared._fillers(_first_head, v1, g1, v2)
-                if not found:
-                    span_compose(shared, s1, s2)  # raises
-                head = row_heads[v2] = found[0]
-            a, b = head
-            # a head ends at s(v2) = s(g2), so (b, g2) is in the table
-            composite = (a, comp[(b, g2)])
-            n = class_of_span.get(composite)
-            if n is None:
-                raise IntegrityError(
-                    f"composite of {s1!r} and {s2!r} is {composite!r}, which is not a span"
-                )
-            composition[(n1, n2)] = n
+        n1, row = names[k1], k1 * K
+        for v2, run in runs_out[P.tgt[pos[g1]]]:
+            found = shared._fillers(_first_head, v1, g1, v2)
+            if not found:
+                span_compose(shared, s1, rep_payloads[run[0][0]])  # raises
+            a, b = found[0]
+            a, bn = pos[a], pos[b] * n
+            i = start[a]
+            sa = src[a] if i >= 0 else None  # no (a, c) is a span unless a is marked
+            for k2, n2, g2 in run:
+                # a head ends at s(v2) = s(g2), so (b, g2) is in the table
+                c = flat[bn + g2]
+                if src[c] != sa:
+                    raise IntegrityError(
+                        f"composite of {s1!r} and {rep_payloads[k2]!r} is "
+                        f"{(arrows[a], arrows[c])!r}, which is not a span"
+                    )
+                k = cls[i + rank[c]]
+                composed[row + k2] = k
+                composition[(n1, n2)] = names[k]
 
     carrier = FinCategory.build(C.objects, arrows_decl, identity, composition)
 
@@ -568,7 +681,7 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
             for g in C.arrows
         },
     )
-    out = LocalizedCategory(carrier=carrier, q=dict(class_of_span), L=L, class_reps=class_reps)
+    out = LocalizedCategory(carrier=carrier, q=class_of_span, L=L, class_reps=class_reps)
 
     # (a) identity classes do not depend on the section
     for x in C.objects:
@@ -580,32 +693,46 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
 
     # (b) composites do not depend on fillers or representatives; the rows
     # (s1, v2), and the g2 within a row, come in the order of the full
-    # product of span pairs, so the first failing pair is named
+    # product of span pairs, so the first failing pair is named.  A class
+    # is its index, and a head or composite that is no span stands for
+    # itself, as its pair of positions
     if len(spans) <= exhaustive_limit:
-        for s1 in spans:
+
+        def named(found) -> object:
+            return names[found] if isinstance(found, int) else (arrows[found[0]], arrows[found[1]])
+
+        for s1, k1 in zip(spans, cls):
             v1, g1 = s1
-            n1 = class_of_span[s1]
+            row = k1 * K
             for v2 in inp._w_into.get(C.tgt[g1], ()):
-                # a head that is no span stands for itself
                 heads = shared._fillers(_composite_heads, v1, g1, v2)
-                classes = {class_of_span.get(p, p) for p in heads}
+                classes = {
+                    cls[start[a] + rank[b]] if start[a] >= 0 and src[b] == src[a] else (a, b)
+                    for a, b in heads
+                }
                 if len(classes) != 1:
                     s2 = (v2, C.identity[C.src[v2]])
+                    classes = sorted(map(named, classes), key=str)
                     raise IntegrityError(
                         f"composite of {s1!r} and {s2!r} "
-                        f"is not well-defined: classes {sorted(classes, key=str)!r}"
+                        f"is not well-defined: classes {classes!r}"
                     )
                 a, b = heads[0]
-                for g2 in C.out_of(C.src[v2]):
-                    s2 = (v2, g2)
+                i, bn = start[a], b * n
+                sa = src[a] if i >= 0 else None
+                v2 = pos[v2]
+                j = start[v2]
+                for g2 in outs[src[v2]]:
                     # a head ends at s(v2), so (b, g2) is in the table
-                    p = (a, comp[(b, g2)])
-                    got = class_of_span.get(p, p)
-                    if got != composition[(n1, class_of_span[s2])]:
+                    c = flat[bn + g2]
+                    got = cls[i + rank[c]] if src[c] == sa else (a, c)
+                    if got != composed[row + cls[j]]:
+                        s2 = (arrows[v2], arrows[g2])
                         raise IntegrityError(
                             f"composite of {s1!r} and {s2!r} "
-                            f"is not well-defined: classes {[got]!r}"
+                            f"is not well-defined: classes {[named(got)]!r}"
                         )
+                    j += 1
     return out
 
 
@@ -617,7 +744,11 @@ def inverts(F: Functor, inp: FractionsInput) -> tuple[bool, dict]:
     table = {}
     ok = True
     for v in inp.weq:
-        inv = two_sided_inverse(F.cod, F.on_arrows[v])
+        try:
+            fv = F.on_arrows[v]
+        except KeyError:
+            raise DomainError(f"the functor has no image of arrow {v!r}") from None
+        inv = two_sided_inverse(F.cod, fv)
         if inv is None:
             ok = False
         else:
@@ -638,10 +769,14 @@ def induced_functor(F: Functor, LC: LocalizedCategory) -> Functor:
     for name, payloads in members.items():
         values = set()
         for v, g in payloads:
-            fv_inv = two_sided_inverse(X, F.on_arrows[v])
+            try:
+                fv, fg = F.on_arrows[v], F.on_arrows[g]
+            except KeyError as exc:
+                raise DomainError(f"the functor has no image of arrow {exc.args[0]!r}") from None
+            fv_inv = two_sided_inverse(X, fv)
             if fv_inv is None:
                 raise DomainError(f"functor does not invert marked arrow {v!r}")
-            values.add(compose(X, fv_inv, F.on_arrows[g]))
+            values.add(compose(X, fv_inv, fg))
         if len(values) != 1:
             raise IntegrityError(
                 f"induced image of class {name!r} differs across representatives"

@@ -1,6 +1,7 @@
 """Enumeration on generated categories: differential against the oracle,
-metamorphic under renaming and redeclaring; the hom index against a filter
-over the arrows, on these and on the corpus.
+metamorphic under renaming and redeclaring; the hom index and the
+positional view against a filter over the arrows, on these and on the
+corpus.
 
 The strategies build only valid categories: posets as transitive closures
 of random DAGs, and monoids of self-maps of {0, 1} closed under
@@ -132,3 +133,39 @@ def test_hom_index_matches_filter_on_generated(raw, data):
     C = build(dict(raw, arrows={f: raw["arrows"][f] for f in arrows}))
     assert_hom_index_is_the_filter(C)
     assert_hom_index_is_the_filter(opposite(C))
+
+
+def assert_view_is_the_names(C: FinCategory) -> None:
+    P = C._positions()
+    n = len(C.arrows)
+    assert list(P.object) == list(C.objects) and list(P.object.values()) == list(range(len(C.objects)))
+    assert list(P.arrow) == list(C.arrows) and list(P.arrow.values()) == list(range(n))
+    assert [C.objects[x] for x in P.src] == [C.src[f] for f in C.arrows]
+    assert [C.objects[y] for y in P.tgt] == [C.tgt[f] for f in C.arrows]
+    assert len(P.flat) == n * n
+    for f in C.arrows:
+        for g in C.arrows:
+            h = P.flat[P.arrow[f] * n + P.arrow[g]]
+            if C.tgt[f] == C.src[g]:
+                assert C.arrows[h] == C.composition[(f, g)]
+            else:
+                assert h is None
+    for x, out, into in zip(C.objects, P.outs, P.ins):
+        assert tuple(C.arrows[f] for f in out) == C.out_of(x)
+        assert tuple(C.arrows[f] for f in into) == C.into(x)
+        assert [P.out_rank[f] for f in out] == list(range(len(out)))
+
+
+@pytest.mark.parametrize("name,C", corpus.all_categories())
+def test_view_matches_names_on_corpus(name, C):
+    assert_view_is_the_names(C)
+    assert_view_is_the_names(opposite(C))
+
+
+@settings(max_examples=60, deadline=None)
+@given(categories, st.data())
+def test_view_matches_names_on_generated(raw, data):
+    arrows = data.draw(st.permutations(list(raw["arrows"])))
+    C = build(dict(raw, arrows={f: raw["arrows"][f] for f in arrows}))
+    assert_view_is_the_names(C)
+    assert_view_is_the_names(opposite(C))

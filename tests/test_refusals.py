@@ -38,10 +38,12 @@ from catfrac import (
     identity_functor,
     identity_map,
     identity_nat_trans,
+    induced_functor,
     internal_cleavage,
     internal_elements,
     internal_localize,
     internalize,
+    inverts,
     localize,
     pullback,
     pullback_mediate,
@@ -114,6 +116,13 @@ def _walking_arrow_all():
     """The walking arrow with every arrow marked."""
     C = corpus.two()
     return FractionsInput(C, C.arrows)
+
+
+def _identity_without_f():
+    """The identity functor of the walking arrow, with no image of f."""
+    F = identity_functor(corpus.two())
+    del F.on_arrows["f"]
+    return F
 
 
 def _marks_into_the_objects():
@@ -211,6 +220,14 @@ def _internal_nat_trans(components, codomain="c1"):
          InputError, "a span is a pair (v, g), got ('id:a', 'f', 'x')"),
         (lambda: span_compose(_walking_arrow_all(), ("id:a", "f"), None), InputError,
          "a span is a pair (v, g), got None"),
+        (lambda: span_compose(_walking_arrow_all(), (["f"], "id:b"), ("id:b", "id:b")),
+         InputError, "a span is a pair (v, g) of arrows, got (['f'], 'id:b')"),
+        (lambda: span_compose(_walking_arrow_all(), ("id:a", "f"), ("id:b", ["x"])),
+         InputError, "a span is a pair (v, g) of arrows, got ('id:b', ['x'])"),
+        (lambda: inverts(_identity_without_f(), _walking_arrow_all()), DomainError,
+         "the functor has no image of arrow 'f'"),
+        (lambda: induced_functor(_identity_without_f(), localize(_walking_arrow_all())),
+         DomainError, "the functor has no image of arrow 'f'"),
     ],
     ids=[
         "negative_size", "unhashable_label", "map_domain", "map_codomain", "maps_not_composable", "cone_off_pullback", "legs_off_blocks",
@@ -220,6 +237,8 @@ def _internal_nat_trans(components, codomain="c1"):
         "transformation_unparallel", "shape_direction", "object_part_endpoints",
         "arrow_part_endpoints", "component_map_endpoints", "limit_str", "limit_none",
         "limit_bool", "limit_negative", "span_one_entry", "span_three_entries", "span_none",
+        "span_unhashable_mark", "span_unhashable_arrow", "inverts_missing_image",
+        "induced_missing_image",
     ],
 )
 def test_library_refusal(run, error, message):

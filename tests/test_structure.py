@@ -1,6 +1,8 @@
 """Package structure: imports sit at module top and never form a cycle; no
 function recurses, so no input depth can exhaust the interpreter's stack;
-a category or a marked category gains no attribute after construction; a
+a category or a marked category gains no attribute after construction, and
+a category builds its positional view once; localize's loops read
+composition by position, not by a pair of names; a
 record keeps no field that another of its fields gives, and a functor no
 accessor over its maps; the fractions searches read the marked class
 through its endpoint index;
@@ -183,6 +185,26 @@ def test_no_attribute_is_attached_after_construction():
     assert [f.name for f in dataclasses.fields(FinCategory)] == [
         "objects", "arrows", "src", "tgt", "identity", "composition"
     ]
+
+
+def test_a_category_builds_its_view_once(monkeypatch):
+    # the positional view is built on first use into the slot __post_init__
+    # sets, and kept there: the axiom decision, two localize calls on two
+    # inputs over one category and the carriers they build add no second one
+    built = []
+    exact = catfrac.fincat._Positions
+
+    def counting(C):
+        built.append(C)
+        return exact(C)
+
+    monkeypatch.setattr(catfrac.fincat, "_Positions", counting)
+    C = corpus.chain(4)
+    inp = FractionsInput(C, C.arrows)
+    check_axioms(inp)
+    localize(inp)
+    localize(FractionsInput(C, C.arrows))
+    assert len(built) == 1 and built[0] is C
 
 
 def test_marked_category_gains_no_attribute():
@@ -639,6 +661,70 @@ def test_coordinate_lookup_check_fires():
     assert _coordinate_lookups(copy) == [
         "ambient.py:3 _positions", "ambient.py:4 dict of table pairs",
         "ambient.py:6 dict of table pairs", "ambient.py:7 block starts",
+    ]
+
+
+# what localize runs on arrow positions: the sailboat moves, the head
+# product, and localize's own loops, the class loop and self-check (b)
+POSITIONAL = ("_masts", "_span_partition", "_weak_legs", "_composite_heads", "localize")
+
+
+def _name_pair_reads(tree: ast.Module, functions) -> list:
+    """Reads of a composition table by a pair in ``functions``: ``X[(a, b)]``
+    or ``X.get((a, b))`` where X is ``comp``, some ``.composition`` or a
+    name bound to one."""
+    found = []
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in functions):
+            continue
+        tables = {"comp"} | {
+            target.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "composition"
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+
+        def is_table(node) -> bool:
+            return (isinstance(node, ast.Name) and node.id in tables
+                    or isinstance(node, ast.Attribute) and node.attr == "composition")
+
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and is_table(node.value):
+                pair = node.slice
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "get" and is_table(node.func.value) and node.args):
+                pair = node.args[0]
+            else:
+                continue
+            if isinstance(pair, ast.Tuple):
+                found.append(f"{fn.name} at line {node.lineno}")
+    return found
+
+
+def test_localize_reads_composition_by_position():
+    # the moved loops read the flat table of the category's positional
+    # view, flat[f*N + g]; names are read at the edges only
+    assert _name_pair_reads(MODULES["fractions"], POSITIONAL) == []
+    for name in POSITIONAL:
+        assert "flat" in inspect.getsource(getattr(catfrac.fractions, name)), name
+
+
+def test_name_pair_read_check_fires():
+    by_names = ast.parse(
+        "def localize(inp, exhaustive_limit=64):\n"
+        "    comp = C.composition\n"
+        "    c = comp[(b, g2)]\n"
+        "    d = inp.category.composition[(a, b)]\n"
+        "    table = C.composition\n"
+        "    e = table.get((a, b))\n"
+        "    f = flat[b * n + g2]\n"
+        "def _first_head(inp, v1, g1, v2):\n"
+        "    comp = inp.category.composition\n"
+        "    yield comp[(m, h2)]\n"
+    )
+    assert _name_pair_reads(by_names, POSITIONAL) == [
+        "localize at line 3", "localize at line 4", "localize at line 6"
     ]
 
 

@@ -43,11 +43,13 @@ class _Positions:
     ``tgt`` give each arrow's endpoints as object positions; ``flat[f*N +
     g]`` (N arrows) is the position of the composite of f and g, or None
     when they are not composable; ``outs`` and ``ins`` list, per object, the
-    arrows out of and into it, and ``out_rank`` gives each arrow's place in
-    the out-list of its source.  It is derived from the names and read only.
+    arrows out of and into it, ``out_rank`` gives each arrow's place in the
+    out-list of its source, and ``homs[x*M + y]`` (M objects) lists the
+    arrows from x to y.  Every list is in declaration order.  It is derived
+    from the names and read only.
     """
 
-    __slots__ = ("object", "arrow", "src", "tgt", "flat", "outs", "ins", "out_rank")
+    __slots__ = ("object", "arrow", "src", "tgt", "flat", "outs", "ins", "out_rank", "homs")
 
     def __init__(self, C: "FinCategory") -> None:
         obj = {x: i for i, x in enumerate(C.objects)}
@@ -60,17 +62,23 @@ class _Positions:
         tgt = [obj[C.tgt[f]] for f in C.arrows]
         # one pass in declaration order lists each object's arrows as
         # out_of and into do
+        m = len(C.objects)
         outs = [[] for _ in C.objects]
         ins = [[] for _ in C.objects]
-        rank = []
+        rank, homs = [], {}
         for f, (s, t) in enumerate(zip(src, tgt)):
             rank.append(len(outs[s]))
             outs[s].append(f)
             ins[t].append(f)
+            homs.setdefault(s * m + t, []).append(f)
         self.object, self.arrow, self.flat, self.src, self.tgt = obj, arr, flat, src, tgt
         self.outs = tuple(map(tuple, outs))
         self.ins = tuple(map(tuple, ins))
         self.out_rank = rank
+        # most object pairs have no arrow, and share one empty tuple
+        self.homs = [()] * (m * m)
+        for st, fs in homs.items():
+            self.homs[st] = tuple(fs)
 
 
 @dataclass(eq=True)
@@ -169,9 +177,17 @@ class FinCategory:
                 raise InputError(f"composition entry ({f!r},{g!r})={h!r} references unknown arrows")
             if self.tgt[f] != self.src[g]:
                 raise InputError(f"composition entry for non-composable pair ({f!r},{g!r})")
-        for f, g in self.composable_pairs():
-            if (f, g) not in self.composition:
-                raise InputError(f"composition table is partial: missing ({f!r},{g!r})")
+        # each tuple key is now a distinct composable pair of known arrows,
+        # so a table keyed by tuples is total exactly when it has as many
+        # entries as there are composable pairs.  Only a shortfall, or a key
+        # that is no tuple (the string "fg" passes the loop above), is
+        # scanned, to name the missing pair
+        comp, ins, outs = self.composition, self._ins, self._outs
+        pairs = sum(len(ins.get(x, ())) * len(outs.get(x, ())) for x in self.objects)
+        if len(comp) != pairs or not set(map(type, comp)) <= {tuple}:
+            for f, g in self.composable_pairs():
+                if (f, g) not in self.composition:
+                    raise InputError(f"composition table is partial: missing ({f!r},{g!r})")
 
     # -- small conveniences --------------------------------------------------
 

@@ -30,10 +30,13 @@ is searched once.  Each complete filler list, each list of weak legs
 (m, (m;w');v1), the first head and the Ore x weak product of heads are
 formed once per key and shared, a head by every g2.
 
-The filler searches and the first head run on names.  The weak legs, the
-Ore fillers' second legs and the product of heads are arrow positions in
-the category's positional view, and localize's own loops run on that view,
-with names kept at the edges.
+The axiom decision runs on the category's positional view: each axiom is
+one pass over its cases, reading the composites its lazy search reads, so
+its witnesses are those searches' first hits.  The lazy filler searches
+and the first head run on names; they give every complete filler list, and
+every first hit outside a decision.  The weak legs, the Ore fillers' second
+legs and the product of heads are arrow positions, and localize's own loops
+run on the view, with names kept at the edges.
 """
 
 from __future__ import annotations
@@ -72,12 +75,13 @@ from .verify import Correspondence, VerifierReport, check_correspondence
 class FractionsInput:
     """A category with a class W of marked arrows, listed in canonical order.
 
-    Construction indexes W once: ``_wset`` holds the marked arrows,
-    ``_w_out`` and ``_w_into`` list them by source and by target, each in W
-    order.  The index stays out of the fields, ``__eq__`` and ``repr``.  A
-    marked arrow that is not in the category, or an entry that is no
-    string, is keyed None; ``check`` says so before any search reads the
-    index.
+    Construction keeps W as a tuple, so an iterator is read once, and
+    refuses a string or a value that is not iterable with InputError.  It
+    indexes W once: ``_wset`` holds the marked arrows, ``_w_out`` and
+    ``_w_into`` list them by source and by target, each in W order.  The
+    index stays out of the fields, ``__eq__`` and ``repr``.  A marked arrow
+    that is not in the category, or an entry that is no string, is keyed
+    None; ``check`` says so before any search reads the index.
 
     An input is not changed after it is built: it keeps the report of the
     first ``check_axioms`` call that completes on it (``_axioms``, see
@@ -89,13 +93,17 @@ class FractionsInput:
     weq: tuple
 
     def __post_init__(self) -> None:
+        if isinstance(self.weq, str) or not isinstance(self.weq, Iterable):
+            raise InputError(f"the marked arrows are a sequence of arrow names, got {self.weq!r}")
         src, tgt = self.category.src, self.category.tgt
-        outs, ins = {}, {}
+        marks, outs, ins = [], {}, {}
         for v in self.weq:
+            marks.append(v)
             # an entry that is no string may be unhashable; no arrow is one
             key = v if isinstance(v, str) else None
             outs.setdefault(src.get(key), []).append(v)
             ins.setdefault(tgt.get(key), []).append(v)
+        self.weq = tuple(marks)
         self._wset = frozenset(v for v in self.weq if isinstance(v, str))
         self._w_out = {x: tuple(vs) for x, vs in outs.items()}
         self._w_into = {y: tuple(vs) for y, vs in ins.items()}
@@ -190,6 +198,8 @@ class AxiomReport:
         return all(f.ok for f in self.findings)
 
     def finding(self, axiom: int) -> AxiomFinding:
+        if isinstance(axiom, bool) or not isinstance(axiom, int) or not 1 <= axiom <= 4:
+            raise DomainError(f"an axiom number is 1, 2, 3 or 4, got {axiom!r}")
         return self.findings[axiom - 1]
 
     def __str__(self) -> str:
@@ -216,6 +226,20 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[tuple]:
     return out
 
 
+def _mark_index(inp: FractionsInput) -> tuple[list, list, list]:
+    """W as arrow positions: whether each arrow is marked, and per object
+    the marked arrows out of it and into it, each in W order.  The input
+    must pass ``check``."""
+    C = inp.category
+    pos = C._positions().arrow
+    marked = [False] * len(C.arrows)
+    for v in inp._wset:
+        marked[pos[v]] = True
+    w_out = [tuple(pos[v] for v in inp._w_out.get(x, ())) for x in C.objects]
+    w_into = [tuple(pos[v] for v in inp._w_into.get(x, ())) for x in C.objects]
+    return marked, w_out, w_into
+
+
 def _masts(inp: FractionsInput) -> Iterator[tuple[int, int, int]]:
     """The sailboats (h, v, g), as arrow positions, by mast: each (h, v, h;v)
     with t(h) = s(v) and v, h;v marked, in canonical order.  The sailboats
@@ -224,11 +248,8 @@ def _masts(inp: FractionsInput) -> Iterator[tuple[int, int, int]]:
     it.  The input must pass ``check``."""
     C = inp.category
     P = C._positions()
-    n, pos, flat = len(C.arrows), P.arrow, P.flat
-    marked = [False] * n
-    for v in inp._wset:
-        marked[pos[v]] = True
-    w_out = [tuple(pos[v] for v in inp._w_out.get(x, ())) for x in C.objects]
+    n, flat = len(C.arrows), P.flat
+    marked, w_out, _ = _mark_index(inp)
     for h, t in enumerate(P.tgt):
         hn = h * n
         for v in w_out[t]:
@@ -337,20 +358,14 @@ def _zippers(inp: FractionsInput, f: str, g: str) -> Iterator[str]:
             yield u
 
 
-def _decide(inp: FractionsInput, axiom: int, cases: list, search) -> AxiomFinding:
-    """Run ``search`` on each case (key, shown) in order.  The first filler
-    found is the key's witness; the first case without one is shown as the
-    counterexample.  The witnesses are handed to ``inp``, whose ``_first``
-    then reads them on a shared input.  The cases are searched here and not
-    through ``_first``: a call per case would cost the decision more than
-    keeping its witnesses saves the composition loop."""
-    witnesses, counterexample = {}, None
-    for key, shown in cases:
-        found = next(search(inp, *key), None)
-        if found is not None:
-            witnesses[key] = found
-        elif counterexample is None:
-            counterexample = shown
+def _decide(
+    inp: FractionsInput, axiom: int, search, witnesses: dict, counterexample: Optional[tuple]
+) -> AxiomFinding:
+    """The finding of one axiom, from the first filler of each case that has
+    one (``witnesses``, keyed in case order) and the first case without one
+    (``counterexample``, or None).  The witnesses are handed to ``inp``,
+    whose ``_first`` then reads them as ``search``'s first hits on a shared
+    input."""
     inp._keep_firsts(search, witnesses)
     return AxiomFinding(axiom, counterexample is None, MappingProxyType(witnesses), counterexample)
 
@@ -360,33 +375,102 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
     composite outside hom(s(f), t(g)) raises InputError before any search.
     The report is fresh on every call and read-only: its findings are a
     tuple and each finding's witnesses a read-only mapping.  The first
-    report on inp is kept as its verdict (``axiom_verdict``)."""
+    report on inp is kept as its verdict (``axiom_verdict``).
+
+    Each axiom is decided in one pass over its cases, on the category's
+    positional view and W's positional index (``_mark_index``): a case's
+    first filler is the first hit of its lazy search (``_sections``,
+    ``_weak_fillers``, ``_ore_fillers``, ``_zippers``), found by reading
+    the same composites in the same order, each one read of the flat
+    table.  Witness keys, witnesses and counterexamples are names."""
     inp.check()
     C = inp.category
     problem = next(misplaced_composites(C), None)
     if problem is not None:
         raise InputError(problem)
-    objects = [((x,), (x,)) for x in C.objects]
-    marked_pairs = [
-        ((v, vp), (v, vp)) for v in inp.weq for vp in inp._w_out.get(C.tgt[v], ())
-    ]
-    cospans = [((h, v), (h, v)) for h in C.arrows for v in inp._w_into.get(C.tgt[h], ())]
-    # a parallel pair (f, g) is shown with the first marked arrow v out of
-    # t(f) that coequalizes it, f;v = g;v
-    comp = C.composition
-    coequalized = []
-    for f in C.arrows:
-        for g in C.hom(C.src[f], C.tgt[f]):
-            for v in inp._w_out.get(C.tgt[f], ()):
-                if comp[(f, v)] == comp[(g, v)]:
-                    coequalized.append(((f, g), (f, g, v)))
+    P = C._positions()
+    arrows, pos, src, tgt, flat, ins, homs = C.arrows, P.arrow, P.src, P.tgt, P.flat, P.ins, P.homs
+    n, m = len(arrows), len(C.objects)
+    marked, w_out, w_into = _mark_index(inp)
+    # composites land in their hom, checked above, so every composite of a
+    # composable pair read below is itself composable with the next arrow
+
+    # (1) a section: the first marked arrow into x
+    witnesses, counterexample = {}, None
+    for x, into in zip(C.objects, w_into):
+        if into:
+            witnesses[(x,)] = arrows[into[0]]
+        elif counterexample is None:
+            counterexample = (x,)
+    sections = _decide(inp, 1, _sections, witnesses, counterexample)
+
+    # (2) a weak filler of each marked pair (v, v'), v in W order: the first
+    # m into s(v) with (m;v);v' marked
+    witnesses, counterexample = {}, None
+    for v in inp.weq:
+        vi = pos[v]
+        ms = ins[src[vi]]
+        mvs = [flat[mi * n + vi] * n for mi in ms]
+        for vp in w_out[tgt[vi]]:
+            for mi, mv in zip(ms, mvs):
+                if marked[flat[mv + vp]]:
+                    witnesses[(v, arrows[vp])] = arrows[mi]
                     break
-    report = AxiomReport(findings=(
-        _decide(inp, 1, objects, _sections),
-        _decide(inp, 2, marked_pairs, _weak_fillers),
-        _decide(inp, 3, cospans, _ore_fillers),
-        _decide(inp, 4, coequalized, _zippers),
-    ))
+            else:
+                if counterexample is None:
+                    counterexample = (v, arrows[vp])
+    weak = _decide(inp, 2, _weak_fillers, witnesses, counterexample)
+
+    # (3) an Ore square on each cospan (h, v), v marked: the first marked w'
+    # into s(h), then the first g: s(w') -> s(v), with g;v = w';h
+    witnesses, counterexample = {}, None
+    for h in range(n):
+        vs = w_into[tgt[h]]
+        if not vs:
+            continue
+        wphs = [(wp, src[wp] * m, flat[wp * n + h]) for wp in w_into[src[h]]]
+        for v in vs:
+            sv = src[v]
+            for wp, row, wph in wphs:
+                for g in homs[row + sv]:
+                    if flat[g * n + v] == wph:
+                        break
+                else:
+                    continue  # no g for this w'
+                witnesses[(arrows[h], arrows[v])] = arrows[wp], arrows[g]
+                break
+            else:
+                if counterexample is None:
+                    counterexample = (arrows[h], arrows[v])
+    ore = _decide(inp, 3, _ore_fillers, witnesses, counterexample)
+
+    # (4) a zipper of each parallel pair (f, g) that a marked v out of t(f)
+    # coequalizes: the first marked u into s(f) with u;f = u;g.  The pair
+    # is shown with the first such v
+    witnesses, counterexample = {}, None
+    for f in range(n):
+        vs, us = w_out[tgt[f]], w_into[src[f]]
+        if not vs:
+            continue
+        fn = f * n
+        for g in homs[src[f] * m + tgt[f]]:
+            gn = g * n
+            for v in vs:
+                if flat[fn + v] == flat[gn + v]:
+                    break
+            else:
+                continue  # not coequalized: no case
+            for u in us:
+                un = u * n
+                if flat[un + f] == flat[un + g]:
+                    witnesses[(arrows[f], arrows[g])] = arrows[u]
+                    break
+            else:
+                if counterexample is None:
+                    counterexample = (arrows[f], arrows[g], arrows[v])
+    zippers = _decide(inp, 4, _zippers, witnesses, counterexample)
+
+    report = AxiomReport(findings=(sections, weak, ore, zippers))
     if inp._axioms is None:
         inp._axioms = report
     return report

@@ -89,6 +89,20 @@ def test_bad_marks_are_reported_by_check_not_by_construction(weq, message):
     assert inp._axioms is None
 
 
+def test_a_one_shot_mark_list_is_read_once():
+    # the marks are kept as a tuple, so an iterator indexes W and is W
+    C = corpus.two()
+    once = FractionsInput(C, (v for v in C.arrows))
+    listed = FractionsInput(C, C.arrows)
+    assert once.weq == C.arrows and once == listed
+    assert str(check_axioms(once)) == str(check_axioms(listed))
+    assert check_axioms(once).finding(2).witnesses == {
+        ("id:a", "id:a"): "id:a", ("id:a", "f"): "id:a", ("id:b", "id:b"): "id:b",
+        ("f", "id:b"): "id:a",
+    }
+    assert localize(once) == localize(listed)
+
+
 @pytest.mark.parametrize("kind", ["spn", "sb"])
 def test_shape_instances_refuse_an_unhashable_mark(kind):
     # an entry that is no string is indexed under None, as an unknown arrow

@@ -154,6 +154,12 @@ def assert_view_is_the_names(C: FinCategory) -> None:
         assert tuple(C.arrows[f] for f in out) == C.out_of(x)
         assert tuple(C.arrows[f] for f in into) == C.into(x)
         assert [P.out_rank[f] for f in out] == list(range(len(out)))
+    m = len(C.objects)
+    assert len(P.homs) == m * m
+    for x in C.objects:
+        for y in C.objects:
+            hom = P.homs[P.object[x] * m + P.object[y]]
+            assert tuple(C.arrows[f] for f in hom) == C.hom(x, y)
 
 
 @pytest.mark.parametrize("name,C", corpus.all_categories())

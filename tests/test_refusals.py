@@ -22,6 +22,7 @@ from catfrac import (
     Modification,
     NatTrans,
     canonical_cocone,
+    check_axioms,
     check_shape,
     coequalize_reflexive,
     coequalizer_mediate,
@@ -116,6 +117,24 @@ def _walking_arrow_all():
     """The walking arrow with every arrow marked."""
     C = corpus.two()
     return FractionsInput(C, C.arrows)
+
+
+def _chain3_without(f, g):
+    """chain(3) built with no composite of (f, g)."""
+    C = corpus.chain(3)
+    comp = {pair: h for pair, h in C.composition.items() if pair != (f, g)}
+    arrows = [(h, C.src[h], C.tgt[h]) for h in C.arrows]
+    return FinCategory.build(C.objects, arrows, C.identity, comp)
+
+
+def _keyed_by_a_string():
+    """The walking composable pair, with its one composite of non-identity
+    arrows keyed by the string "fg", which unpacks as the pair ('f', 'g')
+    but is no key of that pair."""
+    arrows = [("1", "x", "x"), ("2", "y", "y"), ("3", "z", "z"),
+              ("f", "x", "y"), ("g", "y", "z"), ("h", "x", "z")]
+    return FinCategory.build(["x", "y", "z"], arrows, {"x": "1", "y": "2", "z": "3"},
+                             {"fg": "h"})
 
 
 def _identity_without_f():
@@ -228,6 +247,19 @@ def _internal_nat_trans(components, codomain="c1"):
          "the functor has no image of arrow 'f'"),
         (lambda: induced_functor(_identity_without_f(), localize(_walking_arrow_all())),
          DomainError, "the functor has no image of arrow 'f'"),
+        (lambda: FractionsInput(corpus.two(), "f"), InputError,
+         "the marked arrows are a sequence of arrow names, got 'f'"),
+        (lambda: FractionsInput(corpus.two(), None), InputError,
+         "the marked arrows are a sequence of arrow names, got None"),
+        (lambda: FractionsInput(corpus.two(), 3), InputError,
+         "the marked arrows are a sequence of arrow names, got 3"),
+        (lambda: check_axioms(_walking_arrow_all()).finding(0), DomainError,
+         "an axiom number is 1, 2, 3 or 4, got 0"),
+        (lambda: check_axioms(_walking_arrow_all()).finding(5), DomainError,
+         "an axiom number is 1, 2, 3 or 4, got 5"),
+        (lambda: _chain3_without("0<1", "1<2"), InputError,
+         "composition table is partial: missing ('0<1','1<2')"),
+        (_keyed_by_a_string, InputError, "composition table is partial: missing ('f','g')"),
     ],
     ids=[
         "negative_size", "unhashable_label", "map_domain", "map_codomain", "maps_not_composable", "cone_off_pullback", "legs_off_blocks",
@@ -238,7 +270,8 @@ def _internal_nat_trans(components, codomain="c1"):
         "arrow_part_endpoints", "component_map_endpoints", "limit_str", "limit_none",
         "limit_bool", "limit_negative", "span_one_entry", "span_three_entries", "span_none",
         "span_unhashable_mark", "span_unhashable_arrow", "inverts_missing_image",
-        "induced_missing_image",
+        "induced_missing_image", "marks_a_string", "marks_none", "marks_not_iterable",
+        "finding_zero", "finding_five", "partial_table", "partial_by_string_key",
     ],
 )
 def test_library_refusal(run, error, message):

@@ -17,6 +17,7 @@ reaches self-checks (a) and (b) and fires them.
 
 import sys
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -38,7 +39,7 @@ from catfrac import (
     span_compose,
 )
 from catfrac.errors import IntegrityError
-from catfrac.fractions import _composite_heads
+from catfrac.fractions import AxiomFinding, AxiomReport, _composite_heads
 from test_generated import build, monoids, posets
 
 LIMIT = 64  # localize's default exhaustive_limit
@@ -254,39 +255,28 @@ def test_internal_localize_searches_each_head_once(monkeypatch):
 
 def test_composition_loop_reads_the_decisions_first_fillers(monkeypatch):
     # fully marked chain(6) has 91 spans, so (b) is skipped: the axiom
-    # decision searches each cospan and each marked pair once, and the
-    # composition loop reads the first fillers it found
+    # decision finds each cospan's and each marked pair's first filler on
+    # positions, and the composition loop reads the first fillers it kept,
+    # so localize makes no lazy Ore or weak search at all
     inp = fully_marked_chain(6)
-    C = inp.category
-    deciding, decided, composing = [], Counter(), Counter()
-    exact_axioms = catfrac.fractions.check_axioms
+    searched = Counter()
 
     def spied(name):
         exact = getattr(catfrac.fractions, name)
 
         def spy(inp, *key):
-            (decided if deciding else composing)[name, key] += 1
+            searched[name] += 1
             return exact(inp, *key)
 
         return spy
 
-    def axioms(inp):
-        deciding.append(inp)
-        try:
-            return exact_axioms(inp)
-        finally:
-            deciding.pop()
-
     for name in ("_ore_fillers", "_weak_fillers"):
         monkeypatch.setattr(catfrac.fractions, name, spied(name))
-    monkeypatch.setattr(catfrac.fractions, "check_axioms", axioms)
     localize(inp)
-    cospans = [(h, v) for h in C.arrows for v in inp.weq if C.tgt[v] == C.tgt[h]]
-    pairs = [(v, vp) for v in inp.weq for vp in inp.weq if C.tgt[v] == C.src[vp]]
-    assert decided == Counter(
-        [("_ore_fillers", key) for key in cospans] + [("_weak_fillers", key) for key in pairs]
-    )
-    assert composing == Counter()
+    assert searched == Counter()
+    # the spies see a composite that keeps no decision's first fillers
+    span_compose(FractionsInput(inp.category, inp.weq), ("0<1", "0<2"), ("2<2", "2<3"))
+    assert searched == Counter({"_ore_fillers": 1, "_weak_fillers": 1})
 
 
 def first_filler_keys(inp: FractionsInput) -> list[tuple]:
@@ -440,16 +430,19 @@ def test_self_check_b_fires_on_a_bogus_last_filler(monkeypatch, name, search, bo
         localize(inp)
 
 
-def test_composite_that_is_no_span_is_an_integrity_error(monkeypatch):
+def test_composite_that_is_no_span_is_an_integrity_error():
     # the 3-chain marked at its identities, 0<1 and 1<2: 0<1;1<2 has no
-    # genuine weak filler, so the bogus one is the first, passes axiom (2)
+    # genuine weak filler, so axiom (2) fails there.  A bogus first filler,
+    # handed to the input as the kept decision's witness, passes axiom (2)
     # and makes the composition loop's composite (0<2, 0<0), not a span
     C = corpus.chain(3)
     inp = FractionsInput(C, ("0<0", "1<1", "2<2", "0<1", "1<2"))
-    monkeypatch.setattr(
-        catfrac.fractions, "_weak_fillers",
-        with_bogus_last(catfrac.fractions._weak_fillers, non_filler),
-    )
+    report = check_axioms(inp)
+    weak = report.finding(2)
+    assert weak.counterexample == ("0<1", "1<2")
+    witnesses = {**weak.witnesses, ("0<1", "1<2"): non_filler(inp, [], "0<1", "1<2")}
+    bogus = AxiomFinding(2, True, MappingProxyType(witnesses))
+    inp._axioms = AxiomReport(tuple(bogus if f.axiom == 2 else f for f in report.findings))
     with pytest.raises(IntegrityError) as raised:
         localize(inp)
     assert str(raised.value) == (

@@ -240,7 +240,7 @@ def test_marked_category_gains_no_attribute():
     assert vars(catfrac.fractions) == module
 
 
-# the decisions an input's axioms take: the table walk and one search per axiom
+# the decisions an input's axioms take: the table walk and one finding per axiom
 AXIOM_WORK = ("misplaced_composites", "_decide")
 
 
@@ -664,9 +664,12 @@ def test_coordinate_lookup_check_fires():
     ]
 
 
-# what localize runs on arrow positions: the sailboat moves, the head
-# product, and localize's own loops, the class loop and self-check (b)
-POSITIONAL = ("_masts", "_span_partition", "_weak_legs", "_composite_heads", "localize")
+# what runs on arrow positions: the axiom decision, the sailboat moves,
+# the head product, and localize's own loops, the class loop and
+# self-check (b)
+POSITIONAL = (
+    "check_axioms", "_masts", "_span_partition", "_weak_legs", "_composite_heads", "localize"
+)
 
 
 def _name_pair_reads(tree: ast.Module, functions) -> list:
@@ -722,9 +725,13 @@ def test_name_pair_read_check_fires():
         "def _first_head(inp, v1, g1, v2):\n"
         "    comp = inp.category.composition\n"
         "    yield comp[(m, h2)]\n"
+        "def check_axioms(inp):\n"
+        "    comp = inp.category.composition\n"
+        "    coequalized = comp[(f, v)] == comp[(g, v)]\n"
     )
     assert _name_pair_reads(by_names, POSITIONAL) == [
-        "localize at line 3", "localize at line 4", "localize at line 6"
+        "localize at line 3", "localize at line 4", "localize at line 6",
+        "check_axioms at line 13", "check_axioms at line 13",
     ]
 
 

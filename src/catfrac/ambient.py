@@ -53,9 +53,9 @@ and ``verify_pairs_coequalizer`` share.
 Within one call, ``internal_elements`` computes each compositor inverse
 once.  ``internal_localize`` alone enters the fractions layer: it decides
 the axioms on the externalized category and composes spans through
-``fractions.span_compose``, keeping the decision's first fillers, every
-filler list and every composite head (``fractions._SharedFillers``).  The
-span machinery reads ambient tables.
+``fractions.span_compose``, both on one searcher for the call
+(``fractions._SharedFillers``), which keeps each first head for every
+second span.  The span machinery reads ambient tables.
 """
 
 from __future__ import annotations

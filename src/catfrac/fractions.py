@@ -11,37 +11,30 @@ Arrows of the localized category are sailboat classes of spans (v, g) with
 v a W-arrow sharing its source with g.  A span reads as "go backward along
 v, then forward along g", so the class [v;g] runs from t(v) to t(g).
 
-All searches (sections, Ore fillers, weak-composition witnesses, zippers)
-take the first candidate in canonical order; exhaustive modes re-run them
-over every candidate to witness independence.  Every search over W reads
-the marked arrows at one endpoint from an index each ``FractionsInput``
-builds once (marked arrows by source and by target, each bucket in W
-order), so a filtered scan of W yields the same sequence without visiting
-the rest of W.
+Each shape has one search routine, on arrow positions, which yields a
+case's fillers in canonical order: ``_weak_fillers`` (the arrows m with
+(m;v);v' marked), ``_ore_squares`` (the pairs (w', g) with w' marked and
+g;v = w';h) and ``_zippers`` (the marked u with u;f = u;g).  A section is
+the first marked arrow into an object.  The routines read W through its
+positional index (``_mark_index``: the marked flags and, per object, the
+marked arrows out of it and into it, each in W order), so a filtered scan
+of W yields the same sequence without visiting the rest of W.
 
-Composing (v1, g1) with (v2, g2) reads g2 only in its last step, so a
-composite is a head, made from an Ore filler of (g1, v2) and a weak filler
-of (w', v1), followed by g2.  An input decides its axioms once
-(``axiom_verdict``): localize reads the kept verdict and hands its witnesses
-to the input the composition loop reads, and one ambient span machinery
-decides them on that input itself, so the first Ore and weak fillers found
-as witnesses are the ones the first heads are made from: each first filler
-is searched once.  Each complete filler list, each list of weak legs
-(m, (m;w');v1), the first head and the Ore x weak product of heads are
-formed once per key and shared, a head by every g2.
-
-The axiom decision runs on the category's positional view: each axiom is
-one pass over its cases, reading the composites its lazy search reads, so
-its witnesses are those searches' first hits.  The lazy filler searches
-and the first head run on names; they give every complete filler list, and
-every first hit outside a decision.  The weak legs, the Ore fillers' second
-legs and the product of heads are arrow positions, and localize's own loops
-run on the view, with names kept at the edges.
+The axiom decision takes each case's first filler.  Composing (v1, g1)
+with (v2, g2) reads g2 only in its last step, so a composite is a head
+((m;w');v1, m;h2), made from an Ore square (w', h2) of (g1, v2) and a weak
+filler m of (w', v1), followed by g2.  The composition loop takes the
+first Ore square, then the first weak filler of its w' (``_first_head``);
+self-check (b) and ``span_compose(exhaustive=True)`` take the whole lists
+(``_composite_heads``).  Each call searches on one ``_SharedFillers``,
+which keeps every whole filler list and every list of heads it is asked
+for, keyed by positions, so a list is formed once per key and a head is
+shared by every g2.  Heads are pairs of arrow positions; names appear only
+at the edges: the axiom report, error messages and span_compose's return.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
@@ -75,13 +68,12 @@ from .verify import Correspondence, VerifierReport, check_correspondence
 class FractionsInput:
     """A category with a class W of marked arrows, listed in canonical order.
 
-    Construction keeps W as a tuple, so an iterator is read once, and
-    refuses a string or a value that is not iterable with InputError.  It
-    indexes W once: ``_wset`` holds the marked arrows, ``_w_out`` and
-    ``_w_into`` list them by source and by target, each in W order.  The
-    index stays out of the fields, ``__eq__`` and ``repr``.  A marked arrow
-    that is not in the category, or an entry that is no string, is keyed
-    None; ``check`` says so before any search reads the index.
+    Construction keeps W as a tuple, so an iterator is read once.  It
+    refuses with InputError a string, a set or a frozenset (whose order
+    would follow string hashing) and a value that is not iterable.
+    ``check`` says whether every entry is an arrow of the category, listed
+    once; W's positional index is built only after it passes
+    (``_SharedFillers``).
 
     An input is not changed after it is built: it keeps the report of the
     first ``check_axioms`` call that completes on it (``_axioms``, see
@@ -93,20 +85,9 @@ class FractionsInput:
     weq: tuple
 
     def __post_init__(self) -> None:
-        if isinstance(self.weq, str) or not isinstance(self.weq, Iterable):
+        if isinstance(self.weq, (str, set, frozenset)) or not isinstance(self.weq, Iterable):
             raise InputError(f"the marked arrows are a sequence of arrow names, got {self.weq!r}")
-        src, tgt = self.category.src, self.category.tgt
-        marks, outs, ins = [], {}, {}
-        for v in self.weq:
-            marks.append(v)
-            # an entry that is no string may be unhashable; no arrow is one
-            key = v if isinstance(v, str) else None
-            outs.setdefault(src.get(key), []).append(v)
-            ins.setdefault(tgt.get(key), []).append(v)
-        self.weq = tuple(marks)
-        self._wset = frozenset(v for v in self.weq if isinstance(v, str))
-        self._w_out = {x: tuple(vs) for x, vs in outs.items()}
-        self._w_into = {y: tuple(vs) for y, vs in ins.items()}
+        self.weq = tuple(self.weq)
         # set during __init__, as Pseudofunctor's verdict is: an attribute
         # added later slows every attribute read on the instance
         self._axioms = None
@@ -121,59 +102,36 @@ class FractionsInput:
                 raise InputError(f"marked arrow {v!r} listed twice")
             seen.add(v)
 
-    def _fillers(self, search, *key) -> Iterable:
-        """What ``search(self, *key)`` finds, searched lazily."""
-        return search(self, *key)
-
-    def _first(self, search, *key):
-        """What ``search(self, *key)`` finds first, or None."""
-        return next(search(self, *key), None)
-
-    def _keep_firsts(self, search, firsts: dict) -> None:
-        """Nothing: a plain input keeps no first hits."""
-
 
 class _SharedFillers(FractionsInput):
-    """The input of one localize call, or of one ambient span machinery,
-    keeping every first filler, every filler list and every list of heads
-    it searches.  It is handed the axiom decision's witnesses, the first
-    filler of each case that has one: localize hands it those of its
-    input's kept verdict, and the ambient decides the axioms on it.  The
-    composition loop and the ambient's composition of every span pair
-    compose many span pairs over those same cospans and marked pairs, and
-    ``_first`` reads the kept witnesses.  Self-check (b) reads the complete
-    lists, each in canonical order, so a list's first entry is the lazy
-    search's first hit and ``_first`` reads it when no first hit is kept.
-    So each head is formed once per (v1, g1, v2), and each span pair only
-    reads its composite with g2.  The lists the head product reads, the Ore
-    fillers' second legs and the weak legs, are kept as arrow positions
-    (``_ore_legs``, ``_weak_legs``), so each is converted once per key.  It
-    lives only as long as that call."""
+    """The searcher of one call: a checked input with its category's
+    positional view (``view``) and W's positional index (``marks``), which
+    the search routines read, and every list it is asked to keep
+    (``kept``), keyed by routine and arrow positions.  localize builds one
+    per call; the ambient builds one per ``internal_localize`` call and
+    decides the axioms and composes every span pair on it, so each head is
+    formed once per (v1, g1, v2) and each span pair only reads its
+    composite with g2.  A public call handed a plain input builds its own
+    (``_shared``).  It lives only as long as that call."""
 
     def __init__(self, inp: FractionsInput) -> None:
         super().__init__(inp.category, inp.weq)
-        # per search, each key's complete list and each key's first hit
-        self._found: defaultdict = defaultdict(dict)
-        self._firsts: defaultdict = defaultdict(dict)
+        self.check()
+        self.view = self.category._positions()
+        self.marks = _mark_index(self)
+        self._kept: dict = {}
 
-    def _fillers(self, search, *key) -> list:
-        found = self._found[search]
-        listed = found.get(key)
+    def kept(self, routine, *key) -> list:
+        """What ``routine(self, *key)`` yields, listed once."""
+        listed = self._kept.get((routine, key))
         if listed is None:
-            listed = found[key] = list(search(self, *key))
+            listed = self._kept[routine, key] = list(routine(self, *key))
         return listed
 
-    def _first(self, search, *key):
-        firsts = self._firsts[search]
-        if key not in firsts:
-            listed = self._found[search].get(key)
-            if listed is not None:
-                return listed[0] if listed else None
-            firsts[key] = next(search(self, *key), None)
-        return firsts[key]
 
-    def _keep_firsts(self, search, firsts: dict) -> None:
-        self._firsts[search].update(firsts)
+def _shared(inp: FractionsInput) -> _SharedFillers:
+    """inp itself if it is a call's searcher, else a new one for this call."""
+    return inp if isinstance(inp, _SharedFillers) else _SharedFillers(inp)
 
 
 @dataclass(frozen=True)
@@ -217,10 +175,10 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[tuple]:
             for g in C.out_of(C.src[v]):
                 out.append((v, g))
     elif kind == "sb":
-        arrows = C.arrows
-        P = C._positions()
-        for h, v, _ in _masts(inp):
-            out += [(arrows[h], arrows[v], arrows[g]) for g in P.outs[P.src[v]]]
+        S = _shared(inp)
+        arrows, outs, src = C.arrows, S.view.outs, S.view.src
+        for h, v, _ in _masts(S):
+            out += [(arrows[h], arrows[v], arrows[g]) for g in outs[src[v]]]
     else:
         raise InputError(f"unknown shape kind {kind!r}")
     return out
@@ -231,25 +189,26 @@ def _mark_index(inp: FractionsInput) -> tuple[list, list, list]:
     the marked arrows out of it and into it, each in W order.  The input
     must pass ``check``."""
     C = inp.category
-    pos = C._positions().arrow
+    P = C._positions()
     marked = [False] * len(C.arrows)
-    for v in inp._wset:
-        marked[pos[v]] = True
-    w_out = [tuple(pos[v] for v in inp._w_out.get(x, ())) for x in C.objects]
-    w_into = [tuple(pos[v] for v in inp._w_into.get(x, ())) for x in C.objects]
+    w_out, w_into = [[] for _ in C.objects], [[] for _ in C.objects]
+    for v in inp.weq:
+        v = P.arrow[v]
+        marked[v] = True
+        w_out[P.src[v]].append(v)
+        w_into[P.tgt[v]].append(v)
     return marked, w_out, w_into
 
 
-def _masts(inp: FractionsInput) -> Iterator[tuple[int, int, int]]:
+def _masts(S: _SharedFillers) -> Iterator[tuple[int, int, int]]:
     """The sailboats (h, v, g), as arrow positions, by mast: each (h, v, h;v)
     with t(h) = s(v) and v, h;v marked, in canonical order.  The sailboats
     on a mast are those with g out of s(v), in declaration order, so this
     is the one sailboat enumeration; ``shape_instances(inp, "sb")`` names
-    it.  The input must pass ``check``."""
-    C = inp.category
-    P = C._positions()
-    n, flat = len(C.arrows), P.flat
-    marked, w_out, _ = _mark_index(inp)
+    it."""
+    P = S.view
+    n, flat = len(P.src), P.flat
+    marked, w_out, _ = S.marks
     for h, t in enumerate(P.tgt):
         hn = h * n
         for v in w_out[t]:
@@ -258,115 +217,79 @@ def _masts(inp: FractionsInput) -> Iterator[tuple[int, int, int]]:
                 yield h, v, hv
 
 
-def _sections(inp: FractionsInput, x: str) -> Iterator[str]:
-    """Marked arrows into x, in canonical order."""
-    return iter(inp._w_into.get(x, ()))
-
-
-def _weak_fillers(inp: FractionsInput, v: str, vp: str) -> Iterator[str]:
-    """Weak-composition fillers of a marked composable pair (v, v'): arrows
-    m with m;v;v' marked, in canonical order."""
-    C = inp.category
-    comp = C.composition
-    for m in C.into(C.src[v]):
-        mv = comp[(m, v)]
-        # the table holds only composable pairs; compose names one that is not
-        try:
-            mvvp = comp[(mv, vp)]
-        except KeyError:
-            mvvp = compose(C, mv, vp)
-        if mvvp in inp._wset:
+def _weak_fillers(S: _SharedFillers, v: int, vp: int) -> Iterator[int]:
+    """Weak-composition fillers of a marked composable pair (v, v'): the
+    arrows m into s(v) with (m;v);v' marked, in canonical order."""
+    P = S.view
+    n, flat, marked = len(P.src), P.flat, S.marks[0]
+    for m in P.ins[P.src[v]]:
+        if marked[flat[flat[m * n + v] * n + vp]]:
             yield m
 
 
-def _ore_fillers(inp: FractionsInput, h: str, v: str) -> Iterator[tuple]:
-    """Ore squares on a cospan (h, v) with v marked: pairs (w', g) with w'
-    marked and w';h = g;v, in canonical order."""
-    C = inp.category
-    for wp in inp._w_into.get(C.src[h], ()):
-        wph = C.composition[(wp, h)]
-        for g in C.hom(C.src[wp], C.src[v]):
-            if C.composition[(g, v)] == wph:
+def _ore_squares(S: _SharedFillers, h: int, v: int) -> Iterator[tuple[int, int]]:
+    """Ore squares on a cospan (h, v) with v marked: the pairs (w', g) with
+    w' marked into s(h), g: s(w') -> s(v) and g;v = w';h, in canonical
+    order."""
+    P = S.view
+    n, flat, homs, row = len(P.src), P.flat, P.homs, P.src[v]
+    m = len(P.outs)
+    for wp in S.marks[2][P.src[h]]:
+        wph = flat[wp * n + h]
+        for g in homs[P.src[wp] * m + row]:
+            if flat[g * n + v] == wph:
                 yield wp, g
 
 
-def _ore_legs(inp: FractionsInput, h: str, v: str) -> Iterator[tuple]:
-    """Each Ore filler (w', h2) of (h, v), with h2 as an arrow position, in
-    canonical order."""
-    pos = inp.category._positions().arrow
-    for wp, h2 in inp._fillers(_ore_fillers, h, v):
-        yield wp, pos[h2]
-
-
-def _weak_legs(inp: FractionsInput, wp: str, v1: str) -> Iterator[tuple]:
-    """Each weak filler m of (w', v1) with the first leg (m;w');v1 of the
-    heads it makes, both as arrow positions, in canonical order."""
-    C = inp.category
-    P = C._positions()
-    n, pos, flat = len(C.arrows), P.arrow, P.flat
-    # the search yields only m with t(m) = s(w') and (m;w');v1 composed, so
-    # both are table reads; it names an unknown v1 before the first read
-    for m in inp._fillers(_weak_fillers, wp, v1):
-        m = pos[m]
-        yield m, flat[flat[m * n + pos[wp]] * n + pos[v1]]
-
-
-def _composite_heads(inp: FractionsInput, v1: str, g1: str, v2: str) -> Iterator[tuple]:
-    """What composing a span (v1, g1) with any span (v2, g2) makes before
-    g2: pairs ((m;w');v1, m;h2), as arrow positions, over each Ore filler
-    (w', h2) of (g1, v2) and each weak filler m of (w', v1), in canonical
-    order, each first occurrence only: composition is a function, so a
-    repeated head would only repeat its composite.  A shared input keeps
-    the Ore fillers and weak legs of each key as positions, so each filler
-    is converted once per key, not once per combination."""
-    C = inp.category
-    n, flat = len(C.arrows), C._positions().flat
-    seen = set()
-    # an Ore filler's h2 starts at s(w') = t(m), so m;h2 is a table read
-    for wp, h2 in inp._fillers(_ore_legs, g1, v2):
-        for m, leg in inp._fillers(_weak_legs, wp, v1):
-            b = flat[m * n + h2]
-            key = leg * n + b
-            if key not in seen:
-                seen.add(key)
-                yield leg, b
-
-
-def _first_head(inp: FractionsInput, v1: str, g1: str, v2: str) -> Iterator[tuple]:
-    """The head a composite of (v1, g1) with any (v2, g2) takes from the
-    first filler of each kind: ((m;w');v1, m;h2) for the first Ore filler
-    (w', h2) of (g1, v2) and the first weak filler m of (w', v1), or nothing
-    when either is missing.  Both are read through ``_first``, so on the
-    input the axioms were decided on they are that decision's witnesses."""
-    comp = inp.category.composition
-    first = inp._first(_ore_fillers, g1, v2)
-    if first is None:
-        return
-    wp, h2 = first
-    m = inp._first(_weak_fillers, wp, v1)
-    if m is not None:
-        # table reads, as in _weak_legs and _composite_heads
-        yield comp[(comp[(m, wp)], v1)], comp[(m, h2)]
-
-
-def _zippers(inp: FractionsInput, f: str, g: str) -> Iterator[str]:
-    """Marked arrows u with u;f = u;g for a parallel pair (f, g), in
-    canonical order."""
-    comp = inp.category.composition
-    for u in inp._w_into.get(inp.category.src[f], ()):
-        if comp[(u, f)] == comp[(u, g)]:
+def _zippers(S: _SharedFillers, f: int, g: int) -> Iterator[int]:
+    """Marked arrows u into s(f) with u;f = u;g, for a parallel pair (f, g),
+    in canonical order."""
+    P = S.view
+    n, flat = len(P.src), P.flat
+    for u in S.marks[2][P.src[f]]:
+        un = u * n
+        if flat[un + f] == flat[un + g]:
             yield u
 
 
-def _decide(
-    inp: FractionsInput, axiom: int, search, witnesses: dict, counterexample: Optional[tuple]
-) -> AxiomFinding:
+def _first_head(S: _SharedFillers, v1: int, g1: int, v2: int) -> Iterator[tuple[int, int]]:
+    """The head a composite of (v1, g1) with any (v2, g2) takes from the
+    first filler of each kind: ((m;w');v1, m;h2) for the first Ore square
+    (w', h2) of (g1, v2) and the first weak filler m of (w', v1), or
+    nothing when either is missing."""
+    square = next(_ore_squares(S, g1, v2), None)
+    if square is not None:
+        wp, h2 = square
+        m = next(_weak_fillers(S, wp, v1), None)
+        if m is not None:
+            n, flat = len(S.view.src), S.view.flat
+            # an Ore square's h2 starts at s(w') = t(m), so m;h2 is a table read
+            yield flat[flat[m * n + wp] * n + v1], flat[m * n + h2]
+
+
+def _composite_heads(S: _SharedFillers, v1: int, g1: int, v2: int) -> Iterator[tuple[int, int]]:
+    """What composing a span (v1, g1) with any span (v2, g2) makes before
+    g2: the heads ((m;w');v1, m;h2) over each Ore square (w', h2) of (g1,
+    v2) and each weak filler m of (w', v1), in canonical order, each first
+    occurrence only: composition is a function, so a repeated head would
+    only repeat its composite.  Both filler lists are read from the ones S
+    keeps, so each is searched once per key, not once per row."""
+    n, flat = len(S.view.src), S.view.flat
+    seen = set()
+    for wp, h2 in S.kept(_ore_squares, g1, v2):
+        for m in S.kept(_weak_fillers, wp, v1):
+            mn = m * n
+            a, b = flat[flat[mn + wp] * n + v1], flat[mn + h2]
+            key = a * n + b
+            if key not in seen:
+                seen.add(key)
+                yield a, b
+
+
+def _decide(axiom: int, witnesses: dict, counterexample: Optional[tuple]) -> AxiomFinding:
     """The finding of one axiom, from the first filler of each case that has
     one (``witnesses``, keyed in case order) and the first case without one
-    (``counterexample``, or None).  The witnesses are handed to ``inp``,
-    whose ``_first`` then reads them as ``search``'s first hits on a shared
-    input."""
-    inp._keep_firsts(search, witnesses)
+    (``counterexample``, or None)."""
     return AxiomFinding(axiom, counterexample is None, MappingProxyType(witnesses), counterexample)
 
 
@@ -377,23 +300,22 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
     tuple and each finding's witnesses a read-only mapping.  The first
     report on inp is kept as its verdict (``axiom_verdict``).
 
-    Each axiom is decided in one pass over its cases, on the category's
-    positional view and W's positional index (``_mark_index``): a case's
-    first filler is the first hit of its lazy search (``_sections``,
-    ``_weak_fillers``, ``_ore_fillers``, ``_zippers``), found by reading
-    the same composites in the same order, each one read of the flat
-    table.  Witness keys, witnesses and counterexamples are names."""
+    Each axiom is decided in one pass over its cases, in case order, on the
+    category's positional view: a case's witness is the first filler its
+    search routine yields (the first marked arrow into x for a section).
+    Witness keys, witnesses and counterexamples are names."""
     inp.check()
     C = inp.category
     problem = next(misplaced_composites(C), None)
     if problem is not None:
         raise InputError(problem)
-    P = C._positions()
-    arrows, pos, src, tgt, flat, ins, homs = C.arrows, P.arrow, P.src, P.tgt, P.flat, P.ins, P.homs
+    S = _shared(inp)
+    P = S.view
+    arrows, pos, src, tgt, flat, homs = C.arrows, P.arrow, P.src, P.tgt, P.flat, P.homs
     n, m = len(arrows), len(C.objects)
-    marked, w_out, w_into = _mark_index(inp)
+    _, w_out, w_into = S.marks
     # composites land in their hom, checked above, so every composite of a
-    # composable pair read below is itself composable with the next arrow
+    # composable pair a search reads is itself composable with the next arrow
 
     # (1) a section: the first marked arrow into x
     witnesses, counterexample = {}, None
@@ -402,54 +324,36 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
             witnesses[(x,)] = arrows[into[0]]
         elif counterexample is None:
             counterexample = (x,)
-    sections = _decide(inp, 1, _sections, witnesses, counterexample)
+    sections = _decide(1, witnesses, counterexample)
 
-    # (2) a weak filler of each marked pair (v, v'), v in W order: the first
-    # m into s(v) with (m;v);v' marked
+    # (2) a weak filler of each marked pair (v, v'), v in W order
     witnesses, counterexample = {}, None
     for v in inp.weq:
         vi = pos[v]
-        ms = ins[src[vi]]
-        mvs = [flat[mi * n + vi] * n for mi in ms]
         for vp in w_out[tgt[vi]]:
-            for mi, mv in zip(ms, mvs):
-                if marked[flat[mv + vp]]:
-                    witnesses[(v, arrows[vp])] = arrows[mi]
-                    break
-            else:
-                if counterexample is None:
-                    counterexample = (v, arrows[vp])
-    weak = _decide(inp, 2, _weak_fillers, witnesses, counterexample)
+            found = next(_weak_fillers(S, vi, vp), None)
+            if found is not None:
+                witnesses[(v, arrows[vp])] = arrows[found]
+            elif counterexample is None:
+                counterexample = (v, arrows[vp])
+    weak = _decide(2, witnesses, counterexample)
 
-    # (3) an Ore square on each cospan (h, v), v marked: the first marked w'
-    # into s(h), then the first g: s(w') -> s(v), with g;v = w';h
+    # (3) an Ore square on each cospan (h, v), v marked
     witnesses, counterexample = {}, None
     for h in range(n):
-        vs = w_into[tgt[h]]
-        if not vs:
-            continue
-        wphs = [(wp, src[wp] * m, flat[wp * n + h]) for wp in w_into[src[h]]]
-        for v in vs:
-            sv = src[v]
-            for wp, row, wph in wphs:
-                for g in homs[row + sv]:
-                    if flat[g * n + v] == wph:
-                        break
-                else:
-                    continue  # no g for this w'
-                witnesses[(arrows[h], arrows[v])] = arrows[wp], arrows[g]
-                break
-            else:
-                if counterexample is None:
-                    counterexample = (arrows[h], arrows[v])
-    ore = _decide(inp, 3, _ore_fillers, witnesses, counterexample)
+        for v in w_into[tgt[h]]:
+            found = next(_ore_squares(S, h, v), None)
+            if found is not None:
+                witnesses[(arrows[h], arrows[v])] = arrows[found[0]], arrows[found[1]]
+            elif counterexample is None:
+                counterexample = (arrows[h], arrows[v])
+    ore = _decide(3, witnesses, counterexample)
 
     # (4) a zipper of each parallel pair (f, g) that a marked v out of t(f)
-    # coequalizes: the first marked u into s(f) with u;f = u;g.  The pair
-    # is shown with the first such v
+    # coequalizes, shown with the first such v
     witnesses, counterexample = {}, None
     for f in range(n):
-        vs, us = w_out[tgt[f]], w_into[src[f]]
+        vs = w_out[tgt[f]]
         if not vs:
             continue
         fn = f * n
@@ -460,15 +364,12 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
                     break
             else:
                 continue  # not coequalized: no case
-            for u in us:
-                un = u * n
-                if flat[un + f] == flat[un + g]:
-                    witnesses[(arrows[f], arrows[g])] = arrows[u]
-                    break
-            else:
-                if counterexample is None:
-                    counterexample = (arrows[f], arrows[g], arrows[v])
-    zippers = _decide(inp, 4, _zippers, witnesses, counterexample)
+            found = next(_zippers(S, f, g), None)
+            if found is not None:
+                witnesses[(arrows[f], arrows[g])] = arrows[found]
+            elif counterexample is None:
+                counterexample = (arrows[f], arrows[g], arrows[v])
+    zippers = _decide(4, witnesses, counterexample)
 
     report = AxiomReport(findings=(sections, weak, ore, zippers))
     if inp._axioms is None:
@@ -507,8 +408,9 @@ def _span_starts(C: FinCategory, spans: list) -> list:
     return start
 
 
-def _span_partition(inp: FractionsInput):
-    """Spans and their sailboat classes (as index lists).
+def _span_partition(S: _SharedFillers):
+    """Spans, their sailboat classes (as index lists) and where each marked
+    arrow's block of spans starts (``_span_starts``).
 
     A sailboat move (h, v, g) -> (hv, hg) keeps both endpoints t(v), t(g)
     of the span, so each class has endpoints and the classes of composable
@@ -518,15 +420,15 @@ def _span_partition(inp: FractionsInput):
     The moves are built here, on span indices; fincat.partition, shared
     with the ambient coequalizer, closes them.
     """
-    C = inp.category
-    spans = shape_instances(inp, "spn")
+    C = S.category
+    spans = shape_instances(S, "spn")
     start = _span_starts(C, spans)
-    P = C._positions()
+    P = S.view
     n, src, tgt, flat, outs, rank = len(C.arrows), P.src, P.tgt, P.flat, P.outs, P.out_rank
 
     def moves() -> Iterator[tuple[int, int]]:
         # a mast has t(h) = s(v) = s(g), so both composites are table reads
-        for h, v, hv in _masts(inp):
+        for h, v, hv in _masts(S):
             # (hv, hg) is a span when s(hg) = s(hv); a move off a mast with
             # t(hv) != t(v) breaks the invariant at its first g
             s = src[hv] if tgt[hv] == tgt[v] else None
@@ -539,12 +441,12 @@ def _span_partition(inp: FractionsInput):
                 yield i, j + rank[hg]
                 i += 1
 
-    return spans, partition(len(spans), moves())
+    return spans, partition(len(spans), moves()), start
 
 
 def sailboat_quotient(inp: FractionsInput) -> list[list[tuple]]:
     """Partition of the spans into sailboat classes, canonical reps first."""
-    spans, ordered = _span_partition(inp)
+    spans, ordered, _ = _span_partition(_shared(inp))
     return [[spans[i] for i in members] for members in ordered]
 
 
@@ -572,12 +474,13 @@ def span_compose(
     exhaustive=True, returns the pair (first, frozenset of the spans
     produced by every (Ore filler, weak filler) combination).  Either way
     the composite is a head (``_first_head``, or each of
-    ``_composite_heads``, named from its positions) composed with g2: only
-    that last step reads g2,
-    so an input that keeps its fillers (``_SharedFillers``) forms each head
-    once per (v1, g1, v2) and shares it with every g2.  localize's class
-    loop reads those heads itself and calls this only to refuse a row that
-    has none; the ambient's ``internal_localize`` composes through it.
+    ``_composite_heads``, named from its positions) composed with g2.  Only
+    that last step reads g2, so the searcher of one call
+    (``_SharedFillers``) keeps each head once per (v1, g1, v2) and shares
+    it with every g2; a plain input gets a searcher of its own per call.
+    localize's class loop reads first heads itself and calls this only to
+    refuse a row that has none; the ambient's ``internal_localize``
+    composes through it.
     """
     C = inp.category
     s = s1
@@ -601,15 +504,20 @@ def span_compose(
         )
 
     # a head ends at s(v2), which is s(g2) when s2 is a span; the table
-    # holds only composable pairs, and compose names the pair that is not.
-    # A head search's own KeyError raises in the loop header, outside the
-    # inner try, so it is never taken for a failed read.
-    comp, arrows = C.composition, C.arrows
+    # holds only composable pairs, and compose names the pair that is not
+    S = _shared(inp)
+    P = S.view
+    pos, src, comp, arrows = P.arrow, P.src, C.composition, C.arrows
     results = []
     try:
-        for a, b in inp._fillers(_composite_heads if exhaustive else _first_head, v1, g1, v2):
-            if exhaustive:  # the heads of every combination are positions
-                a, b = arrows[a], arrows[b]
+        h, w, v = pos[g1], pos[v2], pos.get(v1)
+        if v is None or src[v] != src[h]:
+            # s1 is no span: the first read of a weak filler's (m;w');v1 names it
+            for wp, _ in S.kept(_ore_squares, h, w):
+                mw = P.flat[P.ins[src[wp]][0] * len(arrows) + wp]
+                compose(C, arrows[mw], v1)  # raises
+        for a, b in S.kept(_composite_heads if exhaustive else _first_head, v, h, w):
+            a, b = arrows[a], arrows[b]
             try:
                 composite = a, comp[(b, g2)]
             except KeyError:
@@ -622,7 +530,7 @@ def span_compose(
         _refuse_unhashable(s1, s2)
         raise
     if not results:
-        if inp._first(_ore_fillers, g1, v2) is None:
+        if not S.kept(_ore_squares, h, w):
             raise AxiomError(
                 f"no Ore filler for cospan ({g1!r}, {v2!r})",
                 report=check_axioms(inp),
@@ -675,15 +583,12 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
         raise AxiomError(
             "fractions axioms fail:\n" + str(axioms), report=axioms
         )
-    # the input the composition loop reads keeps the verdict's witnesses,
-    # so the loop's first fillers are the decision's; each is copied to a
-    # dict first, which a dict updates from ten times faster than from a
-    # read-only mapping
-    shared = _SharedFillers(inp)
-    for search, finding in zip((_sections, _weak_fillers, _ore_fillers, _zippers), axioms.findings):
-        shared._keep_firsts(search, finding.witnesses.copy())
+    S = _SharedFillers(inp)
     C = inp.category
-    spans, ordered = _span_partition(inp)
+    # the span (v, g) is spans[start[v] + rank[g]], so a pair (a, c) of
+    # positions is a span of class cls[start[a] + rank[c]] exactly when
+    # start[a] >= 0 (a is marked) and s(c) = s(a)
+    spans, ordered, start = _span_partition(S)
 
     # names at the edges: class names, q, class_reps, L and the carrier
     # tables; the loops below read positions of arrows, spans and classes
@@ -701,17 +606,14 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     for name, (v, g) in zip(names, rep_payloads):
         arrows_decl.append((name, C.tgt[v], C.tgt[g]))
 
-    # axiom (1), checked above, gives every object a marked arrow into it
-    alpha = {x: shared._first(_sections, x) for x in C.objects}
-    identity = {x: class_of_span[(alpha[x], alpha[x])] for x in C.objects}
-
-    P = C._positions()
-    arrows, pos, src, flat, outs, rank = C.arrows, P.arrow, P.src, P.flat, P.outs, P.out_rank
+    P = S.view
+    arrows, pos, src, tgt, flat = C.arrows, P.arrow, P.src, P.tgt, P.flat
+    outs, rank, w_into = P.outs, P.out_rank, S.marks[2]
     n, K = len(arrows), len(names)
-    # the span (v, g) is spans[start[v] + rank[g]], so a pair (a, c) of
-    # positions is a span of class cls[start[a] + rank[c]] exactly when
-    # start[a] >= 0 (a is marked) and s(c) = s(a)
-    start = _span_starts(C, spans)
+    # axiom (1), checked above, gives every object a marked arrow into it:
+    # the section at x is the first
+    alpha = {x: arrows[into[0]] for x, into in zip(C.objects, w_into)}
+    identity = {x: class_of_span[(alpha[x], alpha[x])] for x in C.objects}
 
     # a span (v, g) runs from t(v) to t(g); listing the classes out of each
     # object in their own order makes the loop visit only the composable
@@ -720,27 +622,26 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     # classes out of an object fall into runs of one v each
     runs_out: list[list] = [[] for _ in C.objects]
     for k, (v, g) in enumerate(rep_payloads):
-        runs = runs_out[P.tgt[pos[v]]]
+        runs = runs_out[tgt[pos[v]]]
         if not runs or runs[-1][0] != v:
             runs.append((v, []))
         runs[-1][1].append((k, names[k], pos[g]))
     # a row is the class pairs out of one class k1; the first head of (v1,
-    # g1, v2) is read once per row and run of v2, as positions, and each
+    # g1, v2) is searched once per row and run of v2, and each
     # pair composes it with g2 by one read of the flat table, as
     # span_compose does; span_compose runs only for a row with no head, to
     # raise its AxiomError
     composition = {}
     composed = {}  # k1 * K + k2 -> the class of the composite, for (b)
     for k1, s1 in enumerate(rep_payloads):
-        v1, g1 = s1
+        v1, g1 = pos[s1[0]], pos[s1[1]]
         n1, row = names[k1], k1 * K
-        for v2, run in runs_out[P.tgt[pos[g1]]]:
-            found = shared._fillers(_first_head, v1, g1, v2)
-            if not found:
-                span_compose(shared, s1, rep_payloads[run[0][0]])  # raises
-            a, b = found[0]
-            a, bn = pos[a], pos[b] * n
-            i = start[a]
+        for v2, run in runs_out[tgt[g1]]:
+            head = next(_first_head(S, v1, g1, pos[v2]), None)
+            if head is None:
+                span_compose(S, s1, rep_payloads[run[0][0]])  # raises
+            a, b = head
+            bn, i = b * n, start[a]
             sa = src[a] if i >= 0 else None  # no (a, c) is a span unless a is marked
             for k2, n2, g2 in run:
                 # a head ends at s(v2) = s(g2), so (b, g2) is in the table
@@ -768,8 +669,8 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     out = LocalizedCategory(carrier=carrier, q=class_of_span, L=L, class_reps=class_reps)
 
     # (a) identity classes do not depend on the section
-    for x in C.objects:
-        for v in _sections(inp, x):
+    for x, into in zip(C.objects, w_into):
+        for v in map(arrows.__getitem__, into):
             if class_of_span[(v, v)] != identity[x]:
                 raise IntegrityError(
                     f"identity at {x!r} depends on the section: {v!r} disagrees"
@@ -786,16 +687,16 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
             return names[found] if isinstance(found, int) else (arrows[found[0]], arrows[found[1]])
 
         for s1, k1 in zip(spans, cls):
-            v1, g1 = s1
+            v1, g1 = pos[s1[0]], pos[s1[1]]
             row = k1 * K
-            for v2 in inp._w_into.get(C.tgt[g1], ()):
-                heads = shared._fillers(_composite_heads, v1, g1, v2)
+            for v2 in w_into[tgt[g1]]:
+                heads = list(_composite_heads(S, v1, g1, v2))
                 classes = {
                     cls[start[a] + rank[b]] if start[a] >= 0 and src[b] == src[a] else (a, b)
                     for a, b in heads
                 }
                 if len(classes) != 1:
-                    s2 = (v2, C.identity[C.src[v2]])
+                    s2 = (arrows[v2], C.identity[C.src[arrows[v2]]])
                     classes = sorted(map(named, classes), key=str)
                     raise IntegrityError(
                         f"composite of {s1!r} and {s2!r} "
@@ -804,7 +705,6 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
                 a, b = heads[0]
                 i, bn = start[a], b * n
                 sa = src[a] if i >= 0 else None
-                v2 = pos[v2]
                 j = start[v2]
                 for g2 in outs[src[v2]]:
                     # a head ends at s(v2), so (b, g2) is in the table

@@ -7,12 +7,25 @@ Categories here are raw dicts:
      "compose": {(f, g): h}}        # diagrammatic: f followed by g
 
 Span classes are computed by naive repeated-sweep merging, not union-find,
-so the main build and the oracle share no technique.
+so the main build and the oracle share no technique.  The fractions
+fillers (sections, weak fillers, Ore squares, zippers) are full scans of W
+or of every arrow, by names, where the library reads an endpoint index by
+arrow positions.
 """
 
 from __future__ import annotations
 
 import itertools
+
+
+def to_raw(C) -> dict:
+    """A category's tables as a raw dict, read off its attributes."""
+    return {
+        "objects": list(C.objects),
+        "arrows": {a: (C.src[a], C.tgt[a]) for a in C.arrows},
+        "identity": dict(C.identity),
+        "compose": dict(C.composition),
+    }
 
 
 def laws_hold(raw) -> bool:
@@ -89,6 +102,39 @@ def span_classes(raw, weq):
                 classes.remove(cb)
                 changed = True
     return [frozenset(c) for c in classes]
+
+
+def sections(raw, weq, x):
+    """Every marked arrow into x, in W order."""
+    return [v for v in weq if raw["arrows"][v][1] == x]
+
+
+def weak_fillers(raw, weq, v, vp):
+    """Every arrow m with m.v.vp marked, composed as (m.v).vp, in
+    declaration order."""
+    arrows, comp, marked = raw["arrows"], raw["compose"], set(weq)
+    return [
+        m for m in arrows
+        if arrows[m][1] == arrows[v][0] and comp[(comp[(m, v)], vp)] in marked
+    ]
+
+
+def ore_squares(raw, weq, h, v):
+    """Every pair (w', g) with w' marked into s(h), g : s(w') -> s(v) and
+    g.v = w'.h: w' in W order, then g in declaration order."""
+    arrows, comp = raw["arrows"], raw["compose"]
+    return [
+        (wp, g)
+        for wp in weq if arrows[wp][1] == arrows[h][0]
+        for g in arrows
+        if arrows[g] == (arrows[wp][0], arrows[v][0]) and comp[(g, v)] == comp[(wp, h)]
+    ]
+
+
+def zippers(raw, weq, f, g):
+    """Every marked u with u.f = u.g, in W order."""
+    arrows, comp = raw["arrows"], raw["compose"]
+    return [u for u in weq if arrows[u][1] == arrows[f][0] and comp[(u, f)] == comp[(u, g)]]
 
 
 def components(size, pairs):

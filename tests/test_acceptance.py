@@ -11,6 +11,7 @@ import pytest
 
 import corpus
 import oracle
+from oracle import to_raw
 from catfrac import (
     FinCategory,
     FractionsInput,
@@ -60,15 +61,6 @@ def criterion(n: int, capsys, budget: float = None):
         print(f"ACCEPTANCE {n}: pass ({dt:.2f}s)")
     if budget is not None:
         assert dt < budget, f"criterion {n} took {dt:.2f}s, budget {budget}s"
-
-
-def to_raw(C: FinCategory) -> dict:
-    return {
-        "objects": list(C.objects),
-        "arrows": {a: (C.src[a], C.tgt[a]) for a in C.arrows},
-        "identity": dict(C.identity),
-        "compose": dict(C.composition),
-    }
 
 
 def test_criterion_01_known_localizations(capsys):

@@ -1173,9 +1173,10 @@ def assert_fillers_shared_faithfully(D) -> None:
 
 @pytest.mark.parametrize("dname", ["contra_one", "contra_two", "contra_chain", "contra_swap"])
 def test_shared_fillers_change_no_ambient_table(dname):
-    """The span machinery's kept filler lists against lazy searches on a
-    plain FractionsInput: same tables, same composite spans and the same
-    report, in the same order."""
+    """One searcher for the whole internal_localize call against a plain
+    FractionsInput, which gets a searcher of its own per span_compose
+    call: same tables, same composite spans and the same report, in the
+    same order."""
     assert_fillers_shared_faithfully(getattr(corpus, f"diag_{dname}")())
 
 
@@ -1185,17 +1186,18 @@ def test_shared_fillers_change_no_ambient_table_on_generated_diagrams(D):
     assert_fillers_shared_faithfully(D)
 
 
-def test_ambient_composition_searches_each_cospan_once(monkeypatch):
-    """One internal_localize call makes no lazy Ore search: the axiom check
-    finds each cospan's first filler on positions, and the composition
-    reads the first fillers it kept; lazy searches on a plain input repeat
-    a cospan's search outside the check."""
+def test_ambient_searches_a_cospan_once_in_the_decision_and_once_per_head(monkeypatch):
+    """One internal_localize call searches the Ore squares of each cospan
+    once in the axiom check, and outside it once per head (v1, g1, v2) that
+    its span pairs share: the shared searcher keeps each head for every g2.
+    On a plain input each span pair searches its head's cospan again."""
     D = corpus.diag_contra_chain()
     IE = internal_elements(D)
     w = internal_cleavage(D, IE)
     searched, decided = Counter(), Counter()
-    deciding = []
-    exact_search, exact_axioms = fractions._ore_fillers, ambient.check_axioms
+    deciding, pairs = [], []
+    exact_search, exact_axioms = fractions._ore_squares, ambient.check_axioms
+    exact_compose = ambient.span_compose
 
     def spy(inp, h, v):
         (decided if deciding else searched)[(h, v)] += 1
@@ -1208,11 +1210,19 @@ def test_ambient_composition_searches_each_cospan_once(monkeypatch):
         finally:
             deciding.pop()
 
-    monkeypatch.setattr(fractions, "_ore_fillers", spy)
+    def composing(inp, s1, s2):
+        pairs.append((s1, s2))
+        return exact_compose(inp, s1, s2)
+
+    monkeypatch.setattr(fractions, "_ore_squares", spy)
     monkeypatch.setattr(ambient, "check_axioms", axioms)
+    monkeypatch.setattr(ambient, "span_compose", composing)
     internal_localize(IE, w)
-    assert not decided
-    assert not searched
+    heads = {(v1, g1, v2) for (v1, g1), (v2, _) in pairs}
+    assert decided and max(decided.values()) == 1
+    assert sum(searched.values()) == len(heads) < len(pairs)
+    searched.clear()
+    pairs.clear()
     monkeypatch.setattr(ambient, "_SharedFillers", lambda inp: inp)
     internal_localize(IE, w)
-    assert max(searched.values()) > 1
+    assert sum(searched.values()) == len(pairs)

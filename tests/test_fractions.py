@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import catfrac.fractions
 import corpus
 import oracle
+from oracle import to_raw
 from catfrac import (
     AxiomError,
     AxiomReport,
@@ -31,15 +32,6 @@ from catfrac import (
 from catfrac.errors import DomainError, InputError, IntegrityError
 from catfrac.fractions import _SharedFillers
 from test_shared_fillers import fully_marked_chain, marked
-
-
-def to_raw(C: FinCategory) -> dict:
-    return {
-        "objects": list(C.objects),
-        "arrows": {a: (C.src[a], C.tgt[a]) for a in C.arrows},
-        "identity": dict(C.identity),
-        "compose": dict(C.composition),
-    }
 
 
 @pytest.mark.parametrize("name,C", corpus.all_categories())
@@ -202,7 +194,7 @@ def test_span_compose_rejects_mismatched_endpoints():
 @pytest.mark.parametrize("exhaustive", [False, True])
 @pytest.mark.parametrize("shared", [False, True])
 def test_span_compose_names_malformed_spans(s1, s2, message, exhaustive, shared):
-    # the same DomainError whether the heads are searched lazily or kept
+    # the same DomainError whether the input is a call's searcher or plain
     inp = fully_marked_chain(3)
     if shared:
         inp = _SharedFillers(inp)
@@ -523,40 +515,28 @@ def scanned_shapes(inp: FractionsInput, kind: str) -> list[tuple]:
 
 
 def scanned_findings(inp: FractionsInput) -> list[tuple]:
-    """(ok, witnesses in order, counterexample) per axiom, by full scans."""
+    """(ok, witnesses in order, counterexample) per axiom, from the
+    oracle's full scans."""
     C, W = inp.category, inp.weq
-
-    def sections(x):
-        return (v for v in W if C.tgt[v] == x)
-
-    def weak(v, vp):
-        return (m for m in C.arrows if C.tgt[m] == C.src[v]
-                and compose(C, compose(C, m, v), vp) in set(W))
-
-    def ore(h, v):
-        return ((wp, g) for wp in W if C.tgt[wp] == C.src[h]
-                for g in C.arrows if C.src[g] == C.src[wp] and C.tgt[g] == C.src[v]
-                and compose(C, g, v) == compose(C, wp, h))
-
-    def zippers(f, g):
-        return (u for u in W if C.tgt[u] == C.src[f] and compose(C, u, f) == compose(C, u, g))
-
+    raw = to_raw(C)
     coequalized: dict = {}
     for s in scanned_shapes(inp, "p_cq"):
         coequalized.setdefault(s[:2], s)
     cases = [
-        (sections, [((x,), (x,)) for x in C.objects]),
-        (weak, [((v, vp), (v, vp)) for v in W for vp in W if C.tgt[v] == C.src[vp]]),
-        (ore, [((h, v), (h, v)) for h in C.arrows for v in W if C.tgt[h] == C.tgt[v]]),
-        (zippers, list(coequalized.items())),
+        (oracle.sections, [((x,), (x,)) for x in C.objects]),
+        (oracle.weak_fillers,
+         [((v, vp), (v, vp)) for v in W for vp in W if C.tgt[v] == C.src[vp]]),
+        (oracle.ore_squares,
+         [((h, v), (h, v)) for h in C.arrows for v in W if C.tgt[h] == C.tgt[v]]),
+        (oracle.zippers, list(coequalized.items())),
     ]
     out = []
-    for search, keyed in cases:
+    for scan, keyed in cases:
         witnesses, counterexample = [], None
         for key, shown in keyed:
-            found = next(search(*key), None)
-            if found is not None:
-                witnesses.append((key, found))
+            found = scan(raw, W, *key)
+            if found:
+                witnesses.append((key, found[0]))
             elif counterexample is None:
                 counterexample = shown
         out.append((counterexample is None, witnesses, counterexample))

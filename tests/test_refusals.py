@@ -253,6 +253,14 @@ def _internal_nat_trans(components, codomain="c1"):
          "the marked arrows are a sequence of arrow names, got None"),
         (lambda: FractionsInput(corpus.two(), 3), InputError,
          "the marked arrows are a sequence of arrow names, got 3"),
+        # a set's order follows string hashing, and W's order names classes
+        (lambda: FractionsInput(corpus.two(), {"f"}), InputError,
+         "the marked arrows are a sequence of arrow names, got {'f'}"),
+        (lambda: FractionsInput(corpus.two(), frozenset({"f"})), InputError,
+         "the marked arrows are a sequence of arrow names, got frozenset({'f'})"),
+        (lambda: span_compose(FractionsInput(corpus.two(), ("id:a", "id:b", "f", "zz")),
+                              ("id:a", "f"), ("id:b", "id:b")),
+         InputError, "marked arrow 'zz' is not in the category"),
         (lambda: check_axioms(_walking_arrow_all()).finding(0), DomainError,
          "an axiom number is 1, 2, 3 or 4, got 0"),
         (lambda: check_axioms(_walking_arrow_all()).finding(5), DomainError,
@@ -271,7 +279,8 @@ def _internal_nat_trans(components, codomain="c1"):
         "limit_bool", "limit_negative", "span_one_entry", "span_three_entries", "span_none",
         "span_unhashable_mark", "span_unhashable_arrow", "inverts_missing_image",
         "induced_missing_image", "marks_a_string", "marks_none", "marks_not_iterable",
-        "finding_zero", "finding_five", "partial_table", "partial_by_string_key",
+        "marks_a_set", "marks_a_frozenset", "span_bad_mark", "finding_zero", "finding_five", "partial_table",
+        "partial_by_string_key",
     ],
 )
 def test_library_refusal(run, error, message):

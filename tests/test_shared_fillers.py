@@ -1,23 +1,24 @@
-"""localize shares its Ore-filler and weak-filler searches within one call.
+"""localize shares its Ore-square and weak-filler lists within one call.
 
-The axiom decision's witnesses are the first fillers the composition loop
-reads, so it searches none again; a shared input's first hit, whether kept
-from the decision, read off a complete list or searched lazily, is the lazy
-search's.  Differential: the composition loop reads the shared lists, and
-self-check (b) reads the shared heads of each row (s1, v2) once, checks that they lie
-in one class, then composes the first head with each g2 out of s(v2) by one
-table read; the public span_compose searches on its own, and its exhaustive
-mode gives what the whole Ore x weak product gives.  With no fault, a
-bogus last filler or a coarser partition injected, (b) fires exactly when
-the whole product, formed test-side per span pair, meets more than one
-class in some class pair.  A count of compose calls bounds the cost of (b)
-without timing it. Negative controls: a fault injected into a search
-reaches self-checks (a) and (b) and fires them.
+Each fractions shape has one search routine, on arrow positions; named,
+each routine's whole list is the independent oracle's full scan, on the
+corpus and on drawn inputs.  Differential: the composition loop reads the
+first head of each row, and self-check (b) reads the heads of each row
+(s1, v2) once, checks that they lie in one class, then composes the first
+head with each g2 out of s(v2) by one table read; the heads are those the
+oracle's scans make, the public span_compose searches on its own, and its
+exhaustive mode gives what the whole Ore x weak product, formed test-side
+from the oracle's scans, gives.  With no fault, a bogus last filler or a
+coarser partition injected, (b) fires exactly when that whole product
+meets more than one class in some class pair; a bogus filler is appended
+by the library's routine and by the test-side scan alike.  A count of
+compose calls bounds the cost of (b) without timing it.  Negative
+controls: a fault injected into a routine or into the marked arrows into
+an object reaches self-checks (a) and (b) and fires them.
 """
 
 import sys
 from collections import Counter
-from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,6 +26,7 @@ from hypothesis import assume, given, settings, strategies as st
 import catfrac.ambient
 import catfrac.fractions
 import corpus
+import oracle
 from catfrac import (
     FinCategory,
     FractionsInput,
@@ -39,32 +41,71 @@ from catfrac import (
     span_compose,
 )
 from catfrac.errors import IntegrityError
-from catfrac.fractions import AxiomFinding, AxiomReport, _composite_heads
+from catfrac.fractions import _SharedFillers
+from oracle import to_raw
 from test_generated import build, monoids, posets
 
 LIMIT = 64  # localize's default exhaustive_limit
 
 
+def named(C: FinCategory, found):
+    """A routine's result or key by names: an arrow position, or a tuple of them."""
+    return C.arrows[found] if isinstance(found, int) else tuple(C.arrows[i] for i in found)
+
+
+def placed(C: FinCategory, found):
+    """``named`` undone: an arrow name, or a tuple of them, by positions."""
+    pos = C._positions().arrow
+    return pos[found] if isinstance(found, str) else tuple(pos[f] for f in found)
+
+
+# the pick of the fault in force per routine, by name: the test-side scans
+# append what it picks, as the faulty routine does
+FAULTY: dict = {}
+SCANS = {"_weak_fillers": oracle.weak_fillers, "_ore_squares": oracle.ore_squares}
+
+
+def scanned(inp: FractionsInput, routine: str, *key) -> list:
+    """The oracle's whole list of ``routine``'s fillers at ``key``, by names,
+    followed by the pick of a fault in force on that routine."""
+    found = SCANS[routine](to_raw(inp.category), inp.weq, *key)
+    bogus = FAULTY.get(routine)
+    extra = bogus(inp, found, *key) if bogus else None
+    return found if extra is None else found + [extra]
+
+
+def scanned_heads(inp: FractionsInput, v1: str, g1: str, v2: str) -> list[tuple]:
+    """The head ((m;w');v1, m;h2) of every Ore square (w', h2) of (g1, v2)
+    and every weak filler m of (w', v1), from the test-side scans, in
+    canonical order, repeats included."""
+    comp = inp.category.composition
+    return [
+        (comp[(comp[(m, wp)], v1)], comp[(m, h2)])
+        for wp, h2 in scanned(inp, "_ore_squares", g1, v2)
+        for m in scanned(inp, "_weak_fillers", wp, v1)
+    ]
+
+
 def localize_spying(inp: FractionsInput):
     """localize, recording every span_compose call (s1, s2, exhaustive) and
-    every list of heads it reads from its shared fillers, (key, heads)."""
+    every list of heads it forms, (key, heads), by names."""
     composed, read = [], []
     public = catfrac.fractions.span_compose
-    shared_fillers = catfrac.fractions._SharedFillers._fillers
+    heads_of = catfrac.fractions._composite_heads
+    C = inp.category
 
     def composing(shared, s1, s2, exhaustive=False):
         composed.append((s1, s2, exhaustive))
         return public(shared, s1, s2, exhaustive)
 
-    def reading(shared, search, *key):
-        found = shared_fillers(shared, search, *key)
-        if search is _composite_heads:
-            read.append((key, list(found)))
-        return found
+    def reading(shared, *key):
+        heads = list(heads_of(shared, *key))
+        read.append((named(C, key), [named(C, head) for head in heads]))
+        return iter(heads)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(catfrac.fractions, "span_compose", composing)
-        mp.setattr(catfrac.fractions._SharedFillers, "_fillers", reading)
+        mp.setattr(catfrac.fractions, "_composite_heads", reading)
         LC = localize(inp)
     return LC, composed, read
 
@@ -89,10 +130,11 @@ def check_against_public(inp: FractionsInput) -> None:
     for (n1, n2), n in K.composition.items():
         s1, s2 = LC.class_reps[n1], LC.class_reps[n2]
         assert LC.q[span_compose(fresh, s1, s2)] == n
-    # (b) reads the heads of every row once, each the fresh search's list
+    # (b) reads the heads of every row once, each the distinct heads of the
+    # oracle's scans, in order
     assert Counter(key for key, _ in read) == Counter(rows(inp))
     for key, heads in read:
-        assert heads == list(_composite_heads(fresh, *key))
+        assert heads == list(dict.fromkeys(scanned_heads(inp, *key)))
 
 
 def fully_marked_chain(n: int) -> FractionsInput:
@@ -147,17 +189,12 @@ def fully_marked_cyclic(n: int) -> FractionsInput:
 
 
 def whole_product(inp: FractionsInput, s1: tuple, s2: tuple) -> tuple:
-    """Every (Ore filler, weak filler) composite in canonical order, nothing
-    shared and nothing dropped: (first, frozenset of all).  The searches are
-    read from the module when called, so an injected fault reaches them."""
-    C = inp.category
+    """Every (Ore square, weak filler) composite in canonical order, nothing
+    shared and nothing dropped: (first, frozenset of all).  The fillers are
+    the oracle's scans, with the pick of a fault in force."""
     (v1, g1), (v2, g2) = s1, s2
-    searches = catfrac.fractions
-    found = [
-        (compose(C, compose(C, m, wp), v1), compose(C, compose(C, m, h2), g2))
-        for wp, h2 in list(searches._ore_fillers(inp, g1, v2))
-        for m in list(searches._weak_fillers(inp, wp, v1))
-    ]
+    comp = inp.category.composition
+    found = [(a, comp[(b, g2)]) for a, b in scanned_heads(inp, v1, g1, v2)]
     return found[0], frozenset(found)
 
 
@@ -253,63 +290,75 @@ def test_internal_localize_searches_each_head_once(monkeypatch):
     assert len(heads) < len(pairs)
 
 
-def test_composition_loop_reads_the_decisions_first_fillers(monkeypatch):
+def test_localize_reads_first_fillers_only_when_b_is_skipped(monkeypatch):
     # fully marked chain(6) has 91 spans, so (b) is skipped: the axiom
-    # decision finds each cospan's and each marked pair's first filler on
-    # positions, and the composition loop reads the first fillers it kept,
-    # so localize makes no lazy Ore or weak search at all
+    # decision reads the first filler of each of its cases, and the class
+    # loop the first Ore square and the first weak filler of one head per
+    # row and run of v2, so no routine call is read past its first filler
     inp = fully_marked_chain(6)
-    searched = Counter()
+    C, W = inp.category, inp.weq
+    calls, drawn = Counter(), Counter()
 
     def spied(name):
         exact = getattr(catfrac.fractions, name)
 
-        def spy(inp, *key):
-            searched[name] += 1
-            return exact(inp, *key)
+        def spy(shared, *key):
+            calls[name] += 1
+            for found in exact(shared, *key):
+                drawn[name] += 1
+                yield found
 
         return spy
 
-    for name in ("_ore_fillers", "_weak_fillers"):
+    for name in ("_ore_squares", "_weak_fillers"):
         monkeypatch.setattr(catfrac.fractions, name, spied(name))
-    localize(inp)
-    assert searched == Counter()
-    # the spies see a composite that keeps no decision's first fillers
-    span_compose(FractionsInput(inp.category, inp.weq), ("0<1", "0<2"), ("2<2", "2<3"))
-    assert searched == Counter({"_ore_fillers": 1, "_weak_fillers": 1})
+    LC = localize(inp)
+    K = LC.carrier
+    heads = sum(
+        len({LC.class_reps[k2][0] for k2 in K.arrows if K.src[k2] == K.tgt[k1]})
+        for k1 in K.arrows
+    )
+    weak_cases = sum(C.tgt[v] == C.src[vp] for v in W for vp in W)
+    ore_cases = sum(C.tgt[h] == C.tgt[v] for h in C.arrows for v in W)
+    assert calls == Counter(
+        {"_weak_fillers": weak_cases + heads, "_ore_squares": ore_cases + heads}
+    )
+    assert drawn == calls
+    # the spies see the whole lists of an exhaustive composite
+    calls.clear()
+    drawn.clear()
+    span_compose(FractionsInput(C, W), ("2<2", "2<3"), ("3<3", "3<4"), exhaustive=True)
+    assert drawn["_ore_squares"] > calls["_ore_squares"] == 1
 
 
-def first_filler_keys(inp: FractionsInput) -> list[tuple]:
-    """Each search a first filler is read from, with every key the axiom
-    decision searches it at."""
-    C = inp.category
-    searches = catfrac.fractions
+def routine_keys(inp: FractionsInput) -> list[tuple]:
+    """Each search routine, the oracle's scan of its shape, and every key
+    it is checked at, by names: each marked composable pair, each cospan
+    with a marked second leg and each parallel pair."""
+    C, W = inp.category, inp.weq
     return [
-        (searches._sections, [(x,) for x in C.objects]),
-        (searches._weak_fillers,
-         [(v, vp) for v in inp.weq for vp in inp.weq if C.tgt[v] == C.src[vp]]),
-        (searches._ore_fillers,
-         [(h, v) for h in C.arrows for v in inp.weq if C.tgt[h] == C.tgt[v]]),
-        (searches._zippers, [(f, g) for f in C.arrows for g in C.hom(C.src[f], C.tgt[f])]),
+        ("_weak_fillers", oracle.weak_fillers,
+         [(v, vp) for v in W for vp in W if C.tgt[v] == C.src[vp]]),
+        ("_ore_squares", oracle.ore_squares,
+         [(h, v) for h in C.arrows for v in W if C.tgt[h] == C.tgt[v]]),
+        ("_zippers", oracle.zippers,
+         [(f, g) for f in C.arrows for g in C.hom(C.src[f], C.tgt[f])]),
     ]
 
 
-def check_first_fillers(inp: FractionsInput) -> None:
-    """A shared input's first hit, kept from the axiom decision, read off a
-    kept complete list or searched and kept, is the lazy search's."""
-    Shared = catfrac.fractions._SharedFillers
-    fresh = FractionsInput(inp.category, inp.weq)
-    decided, listed, lazy = Shared(inp), Shared(inp), Shared(inp)
-    check_axioms(decided)
-    for search, keys in first_filler_keys(inp):
+def check_routines_against_the_oracle(inp: FractionsInput) -> None:
+    """Named, each routine's whole list is the oracle's full scan, and so
+    is the list of marked arrows into each object, whose first entry is
+    the section."""
+    C, raw = inp.category, to_raw(inp.category)
+    shared = _SharedFillers(inp)
+    for x, into in zip(C.objects, shared.marks[2]):
+        assert named(C, tuple(into)) == tuple(oracle.sections(raw, inp.weq, x))
+    for name, scan, keys in routine_keys(inp):
+        routine = getattr(catfrac.fractions, name)
         for key in keys:
-            first = next(search(fresh, *key), None)
-            whole = listed._fillers(search, *key)
-            assert (whole[0] if whole else None) == first
-            assert listed._first(search, *key) == first
-            assert decided._first(search, *key) == first
-            assert lazy._first(search, *key) == lazy._first(search, *key) == first
-            assert fresh._first(search, *key) == first
+            found = [named(C, f) for f in routine(shared, *placed(C, key))]
+            assert found == scan(raw, inp.weq, *key), (name, key)
 
 
 @pytest.mark.parametrize(
@@ -319,8 +368,8 @@ def check_first_fillers(inp: FractionsInput) -> None:
     + [("chain(6)/all", fully_marked_chain(6))]
     + [(f"Z/{n}/all", fully_marked_cyclic(n)) for n in range(3, 6)],
 )
-def test_shared_first_fillers_are_the_lazy_searchs(name, inp):
-    check_first_fillers(inp)
+def test_routines_list_the_oracles_fillers(name, inp):
+    check_routines_against_the_oracle(inp)
 
 
 @st.composite
@@ -341,8 +390,8 @@ def test_generated_composites_match_public_span_compose(inp):
 
 @settings(max_examples=60, deadline=None)
 @given(marked())
-def test_generated_shared_first_fillers_are_the_lazy_searchs(inp):
-    check_first_fillers(inp)
+def test_generated_routines_list_the_oracles_fillers(inp):
+    check_routines_against_the_oracle(inp)
 
 
 @settings(max_examples=60, deadline=None)
@@ -376,16 +425,17 @@ def test_each_call_searches_its_own_table():
     assert find_isomorphism(z4, k4) is None
 
 
-def with_bogus_last(search, bogus):
-    """``search`` followed by one extra result: what ``bogus`` picks among
-    the candidates the genuine search did not yield."""
+def with_bogus_last(routine, bogus):
+    """``routine`` followed by one extra result: what ``bogus`` picks, by
+    names, among the candidates the genuine routine did not yield."""
 
-    def faulty(inp, *key):
-        genuine = list(search(inp, *key))
+    def faulty(shared, *key):
+        C = shared.category
+        genuine = list(routine(shared, *key))
         yield from genuine
-        extra = bogus(inp, genuine, *key)
+        extra = bogus(shared, [named(C, f) for f in genuine], *named(C, key))
         if extra is not None:
-            yield extra
+            yield placed(C, extra)
 
     return faulty
 
@@ -406,23 +456,18 @@ def non_square(inp, genuine, h, v):
     return None
 
 
-def foreign_section(inp, genuine, x):
-    C = inp.category
-    return next((v for v in inp.weq if C.tgt[v] != x), None)
-
-
 @pytest.mark.parametrize(
-    "name,search,bogus",
+    "name,routine,bogus",
     [
         ("idem/ids", "_weak_fillers", non_filler),
-        ("Z2/all", "_ore_fillers", non_square),
+        ("Z2/all", "_ore_squares", non_square),
     ],
 )
-def test_self_check_b_fires_on_a_bogus_last_filler(monkeypatch, name, search, bogus):
+def test_self_check_b_fires_on_a_bogus_last_filler(monkeypatch, name, routine, bogus):
     inp = dict(corpus.fractions_corpus())[name]
     honest = localize(inp)
     monkeypatch.setattr(
-        catfrac.fractions, search, with_bogus_last(getattr(catfrac.fractions, search), bogus)
+        catfrac.fractions, routine, with_bogus_last(getattr(catfrac.fractions, routine), bogus)
     )
     # the composition loop takes the first filler, so without (b) nothing shows
     assert localize(inp, exhaustive_limit=0) == honest
@@ -430,31 +475,45 @@ def test_self_check_b_fires_on_a_bogus_last_filler(monkeypatch, name, search, bo
         localize(inp)
 
 
-def test_composite_that_is_no_span_is_an_integrity_error():
+def test_composite_that_is_no_span_is_an_integrity_error(monkeypatch):
     # the 3-chain marked at its identities, 0<1 and 1<2: 0<1;1<2 has no
-    # genuine weak filler, so axiom (2) fails there.  A bogus first filler,
-    # handed to the input as the kept decision's witness, passes axiom (2)
-    # and makes the composition loop's composite (0<2, 0<0), not a span
+    # genuine weak filler, so axiom (2) fails there.  A bogus filler
+    # appended by the weak routine is the first of that pair's list, so it
+    # passes axiom (2) and makes the composition loop's composite
+    # (0<2, 0<0), not a span
     C = corpus.chain(3)
     inp = FractionsInput(C, ("0<0", "1<1", "2<2", "0<1", "1<2"))
-    report = check_axioms(inp)
-    weak = report.finding(2)
-    assert weak.counterexample == ("0<1", "1<2")
-    witnesses = {**weak.witnesses, ("0<1", "1<2"): non_filler(inp, [], "0<1", "1<2")}
-    bogus = AxiomFinding(2, True, MappingProxyType(witnesses))
-    inp._axioms = AxiomReport(tuple(bogus if f.axiom == 2 else f for f in report.findings))
+    report = check_axioms(FractionsInput(C, inp.weq))
+    assert [f.axiom for f in report.findings if not f.ok] == [2]
+    assert report.finding(2).counterexample == ("0<1", "1<2")
+    monkeypatch.setattr(
+        catfrac.fractions, "_weak_fillers",
+        with_bogus_last(catfrac.fractions._weak_fillers, non_filler),
+    )
     with pytest.raises(IntegrityError) as raised:
         localize(inp)
+    assert check_axioms(inp).finding(2).witnesses[("0<1", "1<2")] == "0<0"
     assert str(raised.value) == (
         "composite of ('1<2', '1<1') and ('0<1', '0<0') is ('0<2', '0<0'), which is not a span"
     )
 
 
 def test_self_check_a_fires_on_a_bogus_last_section(monkeypatch):
+    # each object's list of marked arrows into it, whose first entry is its
+    # section, gets the first marked arrow not into it appended; the axioms
+    # are decided before the fault, which would add cases of its own
     inp = dict(corpus.fractions_corpus())["arrow/all"]
-    monkeypatch.setattr(
-        catfrac.fractions, "_sections", with_bogus_last(catfrac.fractions._sections, foreign_section)
-    )
+    assert check_axioms(inp).ok
+    exact = catfrac.fractions._mark_index
+
+    def foreign_sections(shared):
+        marked, w_out, w_into = exact(shared)
+        C, pos = shared.category, shared.category._positions().arrow
+        for x, into in zip(C.objects, w_into):
+            into += [pos[v] for v in shared.weq if C.tgt[v] != x][:1]
+        return marked, w_out, w_into
+
+    monkeypatch.setattr(catfrac.fractions, "_mark_index", foreign_sections)
     with pytest.raises(IntegrityError, match="depends on the section"):
         localize(inp)
 
@@ -472,11 +531,13 @@ def constants() -> FractionsInput:
 
 
 def bogus_last(name: str, bogus):
-    """The fault that appends ``bogus``'s pick to the search ``name``."""
+    """The fault that appends ``bogus``'s pick to the lists of the routine
+    ``name`` and of its test-side scan."""
 
     def inject(mp) -> None:
         exact = getattr(catfrac.fractions, name)
         mp.setattr(catfrac.fractions, name, with_bogus_last(exact, bogus))
+        mp.setitem(FAULTY, name, bogus)
 
     return inject
 
@@ -487,7 +548,7 @@ def merged_last_class(mp) -> None:
     exact = catfrac.fractions._span_partition
 
     def coarser(inp):
-        spans, ordered = exact(inp)
+        spans, ordered, start = exact(inp)
         C = inp.category
 
         def ends(members):
@@ -497,8 +558,8 @@ def merged_last_class(mp) -> None:
         for i, members in enumerate(ordered[:-1]):
             if ends(members) == ends(ordered[-1]):
                 merged = sorted(members + ordered[-1])
-                return spans, ordered[:i] + [merged] + ordered[i + 1:-1]
-        return spans, ordered
+                return spans, ordered[:i] + [merged] + ordered[i + 1:-1], start
+        return spans, ordered, start
 
     mp.setattr(catfrac.fractions, "_span_partition", coarser)
 
@@ -506,7 +567,7 @@ def merged_last_class(mp) -> None:
 FAULTS = {
     "no fault": None,
     "bogus weak filler": bogus_last("_weak_fillers", non_filler),
-    "bogus Ore filler": bogus_last("_ore_fillers", non_square),
+    "bogus Ore filler": bogus_last("_ore_squares", non_square),
     "merged last class": merged_last_class,
 }
 # the cases below where the whole product disagrees: never without a fault

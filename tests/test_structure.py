@@ -6,9 +6,10 @@ composition by position, not by a pair of names; a
 record keeps no field that another of its fields gives, and a functor no
 accessor over its maps; the fractions searches read the marked class
 through its endpoint index;
-span_compose searches fillers only through the input's filler cache, and a
-first filler is read only through the input's first-hit lookup, which the
-axiom decision feeds; spans
+each fractions shape has one search routine, which the axiom decision, the
+heads and span_compose reach; span_compose reads heads only through its
+searcher's kept lists, and a first filler is the first item of a routine's
+call, read in the decision and the first head only; spans
 and 2-cells are plain tuples, with no wrapper type around them; the
 pseudofunctor coherence laws are written once for both variances; every
 quotient is closed by the one partition routine in fincat, and every map off
@@ -208,13 +209,12 @@ def test_a_category_builds_its_view_once(monkeypatch):
 
 
 def test_marked_category_gains_no_attribute():
-    # the endpoint index of W is built at construction, stays out of the
-    # fields (so out of __eq__ and repr) and is only read afterwards; the
-    # verdict an input keeps, its first axiom report, sits in a slot set
-    # during __init__ and is the only attribute whose value changes; the
-    # shared input of a localize call keeps what it finds on
-    # itself, so nothing else outlives the call, on the input or in the
-    # module
+    # W's positional index lives on the searcher of one call, not on the
+    # input; the verdict an input keeps, its first axiom report, sits in a
+    # slot set during __init__, stays out of the fields (so out of __eq__
+    # and repr) and is the only attribute whose value changes; the searcher
+    # of a localize call keeps what it finds on itself, so nothing else
+    # outlives the call, on the input or in the module
     assert [f.name for f in dataclasses.fields(FractionsInput)] == ["category", "weq"]
     kept = {"_axioms"}
     chain = corpus.chain(6)
@@ -337,9 +337,10 @@ def _scans_of_weq(fn: ast.AST) -> int:
 
 def test_fractions_searches_read_the_endpoint_index():
     # a search that filters all of W by an endpoint must read the index
-    # instead; the scans left are the index build, the input check, the
-    # inversion check, and the first factor of the spans W x C1 and of the
-    # marked pairs W x W, each visiting every marked arrow once
+    # instead; the scans left are the input's tuple, the index build, the
+    # input check, the inversion check, and the first factor of the spans
+    # W x C1 and of the marked pairs W x W, each visiting every marked
+    # arrow once
     scans = {}
     for fn in ast.walk(MODULES["fractions"]):
         if isinstance(fn, ast.FunctionDef):
@@ -347,8 +348,9 @@ def test_fractions_searches_read_the_endpoint_index():
             if count:
                 scans[fn.name] = count
     assert scans == {
-        "__post_init__": 2,
+        "__post_init__": 1,
         "check": 1,
+        "_mark_index": 1,
         "shape_instances": 1,
         "check_axioms": 1,
         "inverts": 1,
@@ -374,7 +376,7 @@ def _raises_axiom_error(block: list) -> bool:
 
 def _unshared_reads(fn: ast.FunctionDef, names: set, axiom_path: bool) -> list:
     """Reads of ``names`` in ``fn`` that are not themselves an argument of
-    an ``x._fillers(...)`` call (possibly chosen by a conditional
+    an ``x.kept(...)`` call (possibly chosen by a conditional
     expression) and, when ``axiom_path``, not inside the test or body of an
     ``if`` whose body raises AxiomError."""
     parent = {child: node for node in ast.walk(fn) for child in ast.iter_child_nodes(node)}
@@ -395,7 +397,7 @@ def _unshared_reads(fn: ast.FunctionDef, names: set, axiom_path: bool) -> list:
             arg = parent[arg]
         call = parent[arg]
         if isinstance(call, ast.Call) and arg in call.args:
-            if isinstance(call.func, ast.Attribute) and call.func.attr == "_fillers":
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "kept":
                 continue
         if axiom_path and on_axiom_path(node):
             continue
@@ -404,34 +406,35 @@ def _unshared_reads(fn: ast.FunctionDef, names: set, axiom_path: bool) -> list:
 
 
 def _per_pair_searches(fn: ast.FunctionDef) -> list:
-    return _unshared_reads(fn, {"_ore_fillers", "_weak_fillers"}, axiom_path=True) + (
+    return _unshared_reads(fn, {"_ore_squares", "_weak_fillers"}, axiom_path=True) + (
         _unshared_reads(fn, {"_first_head", "_composite_heads"}, axiom_path=False)
     )
 
 
 def test_span_compose_searches_only_through_the_filler_cache():
-    # a composite's heads are searched through inp._fillers, which keeps
-    # them for every g2 on a shared input; a direct filler search is left
-    # only for naming the missing filler on the way to an AxiomError
+    # a composite's heads are searched through the searcher's kept lists,
+    # which keep them for every g2 on a call's searcher; a direct filler
+    # search is left only for naming the missing filler on the way to an
+    # AxiomError
     fn = _function(MODULES["fractions"], "span_compose")
     assert _per_pair_searches(fn) == []
     assert any(
-        isinstance(node, ast.Attribute) and node.attr == "_fillers" for node in ast.walk(fn)
+        isinstance(node, ast.Attribute) and node.attr == "kept" for node in ast.walk(fn)
     )
 
 
 def test_per_pair_search_check_fires():
     per_pair = ast.parse(
         "def span_compose(inp, s1, s2, exhaustive=False):\n"
-        "    wp, h2 = next(_ore_fillers(inp, g1, v2))\n"
-        "    if next(_ore_fillers(inp, g1, v2), None) is None:\n"
+        "    wp, h2 = next(_ore_squares(S, g1, v2))\n"
+        "    if next(_ore_squares(S, g1, v2), None) is None:\n"
         "        raise AxiomError('no Ore filler', report=check_axioms(inp))\n"
-        "    heads = _composite_heads(inp, v1, g1, v2) if exhaustive else (\n"
-        "        inp._fillers(_first_head, v1, g1, v2))\n"
-        "    return [inp._fillers(_weak_fillers, wp, v1)[0], _weak_fillers(inp, wp, v1)]\n"
+        "    heads = _composite_heads(S, v1, g1, v2) if exhaustive else (\n"
+        "        S.kept(_first_head, v1, g1, v2))\n"
+        "    return [S.kept(_weak_fillers, wp, v1)[0], _weak_fillers(S, wp, v1)]\n"
     )
     assert _per_pair_searches(_function(per_pair, "span_compose")) == [
-        "_ore_fillers at line 2", "_weak_fillers at line 7", "_composite_heads at line 5"
+        "_ore_squares at line 2", "_weak_fillers at line 7", "_composite_heads at line 5"
     ]
 
 
@@ -440,70 +443,139 @@ def _called_name(call: ast.Call):
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
-def _first_hit_reads(tree: ast.Module) -> list:
-    """``next(...)`` calls outside ``_first`` and ``_decide`` whose iterator
-    comes from a filler search, from a search passed in as ``search``, or
-    from a filler cache.  The filler searches are the module's functions
-    handed to ``_fillers``, ``_first`` or ``_decide``."""
-    defined = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
-    handed = {
-        name.id
-        for call in ast.walk(tree)
-        if isinstance(call, ast.Call) and _called_name(call) in {"_fillers", "_first", "_decide"}
-        for arg in call.args
-        for name in ast.walk(arg)
-        if isinstance(name, ast.Name)
-    }
-    searches = (handed & defined) | {"search", "_fillers"}
-    found = []
+# each fractions shape's one search routine
+ROUTINES = ("_weak_fillers", "_ore_squares", "_zippers")
+
+
+def _first_hit_reads(tree: ast.Module) -> Counter:
+    """Per function, the ``next(...)`` calls whose iterator comes from a
+    call of a search routine: the reads of a first filler."""
+    found = Counter()
     for fn in ast.walk(tree):
-        if not isinstance(fn, ast.FunctionDef) or fn.name in ("_first", "_decide"):
+        if not isinstance(fn, ast.FunctionDef):
             continue
         for call in ast.walk(fn):
             if not (isinstance(call, ast.Call) and _called_name(call) == "next" and call.args):
                 continue
             if any(
-                isinstance(node, ast.Call) and _called_name(node) in searches
+                isinstance(node, ast.Call) and _called_name(node) in ROUTINES
                 for node in ast.walk(call.args[0])
             ):
-                found.append(f"{fn.name} at line {call.lineno}")
+                found[fn.name] += 1
     return found
 
 
-def _keeps_its_witnesses(tree: ast.Module) -> bool:
-    return any(
-        isinstance(call, ast.Call) and _called_name(call) == "_keep_firsts"
-        for call in ast.walk(_function(tree, "_decide"))
-    )
-
-
 def test_first_fillers_are_read_in_one_place():
-    # a first filler is read through inp._first, which on a localize call's
-    # shared input answers from the axiom decision's witnesses; the decision
-    # searches its cases itself and hands every witness to the input
-    assert _first_hit_reads(MODULES["fractions"]) == []
-    assert _keeps_its_witnesses(MODULES["fractions"])
+    # a first filler is the first item of a routine's call: the axiom
+    # decision reads one per shape, and the first head its Ore square and
+    # the weak filler of its w'; the composition loop reads first heads
+    assert _first_hit_reads(MODULES["fractions"]) == Counter({"check_axioms": 3, "_first_head": 2})
 
 
 def test_first_hit_read_check_fires():
     scattered = ast.parse(
-        "def _first(self, search, *key):\n"
-        "    return next(search(self, *key), None)\n"
-        "def _sections(inp, x):\n"
-        "    return iter(inp._w_into.get(x, ()))\n"
-        "def _first_head(inp, v1, g1, v2):\n"
-        "    first = next(iter(inp._fillers(_ore_fillers, g1, v2)), None)\n"
-        "    m = inp._first(_weak_fillers, first[0], v1)\n"
+        "def _first_head(S, v1, g1, v2):\n"
+        "    wp, h2 = next(_ore_squares(S, g1, v2))\n"
+        "    m = next(iter(_weak_fillers(S, wp, v1)), None)\n"
         "def localize(inp):\n"
-        "    alpha = {x: next(_sections(inp, x)) for x in inp.category.objects}\n"
+        "    alpha = {x: next(iter(S.marks[2][x])) for x in inp.category.objects}\n"
         "    problem = next(misplaced_composites(inp.category), None)\n"
-        "def _decide(inp, axiom, cases, search):\n"
-        "    return [next(search(inp, *key), None) for key, _ in cases]\n"
-        "def check_axioms(inp):\n"
-        "    return _decide(inp, 1, [], _sections)\n"
+        "    head = next(_first_head(S, v1, g1, v2), None)\n"
+        "    m = next(x for x in _weak_fillers(S, wp, v1))\n"
     )
-    assert _first_hit_reads(scattered) == ["_first_head at line 6", "localize at line 9"]
-    assert not _keeps_its_witnesses(scattered)
+    assert _first_hit_reads(scattered) == Counter({"_first_head": 2, "localize": 1})
+
+
+def _own_nodes(fn: ast.FunctionDef):
+    """The nodes of ``fn``, not descending into the functions it defines."""
+    todo = [fn]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo += [
+            child for child in ast.iter_child_nodes(node)
+            if not isinstance(child, (ast.FunctionDef, ast.Lambda))
+        ]
+
+
+def _tests_a_filler(test: ast.AST) -> bool:
+    """Whether ``test`` compares a read of the flat table for equality or
+    reads the marked flags: what picks a filler among candidates."""
+    for node in ast.walk(test):
+        if isinstance(node, ast.Compare) and any(isinstance(op, ast.Eq) for op in node.ops):
+            if any(
+                isinstance(side, ast.Subscript) and getattr(side.value, "id", None) == "flat"
+                for side in [node.left, *node.comparators]
+            ):
+                return True
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "marked":
+            return True
+    return False
+
+
+def _search_sites(tree: ast.Module) -> Counter:
+    """Per function, the places that keep a candidate a test picks: an
+    ``if`` on such a test whose body yields, breaks or returns, and a
+    comprehension filtered by one."""
+    found = Counter()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.If) and _tests_a_filler(node.test):
+                keeps = (ast.Yield, ast.Break, ast.Return)
+                found[fn.name] += any(
+                    isinstance(inner, keeps) for stmt in node.body for inner in ast.walk(stmt)
+                )
+            elif isinstance(node, ast.comprehension):
+                found[fn.name] += any(map(_tests_a_filler, node.ifs))
+    return +found
+
+
+def _reads(fn: ast.FunctionDef) -> set:
+    return {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+
+
+def test_each_fractions_shape_has_one_search_routine():
+    # a filler is picked only in its shape's routine; the other picks are
+    # the masts (the one sailboat enumeration) and the cases of axiom (4),
+    # a parallel pair being one when some marked v coequalizes it.  The
+    # decision, the heads (so the class loop and (b)) and span_compose reach
+    # fillers through the routines
+    tree = MODULES["fractions"]
+    assert _search_sites(tree) == Counter(
+        {"_weak_fillers": 1, "_ore_squares": 1, "_zippers": 1, "_masts": 1, "check_axioms": 1}
+    )
+    assert set(ROUTINES) <= _reads(_function(tree, "check_axioms"))
+    for name in ("_first_head", "_composite_heads"):
+        assert {"_ore_squares", "_weak_fillers"} <= _reads(_function(tree, name))
+    assert {"_first_head", "_composite_heads"} <= _reads(_function(tree, "localize"))
+    assert {"_first_head", "_composite_heads"} <= _reads(_function(tree, "span_compose"))
+
+
+def test_search_site_check_fires():
+    inline = ast.parse(
+        "def _weak_fillers(S, v, vp):\n"
+        "    for m in ins[src[v]]:\n"
+        "        if marked[flat[flat[m * n + v] * n + vp]]:\n"
+        "            yield m\n"
+        "def check_axioms(inp):\n"
+        "    for m in ins[src[v]]:\n"
+        "        if marked[flat[flat[m * n + v] * n + vp]]:\n"
+        "            witnesses[key] = m\n"
+        "            break\n"
+        "    if flat[fn + v] == flat[gn + v]:\n"
+        "        counterexample = key\n"
+        "def localize(inp):\n"
+        "    squares = [(wp, g) for wp in w_into[x] for g in homs[y] if flat[g * n + v] == wph]\n"
+        "    def moves():\n"
+        "        for u in w_into[x]:\n"
+        "            if flat[u * n + f] == flat[u * n + g]:\n"
+        "                return u\n"
+    )
+    assert _search_sites(inline) == Counter(
+        {"_weak_fillers": 1, "check_axioms": 1, "localize": 1, "moves": 1}
+    )
 
 
 def _variance_forks(fn: ast.FunctionDef) -> list:
@@ -665,10 +737,11 @@ def test_coordinate_lookup_check_fires():
 
 
 # what runs on arrow positions: the axiom decision, the sailboat moves,
-# the head product, and localize's own loops, the class loop and
-# self-check (b)
+# the search routines, the heads, and localize's own loops, the class loop
+# and self-check (b)
 POSITIONAL = (
-    "check_axioms", "_masts", "_span_partition", "_weak_legs", "_composite_heads", "localize"
+    "check_axioms", "_masts", "_span_partition", *ROUTINES, "_first_head", "_composite_heads",
+    "localize",
 )
 
 
@@ -731,7 +804,7 @@ def test_name_pair_read_check_fires():
     )
     assert _name_pair_reads(by_names, POSITIONAL) == [
         "localize at line 3", "localize at line 4", "localize at line 6",
-        "check_axioms at line 13", "check_axioms at line 13",
+        "_first_head at line 10", "check_axioms at line 13", "check_axioms at line 13",
     ]
 
 

@@ -52,10 +52,12 @@ and ``verify_pairs_coequalizer`` share.
 
 Within one call, ``internal_elements`` computes each compositor inverse
 once.  ``internal_localize`` alone enters the fractions layer: it decides
-the axioms on the externalized category and composes spans through
-``fractions.span_compose``, both on one searcher for the call
-(``fractions._SharedFillers``), which keeps each first head for every
-second span.  The span machinery reads ambient tables.
+the axioms on the externalized category, then composes each span pair on
+arrow positions, which ``externalize`` numbers as the arrow set does.  It
+reads the pair's first head from one searcher for the call
+(``fractions._SharedFillers``), which keeps each head for every second
+span, and finds the composite by the span pullback's index.  The span
+machinery reads ambient tables.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from typing import Sequence
 from .diagram import compositor_inverse_component, require_lawful, unitor_inverse_component
 from .errors import AxiomError, DomainError, InputError, IntegrityError
 from .fincat import FinCategory, ValidationReport, compose_many, partition
-from .fractions import FractionsInput, _SharedFillers, check_axioms, span_compose
+from .fractions import FractionsInput, _SharedFillers, _first_head, check_axioms
 from .verify import VerifierReport
 
 
@@ -821,12 +823,13 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
     coequalizer, endpoints via the coequalizer's universal property, and
     composition from the global first-in-order filler choice (so the cover
     of composable pairs is realized by an identity) factored through the
-    pair quotient.
+    pair quotient.  A span pair with no head, or whose composite is not a
+    span, raises IntegrityError: the axioms give every pair a head, and a
+    head composed with g2 is a span.
     """
     M = _machinery(IC, w)
     ext = externalize(IC)
-    names = ext.arrows
-    inp = _SharedFillers(FractionsInput(category=ext, weq=tuple(names[i] for i in w.table)))
+    inp = FractionsInput(category=ext, weq=tuple(ext.arrows[i] for i in w.table))
     axioms = check_axioms(inp)
     if not axioms.ok:
         raise AxiomError("marked arrows fail the fractions axioms:\n" + str(axioms), report=axioms)
@@ -841,12 +844,29 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
     e_table = tuple(M.q.table[start[k] + rank[w.table[k]]] for k in alpha)
     e_q = _built(IC.c0, M.q.cod, e_table)
 
-    spans = [(names[w.table[v]], names[g]) for v, g in zip(M.pi_v.table, M.pi_g.table)]
-    span_pos = {span: k for k, span in enumerate(spans)}
-    sp_values = [
-        M.q.table[span_pos[span_compose(inp, spans[a], spans[b])]]
-        for a, b in zip(M.r0.table, M.r1.table)
-    ]
+    # an arrow's position in ext is its element of IC.c1, so the span pair
+    # (a, b) composes the kept first head (h, m) of (v1, g1, v2) with g2 by
+    # one read of the flat table, and finds the composite (h, m;g2) by index
+    # (-1 is no element of W, so an unmarked h finds nothing)
+    S = _SharedFillers(inp)
+    n, flat = IC.c1.size, S.view.flat
+    wt, v_of, g_of = w.table, M.pi_v.table, M.pi_g.table
+    w_pos = {arrow: k for k, arrow in enumerate(wt)}
+
+    def pair(a: int, b: int) -> str:
+        return f"((a{wt[v_of[a]]}, a{g_of[a]}), (a{wt[v_of[b]]}, a{g_of[b]}))"
+
+    sp_values = []
+    for a, b in zip(M.r0.table, M.r1.table):
+        heads = S.kept(_first_head, wt[v_of[a]], g_of[a], wt[v_of[b]])
+        if not heads:
+            raise IntegrityError(f"axioms passed but span pair {pair(a, b)} has no head")
+        h, m = heads[0]
+        c = flat[m * n + g_of[b]]
+        k = _find(M.pi_v, M.pi_g, M.span_index, w_pos.get(h, -1), c)
+        if k is None:
+            raise IntegrityError(f"span pair {pair(a, b)} composes to (a{h}, a{c}), not a span")
+        sp_values.append(M.q.table[k])
 
     c_table, splits = _factor(M.pair_class, sp_values, M.P2.size)
     if splits:

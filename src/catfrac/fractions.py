@@ -26,11 +26,14 @@ with (v2, g2) reads g2 only in its last step, so a composite is a head
 filler m of (w', v1), followed by g2.  The composition loop takes the
 first Ore square, then the first weak filler of its w' (``_first_head``);
 self-check (b) and ``span_compose(exhaustive=True)`` take the whole lists
-(``_composite_heads``).  Each call searches on one ``_SharedFillers``,
-which keeps every whole filler list and every list of heads it is asked
-for, keyed by positions, so a list is formed once per key and a head is
-shared by every g2.  Heads are pairs of arrow positions; names appear only
-at the edges: the axiom report, error messages and span_compose's return.
+(``_composite_heads``).  Each call builds its own ``_SharedFillers`` from
+a plain input and searches on it; the searcher keeps every whole filler
+list and every list of heads it is asked for, keyed by positions, so a
+list is formed once per key and a head is shared by every g2.  The
+ambient's ``internal_localize`` builds one the same way and reads its
+first heads by position.  Heads are pairs of arrow positions; names
+appear only at the edges: the axiom report, error messages and
+span_compose's return.
 """
 
 from __future__ import annotations
@@ -107,12 +110,12 @@ class _SharedFillers(FractionsInput):
     """The searcher of one call: a checked input with its category's
     positional view (``view``) and W's positional index (``marks``), which
     the search routines read, and every list it is asked to keep
-    (``kept``), keyed by routine and arrow positions.  localize builds one
-    per call; the ambient builds one per ``internal_localize`` call and
-    decides the axioms and composes every span pair on it, so each head is
-    formed once per (v1, g1, v2) and each span pair only reads its
-    composite with g2.  A public call handed a plain input builds its own
-    (``_shared``).  It lives only as long as that call."""
+    (``kept``), keyed by routine and arrow positions.  Every public call
+    builds its own from the plain input it is handed; the ambient builds
+    one per ``internal_localize`` call and reads each span pair's first
+    head from it by position, so each head is formed once per (v1, g1, v2)
+    and each span pair only reads its composite with g2.  It lives only as
+    long as that call."""
 
     def __init__(self, inp: FractionsInput) -> None:
         super().__init__(inp.category, inp.weq)
@@ -127,11 +130,6 @@ class _SharedFillers(FractionsInput):
         if listed is None:
             listed = self._kept[routine, key] = list(routine(self, *key))
         return listed
-
-
-def _shared(inp: FractionsInput) -> _SharedFillers:
-    """inp itself if it is a call's searcher, else a new one for this call."""
-    return inp if isinstance(inp, _SharedFillers) else _SharedFillers(inp)
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,7 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[tuple]:
             for g in C.out_of(C.src[v]):
                 out.append((v, g))
     elif kind == "sb":
-        S = _shared(inp)
+        S = _SharedFillers(inp)
         arrows, outs, src = C.arrows, S.view.outs, S.view.src
         for h, v, _ in _masts(S):
             out += [(arrows[h], arrows[v], arrows[g]) for g in outs[src[v]]]
@@ -309,7 +307,7 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
     problem = next(misplaced_composites(C), None)
     if problem is not None:
         raise InputError(problem)
-    S = _shared(inp)
+    S = _SharedFillers(inp)
     P = S.view
     arrows, pos, src, tgt, flat, homs = C.arrows, P.arrow, P.src, P.tgt, P.flat, P.homs
     n, m = len(arrows), len(C.objects)
@@ -446,7 +444,7 @@ def _span_partition(S: _SharedFillers):
 
 def sailboat_quotient(inp: FractionsInput) -> list[list[tuple]]:
     """Partition of the spans into sailboat classes, canonical reps first."""
-    spans, ordered, _ = _span_partition(_shared(inp))
+    spans, ordered, _ = _span_partition(_SharedFillers(inp))
     return [[spans[i] for i in members] for members in ordered]
 
 
@@ -474,13 +472,10 @@ def span_compose(
     exhaustive=True, returns the pair (first, frozenset of the spans
     produced by every (Ore filler, weak filler) combination).  Either way
     the composite is a head (``_first_head``, or each of
-    ``_composite_heads``, named from its positions) composed with g2.  Only
-    that last step reads g2, so the searcher of one call
-    (``_SharedFillers``) keeps each head once per (v1, g1, v2) and shares
-    it with every g2; a plain input gets a searcher of its own per call.
-    localize's class loop reads first heads itself and calls this only to
-    refuse a row that has none; the ambient's ``internal_localize``
-    composes through it.
+    ``_composite_heads``, named from its positions) composed with g2, found
+    on a searcher of this call's own.  This is the name-level composite of
+    the public API: localize's class loop and the ambient's
+    ``internal_localize`` read first heads by position instead.
     """
     C = inp.category
     s = s1
@@ -505,7 +500,7 @@ def span_compose(
 
     # a head ends at s(v2), which is s(g2) when s2 is a span; the table
     # holds only composable pairs, and compose names the pair that is not
-    S = _shared(inp)
+    S = _SharedFillers(inp)
     P = S.view
     pos, src, comp, arrows = P.arrow, P.src, C.composition, C.arrows
     results = []
@@ -516,7 +511,7 @@ def span_compose(
             for wp, _ in S.kept(_ore_squares, h, w):
                 mw = P.flat[P.ins[src[wp]][0] * len(arrows) + wp]
                 compose(C, arrows[mw], v1)  # raises
-        for a, b in S.kept(_composite_heads if exhaustive else _first_head, v, h, w):
+        for a, b in (_composite_heads if exhaustive else _first_head)(S, v, h, w):
             a, b = arrows[a], arrows[b]
             try:
                 composite = a, comp[(b, g2)]
@@ -558,8 +553,8 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     composed on; ``span_compose(exhaustive=True)`` still forms the whole
     product per span pair.  A failing row names the pair (s1, (v2, 1)).
     Any failure of those re-derivations, a sailboat move that changes a
-    span's endpoints, or a composite that is not a span raises
-    IntegrityError.
+    span's endpoints, a row with no head or a composite that is not a span
+    raises IntegrityError.
 
     The sailboat moves, the class loop and (b) run on the category's
     positional view (``FinCategory._positions``): spans are dense indices,
@@ -629,8 +624,8 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     # a row is the class pairs out of one class k1; the first head of (v1,
     # g1, v2) is searched once per row and run of v2, and each
     # pair composes it with g2 by one read of the flat table, as
-    # span_compose does; span_compose runs only for a row with no head, to
-    # raise its AxiomError
+    # span_compose does.  Axioms (2) and (3) give every row a head, so a
+    # row without one is a fault
     composition = {}
     composed = {}  # k1 * K + k2 -> the class of the composite, for (b)
     for k1, s1 in enumerate(rep_payloads):
@@ -639,7 +634,7 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
         for v2, run in runs_out[tgt[g1]]:
             head = next(_first_head(S, v1, g1, pos[v2]), None)
             if head is None:
-                span_compose(S, s1, rep_payloads[run[0][0]])  # raises
+                raise IntegrityError(f"axioms passed but the row ({s1!r}, {v2!r}) has no head")
             a, b = head
             bn, i = b * n, start[a]
             sa = src[a] if i >= 0 else None  # no (a, c) is a span unless a is marked

@@ -961,30 +961,115 @@ def fully_marked(C: FinCategory) -> tuple:
     return IC, FinSetMap(FinSetObject("W", IC.c1.size), IC.c1, tuple(range(IC.c1.size)))
 
 
-def test_split_pair_class_is_caught_by_internal_localize(monkeypatch):
-    """One span pair composed into a class other than that of an earlier
-    representative of its pair class."""
-    IC, w = fully_marked(corpus.chain3())
+def cleavage_marked(D) -> tuple:
+    IE = internal_elements(D)
+    return IE, internal_cleavage(D, IE)
+
+
+# marked internal categories whose identities are all marked
+MARKED = {
+    "chain3/all": lambda: fully_marked(corpus.chain3()),
+    "contra_chain/cleavage": lambda: cleavage_marked(corpus.diag_contra_chain()),
+}
+
+
+def head_keys(w: FinSetMap, M) -> list:
+    """The key (v1, g1, v2) of each span pair's first head, by arrow
+    positions, in span pair order."""
+    wt, v_of, g_of = w.table, M.pi_v.table, M.pi_g.table
+    return [(wt[v_of[a]], g_of[a], wt[v_of[b]]) for a, b in zip(M.r0.table, M.r1.table)]
+
+
+def pair_name(w: FinSetMap, M, k: int) -> str:
+    """The span pair k of the machinery M, named as the ambient's errors
+    name it."""
+    a, b = M.r0.table[k], M.r1.table[k]
+    wt, v_of, g_of = w.table, M.pi_v.table, M.pi_g.table
+    return f"((a{wt[v_of[a]]}, a{g_of[a]}), (a{wt[v_of[b]]}, a{g_of[b]}))"
+
+
+@pytest.mark.parametrize("name", MARKED)
+def test_split_pair_class_is_caught_by_internal_localize(monkeypatch, name):
+    """The first head of one row (v1, g1, v2) read as the identity at s(v2)
+    with s(v2) != t(v1), so that row's span pairs compose into spans out of
+    s(v2), while a pair of the same pair class in another row keeps its
+    class."""
+    IC, w = MARKED[name]()
     M = ambient._span_machinery(IC, w)
-    k = next(k for k, cls in enumerate(M.pair_class) if cls in M.pair_class[:k])
-    spans = [(f"a{w.table[v]}", f"a{g}") for v, g in zip(M.pi_v.table, M.pi_g.table)]
-    exact = ambient.span_compose
-    calls = []
+    keys = head_keys(w, M)
+    src, tgt, ident = IC.s.table, IC.t.table, IC.e.table
 
-    def stray(inp, s1, s2):
-        out = exact(inp, s1, s2)
-        calls.append(out)
-        if len(calls) == k + 1:
-            cls = M.q.table[spans.index(out)]
-            return next(s for i, s in enumerate(spans) if M.q.table[i] != cls)
-        return out
+    def shares_its_class(k: int) -> bool:
+        return any(
+            keys[j] != keys[k] and M.pair_class[j] == M.pair_class[k] for j in range(len(keys))
+        )
 
-    monkeypatch.setattr(ambient, "span_compose", stray)
+    k = next(k for k, (v1, _, v2) in enumerate(keys) if src[v2] != tgt[v1] and shares_its_class(k))
+    exact = ambient._first_head
+    read = set()
+
+    def stray(S, *key):
+        read.add(key)
+        if key == keys[k]:
+            i = ident[src[key[2]]]
+            yield i, i
+        else:
+            yield from exact(S, *key)
+
+    monkeypatch.setattr(ambient, "_first_head", stray)
     with pytest.raises(
         IntegrityError, match="^composite classes differ across representatives of a pair class$"
     ):
         internal_localize(IC, w)
-    assert len(calls) == M.r0.dom.size  # every span pair is composed before the check
+    assert read == set(keys)  # every span pair is composed before the check
+
+
+@pytest.mark.parametrize("name", MARKED)
+def test_span_pair_without_a_head_is_caught_by_internal_localize(monkeypatch, name):
+    """A head read that finds nothing for one row (v1, g1, v2): the axioms
+    give every row a head, so the row's first span pair is named."""
+    IC, w = MARKED[name]()
+    M = ambient._span_machinery(IC, w)
+    keys = head_keys(w, M)
+    k = keys.index(keys[len(keys) // 2])
+    exact = ambient._first_head
+
+    def headless(S, *key):
+        return iter(()) if key == keys[k] else exact(S, *key)
+
+    monkeypatch.setattr(ambient, "_first_head", headless)
+    with pytest.raises(IntegrityError) as raised:
+        internal_localize(IC, w)
+    assert str(raised.value) == f"axioms passed but span pair {pair_name(w, M, k)} has no head"
+
+
+def test_composite_that_is_no_span_is_caught_by_internal_localize(monkeypatch):
+    """Each first head (h, m) read as (m, m): the composite (m, m;g2) is a
+    span exactly when m is marked, so the first span pair whose head has an
+    unmarked m is named."""
+    IE, w = cleavage_marked(corpus.diag_contra_chain())
+    M = ambient._span_machinery(IE, w)
+    ext = externalize(IE)
+    S = fractions._SharedFillers(FractionsInput(ext, tuple(ext.arrows[j] for j in w.table)))
+    n, flat = IE.c1.size, S.view.flat
+    for k, key in enumerate(head_keys(w, M)):
+        (_, m), = fractions._first_head(S, *key)
+        if m not in w.table:
+            break
+    else:
+        pytest.fail("every first head's second leg is marked")
+    c = flat[m * n + M.pi_g.table[M.r1.table[k]]]
+    exact = ambient._first_head
+
+    def doubled(S, *key):
+        for _, m in exact(S, *key):
+            yield m, m
+
+    monkeypatch.setattr(ambient, "_first_head", doubled)
+    with pytest.raises(IntegrityError) as raised:
+        internal_localize(IE, w)
+    expected = f"span pair {pair_name(w, M, k)} composes to (a{m}, a{c}), not a span"
+    assert str(raised.value) == expected
 
 
 def test_unrepresented_class_pair_is_caught_by_internal_localize(monkeypatch):
@@ -1146,58 +1231,47 @@ def test_internal_positions_match_direct_on_generated_diagrams(D):
     assert [GD.carrier.arrows[j] for j in w.table] == list(cleavage(GD).members)
 
 
-def localized_tables(D, mp: pytest.MonkeyPatch) -> tuple:
-    """internal_localize's tables, every span composite it formed, in order,
-    and the pairs comparison, on D's cleavage."""
+def assert_composites_match_public_span_compose(D) -> None:
+    """For every span pair, internal_localize's composite class, read off
+    its composition table at the pair's class pair, is the class under the
+    span quotient of the public span_compose, by names, on a plain input."""
     IE = internal_elements(D)
     w = internal_cleavage(D, IE)
-    composites = []
-
-    def spy(inp, s1, s2):
-        composites.append((s1, s2, fractions.span_compose(inp, s1, s2)))
-        return composites[-1][2]
-
-    mp.setattr(ambient, "span_compose", spy)
     IL = internal_localize(IE, w)
-    report = verify_pairs_coequalizer(IE, w)
-    tables = tuple((m.dom.size, m.cod.size, m.table) for m in (IL.s, IL.t, IL.e, IL.c))
-    return tables, composites, report.problems, list(report.stats.items()), str(report)
-
-
-def assert_fillers_shared_faithfully(D) -> None:
-    with pytest.MonkeyPatch.context() as mp:
-        shared = localized_tables(D, mp)
-        mp.setattr(ambient, "_SharedFillers", lambda inp: inp)
-        assert localized_tables(D, mp) == shared
+    M = ambient._machinery(IE, w)
+    ext = externalize(IE)
+    inp = FractionsInput(ext, tuple(ext.arrows[j] for j in w.table))
+    spans = [(f"a{w.table[v]}", f"a{g}") for v, g in zip(M.pi_v.table, M.pi_g.table)]
+    span_pos = {span: k for k, span in enumerate(spans)}
+    assert len(span_pos) == len(spans)
+    for k, (a, b) in enumerate(zip(M.r0.table, M.r1.table)):
+        composite = fractions.span_compose(inp, spans[a], spans[b])
+        assert IL.c.table[M.pair_class[k]] == M.q.table[span_pos[composite]], (spans[a], spans[b])
 
 
 @pytest.mark.parametrize("dname", ["contra_one", "contra_two", "contra_chain", "contra_swap"])
-def test_shared_fillers_change_no_ambient_table(dname):
-    """One searcher for the whole internal_localize call against a plain
-    FractionsInput, which gets a searcher of its own per span_compose
-    call: same tables, same composite spans and the same report, in the
-    same order."""
-    assert_fillers_shared_faithfully(getattr(corpus, f"diag_{dname}")())
+def test_internal_localize_composites_match_public_span_compose(dname):
+    assert_composites_match_public_span_compose(getattr(corpus, f"diag_{dname}")())
 
 
 @settings(max_examples=30, deadline=5000)
 @given(st.one_of(strict_chain_diagrams(), swap_diagrams()))
-def test_shared_fillers_change_no_ambient_table_on_generated_diagrams(D):
-    assert_fillers_shared_faithfully(D)
+def test_internal_localize_composites_match_public_span_compose_on_generated_diagrams(D):
+    assert_composites_match_public_span_compose(D)
 
 
 def test_ambient_searches_a_cospan_once_in_the_decision_and_once_per_head(monkeypatch):
     """One internal_localize call searches the Ore squares of each cospan
     once in the axiom check, and outside it once per head (v1, g1, v2) that
-    its span pairs share: the shared searcher keeps each head for every g2.
-    On a plain input each span pair searches its head's cospan again."""
+    its span pairs share: the call's searcher keeps each head for every
+    g2."""
     D = corpus.diag_contra_chain()
     IE = internal_elements(D)
     w = internal_cleavage(D, IE)
-    searched, decided = Counter(), Counter()
-    deciding, pairs = [], []
+    searched, decided, heads = Counter(), Counter(), Counter()
+    deciding = []
     exact_search, exact_axioms = fractions._ore_squares, ambient.check_axioms
-    exact_compose = ambient.span_compose
+    exact_head = ambient._first_head
 
     def spy(inp, h, v):
         (decided if deciding else searched)[(h, v)] += 1
@@ -1210,19 +1284,15 @@ def test_ambient_searches_a_cospan_once_in_the_decision_and_once_per_head(monkey
         finally:
             deciding.pop()
 
-    def composing(inp, s1, s2):
-        pairs.append((s1, s2))
-        return exact_compose(inp, s1, s2)
+    def head(S, *key):
+        heads[key] += 1
+        return exact_head(S, *key)
 
     monkeypatch.setattr(fractions, "_ore_squares", spy)
     monkeypatch.setattr(ambient, "check_axioms", axioms)
-    monkeypatch.setattr(ambient, "span_compose", composing)
+    monkeypatch.setattr(ambient, "_first_head", head)
     internal_localize(IE, w)
-    heads = {(v1, g1, v2) for (v1, g1), (v2, _) in pairs}
+    pairs = ambient._machinery(IE, w).r0.dom.size
     assert decided and max(decided.values()) == 1
-    assert sum(searched.values()) == len(heads) < len(pairs)
-    searched.clear()
-    pairs.clear()
-    monkeypatch.setattr(ambient, "_SharedFillers", lambda inp: inp)
-    internal_localize(IE, w)
-    assert sum(searched.values()) == len(pairs)
+    assert heads and max(heads.values()) == 1
+    assert sum(searched.values()) == len(heads) < pairs

@@ -30,7 +30,6 @@ from catfrac import (
     verify_pseudocolimit,
 )
 from catfrac.errors import DomainError, InputError, IntegrityError
-from catfrac.fractions import _SharedFillers
 from test_shared_fillers import fully_marked_chain, marked
 
 
@@ -192,14 +191,9 @@ def test_span_compose_rejects_mismatched_endpoints():
     ],
 )
 @pytest.mark.parametrize("exhaustive", [False, True])
-@pytest.mark.parametrize("shared", [False, True])
-def test_span_compose_names_malformed_spans(s1, s2, message, exhaustive, shared):
-    # the same DomainError whether the input is a call's searcher or plain
-    inp = fully_marked_chain(3)
-    if shared:
-        inp = _SharedFillers(inp)
+def test_span_compose_names_malformed_spans(s1, s2, message, exhaustive):
     with pytest.raises(DomainError) as exc:
-        span_compose(inp, s1, s2, exhaustive=exhaustive)
+        span_compose(fully_marked_chain(3), s1, s2, exhaustive=exhaustive)
     assert str(exc.value) == message
 
 

@@ -237,16 +237,17 @@ def test_self_check_b_composes_about_n5_times(monkeypatch, n):
     assert calls <= 3 * n**5
 
 
-def count_heads(monkeypatch) -> Counter:
-    """How often each (v1, g1, v2) has its first head searched."""
+def count_heads(monkeypatch, module=catfrac.fractions) -> Counter:
+    """How often each (v1, g1, v2) has its first head searched through
+    ``module``'s binding of ``_first_head``."""
     searched = Counter()
-    exact = catfrac.fractions._first_head
+    exact = module._first_head
 
     def spy(inp, *key):
         searched[key] += 1
         return exact(inp, *key)
 
-    monkeypatch.setattr(catfrac.fractions, "_first_head", spy)
+    monkeypatch.setattr(module, "_first_head", spy)
     return searched
 
 
@@ -273,21 +274,33 @@ def test_class_loop_searches_each_head_once(monkeypatch, n):
 
 
 def test_internal_localize_searches_each_head_once(monkeypatch):
+    # the ambient reads each span pair's first head from its call's
+    # searcher, which keeps it for every g2
     D = corpus.diag_contra_chain()
     IE = internal_elements(D)
     w = internal_cleavage(D, IE)
-    heads = count_heads(monkeypatch)
-    pairs = []
-    exact = catfrac.ambient.span_compose
-
-    def composing(inp, s1, s2):
-        pairs.append((s1, s2))
-        return exact(inp, s1, s2)
-
-    monkeypatch.setattr(catfrac.ambient, "span_compose", composing)
+    heads = count_heads(monkeypatch, catfrac.ambient)
     internal_localize(IE, w)
     assert heads and max(heads.values()) == 1
-    assert len(heads) < len(pairs)
+    assert len(heads) < catfrac.ambient._machinery(IE, w).r0.dom.size
+
+
+@pytest.mark.parametrize(
+    "inp,row",
+    [
+        (fully_marked_chain(3), "(('0<0', '0<0'), '0<0')"),
+        (fully_marked_cyclic(3), "(('r0', 'r0'), 'r0')"),
+    ],
+)
+def test_row_without_a_head_is_an_integrity_error(monkeypatch, inp, row):
+    # axioms (2) and (3) give every row (v1, g1, v2) a head, so a first-head
+    # search that finds none is a fault, not a failing axiom: the first row
+    # of the class loop is named
+    assert check_axioms(inp).ok
+    monkeypatch.setattr(catfrac.fractions, "_first_head", lambda S, *key: iter(()))
+    with pytest.raises(IntegrityError) as raised:
+        localize(inp)
+    assert str(raised.value) == f"axioms passed but the row {row} has no head"
 
 
 def test_localize_reads_first_fillers_only_when_b_is_skipped(monkeypatch):

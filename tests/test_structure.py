@@ -7,9 +7,9 @@ record keeps no field that another of its fields gives, and a functor no
 accessor over its maps; the fractions searches read the marked class
 through its endpoint index;
 each fractions shape has one search routine, which the axiom decision, the
-heads and span_compose reach; span_compose reads heads only through its
-searcher's kept lists, and a first filler is the first item of a routine's
-call, read in the decision and the first head only; spans
+heads and span_compose reach; no fractions function tells a call's
+searcher from a plain input, and a first filler is the first item of a
+routine's call, read in the decision and the first head only; spans
 and 2-cells are plain tuples, with no wrapper type around them; the
 pseudofunctor coherence laws are written once for both variances; every
 quotient is closed by the one partition routine in fincat, and every map off
@@ -363,78 +363,53 @@ def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
     )
 
 
-def _raises_axiom_error(block: list) -> bool:
-    return any(
-        isinstance(node, ast.Raise)
-        and isinstance(node.exc, ast.Call)
-        and isinstance(node.exc.func, ast.Name)
-        and node.exc.func.id == "AxiomError"
-        for stmt in block
-        for node in ast.walk(stmt)
-    )
-
-
-def _unshared_reads(fn: ast.FunctionDef, names: set, axiom_path: bool) -> list:
-    """Reads of ``names`` in ``fn`` that are not themselves an argument of
-    an ``x.kept(...)`` call (possibly chosen by a conditional
-    expression) and, when ``axiom_path``, not inside the test or body of an
-    ``if`` whose body raises AxiomError."""
-    parent = {child: node for node in ast.walk(fn) for child in ast.iter_child_nodes(node)}
-
-    def on_axiom_path(node) -> bool:
-        while node in parent:
-            node, up = parent[node], node
-            if isinstance(node, ast.If) and up not in node.orelse and _raises_axiom_error(node.body):
-                return True
-        return False
-
+def _searcher_branches(tree: ast.Module) -> list:
+    """What a function would branch on to tell a call's searcher from a
+    plain input: reads of ``_SharedFillers`` other than a call that builds
+    one or an annotation, and ``hasattr``/``getattr`` probes of a
+    searcher's own attributes."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            skipped.add(id(node.func))
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if note is not None:
+                skipped.update(map(id, ast.walk(note)))
     found = []
-    for node in ast.walk(fn):
-        if not (isinstance(node, ast.Name) and node.id in names):
-            continue
-        arg = node
-        while isinstance(parent[arg], ast.IfExp) and arg is not parent[arg].test:
-            arg = parent[arg]
-        call = parent[arg]
-        if isinstance(call, ast.Call) and arg in call.args:
-            if isinstance(call.func, ast.Attribute) and call.func.attr == "kept":
-                continue
-        if axiom_path and on_axiom_path(node):
-            continue
-        found.append(f"{node.id} at line {node.lineno}")
+    for top in tree.body:
+        where = getattr(top, "name", "module")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == "_SharedFillers":
+                if id(node) not in skipped:
+                    found.append(f"{where} at line {node.lineno}")
+            elif (isinstance(node, ast.Call) and _called_name(node) in ("hasattr", "getattr")
+                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                  and node.args[1].value in ("view", "marks", "kept", "_kept")):
+                found.append(f"{where} at line {node.lineno}")
     return found
 
 
-def _per_pair_searches(fn: ast.FunctionDef) -> list:
-    return _unshared_reads(fn, {"_ore_squares", "_weak_fillers"}, axiom_path=True) + (
-        _unshared_reads(fn, {"_first_head", "_composite_heads"}, axiom_path=False)
+def test_no_fractions_function_branches_on_the_searcher():
+    # each public call builds its own searcher from the plain input it is
+    # handed; none takes a searcher in place of an input
+    assert _searcher_branches(MODULES["fractions"]) == []
+    assert not hasattr(catfrac.fractions, "_shared")
+
+
+def test_searcher_branch_check_fires():
+    copy = ast.parse(
+        "def _shared(inp) -> _SharedFillers:\n"
+        "    return inp if isinstance(inp, _SharedFillers) else _SharedFillers(inp)\n"
+        "def span_compose(inp: FractionsInput, s1, s2):\n"
+        "    S = inp if type(inp) is _SharedFillers else _SharedFillers(inp)\n"
+        "def check_axioms(inp):\n"
+        "    S = inp if hasattr(inp, 'kept') else _SharedFillers(inp)\n"
+        "def _masts(S: _SharedFillers):\n"
+        "    view: _SharedFillers = S.view\n"
+        "SEARCHER = _SharedFillers\n"
     )
-
-
-def test_span_compose_searches_only_through_the_filler_cache():
-    # a composite's heads are searched through the searcher's kept lists,
-    # which keep them for every g2 on a call's searcher; a direct filler
-    # search is left only for naming the missing filler on the way to an
-    # AxiomError
-    fn = _function(MODULES["fractions"], "span_compose")
-    assert _per_pair_searches(fn) == []
-    assert any(
-        isinstance(node, ast.Attribute) and node.attr == "kept" for node in ast.walk(fn)
-    )
-
-
-def test_per_pair_search_check_fires():
-    per_pair = ast.parse(
-        "def span_compose(inp, s1, s2, exhaustive=False):\n"
-        "    wp, h2 = next(_ore_squares(S, g1, v2))\n"
-        "    if next(_ore_squares(S, g1, v2), None) is None:\n"
-        "        raise AxiomError('no Ore filler', report=check_axioms(inp))\n"
-        "    heads = _composite_heads(S, v1, g1, v2) if exhaustive else (\n"
-        "        S.kept(_first_head, v1, g1, v2))\n"
-        "    return [S.kept(_weak_fillers, wp, v1)[0], _weak_fillers(S, wp, v1)]\n"
-    )
-    assert _per_pair_searches(_function(per_pair, "span_compose")) == [
-        "_ore_squares at line 2", "_weak_fillers at line 7", "_composite_heads at line 5"
+    assert _searcher_branches(copy) == [
+        "_shared at line 2", "span_compose at line 4", "check_axioms at line 6", "module at line 9"
     ]
 
 
@@ -808,7 +783,7 @@ def test_name_pair_read_check_fires():
     ]
 
 
-FRACTIONS_ENTRY = {"FractionsInput", "_SharedFillers", "check_axioms", "span_compose"}
+FRACTIONS_ENTRY = {"FractionsInput", "_SharedFillers", "check_axioms", "_first_head"}
 
 
 def _fractions_reads(tree: ast.Module) -> list:
@@ -830,6 +805,7 @@ def test_internal_localize_is_the_one_fractions_entry():
     # the span machinery and the pairs comparison read the ambient's tables
     # only; composing spans is what needs the fractions axioms
     assert _fractions_reads(MODULES["ambient"]) == []
+    assert "span_compose" not in vars(catfrac.ambient)
     assert "inp" not in {f.name for f in dataclasses.fields(_SpanMachinery)}
 
 
@@ -838,7 +814,7 @@ def test_fractions_entry_check_fires():
         "def _span_machinery(IC, w):\n"
         "    return check_axioms(FractionsInput(externalize(IC), w))\n"
         "def internal_localize(IC, w):\n"
-        "    return span_compose(_SharedFillers(inp), s1, s2)\n"
+        "    return _SharedFillers(inp).kept(_first_head, v1, g1, v2)\n"
     )
     assert _fractions_reads(copy) == ["ambient.py:2 check_axioms", "ambient.py:2 FractionsInput"]
 

@@ -15,10 +15,13 @@ Each shape has one search routine, on arrow positions, which yields a
 case's fillers in canonical order: ``_weak_fillers`` (the arrows m with
 (m;v);v' marked), ``_ore_squares`` (the pairs (w', g) with w' marked and
 g;v = w';h) and ``_zippers`` (the marked u with u;f = u;g).  A section is
-the first marked arrow into an object.  The routines read W through its
-positional index (``_mark_index``: the marked flags and, per object, the
-marked arrows out of it and into it, each in W order), so a filtered scan
-of W yields the same sequence without visiting the rest of W.
+the first marked arrow into an object.  The routines take the plain input
+and read W through its positional index (``_mark_index``: the marked flags
+and, per object, the marked arrows out of it and into it, each in W
+order), so a filtered scan of W yields the same sequence without visiting
+the rest of W.  The input keeps the index, as the category keeps its
+positional view: each public entry builds it first, once per input, after
+``check`` passes.
 
 The axiom decision takes each case's first filler.  Composing (v1, g1)
 with (v2, g2) reads g2 only in its last step, so a composite is a head
@@ -26,14 +29,11 @@ with (v2, g2) reads g2 only in its last step, so a composite is a head
 filler m of (w', v1), followed by g2.  The composition loop takes the
 first Ore square, then the first weak filler of its w' (``_first_head``);
 self-check (b) and ``span_compose(exhaustive=True)`` take the whole lists
-(``_composite_heads``).  Each call builds its own ``_SharedFillers`` from
-a plain input and searches on it; the searcher keeps every whole filler
-list and every list of heads it is asked for, keyed by positions, so a
-list is formed once per key and a head is shared by every g2.  The
-ambient's ``internal_localize`` builds one the same way and reads its
-first heads by position.  Heads are pairs of arrow positions; names
-appear only at the edges: the axiom report, error messages and
-span_compose's return.
+(``_composite_heads``), each listed once per key in a dict the call owns
+(``_listed``).  The ambient's ``internal_localize`` reads first heads by
+position and keeps each for its call.  Heads are pairs of arrow
+positions; names appear only at the edges: the axiom report, error
+messages and span_compose's return.
 """
 
 from __future__ import annotations
@@ -71,29 +71,32 @@ from .verify import Correspondence, VerifierReport, check_correspondence
 class FractionsInput:
     """A category with a class W of marked arrows, listed in canonical order.
 
-    Construction keeps W as a tuple, so an iterator is read once.  It
-    refuses with InputError a string, a set or a frozenset (whose order
-    would follow string hashing) and a value that is not iterable.
-    ``check`` says whether every entry is an arrow of the category, listed
-    once; W's positional index is built only after it passes
-    (``_SharedFillers``).
+    Construction refuses with InputError a category that is not a
+    FinCategory.  It keeps W as a tuple, so an iterator is read once, and
+    refuses a string, a set or a frozenset (whose order would follow
+    string hashing) and a value that is not iterable.  ``check`` says
+    whether every entry is an arrow of the category, listed once.
 
-    An input is not changed after it is built: it keeps the report of the
-    first ``check_axioms`` call that completes on it (``_axioms``, see
-    ``axiom_verdict``), in a slot outside the fields, so ``__eq__`` and
-    ``repr`` ignore it.
+    An input is not changed after it is built.  It keeps two derived views,
+    each in a slot outside the fields, so ``__eq__`` and ``repr`` ignore
+    them: W's positional index (``_marks``, built by ``_mark_index`` once
+    ``check`` passes) and the report of the first ``check_axioms`` call
+    that completes on it (``_axioms``, see ``axiom_verdict``).
     """
 
     category: FinCategory
     weq: tuple
 
     def __post_init__(self) -> None:
+        if not isinstance(self.category, FinCategory):
+            raise InputError(f"the marked category is a FinCategory, got {self.category!r}")
         if isinstance(self.weq, (str, set, frozenset)) or not isinstance(self.weq, Iterable):
             raise InputError(f"the marked arrows are a sequence of arrow names, got {self.weq!r}")
         self.weq = tuple(self.weq)
         # set during __init__, as Pseudofunctor's verdict is: an attribute
         # added later slows every attribute read on the instance
         self._axioms = None
+        self._marks = None
 
     def check(self) -> None:
         arrset = set(self.category.arrows)
@@ -104,32 +107,6 @@ class FractionsInput:
             if v in seen:
                 raise InputError(f"marked arrow {v!r} listed twice")
             seen.add(v)
-
-
-class _SharedFillers(FractionsInput):
-    """The searcher of one call: a checked input with its category's
-    positional view (``view``) and W's positional index (``marks``), which
-    the search routines read, and every list it is asked to keep
-    (``kept``), keyed by routine and arrow positions.  Every public call
-    builds its own from the plain input it is handed; the ambient builds
-    one per ``internal_localize`` call and reads each span pair's first
-    head from it by position, so each head is formed once per (v1, g1, v2)
-    and each span pair only reads its composite with g2.  It lives only as
-    long as that call."""
-
-    def __init__(self, inp: FractionsInput) -> None:
-        super().__init__(inp.category, inp.weq)
-        self.check()
-        self.view = self.category._positions()
-        self.marks = _mark_index(self)
-        self._kept: dict = {}
-
-    def kept(self, routine, *key) -> list:
-        """What ``routine(self, *key)`` yields, listed once."""
-        listed = self._kept.get((routine, key))
-        if listed is None:
-            listed = self._kept[routine, key] = list(routine(self, *key))
-        return listed
 
 
 @dataclass(frozen=True)
@@ -165,7 +142,7 @@ class AxiomReport:
 def shape_instances(inp: FractionsInput, kind: str) -> list[tuple]:
     """Exhaustively enumerate one shape kind in canonical order: spans
     ``"spn"`` (v, g) and sailboats ``"sb"`` (h, v, g)."""
-    inp.check()
+    _mark_index(inp)
     C = inp.category
     out = []
     if kind == "spn":
@@ -173,9 +150,9 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[tuple]:
             for g in C.out_of(C.src[v]):
                 out.append((v, g))
     elif kind == "sb":
-        S = _SharedFillers(inp)
-        arrows, outs, src = C.arrows, S.view.outs, S.view.src
-        for h, v, _ in _masts(S):
+        P = C._positions()
+        arrows, outs, src = C.arrows, P.outs, P.src
+        for h, v, _ in _masts(inp):
             out += [(arrows[h], arrows[v], arrows[g]) for g in outs[src[v]]]
     else:
         raise InputError(f"unknown shape kind {kind!r}")
@@ -184,29 +161,34 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[tuple]:
 
 def _mark_index(inp: FractionsInput) -> tuple[list, list, list]:
     """W as arrow positions: whether each arrow is marked, and per object
-    the marked arrows out of it and into it, each in W order.  The input
-    must pass ``check``."""
-    C = inp.category
-    P = C._positions()
-    marked = [False] * len(C.arrows)
-    w_out, w_into = [[] for _ in C.objects], [[] for _ in C.objects]
-    for v in inp.weq:
-        v = P.arrow[v]
-        marked[v] = True
-        w_out[P.src[v]].append(v)
-        w_into[P.tgt[v]].append(v)
-    return marked, w_out, w_into
+    the marked arrows out of it and into it, each in W order.  The first
+    call runs ``check`` and keeps the index on the input (``_marks``),
+    which the search routines read; a check that fails raises on every
+    call and keeps nothing."""
+    if inp._marks is None:
+        inp.check()
+        C = inp.category
+        P = C._positions()
+        marked = [False] * len(C.arrows)
+        w_out, w_into = [[] for _ in C.objects], [[] for _ in C.objects]
+        for v in inp.weq:
+            v = P.arrow[v]
+            marked[v] = True
+            w_out[P.src[v]].append(v)
+            w_into[P.tgt[v]].append(v)
+        inp._marks = marked, w_out, w_into
+    return inp._marks
 
 
-def _masts(S: _SharedFillers) -> Iterator[tuple[int, int, int]]:
+def _masts(inp: FractionsInput) -> Iterator[tuple[int, int, int]]:
     """The sailboats (h, v, g), as arrow positions, by mast: each (h, v, h;v)
     with t(h) = s(v) and v, h;v marked, in canonical order.  The sailboats
     on a mast are those with g out of s(v), in declaration order, so this
     is the one sailboat enumeration; ``shape_instances(inp, "sb")`` names
     it."""
-    P = S.view
+    P = inp.category._positions()
     n, flat = len(P.src), P.flat
-    marked, w_out, _ = S.marks
+    marked, w_out, _ = inp._marks
     for h, t in enumerate(P.tgt):
         hn = h * n
         for v in w_out[t]:
@@ -215,67 +197,79 @@ def _masts(S: _SharedFillers) -> Iterator[tuple[int, int, int]]:
                 yield h, v, hv
 
 
-def _weak_fillers(S: _SharedFillers, v: int, vp: int) -> Iterator[int]:
+def _weak_fillers(inp: FractionsInput, v: int, vp: int) -> Iterator[int]:
     """Weak-composition fillers of a marked composable pair (v, v'): the
     arrows m into s(v) with (m;v);v' marked, in canonical order."""
-    P = S.view
-    n, flat, marked = len(P.src), P.flat, S.marks[0]
+    P = inp.category._positions()
+    n, flat, marked = len(P.src), P.flat, inp._marks[0]
     for m in P.ins[P.src[v]]:
         if marked[flat[flat[m * n + v] * n + vp]]:
             yield m
 
 
-def _ore_squares(S: _SharedFillers, h: int, v: int) -> Iterator[tuple[int, int]]:
+def _ore_squares(inp: FractionsInput, h: int, v: int) -> Iterator[tuple[int, int]]:
     """Ore squares on a cospan (h, v) with v marked: the pairs (w', g) with
     w' marked into s(h), g: s(w') -> s(v) and g;v = w';h, in canonical
     order."""
-    P = S.view
+    P = inp.category._positions()
     n, flat, homs, row = len(P.src), P.flat, P.homs, P.src[v]
     m = len(P.outs)
-    for wp in S.marks[2][P.src[h]]:
+    for wp in inp._marks[2][P.src[h]]:
         wph = flat[wp * n + h]
         for g in homs[P.src[wp] * m + row]:
             if flat[g * n + v] == wph:
                 yield wp, g
 
 
-def _zippers(S: _SharedFillers, f: int, g: int) -> Iterator[int]:
+def _zippers(inp: FractionsInput, f: int, g: int) -> Iterator[int]:
     """Marked arrows u into s(f) with u;f = u;g, for a parallel pair (f, g),
     in canonical order."""
-    P = S.view
+    P = inp.category._positions()
     n, flat = len(P.src), P.flat
-    for u in S.marks[2][P.src[f]]:
+    for u in inp._marks[2][P.src[f]]:
         un = u * n
         if flat[un + f] == flat[un + g]:
             yield u
 
 
-def _first_head(S: _SharedFillers, v1: int, g1: int, v2: int) -> Iterator[tuple[int, int]]:
+def _first_head(inp: FractionsInput, v1: int, g1: int, v2: int) -> Iterator[tuple[int, int]]:
     """The head a composite of (v1, g1) with any (v2, g2) takes from the
     first filler of each kind: ((m;w');v1, m;h2) for the first Ore square
     (w', h2) of (g1, v2) and the first weak filler m of (w', v1), or
     nothing when either is missing."""
-    square = next(_ore_squares(S, g1, v2), None)
+    square = next(_ore_squares(inp, g1, v2), None)
     if square is not None:
         wp, h2 = square
-        m = next(_weak_fillers(S, wp, v1), None)
+        m = next(_weak_fillers(inp, wp, v1), None)
         if m is not None:
-            n, flat = len(S.view.src), S.view.flat
+            n, flat = len(inp.category.arrows), inp.category._positions().flat
             # an Ore square's h2 starts at s(w') = t(m), so m;h2 is a table read
             yield flat[flat[m * n + wp] * n + v1], flat[m * n + h2]
 
 
-def _composite_heads(S: _SharedFillers, v1: int, g1: int, v2: int) -> Iterator[tuple[int, int]]:
+def _listed(lists: dict, routine, inp: FractionsInput, *key) -> list:
+    """What ``routine(inp, *key)`` yields, listed once in ``lists``, a dict
+    that the calling function owns."""
+    found = lists.get((routine, key))
+    if found is None:
+        found = lists[routine, key] = list(routine(inp, *key))
+    return found
+
+
+def _composite_heads(
+    inp: FractionsInput, lists: dict, v1: int, g1: int, v2: int
+) -> Iterator[tuple[int, int]]:
     """What composing a span (v1, g1) with any span (v2, g2) makes before
     g2: the heads ((m;w');v1, m;h2) over each Ore square (w', h2) of (g1,
     v2) and each weak filler m of (w', v1), in canonical order, each first
     occurrence only: composition is a function, so a repeated head would
-    only repeat its composite.  Both filler lists are read from the ones S
-    keeps, so each is searched once per key, not once per row."""
-    n, flat = len(S.view.src), S.view.flat
+    only repeat its composite.  Both filler lists are read from ``lists``
+    (``_listed``), so each is searched once per key and call, not once per
+    row."""
+    n, flat = len(inp.category.arrows), inp.category._positions().flat
     seen = set()
-    for wp, h2 in S.kept(_ore_squares, g1, v2):
-        for m in S.kept(_weak_fillers, wp, v1):
+    for wp, h2 in _listed(lists, _ore_squares, inp, g1, v2):
+        for m in _listed(lists, _weak_fillers, inp, wp, v1):
             mn = m * n
             a, b = flat[flat[mn + wp] * n + v1], flat[mn + h2]
             key = a * n + b
@@ -302,16 +296,14 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
     category's positional view: a case's witness is the first filler its
     search routine yields (the first marked arrow into x for a section).
     Witness keys, witnesses and counterexamples are names."""
-    inp.check()
+    _, w_out, w_into = _mark_index(inp)
     C = inp.category
     problem = next(misplaced_composites(C), None)
     if problem is not None:
         raise InputError(problem)
-    S = _SharedFillers(inp)
-    P = S.view
+    P = C._positions()
     arrows, pos, src, tgt, flat, homs = C.arrows, P.arrow, P.src, P.tgt, P.flat, P.homs
     n, m = len(arrows), len(C.objects)
-    _, w_out, w_into = S.marks
     # composites land in their hom, checked above, so every composite of a
     # composable pair a search reads is itself composable with the next arrow
 
@@ -329,7 +321,7 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
     for v in inp.weq:
         vi = pos[v]
         for vp in w_out[tgt[vi]]:
-            found = next(_weak_fillers(S, vi, vp), None)
+            found = next(_weak_fillers(inp, vi, vp), None)
             if found is not None:
                 witnesses[(v, arrows[vp])] = arrows[found]
             elif counterexample is None:
@@ -340,7 +332,7 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
     witnesses, counterexample = {}, None
     for h in range(n):
         for v in w_into[tgt[h]]:
-            found = next(_ore_squares(S, h, v), None)
+            found = next(_ore_squares(inp, h, v), None)
             if found is not None:
                 witnesses[(arrows[h], arrows[v])] = arrows[found[0]], arrows[found[1]]
             elif counterexample is None:
@@ -362,7 +354,7 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
                     break
             else:
                 continue  # not coequalized: no case
-            found = next(_zippers(S, f, g), None)
+            found = next(_zippers(inp, f, g), None)
             if found is not None:
                 witnesses[(arrows[f], arrows[g])] = arrows[found]
             elif counterexample is None:
@@ -406,9 +398,10 @@ def _span_starts(C: FinCategory, spans: list) -> list:
     return start
 
 
-def _span_partition(S: _SharedFillers):
+def _span_partition(inp: FractionsInput):
     """Spans, their sailboat classes (as index lists) and where each marked
-    arrow's block of spans starts (``_span_starts``).
+    arrow's block of spans starts (``_span_starts``).  Listing the spans
+    builds the index that the masts read.
 
     A sailboat move (h, v, g) -> (hv, hg) keeps both endpoints t(v), t(g)
     of the span, so each class has endpoints and the classes of composable
@@ -418,15 +411,15 @@ def _span_partition(S: _SharedFillers):
     The moves are built here, on span indices; fincat.partition, shared
     with the ambient coequalizer, closes them.
     """
-    C = S.category
-    spans = shape_instances(S, "spn")
+    C = inp.category
+    spans = shape_instances(inp, "spn")
     start = _span_starts(C, spans)
-    P = S.view
+    P = C._positions()
     n, src, tgt, flat, outs, rank = len(C.arrows), P.src, P.tgt, P.flat, P.outs, P.out_rank
 
     def moves() -> Iterator[tuple[int, int]]:
         # a mast has t(h) = s(v) = s(g), so both composites are table reads
-        for h, v, hv in _masts(S):
+        for h, v, hv in _masts(inp):
             # (hv, hg) is a span when s(hg) = s(hv); a move off a mast with
             # t(hv) != t(v) breaks the invariant at its first g
             s = src[hv] if tgt[hv] == tgt[v] else None
@@ -444,7 +437,7 @@ def _span_partition(S: _SharedFillers):
 
 def sailboat_quotient(inp: FractionsInput) -> list[list[tuple]]:
     """Partition of the spans into sailboat classes, canonical reps first."""
-    spans, ordered, _ = _span_partition(_SharedFillers(inp))
+    spans, ordered, _ = _span_partition(inp)
     return [[spans[i] for i in members] for members in ordered]
 
 
@@ -472,10 +465,11 @@ def span_compose(
     exhaustive=True, returns the pair (first, frozenset of the spans
     produced by every (Ore filler, weak filler) combination).  Either way
     the composite is a head (``_first_head``, or each of
-    ``_composite_heads``, named from its positions) composed with g2, found
-    on a searcher of this call's own.  This is the name-level composite of
-    the public API: localize's class loop and the ambient's
-    ``internal_localize`` read first heads by position instead.
+    ``_composite_heads``, named from its positions) composed with g2.  This
+    is the name-level composite of the public API: localize's class loop
+    and the ambient's ``internal_localize`` read first heads by position
+    instead.  A span whose first leg is an arrow but not a marked one
+    raises DomainError naming it.
     """
     C = inp.category
     s = s1
@@ -500,18 +494,23 @@ def span_compose(
 
     # a head ends at s(v2), which is s(g2) when s2 is a span; the table
     # holds only composable pairs, and compose names the pair that is not
-    S = _SharedFillers(inp)
-    P = S.view
+    marked = _mark_index(inp)[0]
+    P = C._positions()
     pos, src, comp, arrows = P.arrow, P.src, C.composition, C.arrows
-    results = []
+    lists, results = {}, []
     try:
         h, w, v = pos[g1], pos[v2], pos.get(v1)
+        if v is not None and not marked[v]:
+            raise DomainError(f"s1 {s1!r} is no span: {v1!r} is not marked")
+        if not marked[w]:
+            raise DomainError(f"s2 {s2!r} is no span: {v2!r} is not marked")
         if v is None or src[v] != src[h]:
             # s1 is no span: the first read of a weak filler's (m;w');v1 names it
-            for wp, _ in S.kept(_ore_squares, h, w):
+            for wp, _ in _listed(lists, _ore_squares, inp, h, w):
                 mw = P.flat[P.ins[src[wp]][0] * len(arrows) + wp]
                 compose(C, arrows[mw], v1)  # raises
-        for a, b in (_composite_heads if exhaustive else _first_head)(S, v, h, w):
+        heads = _composite_heads(inp, lists, v, h, w) if exhaustive else _first_head(inp, v, h, w)
+        for a, b in heads:
             a, b = arrows[a], arrows[b]
             try:
                 composite = a, comp[(b, g2)]
@@ -525,7 +524,7 @@ def span_compose(
         _refuse_unhashable(s1, s2)
         raise
     if not results:
-        if not S.kept(_ore_squares, h, w):
+        if not _listed(lists, _ore_squares, inp, h, w):
             raise AxiomError(
                 f"no Ore filler for cospan ({g1!r}, {v2!r})",
                 report=check_axioms(inp),
@@ -578,12 +577,11 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
         raise AxiomError(
             "fractions axioms fail:\n" + str(axioms), report=axioms
         )
-    S = _SharedFillers(inp)
     C = inp.category
     # the span (v, g) is spans[start[v] + rank[g]], so a pair (a, c) of
     # positions is a span of class cls[start[a] + rank[c]] exactly when
     # start[a] >= 0 (a is marked) and s(c) = s(a)
-    spans, ordered, start = _span_partition(S)
+    spans, ordered, start = _span_partition(inp)
 
     # names at the edges: class names, q, class_reps, L and the carrier
     # tables; the loops below read positions of arrows, spans and classes
@@ -601,9 +599,9 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     for name, (v, g) in zip(names, rep_payloads):
         arrows_decl.append((name, C.tgt[v], C.tgt[g]))
 
-    P = S.view
+    P = C._positions()
     arrows, pos, src, tgt, flat = C.arrows, P.arrow, P.src, P.tgt, P.flat
-    outs, rank, w_into = P.outs, P.out_rank, S.marks[2]
+    outs, rank, w_into = P.outs, P.out_rank, _mark_index(inp)[2]
     n, K = len(arrows), len(names)
     # axiom (1), checked above, gives every object a marked arrow into it:
     # the section at x is the first
@@ -632,7 +630,7 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
         v1, g1 = pos[s1[0]], pos[s1[1]]
         n1, row = names[k1], k1 * K
         for v2, run in runs_out[tgt[g1]]:
-            head = next(_first_head(S, v1, g1, pos[v2]), None)
+            head = next(_first_head(inp, v1, g1, pos[v2]), None)
             if head is None:
                 raise IntegrityError(f"axioms passed but the row ({s1!r}, {v2!r}) has no head")
             a, b = head
@@ -681,11 +679,12 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
         def named(found) -> object:
             return names[found] if isinstance(found, int) else (arrows[found[0]], arrows[found[1]])
 
+        lists = {}  # the Ore and weak lists of this call, for every row
         for s1, k1 in zip(spans, cls):
             v1, g1 = pos[s1[0]], pos[s1[1]]
             row = k1 * K
             for v2 in w_into[tgt[g1]]:
-                heads = list(_composite_heads(S, v1, g1, v2))
+                heads = list(_composite_heads(inp, lists, v1, g1, v2))
                 classes = {
                     cls[start[a] + rank[b]] if start[a] >= 0 and src[b] == src[a] else (a, b)
                     for a, b in heads
@@ -717,7 +716,7 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
 
 def inverts(F: Functor, inp: FractionsInput) -> tuple[bool, dict]:
     """Whether every image of a marked arrow has a two-sided inverse."""
-    inp.check()
+    _mark_index(inp)
     if F.dom != inp.category:
         raise DomainError("functor domain is not the marked category")
     table = {}

@@ -1050,10 +1050,11 @@ def test_composite_that_is_no_span_is_caught_by_internal_localize(monkeypatch):
     IE, w = cleavage_marked(corpus.diag_contra_chain())
     M = ambient._span_machinery(IE, w)
     ext = externalize(IE)
-    S = fractions._SharedFillers(FractionsInput(ext, tuple(ext.arrows[j] for j in w.table)))
-    n, flat = IE.c1.size, S.view.flat
+    inp = FractionsInput(ext, tuple(ext.arrows[j] for j in w.table))
+    fractions._mark_index(inp)
+    n, flat = IE.c1.size, ext._positions().flat
     for k, key in enumerate(head_keys(w, M)):
-        (_, m), = fractions._first_head(S, *key)
+        (_, m), = fractions._first_head(inp, *key)
         if m not in w.table:
             break
     else:
@@ -1263,8 +1264,7 @@ def test_internal_localize_composites_match_public_span_compose_on_generated_dia
 def test_ambient_searches_a_cospan_once_in_the_decision_and_once_per_head(monkeypatch):
     """One internal_localize call searches the Ore squares of each cospan
     once in the axiom check, and outside it once per head (v1, g1, v2) that
-    its span pairs share: the call's searcher keeps each head for every
-    g2."""
+    its span pairs share: the call keeps each head for every g2."""
     D = corpus.diag_contra_chain()
     IE = internal_elements(D)
     w = internal_cleavage(D, IE)

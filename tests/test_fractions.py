@@ -214,6 +214,23 @@ def test_span_compose_names_unknown_arrows(s1, s2, message, exhaustive):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "s1,s2,message",
+    [
+        # f is no marked arrow of chain3 marked at its identities, so neither
+        # (f, f) nor (f, h) is a span, though each pair is composable
+        (("f", "f"), ("id:y", "id:y"), "s1 ('f', 'f') is no span: 'f' is not marked"),
+        (("id:x", "f"), ("f", "h"), "s2 ('f', 'h') is no span: 'f' is not marked"),
+    ],
+)
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_span_compose_refuses_an_unmarked_leg(s1, s2, message, exhaustive):
+    inp = FractionsInput(corpus.chain3(), ("id:x", "id:y", "id:z"))
+    with pytest.raises(DomainError) as exc:
+        span_compose(inp, s1, s2, exhaustive=exhaustive)
+    assert str(exc.value) == message
+
+
 def test_span_compose_reports_axiom_failure():
     C = corpus.two()
     inp = FractionsInput(C, ("f",))  # identities unmarked: axioms fail

@@ -258,6 +258,8 @@ def _internal_nat_trans(components, codomain="c1"):
          "the marked arrows are a sequence of arrow names, got {'f'}"),
         (lambda: FractionsInput(corpus.two(), frozenset({"f"})), InputError,
          "the marked arrows are a sequence of arrow names, got frozenset({'f'})"),
+        (lambda: check_axioms(FractionsInput(None, ())), InputError,
+         "the marked category is a FinCategory, got None"),
         (lambda: span_compose(FractionsInput(corpus.two(), ("id:a", "id:b", "f", "zz")),
                               ("id:a", "f"), ("id:b", "id:b")),
          InputError, "marked arrow 'zz' is not in the category"),
@@ -279,7 +281,7 @@ def _internal_nat_trans(components, codomain="c1"):
         "limit_bool", "limit_negative", "span_one_entry", "span_three_entries", "span_none",
         "span_unhashable_mark", "span_unhashable_arrow", "inverts_missing_image",
         "induced_missing_image", "marks_a_string", "marks_none", "marks_not_iterable",
-        "marks_a_set", "marks_a_frozenset", "span_bad_mark", "finding_zero", "finding_five", "partial_table",
+        "marks_a_set", "marks_a_frozenset", "marks_no_category", "span_bad_mark", "finding_zero", "finding_five", "partial_table",
         "partial_by_string_key",
     ],
 )

@@ -41,7 +41,7 @@ from catfrac import (
     span_compose,
 )
 from catfrac.errors import IntegrityError
-from catfrac.fractions import _SharedFillers
+from catfrac.fractions import _mark_index
 from oracle import to_raw
 from test_generated import build, monoids, posets
 
@@ -94,12 +94,12 @@ def localize_spying(inp: FractionsInput):
     heads_of = catfrac.fractions._composite_heads
     C = inp.category
 
-    def composing(shared, s1, s2, exhaustive=False):
+    def composing(inp, s1, s2, exhaustive=False):
         composed.append((s1, s2, exhaustive))
-        return public(shared, s1, s2, exhaustive)
+        return public(inp, s1, s2, exhaustive)
 
-    def reading(shared, *key):
-        heads = list(heads_of(shared, *key))
+    def reading(inp, lists, *key):
+        heads = list(heads_of(inp, lists, *key))
         read.append((named(C, key), [named(C, head) for head in heads]))
         return iter(heads)
 
@@ -274,8 +274,8 @@ def test_class_loop_searches_each_head_once(monkeypatch, n):
 
 
 def test_internal_localize_searches_each_head_once(monkeypatch):
-    # the ambient reads each span pair's first head from its call's
-    # searcher, which keeps it for every g2
+    # the ambient searches each span pair's first head once and keeps it
+    # for every g2
     D = corpus.diag_contra_chain()
     IE = internal_elements(D)
     w = internal_cleavage(D, IE)
@@ -297,7 +297,7 @@ def test_row_without_a_head_is_an_integrity_error(monkeypatch, inp, row):
     # search that finds none is a fault, not a failing axiom: the first row
     # of the class loop is named
     assert check_axioms(inp).ok
-    monkeypatch.setattr(catfrac.fractions, "_first_head", lambda S, *key: iter(()))
+    monkeypatch.setattr(catfrac.fractions, "_first_head", lambda inp, *key: iter(()))
     with pytest.raises(IntegrityError) as raised:
         localize(inp)
     assert str(raised.value) == f"axioms passed but the row {row} has no head"
@@ -315,9 +315,9 @@ def test_localize_reads_first_fillers_only_when_b_is_skipped(monkeypatch):
     def spied(name):
         exact = getattr(catfrac.fractions, name)
 
-        def spy(shared, *key):
+        def spy(inp, *key):
             calls[name] += 1
-            for found in exact(shared, *key):
+            for found in exact(inp, *key):
                 drawn[name] += 1
                 yield found
 
@@ -364,13 +364,12 @@ def check_routines_against_the_oracle(inp: FractionsInput) -> None:
     is the list of marked arrows into each object, whose first entry is
     the section."""
     C, raw = inp.category, to_raw(inp.category)
-    shared = _SharedFillers(inp)
-    for x, into in zip(C.objects, shared.marks[2]):
+    for x, into in zip(C.objects, _mark_index(inp)[2]):
         assert named(C, tuple(into)) == tuple(oracle.sections(raw, inp.weq, x))
     for name, scan, keys in routine_keys(inp):
         routine = getattr(catfrac.fractions, name)
         for key in keys:
-            found = [named(C, f) for f in routine(shared, *placed(C, key))]
+            found = [named(C, f) for f in routine(inp, *placed(C, key))]
             assert found == scan(raw, inp.weq, *key), (name, key)
 
 
@@ -442,11 +441,11 @@ def with_bogus_last(routine, bogus):
     """``routine`` followed by one extra result: what ``bogus`` picks, by
     names, among the candidates the genuine routine did not yield."""
 
-    def faulty(shared, *key):
-        C = shared.category
-        genuine = list(routine(shared, *key))
+    def faulty(inp, *key):
+        C = inp.category
+        genuine = list(routine(inp, *key))
         yield from genuine
-        extra = bogus(shared, [named(C, f) for f in genuine], *named(C, key))
+        extra = bogus(inp, [named(C, f) for f in genuine], *named(C, key))
         if extra is not None:
             yield placed(C, extra)
 
@@ -513,18 +512,21 @@ def test_composite_that_is_no_span_is_an_integrity_error(monkeypatch):
 
 def test_self_check_a_fires_on_a_bogus_last_section(monkeypatch):
     # each object's list of marked arrows into it, whose first entry is its
-    # section, gets the first marked arrow not into it appended; the axioms
-    # are decided before the fault, which would add cases of its own
+    # section, gets the first marked arrow not into it appended, in a new
+    # index the input keeps in place of its own; the axioms are decided
+    # before the fault, which would add cases of its own
     inp = dict(corpus.fractions_corpus())["arrow/all"]
     assert check_axioms(inp).ok
     exact = catfrac.fractions._mark_index
 
-    def foreign_sections(shared):
-        marked, w_out, w_into = exact(shared)
-        C, pos = shared.category, shared.category._positions().arrow
-        for x, into in zip(C.objects, w_into):
-            into += [pos[v] for v in shared.weq if C.tgt[v] != x][:1]
-        return marked, w_out, w_into
+    def foreign_sections(inp):
+        marked, w_out, w_into = exact(inp)
+        C, pos = inp.category, inp.category._positions().arrow
+        inp._marks = marked, w_out, [
+            into + [pos[v] for v in inp.weq if C.tgt[v] != x][:1]
+            for x, into in zip(C.objects, w_into)
+        ]
+        return inp._marks
 
     monkeypatch.setattr(catfrac.fractions, "_mark_index", foreign_sections)
     with pytest.raises(IntegrityError, match="depends on the section"):

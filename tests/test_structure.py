@@ -1,14 +1,15 @@
 """Package structure: imports sit at module top and never form a cycle; no
 function recurses, so no input depth can exhaust the interpreter's stack;
 a category or a marked category gains no attribute after construction, and
-a category builds its positional view once; localize's loops read
+a category builds its positional view once; a marked category checks and
+indexes its marked arrows once; localize's loops read
 composition by position, not by a pair of names; a
 record keeps no field that another of its fields gives, and a functor no
 accessor over its maps; the fractions searches read the marked class
 through its endpoint index;
 each fractions shape has one search routine, which the axiom decision, the
-heads and span_compose reach; no fractions function tells a call's
-searcher from a plain input, and a first filler is the first item of a
+heads and span_compose reach; fractions defines no searcher class beside
+the marked category, and a first filler is the first item of a
 routine's call, read in the decision and the first head only; spans
 and 2-cells are plain tuples, with no wrapper type around them; the
 pseudofunctor coherence laws are written once for both variances; every
@@ -63,12 +64,17 @@ from catfrac import (
     internal_cleavage,
     internal_elements,
     internal_localize,
+    inverts,
     localize,
+    sailboat_quotient,
+    shape_instances,
+    span_compose,
     validate_category,
     verify_oplax_colimit,
     verify_pairs_coequalizer,
 )
 from catfrac.ambient import _SpanMachinery
+from catfrac.errors import InputError
 from catfrac.verify import Correspondence
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "catfrac"
@@ -209,14 +215,14 @@ def test_a_category_builds_its_view_once(monkeypatch):
 
 
 def test_marked_category_gains_no_attribute():
-    # W's positional index lives on the searcher of one call, not on the
-    # input; the verdict an input keeps, its first axiom report, sits in a
-    # slot set during __init__, stays out of the fields (so out of __eq__
-    # and repr) and is the only attribute whose value changes; the searcher
-    # of a localize call keeps what it finds on itself, so nothing else
-    # outlives the call, on the input or in the module
+    # what an input keeps, W's positional index and its first axiom report,
+    # sits in slots set during __init__, stays out of the fields (so out of
+    # __eq__ and repr), and these are the only attributes whose values
+    # change; the filler lists of a localize call live in a dict of the
+    # call's own, so nothing else outlives the call, on the input or in
+    # the module, and the call leaves the kept index as a fresh build makes it
     assert [f.name for f in dataclasses.fields(FractionsInput)] == ["category", "weq"]
-    kept = {"_axioms"}
+    kept = {"_axioms", "_marks"}
     chain = corpus.chain(6)
     module = dict(vars(catfrac.fractions))
     for _, inp in corpus.fractions_corpus() + [("chain(6)/all", FractionsInput(chain, chain.arrows))]:
@@ -232,6 +238,7 @@ def test_marked_category_gains_no_attribute():
         assert {k: v for k, v in vars(inp).items() if k not in kept} == {
             k: v for k, v in contents.items() if k not in kept
         }
+        assert inp._marks == catfrac.fractions._mark_index(FractionsInput(inp.category, inp.weq))
         fresh = check_axioms(inp)
         assert str(inp._axioms) == str(fresh)
         assert [dict(f.witnesses) for f in inp._axioms.findings] == [
@@ -278,6 +285,69 @@ def test_axiom_work_count_fires(monkeypatch):
         localize(FractionsInput(C, C.arrows))
 
     assert _axiom_work(monkeypatch, on_copies) == Counter({"misplaced_composites": 3, "_decide": 12})
+
+
+def _w_work(monkeypatch, run) -> tuple[int, int]:
+    """Run ``run`` and count the checks of W and the distinct W indexes
+    that ``_mark_index`` returns."""
+    checks, indexes = [], []
+    exact_check, exact_index = FractionsInput.check, catfrac.fractions._mark_index
+
+    def check(inp):
+        checks.append(inp)
+        return exact_check(inp)
+
+    def index(inp):
+        marks = exact_index(inp)
+        if not any(marks is m for m in indexes):
+            indexes.append(marks)
+        return marks
+
+    monkeypatch.setattr(FractionsInput, "check", check)
+    monkeypatch.setattr(catfrac.fractions, "_mark_index", index)
+    run()
+    return len(checks), len(indexes)
+
+
+def test_an_input_checks_and_indexes_its_marks_once(monkeypatch):
+    # every public entry reads the index the input keeps, built after the
+    # first check passes
+    C = corpus.chain(4)
+    inp = FractionsInput(C, C.arrows)
+
+    def every_entry():
+        check_axioms(inp)
+        LC = localize(inp)
+        span_compose(inp, ("0<1", "0<2"), ("2<2", "2<3"))
+        span_compose(inp, ("0<1", "0<2"), ("2<2", "2<3"), exhaustive=True)
+        sailboat_quotient(inp)
+        shape_instances(inp, "spn")
+        shape_instances(inp, "sb")
+        assert inverts(LC.L, inp)[0]
+        localize(inp)
+
+    assert _w_work(monkeypatch, every_entry) == (1, 1)
+
+
+def test_internal_localize_checks_its_marks_once_per_call(monkeypatch):
+    D = corpus.diag_contra_chain()
+    IE = internal_elements(D)
+    w = internal_cleavage(D, IE)
+    assert _w_work(monkeypatch, lambda: (internal_localize(IE, w), internal_localize(IE, w))) == (2, 2)
+
+
+def test_a_failed_check_keeps_no_index(monkeypatch):
+    # the check raises again on every entry, and nothing is kept
+    C = corpus.chain(3)
+    inp = FractionsInput(C, ("0<0", "zz"))
+
+    def refused():
+        for run in (check_axioms, localize, lambda inp: shape_instances(inp, "spn")):
+            with pytest.raises(InputError, match="^marked arrow 'zz' is not in the category$"):
+                run(inp)
+            assert inp._marks is None and inp._axioms is None
+
+    assert _w_work(monkeypatch, refused) == (3, 0)
 
 
 def test_records_keep_no_field_another_field_gives():
@@ -363,53 +433,46 @@ def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
     )
 
 
-def _searcher_branches(tree: ast.Module) -> list:
-    """What a function would branch on to tell a call's searcher from a
-    plain input: reads of ``_SharedFillers`` other than a call that builds
-    one or an annotation, and ``hasattr``/``getattr`` probes of a
-    searcher's own attributes."""
-    skipped = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            skipped.add(id(node.func))
-        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
-            if note is not None:
-                skipped.update(map(id, ast.walk(note)))
+def _searcher_classes(tree: ast.Module) -> list:
+    """Classes that would stand beside the marked category as a second
+    form of it: those deriving from ``FractionsInput``, and those that keep
+    what a search routine yields (a method named ``kept``)."""
     found = []
-    for top in tree.body:
-        where = getattr(top, "name", "module")
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name) and node.id == "_SharedFillers":
-                if id(node) not in skipped:
-                    found.append(f"{where} at line {node.lineno}")
-            elif (isinstance(node, ast.Call) and _called_name(node) in ("hasattr", "getattr")
-                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
-                  and node.args[1].value in ("view", "marks", "kept", "_kept")):
-                found.append(f"{where} at line {node.lineno}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            bases = {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+            methods = {fn.name for fn in node.body if isinstance(fn, ast.FunctionDef)}
+            if "FractionsInput" in bases or "kept" in methods:
+                found.append(f"{node.name} at line {node.lineno}")
     return found
 
 
-def test_no_fractions_function_branches_on_the_searcher():
-    # each public call builds its own searcher from the plain input it is
-    # handed; none takes a searcher in place of an input
-    assert _searcher_branches(MODULES["fractions"]) == []
-    assert not hasattr(catfrac.fractions, "_shared")
+def test_fractions_defines_no_searcher_class():
+    # the routines take the plain input and read the index it keeps; a
+    # call keeps its own filler lists in a dict
+    assert _searcher_classes(MODULES["fractions"]) == []
+    assert not [
+        value for value in vars(catfrac.fractions).values()
+        if isinstance(value, type) and issubclass(value, FractionsInput)
+        and value is not FractionsInput
+    ]
 
 
-def test_searcher_branch_check_fires():
+def test_searcher_class_check_fires():
     copy = ast.parse(
-        "def _shared(inp) -> _SharedFillers:\n"
-        "    return inp if isinstance(inp, _SharedFillers) else _SharedFillers(inp)\n"
-        "def span_compose(inp: FractionsInput, s1, s2):\n"
-        "    S = inp if type(inp) is _SharedFillers else _SharedFillers(inp)\n"
-        "def check_axioms(inp):\n"
-        "    S = inp if hasattr(inp, 'kept') else _SharedFillers(inp)\n"
-        "def _masts(S: _SharedFillers):\n"
-        "    view: _SharedFillers = S.view\n"
-        "SEARCHER = _SharedFillers\n"
+        "class _SharedFillers(FractionsInput):\n"
+        "    def __init__(self, inp):\n"
+        "        super().__init__(inp.category, inp.weq)\n"
+        "class Searcher(fractions.FractionsInput):\n"
+        "    pass\n"
+        "class _Lists:\n"
+        "    def kept(self, routine, *key):\n"
+        "        return list(routine(self, *key))\n"
+        "class AxiomReport:\n"
+        "    findings: tuple\n"
     )
-    assert _searcher_branches(copy) == [
-        "_shared at line 2", "span_compose at line 4", "check_axioms at line 6", "module at line 9"
+    assert _searcher_classes(copy) == [
+        "_SharedFillers at line 1", "Searcher at line 4", "_Lists at line 6"
     ]
 
 
@@ -783,7 +846,7 @@ def test_name_pair_read_check_fires():
     ]
 
 
-FRACTIONS_ENTRY = {"FractionsInput", "_SharedFillers", "check_axioms", "_first_head"}
+FRACTIONS_ENTRY = {"FractionsInput", "check_axioms", "_first_head"}
 
 
 def _fractions_reads(tree: ast.Module) -> list:
@@ -805,6 +868,12 @@ def test_internal_localize_is_the_one_fractions_entry():
     # the span machinery and the pairs comparison read the ambient's tables
     # only; composing spans is what needs the fractions axioms
     assert _fractions_reads(MODULES["ambient"]) == []
+    assert {
+        alias.name
+        for node in ast.walk(MODULES["ambient"])
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        for alias in node.names
+    } == FRACTIONS_ENTRY
     assert "span_compose" not in vars(catfrac.ambient)
     assert "inp" not in {f.name for f in dataclasses.fields(_SpanMachinery)}
 
@@ -814,7 +883,7 @@ def test_fractions_entry_check_fires():
         "def _span_machinery(IC, w):\n"
         "    return check_axioms(FractionsInput(externalize(IC), w))\n"
         "def internal_localize(IC, w):\n"
-        "    return _SharedFillers(inp).kept(_first_head, v1, g1, v2)\n"
+        "    return next(_first_head(inp, v1, g1, v2), None)\n"
     )
     assert _fractions_reads(copy) == ["ambient.py:2 check_axioms", "ambient.py:2 FractionsInput"]
 

@@ -724,44 +724,74 @@ def modification_search(D: Pseudofunctor, X: FinCategory) -> Callable:
     transformations D -> X, for callers that list the natural
     transformations between components themselves.
 
-    Returns ``search(x, y, per_object)``, which yields the compatible
+    Returns ``search(x, y, per_object)``, which lists the compatible
     choices of one component per index object, drawn from ``per_object``
     (the natural transformations between the components of x and y, in
-    index-object order), in canonical order; the yielded list is reused:
-    copy what you keep. At each slot the search checks the compatibility at
-    the index arrows that ``fincat._slot_generators`` keeps there. At an
-    identity it holds by the unit axiom of x and y and the naturality of
-    the component, and at phi.psi it pastes from phi and psi through their
-    composition axiom, whose compositor is invertible; so the choices
-    accepted at each slot are those that checking every arrow at the slot
-    that closes it, the later of its endpoints, would accept. This needs x
-    and y lawful transformations of a lawful D into a lawful X, and
-    natural transformations in ``per_object``. The kept arrows and, for
-    each, the fibre objects and object map that the check reads
-    (``_fiber_reads``) depend only on D and are prepared here, once. Per
-    pair, the search yields nothing when some list in ``per_object`` is
-    empty, since that slot has no candidate."""
+    index-object order), in canonical order, each a fresh list. At each
+    slot the search checks the compatibility at the index arrows that
+    ``fincat._slot_generators`` keeps there. At an identity it holds by
+    the unit axiom of x and y and the naturality of the component, and at
+    phi.psi it pastes from phi and psi through their composition axiom,
+    whose compositor is invertible; so the choices accepted at each slot
+    are those that checking every arrow at the slot that closes it, the
+    later of its endpoints, would accept. This needs x and y lawful
+    transformations of a lawful D into a lawful X, and natural
+    transformations in ``per_object``. The kept arrows and, for each, the
+    fibre objects and object map that the check reads (``_fiber_reads``)
+    depend only on D and are prepared here, once. Per pair, the search
+    returns [] when some list in ``per_object`` is empty, since that slot
+    has no candidate.
+
+    The slot loop is written out in the returned function, with the
+    compatibility checked inline as ``_incompatible_fibers`` checks it
+    (a table read, and on a failed read the checked ``compose``, which
+    names an ill-typed two-cell), so a pair costs no generator, closure or
+    call per candidate. It visits the candidates in ``backtrack``'s order.
+    """
     idx = D.index
     slot = {a: i for i, a in enumerate(idx.objects)}
     arrows_closed = [
         [(phi, slot[idx.src[phi]], slot[idx.tgt[phi]], _fiber_reads(D, phi)) for phi in kept]
         for kept in _slot_generators(idx)
     ]
+    last = len(idx.objects) - 1
+    comp = X.composition
 
-    def search(x: LaxTransformation, y: LaxTransformation, per_object: list) -> Iterator[list]:
+    def search(x: LaxTransformation, y: LaxTransformation, per_object: list) -> list[list]:
         if not all(per_object):
-            return iter(())
+            return []
+        if not per_object:
+            return [[]]
         x_cells, y_cells = x.two_cells, y.two_cells
-
-        def compatible(i: int, vals: list) -> bool:
-            for phi, s, t, reads in arrows_closed[i]:
-                for _ in _incompatible_fibers(
-                    X, x_cells[phi], y_cells[phi], vals[s], vals[t], reads
-                ):
-                    return False
-            return True
-
-        return backtrack(len(per_object), lambda i, vals: per_object[i], compatible)
+        vals = [None] * len(per_object)
+        found = []
+        stack = [iter(per_object[0])]
+        while stack:
+            i = len(stack) - 1
+            for vals[i] in stack[i]:
+                for phi, s, t, reads in arrows_closed[i]:
+                    x_c, y_c = x_cells[phi].components, y_cells[phi].components
+                    m_a, m_b = vals[s].components, vals[t].components
+                    for p, a, b in reads:
+                        try:
+                            if comp[(m_a[a], y_c[p])] != comp[(x_c[p], m_b[b])]:
+                                break
+                        except KeyError:
+                            if compose(X, m_a[a], y_c[p]) != compose(X, x_c[p], m_b[b]):
+                                break
+                    else:
+                        continue
+                    break  # incompatible at phi
+                else:
+                    break  # compatible at every arrow slot i checks
+            else:
+                stack.pop()
+                continue
+            if i == last:
+                found.append(vals[:])
+            else:
+                stack.append(iter(per_object[i + 1]))
+        return found
 
     return search
 

@@ -267,54 +267,86 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> Callable:
     (A; a), in carrier order.  It crosses to the natural transformation
     between the collapsed functors whose component at (A; a) is its
     component at A, a: the same tuple, since functors off the carrier (and
-    off its localization) share its object order.  The natural
-    transformations between two component functors at one index object are
-    searched once per call of this function, not once per pair of
-    transformations sharing them, by a search prepared once per index
-    object; the modification search is prepared once per call of this
-    function too, and so are the functor keys of each transformation's
-    components.  A pair with no natural transformation between its
-    components at some index object has no modification, and the search
-    returns at once.
+    off its localization) share its object order.
+
+    The work that depends on one transformation is done once per
+    transformation: its component functors are numbered, per index object,
+    by their maps (every transformation here goes into X, so the maps fix
+    the functor), and whether each is typed is decided with its number.
+    The natural transformations between the components at one index object
+    are searched once per pair of numbers, by a search prepared once per
+    index object, and kept by that pair; the modification search is
+    prepared once per call of this function.  ``between`` returns [] at the
+    first index object whose list is empty, since the modification search
+    would have no candidate there.  It returns early only when every
+    component of x and y is typed and X's table is total, so no search it
+    leaves out could raise: on other input it searches every index object
+    in order, and the first DomainError raises as it would without the
+    early return.
     """
     D = GD.diagram
     objs = D.index.objects
     slot = {A: s for s, A in enumerate(objs)}
     tags = [GD.object_tags[name] for name in GD.carrier.objects]
     picks = [(slot[A], a) for A, a in tags]
-    natural_between = {A: nat_trans_search(D.cat(A), X) for A in objs}
+    fibers = [D.cat(A) for A in objs]
+    natural_between = [nat_trans_search(C, X) for C in fibers]
     compatible = modification_search(D, X)
-    searched: dict = {}
-    keyed: dict = {}
+    total = all(pair in X.composition for pair in X.composable_pairs())
+    numbers: list = [{} for _ in objs]  # per index object: functor key -> number
+    numbered: list = [[] for _ in objs]  # per index object: the functor of each number
+    searched: list = [{} for _ in objs]  # per index object: (number, number) -> cells
+    cells: dict = {}  # id(transformation) -> (it, its numbers, whether all are typed)
 
-    def keys(x: LaxTransformation) -> tuple:
+    def interned(x: LaxTransformation) -> tuple:
         # the entry holds x, so no other object takes its id meanwhile
-        entry = keyed.get(id(x))
+        entry = cells.get(id(x))
         if entry is None:
-            entry = keyed[id(x)] = (x, tuple(functor_key(x.components[A]) for A in objs))
-        return entry[1]
-
-    def components(F: Functor, G: Functor, A: str, key: tuple) -> list[NatTrans]:
-        # every transformation here goes into X, so (A, maps) fixes F and G
-        found = searched.get(key)
-        if found is None:
-            names = F.dom.objects
-            found = searched[key] = [
-                NatTrans(F, G, dict(zip(names, cell))) for cell in natural_between[A](F, G)
-            ]
-        return found
+            ks, typed = [], total
+            for s, A in enumerate(objs):
+                F = x.components[A]
+                k = numbers[s].setdefault(functor_key(F), len(numbered[s]))
+                if k == len(numbered[s]):
+                    numbered[s].append((F, _typed(fibers[s], X, F)))
+                ks.append(k)
+                typed = typed and numbered[s][k][1]
+            entry = cells[id(x)] = (x, ks, typed)
+        return entry
 
     def between(x: LaxTransformation, y: LaxTransformation) -> list[tuple]:
-        per_object = [
-            components(x.components[A], y.components[A], A, (A, kx, ky))
-            for A, kx, ky in zip(objs, keys(x), keys(y))
-        ]
+        _, kx, typed_x = interned(x)
+        _, ky, typed_y = interned(y)
+        early = typed_x and typed_y
+        per_object = []
+        for s, i, j in zip(range(len(objs)), kx, ky):
+            found = searched[s].get((i, j))
+            if found is None:
+                F, G = numbered[s][i][0], numbered[s][j][0]
+                names = fibers[s].objects
+                found = searched[s][(i, j)] = [
+                    NatTrans(F, G, dict(zip(names, cell))) for cell in natural_between[s](F, G)
+                ]
+            if early and not found:
+                return []
+            per_object.append(found)
         return [
             tuple([vals[s].components[a] for s, a in picks])
             for vals in compatible(x, y, per_object)
         ]
 
     return between
+
+
+def _typed(C: FinCategory, X: FinCategory, F: Functor) -> bool:
+    """Whether F sends every object of C to an object of X and every arrow
+    of C to an arrow of X between the images of its ends: then a natural
+    transformation search on C reads every image of F it needs, and on a
+    total X every composite."""
+    Fo, Fa = F.on_objects, F.on_arrows
+    return all(Fo.get(x) in X.identity for x in C.objects) and all(
+        f in Fa and (X.src.get(Fa[f]), X.tgt.get(Fa[f])) == (Fo[C.src[f]], Fo[C.tgt[f]])
+        for f in C.arrows
+    )
 
 
 def verify_oplax_colimit(

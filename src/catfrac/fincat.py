@@ -418,6 +418,14 @@ def backtrack(
     filled and checks only the constraints whose highest slot is ``i``. An
     explicit stack replaces recursion, so no depth limit applies. The
     yielded list is reused: copy what you keep.
+
+    It is the kernel of the searches whose slot domains depend on earlier
+    slots: ``_functor_search`` (an arrow's hom-set follows its endpoints'
+    images) and ``diagram.enumerate_transformations`` (a two-cell's
+    candidates follow its components). The two 2-cell searches,
+    ``nat_trans_search`` and ``diagram.modification_search``, draw each
+    slot from a list fixed per pair and write the same loop out inline,
+    since a pair there costs little more than its fixed set-up.
     """
     vals: list = [None] * n
     if n == 0:
@@ -614,36 +622,57 @@ def nat_trans_search(C: FinCategory, X: FinCategory) -> Callable[[Functor, Funct
     when some component hom X(Fx, Gx) is empty, since that slot has no
     candidate. The returned function does not check that F and G are
     parallel functors C -> X: ``enumerate_nat_trans`` does.
+
+    The slot loop is written out in the returned function, with the squares
+    checked inline, so a pair costs no generator, closure or call per
+    candidate: most pairs the verifiers search hold no transformation or
+    one, so the fixed cost of a pair is most of its cost. It visits the
+    candidates in ``backtrack``'s order and reads the squares in the same
+    order, so a missing image or an ill-typed square raises where a
+    ``backtrack`` search would.
     """
     objs = C.objects
     slot = {x: i for i, x in enumerate(objs)}
     closing = [
         [(slot[C.src[f]], slot[C.tgt[f]], f) for f in kept] for kept in _slot_generators(C)
     ]
+    last = len(objs) - 1
     comp = X.composition
-    xhom = X.hom
+    xhom = X._homs.get
 
     def search(F: Functor, G: Functor) -> list[tuple]:
         Fo, Go, Fa, Ga = F.on_objects, G.on_objects, F.on_arrows, G.on_arrows
-        homs = [xhom(Fo[x], Go[x]) for x in objs]
+        homs = [xhom((Fo[x], Go[x]), ()) for x in objs]
         if not all(homs):
             return []
-
-        def natural(i: int, vals: list) -> bool:
-            for s, t, f in closing[i]:
-                if comp[(Fa[f], vals[t])] != comp[(vals[s], Ga[f])]:
-                    return False
-            return True
-
-        found = backtrack(len(homs), lambda i, vals: homs[i], natural)
+        if not homs:
+            return [()]
+        vals = [None] * len(homs)
+        found = []
+        stack = [iter(homs[0])]
         try:
-            return [tuple(vals) for vals in found]
+            while stack:
+                i = len(stack) - 1
+                for vals[i] in stack[i]:
+                    for s, t, f in closing[i]:
+                        if comp[(Fa[f], vals[t])] != comp[(vals[s], Ga[f])]:
+                            break
+                    else:
+                        break  # every square at slot i holds
+                else:
+                    stack.pop()
+                    continue
+                if i == last:
+                    found.append(tuple(vals))
+                else:
+                    stack.append(iter(homs[i + 1]))
         except KeyError as exc:
             key = exc.args[0]
             if isinstance(key, tuple):  # an arrow image with the wrong endpoints
                 raise DomainError(f"naturality square has a non-composable pair {key!r}") from None
             which = "first" if key not in Fa else "second"
             raise DomainError(f"the {which} functor has no image of arrow {key!r}") from None
+        return found
 
     return search
 

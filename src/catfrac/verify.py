@@ -145,14 +145,22 @@ def _two_cells(report: VerifierReport, c: Correspondence, images: list) -> None:
     """Check, for every pair (i, j), that the left 2-cells are exactly the
     natural transformations between the images, as sets of tuples. The
     images are functors off one carrier, so one prepared search serves
-    every pair."""
+    every pair.
+
+    Most pairs hold no 2-cell or one, so a pair's fixed cost is most of
+    the phase: both sides list their 2-cells in canonical order, and a
+    pair whose two lists are equal is passed without building the sets,
+    which would report nothing on it. Unequal lists get the set
+    comparison, in the order below."""
     natural_between = nat_trans_search(images[0].dom, images[0].cod) if images else None
-    total = 0
+    between, total = c.between, 0
     for i, x in enumerate(c.left):
         for j, y in enumerate(c.left):
-            ups = c.between(x, y)
+            ups = between(x, y)
             downs = natural_between(images[i], images[j])
             total += len(ups)
+            if ups == downs:
+                continue
             if len(ups) != len(downs):
                 report.add(
                     f"2-cell count mismatch between #{i} and #{j}: "

@@ -64,6 +64,7 @@ from .fincat import (
 )
 from .fractions import (
     FractionsInput,
+    _mark_index,
     check_axioms,
     localize,
     verify_localization_up,
@@ -225,9 +226,12 @@ def load_pseudofunctor(data: dict, base: Path) -> Pseudofunctor:
 
 
 def load_fractions_input(data: dict, base: Path) -> FractionsInput:
+    """The input, with W checked once: the check runs as the input indexes
+    W (``fractions._mark_index``), and the command's own calls read that
+    kept index instead of checking W again."""
     category = load_category(*_resolve(data["category"], base, "category"))
     inp = FractionsInput(category=category, weq=tuple(data["weq"]))
-    inp.check()
+    _mark_index(inp)
     return inp
 
 

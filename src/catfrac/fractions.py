@@ -38,7 +38,7 @@ messages and span_compose's return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -77,11 +77,14 @@ class FractionsInput:
     string hashing) and a value that is not iterable.  ``check`` says
     whether every entry is an arrow of the category, listed once.
 
-    An input is not changed after it is built.  It keeps two derived views,
-    each in a slot outside the fields, so ``__eq__`` and ``repr`` ignore
-    them: W's positional index (``_marks``, built by ``_mark_index`` once
-    ``check`` passes) and the report of the first ``check_axioms`` call
-    that completes on it (``_axioms``, see ``axiom_verdict``).
+    An input is not changed after it is built: assigning either field
+    raises FrozenInstanceError, as on a frozen dataclass.  It keeps two
+    derived views, each in a slot outside the fields, so ``__eq__`` and
+    ``repr`` ignore them: W's positional index (``_marks``, built by
+    ``_mark_index`` once ``check`` passes) and the report of the first
+    ``check_axioms`` call that completes on it (``_axioms``, see
+    ``axiom_verdict``).  The library fills those slots, so only the fields
+    are guarded; a new W is a new input.
     """
 
     category: FinCategory
@@ -92,11 +95,17 @@ class FractionsInput:
             raise InputError(f"the marked category is a FinCategory, got {self.category!r}")
         if isinstance(self.weq, (str, set, frozenset)) or not isinstance(self.weq, Iterable):
             raise InputError(f"the marked arrows are a sequence of arrow names, got {self.weq!r}")
-        self.weq = tuple(self.weq)
+        object.__setattr__(self, "weq", tuple(self.weq))
         # set during __init__, as Pseudofunctor's verdict is: an attribute
         # added later slows every attribute read on the instance
         self._axioms = None
         self._marks = None
+
+    def __setattr__(self, name: str, value) -> None:
+        # the kept views were derived from the fields, so a field set once stays
+        if name in ("category", "weq") and name in self.__dict__:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
 
     def check(self) -> None:
         arrset = set(self.category.arrows)

@@ -179,23 +179,72 @@ def functor_count(rawc, rawx) -> int:
     return n
 
 
-def nat_trans_count(rawc, rawx, F, G) -> int:
-    """Count natural transformations F => G : C -> X by filtering the full
-    product of the component hom-sets X(Fx, Gx). F and G are pairs of raw
-    maps (on objects, on arrows); an empty hom-set makes the product empty."""
+def nat_trans_cells(rawc, rawx, F, G) -> list:
+    """The natural transformations F => G : C -> X, each as the tuple of its
+    components in C's object order, by filtering the full product of the
+    component hom-sets X(Fx, Gx) in product order: a tuple is kept when the
+    square at every arrow of C commutes. F and G are pairs of raw maps (on
+    objects, on arrows); an empty hom-set makes the product empty."""
     (fo, fa), (go, ga) = F, G
     xarr, comp = rawx["arrows"], rawx["compose"]
     objs = rawc["objects"]
     homs = [[h for h, ends in xarr.items() if ends == (fo[x], go[x])] for x in objs]
-    n = 0
+    found = []
     for choice in itertools.product(*homs):
         eta = dict(zip(objs, choice))
         if all(
             comp[(fa[f], eta[t])] == comp[(eta[s], ga[f])]
             for f, (s, t) in rawc["arrows"].items()
         ):
-            n += 1
-    return n
+            found.append(choice)
+    return found
+
+
+def nat_trans_count(rawc, rawx, F, G) -> int:
+    """How many natural transformations F => G : C -> X ``nat_trans_cells``
+    keeps."""
+    return len(nat_trans_cells(rawc, rawx, F, G))
+
+
+def modifications(rawd, rawx, x, y) -> list:
+    """The modifications x => y between transformations of a raw diagram D
+    into X, each as a dict (index object, fibre object) -> component, by
+    filtering the full product, in product order, of the per-object lists
+    of ``nat_trans_cells`` between the components of x and y.
+
+    A diagram is {"index": raw category, "variance": "covariant" or
+    "contravariant", "fibers": {index object: raw category}, "on_arrows":
+    {index arrow: raw maps of D(phi)}}; a transformation is {"components":
+    {index object: raw maps}, "cells": {index arrow: {fibre object: arrow}}}.
+    The cell at phi : A -> B and a fibre object p runs from the component at
+    A to the component at B; D(phi) sends p across when D is covariant and
+    lands at the A side when it is contravariant. A choice m is kept when
+    m at the source side, then y's cell, equals x's cell, then m at the
+    target side, at every index arrow (identities included) and every p."""
+    index, fibers = rawd["index"], rawd["fibers"]
+    comp = rawx["compose"]
+    objs = index["objects"]
+    per_object = [
+        nat_trans_cells(fibers[A], rawx, x["components"][A], y["components"][A]) for A in objs
+    ]
+    sides = []  # (phi, p, source side, target side)
+    for phi, (A, B) in index["arrows"].items():
+        moved = rawd["on_arrows"][phi][0]
+        if rawd["variance"] == "covariant":
+            sides += [(phi, p, (A, p), (B, moved[p])) for p in fibers[A]["objects"]]
+        else:
+            sides += [(phi, p, (A, moved[p]), (B, p)) for p in fibers[B]["objects"]]
+    found = []
+    for choice in itertools.product(*per_object):
+        m = {
+            (A, a): c for A, cell in zip(objs, choice) for a, c in zip(fibers[A]["objects"], cell)
+        }
+        if all(
+            comp[(m[s], y["cells"][phi][p])] == comp[(x["cells"][phi][p], m[t])]
+            for phi, p, s, t in sides
+        ):
+            found.append(m)
+    return found
 
 
 def arrow_category(rawx):

@@ -379,6 +379,23 @@ def test_bad_marks_exit_2_with_a_message(capsys, tmp_path, command, weq, message
     assert run(capsys, command, path)[:2] == (2, message)
 
 
+@pytest.mark.parametrize("command", ["validate", "axioms", "localize"])
+def test_a_fractions_file_checks_its_marks_once(capsys, monkeypatch, command):
+    # loading the file checks W as it indexes it, and the command's own
+    # calls read that kept index; a bad mark is still refused at the load
+    # (test_bad_marks_exit_2_with_a_message)
+    checked = []
+    check = FractionsInput.check
+
+    def counted(inp):
+        checked.append(inp)
+        return check(inp)
+
+    monkeypatch.setattr(FractionsInput, "check", counted)
+    assert run(capsys, command, FIX / "two_all.json")[0] == 0
+    assert len(checked) == 1
+
+
 # a unital magma on one object: a;a = b and a;b = a, so (a;a);a = b;a = b
 # while a;(a;a) = a;b = a
 NON_ASSOCIATIVE = {

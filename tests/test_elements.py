@@ -1,10 +1,14 @@
+import copy
+
 import pytest
 
 import corpus
 from catfrac import (
+    Functor,
     canonical_cocone,
     cleavage,
     enumerate_modifications,
+    enumerate_nat_trans,
     enumerate_transformations,
     find_isomorphism,
     functor_to_transformation,
@@ -42,6 +46,29 @@ def test_modification_cells_list_the_public_enumeration(name, D):
                     tuple(m.components[A].components[a] for A, a in tags)
                     for m in enumerate_modifications(x, y)
                 ]
+
+
+def test_modification_cells_name_a_missing_image_past_an_empty_list():
+    # transformations #2 and #1 of the nonstrict swap into the walking arrow
+    # have no natural transformation between their components at a, the
+    # first index object, and one at b. On the intact pair ``between`` may
+    # return at the empty list at a; with y's component at b stripped of its
+    # image of u, the search at b must still run and name the missing image
+    D, X = corpus.diag_contra_swap(), corpus.two()
+    trans = enumerate_transformations(D, X)
+    x, y = trans[2], trans[1]
+    between = modification_cells(grothendieck(D), X)
+    assert enumerate_nat_trans(x.components["a"], y.components["a"]) == []
+    assert len(enumerate_nat_trans(x.components["b"], y.components["b"])) == 1
+    assert between(x, y) == []
+    F = y.components["b"]
+    broken = copy.copy(y)
+    broken.components = dict(y.components, b=Functor(
+        F.dom, F.cod, F.on_objects, {f: g for f, g in F.on_arrows.items() if f != "u"}
+    ))
+    with pytest.raises(DomainError) as exc:
+        between(x, broken)
+    assert str(exc.value) == "the second functor has no image of arrow 'u'"
 
 
 @pytest.mark.parametrize("name,D", corpus.oplax_diagrams())

@@ -13,11 +13,16 @@ somewhere. The prepared search's counts are compared, on generated
 categories, with the oracle's filter over the product of the component
 hom-sets, so a search that returns early on an empty hom must still agree,
 and on the corpus with the functors into the oracle's arrow category
-(Kelly 1989), bucketed by their two ends.
+(Kelly 1989), bucketed by their two ends. The lists themselves are compared
+too: on the corpus against the walking arrow, the walking iso and Z/2, and
+on generated categories and chain diagrams, ``nat_trans_search`` and
+``modification_cells`` must list exactly what the oracle's filter over the
+product of candidates keeps (every arrow checked, identities included), in
+product order.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import corpus
 import oracle
@@ -39,6 +44,7 @@ from catfrac.diagram import identity_modification
 from catfrac.elements import modification_cells
 from test_fractions import to_raw
 from test_generated import build, categories, targets
+from test_two_cell_searches import small_chain_diagrams
 
 TARGETS = [("two", corpus.two()), ("iso", corpus.iso()), ("z2", corpus.z2())]
 PAIRS = [(f"{cn}->{xn}", C, X) for cn, C in corpus.test_battery() for xn, X in TARGETS]
@@ -205,3 +211,83 @@ def test_induced_functor_keeps_the_identity(name, inp, X):
         if inverts(F, inp)[0]:
             G = induced_functor(F, LC)
             assert as_cell(identity_nat_trans(F)) == as_cell(identity_nat_trans(G))
+
+
+# -- exact lists against the oracle's filter over the product -----------------
+
+
+def raw_maps(F) -> tuple:
+    return dict(F.on_objects), dict(F.on_arrows)
+
+
+def raw_diagram(D) -> dict:
+    idx = D.index
+    return {
+        "index": to_raw(idx),
+        "variance": D.variance,
+        "fibers": {A: to_raw(D.cat(A)) for A in idx.objects},
+        "on_arrows": {phi: raw_maps(D.fun(phi)) for phi in idx.arrows},
+    }
+
+
+def raw_transformation(x) -> dict:
+    return {
+        "components": {A: raw_maps(F) for A, F in x.components.items()},
+        "cells": {phi: dict(cell.components) for phi, cell in x.two_cells.items()},
+    }
+
+
+def assert_search_is_the_oracle_filter(C, X) -> None:
+    """For every pair of functors C -> X, the prepared search lists exactly
+    the tuples the oracle keeps from the product of the component homs, in
+    product order."""
+    rawc, rawx = to_raw(C), to_raw(X)
+    search = nat_trans_search(C, X)
+    functors = enumerate_functors(C, X)
+    for F in functors:
+        for G in functors:
+            assert search(F, G) == oracle.nat_trans_cells(rawc, rawx, raw_maps(F), raw_maps(G))
+
+
+def assert_modification_cells_are_the_oracle_filter(D, X) -> None:
+    """For every pair of transformations D -> X, ``modification_cells``
+    lists exactly the choices the oracle keeps from the product of the
+    per-object natural transformations, in product order, each read at the
+    carrier objects in carrier order."""
+    GD = grothendieck(D)
+    tags = [GD.object_tags[name] for name in GD.carrier.objects]
+    between = modification_cells(GD, X)
+    rawd, rawx = raw_diagram(D), to_raw(X)
+    trans = enumerate_transformations(D, X, "lax")
+    raws = [raw_transformation(x) for x in trans]
+    for x, raw_x in zip(trans, raws):
+        for y, raw_y in zip(trans, raws):
+            expected = oracle.modifications(rawd, rawx, raw_x, raw_y)
+            assert between(x, y) == [tuple(m[tag] for tag in tags) for m in expected]
+
+
+@pytest.mark.parametrize("name,C,X", ARROW_PAIRS, ids=[p[0] for p in ARROW_PAIRS])
+def test_nat_trans_search_is_the_oracle_filter(name, C, X):
+    assert_search_is_the_oracle_filter(C, X)
+
+
+@settings(max_examples=40, deadline=None)
+@given(categories, targets)
+def test_nat_trans_search_is_the_oracle_filter_on_generated(rawc, rawx):
+    assert_search_is_the_oracle_filter(build(rawc), build(rawx))
+
+
+MODIFICATION_PAIRS = [
+    (f"{dn}->{xn}", D, X) for dn, D in corpus.coherence_diagrams() for xn, X in ARROW_TARGETS
+]
+
+
+@pytest.mark.parametrize("name,D,X", MODIFICATION_PAIRS, ids=[p[0] for p in MODIFICATION_PAIRS])
+def test_modification_cells_are_the_oracle_filter(name, D, X):
+    assert_modification_cells_are_the_oracle_filter(D, X)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_chain_diagrams(), st.sampled_from(ARROW_TARGETS))
+def test_modification_cells_are_the_oracle_filter_on_generated(D, target):
+    assert_modification_cells_are_the_oracle_filter(D, target[1])

@@ -137,6 +137,14 @@ def _keyed_by_a_string():
                              {"fg": "h"})
 
 
+def _reassigned(field, value):
+    """The walking arrow fully marked, its axioms decided, then one field
+    reassigned: the kept index and verdict were derived from the old W."""
+    inp = _walking_arrow_all()
+    check_axioms(inp)
+    setattr(inp, field, value)
+
+
 def _identity_without_f():
     """The identity functor of the walking arrow, with no image of f."""
     F = identity_functor(corpus.two())
@@ -270,6 +278,10 @@ def _internal_nat_trans(components, codomain="c1"):
         (lambda: _chain3_without("0<1", "1<2"), InputError,
          "composition table is partial: missing ('0<1','1<2')"),
         (_keyed_by_a_string, InputError, "composition table is partial: missing ('f','g')"),
+        (lambda: _reassigned("weq", ("f",)), dataclasses.FrozenInstanceError,
+         "cannot assign to field 'weq'"),
+        (lambda: _reassigned("category", corpus.iso()), dataclasses.FrozenInstanceError,
+         "cannot assign to field 'category'"),
     ],
     ids=[
         "negative_size", "unhashable_label", "map_domain", "map_codomain", "maps_not_composable", "cone_off_pullback", "legs_off_blocks",
@@ -282,7 +294,7 @@ def _internal_nat_trans(components, codomain="c1"):
         "span_unhashable_mark", "span_unhashable_arrow", "inverts_missing_image",
         "induced_missing_image", "marks_a_string", "marks_none", "marks_not_iterable",
         "marks_a_set", "marks_a_frozenset", "marks_no_category", "span_bad_mark", "finding_zero", "finding_five", "partial_table",
-        "partial_by_string_key",
+        "partial_by_string_key", "reassign_weq", "reassign_category",
     ],
 )
 def test_library_refusal(run, error, message):

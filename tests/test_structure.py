@@ -23,7 +23,8 @@ diagram in one place; the CLI types each kind's fields in its KINDS entry
 and has no handler that would take a library bug's KeyError or TypeError
 for bad input;
 FinCategory.build has no option; the verifiers prepare each 2-cell search
-once per domain, not once per pair; one crosscheck checks each internal
+once per domain, not once per pair, and neither search calls backtrack or
+builds a function or generator per pair; one crosscheck checks each internal
 category's laws, builds the span machinery and builds the element blocks
 once, and an internal category gains no attribute after construction; a
 diagram's laws are decided in one place, once per diagram, and the verdict
@@ -1072,6 +1073,60 @@ def test_prepared_search_check_fires(monkeypatch):
     assert _repeated(_prepared_searches(monkeypatch, per_pair)) == [
         ("enumerate_modifications", "modification_search", pairs)
     ] + [("enumerate_nat_trans", "nat_trans_search", pairs)] * len(D.index.objects)
+
+
+def _per_pair_callbacks(trees: dict) -> list:
+    """Where a 2-cell search would cost each pair of 1-cells a callback:
+    ``trees`` maps each search of ``SEARCHES`` to the module tree that
+    defines it. Lists each call of ``backtrack`` in the preparing function,
+    and each function, lambda, generator expression or ``yield`` inside
+    the search it returns (the functions it defines), which would be built
+    or run as a generator once per call."""
+    found = []
+    for name, tree in trees.items():
+        prepare = _function(tree, name)
+        for node in ast.walk(prepare):
+            if isinstance(node, ast.Call) and _called_name(node) == "backtrack":
+                found.append(f"{name} calls backtrack at line {node.lineno}")
+        for search in [fn for fn in prepare.body if isinstance(fn, ast.FunctionDef)]:
+            for node in ast.walk(search):
+                nested = (ast.FunctionDef, ast.Lambda, ast.GeneratorExp, ast.Yield, ast.YieldFrom)
+                if node is not search and isinstance(node, nested):
+                    kind = type(node).__name__
+                    found.append(f"{name}.{search.name} builds a {kind} at line {node.lineno}")
+    return found
+
+
+def test_two_cell_searches_run_no_callback_per_pair():
+    # most pairs of 1-cells hold no 2-cell or one, so the fixed cost of a
+    # pair is most of the verifiers' 2-cell phase: both searches write their
+    # slot loop out, with no backtrack kernel, closure or generator per pair
+    trees = {name: MODULES[home.__name__.rsplit(".", 1)[1]] for name, home in SEARCHES.items()}
+    assert _per_pair_callbacks(trees) == []
+
+
+def test_per_pair_callback_check_fires():
+    # the searches as they were: a closure per pair handed to backtrack
+    earlier = ast.parse(
+        "def nat_trans_search(C, X):\n"
+        "    def search(F, G):\n"
+        "        def natural(i, vals):\n"
+        "            return True\n"
+        "        return list(backtrack(len(homs), lambda i, vals: homs[i], natural))\n"
+        "    return search\n"
+        "def modification_search(D, X):\n"
+        "    def search(x, y, per_object):\n"
+        "        yield from (vals for vals in backtrack(n, domain, accept))\n"
+        "    return search\n"
+    )
+    assert _per_pair_callbacks(dict.fromkeys(SEARCHES, earlier)) == [
+        "nat_trans_search calls backtrack at line 5",
+        "nat_trans_search.search builds a FunctionDef at line 3",
+        "nat_trans_search.search builds a Lambda at line 5",
+        "modification_search calls backtrack at line 9",
+        "modification_search.search builds a YieldFrom at line 9",
+        "modification_search.search builds a GeneratorExp at line 9",
+    ]
 
 
 # the builders of the ambient layer that one crosscheck needs once each

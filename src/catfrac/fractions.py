@@ -102,8 +102,10 @@ class FractionsInput:
         self._marks = None
 
     def __setattr__(self, name: str, value) -> None:
-        # the kept views were derived from the fields, so a field set once stays
-        if name in ("category", "weq") and name in self.__dict__:
+        # the kept views were derived from the fields, so a field set once
+        # stays. hasattr, not self.__dict__: reading __dict__ would give the
+        # instance a real dict and slow every later attribute read on it
+        if name in ("category", "weq") and hasattr(self, name):
             raise FrozenInstanceError(f"cannot assign to field {name!r}")
         object.__setattr__(self, name, value)
 

@@ -216,6 +216,20 @@ def test_missing_preimage():
     assert report.problems == ["2-cell preimage between #0 and #1 is not a cell"]
 
 
+def test_two_cells_in_another_order_pass():
+    # the lists are compared as sets: p => q listed in reverse is unequal as
+    # a list, so it takes the set comparison, which finds nothing
+    listed = fake().between
+
+    def between(x, y):
+        cells = listed(x, y)
+        return cells[::-1] if (x, y) == ("p", "q") else cells
+
+    assert len(listed("p", "q")) > 1
+    report = run(fake(between=between))
+    assert report.problems == [] and report.stats == run(fake()).stats
+
+
 def test_failed_phase_stops_the_check():
     report = run(fake(forward=lambda x: RIGHT[0], between=lambda x, y: []))
     assert "cells" not in report.stats

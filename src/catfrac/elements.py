@@ -296,11 +296,11 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> Callable:
     numbers: list = [{} for _ in objs]  # per index object: functor key -> number
     numbered: list = [[] for _ in objs]  # per index object: the functor of each number
     searched: list = [{} for _ in objs]  # per index object: (number, number) -> cells
-    cells: dict = {}  # id(transformation) -> (it, its numbers, whether all are typed)
+    entries: dict = {}  # id(transformation) -> (it, its numbers, whether all are typed)
 
     def interned(x: LaxTransformation) -> tuple:
         # the entry holds x, so no other object takes its id meanwhile
-        entry = cells.get(id(x))
+        entry = entries.get(id(x))
         if entry is None:
             ks, typed = [], total
             for s, A in enumerate(objs):
@@ -310,7 +310,7 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> Callable:
                     numbered[s].append((F, _typed(fibers[s], X, F)))
                 ks.append(k)
                 typed = typed and numbered[s][k][1]
-            entry = cells[id(x)] = (x, ks, typed)
+            entry = entries[id(x)] = (x, ks, typed)
         return entry
 
     def between(x: LaxTransformation, y: LaxTransformation) -> list[tuple]:
@@ -318,7 +318,7 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> Callable:
         _, ky, typed_y = interned(y)
         early = typed_x and typed_y
         per_object = []
-        for s, i, j in zip(range(len(objs)), kx, ky):
+        for s, (i, j) in enumerate(zip(kx, ky)):
             found = searched[s].get((i, j))
             if found is None:
                 F, G = numbered[s][i][0], numbered[s][j][0]

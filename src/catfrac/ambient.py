@@ -11,6 +11,17 @@ index arrow, and its source, target, identity and cleavage maps are the
 mediating maps of those pullbacks and coproducts; the identity and
 composition cells are still read from the external pseudofunctor.
 
+A finite category is numbered once, by its positional view
+(``FinCategory._positions``), and the ambient reads no other numbering:
+``_tabulate`` reads its object and arrow sets and its source, target and
+identity maps off the view, for ``internalize`` and for each fibre in
+``_element_blocks``; ``internalize`` reads composition from the view's
+flat table along the pullback projections, and the elements construction
+reads D(φ)'s object images and the unitor inverses through the fibre's
+view.  So an element of an arrow set is the arrow's position in the view,
+and ``externalize``, which names arrow j ``a{j}`` for the fractions layer,
+is the one place where positions become names.
+
 Every universal property used is witnessed: the mediating-map constructors
 check existence and uniqueness instead of assuming them, and the cover
 class (surjections) is certified by exhausting small instances.  Every map
@@ -38,9 +49,10 @@ validated; the ones the ambient's own operations build are in range by
 construction and are not validated again: pullback, coproduct and quotient
 objects (their sizes are counts), identities, composites, pullback
 projections, coproduct injections, quotient maps, the mediating maps once
-their existence and uniqueness checks pass, and the internal tables read
-off those maps.  The cleavage map stays validated: its codomain is the
-arrow set the caller passes in.
+their existence and uniqueness checks pass, the internal tables read
+off those maps, and the tables ``_tabulate`` reads off a view.  The
+cleavage map stays validated: its codomain is the arrow set the caller
+passes in.
 
 An internal category is frozen and keeps, as a map keeps its fibres, its
 composable pairs and its law verdict, so each category is checked once.
@@ -48,7 +60,7 @@ It also keeps what one crosscheck would otherwise build twice: the
 result of ``internal_elements`` keeps the blocks it was built from, which
 ``internal_cleavage`` reads again, and each internal category keeps the
 span machinery of its last marked-arrows map, which ``internal_localize``
-and ``verify_pairs_coequalizer`` share.
+and ``verify_pairs_coequalizer`` share; the machinery keeps w's inverse.
 
 Within one call, ``internal_elements`` computes each compositor inverse
 once.  ``internal_localize`` alone enters the fractions layer: it decides
@@ -57,7 +69,8 @@ arrow positions, which ``externalize`` numbers as the arrow set does.  It
 searches the first head of each (v1, g1, v2) once and keeps it for every
 second span in a dict of the call's own, reading the marked arrows'
 index that the axiom check left on its input, and finds the composite by
-the span pullback's index.  The span machinery reads ambient tables.
+the span pullback's index and w's inverse.  The span machinery reads
+ambient tables.
 """
 
 from __future__ import annotations
@@ -550,21 +563,29 @@ def validate_internal_nat_trans(eta: InternalNatTrans) -> ValidationReport:
     return report
 
 
+def _tabulate(C: FinCategory, label: str) -> tuple:
+    """(C₀, C₁, s, t, e) of a finite category, read off its positional view:
+    each element is the position of its object or arrow there."""
+    P = C._positions()
+    C0, C1 = _sized(f"{label}0", len(C.objects)), _sized(f"{label}1", len(C.arrows))
+    s, t = _built(C1, C0, tuple(P.src)), _built(C1, C0, tuple(P.tgt))
+    return C0, C1, s, t, _built(C0, C1, tuple(P.identity))
+
+
 def internalize(C: FinCategory) -> InternalCategory:
-    """Tabulate a finite category as sets of positions."""
-    obj_pos = {x: i for i, x in enumerate(C.objects)}
-    arr_pos = {f: i for i, f in enumerate(C.arrows)}
-    C0 = FinSetObject("C0", len(C.objects))
-    C1 = FinSetObject("C1", len(C.arrows))
-    s = FinSetMap(C1, C0, tuple(obj_pos[C.src[f]] for f in C.arrows))
-    t = FinSetMap(C1, C0, tuple(obj_pos[C.tgt[f]] for f in C.arrows))
-    e = FinSetMap(C0, C1, tuple(arr_pos[C.identity[x]] for x in C.objects))
+    """Tabulate a finite category as sets of positions; composition is read
+    off the view's flat table along the pullback projections.  A table that
+    misses a composable pair (a category built by the raw constructor) is
+    refused with the first such pair."""
+    C0, C1, s, t, e = _tabulate(C, "C")
     P, p0, p1 = pullback(t, s)
-    ctable = tuple(
-        arr_pos[C.composition[(C.arrows[p0.table[k]], C.arrows[p1.table[k]])]]
-        for k in range(P.size)
-    )
-    return InternalCategory(C0, C1, s, t, e, FinSetMap(P, C1, ctable))
+    n, flat = C1.size, C._positions().flat
+    ctable = tuple(flat[f * n + g] for f, g in zip(p0.table, p1.table))
+    if None in ctable:
+        k = ctable.index(None)
+        f, g = C.arrows[p0.table[k]], C.arrows[p1.table[k]]
+        raise InputError(f"composition table is partial: missing ({f!r},{g!r})")
+    return InternalCategory(C0, C1, s, t, e, _built(P, C1, ctable))
 
 
 def _require_laws(IC: InternalCategory) -> None:
@@ -603,37 +624,27 @@ def _element_blocks(D):
 
     D₀ = ⊔_A D(A)₀; for each index arrow φ : A → B the block P_φ is the
     pullback of D(φ)₀ : D(B)₀ → D(A)₀ along t_A : D(A)₁ → D(A)₀, its pairs
-    (b, f) in lexicographic position order; D₁ = ⊔_φ P_φ.  Returns
-    (s_A, e_A) per index object, D₀ and its injections, (p₀, p₁, D(φ)₀) per
-    index arrow, and D₁ and its injections.
+    (b, f) in lexicographic position order; D₁ = ⊔_φ P_φ.  Returns the
+    tabulation (D(A)₀, D(A)₁, s_A, t_A, e_A) per index object, D₀ and its
+    injections, (p₀, p₁, D(φ)₀) per index arrow, and D₁ and its injections.
     """
     idx = D.index
-    fibre_maps, targets, obj_pos = {}, {}, {}
-    for A in idx.objects:
-        fiber = D.cat(A)
-        obj_pos[A] = {x: i for i, x in enumerate(fiber.objects)}
-        arr_pos = {f: i for i, f in enumerate(fiber.arrows)}
-        C0 = FinSetObject(f"D({A})0", len(fiber.objects))
-        C1 = FinSetObject(f"D({A})1", len(fiber.arrows))
-        targets[A] = _built(C1, C0, tuple(obj_pos[A][fiber.tgt[f]] for f in fiber.arrows))
-        fibre_maps[A] = (
-            _built(C1, C0, tuple(obj_pos[A][fiber.src[f]] for f in fiber.arrows)),
-            _built(C0, C1, tuple(arr_pos[fiber.identity[x]] for x in fiber.objects)),
-        )
-    D0, inj0 = coproduct([targets[A].cod for A in idx.objects])
+    tables = {A: _tabulate(D.cat(A), f"D({A})") for A in idx.objects}
+    D0, inj0 = coproduct([tables[A][0] for A in idx.objects])
 
     blocks = {}
     for phi in idx.arrows:
         A, B = idx.src[phi], idx.tgt[phi]
         image = [D.fun(phi).on_objects[b] for b in D.cat(B).objects]
-        on_obj = _built(targets[B].cod, targets[A].cod, tuple(obj_pos[A][a] for a in image))
-        P, p0, p1 = pullback(on_obj, targets[A])
+        position = D.cat(A)._positions().object
+        on_obj = _built(tables[B][0], tables[A][0], tuple(position[a] for a in image))
+        P, p0, p1 = pullback(on_obj, tables[A][3])
         # counted independently, from the fibre's hom index
         if P.size != sum(len(D.cat(A).into(a)) for a in image):
             raise IntegrityError("pullback blocks disagree with the tag enumeration")
         blocks[phi] = (p0, p1, on_obj)
     D1, inj1 = coproduct([blocks[phi][0].dom for phi in idx.arrows])
-    return fibre_maps, D0, dict(zip(idx.objects, inj0)), blocks, D1, dict(zip(idx.arrows, inj1))
+    return tables, D0, dict(zip(idx.objects, inj0)), blocks, D1, dict(zip(idx.arrows, inj1))
 
 
 def internal_elements(D) -> InternalCategory:
@@ -653,13 +664,12 @@ def internal_elements(D) -> InternalCategory:
     require_lawful(D)
     idx = D.index
     built = _element_blocks(D)
-    fibre_maps, D0, inj0, blocks, D1, inj1 = built
-    arr_pos = {A: {f: i for i, f in enumerate(D.cat(A).arrows)} for A in idx.objects}
+    tables, D0, inj0, blocks, D1, inj1 = built
 
     s_legs, t_legs = [], []
     for phi in idx.arrows:
         p0, p1, _ = blocks[phi]
-        s_A = fibre_maps[idx.src[phi]][0]
+        s_A = tables[idx.src[phi]][2]
         s_legs.append(compose_maps(p1, compose_maps(s_A, inj0[idx.src[phi]])))
         t_legs.append(compose_maps(p0, inj0[idx.tgt[phi]]))
     blocks_in = list(inj1.values())
@@ -668,7 +678,8 @@ def internal_elements(D) -> InternalCategory:
     e_legs = []
     for A in idx.objects:
         p0, p1, _ = blocks[idx.identity[A]]
-        u_A = tuple(arr_pos[A][unitor_inverse_component(D, A, a)] for a in D.cat(A).objects)
+        arrow = D.cat(A)._positions().arrow
+        u_A = tuple(arrow[unitor_inverse_component(D, A, a)] for a in D.cat(A).objects)
         unit = pullback_mediate(p0, p1, identity_map(p0.cod), _built(p0.cod, p1.cod, u_A))
         e_legs.append(compose_maps(unit, inj1[idx.identity[A]]))
     e = coproduct_mediate(D0, list(inj0.values()), e_legs)
@@ -712,11 +723,11 @@ def internal_cleavage(D, ID: InternalCategory) -> FinSetMap:
     IE = ID if ID._blocks and ID._blocks[0] is D else internal_elements(D)
     if IE.c1 != ID.c1:
         raise DomainError("the arrow set is not that of the diagram's elements category")
-    fibre_maps, _, _, blocks, _, inj1 = IE._blocks[1]
+    tables, _, _, blocks, _, inj1 = IE._blocks[1]
     parts, table = [], []
     for phi in idx.arrows:
         p0, p1, on_obj = blocks[phi]
-        e_A = fibre_maps[idx.src[phi]][1]
+        e_A = tables[idx.src[phi]][4]
         ident = pullback_mediate(p0, p1, identity_map(p0.cod), compose_maps(on_obj, e_A))
         parts.append(FinSetObject(f"W({phi})", p0.cod.size))
         table += compose_maps(ident, inj1[phi]).table
@@ -731,6 +742,7 @@ class _SpanMachinery:
     pi_v: FinSetMap
     pi_g: FinSetMap
     span_index: tuple  # _pair_index of (pi_v, pi_g)
+    w_pos: dict  # w's inverse: a marked arrow -> its element of W
     sb_rows: list
     q: FinSetMap
     s_q: FinSetMap
@@ -797,6 +809,7 @@ def _span_machinery(IC: InternalCategory, w: FinSetMap) -> _SpanMachinery:
         pi_v=pi_v,
         pi_g=pi_g,
         span_index=span_index,
+        w_pos=w_pos,
         sb_rows=sb_rows,
         q=q,
         s_q=s_q,
@@ -851,7 +864,6 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
     # nothing)
     n, flat = IC.c1.size, ext._positions().flat
     wt, v_of, g_of = w.table, M.pi_v.table, M.pi_g.table
-    w_pos = {arrow: k for k, arrow in enumerate(wt)}
 
     def pair(a: int, b: int) -> str:
         return f"((a{wt[v_of[a]]}, a{g_of[a]}), (a{wt[v_of[b]]}, a{g_of[b]}))"
@@ -864,7 +876,7 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
             raise IntegrityError(f"axioms passed but span pair {pair(a, b)} has no head")
         h, m = head
         c = flat[m * n + g_of[b]]
-        k = _find(M.pi_v, M.pi_g, M.span_index, w_pos.get(h, -1), c)
+        k = _find(M.pi_v, M.pi_g, M.span_index, M.w_pos.get(h, -1), c)
         if k is None:
             raise IntegrityError(f"span pair {pair(a, b)} composes to (a{h}, a{c}), not a span")
         sp_values.append(M.q.table[k])

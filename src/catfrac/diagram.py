@@ -683,10 +683,11 @@ def _incompatible_fibers(
     at the source and target of phi, fail to commute with the two-cells
     x_phi, y_phi at phi; ``reads`` is ``_fiber_reads(D, phi)``.
 
-    Both callers pass typed components, so the composites are read from the
-    table.  On a lookup that fails, the same comparison is made again with
-    the checked ``compose``, which raises what it always raised: an
-    ill-typed two-cell is named by the same DomainError."""
+    The one caller, ``validate_modification``, has checked the components
+    m_src and m_tgt, but not the two-cells of x and y, so the composites are
+    read from the table first.  On a lookup that fails, the same comparison
+    is made again with the checked ``compose``, which raises what it always
+    raised: an ill-typed two-cell is named by the same DomainError."""
     comp = X.composition
     x_c, y_c, m_a, m_b = x_phi.components, y_phi.components, m_src.components, m_tgt.components
     for p, a, b in reads:

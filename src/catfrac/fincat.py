@@ -40,7 +40,8 @@ class _Positions:
     """A category's objects and arrows as positions in declaration order.
 
     ``object`` and ``arrow`` map each name to its position; ``src`` and
-    ``tgt`` give each arrow's endpoints as object positions; ``flat[f*N +
+    ``tgt`` give each arrow's endpoints as object positions, and
+    ``identity`` each object's identity as an arrow position; ``flat[f*N +
     g]`` (N arrows) is the position of the composite of f and g, or None
     when they are not composable; ``outs`` and ``ins`` list, per object, the
     arrows out of and into it, ``out_rank`` gives each arrow's place in the
@@ -49,7 +50,9 @@ class _Positions:
     from the names and read only.
     """
 
-    __slots__ = ("object", "arrow", "src", "tgt", "flat", "outs", "ins", "out_rank", "homs")
+    __slots__ = (
+        "object", "arrow", "src", "tgt", "identity", "flat", "outs", "ins", "out_rank", "homs"
+    )
 
     def __init__(self, C: "FinCategory") -> None:
         obj = {x: i for i, x in enumerate(C.objects)}
@@ -60,6 +63,7 @@ class _Positions:
             flat[arr[f] * n + arr[g]] = arr[h]
         src = [obj[C.src[f]] for f in C.arrows]
         tgt = [obj[C.tgt[f]] for f in C.arrows]
+        self.identity = [arr[C.identity[x]] for x in C.objects]
         # one pass in declaration order lists each object's arrows as
         # out_of and into do
         m = len(C.objects)

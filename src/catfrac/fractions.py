@@ -132,6 +132,15 @@ class AxiomFinding:
             return f"axiom ({self.axiom}): pass ({len(self.witnesses)} witnesses)"
         return f"axiom ({self.axiom}): FAIL at {self.counterexample!r}"
 
+    def __reduce__(self):
+        # a read-only mapping cannot be pickled or deep-copied: the
+        # witnesses travel as a dict and are made read-only again
+        return _read_only, (self.axiom, self.ok, dict(self.witnesses), self.counterexample)
+
+
+def _read_only(axiom: int, ok: bool, witnesses: dict, counterexample) -> AxiomFinding:
+    return AxiomFinding(axiom, ok, MappingProxyType(witnesses), counterexample)
+
 
 @dataclass(frozen=True)
 class AxiomReport:

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,6 +339,33 @@ def test_a_refusal_report_is_read_only():
     with pytest.raises(AxiomError) as again:
         localize(inp)
     assert again.value.report is report and str(report) == str(check_axioms(inp))
+
+
+def _round_trips(value) -> list:
+    return [copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+
+
+def test_a_report_copies_and_pickles_read_only():
+    # a report, an input that kept its verdict and an AxiomError that
+    # carries one each come back from a deep copy and a pickle equal to the
+    # original, their witnesses still read-only
+    C = corpus.chain3()
+    kept = FractionsInput(C, C.arrows)
+    report = check_axioms(kept)
+    with pytest.raises(AxiomError) as exc:
+        localize(FractionsInput(corpus.two(), ("f",)))
+    inputs, errors = _round_trips(kept), _round_trips(exc.value)
+    assert inputs == [kept, kept] and [str(e) for e in errors] == [str(exc.value)] * 2
+    for original, backs in [
+        (report, _round_trips(report)),
+        (report, [inp._axioms for inp in inputs]),
+        (exc.value.report, [e.report for e in errors]),
+    ]:
+        for back in backs:
+            assert back == original and str(back) == str(original)
+            for finding in back.findings:
+                with pytest.raises(TypeError):
+                    finding.witnesses[("f", "f")] = "id:a"
 
 
 def localized_text(LC) -> str:

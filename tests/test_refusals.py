@@ -137,6 +137,14 @@ def _keyed_by_a_string():
                              {"fg": "h"})
 
 
+def _raw_without_ff():
+    """One object with an endomorphism f, built by the raw constructor, which
+    checks nothing, with no composite of (f, f)."""
+    ends = {"1": "x", "f": "x"}
+    comp = {("1", "1"): "1", ("1", "f"): "f", ("f", "1"): "f"}
+    return FinCategory(("x",), ("1", "f"), ends, dict(ends), {"x": "1"}, comp)
+
+
 def _reassigned(field, value):
     """The walking arrow fully marked, its axioms decided, then one field
     reassigned: the kept index and verdict were derived from the old W."""
@@ -278,6 +286,8 @@ def _internal_nat_trans(components, codomain="c1"):
         (lambda: _chain3_without("0<1", "1<2"), InputError,
          "composition table is partial: missing ('0<1','1<2')"),
         (_keyed_by_a_string, InputError, "composition table is partial: missing ('f','g')"),
+        (lambda: internalize(_raw_without_ff()), InputError,
+         "composition table is partial: missing ('f','f')"),
         (lambda: _reassigned("weq", ("f",)), dataclasses.FrozenInstanceError,
          "cannot assign to field 'weq'"),
         (lambda: _reassigned("category", corpus.iso()), dataclasses.FrozenInstanceError,
@@ -294,7 +304,7 @@ def _internal_nat_trans(components, codomain="c1"):
         "span_unhashable_mark", "span_unhashable_arrow", "inverts_missing_image",
         "induced_missing_image", "marks_a_string", "marks_none", "marks_not_iterable",
         "marks_a_set", "marks_a_frozenset", "marks_no_category", "span_bad_mark", "finding_zero", "finding_five", "partial_table",
-        "partial_by_string_key", "reassign_weq", "reassign_category",
+        "partial_by_string_key", "internalize_partial_table", "reassign_weq", "reassign_category",
     ],
 )
 def test_library_refusal(run, error, message):

@@ -16,7 +16,9 @@ pseudofunctor coherence laws are written once for both variances; every
 quotient is closed by the one partition routine in fincat, and every map off
 a quotient or a coproduct in the ambient is filled by one factorization
 routine, and a pullback element is found by one arithmetic index, not a dict
-of coordinate pairs; internal_localize
+of coordinate pairs; the ambient numbers a finite category only through
+its positional view, in one tabulation, and builds w's inverse once per
+span machinery; internal_localize
 is the one ambient function that enters the fractions layer; the CLI reads a
 file only to resolve a reference or a command's own path, and a bundle's
 diagram in one place; the CLI types each kind's fields in its KINDS entry
@@ -773,6 +775,69 @@ def test_coordinate_lookup_check_fires():
         "ambient.py:3 _positions", "ambient.py:4 dict of table pairs",
         "ambient.py:6 dict of table pairs", "ambient.py:7 block starts",
     ]
+
+
+def _enumerated_dicts(tree: ast.Module) -> list:
+    """Each dict built from an enumeration, by the function that builds it
+    and what it numbers: ``{x: i for i, x in enumerate(xs)}`` or
+    ``dict(zip(xs, range(n)))``."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.DictComp):
+                iterated = node.generators[0].iter
+                if isinstance(iterated, ast.Call) and _called_name(iterated) == "enumerate":
+                    found.append(f"{fn.name}: {ast.unparse(iterated.args[0])}")
+            elif (isinstance(node, ast.Call) and _called_name(node) == "dict" and node.args
+                  and isinstance(node.args[0], ast.Call) and _called_name(node.args[0]) == "zip"
+                  and any(isinstance(a, ast.Call) and _called_name(a) == "range"
+                          for a in node.args[0].args)):
+                found.append(f"{fn.name}: {ast.unparse(node.args[0].args[0])}")
+    return found
+
+
+def _callers(tree: ast.Module, name: str) -> set:
+    """The functions of ``tree`` that call ``name``."""
+    return {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name != name
+        and any(isinstance(node, ast.Call) and _called_name(node) == name for node in ast.walk(fn))
+    }
+
+
+def test_the_ambient_numbers_a_category_through_its_view():
+    # object and arrow positions come from FinCategory._positions(), read
+    # in one tabulation that internalize and the element blocks share; the
+    # one enumerated dict left is w's inverse, built with the span machinery
+    # and read from it by internal_localize
+    assert _enumerated_dicts(MODULES["ambient"]) == ["_span_machinery: w.table"]
+    assert _callers(MODULES["ambient"], "_tabulate") == {"internalize", "_element_blocks"}
+    assert "_positions()" in inspect.getsource(catfrac.ambient._tabulate)
+    assert "M.w_pos" in inspect.getsource(catfrac.ambient.internal_localize)
+
+
+def test_view_numbering_check_fires():
+    # the ambient as it was: its own position dicts beside the view, and
+    # w's inverse built again by internal_localize
+    earlier = ast.parse(
+        "def internalize(C):\n"
+        "    arr_pos = {f: i for i, f in enumerate(C.arrows)}\n"
+        "def _element_blocks(D):\n"
+        "    tables = {A: _tabulate(D.cat(A), 'D') for A in idx.objects}\n"
+        "    obj_pos = dict(zip(fiber.objects, range(len(fiber.objects))))\n"
+        "def _span_machinery(IC, w):\n"
+        "    w_pos = {arrow: k for k, arrow in enumerate(w.table)}\n"
+        "def internal_localize(IC, w):\n"
+        "    w_pos = {arrow: k for k, arrow in enumerate(wt)}\n"
+    )
+    assert _enumerated_dicts(earlier) == [
+        "internalize: C.arrows", "_element_blocks: fiber.objects", "_span_machinery: w.table",
+        "internal_localize: wt",
+    ]
+    assert _callers(earlier, "_tabulate") == {"_element_blocks"}
 
 
 # what runs on arrow positions: the axiom decision, the sailboat moves,

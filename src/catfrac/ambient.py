@@ -574,17 +574,13 @@ def _tabulate(C: FinCategory, label: str) -> tuple:
 
 def internalize(C: FinCategory) -> InternalCategory:
     """Tabulate a finite category as sets of positions; composition is read
-    off the view's flat table along the pullback projections.  A table that
-    misses a composable pair (a category built by the raw constructor) is
-    refused with the first such pair."""
+    off the view's flat table along the pullback projections.  The view
+    refuses a table that misses a composable pair (a category built by the
+    raw constructor), naming the first such pair."""
     C0, C1, s, t, e = _tabulate(C, "C")
     P, p0, p1 = pullback(t, s)
     n, flat = C1.size, C._positions().flat
     ctable = tuple(flat[f * n + g] for f, g in zip(p0.table, p1.table))
-    if None in ctable:
-        k = ctable.index(None)
-        f, g = C.arrows[p0.table[k]], C.arrows[p1.table[k]]
-        raise InputError(f"composition table is partial: missing ({f!r},{g!r})")
     return InternalCategory(C0, C1, s, t, e, _built(P, C1, ctable))
 
 

@@ -47,7 +47,9 @@ class _Positions:
     arrows out of and into it, ``out_rank`` gives each arrow's place in the
     out-list of its source, and ``homs[x*M + y]`` (M objects) lists the
     arrows from x to y.  Every list is in declaration order.  It is derived
-    from the names and read only.
+    from the names and read only.  A table that misses a composable pair
+    (a category built by the raw constructor) is refused with InputError
+    naming the first such pair, in ``composable_pairs`` order.
     """
 
     __slots__ = (
@@ -58,11 +60,16 @@ class _Positions:
         obj = {x: i for i, x in enumerate(C.objects)}
         arr = {f: i for i, f in enumerate(C.arrows)}
         n = len(C.arrows)
-        flat = [None] * (n * n)
-        for (f, g), h in C.composition.items():
-            flat[arr[f] * n + arr[g]] = arr[h]
         src = [obj[C.src[f]] for f in C.arrows]
         tgt = [obj[C.tgt[f]] for f in C.arrows]
+        flat = [None] * (n * n)
+        # the raw constructor checks nothing, so the entries on composable
+        # pairs are counted, to refuse a table that misses one below
+        entries = 0
+        for (f, g), h in C.composition.items():
+            f, g = arr[f], arr[g]
+            flat[f * n + g] = arr[h]
+            entries += tgt[f] == src[g]
         self.identity = [arr[C.identity[x]] for x in C.objects]
         # one pass in declaration order lists each object's arrows as
         # out_of and into do
@@ -75,6 +82,10 @@ class _Positions:
             outs[s].append(f)
             ins[t].append(f)
             homs.setdefault(s * m + t, []).append(f)
+        if entries != sum(len(i) * len(o) for i, o in zip(ins, outs)):
+            for f, g in C.composable_pairs():
+                if flat[arr[f] * n + arr[g]] is None:
+                    raise InputError(f"composition table is partial: missing ({f!r},{g!r})")
         self.object, self.arrow, self.flat, self.src, self.tgt = obj, arr, flat, src, tgt
         self.outs = tuple(map(tuple, outs))
         self.ins = tuple(map(tuple, ins))

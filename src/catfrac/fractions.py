@@ -28,12 +28,15 @@ with (v2, g2) reads g2 only in its last step, so a composite is a head
 ((m;w');v1, m;h2), made from an Ore square (w', h2) of (g1, v2) and a weak
 filler m of (w', v1), followed by g2.  The composition loop takes the
 first Ore square, then the first weak filler of its w' (``_first_head``);
-self-check (b) and ``span_compose(exhaustive=True)`` take the whole lists
-(``_composite_heads``), each listed once per key in a dict the call owns
-(``_listed``).  The ambient's ``internal_localize`` reads first heads by
-position and keeps each for its call.  Heads are pairs of arrow
-positions; names appear only at the edges: the axiom report, error
-messages and span_compose's return.
+self-check (b) and ``span_compose(exhaustive=True)`` take the whole lists,
+each listed once per key in a dict the call owns (``_listed``).  A head
+depends only on its Ore square and v1 (``_square_heads``), so (b)
+classifies each square's heads once per call, and ``span_compose`` takes
+the distinct heads of every square of the cospan (``_composite_heads``).
+The ambient's ``internal_localize`` reads first heads by position and
+keeps each for its call.  Heads are pairs of arrow positions; names
+appear only at the edges: the axiom report, error messages and
+span_compose's return.
 """
 
 from __future__ import annotations
@@ -276,26 +279,36 @@ def _listed(lists: dict, routine, inp: FractionsInput, *key) -> list:
     return found
 
 
+def _square_heads(
+    inp: FractionsInput, lists: dict, wp: int, h2: int, v1: int
+) -> Iterator[tuple[int, int]]:
+    """The heads one Ore square (w', h2) gives a span with first leg v1:
+    ((m;w');v1, m;h2) for each weak filler m of (w', v1), in canonical
+    order, repeats included.  They depend on (w', h2, v1) only, not on the
+    cospan the square fills.  The weak list is read from ``lists``
+    (``_listed``)."""
+    n, flat = len(inp.category.arrows), inp.category._positions().flat
+    for m in _listed(lists, _weak_fillers, inp, wp, v1):
+        # an Ore square's h2 starts at s(w') = t(m), so m;h2 is a table read
+        mn = m * n
+        yield flat[flat[mn + wp] * n + v1], flat[mn + h2]
+
+
 def _composite_heads(
     inp: FractionsInput, lists: dict, v1: int, g1: int, v2: int
 ) -> Iterator[tuple[int, int]]:
     """What composing a span (v1, g1) with any span (v2, g2) makes before
-    g2: the heads ((m;w');v1, m;h2) over each Ore square (w', h2) of (g1,
-    v2) and each weak filler m of (w', v1), in canonical order, each first
-    occurrence only: composition is a function, so a repeated head would
-    only repeat its composite.  Both filler lists are read from ``lists``
-    (``_listed``), so each is searched once per key and call, not once per
-    row."""
-    n, flat = len(inp.category.arrows), inp.category._positions().flat
+    g2: the heads of each Ore square (w', h2) of (g1, v2)
+    (``_square_heads``), in canonical order, each first occurrence only:
+    composition is a function, so a repeated head would only repeat its
+    composite.  Both filler lists are read from ``lists`` (``_listed``), so
+    each is searched once per key and call."""
     seen = set()
     for wp, h2 in _listed(lists, _ore_squares, inp, g1, v2):
-        for m in _listed(lists, _weak_fillers, inp, wp, v1):
-            mn = m * n
-            a, b = flat[flat[mn + wp] * n + v1], flat[mn + h2]
-            key = a * n + b
-            if key not in seen:
-                seen.add(key)
-                yield a, b
+        for head in _square_heads(inp, lists, wp, h2, v1):
+            if head not in seen:
+                seen.add(head)
+                yield head
 
 
 def _decide(axiom: int, witnesses: dict, counterexample: Optional[tuple]) -> AxiomFinding:
@@ -564,13 +577,17 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     its own choices: (a) identity classes are independent of the chosen
     section, and (b) composites are independent of fillers and
     representatives, when the span count is within exhaustive_limit.  (b)
-    runs once per row (s1, v2): the distinct heads of (v1, g1, v2), one per
-    Ore x weak filler combination, must lie in one class, and then, per g2
-    out of s(v2), the first head composed with g2 (one table read) must
-    land in the class the table gives the pair.  That is the whole product
-    check, because a sailboat move of a head stays a move once g2 is
-    composed on; ``span_compose(exhaustive=True)`` still forms the whole
-    product per span pair.  A failing row names the pair (s1, (v2, 1)).
+    runs once per row (s1, v2): the heads of (v1, g1, v2), one per Ore x
+    weak filler combination, must lie in one class, and then, per g2 out
+    of s(v2), the first head composed with g2 (one table read) must land in
+    the class the table gives the pair.  A head depends only on its Ore
+    square (w', h2) and v1, so the heads of each (w', h2, v1) are listed
+    (``_square_heads``) and classified once per call: a row's classes are
+    the union of its squares' classes, and its first head the first head
+    of its first square that has one.  That is the whole product check,
+    because a sailboat move of a head stays a move once g2 is composed on;
+    ``span_compose(exhaustive=True)`` still forms the whole product per
+    span pair.  A failing row names the pair (s1, (v2, 1)).
     Any failure of those re-derivations, a sailboat move that changes a
     span's endpoints, a row with no head or a composite that is not a span
     raises IntegrityError.
@@ -700,15 +717,30 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
             return names[found] if isinstance(found, int) else (arrows[found[0]], arrows[found[1]])
 
         lists = {}  # the Ore and weak lists of this call, for every row
+        # (w', h2, v1) -> the first head of that Ore square, or None, and
+        # the classes of its heads: each square is classified once per
+        # call, though every row through it reads it
+        squares = {}
         for s1, k1 in zip(spans, cls):
             v1, g1 = pos[s1[0]], pos[s1[1]]
             row = k1 * K
             for v2 in w_into[tgt[g1]]:
-                heads = list(_composite_heads(inp, lists, v1, g1, v2))
-                classes = {
-                    cls[start[a] + rank[b]] if start[a] >= 0 and src[b] == src[a] else (a, b)
-                    for a, b in heads
-                }
+                # the row's classes are those of its squares, and its first
+                # head is the first head of its first square that has one
+                head, classes = None, set()
+                for wp, h2 in _listed(lists, _ore_squares, inp, g1, v2):
+                    found = squares.get((wp, h2, v1))
+                    if found is None:
+                        heads = list(_square_heads(inp, lists, wp, h2, v1))
+                        met = {
+                            cls[start[a] + rank[b]] if start[a] >= 0 and src[b] == src[a]
+                            else (a, b)
+                            for a, b in heads
+                        }
+                        found = squares[wp, h2, v1] = heads[0] if heads else None, met
+                    if head is None:
+                        head = found[0]
+                    classes |= found[1]
                 if len(classes) != 1:
                     s2 = (arrows[v2], C.identity[C.src[arrows[v2]]])
                     classes = sorted(map(named, classes), key=str)
@@ -716,7 +748,7 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
                         f"composite of {s1!r} and {s2!r} "
                         f"is not well-defined: classes {classes!r}"
                     )
-                a, b = heads[0]
+                a, b = head
                 i, bn = start[a], b * n
                 sa = src[a] if i >= 0 else None
                 j = start[v2]

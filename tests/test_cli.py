@@ -177,6 +177,19 @@ def test_localize_exhaustive_and_json(capsys, tmp_path):
     assert run(capsys, "validate", target)[0] == 0
 
 
+def test_localize_z2_all_is_the_same_two_class_carrier_either_way(capsys):
+    # Z/2 marked at both arrows: each of its 8 Ore squares serves two rows
+    # of the composite check, which --exhaustive runs as the default does
+    code, out, _ = run(capsys, "localize", FIX / "z2_all.json", "--json")
+    assert code == 0
+    assert run(capsys, "localize", FIX / "z2_all.json", "--exhaustive", "--json") == (0, out, "")
+    doc = json.loads(out)
+    assert [a["name"] for a in doc["arrows"]] == ["[id:*;id:*]", "[id:*;s]"]
+    assert doc["identities"] == {"*": "[id:*;id:*]"}
+    assert doc["compose"] == [{"first": "[id:*;s]", "then": "[id:*;s]", "equals": "[id:*;id:*]"}]
+    assert doc["localization_functor"]["on_arrows"] == {"id:*": "[id:*;id:*]", "s": "[id:*;s]"}
+
+
 def test_verify_oplax(capsys):
     code, out, _ = run(
         capsys, "verify", FIX / "diagram_contra_two.json", "oplax", "--against", FIX / "two.json"

@@ -145,6 +145,15 @@ def _raw_without_ff():
     return FinCategory(("x",), ("1", "f"), ends, dict(ends), {"x": "1"}, comp)
 
 
+def _raw_stray_for_missing():
+    """The walking arrow x -f-> y by the raw constructor, its table missing
+    (f, 1y) and holding the non-composable (1y, f) instead: as many entries
+    as composable pairs, one of them on no such pair."""
+    ends = {"1x": "x", "1y": "y", "f": "x"}, {"1x": "x", "1y": "y", "f": "y"}
+    comp = {("1x", "1x"): "1x", ("1x", "f"): "f", ("1y", "1y"): "1y", ("1y", "f"): "f"}
+    return FinCategory(("x", "y"), ("1x", "1y", "f"), *ends, {"x": "1x", "y": "1y"}, comp)
+
+
 def _reassigned(field, value):
     """The walking arrow fully marked, its axioms decided, then one field
     reassigned: the kept index and verdict were derived from the old W."""
@@ -288,6 +297,13 @@ def _internal_nat_trans(components, codomain="c1"):
         (_keyed_by_a_string, InputError, "composition table is partial: missing ('f','g')"),
         (lambda: internalize(_raw_without_ff()), InputError,
          "composition table is partial: missing ('f','f')"),
+        # the positional view refuses the partial table before any search
+        (lambda: check_axioms(FractionsInput(_raw_without_ff(), ("1", "f"))), InputError,
+         "composition table is partial: missing ('f','f')"),
+        (lambda: localize(FractionsInput(_raw_without_ff(), ("1", "f"))), InputError,
+         "composition table is partial: missing ('f','f')"),
+        (lambda: internalize(_raw_stray_for_missing()), InputError,
+         "composition table is partial: missing ('f','1y')"),
         (lambda: _reassigned("weq", ("f",)), dataclasses.FrozenInstanceError,
          "cannot assign to field 'weq'"),
         (lambda: _reassigned("category", corpus.iso()), dataclasses.FrozenInstanceError,
@@ -304,7 +320,9 @@ def _internal_nat_trans(components, codomain="c1"):
         "span_unhashable_mark", "span_unhashable_arrow", "inverts_missing_image",
         "induced_missing_image", "marks_a_string", "marks_none", "marks_not_iterable",
         "marks_a_set", "marks_a_frozenset", "marks_no_category", "span_bad_mark", "finding_zero", "finding_five", "partial_table",
-        "partial_by_string_key", "internalize_partial_table", "reassign_weq", "reassign_category",
+        "partial_by_string_key", "internalize_partial_table",
+        "check_axioms_partial_table", "localize_partial_table", "partial_with_a_stray_entry",
+        "reassign_weq", "reassign_category",
     ],
 )
 def test_library_refusal(run, error, message):

@@ -3,10 +3,12 @@
 Each fractions shape has one search routine, on arrow positions; named,
 each routine's whole list is the independent oracle's full scan, on the
 corpus and on drawn inputs.  Differential: the composition loop reads the
-first head of each row, and self-check (b) reads the heads of each row
-(s1, v2) once, checks that they lie in one class, then composes the first
-head with each g2 out of s(v2) by one table read; the heads are those the
-oracle's scans make, the public span_compose searches on its own, and its
+first head of each row, and self-check (b) lists and classifies the heads
+of each Ore square (w', h2, v1) once per call, checks that each row
+(s1, v2) meets one class over its squares, then composes the row's first
+head with each g2 out of s(v2) by one table read; each square's heads are
+those the oracle's scans make, each row's classes are those of its
+distinct heads, the public span_compose searches on its own, and its
 exhaustive mode gives what the whole Ore x weak product, formed test-side
 from the oracle's scans, gives.  With no fault, a bogus last filler or a
 coarser partition injected, (b) fires exactly when that whole product
@@ -74,29 +76,52 @@ def scanned(inp: FractionsInput, routine: str, *key) -> list:
     return found if extra is None else found + [extra]
 
 
-def scanned_heads(inp: FractionsInput, v1: str, g1: str, v2: str) -> list[tuple]:
-    """The head ((m;w');v1, m;h2) of every Ore square (w', h2) of (g1, v2)
-    and every weak filler m of (w', v1), from the test-side scans, in
-    canonical order, repeats included."""
+def scanned_square_heads(inp: FractionsInput, wp: str, h2: str, v1: str) -> list[tuple]:
+    """The head ((m;w');v1, m;h2) of the Ore square (w', h2) for every weak
+    filler m of (w', v1), from the test-side scan, in canonical order,
+    repeats included."""
     comp = inp.category.composition
     return [
         (comp[(comp[(m, wp)], v1)], comp[(m, h2)])
-        for wp, h2 in scanned(inp, "_ore_squares", g1, v2)
         for m in scanned(inp, "_weak_fillers", wp, v1)
     ]
 
 
+def scanned_heads(inp: FractionsInput, v1: str, g1: str, v2: str) -> list[tuple]:
+    """The heads of every Ore square (w', h2) of (g1, v2), from the
+    test-side scans, in canonical order, repeats included."""
+    return [
+        head
+        for wp, h2 in scanned(inp, "_ore_squares", g1, v2)
+        for head in scanned_square_heads(inp, wp, h2, v1)
+    ]
+
+
+def row_squares(inp: FractionsInput, v1: str, g1: str, v2: str) -> list[tuple]:
+    """The keys (w', h2, v1) of the Ore squares of the row (v1, g1, v2), from
+    the test-side scan, in canonical order."""
+    return [(wp, h2, v1) for wp, h2 in scanned(inp, "_ore_squares", g1, v2)]
+
+
 def localize_spying(inp: FractionsInput):
-    """localize, recording every span_compose call (s1, s2, exhaustive) and
-    every list of heads it forms, (key, heads), by names."""
-    composed, read = [], []
+    """localize, recording every span_compose call (s1, s2, exhaustive),
+    every Ore list it reads through ``_listed``, (key, squares), and every
+    list of heads it forms per Ore square, (key, heads), by names."""
+    composed, ore, read = [], [], []
     public = catfrac.fractions.span_compose
-    heads_of = catfrac.fractions._composite_heads
+    listed = catfrac.fractions._listed
+    heads_of = catfrac.fractions._square_heads
     C = inp.category
 
     def composing(inp, s1, s2, exhaustive=False):
         composed.append((s1, s2, exhaustive))
         return public(inp, s1, s2, exhaustive)
+
+    def listing(lists, routine, inp, *key):
+        found = listed(lists, routine, inp, *key)
+        if routine is catfrac.fractions._ore_squares:
+            ore.append((named(C, key), [named(C, square) for square in found]))
+        return found
 
     def reading(inp, lists, *key):
         heads = list(heads_of(inp, lists, *key))
@@ -105,9 +130,10 @@ def localize_spying(inp: FractionsInput):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(catfrac.fractions, "span_compose", composing)
-        mp.setattr(catfrac.fractions, "_composite_heads", reading)
+        mp.setattr(catfrac.fractions, "_listed", listing)
+        mp.setattr(catfrac.fractions, "_square_heads", reading)
         LC = localize(inp)
-    return LC, composed, read
+    return LC, composed, ore, read
 
 
 def rows(inp: FractionsInput) -> list[tuple]:
@@ -121,20 +147,28 @@ def rows(inp: FractionsInput) -> list[tuple]:
 
 
 def check_against_public(inp: FractionsInput) -> None:
-    LC, composed, read = localize_spying(inp)
+    LC, composed, ore, read = localize_spying(inp)
     fresh = FractionsInput(inp.category, inp.weq)
-    K = LC.carrier
+    C, K = inp.category, LC.carrier
     # the class loop composes each class pair from its row's head, so on an
     # input that passes the axioms span_compose never runs
     assert composed == []
     for (n1, n2), n in K.composition.items():
         s1, s2 = LC.class_reps[n1], LC.class_reps[n2]
         assert LC.q[span_compose(fresh, s1, s2)] == n
-    # (b) reads the heads of every row once, each the distinct heads of the
-    # oracle's scans, in order
-    assert Counter(key for key, _ in read) == Counter(rows(inp))
-    for key, heads in read:
+    # each row's distinct heads, listed directly, are those of the oracle's
+    # scans, in order
+    for key in rows(inp):
+        heads = [named(C, head) for head in catfrac.fractions._composite_heads(
+            inp, {}, *placed(C, key))]
         assert heads == list(dict.fromkeys(scanned_heads(inp, *key)))
+    # (b) lists the heads of every Ore square its rows read once, each the
+    # oracle's product for that square
+    assert Counter(key for key, _ in read) == Counter(
+        {square for key in rows(inp) for square in row_squares(inp, *key)}
+    )
+    for key, heads in read:
+        assert heads == scanned_square_heads(inp, *key)
 
 
 def fully_marked_chain(n: int) -> FractionsInput:
@@ -164,12 +198,17 @@ def test_loops_visit_composable_pairs_in_product_order(name, inp):
     # FinCategory.build keeps the insertion order of the composition table,
     # so the class loop must list pairs as the filtered full product does;
     # self-check (b) visits the rows (s1, v2) of span pairs in the same order
-    LC, composed, read = localize_spying(inp)
+    LC, composed, ore, read = localize_spying(inp)
     K = LC.carrier
     assert list(K.composition) == [
         (n1, n2) for n1 in K.arrows for n2 in K.arrows if K.tgt[n1] == K.src[n2]
     ]
-    assert [key for key, _ in read] == rows(inp)
+    # (b) reads each row's Ore list once, row by row, and lists a square's
+    # heads at the first row through it
+    assert [key for key, _ in ore] == [(g1, v2) for _, g1, v2 in rows(inp)]
+    assert [key for key, _ in read] == list(
+        dict.fromkeys(square for key in rows(inp) for square in row_squares(inp, *key))
+    )
 
 
 def cyclic(n: int) -> FinCategory:
@@ -186,6 +225,32 @@ def cyclic(n: int) -> FinCategory:
 def fully_marked_cyclic(n: int) -> FractionsInput:
     C = cyclic(n)
     return FractionsInput(C, C.arrows)
+
+
+def check_row_classes(inp: FractionsInput) -> None:
+    """Each row's classes as (b) decides them, the union over the Ore
+    squares it reads of the classes of each square's listed heads, are the
+    classes of that row's ``_composite_heads``: one class, as localize
+    returned.  A head that is no span stands for itself."""
+    LC, _, ore, read = localize_spying(inp)
+    C, q, heads_of = inp.category, LC.q, dict(read)
+    assert len(ore) == len(rows(inp))
+    for (v1, g1, v2), (key, squares) in zip(rows(inp), ore):
+        assert key == (g1, v2)
+        decided = {q.get(head, head) for wp, h2 in squares for head in heads_of[wp, h2, v1]}
+        heads = catfrac.fractions._composite_heads(inp, {}, *placed(C, (v1, g1, v2)))
+        assert decided == {q.get(head, head) for head in (named(C, h) for h in heads)}
+        assert len(decided) == 1
+
+
+@pytest.mark.parametrize(
+    "name,inp",
+    corpus.fractions_corpus()
+    + [("chain(5)/all", fully_marked_chain(5))]
+    + [(f"Z/{n}/all", fully_marked_cyclic(n)) for n in range(3, 7)],
+)
+def test_row_classes_are_those_of_the_rows_heads(name, inp):
+    check_row_classes(inp)
 
 
 def whole_product(inp: FractionsInput, s1: tuple, s2: tuple) -> tuple:
@@ -235,6 +300,29 @@ def test_self_check_b_composes_about_n5_times(monkeypatch, n):
     LC = localize(fully_marked_cyclic(n))
     assert len(LC.carrier.arrows) == n
     assert calls <= 3 * n**5
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_self_check_b_classifies_each_square_once(monkeypatch, n):
+    # fully marked Z/n has n^3 rows (s1, v2), each with n Ore squares of n
+    # weak fillers: n^5 heads over the rows.  A square's heads depend on
+    # (w', h2, v1) only, and (b) lists each of those n^3 keys once, so it
+    # classifies n^4 heads
+    listed, drawn = Counter(), 0
+    exact = catfrac.fractions._square_heads
+
+    def spy(inp, lists, *key):
+        nonlocal drawn
+        listed[key] += 1
+        for head in exact(inp, lists, *key):
+            drawn += 1
+            yield head
+
+    monkeypatch.setattr(catfrac.fractions, "_square_heads", spy)
+    LC = localize(fully_marked_cyclic(n))
+    assert len(LC.carrier.arrows) == n
+    assert len(listed) == n**3 and max(listed.values()) == 1
+    assert drawn == n**4
 
 
 def count_heads(monkeypatch, module=catfrac.fractions) -> Counter:
@@ -398,6 +486,13 @@ def marked(draw):
 def test_generated_composites_match_public_span_compose(inp):
     assume(check_axioms(inp).ok)
     check_against_public(inp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(marked())
+def test_generated_row_classes_are_those_of_the_rows_heads(inp):
+    assume(check_axioms(inp).ok)
+    check_row_classes(inp)
 
 
 @settings(max_examples=60, deadline=None)

@@ -588,9 +588,15 @@ def test_each_fractions_shape_has_one_search_routine():
         {"_weak_fillers": 1, "_ore_squares": 1, "_zippers": 1, "_masts": 1, "check_axioms": 1}
     )
     assert set(ROUTINES) <= _reads(_function(tree, "check_axioms"))
-    for name in ("_first_head", "_composite_heads"):
-        assert {"_ore_squares", "_weak_fillers"} <= _reads(_function(tree, name))
-    assert {"_first_head", "_composite_heads"} <= _reads(_function(tree, "localize"))
+    assert {"_ore_squares", "_weak_fillers"} <= _reads(_function(tree, "_first_head"))
+    assert "_weak_fillers" in _reads(_function(tree, "_square_heads"))
+    assert {"_ore_squares", "_square_heads"} <= _reads(_function(tree, "_composite_heads"))
+    # (b) reads each row's Ore list and forms heads per square; the head
+    # formula stays in _first_head and _square_heads, so localize reaches
+    # no weak filler itself
+    localize_reads = _reads(_function(tree, "localize"))
+    assert {"_first_head", "_ore_squares", "_square_heads"} <= localize_reads
+    assert "_weak_fillers" not in localize_reads
     assert {"_first_head", "_composite_heads"} <= _reads(_function(tree, "span_compose"))
 
 
@@ -842,10 +848,11 @@ def test_view_numbering_check_fires():
 
 # what runs on arrow positions: the axiom decision, the sailboat moves,
 # the search routines, the heads, and localize's own loops, the class loop
-# and self-check (b)
+# and self-check (b).  _composite_heads reads the table only through
+# _square_heads
 POSITIONAL = (
-    "check_axioms", "_masts", "_span_partition", *ROUTINES, "_first_head", "_composite_heads",
-    "localize",
+    "check_axioms", "_masts", "_span_partition", *ROUTINES, "_first_head", "_square_heads",
+    "_composite_heads", "localize",
 )
 
 
@@ -887,7 +894,9 @@ def test_localize_reads_composition_by_position():
     # view, flat[f*N + g]; names are read at the edges only
     assert _name_pair_reads(MODULES["fractions"], POSITIONAL) == []
     for name in POSITIONAL:
-        assert "flat" in inspect.getsource(getattr(catfrac.fractions, name)), name
+        source = inspect.getsource(getattr(catfrac.fractions, name))
+        reader = "_square_heads(" if name == "_composite_heads" else "flat"
+        assert reader in source, name
 
 
 def test_name_pair_read_check_fires():

@@ -66,11 +66,10 @@ Within one call, ``internal_elements`` computes each compositor inverse
 once.  ``internal_localize`` alone enters the fractions layer: it decides
 the axioms on the externalized category, then composes each span pair on
 arrow positions, which ``externalize`` numbers as the arrow set does.  It
-searches the first head of each (v1, g1, v2) once and keeps it for every
-second span in a dict of the call's own, reading the marked arrows'
-index that the axiom check left on its input, and finds the composite by
-the span pullback's index and w's inverse.  The span machinery reads
-ambient tables.
+reads the first head of each (v1, g1, v2) from the witnesses that decision
+kept, through the reader ``fractions._first_heads`` sets up once per call,
+so it searches no filler itself, and finds the composite by the span
+pullback's index and w's inverse.  The span machinery reads ambient tables.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ from typing import Sequence
 from .diagram import compositor_inverse_component, require_lawful, unitor_inverse_component
 from .errors import AxiomError, DomainError, InputError, IntegrityError
 from .fincat import FinCategory, ValidationReport, compose_many, partition
-from .fractions import FractionsInput, _first_head, check_axioms
+from .fractions import FractionsInput, _first_heads, check_axioms
 from .verify import VerifierReport
 
 
@@ -854,20 +853,19 @@ def internal_localize(IC: InternalCategory, w: FinSetMap) -> InternalCategory:
     e_q = _built(IC.c0, M.q.cod, e_table)
 
     # an arrow's position in ext is its element of IC.c1, so the span pair
-    # (a, b) composes the first head (h, m) of (v1, g1, v2), searched once,
-    # with g2 by one read of the flat table, and finds the composite
-    # (h, m;g2) by index (-1 is no element of W, so an unmarked h finds
-    # nothing)
+    # (a, b) composes the first head (h, m) of (v1, g1, v2), read from the
+    # axiom verdict, with g2 by one read of the flat table, and finds the
+    # composite (h, m;g2) by index (-1 is no element of W, so an unmarked h
+    # finds nothing)
     n, flat = IC.c1.size, ext._positions().flat
     wt, v_of, g_of = w.table, M.pi_v.table, M.pi_g.table
 
     def pair(a: int, b: int) -> str:
         return f"((a{wt[v_of[a]]}, a{g_of[a]}), (a{wt[v_of[b]]}, a{g_of[b]}))"
 
-    sp_values, heads = [], {}
+    sp_values, first_head = [], _first_heads(inp)
     for a, b in zip(M.r0.table, M.r1.table):
-        key = wt[v_of[a]], g_of[a], wt[v_of[b]]
-        head = heads.get(key) or heads.setdefault(key, next(_first_head(inp, *key), None))
+        head = first_head(wt[v_of[a]], g_of[a], wt[v_of[b]])
         if head is None:
             raise IntegrityError(f"axioms passed but span pair {pair(a, b)} has no head")
         h, m = head

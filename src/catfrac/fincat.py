@@ -549,8 +549,11 @@ def enumerate_functors(C: FinCategory, X: FinCategory) -> list[Functor]:
     """Every functor C -> X exactly once, in canonical lexicographic order.
 
     Searches object images first, then images of non-identity arrows
-    constrained to the matching hom-set of X; identities are forced.
+    constrained to the matching hom-set of X; identities are forced.  A
+    partial composition table on either side is refused with InputError,
+    as the positional view refuses it.
     """
+    C._positions(), X._positions()  # each view refuses a partial table
     return list(_functor_search(C, X, bijective=False))
 
 
@@ -723,8 +726,11 @@ def check_shape(A: FinCategory, direction: str) -> ShapeReport:
     filtered: nonempty, every object pair admits a cocone, every parallel
     pair admits a coequalizing arrow. cofiltered is filtered on the
     opposite category, which keeps every name and declaration order, so
-    the witnesses are the same arrows read the other way.
+    the witnesses are the same arrows read the other way.  A partial
+    composition table is refused with InputError, as the positional view
+    refuses it, naming its first missing pair in A's own order.
     """
+    A._positions()  # the view refuses a partial table
     if direction == "filtered":
         cone, equalizing = "cocone", "coequalizing"
     elif direction == "cofiltered":
@@ -772,8 +778,11 @@ def find_isomorphism(C: FinCategory, D: FinCategory) -> Optional[IsoWitness]:
     """First isomorphism C ~ D in canonical search order, or None.
 
     The functor search restricted to bijections: objects first, with
-    hom-cardinality pruning, then arrows hom by hom.
+    hom-cardinality pruning, then arrows hom by hom.  A partial composition
+    table on either side is refused with InputError, as the positional view
+    refuses it, before the sizes are compared.
     """
+    C._positions(), D._positions()  # each view refuses a partial table
     if len(C.objects) != len(D.objects) or len(C.arrows) != len(D.arrows):
         return None
     fwd = next(_functor_search(C, D, bijective=True), None)

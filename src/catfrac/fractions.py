@@ -23,27 +23,30 @@ the rest of W.  The input keeps the index, as the category keeps its
 positional view: each public entry builds it first, once per input, after
 ``check`` passes.
 
-The axiom decision takes each case's first filler.  Composing (v1, g1)
-with (v2, g2) reads g2 only in its last step, so a composite is a head
-((m;w');v1, m;h2), made from an Ore square (w', h2) of (g1, v2) and a weak
-filler m of (w', v1), followed by g2.  The composition loop takes the
-first Ore square, then the first weak filler of its w' (``_first_head``);
-self-check (b) and ``span_compose(exhaustive=True)`` take the whole lists,
-each listed once per key in a dict the call owns (``_listed``).  A head
-depends only on its Ore square and v1 (``_square_heads``), so (b)
-classifies each square's heads once per call, and ``span_compose`` takes
-the distinct heads of every square of the cospan (``_composite_heads``).
-The ambient's ``internal_localize`` reads first heads by position and
-keeps each for its call.  Heads are pairs of arrow positions; names
-appear only at the edges: the axiom report, error messages and
-span_compose's return.
+The axiom decision takes each case's first filler, and the input keeps
+its report (``axiom_verdict``).  Composing (v1, g1) with (v2, g2) reads
+g2 only in its last step, so a composite is a head ((m;w');v1, m;h2),
+made from an Ore square (w', h2) of (g1, v2) and a weak filler m of (w',
+v1), followed by g2.  The first head takes the first Ore square, then
+the first weak filler of its w': both are witnesses of the kept verdict,
+so the composition loop and the ambient's ``internal_localize`` read
+first heads through ``_first_heads``, set up once per call, and search
+no filler again.  The public ``span_compose`` searches its own first
+head, so a single call decides no axiom.  Self-check (b) and
+``span_compose(exhaustive=True)`` take the whole lists, each listed once
+per key in a dict the call owns (``_listed``).  A head depends only on
+its Ore square and v1 (``_square_heads``), so (b) classifies each
+square's heads once per call, and ``span_compose`` takes the distinct
+heads of every square of the cospan (``_composite_heads``).  Heads are
+pairs of arrow positions; names appear only at the edges: the axiom
+report, error messages and span_compose's return.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .diagram import enumerate_transformations
 from .elements import (
@@ -167,19 +170,13 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[tuple]:
     ``"spn"`` (v, g) and sailboats ``"sb"`` (h, v, g)."""
     _mark_index(inp)
     C = inp.category
-    out = []
     if kind == "spn":
-        for v in inp.weq:
-            for g in C.out_of(C.src[v]):
-                out.append((v, g))
-    elif kind == "sb":
+        return [(v, g) for v in inp.weq for g in C.out_of(C.src[v])]
+    if kind == "sb":
         P = C._positions()
         arrows, outs, src = C.arrows, P.outs, P.src
-        for h, v, _ in _masts(inp):
-            out += [(arrows[h], arrows[v], arrows[g]) for g in outs[src[v]]]
-    else:
-        raise InputError(f"unknown shape kind {kind!r}")
-    return out
+        return [(arrows[h], arrows[v], arrows[g]) for h, v, _ in _masts(inp) for g in outs[src[v]]]
+    raise InputError(f"unknown shape kind {kind!r}")
 
 
 def _mark_index(inp: FractionsInput) -> tuple[list, list, list]:
@@ -255,19 +252,33 @@ def _zippers(inp: FractionsInput, f: int, g: int) -> Iterator[int]:
             yield u
 
 
-def _first_head(inp: FractionsInput, v1: int, g1: int, v2: int) -> Iterator[tuple[int, int]]:
-    """The head a composite of (v1, g1) with any (v2, g2) takes from the
-    first filler of each kind: ((m;w');v1, m;h2) for the first Ore square
-    (w', h2) of (g1, v2) and the first weak filler m of (w', v1), or
-    nothing when either is missing."""
-    square = next(_ore_squares(inp, g1, v2), None)
-    if square is not None:
-        wp, h2 = square
-        m = next(_weak_fillers(inp, wp, v1), None)
-        if m is not None:
-            n, flat = len(inp.category.arrows), inp.category._positions().flat
-            # an Ore square's h2 starts at s(w') = t(m), so m;h2 is a table read
-            yield flat[flat[m * n + wp] * n + v1], flat[m * n + h2]
+def _first_heads(inp: FractionsInput) -> Callable[[int, int, int], Optional[tuple[int, int]]]:
+    """The first-head reader of inp, set up once per call from its kept
+    verdict (``axiom_verdict``), with no search.
+
+    The reader takes (v1, g1, v2) and gives the head a composite of (v1, g1)
+    with any (v2, g2) takes from the first filler of each kind: ((m;w');v1,
+    m;h2) for the first Ore square (w', h2) of the cospan (g1, v2) and the
+    first weak filler m of (w', v1), as positions; or None when either is
+    missing.  Both are witnesses the decision found: (g1, v2) is a case of
+    axiom (3), whose witness is its first Ore square, and then (w', v1) is a
+    case of axiom (2), since w' is marked and s(v1) = s(g1) = t(w'), whose
+    witness is its first weak filler.  A case without a filler has no
+    witness, so the reader gives None on an input that fails an axiom too."""
+    weak, ore = (finding.witnesses for finding in axiom_verdict(inp).findings[1:3])
+    P = inp.category._positions()
+    arrows, pos, flat, n = inp.category.arrows, P.arrow, P.flat, len(P.src)
+
+    def head(v1: int, g1: int, v2: int) -> Optional[tuple[int, int]]:
+        wp, h2 = ore.get((arrows[g1], arrows[v2]), (None, None))
+        m = weak.get((wp, arrows[v1]))
+        if m is None:
+            return None
+        # an Ore square's h2 starts at s(w') = t(m), so m;h2 is a table read
+        mn = pos[m] * n
+        return flat[flat[mn + pos[wp]] * n + v1], flat[mn + pos[h2]]
+
+    return head
 
 
 def _listed(lists: dict, routine, inp: FractionsInput, *key) -> list:
@@ -494,15 +505,17 @@ def span_compose(
     """Composite of two spans (v, g) via an Ore square then a
     weak-composition witness.
 
-    Takes the first filler of each kind in canonical order.  With
-    exhaustive=True, returns the pair (first, frozenset of the spans
-    produced by every (Ore filler, weak filler) combination).  Either way
-    the composite is a head (``_first_head``, or each of
+    Takes the first filler of each kind in canonical order, searched here,
+    so a single call decides no axiom.  With exhaustive=True, returns the
+    pair (first, frozenset of the spans produced by every (Ore filler, weak
+    filler) combination).  Either way the composite is a head (the first
+    of ``_square_heads`` on the first Ore square, or each of
     ``_composite_heads``, named from its positions) composed with g2.  This
     is the name-level composite of the public API: localize's class loop
-    and the ambient's ``internal_localize`` read first heads by position
-    instead.  A span whose first leg is an arrow but not a marked one
-    raises DomainError naming it.
+    and the ambient's ``internal_localize`` read first heads by position,
+    from the axiom decision's witnesses (``_first_heads``), instead.  A span
+    whose first leg is an arrow but not a marked one raises DomainError
+    naming it.
     """
     C = inp.category
     s = s1
@@ -537,12 +550,17 @@ def span_compose(
             raise DomainError(f"s1 {s1!r} is no span: {v1!r} is not marked")
         if not marked[w]:
             raise DomainError(f"s2 {s2!r} is no span: {v2!r} is not marked")
+        squares = _listed(lists, _ore_squares, inp, h, w)
         if v is None or src[v] != src[h]:
             # s1 is no span: the first read of a weak filler's (m;w');v1 names it
-            for wp, _ in _listed(lists, _ore_squares, inp, h, w):
+            for wp, _ in squares:
                 mw = P.flat[P.ins[src[wp]][0] * len(arrows) + wp]
                 compose(C, arrows[mw], v1)  # raises
-        heads = _composite_heads(inp, lists, v, h, w) if exhaustive else _first_head(inp, v, h, w)
+        if exhaustive:
+            heads = _composite_heads(inp, lists, v, h, w)
+        else:
+            # the first head: the first weak filler of the first Ore square
+            heads = _square_heads(inp, lists, *squares[0], v) if squares else ()
         for a, b in heads:
             a, b = arrows[a], arrows[b]
             try:
@@ -557,15 +575,11 @@ def span_compose(
         _refuse_unhashable(s1, s2)
         raise
     if not results:
-        if not _listed(lists, _ore_squares, inp, h, w):
-            raise AxiomError(
-                f"no Ore filler for cospan ({g1!r}, {v2!r})",
-                report=check_axioms(inp),
-            )
-        raise AxiomError(
-            f"no filler chain composes {s1!r} with {s2!r}",
-            report=check_axioms(inp),
-        )
+        if squares:
+            problem = f"no filler chain composes {s1!r} with {s2!r}"
+        else:
+            problem = f"no Ore filler for cospan ({g1!r}, {v2!r})"
+        raise AxiomError(problem, report=check_axioms(inp))
     return results[0], frozenset(results)
 
 
@@ -573,24 +587,27 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     """Quotient the spans and install composition on representatives.
 
     Refuses with the axiom report, read from the kept verdict
-    (``axiom_verdict``), when any axiom fails.  Also re-derives
-    its own choices: (a) identity classes are independent of the chosen
-    section, and (b) composites are independent of fillers and
+    (``axiom_verdict``), when any axiom fails.  The class loop composes each
+    class pair from the first head of its row, which that verdict's
+    witnesses give (``_first_heads``), so it searches no filler.  Also
+    re-derives its own choices: (a) identity classes are independent of the
+    chosen section, and (b) composites are independent of fillers and
     representatives, when the span count is within exhaustive_limit.  (b)
-    runs once per row (s1, v2): the heads of (v1, g1, v2), one per Ore x
-    weak filler combination, must lie in one class, and then, per g2 out
-    of s(v2), the first head composed with g2 (one table read) must land in
-    the class the table gives the pair.  A head depends only on its Ore
-    square (w', h2) and v1, so the heads of each (w', h2, v1) are listed
-    (``_square_heads``) and classified once per call: a row's classes are
-    the union of its squares' classes, and its first head the first head
-    of its first square that has one.  That is the whole product check,
-    because a sailboat move of a head stays a move once g2 is composed on;
-    ``span_compose(exhaustive=True)`` still forms the whole product per
-    span pair.  A failing row names the pair (s1, (v2, 1)).
-    Any failure of those re-derivations, a sailboat move that changes a
-    span's endpoints, a row with no head or a composite that is not a span
-    raises IntegrityError.
+    searches its own whole filler lists, so it derives every head again,
+    apart from the verdict.  It runs once per row (s1, v2): the heads of
+    (v1, g1, v2), one per Ore x weak filler combination, must lie in one
+    class, and then, per g2 out of s(v2), the first head composed with g2
+    (one table read) must land in the class the table gives the pair.  A
+    head depends only on its Ore square (w', h2) and v1, so the heads of
+    each (w', h2, v1) are listed (``_square_heads``) and classified once per
+    call: a row's classes are the union of its squares' classes, and its
+    first head the first head of its first square that has one.  That is the
+    whole product check, because a sailboat move of a head stays a move once
+    g2 is composed on; ``span_compose(exhaustive=True)`` still forms the
+    whole product per span pair.  A failing row names the pair
+    (s1, (v2, 1)).  Any failure of those re-derivations, a sailboat move
+    that changes a span's endpoints, a row with no head or a composite that
+    is not a span raises IntegrityError.
 
     The sailboat moves, the class loop and (b) run on the category's
     positional view (``FinCategory._positions``): spans are dense indices,
@@ -632,9 +649,7 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
             cls[i] = k
     class_reps = dict(zip(names, rep_payloads))
 
-    arrows_decl = []
-    for name, (v, g) in zip(names, rep_payloads):
-        arrows_decl.append((name, C.tgt[v], C.tgt[g]))
+    arrows_decl = [(name, C.tgt[v], C.tgt[g]) for name, (v, g) in zip(names, rep_payloads)]
 
     P = C._positions()
     arrows, pos, src, tgt, flat = C.arrows, P.arrow, P.src, P.tgt, P.flat
@@ -657,17 +672,18 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
             runs.append((v, []))
         runs[-1][1].append((k, names[k], pos[g]))
     # a row is the class pairs out of one class k1; the first head of (v1,
-    # g1, v2) is searched once per row and run of v2, and each
-    # pair composes it with g2 by one read of the flat table, as
+    # g1, v2) is read from the axiom verdict once per row and run of v2,
+    # and each pair composes it with g2 by one read of the flat table, as
     # span_compose does.  Axioms (2) and (3) give every row a head, so a
     # row without one is a fault
     composition = {}
     composed = {}  # k1 * K + k2 -> the class of the composite, for (b)
+    first_head = _first_heads(inp)
     for k1, s1 in enumerate(rep_payloads):
         v1, g1 = pos[s1[0]], pos[s1[1]]
         n1, row = names[k1], k1 * K
         for v2, run in runs_out[tgt[g1]]:
-            head = next(_first_head(inp, v1, g1, pos[v2]), None)
+            head = first_head(v1, g1, pos[v2])
             if head is None:
                 raise IntegrityError(f"axioms passed but the row ({s1!r}, {v2!r}) has no head")
             a, b = head

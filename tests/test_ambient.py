@@ -988,6 +988,19 @@ def pair_name(w: FinSetMap, M, k: int) -> str:
     return f"((a{wt[v_of[a]]}, a{g_of[a]}), (a{wt[v_of[b]]}, a{g_of[b]}))"
 
 
+def inject_heads(monkeypatch, read) -> None:
+    """Route every first-head read of ``internal_localize`` through
+    ``read(exact, key)``: ``exact`` is the reader ``fractions._first_heads``
+    sets up for the call, and key is (v1, g1, v2) by arrow positions."""
+    setup = ambient._first_heads
+
+    def first_heads(inp):
+        exact = setup(inp)
+        return lambda *key: read(exact, key)
+
+    monkeypatch.setattr(ambient, "_first_heads", first_heads)
+
+
 @pytest.mark.parametrize("name", MARKED)
 def test_split_pair_class_is_caught_by_internal_localize(monkeypatch, name):
     """The first head of one row (v1, g1, v2) read as the identity at s(v2)
@@ -1005,18 +1018,16 @@ def test_split_pair_class_is_caught_by_internal_localize(monkeypatch, name):
         )
 
     k = next(k for k, (v1, _, v2) in enumerate(keys) if src[v2] != tgt[v1] and shares_its_class(k))
-    exact = ambient._first_head
     read = set()
 
-    def stray(S, *key):
+    def stray(exact, key):
         read.add(key)
         if key == keys[k]:
             i = ident[src[key[2]]]
-            yield i, i
-        else:
-            yield from exact(S, *key)
+            return i, i
+        return exact(*key)
 
-    monkeypatch.setattr(ambient, "_first_head", stray)
+    inject_heads(monkeypatch, stray)
     with pytest.raises(
         IntegrityError, match="^composite classes differ across representatives of a pair class$"
     ):
@@ -1032,12 +1043,7 @@ def test_span_pair_without_a_head_is_caught_by_internal_localize(monkeypatch, na
     M = ambient._span_machinery(IC, w)
     keys = head_keys(w, M)
     k = keys.index(keys[len(keys) // 2])
-    exact = ambient._first_head
-
-    def headless(S, *key):
-        return iter(()) if key == keys[k] else exact(S, *key)
-
-    monkeypatch.setattr(ambient, "_first_head", headless)
+    inject_heads(monkeypatch, lambda exact, key: None if key == keys[k] else exact(*key))
     with pytest.raises(IntegrityError) as raised:
         internal_localize(IC, w)
     assert str(raised.value) == f"axioms passed but span pair {pair_name(w, M, k)} has no head"
@@ -1051,22 +1057,21 @@ def test_composite_that_is_no_span_is_caught_by_internal_localize(monkeypatch):
     M = ambient._span_machinery(IE, w)
     ext = externalize(IE)
     inp = FractionsInput(ext, tuple(ext.arrows[j] for j in w.table))
-    fractions._mark_index(inp)
+    first_head = fractions._first_heads(inp)
     n, flat = IE.c1.size, ext._positions().flat
     for k, key in enumerate(head_keys(w, M)):
-        (_, m), = fractions._first_head(inp, *key)
+        _, m = first_head(*key)
         if m not in w.table:
             break
     else:
         pytest.fail("every first head's second leg is marked")
     c = flat[m * n + M.pi_g.table[M.r1.table[k]]]
-    exact = ambient._first_head
 
-    def doubled(S, *key):
-        for _, m in exact(S, *key):
-            yield m, m
+    def doubled(exact, key):
+        head = exact(*key)
+        return None if head is None else (head[1], head[1])
 
-    monkeypatch.setattr(ambient, "_first_head", doubled)
+    inject_heads(monkeypatch, doubled)
     with pytest.raises(IntegrityError) as raised:
         internal_localize(IE, w)
     expected = f"span pair {pair_name(w, M, k)} composes to (a{m}, a{c}), not a span"
@@ -1261,21 +1266,26 @@ def test_internal_localize_composites_match_public_span_compose_on_generated_dia
     assert_composites_match_public_span_compose(D)
 
 
-def test_ambient_searches_a_cospan_once_in_the_decision_and_once_per_head(monkeypatch):
-    """One internal_localize call searches the Ore squares of each cospan
-    once in the axiom check, and outside it once per head (v1, g1, v2) that
-    its span pairs share: the call keeps each head for every g2."""
+def test_ambient_searches_a_cospan_once_in_the_decision_and_not_per_head(monkeypatch):
+    """One internal_localize call searches the Ore squares and the weak
+    fillers of each case once, in the axiom check, and nowhere else: each
+    span pair reads its head (v1, g1, v2) from the witnesses that check
+    kept, through one reader set up for the call."""
     D = corpus.diag_contra_chain()
     IE = internal_elements(D)
     w = internal_cleavage(D, IE)
     searched, decided, heads = Counter(), Counter(), Counter()
     deciding = []
-    exact_search, exact_axioms = fractions._ore_squares, ambient.check_axioms
-    exact_head = ambient._first_head
+    exact_axioms = ambient.check_axioms
 
-    def spy(inp, h, v):
-        (decided if deciding else searched)[(h, v)] += 1
-        return exact_search(inp, h, v)
+    def spied(name):
+        exact = getattr(fractions, name)
+
+        def spy(inp, *key):
+            (decided if deciding else searched)[(name, key)] += 1
+            return exact(inp, *key)
+
+        return spy
 
     def axioms(inp):
         deciding.append(inp)
@@ -1284,15 +1294,18 @@ def test_ambient_searches_a_cospan_once_in_the_decision_and_once_per_head(monkey
         finally:
             deciding.pop()
 
-    def head(S, *key):
+    def head(exact, key):
         heads[key] += 1
-        return exact_head(S, *key)
+        return exact(*key)
 
-    monkeypatch.setattr(fractions, "_ore_squares", spy)
+    for name in ("_ore_squares", "_weak_fillers"):
+        monkeypatch.setattr(fractions, name, spied(name))
     monkeypatch.setattr(ambient, "check_axioms", axioms)
-    monkeypatch.setattr(ambient, "_first_head", head)
+    inject_heads(monkeypatch, head)
     internal_localize(IE, w)
     pairs = ambient._machinery(IE, w).r0.dom.size
-    assert decided and max(decided.values()) == 1
-    assert heads and max(heads.values()) == 1
-    assert sum(searched.values()) == len(heads) < pairs
+    assert {name for name, _ in decided} == {"_ore_squares", "_weak_fillers"}
+    assert max(decided.values()) == 1
+    assert searched == Counter()
+    # each span pair reads its head once, and pairs share heads
+    assert sum(heads.values()) == pairs > len(heads)

@@ -379,6 +379,51 @@ def test_nat_trans_search_names_a_missing_arrow_image():
         enumerate_nat_trans(whole, partial)
 
 
+def raw_without_ff() -> FinCategory:
+    """One object with an endomorphism f, built by the raw constructor, which
+    checks nothing, with no composite of (f, f)."""
+    ends = {"1": "x", "f": "x"}
+    comp = {("1", "1"): "1", ("1", "f"): "f", ("f", "1"): "f"}
+    return FinCategory(("x",), ("1", "f"), ends, dict(ends), {"x": "1"}, comp)
+
+
+PARTIAL = "^composition table is partial: missing \\('f','f'\\)$"
+
+
+@pytest.mark.parametrize("direction", ["filtered", "cofiltered"])
+def test_check_shape_refuses_a_partial_table(direction):
+    # the partial table ended in a bare KeyError on its missing pair
+    with pytest.raises(InputError, match=PARTIAL):
+        check_shape(raw_without_ff(), direction)
+
+
+@pytest.mark.parametrize("side", ["domain", "codomain"])
+def test_enumerate_functors_refuses_a_partial_table(side):
+    # as a domain, the partial table gave 2 functors into Z/2, as if f;f
+    # were unconstrained
+    C, X = (raw_without_ff(), corpus.z2()) if side == "domain" else (corpus.z2(), raw_without_ff())
+    with pytest.raises(InputError, match=PARTIAL):
+        enumerate_functors(C, X)
+
+
+@pytest.mark.parametrize(
+    "pair", ["itself", "other_first", "other_second", "other_size"],
+)
+def test_find_isomorphism_refuses_a_partial_table(pair):
+    # the partial table was found isomorphic to itself; a partial table is
+    # refused before the sizes are compared, so a category of another size
+    # does not hide it
+    C = raw_without_ff()
+    C, D = {
+        "itself": (C, C),
+        "other_first": (corpus.z2(), C),
+        "other_second": (C, corpus.z2()),
+        "other_size": (C, corpus.chain3()),
+    }[pair]
+    with pytest.raises(InputError, match=PARTIAL):
+        find_isomorphism(C, D)
+
+
 @settings(max_examples=200, deadline=5000)
 @given(st.data())
 def test_partition_matches_the_oracle(data):

@@ -3,20 +3,22 @@
 Each fractions shape has one search routine, on arrow positions; named,
 each routine's whole list is the independent oracle's full scan, on the
 corpus and on drawn inputs.  Differential: the composition loop reads the
-first head of each row, and self-check (b) lists and classifies the heads
-of each Ore square (w', h2, v1) once per call, checks that each row
-(s1, v2) meets one class over its squares, then composes the row's first
-head with each g2 out of s(v2) by one table read; each square's heads are
-those the oracle's scans make, each row's classes are those of its
-distinct heads, the public span_compose searches on its own, and its
-exhaustive mode gives what the whole Ore x weak product, formed test-side
-from the oracle's scans, gives.  With no fault, a bogus last filler or a
-coarser partition injected, (b) fires exactly when that whole product
-meets more than one class in some class pair; a bogus filler is appended
-by the library's routine and by the test-side scan alike.  A count of
-compose calls bounds the cost of (b) without timing it.  Negative
-controls: a fault injected into a routine or into the marked arrows into
-an object reaches self-checks (a) and (b) and fires them.
+first head of each row from the axiom decision's witnesses, which is the
+head the oracle's first Ore square and first weak filler form, and
+self-check (b) lists and classifies the heads of each Ore square (w', h2,
+v1) once per call, checks that each row (s1, v2) meets one class over its
+squares, then composes the row's first head with each g2 out of s(v2) by
+one table read; each square's heads are those the oracle's scans make,
+each row's classes are those of its distinct heads, the public
+span_compose searches on its own, and its exhaustive mode gives what the
+whole Ore x weak product, formed test-side from the oracle's scans, gives.
+With no fault, a bogus last filler or a coarser partition injected, (b)
+fires exactly when that whole product meets more than one class in some
+class pair; a bogus filler is appended by the library's routine and by the
+test-side scan alike.  A count of compose calls bounds the cost of (b)
+without timing it.  Negative controls: a fault injected into a routine or
+into the marked arrows into an object reaches self-checks (a) and (b) and
+fires them.
 """
 
 import sys
@@ -33,8 +35,10 @@ from catfrac import (
     FinCategory,
     FractionsInput,
     check_axioms,
+    cleavage,
     compose,
     find_isomorphism,
+    grothendieck,
     internal_cleavage,
     internal_elements,
     internal_localize,
@@ -325,27 +329,52 @@ def test_self_check_b_classifies_each_square_once(monkeypatch, n):
     assert drawn == n**4
 
 
-def count_heads(monkeypatch, module=catfrac.fractions) -> Counter:
-    """How often each (v1, g1, v2) has its first head searched through
-    ``module``'s binding of ``_first_head``."""
-    searched = Counter()
-    exact = module._first_head
+def count_heads(monkeypatch, module=catfrac.fractions) -> tuple[Counter, list]:
+    """How often each (v1, g1, v2) has its first head read through the
+    reader ``module``'s binding of ``_first_heads`` sets up, and the inputs
+    a reader was set up for, one per setup."""
+    reads, setups = Counter(), []
+    setup = module._first_heads
 
-    def spy(inp, *key):
-        searched[key] += 1
-        return exact(inp, *key)
+    def first_heads(inp):
+        setups.append(inp)
+        exact = setup(inp)
 
-    monkeypatch.setattr(module, "_first_head", spy)
-    return searched
+        def head(*key):
+            reads[key] += 1
+            return exact(*key)
+
+        return head
+
+    monkeypatch.setattr(module, "_first_heads", first_heads)
+    return reads, setups
+
+
+def search_callers(monkeypatch) -> Counter:
+    """Who calls the Ore and weak routines: per routine, the function each
+    call comes from."""
+    callers = Counter()
+    for name in ("_ore_squares", "_weak_fillers"):
+        exact = getattr(catfrac.fractions, name)
+
+        def spy(inp, *key, name=name, exact=exact):
+            callers[name, sys._getframe(1).f_code.co_name] += 1
+            return exact(inp, *key)
+
+        monkeypatch.setattr(catfrac.fractions, name, spy)
+    return callers
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])  # 30 and 55 spans run (b), 91 skip it
 def test_class_loop_searches_each_head_once(monkeypatch, n):
-    # every class pair out of (v1, g1) into s(v2) shares one head, and
-    # composes it with g2 by one table read; the head itself is table reads
-    # too, and a checked compose is only the fallback of a failed read
-    # (spans never fail)
-    heads = count_heads(monkeypatch)
+    # each head's fillers are searched once, by the axiom decision: the
+    # class loop reads every class pair out of (v1, g1) into s(v2) from one
+    # head, which the decision's witnesses give, and composes it with g2 by
+    # one table read; (b) searches its own whole lists, through _listed.
+    # A checked compose is only the fallback of a failed read (spans never
+    # fail)
+    heads, setups = count_heads(monkeypatch)
+    searches = search_callers(monkeypatch)
     callers = Counter()
 
     def counting(C, f, g):
@@ -353,24 +382,53 @@ def test_class_loop_searches_each_head_once(monkeypatch, n):
         return compose(C, f, g)
 
     monkeypatch.setattr(catfrac.fractions, "compose", counting)
-    LC = localize(fully_marked_chain(n))
+    inp = fully_marked_chain(n)
+    LC = localize(inp)
     assert len(LC.carrier.arrows) == n * n
+    assert setups == [inp]
     assert heads and max(heads.values()) == 1
     assert len(heads) < len(LC.carrier.composition)
-    assert callers["_first_head"] <= len(heads)
-    assert callers["span_compose"] == 0
+    b_runs = len(shape_instances(inp, "spn")) <= LIMIT
+    assert {caller for _, caller in searches} == (
+        {"check_axioms", "_listed"} if b_runs else {"check_axioms"}
+    )
+    assert callers["head"] == callers["span_compose"] == 0
+
+
+def test_search_caller_spy_fires(monkeypatch):
+    # a first-head reader that searches its heads again is seen: its Ore
+    # and weak searches come from the reader, outside the decision and (b)
+    def searching(inp):
+        P = inp.category._positions()
+        n, flat = len(P.src), P.flat
+
+        def head(v1, g1, v2):
+            wp, h2 = next(catfrac.fractions._ore_squares(inp, g1, v2))
+            m = next(catfrac.fractions._weak_fillers(inp, wp, v1))
+            return flat[flat[m * n + wp] * n + v1], flat[m * n + h2]
+
+        return head
+
+    monkeypatch.setattr(catfrac.fractions, "_first_heads", searching)
+    searches = search_callers(monkeypatch)
+    localize(fully_marked_chain(6))
+    assert {caller for _, caller in searches} == {"check_axioms", "head"}
 
 
 def test_internal_localize_searches_each_head_once(monkeypatch):
-    # the ambient searches each span pair's first head once and keeps it
-    # for every g2
+    # the ambient's heads are searched once, by the axiom decision: each
+    # span pair reads its head from the decision's witnesses, through one
+    # reader set up for the call, and searches no filler itself
     D = corpus.diag_contra_chain()
     IE = internal_elements(D)
     w = internal_cleavage(D, IE)
-    heads = count_heads(monkeypatch, catfrac.ambient)
+    heads, setups = count_heads(monkeypatch, catfrac.ambient)
+    searches = search_callers(monkeypatch)
     internal_localize(IE, w)
-    assert heads and max(heads.values()) == 1
-    assert len(heads) < catfrac.ambient._machinery(IE, w).r0.dom.size
+    pairs = catfrac.ambient._machinery(IE, w).r0.dom.size
+    assert len(setups) == 1
+    assert sum(heads.values()) == pairs > len(heads)
+    assert {caller for _, caller in searches} == {"check_axioms"}
 
 
 @pytest.mark.parametrize(
@@ -382,10 +440,10 @@ def test_internal_localize_searches_each_head_once(monkeypatch):
 )
 def test_row_without_a_head_is_an_integrity_error(monkeypatch, inp, row):
     # axioms (2) and (3) give every row (v1, g1, v2) a head, so a first-head
-    # search that finds none is a fault, not a failing axiom: the first row
-    # of the class loop is named
+    # read that finds none is a fault, not a failing axiom: the first row of
+    # the class loop is named
     assert check_axioms(inp).ok
-    monkeypatch.setattr(catfrac.fractions, "_first_head", lambda inp, *key: iter(()))
+    monkeypatch.setattr(catfrac.fractions, "_first_heads", lambda inp: lambda *key: None)
     with pytest.raises(IntegrityError) as raised:
         localize(inp)
     assert str(raised.value) == f"axioms passed but the row {row} has no head"
@@ -393,9 +451,9 @@ def test_row_without_a_head_is_an_integrity_error(monkeypatch, inp, row):
 
 def test_localize_reads_first_fillers_only_when_b_is_skipped(monkeypatch):
     # fully marked chain(6) has 91 spans, so (b) is skipped: the axiom
-    # decision reads the first filler of each of its cases, and the class
-    # loop the first Ore square and the first weak filler of one head per
-    # row and run of v2, so no routine call is read past its first filler
+    # decision reads the first filler of each of its cases, once per case,
+    # and the class loop reads its heads from those witnesses, so no
+    # routine is called outside the decision nor read past its first filler
     inp = fully_marked_chain(6)
     C, W = inp.category, inp.weq
     calls, drawn = Counter(), Counter()
@@ -413,17 +471,10 @@ def test_localize_reads_first_fillers_only_when_b_is_skipped(monkeypatch):
 
     for name in ("_ore_squares", "_weak_fillers"):
         monkeypatch.setattr(catfrac.fractions, name, spied(name))
-    LC = localize(inp)
-    K = LC.carrier
-    heads = sum(
-        len({LC.class_reps[k2][0] for k2 in K.arrows if K.src[k2] == K.tgt[k1]})
-        for k1 in K.arrows
-    )
+    localize(inp)
     weak_cases = sum(C.tgt[v] == C.src[vp] for v in W for vp in W)
     ore_cases = sum(C.tgt[h] == C.tgt[v] for h in C.arrows for v in W)
-    assert calls == Counter(
-        {"_weak_fillers": weak_cases + heads, "_ore_squares": ore_cases + heads}
-    )
+    assert calls == Counter({"_weak_fillers": weak_cases, "_ore_squares": ore_cases})
     assert drawn == calls
     # the spies see the whole lists of an exhaustive composite
     calls.clear()
@@ -506,6 +557,68 @@ def test_generated_routines_list_the_oracles_fillers(inp):
 def test_generated_exhaustive_composites_are_the_whole_product(inp):
     assume(check_axioms(inp).ok)
     check_whole_product(inp)
+
+
+def oracle_first_heads(inp: FractionsInput) -> dict:
+    """Every row (v1, g1, v2) by names, a span (v1, g1) and a marked v2 with
+    t(v2) = t(g1), with the head the oracle's scans give it: ((m.w').v1,
+    m.h2) for the first Ore square (w', h2) of (g1, v2) and the first weak
+    filler m of (w', v1), or None when either scan is empty."""
+    raw = to_raw(inp.category)
+    arrows, comp, W = raw["arrows"], raw["compose"], inp.weq
+    heads = {}
+    for v1, g1 in oracle.spans(raw, W):
+        for v2 in W:
+            if arrows[v2][1] != arrows[g1][1]:
+                continue
+            squares = oracle.ore_squares(raw, W, g1, v2)
+            fillers = oracle.weak_fillers(raw, W, squares[0][0], v1) if squares else []
+            if fillers:
+                (wp, h2), m = squares[0], fillers[0]
+                heads[v1, g1, v2] = comp[(comp[(m, wp)], v1)], comp[(m, h2)]
+            else:
+                heads[v1, g1, v2] = None
+    return heads
+
+
+def check_first_heads_against_the_oracle(inp: FractionsInput) -> None:
+    """The reader's head of every row, named, is the oracle's."""
+    C = inp.category
+    head = catfrac.fractions._first_heads(inp)
+    expected = oracle_first_heads(inp)
+    assert expected
+    for key, want in expected.items():
+        got = head(*placed(C, key))
+        assert (None if got is None else named(C, got)) == want, key
+
+
+def cleavage_input(D) -> FractionsInput:
+    """The carrier of D's category of elements, marked at its cleavage."""
+    GD = grothendieck(D)
+    return FractionsInput(GD.carrier, cleavage(GD).members)
+
+
+@pytest.mark.parametrize(
+    "name,inp",
+    corpus.fractions_corpus()
+    + [(name, inp) for name, inp, _ in corpus.failing_fractions()]
+    + [(f"cleavage/{name}", cleavage_input(D)) for name, D in corpus.pseudocolimit_diagrams()]
+    + [("chain(6)/all", fully_marked_chain(6))]
+    + [(f"Z/{n}/all", fully_marked_cyclic(n)) for n in range(3, 6)],
+)
+def test_first_heads_are_the_oracles(name, inp):
+    # differential: the reader's heads come from the axiom decision's
+    # witnesses, the oracle's from its own scans, which share no library
+    # code.  On an input that fails an axiom, a row whose first Ore square
+    # or first weak filler is missing reads None.  On a cleavage the first
+    # weak filler is often no identity
+    check_first_heads_against_the_oracle(inp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(marked())
+def test_generated_first_heads_are_the_oracles(inp):
+    check_first_heads_against_the_oracle(inp)
 
 
 def group(table) -> FinCategory:

@@ -507,24 +507,29 @@ def _first_hit_reads(tree: ast.Module) -> Counter:
 
 
 def test_first_fillers_are_read_in_one_place():
-    # a first filler is the first item of a routine's call: the axiom
-    # decision reads one per shape, and the first head its Ore square and
-    # the weak filler of its w'; the composition loop reads first heads
-    assert _first_hit_reads(MODULES["fractions"]) == Counter({"check_axioms": 3, "_first_head": 2})
+    # a first filler is the first item of a routine's call, and only the
+    # axiom decision reads one, once per shape: the first heads of the
+    # class loop and of the ambient are read from its witnesses, and the
+    # public span_compose lists its cospan's Ore squares whole
+    assert _first_hit_reads(MODULES["fractions"]) == Counter({"check_axioms": 3})
 
 
 def test_first_hit_read_check_fires():
+    # a reader that searches its heads again, and a loop that does, are
+    # both seen; a nested function counts for itself and for its encloser
     scattered = ast.parse(
-        "def _first_head(S, v1, g1, v2):\n"
-        "    wp, h2 = next(_ore_squares(S, g1, v2))\n"
-        "    m = next(iter(_weak_fillers(S, wp, v1)), None)\n"
+        "def _first_heads(S):\n"
+        "    def head(v1, g1, v2):\n"
+        "        wp, h2 = next(_ore_squares(S, g1, v2))\n"
+        "        return next(iter(_weak_fillers(S, wp, v1)), None)\n"
+        "    return head\n"
         "def localize(inp):\n"
         "    alpha = {x: next(iter(S.marks[2][x])) for x in inp.category.objects}\n"
         "    problem = next(misplaced_composites(inp.category), None)\n"
-        "    head = next(_first_head(S, v1, g1, v2), None)\n"
+        "    head = _first_heads(S)(v1, g1, v2)\n"
         "    m = next(x for x in _weak_fillers(S, wp, v1))\n"
     )
-    assert _first_hit_reads(scattered) == Counter({"_first_head": 2, "localize": 1})
+    assert _first_hit_reads(scattered) == Counter({"_first_heads": 2, "head": 2, "localize": 1})
 
 
 def _own_nodes(fn: ast.FunctionDef):
@@ -588,16 +593,23 @@ def test_each_fractions_shape_has_one_search_routine():
         {"_weak_fillers": 1, "_ore_squares": 1, "_zippers": 1, "_masts": 1, "check_axioms": 1}
     )
     assert set(ROUTINES) <= _reads(_function(tree, "check_axioms"))
-    assert {"_ore_squares", "_weak_fillers"} <= _reads(_function(tree, "_first_head"))
+    # the first-head reader reads the kept verdict and no routine
+    first_heads = _reads(_function(tree, "_first_heads"))
+    assert "axiom_verdict" in first_heads
+    assert not set(ROUTINES) & first_heads
     assert "_weak_fillers" in _reads(_function(tree, "_square_heads"))
     assert {"_ore_squares", "_square_heads"} <= _reads(_function(tree, "_composite_heads"))
     # (b) reads each row's Ore list and forms heads per square; the head
-    # formula stays in _first_head and _square_heads, so localize reaches
+    # formula stays in _first_heads and _square_heads, so localize reaches
     # no weak filler itself
     localize_reads = _reads(_function(tree, "localize"))
-    assert {"_first_head", "_ore_squares", "_square_heads"} <= localize_reads
+    assert {"_first_heads", "_ore_squares", "_square_heads"} <= localize_reads
     assert "_weak_fillers" not in localize_reads
-    assert {"_first_head", "_composite_heads"} <= _reads(_function(tree, "span_compose"))
+    # span_compose searches for itself, on the routines and the head
+    # formula of _square_heads, and reads no verdict
+    span_reads = _reads(_function(tree, "span_compose"))
+    assert {"_ore_squares", "_square_heads", "_composite_heads"} <= span_reads
+    assert not {"_first_heads", "axiom_verdict"} & span_reads
 
 
 def test_search_site_check_fires():
@@ -851,7 +863,7 @@ def test_view_numbering_check_fires():
 # and self-check (b).  _composite_heads reads the table only through
 # _square_heads
 POSITIONAL = (
-    "check_axioms", "_masts", "_span_partition", *ROUTINES, "_first_head", "_square_heads",
+    "check_axioms", "_masts", "_span_partition", *ROUTINES, "_first_heads", "_square_heads",
     "_composite_heads", "localize",
 )
 
@@ -908,20 +920,20 @@ def test_name_pair_read_check_fires():
         "    table = C.composition\n"
         "    e = table.get((a, b))\n"
         "    f = flat[b * n + g2]\n"
-        "def _first_head(inp, v1, g1, v2):\n"
+        "def _first_heads(inp):\n"
         "    comp = inp.category.composition\n"
-        "    yield comp[(m, h2)]\n"
+        "    return lambda v1, g1, v2: comp[(m, h2)]\n"
         "def check_axioms(inp):\n"
         "    comp = inp.category.composition\n"
         "    coequalized = comp[(f, v)] == comp[(g, v)]\n"
     )
     assert _name_pair_reads(by_names, POSITIONAL) == [
         "localize at line 3", "localize at line 4", "localize at line 6",
-        "_first_head at line 10", "check_axioms at line 13", "check_axioms at line 13",
+        "_first_heads at line 10", "check_axioms at line 13", "check_axioms at line 13",
     ]
 
 
-FRACTIONS_ENTRY = {"FractionsInput", "check_axioms", "_first_head"}
+FRACTIONS_ENTRY = {"FractionsInput", "check_axioms", "_first_heads"}
 
 
 def _fractions_reads(tree: ast.Module) -> list:
@@ -958,9 +970,13 @@ def test_fractions_entry_check_fires():
         "def _span_machinery(IC, w):\n"
         "    return check_axioms(FractionsInput(externalize(IC), w))\n"
         "def internal_localize(IC, w):\n"
-        "    return next(_first_head(inp, v1, g1, v2), None)\n"
+        "    return _first_heads(inp)(v1, g1, v2)\n"
+        "def _find(p0, p1, index, a, c):\n"
+        "    return _first_heads(inp)(a, c, a)\n"
     )
-    assert _fractions_reads(copy) == ["ambient.py:2 check_axioms", "ambient.py:2 FractionsInput"]
+    assert _fractions_reads(copy) == [
+        "ambient.py:2 check_axioms", "ambient.py:2 FractionsInput", "ambient.py:6 _first_heads",
+    ]
 
 
 def _ingestion_reads(tree: ast.Module) -> list:

@@ -47,9 +47,11 @@ class _Positions:
     arrows out of and into it, ``out_rank`` gives each arrow's place in the
     out-list of its source, and ``homs[x*M + y]`` (M objects) lists the
     arrows from x to y.  Every list is in declaration order.  It is derived
-    from the names and read only.  A table that misses a composable pair
-    (a category built by the raw constructor) is refused with InputError
-    naming the first such pair, in ``composable_pairs`` order.
+    from the names and read only.  A category with a structural defect (one
+    built by the raw constructor: a duplicate name, a dangling endpoint, a
+    missing or unknown identity, a composition entry naming an unknown arrow
+    or a non-composable pair, a missing composable pair) is refused with the
+    InputError that ``FinCategory.build`` raises for its first defect.
     """
 
     __slots__ = (
@@ -57,20 +59,27 @@ class _Positions:
     )
 
     def __init__(self, C: "FinCategory") -> None:
-        obj = {x: i for i, x in enumerate(C.objects)}
-        arr = {f: i for i, f in enumerate(C.arrows)}
-        n = len(C.arrows)
-        src = [obj[C.src[f]] for f in C.arrows]
-        tgt = [obj[C.tgt[f]] for f in C.arrows]
-        flat = [None] * (n * n)
-        # the raw constructor checks nothing, so the entries on composable
-        # pairs are counted, to refuse a table that misses one below
-        entries = 0
-        for (f, g), h in C.composition.items():
-            f, g = arr[f], arr[g]
-            flat[f * n + g] = arr[h]
-            entries += tgt[f] == src[g]
-        self.identity = [arr[C.identity[x]] for x in C.objects]
+        # the raw constructor checks nothing: a defect fails a lookup here or
+        # one of the counts below, and _check_structure names the first one
+        try:
+            obj = {x: i for i, x in enumerate(C.objects)}
+            arr = {f: i for i, f in enumerate(C.arrows)}
+            n = len(C.arrows)
+            src = [obj[C.src[f]] for f in C.arrows]
+            tgt = [obj[C.tgt[f]] for f in C.arrows]
+            flat = [None] * (n * n)
+            # the entries on composable pairs are counted: a table holds each
+            # composable pair once and nothing else exactly when the count
+            # equals both its size and the number of composable pairs
+            entries = 0
+            for (f, g), h in C.composition.items():
+                f, g = arr[f], arr[g]
+                flat[f * n + g] = arr[h]
+                entries += tgt[f] == src[g]
+            self.identity = [arr[C.identity[x]] for x in C.objects]
+        except KeyError:
+            C._check_structure()
+            raise
         # one pass in declaration order lists each object's arrows as
         # out_of and into do
         m = len(C.objects)
@@ -82,10 +91,9 @@ class _Positions:
             outs[s].append(f)
             ins[t].append(f)
             homs.setdefault(s * m + t, []).append(f)
-        if entries != sum(len(i) * len(o) for i, o in zip(ins, outs)):
-            for f, g in C.composable_pairs():
-                if flat[arr[f] * n + arr[g]] is None:
-                    raise InputError(f"composition table is partial: missing ({f!r},{g!r})")
+        if (len(obj) != m or len(arr) != n or entries != len(C.composition)
+                or entries != sum(len(i) * len(o) for i, o in zip(ins, outs))):
+            C._check_structure()
         self.object, self.arrow, self.flat, self.src, self.tgt = obj, arr, flat, src, tgt
         self.outs = tuple(map(tuple, outs))
         self.ins = tuple(map(tuple, ins))
@@ -203,6 +211,11 @@ class FinCategory:
             for f, g in self.composable_pairs():
                 if (f, g) not in self.composition:
                     raise InputError(f"composition table is partial: missing ({f!r},{g!r})")
+            # every pair has its tuple entry, so a key that is no tuple
+            # repeats one
+            for key in comp:
+                if not isinstance(key, tuple):
+                    raise InputError(f"composition key {key!r} is not a pair of arrows")
 
     # -- small conveniences --------------------------------------------------
 
@@ -434,13 +447,12 @@ def backtrack(
     explicit stack replaces recursion, so no depth limit applies. The
     yielded list is reused: copy what you keep.
 
-    It is the kernel of the searches whose slot domains depend on earlier
-    slots: ``_functor_search`` (an arrow's hom-set follows its endpoints'
-    images) and ``diagram.enumerate_transformations`` (a two-cell's
-    candidates follow its components). The two 2-cell searches,
-    ``nat_trans_search`` and ``diagram.modification_search``, draw each
-    slot from a list fixed per pair and write the same loop out inline,
-    since a pair there costs little more than its fixed set-up.
+    Its one library caller is ``diagram.enumerate_transformations``, whose
+    slot domains depend on earlier slots (a two-cell's candidates follow its
+    components). ``_functor_search``, ``nat_trans_search`` and
+    ``diagram.modification_search`` write the same loop out inline: the
+    functor search on positions, the two 2-cell searches on names, since a
+    pair there costs little more than its fixed set-up.
     """
     vals: list = [None] * n
     if n == 0:
@@ -495,65 +507,164 @@ def _functor_search(C: FinCategory, X: FinCategory, bijective: bool) -> Iterator
 
     Slots: object images, then arrow images, identities first (forced by
     their object's image) and the rest from the matching hom-set of X. An
-    object slot compares hom-sets with the objects before it: a nonempty
-    one must stay nonempty, or for a bijection keep its size, and a
-    bijection takes no value twice. A composition entry is checked at the
-    highest slot it reads.
+    object slot compares hom-set sizes with the objects up to it: a
+    nonempty one must stay nonempty, or for a bijection keep its size, and a
+    bijection takes no value twice. Every composition entry of C (every
+    composable pair, identity factors included) is checked at the highest
+    slot it reads. An arrow that is the composite of two arrows at earlier
+    slots can only take their composite, so its slot draws that one arrow of
+    its hom-set, or none: the entry that says so is read to pick it.
+
+    It runs on the positional views of C and X (``FinCategory._positions``),
+    which refuse a category with a structural defect. A slot holds a
+    position of X and an entry is one read of X's flat table; an accepted
+    slot keeps its image's name too, so a functor it yields zips two lists.
+    The slot loop is written out with an explicit stack, as in
+    ``nat_trans_search``, with no call per candidate. It accepts the same
+    candidates in the same order as a ``backtrack`` search over these slots,
+    so the functors come in canonical order, each with its arrow map in slot
+    order.
     """
-    objs = C.objects
-    n = len(objs)
-    arrows = [C.identity[x] for x in objs] + [f for f in C.arrows if not C.is_identity(f)]
-    oslot = {x: i for i, x in enumerate(objs)}
-    aslot = {f: n + k for k, f in enumerate(arrows)}
-    ends = [(oslot[C.src[f]], oslot[C.tgt[f]]) for f in arrows[n:]]
-    homs_closed = [
-        [(j, True, len(C.hom(a, x))) for j, a in enumerate(objs[: i + 1])]
-        + [(j, False, len(C.hom(x, a))) for j, a in enumerate(objs[: i + 1])]
-        for i, x in enumerate(objs)
+    PC, PX = C._positions(), X._positions()
+    n, mx, nc, nx = len(C.objects), len(X.objects), len(C.arrows), len(X.arrows)
+    hc, hx, flat, ident = PC.homs, PX.homs, PX.flat, PX.identity
+    order = PC.identity + [f for f, s in enumerate(PC.src) if PC.identity[s] != f]
+    slot = [0] * nc
+    for k, f in enumerate(order, n):
+        slot[f] = k
+    last = n + len(order) - 1
+    # per object slot i, each object slot j <= i with the sizes of the
+    # hom-sets from j to i and from i to j; a search for any functor needs
+    # only the pairs with one nonempty
+    sizes = [
+        [(j, len(hc[j * n + i]), len(hc[i * n + j])) for j in range(i + 1)
+         if bijective or hc[j * n + i] or hc[i * n + j]]
+        for i in range(n)
     ]
-    entries_closed: list[list] = [[] for _ in range(n + len(arrows))]
-    for (f, g), h in C.composition.items():
-        s = (aslot[f], aslot[g], aslot[h])
-        entries_closed[max(s)].append(s)
-    comp = X.composition
-    xhom = X.hom
+    checks: list[list] = [[] for _ in range(last + 1)]
+    fc = PC.flat
+    for f, t in enumerate(PC.tgt):
+        sf, row = slot[f], f * nc
+        for g in PC.outs[t]:
+            sg, sh = slot[g], slot[fc[row + g]]
+            checks[max(sf, sg, sh)].append((sf, sg, sh))
+    # per arrow slot i + 1 past the identities: the object slots of its
+    # endpoints and, for a composite, the two earlier slots of its factors
+    # (-1 when none), whose entry picks its image and needs no check
+    after = [None] * last
+    for i in range(2 * n, last + 1):
+        f = g = -1
+        for k, (a, b, h) in enumerate(checks[i]):
+            if h == i and a < i and b < i:
+                f, g = a, b
+                del checks[i][k]
+                break
+        after[i - 1] = (PC.src[order[i - n]], PC.tgt[order[i - n]], f, g)
+    onames, anames = C.objects, [C.arrows[f] for f in order]
+    xo, xa = X.objects, X.arrows
 
-    def domain(i: int, vals: list) -> Iterable[str]:
-        if i < n:
-            return X.objects
-        if i < 2 * n:
-            return (X.identity[vals[i - n]],)
-        s, t = ends[i - 2 * n]
-        return xhom(vals[s], vals[t])
+    def functor() -> Functor:
+        return Functor(
+            C, X, dict(zip(onames, names)), dict(zip(anames, names[n:])),
+        )
 
-    def accept(i: int, vals: list) -> bool:
-        v = vals[i]
-        if bijective and v in vals[0 if i < n else n : i]:
-            return False
-        if i < n:
-            for j, into, count in homs_closed[i]:
-                got = len(xhom(vals[j], v) if into else xhom(v, vals[j]))
-                if (got != count) if bijective else (count and not got):
-                    return False
-            return True
-        for f, g, h in entries_closed[i]:
-            if comp[(vals[f], vals[g])] != vals[h]:
-                return False
-        return True
-
-    for vals in backtrack(n + len(arrows), domain, accept):
-        yield Functor(C, X, dict(zip(objs, vals)), dict(zip(arrows, vals[n:])))
+    vals = [0] * (last + 1)
+    names = [None] * (last + 1)
+    if last < 0:  # C is empty
+        yield functor()
+        return
+    # a bijection takes no arrow twice: held[v] is the last slot that took
+    # v, so v is taken at slot i when that slot is before i and holds v still
+    held = [last + 1] * nx
+    base = 2 * n - 1
+    # the object slots; at each whole object map the forced identity slots;
+    # then the other arrow slots on a stack of their own
+    stack = [iter(range(mx))]
+    while stack:
+        i = len(stack) - 1
+        for v in stack[i]:
+            if bijective and v in vals[:i]:
+                continue
+            vals[i] = v
+            for j, into, out in sizes[i]:
+                a, b = hx[vals[j] * mx + v], hx[v * mx + vals[j]]
+                if (len(a) != into or len(b) != out) if bijective else (
+                        into and not a or out and not b):
+                    break
+            else:
+                break
+        else:
+            stack.pop()
+            continue
+        names[i] = xo[v]
+        if i + 1 < n:
+            stack.append(iter(range(mx)))
+            continue
+        for i in range(n, 2 * n):
+            v = vals[i] = ident[vals[i - n]]
+            if bijective:
+                k = held[v]
+                if k < i and vals[k] == v:
+                    break
+                held[v] = i
+            for f, g, h in checks[i]:
+                if flat[vals[f] * nx + vals[g]] != vals[h]:
+                    break
+            else:
+                names[i] = xa[v]
+                continue
+            break
+        else:
+            if last == base:
+                yield functor()
+                continue
+            arrows: list = []
+            i = base
+            while True:
+                # push the candidates of slot i + 1
+                s, t, f, g = after[i]
+                here = hx[vals[s] * mx + vals[t]]
+                if f >= 0:
+                    v = flat[vals[f] * nx + vals[g]]
+                    here = (v,) if v in here else ()
+                arrows.append(iter(here))
+                # then take the next candidate that passes, backing up as
+                # far as needed
+                while arrows:
+                    i = len(arrows) + base
+                    here = checks[i]
+                    for v in arrows[-1]:
+                        if bijective:
+                            k = held[v]
+                            if k < i and vals[k] == v:
+                                continue
+                            held[v] = i
+                        vals[i] = v
+                        for f, g, h in here:
+                            if flat[vals[f] * nx + vals[g]] != vals[h]:
+                                break
+                        else:
+                            break
+                    else:
+                        arrows.pop()
+                        continue
+                    names[i] = xa[v]
+                    if i < last:
+                        break
+                    yield functor()
+                else:
+                    break
 
 
 def enumerate_functors(C: FinCategory, X: FinCategory) -> list[Functor]:
     """Every functor C -> X exactly once, in canonical lexicographic order.
 
     Searches object images first, then images of non-identity arrows
-    constrained to the matching hom-set of X; identities are forced.  A
-    partial composition table on either side is refused with InputError,
-    as the positional view refuses it.
+    constrained to the matching hom-set of X; identities are forced.  The
+    search reads the positional views of C and X, which refuse a category
+    with a structural defect (a partial table, say) with the InputError
+    ``FinCategory.build`` raises for it.
     """
-    C._positions(), X._positions()  # each view refuses a partial table
     return list(_functor_search(C, X, bijective=False))
 
 
@@ -726,11 +837,12 @@ def check_shape(A: FinCategory, direction: str) -> ShapeReport:
     filtered: nonempty, every object pair admits a cocone, every parallel
     pair admits a coequalizing arrow. cofiltered is filtered on the
     opposite category, which keeps every name and declaration order, so
-    the witnesses are the same arrows read the other way.  A partial
-    composition table is refused with InputError, as the positional view
-    refuses it, naming its first missing pair in A's own order.
+    the witnesses are the same arrows read the other way.  A category with
+    a structural defect (a partial table, say) is refused, as the positional
+    view refuses it, with the InputError ``FinCategory.build`` raises for it
+    in A's own order.
     """
-    A._positions()  # the view refuses a partial table
+    A._positions()  # the view refuses a structural defect
     if direction == "filtered":
         cone, equalizing = "cocone", "coequalizing"
     elif direction == "cofiltered":
@@ -778,11 +890,12 @@ def find_isomorphism(C: FinCategory, D: FinCategory) -> Optional[IsoWitness]:
     """First isomorphism C ~ D in canonical search order, or None.
 
     The functor search restricted to bijections: objects first, with
-    hom-cardinality pruning, then arrows hom by hom.  A partial composition
-    table on either side is refused with InputError, as the positional view
-    refuses it, before the sizes are compared.
+    hom-cardinality pruning, then arrows hom by hom, on the positional
+    views of C and D.  Building the views refuses a category with a
+    structural defect (a partial table, say) with the InputError
+    ``FinCategory.build`` raises for it, before the sizes are compared.
     """
-    C._positions(), D._positions()  # each view refuses a partial table
+    C._positions(), D._positions()  # each view refuses a structural defect
     if len(C.objects) != len(D.objects) or len(C.arrows) != len(D.arrows):
         return None
     fwd = next(_functor_search(C, D, bijective=True), None)

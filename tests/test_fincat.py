@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,8 +7,10 @@ import corpus
 import oracle
 from catfrac import (
     FinCategory,
+    FractionsInput,
     Functor,
     NatTrans,
+    check_axioms,
     check_shape,
     compose,
     compose_functors,
@@ -16,6 +20,7 @@ from catfrac import (
     find_isomorphism,
     identity_functor,
     identity_nat_trans,
+    localize,
     opposite,
     two_sided_inverse,
     validate_category,
@@ -423,6 +428,80 @@ def test_find_isomorphism_refuses_a_partial_table(pair):
     with pytest.raises(InputError, match=PARTIAL):
         find_isomorphism(C, D)
 
+
+
+def raw_walking_arrow(**fields) -> FinCategory:
+    """The walking arrow x -f-> y by the raw constructor, which checks
+    nothing, with the given fields replaced."""
+    table = {
+        "objects": ("x", "y"),
+        "arrows": ("1x", "1y", "f"),
+        "src": {"1x": "x", "1y": "y", "f": "x"},
+        "tgt": {"1x": "x", "1y": "y", "f": "y"},
+        "identity": {"x": "1x", "y": "1y"},
+        "composition": {("1x", "1x"): "1x", ("1x", "f"): "f", ("f", "1y"): "f", ("1y", "1y"): "1y"},
+    }
+    return FinCategory(**dict(table, **fields))
+
+
+# each structural defect the raw constructor lets through, with the message
+# FinCategory.build gives it
+DEFECTS = {
+    "duplicate_object": ({"objects": ("x", "y", "y")}, "duplicate object names"),
+    "duplicate_arrow": ({"arrows": ("1x", "1y", "f", "f")}, "duplicate arrow names"),
+    "dangling_endpoint": (
+        {"tgt": {"1x": "x", "1y": "y", "f": "z"}}, "arrow 'f' has a dangling endpoint"
+    ),
+    "missing_endpoint": ({"src": {"1x": "x", "1y": "y"}}, "arrow 'f' has a dangling endpoint"),
+    "missing_identity": ({"identity": {"x": "1x"}}, "no identity declared for object 'y'"),
+    "unknown_identity": (
+        {"identity": {"x": "1x", "y": "1z"}}, "identity of 'y' is not a declared arrow"
+    ),
+    "unknown_arrow_entry": (
+        {"composition": {("1x", "1x"): "1x", ("1x", "f"): "f", ("f", "1y"): "g", ("1y", "1y"): "1y"}},
+        "composition entry ('f','1y')='g' references unknown arrows",
+    ),
+    "non_composable_entry": (
+        {"composition": {("1x", "1x"): "1x", ("1x", "f"): "f", ("f", "1y"): "f", ("1y", "1y"): "1y",
+                         ("f", "f"): "f"}},
+        "composition entry for non-composable pair ('f','f')",
+    ),
+}
+
+READERS = {
+    "enumerate_functors": lambda C: enumerate_functors(C, corpus.z2()),
+    "find_isomorphism": lambda C: find_isomorphism(C, C),
+    "check_shape": lambda C: check_shape(C, "filtered"),
+    "check_axioms": lambda C: check_axioms(FractionsInput(C, ())),
+    "localize": lambda C: localize(FractionsInput(C, ())),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_view_refuses_each_structural_defect(defect, reader):
+    # a lookup failed with a bare KeyError, or the defect passed unseen
+    fields, message = DEFECTS[defect]
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        READERS[reader](raw_walking_arrow(**fields))
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_build_gives_each_defect_the_same_message(defect):
+    fields, message = DEFECTS[defect]
+    C = raw_walking_arrow(**fields)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        C._check_structure()
+
+
+def test_build_refuses_a_key_that_repeats_a_pair():
+    # the string "fg" unpacks as the pair ('f','g'), whose tuple entry is
+    # there too, so the table is total and has one entry too many
+    arrows = [("1", "x", "x"), ("2", "y", "y"), ("3", "z", "z"),
+              ("f", "x", "y"), ("g", "y", "z"), ("h", "x", "z")]
+    with pytest.raises(InputError, match="^composition key 'fg' is not a pair of arrows$"):
+        FinCategory.build(["x", "y", "z"], arrows, {"x": "1", "y": "2", "z": "3"},
+                          {("f", "g"): "h", "fg": "h"})
 
 @settings(max_examples=200, deadline=5000)
 @given(st.data())

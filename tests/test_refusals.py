@@ -302,8 +302,9 @@ def _internal_nat_trans(components, codomain="c1"):
          "composition table is partial: missing ('f','f')"),
         (lambda: localize(FractionsInput(_raw_without_ff(), ("1", "f"))), InputError,
          "composition table is partial: missing ('f','f')"),
+        # the stray entry is the first defect FinCategory.build names
         (lambda: internalize(_raw_stray_for_missing()), InputError,
-         "composition table is partial: missing ('f','1y')"),
+         "composition entry for non-composable pair ('1y','f')"),
         (lambda: _reassigned("weq", ("f",)), dataclasses.FrozenInstanceError,
          "cannot assign to field 'weq'"),
         (lambda: _reassigned("category", corpus.iso()), dataclasses.FrozenInstanceError,

@@ -24,7 +24,8 @@ file only to resolve a reference or a command's own path, and a bundle's
 diagram in one place; the CLI types each kind's fields in its KINDS entry
 and has no handler that would take a library bug's KeyError or TypeError
 for bad input;
-FinCategory.build has no option; the verifiers prepare each 2-cell search
+FinCategory.build has no option; the functor search reads composition by
+position and calls no backtrack; the verifiers prepare each 2-cell search
 once per domain, not once per pair, and neither search calls backtrack or
 builds a function or generator per pair; one crosscheck checks each internal
 category's laws, builds the span machinery and builds the element blocks
@@ -932,6 +933,47 @@ def test_name_pair_read_check_fires():
         "_first_heads at line 10", "check_axioms at line 13", "check_axioms at line 13",
     ]
 
+
+
+def _functor_search_names(tree: ast.Module) -> list:
+    """Where ``_functor_search`` would run on names: each read of a
+    composition table by a name pair and each call of ``backtrack``."""
+    found = _name_pair_reads(tree, ("_functor_search",))
+    for node in ast.walk(_function(tree, "_functor_search")):
+        if isinstance(node, ast.Call) and _called_name(node) == "backtrack":
+            found.append(f"_functor_search calls backtrack at line {node.lineno}")
+    return found
+
+
+def test_functor_search_reads_composition_by_position():
+    """The functor search runs its own slot loop on the positional views:
+    every entry is a read of X's flat table. The two 2-cell searches
+    (``nat_trans_search``, ``diagram.modification_search``) stay on names,
+    since a positional ``nat_trans_search`` measured 1 to 3% slower than its
+    inline name loop: a pair there costs little more than its set-up."""
+    assert _functor_search_names(MODULES["fincat"]) == []
+    assert "flat[" in inspect.getsource(catfrac.fincat._functor_search)
+
+
+def test_functor_search_name_check_fires():
+    # the search as it was: backtrack with a check of each entry by names
+    earlier = ast.parse(
+        "def _functor_search(C, X, bijective):\n"
+        "    comp = X.composition\n"
+        "    xhom = X.hom\n"
+        "    def domain(i, vals):\n"
+        "        return xhom(vals[s], vals[t])\n"
+        "    def accept(i, vals):\n"
+        "        for f, g, h in entries_closed[i]:\n"
+        "            if comp[(vals[f], vals[g])] != vals[h]:\n"
+        "                return False\n"
+        "        return True\n"
+        "    for vals in backtrack(n + len(arrows), domain, accept):\n"
+        "        yield Functor(C, X, dict(zip(objs, vals)), dict(zip(arrows, vals[n:])))\n"
+    )
+    assert _functor_search_names(earlier) == [
+        "_functor_search at line 8", "_functor_search calls backtrack at line 11",
+    ]
 
 FRACTIONS_ENTRY = {"FractionsInput", "check_axioms", "_first_heads"}
 

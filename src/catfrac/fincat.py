@@ -46,21 +46,28 @@ class _Positions:
     when they are not composable; ``outs`` and ``ins`` list, per object, the
     arrows out of and into it, ``out_rank`` gives each arrow's place in the
     out-list of its source, and ``homs[x*M + y]`` (M objects) lists the
-    arrows from x to y.  Every list is in declaration order.  It is derived
-    from the names and read only.  A category with a structural defect (one
-    built by the raw constructor: a duplicate name, a dangling endpoint, a
-    missing or unknown identity, a composition entry naming an unknown arrow
-    or a non-composable pair, a missing composable pair) is refused with the
-    InputError that ``FinCategory.build`` raises for its first defect.
+    arrows from x to y.  Every list is in declaration order.  ``misplaced``
+    says whether some composite of (f, g) lies outside hom(s(f), t(g)),
+    compared on positions in the pass that fills ``flat``;
+    ``misplaced_composites`` names each one.  It is derived from the names
+    and read only.  A category with a structural defect (one built by the
+    raw constructor: a duplicate name, a dangling endpoint, a missing or
+    unknown identity, a composition key that is no pair, an entry naming an
+    unknown arrow or a non-composable pair, a missing composable pair) is
+    refused with the InputError that ``FinCategory.build`` raises for its
+    first defect.
     """
 
     __slots__ = (
-        "object", "arrow", "src", "tgt", "identity", "flat", "outs", "ins", "out_rank", "homs"
+        "object", "arrow", "src", "tgt", "identity", "flat", "outs", "ins", "out_rank", "homs",
+        "misplaced",
     )
 
     def __init__(self, C: "FinCategory") -> None:
         # the raw constructor checks nothing: a defect fails a lookup here or
-        # one of the counts below, and _check_structure names the first one
+        # one of the counts below, and _check_structure names the first one.
+        # A key that is no pair goes there before it is unpacked: the string
+        # "fg" would unpack as one
         try:
             obj = {x: i for i, x in enumerate(C.objects)}
             arr = {f: i for i, f in enumerate(C.arrows)}
@@ -71,11 +78,16 @@ class _Positions:
             # the entries on composable pairs are counted: a table holds each
             # composable pair once and nothing else exactly when the count
             # equals both its size and the number of composable pairs
-            entries = 0
-            for (f, g), h in C.composition.items():
-                f, g = arr[f], arr[g]
-                flat[f * n + g] = arr[h]
+            entries, misplaced = 0, False
+            for key, h in C.composition.items():
+                if type(key) is not tuple or len(key) != 2:
+                    C._check_structure()
+                f, g = key
+                f, g, h = arr[f], arr[g], arr[h]
+                flat[f * n + g] = h
                 entries += tgt[f] == src[g]
+                if src[h] != src[f] or tgt[h] != tgt[g]:
+                    misplaced = True
             self.identity = [arr[C.identity[x]] for x in C.objects]
         except KeyError:
             C._check_structure()
@@ -95,6 +107,7 @@ class _Positions:
                 or entries != sum(len(i) * len(o) for i, o in zip(ins, outs))):
             C._check_structure()
         self.object, self.arrow, self.flat, self.src, self.tgt = obj, arr, flat, src, tgt
+        self.misplaced = misplaced
         self.outs = tuple(map(tuple, outs))
         self.ins = tuple(map(tuple, ins))
         self.out_rank = rank
@@ -195,27 +208,25 @@ class FinCategory:
                 raise InputError(f"no identity declared for object {x!r}")
             if self.identity[x] not in arrset:
                 raise InputError(f"identity of {x!r} is not a declared arrow")
-        for (f, g), h in self.composition.items():
+        for key, h in self.composition.items():
+            # refused before it is unpacked: the string "fg" unpacks as a pair
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise InputError(f"composition key {key!r} is not a pair of arrows")
+            f, g = key
             if f not in arrset or g not in arrset or h not in arrset:
                 raise InputError(f"composition entry ({f!r},{g!r})={h!r} references unknown arrows")
             if self.tgt[f] != self.src[g]:
                 raise InputError(f"composition entry for non-composable pair ({f!r},{g!r})")
-        # each tuple key is now a distinct composable pair of known arrows,
-        # so a table keyed by tuples is total exactly when it has as many
-        # entries as there are composable pairs.  Only a shortfall, or a key
-        # that is no tuple (the string "fg" passes the loop above), is
-        # scanned, to name the missing pair
+        # each key is now a distinct composable pair of known arrows, so the
+        # table is total exactly when it has as many entries as there are
+        # composable pairs.  Only a shortfall is scanned, to name the
+        # missing pair
         comp, ins, outs = self.composition, self._ins, self._outs
         pairs = sum(len(ins.get(x, ())) * len(outs.get(x, ())) for x in self.objects)
-        if len(comp) != pairs or not set(map(type, comp)) <= {tuple}:
+        if len(comp) != pairs:
             for f, g in self.composable_pairs():
-                if (f, g) not in self.composition:
+                if (f, g) not in comp:
                     raise InputError(f"composition table is partial: missing ({f!r},{g!r})")
-            # every pair has its tuple entry, so a key that is no tuple
-            # repeats one
-            for key in comp:
-                if not isinstance(key, tuple):
-                    raise InputError(f"composition key {key!r} is not a pair of arrows")
 
     # -- small conveniences --------------------------------------------------
 
@@ -266,6 +277,14 @@ class NatTrans:
 class IsoWitness:
     forward: Functor
     backward: Functor
+
+
+def _view(C: FinCategory) -> _Positions:
+    """C's positional view (``FinCategory._positions``), refusing with
+    InputError a C that is not a FinCategory."""
+    if not isinstance(C, FinCategory):
+        raise InputError(f"a category is a FinCategory, got {C!r}")
+    return C._positions()
 
 
 def functor_key(F: Functor) -> tuple:
@@ -525,7 +544,7 @@ def _functor_search(C: FinCategory, X: FinCategory, bijective: bool) -> Iterator
     so the functors come in canonical order, each with its arrow map in slot
     order.
     """
-    PC, PX = C._positions(), X._positions()
+    PC, PX = _view(C), _view(X)
     n, mx, nc, nx = len(C.objects), len(X.objects), len(C.arrows), len(X.arrows)
     hc, hx, flat, ident = PC.homs, PX.homs, PX.flat, PX.identity
     order = PC.identity + [f for f, s in enumerate(PC.src) if PC.identity[s] != f]
@@ -663,7 +682,8 @@ def enumerate_functors(C: FinCategory, X: FinCategory) -> list[Functor]:
     constrained to the matching hom-set of X; identities are forced.  The
     search reads the positional views of C and X, which refuse a category
     with a structural defect (a partial table, say) with the InputError
-    ``FinCategory.build`` raises for it.
+    ``FinCategory.build`` raises for it, and a value that is not a
+    FinCategory with an InputError too.
     """
     return list(_functor_search(C, X, bijective=False))
 
@@ -840,9 +860,9 @@ def check_shape(A: FinCategory, direction: str) -> ShapeReport:
     the witnesses are the same arrows read the other way.  A category with
     a structural defect (a partial table, say) is refused, as the positional
     view refuses it, with the InputError ``FinCategory.build`` raises for it
-    in A's own order.
+    in A's own order; an A that is not a FinCategory with an InputError too.
     """
-    A._positions()  # the view refuses a structural defect
+    _view(A)  # the view refuses a structural defect
     if direction == "filtered":
         cone, equalizing = "cocone", "coequalizing"
     elif direction == "cofiltered":
@@ -893,9 +913,10 @@ def find_isomorphism(C: FinCategory, D: FinCategory) -> Optional[IsoWitness]:
     hom-cardinality pruning, then arrows hom by hom, on the positional
     views of C and D.  Building the views refuses a category with a
     structural defect (a partial table, say) with the InputError
-    ``FinCategory.build`` raises for it, before the sizes are compared.
+    ``FinCategory.build`` raises for it, and a value that is not a
+    FinCategory with an InputError, before the sizes are compared.
     """
-    C._positions(), D._positions()  # each view refuses a structural defect
+    _view(C), _view(D)  # each view refuses a structural defect
     if len(C.objects) != len(D.objects) or len(C.arrows) != len(D.arrows):
         return None
     fwd = next(_functor_search(C, D, bijective=True), None)

@@ -11,23 +11,24 @@ Arrows of the localized category are sailboat classes of spans (v, g) with
 v a W-arrow sharing its source with g.  A span reads as "go backward along
 v, then forward along g", so the class [v;g] runs from t(v) to t(g).
 
-Each shape has one search routine, on arrow positions, which yields a
-case's fillers in canonical order: ``_weak_fillers`` (the arrows m with
-(m;v);v' marked), ``_ore_squares`` (the pairs (w', g) with w' marked and
-g;v = w';h) and ``_zippers`` (the marked u with u;f = u;g).  A section is
-the first marked arrow into an object.  The routines take the plain input
-and read W through its positional index (``_mark_index``: the marked flags
-and, per object, the marked arrows out of it and into it, each in W
-order), so a filtered scan of W yields the same sequence without visiting
-the rest of W.  The input keeps the index, as the category keeps its
-positional view: each public entry builds it first, once per input, after
-``check`` passes.
+Each shape has one search routine, on arrow positions, a plain function
+that returns a case's fillers as a list in canonical order:
+``_weak_fillers`` (the arrows m with (m;v);v' marked), ``_ore_squares``
+(the pairs (w', g) with w' marked and g;v = w';h) and ``_zippers`` (the
+marked u with u;f = u;g).  Each takes a keyword-only ``bound`` and then
+stops after that many fillers.  A section is the first marked arrow into
+an object.  The routines take the plain input and read W through its
+positional index (``_mark_index``: the marked flags and, per object, the
+marked arrows out of it and into it, each in W order), so a filtered scan
+of W gives the same sequence without visiting the rest of W.  The input
+keeps the index, as the category keeps its positional view: each public
+entry builds it first, once per input, after ``check`` passes.
 
-The axiom decision takes each case's first filler, and the input keeps
-its report (``axiom_verdict``).  Composing (v1, g1) with (v2, g2) reads
-g2 only in its last step, so a composite is a head ((m;w');v1, m;h2),
-made from an Ore square (w', h2) of (g1, v2) and a weak filler m of (w',
-v1), followed by g2.  The first head takes the first Ore square, then
+The axiom decision asks each case for one filler (``bound=1``), and the
+input keeps its report (``axiom_verdict``).  Composing (v1, g1) with (v2,
+g2) reads g2 only in its last step, so a composite is a head ((m;w');v1,
+m;h2), made from an Ore square (w', h2) of (g1, v2) and a weak filler m of
+(w', v1), followed by g2.  The first head takes the first Ore square, then
 the first weak filler of its w': both are witnesses of the kept verdict,
 so the composition loop and the ambient's ``internal_localize`` read
 first heads through ``_first_heads``, set up once per call, and search
@@ -217,39 +218,58 @@ def _masts(inp: FractionsInput) -> Iterator[tuple[int, int, int]]:
                 yield h, v, hv
 
 
-def _weak_fillers(inp: FractionsInput, v: int, vp: int) -> Iterator[int]:
+def _weak_fillers(
+    inp: FractionsInput, v: int, vp: int, *, bound: Optional[int] = None
+) -> list[int]:
     """Weak-composition fillers of a marked composable pair (v, v'): the
-    arrows m into s(v) with (m;v);v' marked, in canonical order."""
+    arrows m into s(v) with (m;v);v' marked, in canonical order; the first
+    ``bound`` of them when a bound is given."""
     P = inp.category._positions()
     n, flat, marked = len(P.src), P.flat, inp._marks[0]
+    found = []
     for m in P.ins[P.src[v]]:
         if marked[flat[flat[m * n + v] * n + vp]]:
-            yield m
+            found.append(m)
+            if len(found) == bound:
+                break
+    return found
 
 
-def _ore_squares(inp: FractionsInput, h: int, v: int) -> Iterator[tuple[int, int]]:
+def _ore_squares(
+    inp: FractionsInput, h: int, v: int, *, bound: Optional[int] = None
+) -> list[tuple[int, int]]:
     """Ore squares on a cospan (h, v) with v marked: the pairs (w', g) with
     w' marked into s(h), g: s(w') -> s(v) and g;v = w';h, in canonical
-    order."""
+    order; the first ``bound`` of them when a bound is given."""
     P = inp.category._positions()
     n, flat, homs, row = len(P.src), P.flat, P.homs, P.src[v]
     m = len(P.outs)
+    found = []
     for wp in inp._marks[2][P.src[h]]:
         wph = flat[wp * n + h]
         for g in homs[P.src[wp] * m + row]:
             if flat[g * n + v] == wph:
-                yield wp, g
+                found.append((wp, g))
+                if len(found) == bound:
+                    return found
+    return found
 
 
-def _zippers(inp: FractionsInput, f: int, g: int) -> Iterator[int]:
+def _zippers(
+    inp: FractionsInput, f: int, g: int, *, bound: Optional[int] = None
+) -> list[int]:
     """Marked arrows u into s(f) with u;f = u;g, for a parallel pair (f, g),
-    in canonical order."""
+    in canonical order; the first ``bound`` of them when a bound is given."""
     P = inp.category._positions()
     n, flat = len(P.src), P.flat
+    found = []
     for u in inp._marks[2][P.src[f]]:
         un = u * n
         if flat[un + f] == flat[un + g]:
-            yield u
+            found.append(u)
+            if len(found) == bound:
+                break
+    return found
 
 
 def _first_heads(inp: FractionsInput) -> Callable[[int, int, int], Optional[tuple[int, int]]]:
@@ -282,27 +302,28 @@ def _first_heads(inp: FractionsInput) -> Callable[[int, int, int], Optional[tupl
 
 
 def _listed(lists: dict, routine, inp: FractionsInput, *key) -> list:
-    """What ``routine(inp, *key)`` yields, listed once in ``lists``, a dict
-    that the calling function owns."""
+    """The list ``routine(inp, *key)`` returns, made once in ``lists``, a
+    dict that the calling function owns."""
     found = lists.get((routine, key))
     if found is None:
-        found = lists[routine, key] = list(routine(inp, *key))
+        found = lists[routine, key] = routine(inp, *key)
     return found
 
 
 def _square_heads(
     inp: FractionsInput, lists: dict, wp: int, h2: int, v1: int
-) -> Iterator[tuple[int, int]]:
+) -> list[tuple[int, int]]:
     """The heads one Ore square (w', h2) gives a span with first leg v1:
     ((m;w');v1, m;h2) for each weak filler m of (w', v1), in canonical
     order, repeats included.  They depend on (w', h2, v1) only, not on the
     cospan the square fills.  The weak list is read from ``lists``
     (``_listed``)."""
     n, flat = len(inp.category.arrows), inp.category._positions().flat
-    for m in _listed(lists, _weak_fillers, inp, wp, v1):
-        # an Ore square's h2 starts at s(w') = t(m), so m;h2 is a table read
-        mn = m * n
-        yield flat[flat[mn + wp] * n + v1], flat[mn + h2]
+    # an Ore square's h2 starts at s(w') = t(m), so m;h2 is a table read
+    return [
+        (flat[flat[m * n + wp] * n + v1], flat[m * n + h2])
+        for m in _listed(lists, _weak_fillers, inp, wp, v1)
+    ]
 
 
 def _composite_heads(
@@ -337,15 +358,17 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
     report on inp is kept as its verdict (``axiom_verdict``).
 
     Each axiom is decided in one pass over its cases, in case order, on the
-    category's positional view: a case's witness is the first filler its
-    search routine yields (the first marked arrow into x for a section).
-    Witness keys, witnesses and counterexamples are names."""
+    category's positional view: a case's witness is the one filler its
+    search routine returns when bounded to one (the first marked arrow into
+    x for a section).  The view records whether some composite is misplaced
+    as it is built, so the table is walked by names only to name the first
+    such composite.  Witness keys, witnesses and counterexamples are
+    names."""
     _, w_out, w_into = _mark_index(inp)
     C = inp.category
-    problem = next(misplaced_composites(C), None)
-    if problem is not None:
-        raise InputError(problem)
     P = C._positions()
+    if P.misplaced:
+        raise InputError(next(misplaced_composites(C)))
     arrows, pos, src, tgt, flat, homs = C.arrows, P.arrow, P.src, P.tgt, P.flat, P.homs
     n, m = len(arrows), len(C.objects)
     # composites land in their hom, checked above, so every composite of a
@@ -365,9 +388,9 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
     for v in inp.weq:
         vi = pos[v]
         for vp in w_out[tgt[vi]]:
-            found = next(_weak_fillers(inp, vi, vp), None)
-            if found is not None:
-                witnesses[(v, arrows[vp])] = arrows[found]
+            found = _weak_fillers(inp, vi, vp, bound=1)
+            if found:
+                witnesses[(v, arrows[vp])] = arrows[found[0]]
             elif counterexample is None:
                 counterexample = (v, arrows[vp])
     weak = _decide(2, witnesses, counterexample)
@@ -376,9 +399,10 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
     witnesses, counterexample = {}, None
     for h in range(n):
         for v in w_into[tgt[h]]:
-            found = next(_ore_squares(inp, h, v), None)
-            if found is not None:
-                witnesses[(arrows[h], arrows[v])] = arrows[found[0]], arrows[found[1]]
+            found = _ore_squares(inp, h, v, bound=1)
+            if found:
+                wp, g = found[0]
+                witnesses[(arrows[h], arrows[v])] = arrows[wp], arrows[g]
             elif counterexample is None:
                 counterexample = (arrows[h], arrows[v])
     ore = _decide(3, witnesses, counterexample)
@@ -398,9 +422,9 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
                     break
             else:
                 continue  # not coequalized: no case
-            found = next(_zippers(inp, f, g), None)
-            if found is not None:
-                witnesses[(arrows[f], arrows[g])] = arrows[found]
+            found = _zippers(inp, f, g, bound=1)
+            if found:
+                witnesses[(arrows[f], arrows[g])] = arrows[found[0]]
             elif counterexample is None:
                 counterexample = (arrows[f], arrows[g], arrows[v])
     zippers = _decide(4, witnesses, counterexample)
@@ -747,7 +771,7 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
                 for wp, h2 in _listed(lists, _ore_squares, inp, g1, v2):
                     found = squares.get((wp, h2, v1))
                     if found is None:
-                        heads = list(_square_heads(inp, lists, wp, h2, v1))
+                        heads = _square_heads(inp, lists, wp, h2, v1)
                         met = {
                             cls[start[a] + rank[b]] if start[a] >= 0 and src[b] == src[a]
                             else (a, b)

@@ -1281,9 +1281,9 @@ def test_ambient_searches_a_cospan_once_in_the_decision_and_not_per_head(monkeyp
     def spied(name):
         exact = getattr(fractions, name)
 
-        def spy(inp, *key):
+        def spy(inp, *key, bound=None):
             (decided if deciding else searched)[(name, key)] += 1
-            return exact(inp, *key)
+            return exact(inp, *key, bound=bound)
 
         return spy
 

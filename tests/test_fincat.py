@@ -29,8 +29,8 @@ from catfrac import (
     vertical_compose,
 )
 from catfrac.errors import DomainError, InputError
-from catfrac.fincat import backtrack, partition, uniquify
-from test_generated import build, monoids, posets
+from catfrac.fincat import backtrack, misplaced_composites, partition, uniquify
+from test_generated import build, categories, monoids, posets
 
 
 @pytest.mark.parametrize("name,C", corpus.all_categories())
@@ -502,6 +502,41 @@ def test_build_refuses_a_key_that_repeats_a_pair():
     with pytest.raises(InputError, match="^composition key 'fg' is not a pair of arrows$"):
         FinCategory.build(["x", "y", "z"], arrows, {"x": "1", "y": "2", "z": "3"},
                           {("f", "g"): "h", "fg": "h"})
+
+
+def moved(C: FinCategory, pair: tuple, h: str) -> FinCategory:
+    """C by the raw constructor, with the composite of ``pair`` moved to h."""
+    comp = dict(C.composition)
+    comp[pair] = h
+    return FinCategory(C.objects, C.arrows, dict(C.src), dict(C.tgt), dict(C.identity), comp)
+
+
+def assert_misplaced_flag_is_the_walk(C: FinCategory) -> bool:
+    """The view's flag is set exactly when the name walk finds a misplaced
+    composite; returns the flag."""
+    flag = C._positions().misplaced
+    assert flag == (next(misplaced_composites(C), None) is not None)
+    return flag
+
+
+@pytest.mark.parametrize("name,C", corpus.all_categories())
+def test_view_flags_a_misplaced_composite_as_the_walk_does(name, C):
+    # a lawful table has none; moving its first non-identity composite, or
+    # its first entry, to each arrow in turn lands outside the hom or not
+    assert not assert_misplaced_flag_is_the_walk(C)
+    pairs = [pair for pair in C.composition if not any(map(C.is_identity, pair))]
+    pair = (pairs or list(C.composition))[0]
+    flags = {assert_misplaced_flag_is_the_walk(moved(C, pair, h)) for h in C.arrows}
+    assert flags == ({False, True} if len(C.objects) > 1 else {False})
+
+
+@settings(max_examples=100, deadline=None)
+@given(categories, st.data())
+def test_generated_view_flags_a_misplaced_composite_as_the_walk_does(raw, data):
+    C = build(raw)
+    pair = data.draw(st.sampled_from(list(C.composition)))
+    assert_misplaced_flag_is_the_walk(moved(C, pair, data.draw(st.sampled_from(C.arrows))))
+
 
 @settings(max_examples=200, deadline=5000)
 @given(st.data())

@@ -35,6 +35,7 @@ from catfrac import (
     enumerate_modifications,
     enumerate_nat_trans,
     enumerate_transformations,
+    find_isomorphism,
     grothendieck,
     identity_functor,
     identity_map,
@@ -127,14 +128,24 @@ def _chain3_without(f, g):
     return FinCategory.build(C.objects, arrows, C.identity, comp)
 
 
-def _keyed_by_a_string():
-    """The walking composable pair, with its one composite of non-identity
-    arrows keyed by the string "fg", which unpacks as the pair ('f', 'g')
-    but is no key of that pair."""
+def _built_keyed_by(key):
+    """The walking composable pair x -f-> y -j-> z through
+    ``FinCategory.build``, its one composite of non-identity arrows keyed by
+    the string ``key``: "fj" unpacks as the pair ('f', 'j') but is no key of
+    it, and "fjx" unpacks as no pair."""
     arrows = [("1", "x", "x"), ("2", "y", "y"), ("3", "z", "z"),
-              ("f", "x", "y"), ("g", "y", "z"), ("h", "x", "z")]
+              ("f", "x", "y"), ("j", "y", "z"), ("h", "x", "z")]
     return FinCategory.build(["x", "y", "z"], arrows, {"x": "1", "y": "2", "z": "3"},
-                             {"fg": "h"})
+                             {key: "h"})
+
+
+def _raw_keyed_by(key):
+    """The walking arrow x -f-> y with identities i and j, by the raw
+    constructor, which checks nothing, its (f, j) entry keyed by the
+    string ``key``."""
+    ends = {"i": "x", "j": "y", "f": "x"}, {"i": "x", "j": "y", "f": "y"}
+    comp = {("i", "i"): "i", ("i", "f"): "f", key: "f", ("j", "j"): "j"}
+    return FinCategory(("x", "y"), ("i", "j", "f"), *ends, {"x": "i", "y": "j"}, comp)
 
 
 def _raw_without_ff():
@@ -294,7 +305,6 @@ def _internal_nat_trans(components, codomain="c1"):
          "an axiom number is 1, 2, 3 or 4, got 5"),
         (lambda: _chain3_without("0<1", "1<2"), InputError,
          "composition table is partial: missing ('0<1','1<2')"),
-        (_keyed_by_a_string, InputError, "composition table is partial: missing ('f','g')"),
         (lambda: internalize(_raw_without_ff()), InputError,
          "composition table is partial: missing ('f','f')"),
         # the positional view refuses the partial table before any search
@@ -321,7 +331,7 @@ def _internal_nat_trans(components, codomain="c1"):
         "span_unhashable_mark", "span_unhashable_arrow", "inverts_missing_image",
         "induced_missing_image", "marks_a_string", "marks_none", "marks_not_iterable",
         "marks_a_set", "marks_a_frozenset", "marks_no_category", "span_bad_mark", "finding_zero", "finding_five", "partial_table",
-        "partial_by_string_key", "internalize_partial_table",
+        "internalize_partial_table",
         "check_axioms_partial_table", "localize_partial_table", "partial_with_a_stray_entry",
         "reassign_weq", "reassign_category",
     ],
@@ -330,6 +340,52 @@ def test_library_refusal(run, error, message):
     with pytest.raises(error) as exc:
         run()
     assert str(exc.value) == message
+
+
+# the entry points that read a category through its positional view
+VIEW_READERS = {
+    "enumerate_functors": lambda C: enumerate_functors(C, corpus.z2()),
+    "find_isomorphism": lambda C: find_isomorphism(C, C),
+    "check_shape": lambda C: check_shape(C, "filtered"),
+    "check_axioms": lambda C: check_axioms(FractionsInput(C, ())),
+}
+# a composition key that is a string is refused before it is unpacked, by
+# the view and by FinCategory.build alike
+KEY_ROWS = {
+    f"{reader}_{key}": (lambda read=read, key=key: read(_raw_keyed_by(key)), key)
+    for key in ("fj", "fjx")
+    for reader, read in VIEW_READERS.items()
+} | {f"build_{key}": (lambda key=key: _built_keyed_by(key), key) for key in ("fj", "fjx")}
+
+
+@pytest.mark.parametrize("row", KEY_ROWS)
+def test_string_key_refusal(row):
+    run, key = KEY_ROWS[row]
+    with pytest.raises(InputError) as exc:
+        run()
+    assert str(exc.value) == f"composition key {key!r} is not a pair of arrows"
+
+
+# an entry point given a value that is not a category, in either place
+NOT_CATEGORY_ROWS = {
+    f"{name}_{value!r}": (lambda run=run, value=value: run(value), value)
+    for value in ("x", 3, None)
+    for name, run in {
+        "enumerate_functors_dom": lambda C: enumerate_functors(C, corpus.z2()),
+        "enumerate_functors_cod": lambda X: enumerate_functors(corpus.z2(), X),
+        "find_isomorphism_first": lambda C: find_isomorphism(C, corpus.z2()),
+        "find_isomorphism_second": lambda D: find_isomorphism(corpus.z2(), D),
+        "check_shape": lambda A: check_shape(A, "filtered"),
+    }.items()
+}
+
+
+@pytest.mark.parametrize("row", NOT_CATEGORY_ROWS)
+def test_not_a_category_refusal(row):
+    run, value = NOT_CATEGORY_ROWS[row]
+    with pytest.raises(InputError) as exc:
+        run()
+    assert str(exc.value) == f"a category is a FinCategory, got {value!r}"
 
 
 @pytest.mark.parametrize(

@@ -128,9 +128,9 @@ def localize_spying(inp: FractionsInput):
         return found
 
     def reading(inp, lists, *key):
-        heads = list(heads_of(inp, lists, *key))
+        heads = heads_of(inp, lists, *key)
         read.append((named(C, key), [named(C, head) for head in heads]))
-        return iter(heads)
+        return heads
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(catfrac.fractions, "span_compose", composing)
@@ -318,9 +318,9 @@ def test_self_check_b_classifies_each_square_once(monkeypatch, n):
     def spy(inp, lists, *key):
         nonlocal drawn
         listed[key] += 1
-        for head in exact(inp, lists, *key):
-            drawn += 1
-            yield head
+        heads = exact(inp, lists, *key)
+        drawn += len(heads)
+        return heads
 
     monkeypatch.setattr(catfrac.fractions, "_square_heads", spy)
     LC = localize(fully_marked_cyclic(n))
@@ -357,9 +357,9 @@ def search_callers(monkeypatch) -> Counter:
     for name in ("_ore_squares", "_weak_fillers"):
         exact = getattr(catfrac.fractions, name)
 
-        def spy(inp, *key, name=name, exact=exact):
+        def spy(inp, *key, bound=None, name=name, exact=exact):
             callers[name, sys._getframe(1).f_code.co_name] += 1
-            return exact(inp, *key)
+            return exact(inp, *key, bound=bound)
 
         monkeypatch.setattr(catfrac.fractions, name, spy)
     return callers
@@ -403,8 +403,8 @@ def test_search_caller_spy_fires(monkeypatch):
         n, flat = len(P.src), P.flat
 
         def head(v1, g1, v2):
-            wp, h2 = next(catfrac.fractions._ore_squares(inp, g1, v2))
-            m = next(catfrac.fractions._weak_fillers(inp, wp, v1))
+            wp, h2 = catfrac.fractions._ore_squares(inp, g1, v2, bound=1)[0]
+            m = catfrac.fractions._weak_fillers(inp, wp, v1, bound=1)[0]
             return flat[flat[m * n + wp] * n + v1], flat[m * n + h2]
 
         return head
@@ -451,21 +451,22 @@ def test_row_without_a_head_is_an_integrity_error(monkeypatch, inp, row):
 
 def test_localize_reads_first_fillers_only_when_b_is_skipped(monkeypatch):
     # fully marked chain(6) has 91 spans, so (b) is skipped: the axiom
-    # decision reads the first filler of each of its cases, once per case,
-    # and the class loop reads its heads from those witnesses, so no
-    # routine is called outside the decision nor read past its first filler
+    # decision asks each of its cases for one filler, once per case, and
+    # the class loop reads its heads from those witnesses, so no routine
+    # is called outside the decision nor unbounded
     inp = fully_marked_chain(6)
     C, W = inp.category, inp.weq
-    calls, drawn = Counter(), Counter()
+    calls, drawn, bounds = Counter(), Counter(), Counter()
 
     def spied(name):
         exact = getattr(catfrac.fractions, name)
 
-        def spy(inp, *key):
+        def spy(inp, *key, bound=None):
             calls[name] += 1
-            for found in exact(inp, *key):
-                drawn[name] += 1
-                yield found
+            bounds[bound] += 1
+            found = exact(inp, *key, bound=bound)
+            drawn[name] += len(found)
+            return found
 
         return spy
 
@@ -475,12 +476,15 @@ def test_localize_reads_first_fillers_only_when_b_is_skipped(monkeypatch):
     weak_cases = sum(C.tgt[v] == C.src[vp] for v in W for vp in W)
     ore_cases = sum(C.tgt[h] == C.tgt[v] for h in C.arrows for v in W)
     assert calls == Counter({"_weak_fillers": weak_cases, "_ore_squares": ore_cases})
+    assert bounds == Counter({1: weak_cases + ore_cases})
     assert drawn == calls
     # the spies see the whole lists of an exhaustive composite
     calls.clear()
     drawn.clear()
+    bounds.clear()
     span_compose(FractionsInput(C, W), ("2<2", "2<3"), ("3<3", "3<4"), exhaustive=True)
     assert drawn["_ore_squares"] > calls["_ore_squares"] == 1
+    assert set(bounds) == {None}
 
 
 def routine_keys(inp: FractionsInput) -> list[tuple]:
@@ -501,15 +505,19 @@ def routine_keys(inp: FractionsInput) -> list[tuple]:
 def check_routines_against_the_oracle(inp: FractionsInput) -> None:
     """Named, each routine's whole list is the oracle's full scan, and so
     is the list of marked arrows into each object, whose first entry is
-    the section."""
+    the section.  Bounded to k fillers, a routine returns the first k of
+    its whole list: bounded to one, its first item, or [] when the list is
+    empty, which is what the axiom decision reads."""
     C, raw = inp.category, to_raw(inp.category)
     for x, into in zip(C.objects, _mark_index(inp)[2]):
         assert named(C, tuple(into)) == tuple(oracle.sections(raw, inp.weq, x))
     for name, scan, keys in routine_keys(inp):
         routine = getattr(catfrac.fractions, name)
         for key in keys:
-            found = [named(C, f) for f in routine(inp, *placed(C, key))]
-            assert found == scan(raw, inp.weq, *key), (name, key)
+            whole = routine(inp, *placed(C, key))
+            assert [named(C, f) for f in whole] == scan(raw, inp.weq, *key), (name, key)
+            for bound in (1, 2):
+                assert routine(inp, *placed(C, key), bound=bound) == whole[:bound], (name, key)
 
 
 @pytest.mark.parametrize(
@@ -646,16 +654,17 @@ def test_each_call_searches_its_own_table():
 
 
 def with_bogus_last(routine, bogus):
-    """``routine`` followed by one extra result: what ``bogus`` picks, by
-    names, among the candidates the genuine routine did not yield."""
+    """``routine``'s list followed by one extra result: what ``bogus``
+    picks, by names, among the candidates the genuine routine did not
+    return; cut to its first ``bound`` results when a bound is given, as
+    the routine's own list is."""
 
-    def faulty(inp, *key):
+    def faulty(inp, *key, bound=None):
         C = inp.category
-        genuine = list(routine(inp, *key))
-        yield from genuine
+        genuine = routine(inp, *key)
         extra = bogus(inp, [named(C, f) for f in genuine], *named(C, key))
-        if extra is not None:
-            yield placed(C, extra)
+        found = genuine if extra is None else genuine + [placed(C, extra)]
+        return found[:bound]
 
     return faulty
 

@@ -251,7 +251,8 @@ def test_marked_category_gains_no_attribute():
     assert vars(catfrac.fractions) == module
 
 
-# the decisions an input's axioms take: the table walk and one finding per axiom
+# the decisions an input's axioms take: the name walk of the table, which
+# only a table the view flags needs, and one finding per axiom
 AXIOM_WORK = ("misplaced_composites", "_decide")
 
 
@@ -271,23 +272,33 @@ def _axiom_work(monkeypatch, run) -> Counter:
 
 
 def test_an_input_decides_its_axioms_once(monkeypatch):
-    # the public check walks the table, decides the four axioms and keeps
-    # its report; both localize calls read that verdict
+    # the public check decides the four axioms and keeps its report; both
+    # localize calls read that verdict.  The view found no misplaced
+    # composite as it was built, so the table is not walked by names
     C = corpus.chain(4)
     inp = FractionsInput(C, C.arrows)
     work = _axiom_work(monkeypatch, lambda: (check_axioms(inp), localize(inp), localize(inp)))
-    assert work == Counter({"misplaced_composites": 1, "_decide": 4})
+    assert work == Counter({"_decide": 4})
 
 
 def test_axiom_work_count_fires(monkeypatch):
-    # the same calls on copies, which keep nothing: each walks and decides
+    # the same calls on copies, which keep nothing, each decide; and a
+    # decision that walks a lawful table by names is seen, once per
+    # decision
     C = corpus.chain(4)
+    exact = catfrac.fractions.check_axioms
+
+    def walking(inp):
+        next(catfrac.fractions.misplaced_composites(inp.category), None)
+        return exact(inp)
 
     def on_copies():
-        check_axioms(FractionsInput(C, C.arrows))
+        catfrac.fractions.check_axioms(FractionsInput(C, C.arrows))
         localize(FractionsInput(C, C.arrows))
         localize(FractionsInput(C, C.arrows))
 
+    assert _axiom_work(monkeypatch, on_copies) == Counter({"_decide": 12})
+    monkeypatch.setattr(catfrac.fractions, "check_axioms", walking)
     assert _axiom_work(monkeypatch, on_copies) == Counter({"misplaced_composites": 3, "_decide": 12})
 
 
@@ -490,38 +501,49 @@ ROUTINES = ("_weak_fillers", "_ore_squares", "_zippers")
 
 
 def _first_hit_reads(tree: ast.Module) -> Counter:
-    """Per function, the ``next(...)`` calls whose iterator comes from a
-    call of a search routine: the reads of a first filler."""
+    """Per function, the reads of a first filler: the calls of a search
+    routine with a ``bound``, and the ``next(...)`` calls whose iterator
+    comes from a call of one."""
     found = Counter()
     for fn in ast.walk(tree):
         if not isinstance(fn, ast.FunctionDef):
             continue
         for call in ast.walk(fn):
-            if not (isinstance(call, ast.Call) and _called_name(call) == "next" and call.args):
+            if not isinstance(call, ast.Call):
                 continue
-            if any(
-                isinstance(node, ast.Call) and _called_name(node) in ROUTINES
-                for node in ast.walk(call.args[0])
-            ):
-                found[fn.name] += 1
-    return found
+            if _called_name(call) in ROUTINES:
+                found[fn.name] += any(keyword.arg == "bound" for keyword in call.keywords)
+            elif _called_name(call) == "next" and call.args:
+                found[fn.name] += any(
+                    isinstance(node, ast.Call) and _called_name(node) in ROUTINES
+                    for node in ast.walk(call.args[0])
+                )
+    return +found
 
 
 def test_first_fillers_are_read_in_one_place():
-    # a first filler is the first item of a routine's call, and only the
-    # axiom decision reads one, once per shape: the first heads of the
-    # class loop and of the ambient are read from its witnesses, and the
-    # public span_compose lists its cospan's Ore squares whole
+    # a first filler is what a routine bounded to one filler returns, and
+    # only the axiom decision asks for one, once per shape: the first heads
+    # of the class loop and of the ambient are read from its witnesses, and
+    # the public span_compose lists its cospan's Ore squares whole
     assert _first_hit_reads(MODULES["fractions"]) == Counter({"check_axioms": 3})
+    bounds = [
+        keyword.value
+        for call in ast.walk(_function(MODULES["fractions"], "check_axioms"))
+        if isinstance(call, ast.Call) and _called_name(call) in ROUTINES
+        for keyword in call.keywords
+    ]
+    assert [ast.literal_eval(bound) for bound in bounds] == [1, 1, 1]
 
 
 def test_first_hit_read_check_fires():
     # a reader that searches its heads again, and a loop that does, are
-    # both seen; a nested function counts for itself and for its encloser
+    # both seen, bounded or read by next; a nested function counts for
+    # itself and for its encloser, and a whole list is no first-hit read
     scattered = ast.parse(
         "def _first_heads(S):\n"
         "    def head(v1, g1, v2):\n"
-        "        wp, h2 = next(_ore_squares(S, g1, v2))\n"
+        "        wp, h2 = _ore_squares(S, g1, v2, bound=1)[0]\n"
         "        return next(iter(_weak_fillers(S, wp, v1)), None)\n"
         "    return head\n"
         "def localize(inp):\n"
@@ -529,8 +551,10 @@ def test_first_hit_read_check_fires():
         "    problem = next(misplaced_composites(inp.category), None)\n"
         "    head = _first_heads(S)(v1, g1, v2)\n"
         "    m = next(x for x in _weak_fillers(S, wp, v1))\n"
+        "    squares = _ore_squares(S, g1, v2)\n"
+        "    u = fractions._zippers(S, f, g, bound=2)\n"
     )
-    assert _first_hit_reads(scattered) == Counter({"_first_heads": 2, "head": 2, "localize": 1})
+    assert _first_hit_reads(scattered) == Counter({"_first_heads": 2, "head": 2, "localize": 2})
 
 
 def _own_nodes(fn: ast.FunctionDef):

@@ -82,7 +82,7 @@ from typing import Sequence
 
 from .diagram import compositor_inverse_component, require_lawful, unitor_inverse_component
 from .errors import AxiomError, DomainError, InputError, IntegrityError
-from .fincat import FinCategory, ValidationReport, compose_many, partition
+from .fincat import FinCategory, ValidationReport, _category, compose_many, partition
 from .fractions import FractionsInput, _first_heads, check_axioms
 from .verify import VerifierReport
 
@@ -573,10 +573,12 @@ def _tabulate(C: FinCategory, label: str) -> tuple:
 
 def internalize(C: FinCategory) -> InternalCategory:
     """Tabulate a finite category as sets of positions; composition is read
-    off the view's flat table along the pullback projections.  The view
-    refuses a table that misses a composable pair (a category built by the
-    raw constructor), naming the first such pair."""
-    C0, C1, s, t, e = _tabulate(C, "C")
+    off the view's flat table along the pullback projections.  The view is
+    built once structure is decided, so a table with a structural defect (a
+    category built by the raw constructor) is refused with the InputError
+    ``FinCategory.build`` raises for it, and a value that is not a
+    FinCategory with InputError too."""
+    C0, C1, s, t, e = _tabulate(_category(C), "C")
     P, p0, p1 = pullback(t, s)
     n, flat = C1.size, C._positions().flat
     ctable = tuple(flat[f * n + g] for f, g in zip(p0.table, p1.table))

@@ -354,7 +354,9 @@ def strictify(
     on_arrows: dict,
     variance: str = "covariant",
 ) -> Pseudofunctor:
-    """Wrap a strictly functorial assignment with identity comparison cells."""
+    """Wrap a strictly functorial assignment with identity comparison cells.
+    An index with a structural defect raises InputError."""
+    index._structure()
     if variance not in VARIANCES:
         raise InputError(f"unknown variance {variance!r}")
     for a in index.objects:

@@ -50,12 +50,10 @@ class _Positions:
     says whether some composite of (f, g) lies outside hom(s(f), t(g)),
     compared on positions in the pass that fills ``flat``;
     ``misplaced_composites`` names each one.  It is derived from the names
-    and read only.  A category with a structural defect (one built by the
-    raw constructor: a duplicate name, a dangling endpoint, a missing or
-    unknown identity, a composition key that is no pair, an entry naming an
-    unknown arrow or a non-composable pair, a missing composable pair) is
-    refused with the InputError that ``FinCategory.build`` raises for its
-    first defect.
+    and read only.  It is built from a category whose structure is already
+    decided (``FinCategory._structure``), so it decides none itself: a
+    misplaced composite is a law violation, not a structural defect, and the
+    flag sees one written into a built table's values.
     """
 
     __slots__ = (
@@ -64,34 +62,21 @@ class _Positions:
     )
 
     def __init__(self, C: "FinCategory") -> None:
-        # the raw constructor checks nothing: a defect fails a lookup here or
-        # one of the counts below, and _check_structure names the first one.
-        # A key that is no pair goes there before it is unpacked: the string
-        # "fg" would unpack as one
-        try:
-            obj = {x: i for i, x in enumerate(C.objects)}
-            arr = {f: i for i, f in enumerate(C.arrows)}
-            n = len(C.arrows)
-            src = [obj[C.src[f]] for f in C.arrows]
-            tgt = [obj[C.tgt[f]] for f in C.arrows]
-            flat = [None] * (n * n)
-            # the entries on composable pairs are counted: a table holds each
-            # composable pair once and nothing else exactly when the count
-            # equals both its size and the number of composable pairs
-            entries, misplaced = 0, False
-            for key, h in C.composition.items():
-                if type(key) is not tuple or len(key) != 2:
-                    C._check_structure()
-                f, g = key
-                f, g, h = arr[f], arr[g], arr[h]
-                flat[f * n + g] = h
-                entries += tgt[f] == src[g]
-                if src[h] != src[f] or tgt[h] != tgt[g]:
-                    misplaced = True
-            self.identity = [arr[C.identity[x]] for x in C.objects]
-        except KeyError:
-            C._check_structure()
-            raise
+        # C's structure is decided before its view is built
+        # (FinCategory._structure), so every lookup here finds its name
+        obj = {x: i for i, x in enumerate(C.objects)}
+        arr = {f: i for i, f in enumerate(C.arrows)}
+        n = len(C.arrows)
+        src = [obj[C.src[f]] for f in C.arrows]
+        tgt = [obj[C.tgt[f]] for f in C.arrows]
+        flat = [None] * (n * n)
+        self.misplaced = False
+        for (f, g), h in C.composition.items():
+            f, g, h = arr[f], arr[g], arr[h]
+            flat[f * n + g] = h
+            if src[h] != src[f] or tgt[h] != tgt[g]:
+                self.misplaced = True
+        self.identity = [arr[C.identity[x]] for x in C.objects]
         # one pass in declaration order lists each object's arrows as
         # out_of and into do
         m = len(C.objects)
@@ -103,11 +88,7 @@ class _Positions:
             outs[s].append(f)
             ins[t].append(f)
             homs.setdefault(s * m + t, []).append(f)
-        if (len(obj) != m or len(arr) != n or entries != len(C.composition)
-                or entries != sum(len(i) * len(o) for i, o in zip(ins, outs))):
-            C._check_structure()
         self.object, self.arrow, self.flat, self.src, self.tgt = obj, arr, flat, src, tgt
-        self.misplaced = misplaced
         self.outs = tuple(map(tuple, outs))
         self.ins = tuple(map(tuple, ins))
         self.out_rank = rank
@@ -122,10 +103,12 @@ class FinCategory:
     """A finite category as tables over names.
 
     A category is not changed after it is built: the hom index
-    (``hom``, ``out_of``, ``into``) is taken at construction, and the
-    positional view (``_positions``) on first use, so neither would see a
-    later edit.  Both stay out of the fields, so ``__eq__`` and ``repr``
-    ignore them.
+    (``hom``, ``out_of``, ``into``) is taken at construction, the structure
+    verdict (``_structure``) by ``build`` or, for a category from the raw
+    constructor, on first use, and the positional view (``_positions``) on
+    first use, so none of them would see a later edit; ``validate_category``
+    decides structure again on each call.  They stay out of the fields, so
+    ``__eq__`` and ``repr`` ignore them.
     """
 
     objects: tuple[str, ...]
@@ -150,6 +133,7 @@ class FinCategory:
         self._outs = {x: tuple(fs) for x, fs in outs.items()}
         self._ins = {y: tuple(fs) for y, fs in ins.items()}
         self._view = None
+        self._sound = False
 
     @classmethod
     def build(
@@ -165,7 +149,6 @@ class FinCategory:
         an identity factor are filled in; law violations (wrong values) are
         left for validate_category to report.
         """
-        objs = tuple(objects)
         arrs = []
         src: dict[str, str] = {}
         tgt: dict[str, str] = {}
@@ -174,7 +157,7 @@ class FinCategory:
             src[name] = s
             tgt[name] = t
         arrst = tuple(arrs)
-        cat = cls(objs, arrst, src, tgt, dict(identity), dict(composition))
+        cat = cls(tuple(objects), arrst, src, tgt, dict(identity), dict(composition))
         # the fill appends only well-formed entries, so one check after it
         # suffices; a composable pair (f, g) has an identity factor only
         # when f or g is i = identity[t(f)], so one pass over the arrows
@@ -188,18 +171,25 @@ class FinCategory:
                         comp[(f, g)] = g
             elif i in src and src[i] == tgt[f] and (f, i) not in comp:
                 comp[(f, i)] = f
-        cat._check_structure()
+        cat._structure()
         return cat
 
     # -- structure ---------------------------------------------------------
 
+    def _structure(self) -> None:
+        """Decide structure once: ``_check_structure`` on the first call, and
+        on every call until one passes, so a defect raises build's
+        InputError each time and a sound table is not walked again."""
+        if not self._sound:
+            self._check_structure()
+            self._sound = True
+
     def _check_structure(self) -> None:
-        if len(set(self.objects)) != len(self.objects):
+        objset, arrset = set(self.objects), set(self.arrows)
+        if len(objset) != len(self.objects):
             raise InputError("duplicate object names")
-        if len(set(self.arrows)) != len(self.arrows):
+        if len(arrset) != len(self.arrows):
             raise InputError("duplicate arrow names")
-        objset = set(self.objects)
-        arrset = set(self.arrows)
         for f in self.arrows:
             if self.src.get(f) not in objset or self.tgt.get(f) not in objset:
                 raise InputError(f"arrow {f!r} has a dangling endpoint")
@@ -221,12 +211,15 @@ class FinCategory:
         # table is total exactly when it has as many entries as there are
         # composable pairs.  Only a shortfall is scanned, to name the
         # missing pair
-        comp, ins, outs = self.composition, self._ins, self._outs
-        pairs = sum(len(ins.get(x, ())) * len(outs.get(x, ())) for x in self.objects)
-        if len(comp) != pairs:
+        comp = self.composition
+        if len(comp) != sum(len(self.into(x)) * len(self.out_of(x)) for x in self.objects):
             for f, g in self.composable_pairs():
                 if (f, g) not in comp:
                     raise InputError(f"composition table is partial: missing ({f!r},{g!r})")
+        # checked last: a table with another defect as well is named by that one
+        for x in self.identity:
+            if x not in objset:
+                raise InputError(f"identity declared for unknown object {x!r}")
 
     # -- small conveniences --------------------------------------------------
 
@@ -243,9 +236,11 @@ class FinCategory:
         return self._ins.get(y, ())
 
     def _positions(self) -> _Positions:
-        """The positional view, built on the first call and kept."""
+        """The positional view, built on the first call and kept, once
+        ``_structure`` has passed."""
         view = self._view
         if view is None:
+            self._structure()
             view = self._view = _Positions(self)
         return view
 
@@ -279,12 +274,11 @@ class IsoWitness:
     backward: Functor
 
 
-def _view(C: FinCategory) -> _Positions:
-    """C's positional view (``FinCategory._positions``), refusing with
-    InputError a C that is not a FinCategory."""
+def _category(C: FinCategory) -> FinCategory:
+    """C, refusing with InputError a value that is not a FinCategory."""
     if not isinstance(C, FinCategory):
         raise InputError(f"a category is a FinCategory, got {C!r}")
-    return C._positions()
+    return C
 
 
 def functor_key(F: Functor) -> tuple:
@@ -305,8 +299,10 @@ def misplaced_composites(C: FinCategory) -> Iterator[str]:
 
 
 def validate_category(C: FinCategory) -> ValidationReport:
-    """Report every violated category law; structural defects raise InputError."""
-    C._check_structure()
+    """Report every violated category law.  Structure is decided afresh on
+    each call, not read from the kept verdict: a structural defect, or a
+    value that is not a FinCategory, raises InputError."""
+    _category(C)._check_structure()
     report = ValidationReport()
     for x in C.objects:
         i = C.identity[x]
@@ -334,6 +330,7 @@ def validate_category(C: FinCategory) -> ValidationReport:
 
 
 def compose(C: FinCategory, f: str, g: str) -> str:
+    C._structure()
     if f not in C.src or g not in C.src:
         raise InputError(f"unknown arrow in compose: {f!r}, {g!r}")
     if C.tgt[f] != C.src[g]:
@@ -350,6 +347,7 @@ def compose_many(C: FinCategory, *fs: str) -> str:
 
 
 def identity_functor(C: FinCategory) -> Functor:
+    _category(C)._structure()
     return Functor(C, C, {x: x for x in C.objects}, {f: f for f in C.arrows})
 
 
@@ -535,7 +533,8 @@ def _functor_search(C: FinCategory, X: FinCategory, bijective: bool) -> Iterator
     its hom-set, or none: the entry that says so is read to pick it.
 
     It runs on the positional views of C and X (``FinCategory._positions``),
-    which refuse a category with a structural defect. A slot holds a
+    which are built only once structure is decided, so a category with a
+    structural defect is refused. A slot holds a
     position of X and an entry is one read of X's flat table; an accepted
     slot keeps its image's name too, so a functor it yields zips two lists.
     The slot loop is written out with an explicit stack, as in
@@ -544,7 +543,7 @@ def _functor_search(C: FinCategory, X: FinCategory, bijective: bool) -> Iterator
     so the functors come in canonical order, each with its arrow map in slot
     order.
     """
-    PC, PX = _view(C), _view(X)
+    PC, PX = _category(C)._positions(), _category(X)._positions()
     n, mx, nc, nx = len(C.objects), len(X.objects), len(C.arrows), len(X.arrows)
     hc, hx, flat, ident = PC.homs, PX.homs, PX.flat, PX.identity
     order = PC.identity + [f for f, s in enumerate(PC.src) if PC.identity[s] != f]
@@ -680,10 +679,10 @@ def enumerate_functors(C: FinCategory, X: FinCategory) -> list[Functor]:
 
     Searches object images first, then images of non-identity arrows
     constrained to the matching hom-set of X; identities are forced.  The
-    search reads the positional views of C and X, which refuse a category
-    with a structural defect (a partial table, say) with the InputError
-    ``FinCategory.build`` raises for it, and a value that is not a
-    FinCategory with an InputError too.
+    search reads the positional views of C and X, built once structure is
+    decided, so a category with a structural defect (a partial table, say)
+    is refused with the InputError ``FinCategory.build`` raises for it, and
+    a value that is not a FinCategory with an InputError too.
     """
     return list(_functor_search(C, X, bijective=False))
 
@@ -780,6 +779,7 @@ def nat_trans_search(C: FinCategory, X: FinCategory) -> Callable[[Functor, Funct
     order, so a missing image or an ill-typed square raises where a
     ``backtrack`` search would.
     """
+    C._structure(), X._structure()
     objs = C.objects
     slot = {x: i for i, x in enumerate(objs)}
     closing = [
@@ -858,11 +858,12 @@ def check_shape(A: FinCategory, direction: str) -> ShapeReport:
     pair admits a coequalizing arrow. cofiltered is filtered on the
     opposite category, which keeps every name and declaration order, so
     the witnesses are the same arrows read the other way.  A category with
-    a structural defect (a partial table, say) is refused, as the positional
-    view refuses it, with the InputError ``FinCategory.build`` raises for it
-    in A's own order; an A that is not a FinCategory with an InputError too.
+    a structural defect (a partial table, say) is refused by its structure
+    verdict (``FinCategory._structure``), with the InputError
+    ``FinCategory.build`` raises for it in A's own order; an A that is not a
+    FinCategory with an InputError too.
     """
-    _view(A)  # the view refuses a structural defect
+    _category(A)._structure()
     if direction == "filtered":
         cone, equalizing = "cocone", "coequalizing"
     elif direction == "cofiltered":
@@ -896,6 +897,7 @@ def check_shape(A: FinCategory, direction: str) -> ShapeReport:
 
 
 def opposite(C: FinCategory) -> FinCategory:
+    _category(C)._structure()
     return FinCategory(
         C.objects,
         C.arrows,
@@ -911,12 +913,13 @@ def find_isomorphism(C: FinCategory, D: FinCategory) -> Optional[IsoWitness]:
 
     The functor search restricted to bijections: objects first, with
     hom-cardinality pruning, then arrows hom by hom, on the positional
-    views of C and D.  Building the views refuses a category with a
+    views of C and D.  Before the sizes are compared, the structure verdict
+    of each (``FinCategory._structure``) refuses a category with a
     structural defect (a partial table, say) with the InputError
     ``FinCategory.build`` raises for it, and a value that is not a
-    FinCategory with an InputError, before the sizes are compared.
+    FinCategory is refused with an InputError too.
     """
-    _view(C), _view(D)  # each view refuses a structural defect
+    _category(C)._structure(), _category(D)._structure()
     if len(C.objects) != len(D.objects) or len(C.arrows) != len(D.arrows):
         return None
     fwd = next(_functor_search(C, D, bijective=True), None)
@@ -928,6 +931,7 @@ def find_isomorphism(C: FinCategory, D: FinCategory) -> Optional[IsoWitness]:
 
 def two_sided_inverse(C: FinCategory, f: str) -> Optional[str]:
     """First arrow r with f.r and r.f both identities, in canonical order."""
+    C._structure()
     x, y = C.src[f], C.tgt[f]
     for r in C.hom(y, x):
         if C.composition[(f, r)] == C.identity[x] and C.composition[(r, f)] == C.identity[y]:

@@ -281,6 +281,7 @@ def test_two_calls_build_the_parser_once(monkeypatch, capsys):
         (0, ("validate", FIX / "two.json")),
         (1, ("validate", FIX / "bad_category.json")),
         (2, ("validate", FIX / "malformed.json")),
+        (2, ("validate", FIX / "unknown_identity.json")),
         (0, ("groth", FIX / "diagram_contra_two.json", "--contravariant")),
         (0, ("groth", FIX / "diagram_contra_two.json", "--json")),
         (2, ("groth", FIX / "two.json")),

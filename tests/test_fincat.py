@@ -20,6 +20,7 @@ from catfrac import (
     find_isomorphism,
     identity_functor,
     identity_nat_trans,
+    internalize,
     localize,
     opposite,
     two_sided_inverse,
@@ -457,6 +458,10 @@ DEFECTS = {
     "unknown_identity": (
         {"identity": {"x": "1x", "y": "1z"}}, "identity of 'y' is not a declared arrow"
     ),
+    "identity_for_unknown_object": (
+        {"identity": {"x": "1x", "y": "1y", "zzz": "1x"}},
+        "identity declared for unknown object 'zzz'",
+    ),
     "unknown_arrow_entry": (
         {"composition": {("1x", "1x"): "1x", ("1x", "f"): "f", ("f", "1y"): "g", ("1y", "1y"): "1y"}},
         "composition entry ('f','1y')='g' references unknown arrows",
@@ -474,6 +479,7 @@ READERS = {
     "check_shape": lambda C: check_shape(C, "filtered"),
     "check_axioms": lambda C: check_axioms(FractionsInput(C, ())),
     "localize": lambda C: localize(FractionsInput(C, ())),
+    "internalize": internalize,
 }
 
 

@@ -47,10 +47,12 @@ from catfrac import (
     internalize,
     inverts,
     localize,
+    opposite,
     pullback,
     pullback_mediate,
     span_compose,
     strictify,
+    validate_category,
     validate_internal_category,
     validate_internal_functor,
     validate_internal_nat_trans,
@@ -163,6 +165,14 @@ def _raw_stray_for_missing():
     ends = {"1x": "x", "1y": "y", "f": "x"}, {"1x": "x", "1y": "y", "f": "y"}
     comp = {("1x", "1x"): "1x", ("1x", "f"): "f", ("1y", "1y"): "1y", ("1y", "f"): "f"}
     return FinCategory(("x", "y"), ("1x", "1y", "f"), *ends, {"x": "1x", "y": "1y"}, comp)
+
+
+def _raw_with_identity_for(x):
+    """One object a with its identity, by the raw constructor, which checks
+    nothing, its identity map naming the undeclared object x as well."""
+    ends = {"id:a": "a"}
+    return FinCategory(("a",), ("id:a",), ends, dict(ends), {"a": "id:a", x: "id:a"},
+                       {("id:a", "id:a"): "id:a"})
 
 
 def _reassigned(field, value):
@@ -315,6 +325,12 @@ def _internal_nat_trans(components, codomain="c1"):
         # the stray entry is the first defect FinCategory.build names
         (lambda: internalize(_raw_stray_for_missing()), InputError,
          "composition entry for non-composable pair ('1y','f')"),
+        # an identity for an object the table does not declare: build
+        # accepted it and validate_category reported the category ok
+        (lambda: FinCategory.build(["a"], [("id:a", "a", "a")], {"a": "id:a", "zzz": "nope"}, {}),
+         InputError, "identity declared for unknown object 'zzz'"),
+        (lambda: validate_category(_raw_with_identity_for("zzz")), InputError,
+         "identity declared for unknown object 'zzz'"),
         (lambda: _reassigned("weq", ("f",)), dataclasses.FrozenInstanceError,
          "cannot assign to field 'weq'"),
         (lambda: _reassigned("category", corpus.iso()), dataclasses.FrozenInstanceError,
@@ -333,6 +349,7 @@ def _internal_nat_trans(components, codomain="c1"):
         "marks_a_set", "marks_a_frozenset", "marks_no_category", "span_bad_mark", "finding_zero", "finding_five", "partial_table",
         "internalize_partial_table",
         "check_axioms_partial_table", "localize_partial_table", "partial_with_a_stray_entry",
+        "build_identity_for_unknown_object", "validate_identity_for_unknown_object",
         "reassign_weq", "reassign_category",
     ],
 )
@@ -376,6 +393,10 @@ NOT_CATEGORY_ROWS = {
         "find_isomorphism_first": lambda C: find_isomorphism(C, corpus.z2()),
         "find_isomorphism_second": lambda D: find_isomorphism(corpus.z2(), D),
         "check_shape": lambda A: check_shape(A, "filtered"),
+        "validate_category": validate_category,
+        "opposite": opposite,
+        "identity_functor": identity_functor,
+        "internalize": internalize,
     }.items()
 }
 

@@ -1,7 +1,8 @@
 """Package structure: imports sit at module top and never form a cycle; no
 function recurses, so no input depth can exhaust the interpreter's stack;
 a category or a marked category gains no attribute after construction, and
-a category builds its positional view once; a marked category checks and
+a category builds its positional view once; a category decides its structure
+once, and its view decides none; a marked category checks and
 indexes its marked arrows once; localize's loops read
 composition by position, not by a pair of names; a
 record keeps no field that another of its fields gives, and a functor no
@@ -60,10 +61,12 @@ from catfrac import (
     InternalCategory,
     Pseudofunctor,
     check_axioms,
+    check_shape,
     enumerate_functors,
     enumerate_modifications,
     enumerate_transformations,
     externalize,
+    find_isomorphism,
     grothendieck,
     internal_cleavage,
     internal_elements,
@@ -385,6 +388,111 @@ def test_functor_is_read_through_its_maps():
 def test_structure_is_checked_in_one_pass():
     # build fills identity composites first, so one full check suffices
     assert list(inspect.signature(FinCategory._check_structure).parameters) == ["self"]
+
+
+def _structure_decisions(fn: ast.FunctionDef) -> list:
+    """The structural decisions a function makes on its own, as the view
+    once made them: a try block (around lookups that fail on a defect), a
+    test of a value's type, a comparison with a count, and a call of
+    ``_check_structure``."""
+    found = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Try):
+            found.append("try")
+        elif isinstance(node, ast.Call) and _called_name(node) in (
+            "type", "isinstance", "_check_structure",
+        ):
+            found.append(_called_name(node))
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Call) and _called_name(side) == "len"
+            for side in (node.left, *node.comparators)
+        ):
+            found.append("count")
+    return found
+
+
+def _view_init(tree: ast.Module) -> ast.FunctionDef:
+    cls = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Positions"
+    )
+    return next(node for node in cls.body if isinstance(node, ast.FunctionDef))
+
+
+def test_the_view_decides_no_structure():
+    # FinCategory._structure decides before the view is built, so the view
+    # reads a sound table: its one check is the misplaced flag, a law
+    assert _view_init(MODULES["fincat"]).name == "__init__"
+    assert _structure_decisions(_view_init(MODULES["fincat"])) == []
+
+
+def test_view_decision_check_fires():
+    # the view as it was: lookups trapped for KeyError, a key's type tested
+    # and the entries counted, each defect sent to _check_structure
+    earlier = ast.parse(
+        "class _Positions:\n"
+        "    def __init__(self, C):\n"
+        "        try:\n"
+        "            for key, h in C.composition.items():\n"
+        "                if type(key) is not tuple or len(key) != 2:\n"
+        "                    C._check_structure()\n"
+        "        except KeyError:\n"
+        "            C._check_structure()\n"
+        "            raise\n"
+        "        if entries != len(C.composition):\n"
+        "            C._check_structure()\n"
+    )
+    assert Counter(_structure_decisions(_view_init(earlier))) == Counter(
+        {"_check_structure": 3, "count": 2, "try": 1, "type": 1}
+    )
+
+
+def _structure_checks(monkeypatch, run) -> tuple:
+    """How often ``_check_structure`` runs on chain(4) built by
+    ``FinCategory.build``, and on a copy from the raw constructor, while
+    ``run`` reads each of them."""
+    C = corpus.chain(4)
+    raw = FinCategory(C.objects, C.arrows, dict(C.src), dict(C.tgt), dict(C.identity),
+                      dict(C.composition))
+    checked = []
+    exact = FinCategory._check_structure
+
+    def counting(self):
+        checked.append(self)
+        return exact(self)
+
+    monkeypatch.setattr(FinCategory, "_check_structure", counting)
+    built = corpus.chain(4)
+    run(built)
+    run(raw)
+    return sum(D is built for D in checked), sum(D is raw for D in checked)
+
+
+def _view_readers(C) -> None:
+    inp = FractionsInput(C, C.arrows)
+    check_axioms(inp)
+    localize(inp)
+    localize(FractionsInput(C, C.arrows))
+    find_isomorphism(C, C)
+    enumerate_functors(C, C)
+    check_shape(C, "filtered")
+
+
+def test_structure_is_decided_once_per_category(monkeypatch):
+    # build decides once and keeps the verdict; a raw category decides at
+    # its first view read; no later reader decides again
+    assert _structure_checks(monkeypatch, _view_readers) == (1, 1)
+
+
+def test_structure_check_count_fires(monkeypatch):
+    # a view that decides structure again is seen, once per category
+    exact = catfrac.fincat._Positions
+
+    def deciding(C):
+        C._check_structure()
+        return exact(C)
+
+    monkeypatch.setattr(catfrac.fincat, "_Positions", deciding)
+    assert _structure_checks(monkeypatch, _view_readers) == (2, 2)
 
 
 def test_build_has_no_option():

@@ -573,11 +573,10 @@ def _tabulate(C: FinCategory, label: str) -> tuple:
 
 def internalize(C: FinCategory) -> InternalCategory:
     """Tabulate a finite category as sets of positions; composition is read
-    off the view's flat table along the pullback projections.  The view is
-    built once structure is decided, so a table with a structural defect (a
-    category built by the raw constructor) is refused with the InputError
-    ``FinCategory.build`` raises for it, and a value that is not a
-    FinCategory with InputError too."""
+    off the view's flat table along the pullback projections.  A table with
+    a structural defect was refused with InputError when its category was
+    made, and a value that is not a FinCategory is refused with InputError
+    here."""
     C0, C1, s, t, e = _tabulate(_category(C), "C")
     P, p0, p1 = pullback(t, s)
     n, flat = C1.size, C._positions().flat

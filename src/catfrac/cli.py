@@ -64,7 +64,6 @@ from .fincat import (
 )
 from .fractions import (
     FractionsInput,
-    _mark_index,
     check_axioms,
     localize,
     verify_localization_up,
@@ -226,13 +225,11 @@ def load_pseudofunctor(data: dict, base: Path) -> Pseudofunctor:
 
 
 def load_fractions_input(data: dict, base: Path) -> FractionsInput:
-    """The input, with W checked once: the check runs as the input indexes
-    W (``fractions._mark_index``), and the command's own calls read that
-    kept index instead of checking W again."""
+    """The input, with W checked once: constructing it refuses a W entry
+    that is no arrow of the category, or one listed twice, and indexes W,
+    and the command's own calls read that kept index."""
     category = load_category(*_resolve(data["category"], base, "category"))
-    inp = FractionsInput(category=category, weq=tuple(data["weq"]))
-    _mark_index(inp)
-    return inp
+    return FractionsInput(category=category, weq=tuple(data["weq"]))
 
 
 def _load_bundle(data: dict, base: Path) -> tuple[Pseudofunctor, list[FinCategory]]:

@@ -31,6 +31,7 @@ from .fincat import (
     Functor,
     NatTrans,
     ValidationReport,
+    _category,
     _slot_generators,
     backtrack,
     compose,
@@ -355,8 +356,9 @@ def strictify(
     variance: str = "covariant",
 ) -> Pseudofunctor:
     """Wrap a strictly functorial assignment with identity comparison cells.
-    An index with a structural defect raises InputError."""
-    index._structure()
+    An index that is not a FinCategory raises InputError; one with a
+    structural defect was refused when it was made."""
+    _category(index)
     if variance not in VARIANCES:
         raise InputError(f"unknown variance {variance!r}")
     for a in index.objects:

@@ -50,10 +50,10 @@ class _Positions:
     says whether some composite of (f, g) lies outside hom(s(f), t(g)),
     compared on positions in the pass that fills ``flat``;
     ``misplaced_composites`` names each one.  It is derived from the names
-    and read only.  It is built from a category whose structure is already
-    decided (``FinCategory._structure``), so it decides none itself: a
-    misplaced composite is a law violation, not a structural defect, and the
-    flag sees one written into a built table's values.
+    and read only.  A category with a structural defect is refused when it
+    is made, so the view decides no structure itself: a misplaced composite
+    is a law violation, not a structural defect, and the flag sees one
+    written into a built table's values.
     """
 
     __slots__ = (
@@ -62,8 +62,8 @@ class _Positions:
     )
 
     def __init__(self, C: "FinCategory") -> None:
-        # C's structure is decided before its view is built
-        # (FinCategory._structure), so every lookup here finds its name
+        # C's structure was decided when C was made, so every lookup here
+        # finds its name
         obj = {x: i for i, x in enumerate(C.objects)}
         arr = {f: i for i, f in enumerate(C.arrows)}
         n = len(C.arrows)
@@ -102,12 +102,14 @@ class _Positions:
 class FinCategory:
     """A finite category as tables over names.
 
-    A category is not changed after it is built: the hom index
-    (``hom``, ``out_of``, ``into``) is taken at construction, the structure
-    verdict (``_structure``) by ``build`` or, for a category from the raw
-    constructor, on first use, and the positional view (``_positions``) on
-    first use, so none of them would see a later edit; ``validate_category``
-    decides structure again on each call.  They stay out of the fields, so
+    Construction refuses a structural defect (a partial table, a dangling
+    endpoint, a missing identity, ...) with InputError, whether the category
+    comes from ``build`` or from the raw constructor; law violations are
+    left for ``validate_category`` to report.  A category is not changed
+    after it is built: the hom index (``hom``, ``out_of``, ``into``) is
+    taken at construction and the positional view (``_positions``) on first
+    use, so neither would see a later edit; ``validate_category`` decides
+    structure again on each call.  They stay out of the fields, so
     ``__eq__`` and ``repr`` ignore them.
     """
 
@@ -133,7 +135,7 @@ class FinCategory:
         self._outs = {x: tuple(fs) for x, fs in outs.items()}
         self._ins = {y: tuple(fs) for y, fs in ins.items()}
         self._view = None
-        self._sound = False
+        self._check_structure()
 
     @classmethod
     def build(
@@ -152,37 +154,28 @@ class FinCategory:
         arrs = []
         src: dict[str, str] = {}
         tgt: dict[str, str] = {}
+        outs: dict[str, list[str]] = {}
         for name, s, t in arrows:
             arrs.append(name)
             src[name] = s
             tgt[name] = t
-        arrst = tuple(arrs)
-        cat = cls(tuple(objects), arrst, src, tgt, dict(identity), dict(composition))
-        # the fill appends only well-formed entries, so one check after it
-        # suffices; a composable pair (f, g) has an identity factor only
-        # when f or g is i = identity[t(f)], so one pass over the arrows
-        # fills them in the order of the composable pairs
-        comp = cat.composition
-        for f in arrst:
+            outs.setdefault(s, []).append(name)
+        # the fill appends only well-formed entries, so the constructor's
+        # one check after it suffices; a composable pair (f, g) has an
+        # identity factor only when f or g is i = identity[t(f)], so one pass
+        # over the arrows fills them in the order of the composable pairs
+        comp = dict(composition)
+        for f in arrs:
             i = identity.get(tgt[f])
             if f == i:
-                for g in cat.out_of(tgt[f]):
+                for g in outs.get(tgt[f], ()):
                     if (f, g) not in comp:
                         comp[(f, g)] = g
             elif i in src and src[i] == tgt[f] and (f, i) not in comp:
                 comp[(f, i)] = f
-        cat._structure()
-        return cat
+        return cls(tuple(objects), tuple(arrs), src, tgt, dict(identity), comp)
 
     # -- structure ---------------------------------------------------------
-
-    def _structure(self) -> None:
-        """Decide structure once: ``_check_structure`` on the first call, and
-        on every call until one passes, so a defect raises build's
-        InputError each time and a sound table is not walked again."""
-        if not self._sound:
-            self._check_structure()
-            self._sound = True
 
     def _check_structure(self) -> None:
         objset, arrset = set(self.objects), set(self.arrows)
@@ -236,11 +229,9 @@ class FinCategory:
         return self._ins.get(y, ())
 
     def _positions(self) -> _Positions:
-        """The positional view, built on the first call and kept, once
-        ``_structure`` has passed."""
+        """The positional view, built on the first call and kept."""
         view = self._view
         if view is None:
-            self._structure()
             view = self._view = _Positions(self)
         return view
 
@@ -300,8 +291,8 @@ def misplaced_composites(C: FinCategory) -> Iterator[str]:
 
 def validate_category(C: FinCategory) -> ValidationReport:
     """Report every violated category law.  Structure is decided afresh on
-    each call, not read from the kept verdict: a structural defect, or a
-    value that is not a FinCategory, raises InputError."""
+    each call, so a table edited after it was made is seen: a structural
+    defect, or a value that is not a FinCategory, raises InputError."""
     _category(C)._check_structure()
     report = ValidationReport()
     for x in C.objects:
@@ -330,8 +321,7 @@ def validate_category(C: FinCategory) -> ValidationReport:
 
 
 def compose(C: FinCategory, f: str, g: str) -> str:
-    C._structure()
-    if f not in C.src or g not in C.src:
+    if f not in _category(C).src or g not in C.src:
         raise InputError(f"unknown arrow in compose: {f!r}, {g!r}")
     if C.tgt[f] != C.src[g]:
         raise DomainError(f"non-composable pair ({f!r},{g!r}): tgt {C.tgt[f]!r} != src {C.src[g]!r}")
@@ -340,14 +330,18 @@ def compose(C: FinCategory, f: str, g: str) -> str:
 
 def compose_many(C: FinCategory, *fs: str) -> str:
     """Fold compose over a nonempty chain, left to right."""
+    if not fs:
+        raise InputError("compose_many needs a nonempty chain of arrows")
     out = fs[0]
+    if out not in _category(C).src:
+        raise InputError(f"unknown arrow in compose_many: {out!r}")
     for f in fs[1:]:
         out = compose(C, out, f)
     return out
 
 
 def identity_functor(C: FinCategory) -> Functor:
-    _category(C)._structure()
+    _category(C)
     return Functor(C, C, {x: x for x in C.objects}, {f: f for f in C.arrows})
 
 
@@ -533,9 +527,8 @@ def _functor_search(C: FinCategory, X: FinCategory, bijective: bool) -> Iterator
     its hom-set, or none: the entry that says so is read to pick it.
 
     It runs on the positional views of C and X (``FinCategory._positions``),
-    which are built only once structure is decided, so a category with a
-    structural defect is refused. A slot holds a
-    position of X and an entry is one read of X's flat table; an accepted
+    of tables whose structure was decided when they were made. A slot holds
+    a position of X and an entry is one read of X's flat table; an accepted
     slot keeps its image's name too, so a functor it yields zips two lists.
     The slot loop is written out with an explicit stack, as in
     ``nat_trans_search``, with no call per candidate. It accepts the same
@@ -679,10 +672,9 @@ def enumerate_functors(C: FinCategory, X: FinCategory) -> list[Functor]:
 
     Searches object images first, then images of non-identity arrows
     constrained to the matching hom-set of X; identities are forced.  The
-    search reads the positional views of C and X, built once structure is
-    decided, so a category with a structural defect (a partial table, say)
-    is refused with the InputError ``FinCategory.build`` raises for it, and
-    a value that is not a FinCategory with an InputError too.
+    search reads the positional views of C and X.  A category with a
+    structural defect (a partial table, say) was refused when it was made,
+    and a value that is not a FinCategory is refused with an InputError.
     """
     return list(_functor_search(C, X, bijective=False))
 
@@ -779,7 +771,7 @@ def nat_trans_search(C: FinCategory, X: FinCategory) -> Callable[[Functor, Funct
     order, so a missing image or an ill-typed square raises where a
     ``backtrack`` search would.
     """
-    C._structure(), X._structure()
+    _category(C), _category(X)
     objs = C.objects
     slot = {x: i for i, x in enumerate(objs)}
     closing = [
@@ -858,12 +850,10 @@ def check_shape(A: FinCategory, direction: str) -> ShapeReport:
     pair admits a coequalizing arrow. cofiltered is filtered on the
     opposite category, which keeps every name and declaration order, so
     the witnesses are the same arrows read the other way.  A category with
-    a structural defect (a partial table, say) is refused by its structure
-    verdict (``FinCategory._structure``), with the InputError
-    ``FinCategory.build`` raises for it in A's own order; an A that is not a
-    FinCategory with an InputError too.
+    a structural defect (a partial table, say) was refused when it was
+    made; an A that is not a FinCategory is refused with an InputError.
     """
-    _category(A)._structure()
+    _category(A)
     if direction == "filtered":
         cone, equalizing = "cocone", "coequalizing"
     elif direction == "cofiltered":
@@ -897,7 +887,7 @@ def check_shape(A: FinCategory, direction: str) -> ShapeReport:
 
 
 def opposite(C: FinCategory) -> FinCategory:
-    _category(C)._structure()
+    _category(C)
     return FinCategory(
         C.objects,
         C.arrows,
@@ -913,13 +903,11 @@ def find_isomorphism(C: FinCategory, D: FinCategory) -> Optional[IsoWitness]:
 
     The functor search restricted to bijections: objects first, with
     hom-cardinality pruning, then arrows hom by hom, on the positional
-    views of C and D.  Before the sizes are compared, the structure verdict
-    of each (``FinCategory._structure``) refuses a category with a
-    structural defect (a partial table, say) with the InputError
-    ``FinCategory.build`` raises for it, and a value that is not a
-    FinCategory is refused with an InputError too.
+    views of C and D.  A category with a structural defect (a partial
+    table, say) was refused when it was made; before the sizes are compared,
+    a value that is not a FinCategory is refused with an InputError.
     """
-    _category(C)._structure(), _category(D)._structure()
+    _category(C), _category(D)
     if len(C.objects) != len(D.objects) or len(C.arrows) != len(D.arrows):
         return None
     fwd = next(_functor_search(C, D, bijective=True), None)
@@ -931,8 +919,10 @@ def find_isomorphism(C: FinCategory, D: FinCategory) -> Optional[IsoWitness]:
 
 def two_sided_inverse(C: FinCategory, f: str) -> Optional[str]:
     """First arrow r with f.r and r.f both identities, in canonical order."""
-    C._structure()
-    x, y = C.src[f], C.tgt[f]
+    try:
+        x, y = _category(C).src[f], C.tgt[f]
+    except KeyError:
+        raise InputError(f"unknown arrow in two_sided_inverse: {f!r}") from None
     for r in C.hom(y, x):
         if C.composition[(f, r)] == C.identity[x] and C.composition[(r, f)] == C.identity[y]:
             return r

@@ -18,11 +18,12 @@ that returns a case's fillers as a list in canonical order:
 marked u with u;f = u;g).  Each takes a keyword-only ``bound`` and then
 stops after that many fillers.  A section is the first marked arrow into
 an object.  The routines take the plain input and read W through its
-positional index (``_mark_index``: the marked flags and, per object, the
+positional index (``_marks``: the marked flags and, per object, the
 marked arrows out of it and into it, each in W order), so a filtered scan
-of W gives the same sequence without visiting the rest of W.  The input
-keeps the index, as the category keeps its positional view: each public
-entry builds it first, once per input, after ``check`` passes.
+of W gives the same sequence without visiting the rest of W.  An input
+checks W and builds the index when it is made, so a structural defect of
+W (an entry that is no arrow of the category, or one listed twice) is
+refused there and every input a routine reads has its index.
 
 The axiom decision asks each case for one filler (``bound=1``), and the
 input keeps its report (``axiom_verdict``).  Composing (v1, g1) with (v2,
@@ -81,15 +82,18 @@ class FractionsInput:
     Construction refuses with InputError a category that is not a
     FinCategory.  It keeps W as a tuple, so an iterator is read once, and
     refuses a string, a set or a frozenset (whose order would follow
-    string hashing) and a value that is not iterable.  ``check`` says
-    whether every entry is an arrow of the category, listed once.
+    string hashing) and a value that is not iterable.  It then runs
+    ``check``, which refuses W unless every entry is an arrow of the
+    category, listed once, so a structural defect of W is refused when the
+    input is made.
 
     An input is not changed after it is built: assigning either field
     raises FrozenInstanceError, as on a frozen dataclass.  It keeps two
     derived views, each in a slot outside the fields, so ``__eq__`` and
-    ``repr`` ignore them: W's positional index (``_marks``, built by
-    ``_mark_index`` once ``check`` passes) and the report of the first
-    ``check_axioms`` call that completes on it (``_axioms``, see
+    ``repr`` ignore them: W's positional index (``_marks``: whether each
+    arrow is marked, and per object the marked arrows out of it and into
+    it, each in W order), built at construction, and the report of the
+    first ``check_axioms`` call that completes on it (``_axioms``, see
     ``axiom_verdict``).  The library fills those slots, so only the fields
     are guarded; a new W is a new input.
     """
@@ -103,10 +107,20 @@ class FractionsInput:
         if isinstance(self.weq, (str, set, frozenset)) or not isinstance(self.weq, Iterable):
             raise InputError(f"the marked arrows are a sequence of arrow names, got {self.weq!r}")
         object.__setattr__(self, "weq", tuple(self.weq))
+        self.check()
         # set during __init__, as Pseudofunctor's verdict is: an attribute
         # added later slows every attribute read on the instance
         self._axioms = None
-        self._marks = None
+        C = self.category
+        P = C._positions()
+        marked = [False] * len(C.arrows)
+        w_out, w_into = [[] for _ in C.objects], [[] for _ in C.objects]
+        for v in self.weq:
+            v = P.arrow[v]
+            marked[v] = True
+            w_out[P.src[v]].append(v)
+            w_into[P.tgt[v]].append(v)
+        self._marks = marked, w_out, w_into
 
     def __setattr__(self, name: str, value) -> None:
         # the kept views were derived from the fields, so a field set once
@@ -169,7 +183,6 @@ class AxiomReport:
 def shape_instances(inp: FractionsInput, kind: str) -> list[tuple]:
     """Exhaustively enumerate one shape kind in canonical order: spans
     ``"spn"`` (v, g) and sailboats ``"sb"`` (h, v, g)."""
-    _mark_index(inp)
     C = inp.category
     if kind == "spn":
         return [(v, g) for v in inp.weq for g in C.out_of(C.src[v])]
@@ -178,27 +191,6 @@ def shape_instances(inp: FractionsInput, kind: str) -> list[tuple]:
         arrows, outs, src = C.arrows, P.outs, P.src
         return [(arrows[h], arrows[v], arrows[g]) for h, v, _ in _masts(inp) for g in outs[src[v]]]
     raise InputError(f"unknown shape kind {kind!r}")
-
-
-def _mark_index(inp: FractionsInput) -> tuple[list, list, list]:
-    """W as arrow positions: whether each arrow is marked, and per object
-    the marked arrows out of it and into it, each in W order.  The first
-    call runs ``check`` and keeps the index on the input (``_marks``),
-    which the search routines read; a check that fails raises on every
-    call and keeps nothing."""
-    if inp._marks is None:
-        inp.check()
-        C = inp.category
-        P = C._positions()
-        marked = [False] * len(C.arrows)
-        w_out, w_into = [[] for _ in C.objects], [[] for _ in C.objects]
-        for v in inp.weq:
-            v = P.arrow[v]
-            marked[v] = True
-            w_out[P.src[v]].append(v)
-            w_into[P.tgt[v]].append(v)
-        inp._marks = marked, w_out, w_into
-    return inp._marks
 
 
 def _masts(inp: FractionsInput) -> Iterator[tuple[int, int, int]]:
@@ -364,7 +356,7 @@ def check_axioms(inp: FractionsInput) -> AxiomReport:
     as it is built, so the table is walked by names only to name the first
     such composite.  Witness keys, witnesses and counterexamples are
     names."""
-    _, w_out, w_into = _mark_index(inp)
+    _, w_out, w_into = inp._marks
     C = inp.category
     P = C._positions()
     if P.misplaced:
@@ -468,8 +460,9 @@ def _span_starts(C: FinCategory, spans: list) -> list:
 
 def _span_partition(inp: FractionsInput):
     """Spans, their sailboat classes (as index lists) and where each marked
-    arrow's block of spans starts (``_span_starts``).  Listing the spans
-    builds the index that the masts read.
+    arrow's block of spans starts (``_span_starts``).  The input refused a
+    structural defect of W, and built the mark index the masts read, when
+    it was made.
 
     A sailboat move (h, v, g) -> (hv, hg) keeps both endpoints t(v), t(g)
     of the span, so each class has endpoints and the classes of composable
@@ -564,7 +557,7 @@ def span_compose(
 
     # a head ends at s(v2), which is s(g2) when s2 is a span; the table
     # holds only composable pairs, and compose names the pair that is not
-    marked = _mark_index(inp)[0]
+    marked = inp._marks[0]
     P = C._positions()
     pos, src, comp, arrows = P.arrow, P.src, C.composition, C.arrows
     lists, results = {}, []
@@ -677,7 +670,7 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
 
     P = C._positions()
     arrows, pos, src, tgt, flat = C.arrows, P.arrow, P.src, P.tgt, P.flat
-    outs, rank, w_into = P.outs, P.out_rank, _mark_index(inp)[2]
+    outs, rank, w_into = P.outs, P.out_rank, inp._marks[2]
     n, K = len(arrows), len(names)
     # axiom (1), checked above, gives every object a marked arrow into it:
     # the section at x is the first
@@ -808,7 +801,6 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
 
 def inverts(F: Functor, inp: FractionsInput) -> tuple[bool, dict]:
     """Whether every image of a marked arrow has a two-sided inverse."""
-    _mark_index(inp)
     if F.dom != inp.category:
         raise DomainError("functor domain is not the marked category")
     table = {}

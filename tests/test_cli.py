@@ -287,6 +287,8 @@ def test_two_calls_build_the_parser_once(monkeypatch, capsys):
         (2, ("groth", FIX / "two.json")),
         (0, ("axioms", FIX / "two_all.json")),
         (1, ("axioms", FIX / "two_f.json")),
+        (2, ("axioms", FIX / "unknown_mark.json")),
+        (2, ("localize", FIX / "unknown_mark.json")),
         (0, ("localize", FIX / "chain_f.json", "--exhaustive", "--json")),
         (1, ("localize", FIX / "two_f.json")),
         (0, ("verify", FIX / "diagram_contra_two.json", "oplax", "--against", FIX / "two.json")),

@@ -48,21 +48,22 @@ def test_build_fills_identity_composites():
 
 def build_with_pairwise_fill(objects, arrows, identity, composition) -> FinCategory:
     """FinCategory.build with its identity fill written as a walk over every
-    composable pair: the reference for the one pass over the arrows."""
+    composable pair, in the order ``composable_pairs`` lists them, before
+    the constructor checks the table: the reference for the one pass over
+    the arrows."""
+    names = tuple(f for f, _, _ in arrows)
     src = {f: s for f, s, _ in arrows}
     tgt = {f: t for f, _, t in arrows}
-    C = FinCategory(
-        tuple(objects), tuple(f for f, _, _ in arrows), src, tgt, dict(identity), dict(composition)
-    )
-    for f, g in C.composable_pairs():
-        if (f, g) in C.composition:
-            continue
-        if g == identity.get(tgt[f]):
-            C.composition[(f, g)] = f
-        elif f == identity.get(src[g]):
-            C.composition[(f, g)] = g
-    C._check_structure()
-    return C
+    comp = dict(composition)
+    for f in names:
+        for g in names:
+            if src[g] != tgt[f] or (f, g) in comp:
+                continue
+            if g == identity.get(tgt[f]):
+                comp[(f, g)] = f
+            elif f == identity.get(src[g]):
+                comp[(f, g)] = g
+    return FinCategory(tuple(objects), names, src, tgt, dict(identity), comp)
 
 
 def built_or_refused(build, *table):
@@ -386,14 +387,22 @@ def test_nat_trans_search_names_a_missing_arrow_image():
 
 
 def raw_without_ff() -> FinCategory:
-    """One object with an endomorphism f, built by the raw constructor, which
-    checks nothing, with no composite of (f, f)."""
+    """One object with an endomorphism f, by the raw constructor, with no
+    composite of (f, f): the constructor refuses it."""
     ends = {"1": "x", "f": "x"}
     comp = {("1", "1"): "1", ("1", "f"): "f", ("f", "1"): "f"}
     return FinCategory(("x",), ("1", "f"), ends, dict(ends), {"x": "1"}, comp)
 
 
 PARTIAL = "^composition table is partial: missing \\('f','f'\\)$"
+
+
+def test_the_constructor_refuses_a_partial_table():
+    # the table once made a category over which validate_functor passed a
+    # functor into Z/2 and identity_nat_trans built a transformation; now
+    # no functor over it can exist
+    with pytest.raises(InputError, match=PARTIAL):
+        raw_without_ff()
 
 
 @pytest.mark.parametrize("direction", ["filtered", "cofiltered"])
@@ -406,10 +415,12 @@ def test_check_shape_refuses_a_partial_table(direction):
 @pytest.mark.parametrize("side", ["domain", "codomain"])
 def test_enumerate_functors_refuses_a_partial_table(side):
     # as a domain, the partial table gave 2 functors into Z/2, as if f;f
-    # were unconstrained
-    C, X = (raw_without_ff(), corpus.z2()) if side == "domain" else (corpus.z2(), raw_without_ff())
+    # were unconstrained; it is refused when it is made
     with pytest.raises(InputError, match=PARTIAL):
-        enumerate_functors(C, X)
+        if side == "domain":
+            enumerate_functors(raw_without_ff(), corpus.z2())
+        else:
+            enumerate_functors(corpus.z2(), raw_without_ff())
 
 
 @pytest.mark.parametrize(
@@ -417,36 +428,41 @@ def test_enumerate_functors_refuses_a_partial_table(side):
 )
 def test_find_isomorphism_refuses_a_partial_table(pair):
     # the partial table was found isomorphic to itself; a partial table is
-    # refused before the sizes are compared, so a category of another size
-    # does not hide it
-    C = raw_without_ff()
-    C, D = {
-        "itself": (C, C),
-        "other_first": (corpus.z2(), C),
-        "other_second": (C, corpus.z2()),
-        "other_size": (C, corpus.chain3()),
-    }[pair]
+    # refused when it is made, before the sizes are compared, so a category
+    # of another size does not hide it
+    pairs = {
+        "itself": lambda C: (C, C),
+        "other_first": lambda C: (corpus.z2(), C),
+        "other_second": lambda C: (C, corpus.z2()),
+        "other_size": lambda C: (C, corpus.chain3()),
+    }
     with pytest.raises(InputError, match=PARTIAL):
-        find_isomorphism(C, D)
+        find_isomorphism(*pairs[pair](raw_without_ff()))
 
 
 
-def raw_walking_arrow(**fields) -> FinCategory:
-    """The walking arrow x -f-> y by the raw constructor, which checks
-    nothing, with the given fields replaced."""
-    table = {
+def walking_arrow_table(**fields) -> dict:
+    """The fields of the walking arrow x -f-> y, with the given ones
+    replaced."""
+    return {
         "objects": ("x", "y"),
         "arrows": ("1x", "1y", "f"),
         "src": {"1x": "x", "1y": "y", "f": "x"},
         "tgt": {"1x": "x", "1y": "y", "f": "y"},
         "identity": {"x": "1x", "y": "1y"},
         "composition": {("1x", "1x"): "1x", ("1x", "f"): "f", ("f", "1y"): "f", ("1y", "1y"): "1y"},
+        **fields,
     }
-    return FinCategory(**dict(table, **fields))
 
 
-# each structural defect the raw constructor lets through, with the message
-# FinCategory.build gives it
+def raw_walking_arrow(**fields) -> FinCategory:
+    """The walking arrow by the raw constructor, with the given fields
+    replaced."""
+    return FinCategory(**walking_arrow_table(**fields))
+
+
+# each structural defect, with the message the raw constructor and
+# FinCategory.build refuse it with
 DEFECTS = {
     "duplicate_object": ({"objects": ("x", "y", "y")}, "duplicate object names"),
     "duplicate_arrow": ({"arrows": ("1x", "1y", "f", "f")}, "duplicate arrow names"),
@@ -486,7 +502,8 @@ READERS = {
 @pytest.mark.parametrize("reader", READERS)
 @pytest.mark.parametrize("defect", DEFECTS)
 def test_view_refuses_each_structural_defect(defect, reader):
-    # a lookup failed with a bare KeyError, or the defect passed unseen
+    # a lookup failed with a bare KeyError, or the defect passed unseen;
+    # now the constructor refuses the table, so no reader is handed it
     fields, message = DEFECTS[defect]
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         READERS[reader](raw_walking_arrow(**fields))
@@ -495,9 +512,13 @@ def test_view_refuses_each_structural_defect(defect, reader):
 @pytest.mark.parametrize("defect", DEFECTS)
 def test_build_gives_each_defect_the_same_message(defect):
     fields, message = DEFECTS[defect]
-    C = raw_walking_arrow(**fields)
+    table = walking_arrow_table(**fields)
+    src, tgt = table["src"], table["tgt"]
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-        C._check_structure()
+        FinCategory.build(
+            table["objects"], [(f, src.get(f), tgt.get(f)) for f in table["arrows"]],
+            table["identity"], table["composition"],
+        )
 
 
 def test_build_refuses_a_key_that_repeats_a_pair():

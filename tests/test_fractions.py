@@ -70,16 +70,12 @@ def test_input_check_rejects_bad_marks():
         (("id:a", ["f"], "id:b"), "marked arrow ['f'] is not in the category"),
     ],
 )
-def test_bad_marks_are_reported_by_check_not_by_construction(weq, message):
-    # the endpoint index keys an unknown arrow under None, so only check
-    # speaks, with the same words as before the index existed; the refusal
-    # is raised again on every call and no axiom verdict is kept
-    inp = FractionsInput(corpus.two(), weq)
-    for call in (inp.check, lambda: check_axioms(inp), lambda: localize(inp), lambda: localize(inp)):
-        with pytest.raises(InputError) as exc:
-            call()
-        assert str(exc.value) == message
-    assert inp._axioms is None
+def test_bad_marks_are_refused_at_construction(weq, message):
+    # check speaks, with the same words as before the index existed, when
+    # the input is made, so no reader is handed an input with a bad mark
+    with pytest.raises(InputError) as exc:
+        FractionsInput(corpus.two(), weq)
+    assert str(exc.value) == message
 
 
 def test_a_one_shot_mark_list_is_read_once():
@@ -98,13 +94,11 @@ def test_a_one_shot_mark_list_is_read_once():
 
 @pytest.mark.parametrize("kind", ["spn", "sb"])
 def test_shape_instances_refuse_an_unhashable_mark(kind):
-    # an entry that is no string is indexed under None, as an unknown arrow
-    inp = FractionsInput(corpus.two(), ("id:a", ["f"], "id:b"))
-    for _ in range(2):
-        with pytest.raises(InputError) as exc:
-            shape_instances(inp, kind)
-        assert str(exc.value) == "marked arrow ['f'] is not in the category"
-    assert inp._axioms is None
+    # an entry that is no string is refused as an unknown arrow when the
+    # input is made, before any shape is listed
+    with pytest.raises(InputError) as exc:
+        shape_instances(FractionsInput(corpus.two(), ("id:a", ["f"], "id:b")), kind)
+    assert str(exc.value) == "marked arrow ['f'] is not in the category"
 
 
 @pytest.mark.parametrize("name,inp", corpus.fractions_corpus())

@@ -1,13 +1,15 @@
-"""Raw tables against FinCategory.build: every public function of catfrac
-that takes a FinCategory, handed a category from the raw constructor (which
-checks nothing), ends in InputError when the table has a structural defect,
-and otherwise answers as it does on the category FinCategory.build makes of
-the same table.  The functions are read off the package's exports, so a new
-entry point has to join the table of calls below."""
+"""Raw tables against FinCategory.build: the raw constructor refuses with
+InputError a table that has a structural defect, or that build would
+complete, with build's message where build refuses it too; on every other
+table, every public function of catfrac that takes a FinCategory answers
+the raw constructor's category as it answers the category FinCategory.build
+makes of the same table.  The functions are read off the package's exports,
+so a new entry point has to join the table of calls below."""
 
 import inspect
 import typing
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import catfrac
@@ -91,14 +93,15 @@ def raw_tables(draw) -> tuple:
 
 
 def built(table: tuple):
-    """FinCategory.build's category of the table, or None when it refuses it."""
+    """FinCategory.build's category of the table, or the message it refuses
+    the table with."""
     objects, arrows, src, tgt, identity, comp = table
     try:
         return FinCategory.build(
             objects, [(f, src.get(f), tgt.get(f)) for f in arrows], identity, comp
         )
-    except InputError:
-        return None
+    except InputError as exc:
+        return str(exc)
 
 
 ONE = corpus.one()
@@ -190,12 +193,16 @@ def outcome(call, C: FinCategory) -> tuple:
 @given(raw_tables())
 def test_a_raw_table_is_refused_or_answered_as_build_answers(table):
     B = built(table)
-    # build refuses the table, or fills in a composable pair it misses
-    defective = B is None or B != FinCategory(*table)
+    if isinstance(B, str):  # build refuses the table, with the same message
+        with pytest.raises(InputError) as refused:
+            FinCategory(*table)
+        assert str(refused.value) == B
+        return
+    fields = B.objects, B.arrows, B.src, B.tgt, B.identity, B.composition
+    if fields != table:  # build fills in a composable pair the table misses
+        with pytest.raises(InputError, match="^composition table is partial: missing "):
+            FinCategory(*table)
+        return
     for key, call in CALLS.items():
-        # a fresh category per call, so no verdict or view is carried over
-        got = outcome(call, FinCategory(*table))
-        if defective:
-            assert got[0] == "InputError", (key, got)
-        else:
-            assert got == outcome(call, B), key
+        # a fresh category per call, so no view is carried over
+        assert outcome(call, FinCategory(*table)) == outcome(call, B), key

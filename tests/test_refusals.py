@@ -26,7 +26,9 @@ from catfrac import (
     check_shape,
     coequalize_reflexive,
     coequalizer_mediate,
+    compose,
     compose_functors,
+    compose_many,
     compose_maps,
     coproduct,
     coproduct_mediate,
@@ -47,11 +49,13 @@ from catfrac import (
     internalize,
     inverts,
     localize,
+    nat_trans_search,
     opposite,
     pullback,
     pullback_mediate,
     span_compose,
     strictify,
+    two_sided_inverse,
     validate_category,
     validate_internal_category,
     validate_internal_functor,
@@ -143,16 +147,16 @@ def _built_keyed_by(key):
 
 def _raw_keyed_by(key):
     """The walking arrow x -f-> y with identities i and j, by the raw
-    constructor, which checks nothing, its (f, j) entry keyed by the
-    string ``key``."""
+    constructor, which refuses it, its (f, j) entry keyed by the string
+    ``key``."""
     ends = {"i": "x", "j": "y", "f": "x"}, {"i": "x", "j": "y", "f": "y"}
     comp = {("i", "i"): "i", ("i", "f"): "f", key: "f", ("j", "j"): "j"}
     return FinCategory(("x", "y"), ("i", "j", "f"), *ends, {"x": "i", "y": "j"}, comp)
 
 
 def _raw_without_ff():
-    """One object with an endomorphism f, built by the raw constructor, which
-    checks nothing, with no composite of (f, f)."""
+    """One object with an endomorphism f, by the raw constructor, which
+    refuses it, with no composite of (f, f)."""
     ends = {"1": "x", "f": "x"}
     comp = {("1", "1"): "1", ("1", "f"): "f", ("f", "1"): "f"}
     return FinCategory(("x",), ("1", "f"), ends, dict(ends), {"x": "1"}, comp)
@@ -168,8 +172,8 @@ def _raw_stray_for_missing():
 
 
 def _raw_with_identity_for(x):
-    """One object a with its identity, by the raw constructor, which checks
-    nothing, its identity map naming the undeclared object x as well."""
+    """One object a with its identity, by the raw constructor, which
+    refuses it, its identity map naming the undeclared object x as well."""
     ends = {"id:a": "a"}
     return FinCategory(("a",), ("id:a",), ends, dict(ends), {"a": "id:a", x: "id:a"},
                        {("id:a", "id:a"): "id:a"})
@@ -317,7 +321,7 @@ def _internal_nat_trans(components, codomain="c1"):
          "composition table is partial: missing ('0<1','1<2')"),
         (lambda: internalize(_raw_without_ff()), InputError,
          "composition table is partial: missing ('f','f')"),
-        # the positional view refuses the partial table before any search
+        # the constructor refuses the partial table before any input is made
         (lambda: check_axioms(FractionsInput(_raw_without_ff(), ("1", "f"))), InputError,
          "composition table is partial: missing ('f','f')"),
         (lambda: localize(FractionsInput(_raw_without_ff(), ("1", "f"))), InputError,
@@ -331,6 +335,12 @@ def _internal_nat_trans(components, codomain="c1"):
          InputError, "identity declared for unknown object 'zzz'"),
         (lambda: validate_category(_raw_with_identity_for("zzz")), InputError,
          "identity declared for unknown object 'zzz'"),
+        (lambda: compose_many(corpus.two(), "nope"), InputError,
+         "unknown arrow in compose_many: 'nope'"),
+        (lambda: compose_many(corpus.two()), InputError,
+         "compose_many needs a nonempty chain of arrows"),
+        (lambda: two_sided_inverse(corpus.two(), "nope"), InputError,
+         "unknown arrow in two_sided_inverse: 'nope'"),
         (lambda: _reassigned("weq", ("f",)), dataclasses.FrozenInstanceError,
          "cannot assign to field 'weq'"),
         (lambda: _reassigned("category", corpus.iso()), dataclasses.FrozenInstanceError,
@@ -350,7 +360,8 @@ def _internal_nat_trans(components, codomain="c1"):
         "internalize_partial_table",
         "check_axioms_partial_table", "localize_partial_table", "partial_with_a_stray_entry",
         "build_identity_for_unknown_object", "validate_identity_for_unknown_object",
-        "reassign_weq", "reassign_category",
+        "compose_many_unknown_arrow", "compose_many_empty_chain",
+        "two_sided_inverse_unknown_arrow", "reassign_weq", "reassign_category",
     ],
 )
 def test_library_refusal(run, error, message):
@@ -359,7 +370,8 @@ def test_library_refusal(run, error, message):
     assert str(exc.value) == message
 
 
-# the entry points that read a category through its positional view
+# the entry points that read a category through its positional view; the
+# raw constructor refuses the table before any of them is handed it
 VIEW_READERS = {
     "enumerate_functors": lambda C: enumerate_functors(C, corpus.z2()),
     "find_isomorphism": lambda C: find_isomorphism(C, C),
@@ -367,7 +379,7 @@ VIEW_READERS = {
     "check_axioms": lambda C: check_axioms(FractionsInput(C, ())),
 }
 # a composition key that is a string is refused before it is unpacked, by
-# the view and by FinCategory.build alike
+# the raw constructor and by FinCategory.build alike
 KEY_ROWS = {
     f"{reader}_{key}": (lambda read=read, key=key: read(_raw_keyed_by(key)), key)
     for key in ("fj", "fjx")
@@ -397,6 +409,11 @@ NOT_CATEGORY_ROWS = {
         "opposite": opposite,
         "identity_functor": identity_functor,
         "internalize": internalize,
+        "compose": lambda C: compose(C, "f", "f"),
+        "compose_many": lambda C: compose_many(C, "f", "f"),
+        "two_sided_inverse": lambda C: two_sided_inverse(C, "f"),
+        "nat_trans_search": lambda C: nat_trans_search(C, corpus.z2()),
+        "strictify": lambda C: strictify(C, {}, {}),
     }.items()
 }
 
@@ -557,7 +574,12 @@ def _validate_a_cocone_out_of_a_unit_incoherent_diagram():
     validate_transformation(dataclasses.replace(cocone, source=_unit_incoherent()))
 
 
-NO_IDENTITY = FinCategory(("x",), (), {}, {}, {}, {})
+def _no_identity() -> FinCategory:
+    """A one-object category with its identity deleted after it was built:
+    the constructor refuses that table, so only an edit reaches it."""
+    C = FinCategory.build(["x"], [("id:x", "x", "x")], {"x": "id:x"}, {})
+    del C.identity["x"]
+    return C
 
 
 def _contra_without_unitor_component():
@@ -667,7 +689,7 @@ PARTIAL_IDS = [
          "no functor assigned to index arrow 'f'"),
         (lambda: _pseudofunctor(lambda D: D.compositors.pop(("id:a", "f"))), InputError,
          "no compositor for composable pair ('id:a', 'f')"),
-        (lambda: _pseudofunctor(lambda D: D.on_objects.update(b=NO_IDENTITY)), InputError,
+        (lambda: _pseudofunctor(lambda D: D.on_objects.update(b=_no_identity())), InputError,
          "value category at 'b': no identity declared for object 'x'"),
         (lambda: _lax(lambda x: x.components.clear()), InputError,
          "no component functor at index object '*'"),

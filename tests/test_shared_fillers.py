@@ -47,7 +47,6 @@ from catfrac import (
     span_compose,
 )
 from catfrac.errors import IntegrityError
-from catfrac.fractions import _mark_index
 from oracle import to_raw
 from test_generated import build, monoids, posets
 
@@ -509,7 +508,7 @@ def check_routines_against_the_oracle(inp: FractionsInput) -> None:
     its whole list: bounded to one, its first item, or [] when the list is
     empty, which is what the axiom decision reads."""
     C, raw = inp.category, to_raw(inp.category)
-    for x, into in zip(C.objects, _mark_index(inp)[2]):
+    for x, into in zip(C.objects, inp._marks[2]):
         assert named(C, tuple(into)) == tuple(oracle.sections(raw, inp.weq, x))
     for name, scan, keys in routine_keys(inp):
         routine = getattr(catfrac.fractions, name)
@@ -727,25 +726,19 @@ def test_composite_that_is_no_span_is_an_integrity_error(monkeypatch):
     )
 
 
-def test_self_check_a_fires_on_a_bogus_last_section(monkeypatch):
+def test_self_check_a_fires_on_a_bogus_last_section():
     # each object's list of marked arrows into it, whose first entry is its
     # section, gets the first marked arrow not into it appended, in a new
-    # index the input keeps in place of its own; the axioms are decided
+    # index written over the one the input built; the axioms are decided
     # before the fault, which would add cases of its own
     inp = dict(corpus.fractions_corpus())["arrow/all"]
     assert check_axioms(inp).ok
-    exact = catfrac.fractions._mark_index
-
-    def foreign_sections(inp):
-        marked, w_out, w_into = exact(inp)
-        C, pos = inp.category, inp.category._positions().arrow
-        inp._marks = marked, w_out, [
-            into + [pos[v] for v in inp.weq if C.tgt[v] != x][:1]
-            for x, into in zip(C.objects, w_into)
-        ]
-        return inp._marks
-
-    monkeypatch.setattr(catfrac.fractions, "_mark_index", foreign_sections)
+    marked, w_out, w_into = inp._marks
+    C, pos = inp.category, inp.category._positions().arrow
+    inp._marks = marked, w_out, [
+        into + [pos[v] for v in inp.weq if C.tgt[v] != x][:1]
+        for x, into in zip(C.objects, w_into)
+    ]
     with pytest.raises(IntegrityError, match="depends on the section"):
         localize(inp)
 

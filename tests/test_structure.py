@@ -1,9 +1,9 @@
 """Package structure: imports sit at module top and never form a cycle; no
 function recurses, so no input depth can exhaust the interpreter's stack;
 a category or a marked category gains no attribute after construction, and
-a category builds its positional view once; a category decides its structure
-once, and its view decides none; a marked category checks and
-indexes its marked arrows once; localize's loops read
+a category builds its positional view once; a category and a marked
+category decide their structure when they are made, once, and nothing
+decides it later but validate_category; localize's loops read
 composition by position, not by a pair of names; a
 record keeps no field that another of its fields gives, and a functor no
 accessor over its maps; the fractions searches read the marked class
@@ -81,7 +81,6 @@ from catfrac import (
     verify_pairs_coequalizer,
 )
 from catfrac.ambient import _SpanMachinery
-from catfrac.errors import InputError
 from catfrac.verify import Correspondence
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "catfrac"
@@ -223,11 +222,12 @@ def test_a_category_builds_its_view_once(monkeypatch):
 
 def test_marked_category_gains_no_attribute():
     # what an input keeps, W's positional index and its first axiom report,
-    # sits in slots set during __init__, stays out of the fields (so out of
-    # __eq__ and repr), and these are the only attributes whose values
-    # change; the filler lists of a localize call live in a dict of the
-    # call's own, so nothing else outlives the call, on the input or in
-    # the module, and the call leaves the kept index as a fresh build makes it
+    # sits in slots set during __init__ and stays out of the fields (so out
+    # of __eq__ and repr); the index is built there, and the report is the
+    # only attribute whose value changes; the filler lists of a localize
+    # call live in a dict of the call's own, so nothing else outlives the
+    # call, on the input or in the module, and the call leaves the kept
+    # index as a fresh input builds it
     assert [f.name for f in dataclasses.fields(FractionsInput)] == ["category", "weq"]
     kept = {"_axioms", "_marks"}
     chain = corpus.chain(6)
@@ -235,17 +235,15 @@ def test_marked_category_gains_no_attribute():
     for _, inp in corpus.fractions_corpus() + [("chain(6)/all", FractionsInput(chain, chain.arrows))]:
         before = dict(vars(inp))
         contents = copy.deepcopy(before)
-        assert kept <= before.keys() and all(before[k] is None for k in kept)
+        assert kept <= before.keys() and before["_axioms"] is None
         check_axioms(inp)
         localize(inp)
         assert vars(inp).keys() == before.keys()
-        assert [k for k, v in before.items() if vars(inp)[k] is not v] == [
-            k for k in before if k in kept
-        ]
-        assert {k: v for k, v in vars(inp).items() if k not in kept} == {
-            k: v for k, v in contents.items() if k not in kept
+        assert [k for k, v in before.items() if vars(inp)[k] is not v] == ["_axioms"]
+        assert {k: v for k, v in vars(inp).items() if k != "_axioms"} == {
+            k: v for k, v in contents.items() if k != "_axioms"
         }
-        assert inp._marks == catfrac.fractions._mark_index(FractionsInput(inp.category, inp.weq))
+        assert inp._marks == FractionsInput(inp.category, inp.weq)._marks
         fresh = check_axioms(inp)
         assert str(inp._axioms) == str(fresh)
         assert [dict(f.witnesses) for f in inp._axioms.findings] == [
@@ -305,69 +303,6 @@ def test_axiom_work_count_fires(monkeypatch):
     assert _axiom_work(monkeypatch, on_copies) == Counter({"misplaced_composites": 3, "_decide": 12})
 
 
-def _w_work(monkeypatch, run) -> tuple[int, int]:
-    """Run ``run`` and count the checks of W and the distinct W indexes
-    that ``_mark_index`` returns."""
-    checks, indexes = [], []
-    exact_check, exact_index = FractionsInput.check, catfrac.fractions._mark_index
-
-    def check(inp):
-        checks.append(inp)
-        return exact_check(inp)
-
-    def index(inp):
-        marks = exact_index(inp)
-        if not any(marks is m for m in indexes):
-            indexes.append(marks)
-        return marks
-
-    monkeypatch.setattr(FractionsInput, "check", check)
-    monkeypatch.setattr(catfrac.fractions, "_mark_index", index)
-    run()
-    return len(checks), len(indexes)
-
-
-def test_an_input_checks_and_indexes_its_marks_once(monkeypatch):
-    # every public entry reads the index the input keeps, built after the
-    # first check passes
-    C = corpus.chain(4)
-    inp = FractionsInput(C, C.arrows)
-
-    def every_entry():
-        check_axioms(inp)
-        LC = localize(inp)
-        span_compose(inp, ("0<1", "0<2"), ("2<2", "2<3"))
-        span_compose(inp, ("0<1", "0<2"), ("2<2", "2<3"), exhaustive=True)
-        sailboat_quotient(inp)
-        shape_instances(inp, "spn")
-        shape_instances(inp, "sb")
-        assert inverts(LC.L, inp)[0]
-        localize(inp)
-
-    assert _w_work(monkeypatch, every_entry) == (1, 1)
-
-
-def test_internal_localize_checks_its_marks_once_per_call(monkeypatch):
-    D = corpus.diag_contra_chain()
-    IE = internal_elements(D)
-    w = internal_cleavage(D, IE)
-    assert _w_work(monkeypatch, lambda: (internal_localize(IE, w), internal_localize(IE, w))) == (2, 2)
-
-
-def test_a_failed_check_keeps_no_index(monkeypatch):
-    # the check raises again on every entry, and nothing is kept
-    C = corpus.chain(3)
-    inp = FractionsInput(C, ("0<0", "zz"))
-
-    def refused():
-        for run in (check_axioms, localize, lambda inp: shape_instances(inp, "spn")):
-            with pytest.raises(InputError, match="^marked arrow 'zz' is not in the category$"):
-                run(inp)
-            assert inp._marks is None and inp._axioms is None
-
-    assert _w_work(monkeypatch, refused) == (3, 0)
-
-
 def test_records_keep_no_field_another_field_gives():
     # a cleavage member's tag is GD.arrow_tags[name][:2], a carrier's
     # variance is its diagram's, and the span machinery's objects are the
@@ -419,8 +354,8 @@ def _view_init(tree: ast.Module) -> ast.FunctionDef:
 
 
 def test_the_view_decides_no_structure():
-    # FinCategory._structure decides before the view is built, so the view
-    # reads a sound table: its one check is the misplaced flag, a law
+    # a category decides its structure when it is made, so the view reads
+    # a sound table: its one check is the misplaced flag, a law
     assert _view_init(MODULES["fincat"]).name == "__init__"
     assert _structure_decisions(_view_init(MODULES["fincat"])) == []
 
@@ -446,53 +381,153 @@ def test_view_decision_check_fires():
     )
 
 
-def _structure_checks(monkeypatch, run) -> tuple:
-    """How often ``_check_structure`` runs on chain(4) built by
-    ``FinCategory.build``, and on a copy from the raw constructor, while
-    ``run`` reads each of them."""
-    C = corpus.chain(4)
-    raw = FinCategory(C.objects, C.arrows, dict(C.src), dict(C.tgt), dict(C.identity),
-                      dict(C.composition))
-    checked = []
-    exact = FinCategory._check_structure
+# the lazy verdicts a value once kept, read by each of their callers
+RETIRED_VERDICTS = {"_sound", "_structure", "_mark_index"}
 
-    def counting(self):
-        checked.append(self)
-        return exact(self)
 
-    monkeypatch.setattr(FinCategory, "_check_structure", counting)
+def _names(tree: ast.AST) -> set:
+    """Every name a module defines, reads or writes, attributes and
+    string constants (a name given to setattr) included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _callers_by_module(trees: dict, name: str) -> dict:
+    """Per module that has any, the functions that call ``name``
+    (``_callers``)."""
+    return {module: found for module, tree in trees.items() if (found := _callers(tree, name))}
+
+
+def test_structure_is_decided_when_a_value_is_made():
+    # a category decides its structure, and a marked category checks W, in
+    # __post_init__; validate_category decides again on each call, so it
+    # sees a table edited after it was made; no lazy verdict is left
+    assert not RETIRED_VERDICTS & set().union(*map(_names, MODULES.values()))
+    assert _callers_by_module(MODULES, "_check_structure") == {
+        "fincat": {"__post_init__", "validate_category"}
+    }
+    # diagram._sub_problems calls a parameter of its own named check
+    assert _callers_by_module(MODULES, "check") == {
+        "fractions": {"__post_init__"}, "diagram": {"_sub_problems"}
+    }
+
+
+def test_structure_decision_check_fires():
+    # the lazy verdicts as they were: a flag set at construction, a method
+    # that decides once, a reader that calls it and an index built at first
+    # use, which checks W
+    earlier = ast.parse(
+        "class FinCategory:\n"
+        "    def __post_init__(self):\n"
+        "        self._sound = False\n"
+        "    def _structure(self):\n"
+        "        if not self._sound:\n"
+        "            self._check_structure()\n"
+        "def compose(C, f, g):\n"
+        "    C._structure()\n"
+        "def _mark_index(inp):\n"
+        "    inp.check()\n"
+    )
+    assert RETIRED_VERDICTS <= _names(earlier)
+    assert _callers_by_module({"fincat": earlier}, "_check_structure") == {"fincat": {"_structure"}}
+    assert _callers_by_module({"fractions": earlier}, "check") == {"fractions": {"_mark_index"}}
+
+
+def _decisions(monkeypatch, run) -> tuple[list, list]:
+    """Run ``run`` and list, in order, each category and marked category
+    made (each ``__post_init__``) and each one whose structure is decided
+    (each ``FinCategory._check_structure`` and ``FractionsInput.check``)."""
+    made, decided = [], []
+    for cls, decide in ((FinCategory, "_check_structure"), (FractionsInput, "check")):
+        for name, seen in (("__post_init__", made), (decide, decided)):
+            exact = getattr(cls, name)
+
+            def counting(self, exact=exact, seen=seen):
+                seen.append(self)
+                return exact(self)
+
+            monkeypatch.setattr(cls, name, counting)
+    run()
+    return made, decided
+
+
+def _elements_and_cleavage() -> tuple:
+    """The internal elements category of a contravariant chain diagram and
+    its cleavage; made before a count, since the diagram's law check runs
+    validate_category, which decides structure again by design."""
+    D = corpus.diag_contra_chain()
+    IE = internal_elements(D)
+    return IE, internal_cleavage(D, IE)
+
+
+def _view_readers(IE, w) -> None:
+    """Every reader of a category's view and of an input's mark index, on
+    chain(4) from FinCategory.build and on a copy from the raw
+    constructor, and two internal_localize calls on (IE, w), each of which
+    makes its own input."""
     built = corpus.chain(4)
-    run(built)
-    run(raw)
-    return sum(D is built for D in checked), sum(D is raw for D in checked)
+    raw = FinCategory(built.objects, built.arrows, dict(built.src), dict(built.tgt),
+                      dict(built.identity), dict(built.composition))
+    for C in (built, raw):
+        inp = FractionsInput(C, C.arrows)
+        check_axioms(inp)
+        LC = localize(inp)
+        localize(FractionsInput(C, C.arrows))
+        span_compose(inp, ("0<1", "0<2"), ("2<2", "2<3"))
+        span_compose(inp, ("0<1", "0<2"), ("2<2", "2<3"), exhaustive=True)
+        sailboat_quotient(inp)
+        shape_instances(inp, "spn")
+        shape_instances(inp, "sb")
+        assert inverts(LC.L, inp)[0]
+        find_isomorphism(C, C)
+        enumerate_functors(C, C)
+        check_shape(C, "filtered")
+    internal_localize(IE, w)
+    internal_localize(IE, w)
 
 
-def _view_readers(C) -> None:
-    inp = FractionsInput(C, C.arrows)
-    check_axioms(inp)
-    localize(inp)
-    localize(FractionsInput(C, C.arrows))
-    find_isomorphism(C, C)
-    enumerate_functors(C, C)
-    check_shape(C, "filtered")
+def _kinds(values: list) -> Counter:
+    return Counter(type(x).__name__ for x in values)
 
 
-def test_structure_is_decided_once_per_category(monkeypatch):
-    # build decides once and keeps the verdict; a raw category decides at
-    # its first view read; no later reader decides again
-    assert _structure_checks(monkeypatch, _view_readers) == (1, 1)
+def test_structure_is_decided_once_per_value(monkeypatch):
+    # each category and each marked category is decided once, as it is
+    # made, and no reader decides again
+    IE, w = _elements_and_cleavage()
+    made, decided = _decisions(monkeypatch, lambda: _view_readers(IE, w))
+    assert list(map(id, decided)) == list(map(id, made))
+    assert _kinds(made).keys() == {"FinCategory", "FractionsInput"}
 
 
-def test_structure_check_count_fires(monkeypatch):
-    # a view that decides structure again is seen, once per category
-    exact = catfrac.fincat._Positions
+def test_structure_decision_count_fires(monkeypatch):
+    # a view that decides its category's structure again, and an axiom
+    # decision that checks W again, are seen
+    exact_view, exact_axioms = catfrac.fincat._Positions, catfrac.fractions.check_axioms
 
     def deciding(C):
         C._check_structure()
-        return exact(C)
+        return exact_view(C)
+
+    def checking(inp):
+        inp.check()
+        return exact_axioms(inp)
 
     monkeypatch.setattr(catfrac.fincat, "_Positions", deciding)
-    assert _structure_checks(monkeypatch, _view_readers) == (2, 2)
+    monkeypatch.setattr(catfrac.fractions, "check_axioms", checking)
+    IE, w = _elements_and_cleavage()
+    made, decided = _decisions(monkeypatch, lambda: _view_readers(IE, w))
+    assert (_kinds(decided) - _kinds(made)).keys() == {"FinCategory", "FractionsInput"}
 
 
 def test_build_has_no_option():
@@ -530,10 +565,10 @@ def _scans_of_weq(fn: ast.AST) -> int:
 
 def test_fractions_searches_read_the_endpoint_index():
     # a search that filters all of W by an endpoint must read the index
-    # instead; the scans left are the input's tuple, the index build, the
-    # input check, the inversion check, and the first factor of the spans
-    # W x C1 and of the marked pairs W x W, each visiting every marked
-    # arrow once
+    # instead; the scans left are the input's tuple and the index build,
+    # both at construction, the input check, the inversion check, and the
+    # first factor of the spans W x C1 and of the marked pairs W x W, each
+    # visiting every marked arrow once
     scans = {}
     for fn in ast.walk(MODULES["fractions"]):
         if isinstance(fn, ast.FunctionDef):
@@ -541,9 +576,8 @@ def test_fractions_searches_read_the_endpoint_index():
             if count:
                 scans[fn.name] = count
     assert scans == {
-        "__post_init__": 1,
+        "__post_init__": 2,
         "check": 1,
-        "_mark_index": 1,
         "shape_instances": 1,
         "check_axioms": 1,
         "inverts": 1,

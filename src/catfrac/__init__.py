@@ -61,7 +61,6 @@ from .fractions import (
     induced_functor,
     inverts,
     localize,
-    sailboat_quotient,
     shape_instances,
     span_compose,
     verify_localization_up,

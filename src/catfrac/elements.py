@@ -279,10 +279,9 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> Callable:
     prepared once per call of this function.  ``between`` returns [] at the
     first index object whose list is empty, since the modification search
     would have no candidate there.  It returns early only when every
-    component of x and y is typed and X's table is total, so no search it
-    leaves out could raise: on other input it searches every index object
-    in order, and the first DomainError raises as it would without the
-    early return.
+    component of x and y is typed, so no search it leaves out could raise:
+    on other input it searches every index object in order, and the first
+    DomainError raises as it would without the early return.
     """
     D = GD.diagram
     objs = D.index.objects
@@ -292,7 +291,6 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> Callable:
     fibers = [D.cat(A) for A in objs]
     natural_between = [nat_trans_search(C, X) for C in fibers]
     compatible = modification_search(D, X)
-    total = all(pair in X.composition for pair in X.composable_pairs())
     numbers: list = [{} for _ in objs]  # per index object: functor key -> number
     numbered: list = [[] for _ in objs]  # per index object: the functor of each number
     searched: list = [{} for _ in objs]  # per index object: (number, number) -> cells
@@ -302,7 +300,7 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> Callable:
         # the entry holds x, so no other object takes its id meanwhile
         entry = entries.get(id(x))
         if entry is None:
-            ks, typed = [], total
+            ks, typed = [], True
             for s, A in enumerate(objs):
                 F = x.components[A]
                 k = numbers[s].setdefault(functor_key(F), len(numbered[s]))
@@ -340,8 +338,8 @@ def modification_cells(GD: ElementsCategory, X: FinCategory) -> Callable:
 def _typed(C: FinCategory, X: FinCategory, F: Functor) -> bool:
     """Whether F sends every object of C to an object of X and every arrow
     of C to an arrow of X between the images of its ends: then a natural
-    transformation search on C reads every image of F it needs, and on a
-    total X every composite."""
+    transformation search on C reads every image of F it needs, and every
+    composite, since X's table is total."""
     Fo, Fa = F.on_objects, F.on_arrows
     return all(Fo.get(x) in X.identity for x in C.objects) and all(
         f in Fa and (X.src.get(Fa[f]), X.tgt.get(Fa[f])) == (Fo[C.src[f]], Fo[C.tgt[f]])

@@ -126,16 +126,22 @@ class FinCategory:
         # because an attribute added later slows every attribute read on the
         # instance. A missing endpoint is keyed None; _check_structure says so.
         homs, outs, ins = {}, {}, {}
-        for f in self.arrows:
-            s, t = self.src.get(f), self.tgt.get(f)
-            homs.setdefault((s, t), []).append(f)
-            outs.setdefault(s, []).append(f)
-            ins.setdefault(t, []).append(f)
-        self._homs = {key: tuple(fs) for key, fs in homs.items()}
-        self._outs = {x: tuple(fs) for x, fs in outs.items()}
-        self._ins = {y: tuple(fs) for y, fs in ins.items()}
         self._view = None
-        self._check_structure()
+        try:
+            for f in self.arrows:
+                s, t = self.src.get(f), self.tgt.get(f)
+                homs.setdefault((s, t), []).append(f)
+                outs.setdefault(s, []).append(f)
+                ins.setdefault(t, []).append(f)
+            self._homs = {key: tuple(fs) for key, fs in homs.items()}
+            self._outs = {x: tuple(fs) for x, fs in outs.items()}
+            self._ins = {y: tuple(fs) for y, fs in ins.items()}
+            self._check_structure()
+        except TypeError:
+            # a name that cannot be hashed fails the first read of it
+            _refuse_unhashable_names(self.objects, self.arrows, self.src, self.tgt,
+                                     self.identity, self.composition)
+            raise
 
     @classmethod
     def build(
@@ -155,24 +161,30 @@ class FinCategory:
         src: dict[str, str] = {}
         tgt: dict[str, str] = {}
         outs: dict[str, list[str]] = {}
-        for name, s, t in arrows:
-            arrs.append(name)
-            src[name] = s
-            tgt[name] = t
-            outs.setdefault(s, []).append(name)
-        # the fill appends only well-formed entries, so the constructor's
-        # one check after it suffices; a composable pair (f, g) has an
-        # identity factor only when f or g is i = identity[t(f)], so one pass
-        # over the arrows fills them in the order of the composable pairs
         comp = dict(composition)
-        for f in arrs:
-            i = identity.get(tgt[f])
-            if f == i:
-                for g in outs.get(tgt[f], ()):
-                    if (f, g) not in comp:
-                        comp[(f, g)] = g
-            elif i in src and src[i] == tgt[f] and (f, i) not in comp:
-                comp[(f, i)] = f
+        try:
+            for name, s, t in arrows:
+                arrs.append(name)
+                src[name] = s
+                tgt[name] = t
+                outs.setdefault(s, []).append(name)
+            # the fill appends only well-formed entries, so the constructor's
+            # one check after it suffices; a composable pair (f, g) has an
+            # identity factor only when f or g is i = identity[t(f)], so one
+            # pass over the arrows fills them in the order of the composable
+            # pairs
+            for f in arrs:
+                i = identity.get(tgt[f])
+                if f == i:
+                    for g in outs.get(tgt[f], ()):
+                        if (f, g) not in comp:
+                            comp[(f, g)] = g
+                elif i in src and src[i] == tgt[f] and (f, i) not in comp:
+                    comp[(f, i)] = f
+        except TypeError:
+            # a name that cannot be hashed fails the first read of it
+            _refuse_unhashable_names((), arrs, src, tgt, identity, {})
+            raise
         return cls(tuple(objects), tuple(arrs), src, tgt, dict(identity), comp)
 
     # -- structure ---------------------------------------------------------
@@ -272,6 +284,21 @@ def _category(C: FinCategory) -> FinCategory:
     return C
 
 
+def _refuse_unhashable_names(objects, arrows, src: dict, tgt: dict, identity: dict,
+                             composition: dict) -> None:
+    """Raise InputError naming the first name in a category's tables that
+    cannot be hashed, so names nothing; do nothing if there is none."""
+    for kind, values in (
+        ("object", objects), ("arrow", arrows), ("endpoint", [*src.values(), *tgt.values()]),
+        ("identity", identity.values()), ("composite", composition.values()),
+    ):
+        for x in values:
+            try:
+                hash(x)
+            except TypeError:
+                raise InputError(f"{kind} {x!r} cannot be hashed") from None
+
+
 def functor_key(F: Functor) -> tuple:
     """A hashable key of F's object and arrow maps.  Equal functors have
     equal keys; functors with equal keys are equal when their domains and
@@ -321,10 +348,12 @@ def validate_category(C: FinCategory) -> ValidationReport:
 
 
 def compose(C: FinCategory, f: str, g: str) -> str:
-    if f not in _category(C).src or g not in C.src:
-        raise InputError(f"unknown arrow in compose: {f!r}, {g!r}")
-    if C.tgt[f] != C.src[g]:
-        raise DomainError(f"non-composable pair ({f!r},{g!r}): tgt {C.tgt[f]!r} != src {C.src[g]!r}")
+    try:
+        t, s = _category(C).tgt[f], C.src[g]
+    except (KeyError, TypeError):  # TypeError: a name that cannot be hashed
+        raise InputError(f"unknown arrow in compose: {f!r}, {g!r}") from None
+    if t != s:
+        raise DomainError(f"non-composable pair ({f!r},{g!r}): tgt {t!r} != src {s!r}")
     return C.composition[(f, g)]
 
 
@@ -333,8 +362,10 @@ def compose_many(C: FinCategory, *fs: str) -> str:
     if not fs:
         raise InputError("compose_many needs a nonempty chain of arrows")
     out = fs[0]
-    if out not in _category(C).src:
-        raise InputError(f"unknown arrow in compose_many: {out!r}")
+    try:
+        _category(C).src[out]
+    except (KeyError, TypeError):  # TypeError: a name that cannot be hashed
+        raise InputError(f"unknown arrow in compose_many: {out!r}") from None
     for f in fs[1:]:
         out = compose(C, out, f)
     return out
@@ -921,7 +952,7 @@ def two_sided_inverse(C: FinCategory, f: str) -> Optional[str]:
     """First arrow r with f.r and r.f both identities, in canonical order."""
     try:
         x, y = _category(C).src[f], C.tgt[f]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that cannot be hashed
         raise InputError(f"unknown arrow in two_sided_inverse: {f!r}") from None
     for r in C.hom(y, x):
         if C.composition[(f, r)] == C.identity[x] and C.composition[(r, f)] == C.identity[y]:

@@ -34,14 +34,12 @@ the first weak filler of its w': both are witnesses of the kept verdict,
 so the composition loop and the ambient's ``internal_localize`` read
 first heads through ``_first_heads``, set up once per call, and search
 no filler again.  The public ``span_compose`` searches its own first
-head, so a single call decides no axiom.  Self-check (b) and
-``span_compose(exhaustive=True)`` take the whole lists, each listed once
-per key in a dict the call owns (``_listed``).  A head depends only on
-its Ore square and v1 (``_square_heads``), so (b) classifies each
-square's heads once per call, and ``span_compose`` takes the distinct
-heads of every square of the cospan (``_composite_heads``).  Heads are
-pairs of arrow positions; names appear only at the edges: the axiom
-report, error messages and span_compose's return.
+head, so a single call decides no axiom.  Self-check (b) takes the whole
+lists, each listed once per key in a dict the call owns (``_listed``).
+A head depends only on its Ore square and v1 (``_square_heads``), so (b)
+classifies each square's heads once per call.  Heads are pairs of arrow
+positions; names appear only at the edges: the axiom report, error
+messages and span_compose's return.
 """
 
 from __future__ import annotations
@@ -181,15 +179,11 @@ class AxiomReport:
 
 
 def shape_instances(inp: FractionsInput, kind: str) -> list[tuple]:
-    """Exhaustively enumerate one shape kind in canonical order: spans
-    ``"spn"`` (v, g) and sailboats ``"sb"`` (h, v, g)."""
+    """Exhaustively enumerate one shape kind in canonical order; the one
+    kind is spans ``"spn"`` (v, g), and any other raises InputError."""
     C = inp.category
     if kind == "spn":
         return [(v, g) for v in inp.weq for g in C.out_of(C.src[v])]
-    if kind == "sb":
-        P = C._positions()
-        arrows, outs, src = C.arrows, P.outs, P.src
-        return [(arrows[h], arrows[v], arrows[g]) for h, v, _ in _masts(inp) for g in outs[src[v]]]
     raise InputError(f"unknown shape kind {kind!r}")
 
 
@@ -197,8 +191,8 @@ def _masts(inp: FractionsInput) -> Iterator[tuple[int, int, int]]:
     """The sailboats (h, v, g), as arrow positions, by mast: each (h, v, h;v)
     with t(h) = s(v) and v, h;v marked, in canonical order.  The sailboats
     on a mast are those with g out of s(v), in declaration order, so this
-    is the one sailboat enumeration; ``shape_instances(inp, "sb")`` names
-    it."""
+    is the one sailboat enumeration; ``_span_partition`` makes its moves
+    from it."""
     P = inp.category._positions()
     n, flat = len(P.src), P.flat
     marked, w_out, _ = inp._marks
@@ -316,23 +310,6 @@ def _square_heads(
         (flat[flat[m * n + wp] * n + v1], flat[m * n + h2])
         for m in _listed(lists, _weak_fillers, inp, wp, v1)
     ]
-
-
-def _composite_heads(
-    inp: FractionsInput, lists: dict, v1: int, g1: int, v2: int
-) -> Iterator[tuple[int, int]]:
-    """What composing a span (v1, g1) with any span (v2, g2) makes before
-    g2: the heads of each Ore square (w', h2) of (g1, v2)
-    (``_square_heads``), in canonical order, each first occurrence only:
-    composition is a function, so a repeated head would only repeat its
-    composite.  Both filler lists are read from ``lists`` (``_listed``), so
-    each is searched once per key and call."""
-    seen = set()
-    for wp, h2 in _listed(lists, _ore_squares, inp, g1, v2):
-        for head in _square_heads(inp, lists, wp, h2, v1):
-            if head not in seen:
-                seen.add(head)
-                yield head
 
 
 def _decide(axiom: int, witnesses: dict, counterexample: Optional[tuple]) -> AxiomFinding:
@@ -496,52 +473,38 @@ def _span_partition(inp: FractionsInput):
     return spans, partition(len(spans), moves()), start
 
 
-def sailboat_quotient(inp: FractionsInput) -> list[list[tuple]]:
-    """Partition of the spans into sailboat classes, canonical reps first."""
-    spans, ordered, _ = _span_partition(inp)
-    return [[spans[i] for i in members] for members in ordered]
-
-
 def _refuse_unhashable(*spans: tuple) -> None:
     """Raise InputError naming the first of ``spans`` with an entry that
-    cannot be hashed, so names no arrow; do nothing if there is none."""
+    cannot be hashed, so names no arrow; do nothing if there is none.  A
+    tuple hashes exactly when its entries do."""
     for s in spans:
-        for x in s:
-            try:
-                hash(x)
-            except TypeError:
-                raise InputError(f"a span is a pair (v, g) of arrows, got {s!r}") from None
+        try:
+            hash(s)
+        except TypeError:
+            raise InputError(f"a span is a pair (v, g) of arrows, got {s!r}") from None
 
 
-def span_compose(
-    inp: FractionsInput,
-    s1: tuple,
-    s2: tuple,
-    exhaustive: bool = False,
-) -> tuple:
+def span_compose(inp: FractionsInput, s1: tuple, s2: tuple) -> tuple:
     """Composite of two spans (v, g) via an Ore square then a
     weak-composition witness.
 
     Takes the first filler of each kind in canonical order, searched here,
-    so a single call decides no axiom.  With exhaustive=True, returns the
-    pair (first, frozenset of the spans produced by every (Ore filler, weak
-    filler) combination).  Either way the composite is a head (the first
-    of ``_square_heads`` on the first Ore square, or each of
-    ``_composite_heads``, named from its positions) composed with g2.  This
-    is the name-level composite of the public API: localize's class loop
-    and the ambient's ``internal_localize`` read first heads by position,
-    from the axiom decision's witnesses (``_first_heads``), instead.  A span
-    whose first leg is an arrow but not a marked one raises DomainError
-    naming it.
+    so a single call decides no axiom: the composite is the first head of
+    the first Ore square (``_square_heads``), named from its positions,
+    composed with g2.  This is the name-level composite of the public API:
+    localize's class loop and the ambient's ``internal_localize`` read first
+    heads by position, from the axiom decision's witnesses
+    (``_first_heads``), instead.  A span is a tuple of two entries, so any
+    other value, a string of two names among them, raises InputError.  A
+    span whose first leg is an arrow but not a marked one raises
+    DomainError naming it.
     """
     C = inp.category
-    s = s1
-    try:
-        v1, g1 = s
-        s = s2
-        v2, g2 = s
-    except (TypeError, ValueError):
-        raise InputError(f"a span is a pair (v, g), got {s!r}") from None
+    for s in (s1, s2):
+        # refused before it is unpacked: the string "ff" unpacks as a pair
+        if not (isinstance(s, tuple) and len(s) == 2):
+            raise InputError(f"a span is a pair (v, g), got {s!r}")
+    (v1, g1), (v2, g2) = s1, s2
     try:
         composable = C.tgt[g1] == C.tgt[v2]
     except KeyError as exc:
@@ -559,45 +522,36 @@ def span_compose(
     # holds only composable pairs, and compose names the pair that is not
     marked = inp._marks[0]
     P = C._positions()
-    pos, src, comp, arrows = P.arrow, P.src, C.composition, C.arrows
-    lists, results = {}, []
+    pos, src, arrows = P.arrow, P.src, C.arrows
     try:
         h, w, v = pos[g1], pos[v2], pos.get(v1)
         if v is not None and not marked[v]:
             raise DomainError(f"s1 {s1!r} is no span: {v1!r} is not marked")
         if not marked[w]:
             raise DomainError(f"s2 {s2!r} is no span: {v2!r} is not marked")
-        squares = _listed(lists, _ore_squares, inp, h, w)
+        squares = _ore_squares(inp, h, w)
         if v is None or src[v] != src[h]:
             # s1 is no span: the first read of a weak filler's (m;w');v1 names it
             for wp, _ in squares:
                 mw = P.flat[P.ins[src[wp]][0] * len(arrows) + wp]
                 compose(C, arrows[mw], v1)  # raises
-        if exhaustive:
-            heads = _composite_heads(inp, lists, v, h, w)
-        else:
-            # the first head: the first weak filler of the first Ore square
-            heads = _square_heads(inp, lists, *squares[0], v) if squares else ()
-        for a, b in heads:
-            a, b = arrows[a], arrows[b]
+        # the first head: the first weak filler of the first Ore square
+        heads = _square_heads(inp, {}, *squares[0], v) if squares else ()
+        if heads:
+            a, b = arrows[heads[0][0]], arrows[heads[0][1]]
             try:
-                composite = a, comp[(b, g2)]
+                return a, C.composition[(b, g2)]
             except KeyError:
-                composite = a, compose(C, b, g2)
-            if not exhaustive:
-                return composite
-            results.append(composite)
+                return a, compose(C, b, g2)
     except TypeError:
         # an entry that cannot be hashed fails the first read of it
         _refuse_unhashable(s1, s2)
         raise
-    if not results:
-        if squares:
-            problem = f"no filler chain composes {s1!r} with {s2!r}"
-        else:
-            problem = f"no Ore filler for cospan ({g1!r}, {v2!r})"
-        raise AxiomError(problem, report=check_axioms(inp))
-    return results[0], frozenset(results)
+    if squares:
+        problem = f"no filler chain composes {s1!r} with {s2!r}"
+    else:
+        problem = f"no Ore filler for cospan ({g1!r}, {v2!r})"
+    raise AxiomError(problem, report=check_axioms(inp))
 
 
 def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCategory:
@@ -620,8 +574,8 @@ def localize(inp: FractionsInput, exhaustive_limit: int = 64) -> LocalizedCatego
     call: a row's classes are the union of its squares' classes, and its
     first head the first head of its first square that has one.  That is the
     whole product check, because a sailboat move of a head stays a move once
-    g2 is composed on; ``span_compose(exhaustive=True)`` still forms the
-    whole product per span pair.  A failing row names the pair
+    g2 is composed on, so no call forms the whole product per span pair.
+    A failing row names the pair
     (s1, (v2, 1)).  Any failure of those re-derivations, a sailboat move
     that changes a span's endpoints, a row with no head or a composite that
     is not a span raises IntegrityError.

@@ -30,9 +30,7 @@ from catfrac import (
     internal_localize,
     internalize,
     localize,
-    sailboat_quotient,
     shape_instances,
-    span_compose,
     two_sided_inverse,
     validate_category,
     verify_cover_class,
@@ -42,6 +40,7 @@ from catfrac import (
     verify_pseudocolimit,
 )
 from catfrac.errors import InputError
+from test_shared_fillers import whole_product
 
 TIMES: dict = {}
 
@@ -157,13 +156,17 @@ def test_criterion_06_choice_independence(capsys):
             # passes internal filler/representative/section re-derivations
             LC = localize(inp, exhaustive_limit=10**9)
             cls = {s: LC.q[s] for s in spans}
-            # composites: every filler of every representative pair agrees
+            # composites: every filler of every representative pair agrees,
+            # each (Ore filler, weak filler) composite formed from the
+            # oracle's scans, and lands in the class the localized table
+            # gives the pair
             for s1 in spans:
                 for s2 in spans:
                     if C.tgt[s1[1]] != C.tgt[s2[0]]:
                         continue
-                    first, results = span_compose(inp, s1, s2, exhaustive=True)
+                    first, results = whole_product(inp, s1, s2)
                     assert {LC.q[p] for p in results} == {cls[first]}
+                    assert LC.carrier.composition[(cls[s1], cls[s2])] == cls[first]
             # identities: every section choice lands in the same class
             for x in C.objects:
                 first = next(v for v in inp.weq if C.tgt[v] == x)

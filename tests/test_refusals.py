@@ -293,6 +293,9 @@ def _internal_nat_trans(components, codomain="c1"):
          InputError, "a span is a pair (v, g) of arrows, got (['f'], 'id:b')"),
         (lambda: span_compose(_walking_arrow_all(), ("id:a", "f"), ("id:b", ["x"])),
          InputError, "a span is a pair (v, g) of arrows, got ('id:b', ['x'])"),
+        # refused before it is unpacked: the string "ff" unpacks as a pair
+        (lambda: span_compose(_walking_arrow_all(), "ff", ("f", "f")), InputError,
+         "a span is a pair (v, g), got 'ff'"),
         (lambda: inverts(_identity_without_f(), _walking_arrow_all()), DomainError,
          "the functor has no image of arrow 'f'"),
         (lambda: induced_functor(_identity_without_f(), localize(_walking_arrow_all())),
@@ -341,6 +344,24 @@ def _internal_nat_trans(components, codomain="c1"):
          "compose_many needs a nonempty chain of arrows"),
         (lambda: two_sided_inverse(corpus.two(), "nope"), InputError,
          "unknown arrow in two_sided_inverse: 'nope'"),
+        # a name that cannot be hashed is refused where it is first read
+        (lambda: FinCategory(("x",), (["f"],), {}, {}, {}, {}), InputError,
+         "arrow ['f'] cannot be hashed"),
+        (lambda: FinCategory.build(["x"], [("1", "x", "x"), ("f", "x", "x")], {"x": "1"},
+                                   {("f", "f"): ["1"]}),
+         InputError, "composite ['1'] cannot be hashed"),
+        (lambda: FinCategory.build(["x"], [("1", "x", "x")], {"x": ["1"]}, {}), InputError,
+         "identity ['1'] cannot be hashed"),
+        (lambda: FinCategory.build([["x"]], [], {}, {}), InputError,
+         "object ['x'] cannot be hashed"),
+        (lambda: FinCategory.build(["x"], [("1", ["x"], "x")], {"x": "1"}, {}), InputError,
+         "endpoint ['x'] cannot be hashed"),
+        (lambda: compose(corpus.two(), ["f"], "f"), InputError,
+         "unknown arrow in compose: ['f'], 'f'"),
+        (lambda: compose_many(corpus.two(), ["f"]), InputError,
+         "unknown arrow in compose_many: ['f']"),
+        (lambda: two_sided_inverse(corpus.two(), ["f"]), InputError,
+         "unknown arrow in two_sided_inverse: ['f']"),
         (lambda: _reassigned("weq", ("f",)), dataclasses.FrozenInstanceError,
          "cannot assign to field 'weq'"),
         (lambda: _reassigned("category", corpus.iso()), dataclasses.FrozenInstanceError,
@@ -354,14 +375,17 @@ def _internal_nat_trans(components, codomain="c1"):
         "transformation_unparallel", "shape_direction", "object_part_endpoints",
         "arrow_part_endpoints", "component_map_endpoints", "limit_str", "limit_none",
         "limit_bool", "limit_negative", "span_one_entry", "span_three_entries", "span_none",
-        "span_unhashable_mark", "span_unhashable_arrow", "inverts_missing_image",
+        "span_unhashable_mark", "span_unhashable_arrow", "span_a_string", "inverts_missing_image",
         "induced_missing_image", "marks_a_string", "marks_none", "marks_not_iterable",
         "marks_a_set", "marks_a_frozenset", "marks_no_category", "span_bad_mark", "finding_zero", "finding_five", "partial_table",
         "internalize_partial_table",
         "check_axioms_partial_table", "localize_partial_table", "partial_with_a_stray_entry",
         "build_identity_for_unknown_object", "validate_identity_for_unknown_object",
         "compose_many_unknown_arrow", "compose_many_empty_chain",
-        "two_sided_inverse_unknown_arrow", "reassign_weq", "reassign_category",
+        "two_sided_inverse_unknown_arrow", "raw_unhashable_arrow", "build_unhashable_composite",
+        "build_unhashable_identity", "build_unhashable_object", "build_unhashable_endpoint",
+        "compose_unhashable_arrow", "compose_many_unhashable_arrow",
+        "two_sided_inverse_unhashable_arrow", "reassign_weq", "reassign_category",
     ],
 )
 def test_library_refusal(run, error, message):

@@ -9,12 +9,12 @@ self-check (b) lists and classifies the heads of each Ore square (w', h2,
 v1) once per call, checks that each row (s1, v2) meets one class over its
 squares, then composes the row's first head with each g2 out of s(v2) by
 one table read; each square's heads are those the oracle's scans make,
-each row's classes are those of its distinct heads, the public
-span_compose searches on its own, and its exhaustive mode gives what the
-whole Ore x weak product, formed test-side from the oracle's scans, gives.
-With no fault, a bogus last filler or a coarser partition injected, (b)
-fires exactly when that whole product meets more than one class in some
-class pair; a bogus filler is appended by the library's routine and by the
+each row's heads and classes are those of the oracle's scans, the public
+span_compose searches on its own, and the whole Ore x weak product, formed
+test-side from the oracle's scans, meets only the class localize composes
+each span pair to.  With no fault, a bogus last filler or a coarser
+partition injected, (b) fires exactly when that whole product meets more
+than one class in some class pair; a bogus filler is appended by the library's routine and by the
 test-side scan alike.  A count of compose calls bounds the cost of (b)
 without timing it.  Negative controls: a fault injected into a routine or
 into the marked arrows into an object reaches self-checks (a) and (b) and
@@ -107,7 +107,7 @@ def row_squares(inp: FractionsInput, v1: str, g1: str, v2: str) -> list[tuple]:
 
 
 def localize_spying(inp: FractionsInput):
-    """localize, recording every span_compose call (s1, s2, exhaustive),
+    """localize, recording every span_compose call (s1, s2),
     every Ore list it reads through ``_listed``, (key, squares), and every
     list of heads it forms per Ore square, (key, heads), by names."""
     composed, ore, read = [], [], []
@@ -116,9 +116,9 @@ def localize_spying(inp: FractionsInput):
     heads_of = catfrac.fractions._square_heads
     C = inp.category
 
-    def composing(inp, s1, s2, exhaustive=False):
-        composed.append((s1, s2, exhaustive))
-        return public(inp, s1, s2, exhaustive)
+    def composing(inp, s1, s2):
+        composed.append((s1, s2))
+        return public(inp, s1, s2)
 
     def listing(lists, routine, inp, *key):
         found = listed(lists, routine, inp, *key)
@@ -152,19 +152,21 @@ def rows(inp: FractionsInput) -> list[tuple]:
 def check_against_public(inp: FractionsInput) -> None:
     LC, composed, ore, read = localize_spying(inp)
     fresh = FractionsInput(inp.category, inp.weq)
-    C, K = inp.category, LC.carrier
+    K = LC.carrier
     # the class loop composes each class pair from its row's head, so on an
     # input that passes the axioms span_compose never runs
     assert composed == []
     for (n1, n2), n in K.composition.items():
         s1, s2 = LC.class_reps[n1], LC.class_reps[n2]
         assert LC.q[span_compose(fresh, s1, s2)] == n
-    # each row's distinct heads, listed directly, are those of the oracle's
-    # scans, in order
-    for key in rows(inp):
-        heads = [named(C, head) for head in catfrac.fractions._composite_heads(
-            inp, {}, *placed(C, key))]
-        assert heads == list(dict.fromkeys(scanned_heads(inp, *key)))
+    # each row's heads, from the Ore list (b) read for it and the heads it
+    # listed per square, are those of the oracle's scans, in order
+    heads_of = dict(read)
+    assert len(ore) == len(rows(inp))
+    for (v1, g1, v2), (key, squares) in zip(rows(inp), ore):
+        assert key == (g1, v2)
+        heads = [head for wp, h2 in squares for head in heads_of[wp, h2, v1]]
+        assert heads == scanned_heads(inp, v1, g1, v2)
     # (b) lists the heads of every Ore square its rows read once, each the
     # oracle's product for that square
     assert Counter(key for key, _ in read) == Counter(
@@ -233,16 +235,15 @@ def fully_marked_cyclic(n: int) -> FractionsInput:
 def check_row_classes(inp: FractionsInput) -> None:
     """Each row's classes as (b) decides them, the union over the Ore
     squares it reads of the classes of each square's listed heads, are the
-    classes of that row's ``_composite_heads``: one class, as localize
-    returned.  A head that is no span stands for itself."""
+    classes of that row's heads from the oracle's scans: one class, as
+    localize returned.  A head that is no span stands for itself."""
     LC, _, ore, read = localize_spying(inp)
-    C, q, heads_of = inp.category, LC.q, dict(read)
+    q, heads_of = LC.q, dict(read)
     assert len(ore) == len(rows(inp))
     for (v1, g1, v2), (key, squares) in zip(rows(inp), ore):
         assert key == (g1, v2)
         decided = {q.get(head, head) for wp, h2 in squares for head in heads_of[wp, h2, v1]}
-        heads = catfrac.fractions._composite_heads(inp, {}, *placed(C, (v1, g1, v2)))
-        assert decided == {q.get(head, head) for head in (named(C, h) for h in heads)}
+        assert decided == {q.get(head, head) for head in scanned_heads(inp, v1, g1, v2)}
         assert len(decided) == 1
 
 
@@ -267,13 +268,19 @@ def whole_product(inp: FractionsInput, s1: tuple, s2: tuple) -> tuple:
 
 
 def check_whole_product(inp: FractionsInput) -> None:
+    """Every span pair's whole product, formed from the oracle's scans,
+    lies in the class localize's table composes the pair's classes to, and
+    its first composite is the public span_compose's."""
     C = inp.category
+    LC = localize(inp)
+    q, table = LC.q, LC.carrier.composition
     spans = shape_instances(inp, "spn")
     for s1 in spans:
         for s2 in spans:
             if C.tgt[s1[1]] == C.tgt[s2[0]]:
-                fresh = FractionsInput(C, inp.weq)
-                assert span_compose(fresh, s1, s2, exhaustive=True) == whole_product(inp, s1, s2)
+                first, found = whole_product(inp, s1, s2)
+                assert {q[p] for p in found} == {table[(q[s1], q[s2])]}, (s1, s2)
+                assert span_compose(FractionsInput(C, inp.weq), s1, s2) == first
 
 
 @pytest.mark.parametrize(
@@ -282,9 +289,7 @@ def check_whole_product(inp: FractionsInput) -> None:
     + [("chain(5)/all", fully_marked_chain(5))]
     + [(f"Z/{n}/all", fully_marked_cyclic(n)) for n in range(3, 7)],
 )
-def test_exhaustive_composites_are_the_whole_product(name, inp):
-    # the heads shared per (v1, g1, v2) drop only repeats, and composing a
-    # repeated head with g2 repeats its result
+def test_whole_product_meets_the_composite_class(name, inp):
     check_whole_product(inp)
 
 
@@ -477,13 +482,6 @@ def test_localize_reads_first_fillers_only_when_b_is_skipped(monkeypatch):
     assert calls == Counter({"_weak_fillers": weak_cases, "_ore_squares": ore_cases})
     assert bounds == Counter({1: weak_cases + ore_cases})
     assert drawn == calls
-    # the spies see the whole lists of an exhaustive composite
-    calls.clear()
-    drawn.clear()
-    bounds.clear()
-    span_compose(FractionsInput(C, W), ("2<2", "2<3"), ("3<3", "3<4"), exhaustive=True)
-    assert drawn["_ore_squares"] > calls["_ore_squares"] == 1
-    assert set(bounds) == {None}
 
 
 def routine_keys(inp: FractionsInput) -> list[tuple]:
@@ -561,7 +559,7 @@ def test_generated_routines_list_the_oracles_fillers(inp):
 
 @settings(max_examples=60, deadline=None)
 @given(marked())
-def test_generated_exhaustive_composites_are_the_whole_product(inp):
+def test_generated_whole_product_meets_the_composite_class(inp):
     assume(check_axioms(inp).ok)
     check_whole_product(inp)
 

@@ -73,7 +73,6 @@ from catfrac import (
     internal_localize,
     inverts,
     localize,
-    sailboat_quotient,
     shape_instances,
     span_compose,
     validate_category,
@@ -485,10 +484,7 @@ def _view_readers(IE, w) -> None:
         LC = localize(inp)
         localize(FractionsInput(C, C.arrows))
         span_compose(inp, ("0<1", "0<2"), ("2<2", "2<3"))
-        span_compose(inp, ("0<1", "0<2"), ("2<2", "2<3"), exhaustive=True)
-        sailboat_quotient(inp)
         shape_instances(inp, "spn")
-        shape_instances(inp, "sb")
         assert inverts(LC.L, inp)[0]
         find_isomorphism(C, C)
         enumerate_functors(C, C)
@@ -765,7 +761,6 @@ def test_each_fractions_shape_has_one_search_routine():
     assert "axiom_verdict" in first_heads
     assert not set(ROUTINES) & first_heads
     assert "_weak_fillers" in _reads(_function(tree, "_square_heads"))
-    assert {"_ore_squares", "_square_heads"} <= _reads(_function(tree, "_composite_heads"))
     # (b) reads each row's Ore list and forms heads per square; the head
     # formula stays in _first_heads and _square_heads, so localize reaches
     # no weak filler itself
@@ -775,7 +770,7 @@ def test_each_fractions_shape_has_one_search_routine():
     # span_compose searches for itself, on the routines and the head
     # formula of _square_heads, and reads no verdict
     span_reads = _reads(_function(tree, "span_compose"))
-    assert {"_ore_squares", "_square_heads", "_composite_heads"} <= span_reads
+    assert {"_ore_squares", "_square_heads"} <= span_reads
     assert not {"_first_heads", "axiom_verdict"} & span_reads
 
 
@@ -1027,11 +1022,10 @@ def test_view_numbering_check_fires():
 
 # what runs on arrow positions: the axiom decision, the sailboat moves,
 # the search routines, the heads, and localize's own loops, the class loop
-# and self-check (b).  _composite_heads reads the table only through
-# _square_heads
+# and self-check (b)
 POSITIONAL = (
     "check_axioms", "_masts", "_span_partition", *ROUTINES, "_first_heads", "_square_heads",
-    "_composite_heads", "localize",
+    "localize",
 )
 
 
@@ -1073,9 +1067,7 @@ def test_localize_reads_composition_by_position():
     # view, flat[f*N + g]; names are read at the edges only
     assert _name_pair_reads(MODULES["fractions"], POSITIONAL) == []
     for name in POSITIONAL:
-        source = inspect.getsource(getattr(catfrac.fractions, name))
-        reader = "_square_heads(" if name == "_composite_heads" else "flat"
-        assert reader in source, name
+        assert "flat" in inspect.getsource(getattr(catfrac.fractions, name)), name
 
 
 def test_name_pair_read_check_fires():
